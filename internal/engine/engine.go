@@ -180,9 +180,10 @@ type Engine struct {
 	disk  *pagestore.Disk
 	cache *cache.Cache
 	cfg   Config
-	// batchBuf is the batched prefetch flush's reusable prediction-set
-	// scratch (BatchedIO mode only).
-	batchBuf []pagestore.PageID
+	// batchBuf and readBuf are the batched prefetch flush's reusable scratch
+	// (BatchedIO mode only): the prediction set, and the pages sweepBatch
+	// read from it.
+	batchBuf, readBuf []pagestore.PageID
 }
 
 // New creates an engine. The store must be paginated (bulk-loaded).
@@ -382,37 +383,22 @@ func (e *Engine) executePlan(plan prefetch.Plan, budget time.Duration) (int, tim
 }
 
 // executePlanBatched is the BatchedIO flush: the plan's whole prediction
-// set — traversal pages plus every request's pages — accumulates into one
-// batch, cached pages drop out, and the rest is read in a single elevator
-// sweep (ascending physical order, one seek per physically contiguous
-// run). The budget applies to runs, not pages: a run that crosses the line
-// still completes (a half-fetched run would waste its seek), and no
-// further run starts. The sweep trades the incremental ladder's priority
-// order for physical locality; layout1 measures that trade.
+// set — traversal pages plus every request's pages — becomes one elevator
+// batch (elevatorBatch) and sweepBatch reads its uncached pages in a single
+// sweep, one seek per physically contiguous run, until the run that crosses
+// the budget. The sweep trades the incremental ladder's priority order for
+// physical locality; layout1 measures that trade.
 func (e *Engine) executePlanBatched(plan prefetch.Plan, budget time.Duration) (int, time.Duration) {
-	buf := e.batchBuf[:0]
-	buf = append(buf, plan.TraversalPages...)
+	buf := append(e.batchBuf[:0], plan.TraversalPages...)
 	var req []pagestore.PageID
 	for _, r := range plan.Requests {
 		req = e.index.QueryPages(r.Region, req[:0])
 		buf = append(buf, req...)
 	}
-	buf = assembleBatch(e.store, e.cache, buf)
 	e.batchBuf = buf
-
-	var spent time.Duration
-	prefetched := 0
-	e.store.Runs(buf, e.disk.Model().MaxBridge(), func(run []pagestore.PageID) bool {
-		// One elevator run per read: internal gaps are bridged, the
-		// boundary to the previous run seeks (it is > MaxBridge away).
-		spent += e.disk.ReadSorted(run)
-		for _, pg := range run {
-			e.cache.Insert(pg)
-			prefetched++
-		}
-		return spent <= budget
-	})
-	return prefetched, spent
+	n, spent, read := sweepBatch(e.store, e.cache, elevatorBatch(e.store, buf), e.disk.Model().MaxBridge(), budget, e.readBuf, e.disk.ReadSorted)
+	e.readBuf = read
+	return n, spent
 }
 
 // queryObjects filters the candidate pages' objects by the region (shared

@@ -28,9 +28,10 @@ func (r Router) Partition() *pagestore.Partition { return r.part }
 
 // Split distributes pages to per-shard slices, preserving the input order
 // within each shard. dst is reused when it has the right shape. Because
-// shard ranges are contiguous in physical order, concatenating the
-// per-shard elevator-sorted slices in shard order reproduces the global
-// elevator order exactly — the property that makes S=1 bit-exact with the
+// shard ranges are contiguous in physical order, an elevator batch (sorted,
+// duplicate-free — the prefetch flush splits one) yields per-shard parts
+// that are elevator batches themselves and whose concatenation in shard
+// order is the input — the property that makes S=1 bit-exact with the
 // unsharded batched path.
 func (r Router) Split(pages []pagestore.PageID, dst [][]pagestore.PageID) [][]pagestore.PageID {
 	n := r.part.Shards()

@@ -21,6 +21,7 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"sort"
@@ -403,6 +404,9 @@ type step struct {
 	predictionHidden bool
 	traversal        []pagestore.PageID
 	reqPages         [][]pagestore.PageID // per plan request, sorted ascending
+	// batch is the batched flush's view of the same prediction set, one
+	// elevator batch; like cold, bound to the layout installed at plan time.
+	batch []pagestore.PageID
 }
 
 // pageCache is the cache surface the commit loop needs; both the
@@ -414,13 +418,26 @@ type pageCache interface {
 	Clear()
 }
 
-// assembleBatch turns an accumulated prediction set into one elevator
-// batch: cached pages drop out, the rest sorts into ascending physical
-// order, and duplicates (overlapping ladder rungs), made adjacent by the
-// sort, collapse so each page is read once. All in place. Shared by
-// executePlanBatched and commitPlanBatched so the single- and
-// multi-session flush paths cannot drift
-// (TestServeBatchedIsolatedMatchesSingleSession pins the equivalence).
+// elevatorBatch turns an accumulated prediction set into one elevator
+// batch, in place: ascending physical order, with duplicates (overlapping
+// ladder rungs), made adjacent by the sort, collapsed so each page is read
+// once.
+func elevatorBatch(store *pagestore.Store, buf []pagestore.PageID) []pagestore.PageID {
+	store.ElevatorSort(buf)
+	k := 0
+	for i, pg := range buf {
+		if i == 0 || pg != buf[i-1] {
+			buf[k] = pg
+			k++
+		}
+	}
+	return buf[:k]
+}
+
+// assembleBatch is elevatorBatch over the uncached pages only, in place: the
+// whole filtered batch up front, which only the sharded engine's HA flush
+// needs (its hedge estimate prices every home's full sub-batch before any
+// read). Every other batched flush filters lazily, in sweepBatch.
 func assembleBatch(store *pagestore.Store, c pageCache, buf []pagestore.PageID) []pagestore.PageID {
 	k := 0
 	for _, pg := range buf {
@@ -429,16 +446,49 @@ func assembleBatch(store *pagestore.Store, c pageCache, buf []pagestore.PageID) 
 			k++
 		}
 	}
-	buf = buf[:k]
-	store.ElevatorSort(buf)
-	k = 0
-	for i, pg := range buf {
-		if i == 0 || pg != buf[i-1] {
-			buf[k] = pg
-			k++
+	return elevatorBatch(store, buf[:k])
+}
+
+// sweepBatch is the batched prefetch flush, shared by every non-HA batched
+// path (single-session, sharded, flat serve, sharded serve) so they cannot
+// drift: it walks an elevator batch, skips cached pages, grows elevator runs
+// by Store.Runs' rule (one readRun per run: internal gaps are bridged, the
+// boundary to the previous run seeks), and stops after the run that crosses
+// the budget — a half-fetched run would waste its seek. Work is proportional
+// to the pages scanned before that stop, not to the batch.
+//
+// The pages read enter the cache only after the last run is priced, in sweep
+// order: an insert can evict a cached page that sits later in the batch, and
+// that page was cached when the flush was issued, so every Contains must see
+// the pre-flush cache. Returns the pages read, the time spent, and the read
+// pages' buffer (scratch, reused).
+func sweepBatch(store *pagestore.Store, c pageCache, sorted []pagestore.PageID, maxBridge pagestore.PageID, budget time.Duration, scratch []pagestore.PageID, readRun func(run []pagestore.PageID) time.Duration) (int, time.Duration, []pagestore.PageID) {
+	read := scratch[:0]
+	start := 0 // read[start:] is the run being grown
+	var spent time.Duration
+	var last pagestore.PageID
+	for _, pg := range sorted {
+		if c.Contains(pg) {
+			continue
 		}
+		phys := store.PhysicalPage(pg)
+		if len(read) > start && phys-last > maxBridge+1 {
+			spent += readRun(read[start:])
+			start = len(read)
+			if spent > budget {
+				break
+			}
+		}
+		read = append(read, pg)
+		last = phys
 	}
-	return buf[:k]
+	if len(read) > start {
+		spent += readRun(read[start:])
+	}
+	for _, pg := range read {
+		c.Insert(pg)
+	}
+	return len(read), spent, read
 }
 
 // sharedDisk prices reads on the shared disk: one cost model, one stats
@@ -704,7 +754,10 @@ type SessionPlans struct {
 	store *pagestore.Store
 	index Index
 	cost  pagestore.CostModel
-	steps [][]step
+	// layout names the store layout the steps were priced and elevator-
+	// sorted under (step.cold, step.batch); Serve refuses any other.
+	layout string
+	steps  [][]step
 	// classes carries each session's workload-class index into the commit
 	// phase (class binding is part of the workload, not the config, so one
 	// plan set commits under many class configurations).
@@ -741,7 +794,7 @@ func PlanSessions(store *pagestore.Store, index Index, workloads []SessionWorklo
 		cost = pagestore.DefaultCostModel()
 	}
 	n := len(workloads)
-	plans := &SessionPlans{store: store, index: index, cost: cost, steps: make([][]step, n), classes: make([]int, n)}
+	plans := &SessionPlans{store: store, index: index, cost: cost, layout: store.LayoutName(), steps: make([][]step, n), classes: make([]int, n)}
 	for i := range workloads {
 		plans.classes[i] = workloads[i].Class
 	}
@@ -779,10 +832,15 @@ func Serve(store *pagestore.Store, index Index, workloads []SessionWorkload, cfg
 // Serve is the commit phase: the deterministic virtual-time event loop
 // over the planned sessions. The plan's cost model overrides
 // cfg.Engine.Cost — plans priced under one model must not be committed
-// under another.
+// under another — nor under another layout: a Store.Relayout between
+// PlanSessions and Serve would price the plan's cold costs and elevator
+// batches with the wrong adjacency, so Serve panics instead.
 func (p *SessionPlans) Serve(cfg ServeConfig) ServeResult {
 	cfg.Engine.Cost = p.cost
 	store := p.store
+	if cur := store.LayoutName(); cur != p.layout {
+		panic(fmt.Sprintf("engine: SessionPlans planned under layout %q, committed under layout %q: re-run PlanSessions after Store.Relayout", p.layout, cur))
+	}
 	plans := p.steps
 	n := len(plans)
 	if n == 0 {
@@ -889,7 +947,7 @@ func (p *SessionPlans) Serve(cfg ServeConfig) ServeResult {
 	res := ServeResult{Shards: cfg.Shards}
 	var missBuf []pagestore.PageID
 	var contBuf []int
-	var batchBuf []pagestore.PageID
+	var sweepBuf []pagestore.PageID
 	for {
 		// Next event: the unfinished session with the smallest clock,
 		// lowest ID breaking ties.
@@ -1056,13 +1114,13 @@ func (p *SessionPlans) Serve(cfg ServeConfig) ServeResult {
 			} else if faultsOn && inj.BudgetStarved(t) {
 				res.StarvedWindows++
 			} else if shardSrv != nil {
-				tr.Prefetched, tr.PrefetchIO, grantTime = shardSrv.prefetchTurn(s, st, budget, contBuf, &batchBuf, t)
+				tr.Prefetched, tr.PrefetchIO, grantTime = shardSrv.prefetchTurn(s, st.batch, budget, contBuf, t)
 			} else {
 				grant := arb.Grant(s, contBuf, budget)
 				grantTime = grant
 				if grant > 0 {
 					if cfg.Engine.BatchedIO {
-						tr.Prefetched, tr.PrefetchIO = commitPlanBatched(caches[s], disk, s, st, grant, len(contBuf), &batchBuf, t)
+						tr.Prefetched, tr.PrefetchIO = commitPlanBatched(caches[s], disk, s, st.batch, grant, len(contBuf), &sweepBuf, t)
 					} else {
 						tr.Prefetched, tr.PrefetchIO = commitPlan(caches[s], disk, s, st, grant, len(contBuf), t)
 					}
@@ -1229,6 +1287,7 @@ func (p *SessionPlans) Serve(cfg ServeConfig) ServeResult {
 // precomputes every step. Pure with respect to shared serving state.
 func planSession(store *pagestore.Store, index Index, w SessionWorkload, cost pagestore.CostModel) []step {
 	var steps []step
+	var batchBuf []pagestore.PageID
 	p := w.Prefetcher
 	for si, seq := range w.Sequences {
 		p.Reset()
@@ -1261,11 +1320,14 @@ func planSession(store *pagestore.Store, index Index, w SessionWorkload, cost pa
 				predictionHidden: plan.PredictionHidden,
 				traversal:        append([]pagestore.PageID(nil), plan.TraversalPages...),
 			}
+			batchBuf = append(batchBuf[:0], st.traversal...)
 			for _, req := range plan.Requests {
 				b := index.QueryPages(req.Region, nil)
 				pagestore.SortPageIDs(b)
 				st.reqPages = append(st.reqPages, b)
+				batchBuf = append(batchBuf, b...)
 			}
+			st.batch = append([]pagestore.PageID(nil), elevatorBatch(store, batchBuf)...)
 			steps = append(steps, st)
 		}
 	}
@@ -1308,31 +1370,16 @@ func commitPlan(c pageCache, d *sharedDisk, session int, st step, budget time.Du
 	return prefetched, spent
 }
 
-// commitPlanBatched replays Engine.executePlanBatched against the shared
-// cache and disk: one elevator batch per session turn — the step's whole
-// prediction set, minus cached pages, swept in ascending physical order
-// with the arbiter's grant applied to runs, not pages (the run that
-// crosses the line completes; no further run starts). Issuing one batch
-// per turn also shrinks the window in which other sessions' in-flight I/O
-// counts as seek interference. buf is the caller's reusable scratch.
-func commitPlanBatched(c pageCache, d *sharedDisk, session int, st step, budget time.Duration, contenders int, buf *[]pagestore.PageID, now time.Duration) (int, time.Duration) {
-	batch := (*buf)[:0]
-	batch = append(batch, st.traversal...)
-	for _, pages := range st.reqPages {
-		batch = append(batch, pages...)
-	}
-	batch = assembleBatch(d.store, c, batch)
-	*buf = batch
-
-	var spent time.Duration
-	prefetched := 0
-	d.store.Runs(batch, d.model.MaxBridge(), func(run []pagestore.PageID) bool {
-		spent += d.readSweep(session, run, contenders, now)
-		for _, pg := range run {
-			c.Insert(pg)
-			prefetched++
-		}
-		return spent <= budget
+// commitPlanBatched is Engine.executePlanBatched against the shared cache
+// and disk: one elevator batch per session turn — the step's plan-time
+// batch (step.batch) swept with the arbiter's grant as the budget. Issuing
+// one batch per turn also shrinks the window in which other sessions'
+// in-flight I/O counts as seek interference. scratch is the caller's
+// reusable sweepBatch buffer.
+func commitPlanBatched(c pageCache, d *sharedDisk, session int, batch []pagestore.PageID, budget time.Duration, contenders int, scratch *[]pagestore.PageID, now time.Duration) (int, time.Duration) {
+	n, spent, read := sweepBatch(d.store, c, batch, d.model.MaxBridge(), budget, *scratch, func(run []pagestore.PageID) time.Duration {
+		return d.readSweep(session, run, contenders, now)
 	})
-	return prefetched, spent
+	*scratch = read
+	return n, spent
 }

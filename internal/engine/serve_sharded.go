@@ -19,7 +19,7 @@ type serveShard struct {
 	cache *cache.Sharded
 	arb   *Arbiter
 	miss  []pagestore.PageID
-	batch []pagestore.PageID
+	read  []pagestore.PageID // sweepBatch scratch
 }
 
 // serveDemandOut is shard i's result slot for one turn's demand fan-out.
@@ -312,22 +312,16 @@ func (sv *serveShardSet) demandTurnHA(s, contenders int, now time.Duration) {
 	ha.observe(now)
 }
 
-// prefetchTurn runs one granted prefetch window: the step's prediction set
-// splits by shard range and every shard asks ITS arbiter for a grant
-// against the full window budget — the shard disks sweep concurrently, so
-// the fleet may spend up to S grants of device time while the window
-// (PrefetchIO, the slowest shard's spend) still closes on time. That is the
-// scale-out win. grant0 is shard 0's grant, which paces the background
-// scrub exactly like the unsharded grant does. batchBuf is the caller's
-// scratch for accumulating the prediction set before the split.
-func (sv *serveShardSet) prefetchTurn(s int, st step, budget time.Duration, contenders []int, batchBuf *[]pagestore.PageID, now time.Duration) (prefetched int, io, grant0 time.Duration) {
-	buf := (*batchBuf)[:0]
-	buf = append(buf, st.traversal...)
-	for _, pages := range st.reqPages {
-		buf = append(buf, pages...)
-	}
-	*batchBuf = buf
-	sv.pparts = sv.router.Split(buf, sv.pparts)
+// prefetchTurn runs one granted prefetch window: the step's plan-time
+// elevator batch (step.batch) splits by shard range (each part stays an elevator batch)
+// and every shard asks ITS arbiter for a grant against the full window
+// budget — the shard disks sweep concurrently, so the fleet may spend up to
+// S grants of device time while the window (PrefetchIO, the slowest shard's
+// spend) still closes on time. That is the scale-out win. grant0 is shard
+// 0's grant, which paces the background scrub exactly like the unsharded
+// grant does.
+func (sv *serveShardSet) prefetchTurn(s int, batch []pagestore.PageID, budget time.Duration, contenders []int, now time.Duration) (prefetched int, io, grant0 time.Duration) {
+	sv.pparts = sv.router.Split(batch, sv.pparts)
 	parts, outs := sv.pparts, sv.pref
 	nc := len(contenders)
 	ha := sv.ha
@@ -350,25 +344,15 @@ func (sv *serveShardSet) prefetchTurn(s int, st step, budget time.Duration, cont
 			}
 			factor = ha.inj.ShardBrownout(i, now)
 		}
-		sh.batch = append(sh.batch[:0], parts[i]...)
-		sh.batch = assembleBatch(sh.disk.store, sh.cache, sh.batch)
-		var spent time.Duration
-		n := 0
-		sh.disk.store.Runs(sh.batch, sh.disk.model.MaxBridge(), func(run []pagestore.PageID) bool {
+		o.n, o.spent, sh.read = sweepBatch(sh.disk.store, sh.cache, parts[i], sh.disk.model.MaxBridge(), grant, sh.read, func(run []pagestore.PageID) time.Duration {
 			base := sh.disk.readSweep(s, run, nc, now)
 			if factor > 1 {
 				extra := time.Duration(float64(base) * (factor - 1))
 				sh.disk.chargeHA(extra, 0)
 				base += extra
 			}
-			spent += base
-			for _, pg := range run {
-				sh.cache.Insert(pg)
-				n++
-			}
-			return spent <= grant
+			return base
 		})
-		o.spent, o.n = spent, n
 	})
 	for i := range outs {
 		prefetched += outs[i].n

@@ -18,7 +18,8 @@ type engineShard struct {
 	disk  *pagestore.Disk
 	cache *cache.Sharded
 	miss  []pagestore.PageID
-	batch []pagestore.PageID
+	read  []pagestore.PageID // sweepBatch scratch (plain flush)
+	batch []pagestore.PageID // assembled sub-batch (HA flush)
 }
 
 // demandOut is shard i's result slot for one demand fan-out.
@@ -363,44 +364,31 @@ func (e *ShardedEngine) RunSequence(seq workload.Sequence, p prefetch.Prefetcher
 	return res
 }
 
-// executePlanSharded is executePlanBatched with the prediction set split by
-// shard range: each shard assembles its sub-batch against its own cache and
-// sweeps its runs under the full window budget, concurrently. Shard ranges
-// are contiguous in physical order, so with S=1 the single sub-batch is the
-// global batch and the arithmetic is bit-exact with the unsharded flush.
-func (e *ShardedEngine) executePlanSharded(plan prefetch.Plan, budget time.Duration) (int, time.Duration) {
-	buf := e.batchBuf[:0]
-	buf = append(buf, plan.TraversalPages...)
+// gatherBatch accumulates the plan's whole prediction set — traversal pages
+// plus every request's pages — into the coordinator's reusable buffer.
+func (e *ShardedEngine) gatherBatch(plan prefetch.Plan) []pagestore.PageID {
+	buf := append(e.batchBuf[:0], plan.TraversalPages...)
 	for _, r := range plan.Requests {
 		e.reqBuf = e.index.QueryPages(r.Region, e.reqBuf[:0])
 		buf = append(buf, e.reqBuf...)
 	}
 	e.batchBuf = buf
+	return buf
+}
 
-	e.pparts = e.router.Split(buf, e.pparts)
+// executePlanSharded is executePlanBatched with the elevator batch split by
+// shard range: each shard sweeps its part against its own cache under the
+// full window budget, concurrently. Shard ranges are contiguous in physical
+// order, so every part is itself an elevator batch, and with S=1 the single
+// part is the global batch and the arithmetic is bit-exact with the
+// unsharded flush.
+func (e *ShardedEngine) executePlanSharded(plan prefetch.Plan, budget time.Duration) (int, time.Duration) {
+	e.pparts = e.router.Split(elevatorBatch(e.store, e.gatherBatch(plan)), e.pparts)
 	outs := e.prefetch
 	parts := e.pparts
 	maxBridge := e.cfg.Cost.MaxBridge()
 	e.set.Do(func(i int, sh *engineShard) {
-		o := &outs[i]
-		*o = prefetchOut{}
-		part := parts[i]
-		if len(part) == 0 {
-			return
-		}
-		sh.batch = append(sh.batch[:0], part...)
-		sh.batch = assembleBatch(e.store, sh.cache, sh.batch)
-		var spent time.Duration
-		n := 0
-		e.store.Runs(sh.batch, maxBridge, func(run []pagestore.PageID) bool {
-			spent += sh.disk.ReadSorted(run)
-			for _, pg := range run {
-				sh.cache.Insert(pg)
-				n++
-			}
-			return spent <= budget
-		})
-		o.spent, o.n = spent, n
+		outs[i].n, outs[i].spent, sh.read = sweepBatch(e.store, sh.cache, parts[i], maxBridge, budget, sh.read, sh.disk.ReadSorted)
 	})
 
 	var spentMax time.Duration
@@ -613,15 +601,7 @@ func (sh *engineShard) priceSweep(store *pagestore.Store, batch []pagestore.Page
 // three fan-outs replay the plain path's disk and cache call sequences
 // verbatim.
 func (e *ShardedEngine) executePlanShardedHA(plan prefetch.Plan, budget time.Duration) (int, time.Duration) {
-	buf := e.batchBuf[:0]
-	buf = append(buf, plan.TraversalPages...)
-	for _, r := range plan.Requests {
-		e.reqBuf = e.index.QueryPages(r.Region, e.reqBuf[:0])
-		buf = append(buf, e.reqBuf...)
-	}
-	e.batchBuf = buf
-
-	e.pparts = e.router.Split(buf, e.pparts)
+	e.pparts = e.router.Split(e.gatherBatch(plan), e.pparts)
 	parts := e.pparts
 	maxBridge := e.cfg.Cost.MaxBridge()
 	ha := e.ha
