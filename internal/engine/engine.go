@@ -296,16 +296,8 @@ func (e *Engine) RunSequence(seq workload.Sequence, p prefetch.Prefetcher) Seque
 		// runs only on window time that demand reads AND planned prefetch
 		// left unused, and its per-window step is capped (ScrubPages), so it
 		// can never starve either. The last query has no window.
-		if e.cfg.ScrubPages > 0 && e.cfg.Backing != nil && qi < len(seq.Queries)-1 {
-			if leftover := budget - tr.PrefetchIO; leftover > 0 {
-				max := e.cfg.ScrubPages
-				if t := e.disk.Model().Transfer; t > 0 {
-					if byTime := int(leftover / t); byTime < max {
-						max = byTime
-					}
-				}
-				e.disk.ScrubStep(max)
-			}
+		if qi < len(seq.Queries)-1 {
+			e.disk.ScrubIdle(budget-tr.PrefetchIO, e.cfg.ScrubPages)
 		}
 
 		// 4. Accounting.
@@ -326,54 +318,52 @@ func (e *Engine) RunSequence(seq workload.Sequence, p prefetch.Prefetcher) Seque
 	return res
 }
 
-// executePlan reads the plan's pages into the cache until the window budget
-// is exhausted: first the gap-traversal pages, then the incremental request
-// ladder. It returns the number of pages prefetched and the I/O time spent.
-//
-// commitPlan (serve.go) replays this loop against the shared cache/disk
-// with pre-resolved request pages; the two must stay semantically
-// identical — TestServeIsolatedMatchesSingleSession pins the equivalence
-// byte-for-byte.
+// executePlan spends the prefetch window on the plan: one elevator batch
+// with BatchedIO, else the per-page flush, with each request resolved
+// through the index only when the flush reaches it — a window that closes
+// early never pays for the ladder's later rungs.
 func (e *Engine) executePlan(plan prefetch.Plan, budget time.Duration) (int, time.Duration) {
 	if e.cfg.BatchedIO {
 		return e.executePlanBatched(plan, budget)
 	}
+	var buf []pagestore.PageID
+	return prefetchPages(e.cache, e.disk, plan.TraversalPages, len(plan.Requests), func(i int) []pagestore.PageID {
+		buf = e.index.QueryPages(plan.Requests[i].Region, buf[:0])
+		pagestore.SortPageIDs(buf)
+		return buf
+	}, budget)
+}
+
+// prefetchPages is the per-page prefetch flush, shared by the single-session
+// engine and the flat serving path: it reads the plan's uncached pages into
+// the cache until the budget is exhausted — first the gap-traversal pages in
+// plan order (gap traversal reads them in structure-following priority),
+// then the incremental request ladder, request i's pages (reqPages(i), in
+// ascending order, as a disk scheduler would issue them, so contiguous runs
+// earn their discount) only once the flush gets there. The read that crosses
+// the budget still completes — the disk cannot abort a read — and closes the
+// window. It returns the pages prefetched and the I/O time spent.
+func prefetchPages(c pageCache, d *pagestore.Disk, traversal []pagestore.PageID, requests int, reqPages func(i int) []pagestore.PageID, budget time.Duration) (int, time.Duration) {
 	var spent time.Duration
 	prefetched := 0
 
 	readPage := func(pg pagestore.PageID) bool {
-		if e.cache.Contains(pg) {
+		if c.Contains(pg) {
 			return true // already cached: free (still in cache)
 		}
-		cost := e.disk.ReadPage(pg)
-		if spent+cost > budget {
-			// The window closed mid-read: the page still completes (the
-			// disk cannot abort a read) but the window is over.
-			spent += cost
-			e.cache.Insert(pg)
-			prefetched++
-			return false
-		}
-		spent += cost
-		e.cache.Insert(pg)
+		spent += d.ReadPage(pg)
+		c.Insert(pg)
 		prefetched++
-		return true
+		return spent <= budget
 	}
 
-	// Traversal pages keep their plan order: gap traversal reads them in
-	// structure-following priority.
-	for _, pg := range plan.TraversalPages {
+	for _, pg := range traversal {
 		if !readPage(pg) {
 			return prefetched, spent
 		}
 	}
-	// Each request's pages are issued in ascending physical order, as a
-	// disk scheduler would, so contiguous runs earn their discount.
-	var buf []pagestore.PageID
-	for _, req := range plan.Requests {
-		buf = e.index.QueryPages(req.Region, buf[:0])
-		pagestore.SortPageIDs(buf)
-		for _, pg := range buf {
+	for i := 0; i < requests; i++ {
+		for _, pg := range reqPages(i) {
 			if !readPage(pg) {
 				return prefetched, spent
 			}

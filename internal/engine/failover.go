@@ -9,15 +9,18 @@ import (
 
 // This file is the shard fault-tolerance layer (DESIGN.md §13): a per-shard
 // health ledger reusing the PR 6 breaker shape, chain-walking failover
-// routing over the replicated partition, and the hedged-prefetch pick. It
-// is shared by the single-session ShardedEngine and the multi-session
-// serveShardSet, so the two failover paths can never drift apart. All
+// routing over the replicated partition, the demand read's storage half
+// (serveMisses) and the hedged-prefetch pick. Every sharded fleet — the
+// single-session ShardedEngine and the multi-session serveShardSet, with or
+// without replication — reads its demand misses through here: an
+// unreplicated fleet with no shard faults is a one-member chain and a nil
+// injector, which routes every home to itself and charges nothing. All
 // decisions are pure functions of (fault plan, virtual time, health state
-// driven by the same), which keeps every HA run byte-identical for any
-// worker count.
+// driven by the same), which keeps every run byte-identical for any worker
+// count.
 
 // HAStats is the fleet-wide high-availability ledger one sharded run
-// accumulates. All zero when replication, hedging and shard faults are off.
+// accumulates. All zero when replication and shard faults are off.
 type HAStats struct {
 	// FailedOverBatches/Pages count demand sub-batches (and their pages)
 	// served by a replica shard instead of their sick home.
@@ -107,12 +110,18 @@ type haState struct {
 	health   []breaker
 	routes   []haRoute
 	evidence []float64
+	retries  []int64 // per-shard DiskStats.FaultRetries already folded into evidence
 	stats    HAStats
 }
 
-// newHAState builds the failover router for a shard fleet. inj may be nil
-// (pure replication, no shard faults); hedge 0 disables hedged prefetch.
+// newHAState builds the failover router for a shard fleet. inj is the
+// fleet's fault injector, or nil; only its shard-fault domains concern the
+// router, so an injector that plans none is dropped — h.inj != nil means
+// shard faults are armed. hedge 0 disables hedged prefetch.
 func newHAState(part *pagestore.Partition, inj *fault.Injector, cost pagestore.CostModel, retry pagestore.RetryPolicy, hedge float64) *haState {
+	if inj != nil && !inj.Plan().ShardFaultsEnabled() {
+		inj = nil
+	}
 	n := part.Shards()
 	h := &haState{
 		part:     part,
@@ -123,6 +132,7 @@ func newHAState(part *pagestore.Partition, inj *fault.Injector, cost pagestore.C
 		health:   make([]breaker, n),
 		routes:   make([]haRoute, n),
 		evidence: make([]float64, n),
+		retries:  make([]int64, n),
 	}
 	cfg := failoverBreakerConfig()
 	for i := range h.health {
@@ -192,6 +202,104 @@ func (h *haState) routeDemand(j int, now time.Duration) haRoute {
 	}
 	r.pre = h.retry.Timeout
 	return r
+}
+
+// serveMisses is the demand read's storage half, run after the lookup
+// fan-out left every home shard's misses in its shard.miss (DESIGN.md §13):
+// the coordinator walks each missing home's replica chain (routeDemand) at
+// virtual time now; a second fan-out then sweeps every miss sub-batch on its
+// serving shard in one elevator batch — a browned shard's sweep billed at
+// its multiplier, replica-slice reads surcharged per page — and the outcome
+// settles into the HA ledger. outs[j].io receives home j's storage service
+// time (discovery charge included) and outs[j].miss the pages actually
+// served. A home whose whole chain is down loses its misses: it serves
+// none, its service time is the discovery charge (the client waits out its
+// read deadline and is answered degraded), and the pages are counted lost,
+// never silently zero-costed; routes[j].target < 0 marks it for the caller.
+//
+// With every chain healthy each home serves itself, so a one-member chain
+// issues exactly one ReadBatch per missing shard and charges nothing else.
+func (h *haState) serveMisses(set *ShardSet[*shard], now time.Duration, outs []demandOut) {
+	missing := false
+	for j := range h.routes {
+		r := haRoute{target: j, factor: 1, hedge: -1, hedgeFactor: 1}
+		if len(set.State(j).miss) > 0 {
+			r = h.routeDemand(j, now)
+			missing = true
+		}
+		h.routes[j] = r
+	}
+	if !missing {
+		return // every page hit: no storage read to fan out
+	}
+
+	set.Do(func(t int, sh *shard) {
+		for j := range h.routes {
+			r := &h.routes[j]
+			miss := set.State(j).miss
+			if r.target != t || len(miss) == 0 {
+				continue
+			}
+			base := sh.disk.ReadBatch(miss)
+			var extra time.Duration
+			if r.factor > 1 {
+				extra = time.Duration(float64(base) * (r.factor - 1))
+			}
+			var repPages int64
+			if t != j {
+				repPages = int64(len(miss))
+			}
+			rep := sh.disk.ChargeHA(extra, repPages)
+			outs[j].io = r.pre + base + extra + rep
+		}
+	})
+
+	for j := range h.routes {
+		r := &h.routes[j]
+		miss := len(set.State(j).miss)
+		outs[j].miss = miss
+		if miss == 0 {
+			continue
+		}
+		switch {
+		case r.target < 0:
+			h.stats.LostBatches++
+			h.stats.LostPages += int64(miss)
+			h.stats.LostDelay += h.retry.Timeout
+			outs[j].miss = 0
+			outs[j].io = r.pre
+		case r.target != j:
+			h.stats.FailedOverBatches++
+			h.stats.FailedOverPages += int64(miss)
+		}
+		if r.target >= 0 && r.factor > 1 {
+			h.stats.BrownedBatches++
+			// The serving read cost x = base·factor (+replica surcharge,
+			// subtracted off first); the brownout's share is x - x/factor.
+			x := outs[j].io - r.pre
+			if r.target != j {
+				x -= time.Duration(miss) * h.cost.ReplicaRead
+			}
+			h.stats.BrownoutDelay += x - time.Duration(float64(x)/r.factor)
+		}
+	}
+}
+
+// foldRetries ends a turn: each shard disk's injected read retries since
+// the last turn fold into its health evidence, then every ledger ticks
+// (observe). A one-member chain with no shard-fault injector has no routing
+// decision for the evidence to inform — there is nowhere to fail over to and
+// nothing to skip — so its ledgers stay untouched and HAStats stays zero.
+func (h *haState) foldRetries(set *ShardSet[*shard], now time.Duration) {
+	if h.part.Replicas() <= 1 && h.inj == nil {
+		return
+	}
+	for i := range h.retries {
+		retries := set.State(i).disk.Stats().FaultRetries
+		h.evidence[i] += float64(retries - h.retries[i])
+		h.retries[i] = retries
+	}
+	h.observe(now)
 }
 
 // routeQuiet mirrors routeDemand for background work: no probe charges, no

@@ -179,6 +179,31 @@ func TestFailoverLedgerRecovery(t *testing.T) {
 	}
 }
 
+// TestShardedUnreplicatedHALedgerZero is the single-session half of
+// TestServeShardedUnreplicatedHALedgerZero: an unreplicated sharded engine
+// with page-level faults armed (Config.Faults, no shard profile) routes its
+// demand reads through a one-member chain, and the read retries those faults
+// cause must leave HAStats zero.
+func TestShardedUnreplicatedHALedgerZero(t *testing.T) {
+	store, tree := cloudWorld(t, 3000, 17)
+	for _, seed := range []int64{1, 7, 9, 23} {
+		cfg := DefaultConfig()
+		cfg.Faults = heavyInjector(t, seed)
+		e := NewShardedEngine(store, tree, cfg, 4)
+		r := rand.New(rand.NewSource(29))
+		for i := 0; i < 3; i++ {
+			e.RunSequence(randomWalk(r, 10, 20), prefetch.NewStraightLine(20*20*20))
+		}
+		if e.Stats().FaultRetries == 0 {
+			t.Fatalf("seed %d: heavy profile injected no read retries; test is vacuous", seed)
+		}
+		if ha := e.HAStats(); ha != (HAStats{}) {
+			t.Errorf("seed %d: unreplicated engine touched the HA ledger: %+v", seed, ha)
+		}
+		e.Close()
+	}
+}
+
 // TestShardedFailoverHammer is the CI -race workout for the HA fan-outs: a
 // replicated sharded engine under the heaviest shard profile, run twice —
 // the two runs must agree byte-for-byte (all failover, hedging and ledger

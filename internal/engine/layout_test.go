@@ -135,8 +135,8 @@ func TestBatchedEngineNeverSlowerIO(t *testing.T) {
 }
 
 // TestServeBatchedIsolatedMatchesSingleSession extends the serve/engine
-// equivalence pin to the batched path: commitPlanBatched must stay
-// semantically identical to executePlanBatched.
+// equivalence pin to the batched path: the flat serve's sweepBatch call must
+// stay semantically identical to executePlanBatched.
 func TestServeBatchedIsolatedMatchesSingleSession(t *testing.T) {
 	store, tree := lineWorld(t, 4000)
 	engCfg := DefaultConfig()

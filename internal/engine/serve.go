@@ -8,8 +8,9 @@
 //     depend only on the immutable store and index, never on cache state)
 //     and resolves every planned region to sorted page lists;
 //  2. a sequential COMMIT phase: a discrete-event loop replays the
-//     sessions' queries against the shared cache, the shared disk (per-
-//     session head tracking plus a global seek-interference penalty) and
+//     sessions' queries against the shared cache, the shared disk (a
+//     pagestore.Disk with one head per session plus a seek-interference
+//     penalty per contender) and
 //     the prefetch-budget arbiter, in virtual-time order with session ID
 //     as the deterministic tie-break.
 //
@@ -128,15 +129,13 @@ type ServeConfig struct {
 	// (DESIGN.md §13): with R > 1 each shard's range is also readable from
 	// the next R-1 shards and demand misses fail over along the chain when
 	// their home is outaged or its health ledger has tripped, at
-	// CostModel.ReplicaRead per replica-served page. 0 or 1 keeps the
-	// replication-free commit path byte-identically. Requires Shards > 0.
-	Replicas int
-	// Hedge is reserved for parity with engine.Config.Hedge; the serve
-	// path's background prefetch does not hedge (demand failover is what
+	// CostModel.ReplicaRead per replica-served page. 0 or 1 is a one-member
+	// chain: every home serves itself and no read pays the surcharge. The
+	// serve path's background prefetch never hedges (demand failover is what
 	// protects waiting clients — duplicating background windows under
-	// multi-session contention only burns shared device time), so the
-	// field only stamps benchmark metadata.
-	Hedge float64
+	// multi-session contention only burns shared device time). Requires
+	// Shards > 0.
+	Replicas int
 }
 
 // classSpec resolves a session's class (normalized weight), reporting
@@ -449,9 +448,9 @@ func assembleBatch(store *pagestore.Store, c pageCache, buf []pagestore.PageID) 
 	return elevatorBatch(store, buf[:k])
 }
 
-// sweepBatch is the batched prefetch flush, shared by every non-HA batched
-// path (single-session, sharded, flat serve, sharded serve) so they cannot
-// drift: it walks an elevator batch, skips cached pages, grows elevator runs
+// sweepBatch is the batched prefetch flush of every non-HA batched path
+// (single-session, sharded, flat serve, sharded serve): it walks an elevator
+// batch, skips cached pages, grows elevator runs
 // by Store.Runs' rule (one readRun per run: internal gaps are bridged, the
 // boundary to the previous run seeks), and stops after the run that crosses
 // the budget — a half-fetched run would waste its seek. Work is proportional
@@ -489,209 +488,6 @@ func sweepBatch(store *pagestore.Store, c pageCache, sorted []pagestore.PageID, 
 		c.Insert(pg)
 	}
 	return len(read), spent, read
-}
-
-// sharedDisk prices reads on the shared disk: one cost model, one stats
-// ledger, but a physical head position per session, plus the global
-// seek-interference penalty. Heads live in PHYSICAL address space; the
-// store's layout table translates the logical PageIDs sessions request
-// (identity unless Relayout installed another layout).
-type sharedDisk struct {
-	store             *pagestore.Store
-	model             pagestore.CostModel
-	interference      time.Duration
-	heads             []pagestore.PageID
-	stats             pagestore.DiskStats
-	interferenceSeeks int64
-	interferenceTime  time.Duration
-	sortBuf           []pagestore.PageID
-	// faults, when non-nil, injects per-read faults recovered under retry,
-	// priced by the same CostModel.FaultCost the single-session Disk uses.
-	// Unlike Disk (whose time coordinate is its own SimulatedIO), the
-	// shared disk is driven by the commit loop's virtual clock, so reads
-	// take the session's current time explicitly.
-	faults pagestore.FaultInjector
-	retry  pagestore.RetryPolicy
-	// backing, when non-nil, physically performs every read against the
-	// durable file store via pagestore.ReadBacked — the same helper Disk
-	// uses, so the two backend paths can never drift apart.
-	backing *pagestore.FileStore
-	backBuf []byte
-	errs    []error
-}
-
-func newSharedDisk(store *pagestore.Store, model pagestore.CostModel, interference time.Duration, sessions int) *sharedDisk {
-	heads := make([]pagestore.PageID, sessions)
-	for i := range heads {
-		heads[i] = pagestore.InvalidPage
-	}
-	return &sharedDisk{store: store, model: model, interference: interference, heads: heads}
-}
-
-func (d *sharedDisk) resetHead(session int) { d.heads[session] = pagestore.InvalidPage }
-
-// chargeHA mirrors Disk.ChargeHA for the shared disk: bill a brownout's
-// extra service time into the fault ledger and the per-page replica-slice
-// surcharge for pages this shard served on behalf of another home, and
-// return the surcharge.
-func (d *sharedDisk) chargeHA(faultDelay time.Duration, replicaPages int64) time.Duration {
-	rep := time.Duration(replicaPages) * d.model.ReplicaRead
-	d.stats.SimulatedIO += faultDelay + rep
-	d.stats.FaultDelay += faultDelay
-	d.stats.ReplicaPages += replicaPages
-	return rep
-}
-
-// setFaults arms the shared disk (zero-value policy = DefaultRetryPolicy);
-// nil disarms.
-func (d *sharedDisk) setFaults(inj pagestore.FaultInjector, retry pagestore.RetryPolicy) {
-	d.faults = inj
-	if inj != nil {
-		retry = retry.WithDefaults()
-	}
-	d.retry = retry
-}
-
-// setBacking arms the shared disk with the durable file store; nil disarms.
-func (d *sharedDisk) setBacking(fs *pagestore.FileStore) {
-	d.backing = fs
-	if fs != nil && d.backBuf == nil {
-		d.backBuf = make([]byte, pagestore.PageSizeBytes)
-	}
-}
-
-// chargeFault prices and records one page read's fault recovery at virtual
-// time now; returns the extra cost to fold into the read. No-op (one nil
-// check) when disarmed — the fault-free serve stays byte-identical.
-func (d *sharedDisk) chargeFault(p pagestore.PageID, now time.Duration) time.Duration {
-	if d.faults == nil {
-		return 0
-	}
-	out := d.model.FaultCost(d.faults, d.retry, p, now)
-	d.stats.FaultRetries += out.Retries
-	if out.TimedOut {
-		d.stats.TimedOutReads++
-	}
-	d.stats.FaultDelay += out.Extra
-	return out.Extra
-}
-
-// readPage charges one page read on the session's head, with contenders
-// other sessions' I/O in flight. The base charge is CostModel.PageCost —
-// shared with pagestore.Disk.ReadPage — so with zero contenders (or a
-// zero penalty) it is exactly the single-session charge, the equivalence
-// TestServeIsolatedMatchesSingleSession pins.
-func (d *sharedDisk) readPage(session int, p pagestore.PageID, contenders int, now time.Duration) time.Duration {
-	phys := d.store.PhysicalPage(p)
-	cost, seek := d.model.PageCost(d.heads[session], phys)
-	if seek {
-		d.stats.Seeks++
-		if contenders > 0 && d.interference > 0 {
-			penalty := time.Duration(contenders) * d.interference
-			cost += penalty
-			d.interferenceSeeks++
-			d.interferenceTime += penalty
-		}
-	}
-	cost += d.chargeFault(p, now)
-	if d.backing != nil {
-		cost += pagestore.ReadBacked(d.backing, d.model, p, &d.stats, d.backBuf, &d.errs)
-	}
-	d.heads[session] = phys
-	d.stats.PagesRead++
-	d.stats.SimulatedIO += cost
-	return cost
-}
-
-// readPages reads a page set in ascending logical order, like
-// Disk.ReadPages — the seed's per-page path, kept for the non-batched
-// configuration's byte-identical goldens.
-func (d *sharedDisk) readPages(session int, pages []pagestore.PageID, contenders int, now time.Duration) time.Duration {
-	if len(pages) == 0 {
-		return 0
-	}
-	d.sortBuf = append(d.sortBuf[:0], pages...)
-	pagestore.SortPageIDs(d.sortBuf)
-	var total time.Duration
-	for _, p := range d.sortBuf {
-		total += d.readPage(session, p, contenders, now)
-	}
-	return total
-}
-
-// readBatch reads a page set in one elevator sweep — ascending PHYSICAL
-// order with gap bridging, like Disk.ReadBatch — on the session's head,
-// with the interference penalty applied per seek.
-func (d *sharedDisk) readBatch(session int, pages []pagestore.PageID, contenders int, now time.Duration) time.Duration {
-	if len(pages) == 0 {
-		return 0
-	}
-	d.sortBuf = append(d.sortBuf[:0], pages...)
-	d.store.ElevatorSort(d.sortBuf)
-	return d.readSweep(session, d.sortBuf, contenders, now)
-}
-
-// readSweep charges one elevator sweep over an already physically sorted
-// page list on the session's head: priced by CostModel.SweepCost exactly
-// like Disk.ReadSorted, plus the per-seek interference penalty.
-func (d *sharedDisk) readSweep(session int, sorted []pagestore.PageID, contenders int, now time.Duration) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	seeks, bridged, last := d.model.SweepCost(d.store, sorted, d.heads[session])
-	d.heads[session] = last
-	cost := time.Duration(seeks)*d.model.Seek +
-		time.Duration(int64(len(sorted))+bridged)*d.model.Transfer
-	if d.faults != nil || d.backing != nil {
-		// Fault recovery and backend verification per page of the sweep, all
-		// at the sweep's start time, exactly like Disk.ReadSorted.
-		for _, p := range sorted {
-			cost += d.chargeFault(p, now)
-			if d.backing != nil {
-				cost += pagestore.ReadBacked(d.backing, d.model, p, &d.stats, d.backBuf, &d.errs)
-			}
-		}
-	}
-	if contenders > 0 && d.interference > 0 && seeks > 0 {
-		penalty := time.Duration(seeks) * time.Duration(contenders) * d.interference
-		cost += penalty
-		d.interferenceSeeks += seeks
-		d.interferenceTime += penalty
-	}
-	d.stats.Seeks += seeks
-	d.stats.PagesRead += int64(len(sorted))
-	d.stats.BridgedPages += bridged
-	d.stats.SimulatedIO += cost
-	return cost
-}
-
-// scrubStep advances the background integrity scrub by up to max pages
-// against the backing file, priced exactly like Disk.ScrubStep (one seek to
-// the cursor, one transfer per page, the repair price per page healed). The
-// commit loop paces steps out of idle GRANTED prefetch-window time — after
-// demand reads and planned prefetch, within the arbiter's share — so the
-// scrub never competes with demand reads or other sessions' windows, and a
-// shed window (breaker open, degraded admission, starved arbiter) scrubs
-// nothing. The cost is charged to the scrub ledger only: it occupies window
-// time the session was idle for anyway, so it never extends busyUntil and
-// never shows up as seek interference to contenders.
-func (d *sharedDisk) scrubStep(max int) {
-	if d.backing == nil || max <= 0 {
-		return
-	}
-	start := time.Now()
-	rep := d.backing.Scrub(max)
-	d.stats.WallRead += time.Since(start)
-	if rep.Scanned == 0 {
-		return
-	}
-	cost := d.model.Seek + time.Duration(rep.Scanned)*d.model.Transfer +
-		time.Duration(rep.Repaired)*(d.model.Seek+2*d.model.Transfer)
-	d.stats.ScrubbedPages += rep.Scanned
-	d.stats.CorruptPages += rep.Corrupt
-	d.stats.RepairedPages += rep.Repaired
-	d.stats.ScrubIO += cost
-	d.stats.SimulatedIO += cost
 }
 
 // resolveCacheShards picks a shared cache's shard count: the configured
@@ -867,7 +663,8 @@ func (p *SessionPlans) Serve(cfg ServeConfig) ServeResult {
 			caches[i] = shared
 		}
 	}
-	disk := newSharedDisk(store, cfg.Engine.Cost, cfg.InterferenceSeek, n)
+	disk := pagestore.NewSharedDisk(store, cfg.Engine.Cost, n, cfg.InterferenceSeek)
+	readSorted, maxBridge := disk.ReadSorted, cfg.Engine.Cost.MaxBridge()
 	arb := NewArbiter(cfg.Policy, n)
 
 	// Robustness machinery. faultsOn gates every injection-side branch so a
@@ -877,10 +674,10 @@ func (p *SessionPlans) Serve(cfg ServeConfig) ServeResult {
 	inj := cfg.Faults
 	faultsOn := inj != nil && inj.Plan().Enabled()
 	if faultsOn {
-		disk.setFaults(inj, cfg.Retry)
+		disk.SetFaults(inj, cfg.Retry)
 	}
 	if cfg.Engine.Backing != nil {
-		disk.setBacking(cfg.Engine.Backing)
+		disk.SetBacking(cfg.Engine.Backing)
 	}
 	// Sharded backend (DESIGN.md §12): built after the faultsOn gate so the
 	// shard disks arm only when injection is live. Sharding implies the
@@ -892,6 +689,13 @@ func (p *SessionPlans) Serve(cfg ServeConfig) ServeResult {
 			shardInj = inj
 		}
 		shardSrv = newServeShardSet(store, cfg, n, capacity, shardInj)
+	}
+	// faultLedger reads the fault-evidence counters of whichever disks serve
+	// this run. The background scrub's cursor lives in the one FileStore, so
+	// one disk owns its ledger: the flat disk, or shard 0's.
+	faultLedger, scrubDisk := disk.Stats, disk
+	if shardSrv != nil {
+		faultLedger, scrubDisk = shardSrv.faultCounters, shardSrv.set.State(0).disk
 	}
 	brkCfg := cfg.Breaker
 	if brkCfg.Enabled {
@@ -1017,12 +821,14 @@ func (p *SessionPlans) Serve(cfg ServeConfig) ServeResult {
 				caches[s].Clear()
 			}
 		}
+		// The turn's reads are charged to session s's head, against the
+		// current contenders, with faults rolled at the turn's commit time.
 		// Every query starts with a cold head, exactly like the
 		// single-session engine (think time moves the head). The sharded
-		// backend resets the session's head on every shard inside the
-		// demand fan-out.
+		// backend does both on every shard inside the demand fan-out.
 		if shardSrv == nil {
-			disk.resetHead(s)
+			disk.At(s, len(contBuf), t)
+			disk.ResetHead()
 		}
 
 		tr := QueryTrace{
@@ -1037,13 +843,7 @@ func (p *SessionPlans) Serve(cfg ServeConfig) ServeResult {
 		// Per-query fault evidence: the disk ledger's deltas over this step
 		// plus stalled-shard hits and detected corruption feed the session's
 		// breaker.
-		var preRetries, preTimeouts, preCorrupt, preRepaired int64
-		if shardSrv != nil {
-			preRetries, preTimeouts, preCorrupt, preRepaired = shardSrv.faultCounters()
-		} else {
-			preRetries, preTimeouts = disk.stats.FaultRetries, disk.stats.TimedOutReads
-			preCorrupt, preRepaired = disk.stats.CorruptPages, disk.stats.RepairedPages
-		}
+		pre := faultLedger()
 
 		// Demand lookups. A stalled cache shard (shared mode only — a
 		// private cache has no cross-session shard contention) charges its
@@ -1076,9 +876,9 @@ func (p *SessionPlans) Serve(cfg ServeConfig) ServeResult {
 				}
 			}
 			if cfg.Engine.BatchedIO {
-				tr.Residual = disk.readBatch(s, missBuf, len(contBuf), t)
+				tr.Residual = disk.ReadBatch(missBuf)
 			} else {
-				tr.Residual = disk.readPages(s, missBuf, len(contBuf), t)
+				tr.Residual = disk.ReadPages(missBuf)
 			}
 			tr.Residual += stallDelay
 		}
@@ -1120,9 +920,13 @@ func (p *SessionPlans) Serve(cfg ServeConfig) ServeResult {
 				grantTime = grant
 				if grant > 0 {
 					if cfg.Engine.BatchedIO {
-						tr.Prefetched, tr.PrefetchIO = commitPlanBatched(caches[s], disk, s, st.batch, grant, len(contBuf), &sweepBuf, t)
+						// One elevator batch per session turn — which also
+						// shrinks the window in which other sessions' in-flight
+						// I/O counts as seek interference.
+						tr.Prefetched, tr.PrefetchIO, sweepBuf = sweepBatch(store, caches[s], st.batch, maxBridge, grant, sweepBuf, readSorted)
 					} else {
-						tr.Prefetched, tr.PrefetchIO = commitPlan(caches[s], disk, s, st, grant, len(contBuf), t)
+						tr.Prefetched, tr.PrefetchIO = prefetchPages(caches[s], disk, st.traversal, len(st.reqPages),
+							func(i int) []pagestore.PageID { return st.reqPages[i] }, grant)
 					}
 				}
 			}
@@ -1136,40 +940,17 @@ func (p *SessionPlans) Serve(cfg ServeConfig) ServeResult {
 		// Background scrub, paced from the idle remainder of the session's
 		// GRANTED window: arbiter-aware (only the session's own share is
 		// spent) and shedding-aware (a shed, starved or degraded window has
-		// grantTime 0 and scrubs nothing). Page count is additionally capped
-		// so the scrub's transfer time fits the leftover grant.
-		scrubBacked := disk.backing != nil
-		if shardSrv != nil {
-			scrubBacked = shardSrv.scrubbing()
-		}
-		if cfg.Engine.ScrubPages > 0 && scrubBacked && grantTime > tr.PrefetchIO {
-			leftover := grantTime - tr.PrefetchIO
-			maxPages := cfg.Engine.ScrubPages
-			if tx := cfg.Engine.Cost.Transfer; tx > 0 {
-				if byTime := int(leftover / tx); byTime < maxPages {
-					maxPages = byTime
-				}
-			}
-			if shardSrv != nil {
-				shardSrv.scrubStep(maxPages)
-			} else {
-				disk.scrubStep(maxPages)
-			}
-		}
+		// grantTime 0 and scrubs nothing). The cost is charged to the scrub
+		// ledger only: it occupies window time the session was idle for
+		// anyway, so it never extends busyUntil and never shows up as seek
+		// interference to contenders.
+		scrubDisk.ScrubIdle(grantTime-tr.PrefetchIO, cfg.Engine.ScrubPages)
 
-		var qRetries, qTimeouts, qCorrupt, qRepaired int64
-		if shardSrv != nil {
-			postRetries, postTimeouts, postCorrupt, postRepaired := shardSrv.faultCounters()
-			qRetries = postRetries - preRetries
-			qTimeouts = postTimeouts - preTimeouts
-			qCorrupt = postCorrupt - preCorrupt
-			qRepaired = postRepaired - preRepaired
-		} else {
-			qRetries = disk.stats.FaultRetries - preRetries
-			qTimeouts = disk.stats.TimedOutReads - preTimeouts
-			qCorrupt = disk.stats.CorruptPages - preCorrupt
-			qRepaired = disk.stats.RepairedPages - preRepaired
-		}
+		post := faultLedger()
+		qRetries := post.FaultRetries - pre.FaultRetries
+		qTimeouts := post.TimedOutReads - pre.TimedOutReads
+		qCorrupt := post.CorruptPages - pre.CorruptPages
+		qRepaired := post.RepairedPages - pre.RepairedPages
 		ss.out.FaultRetries += qRetries
 		ss.out.TimedOutReads += qTimeouts
 		ss.out.CorruptPages += qCorrupt
@@ -1276,9 +1057,8 @@ func (p *SessionPlans) Serve(cfg ServeConfig) ServeResult {
 		}
 	}
 	if shardSrv == nil {
-		res.Disk = disk.stats
-		res.InterferenceSeeks = disk.interferenceSeeks
-		res.Interference = disk.interferenceTime
+		res.Disk = disk.Stats()
+		res.InterferenceSeeks, res.Interference = disk.Interference()
 	}
 	return res
 }
@@ -1332,54 +1112,4 @@ func planSession(store *pagestore.Store, index Index, w SessionWorkload, cost pa
 		}
 	}
 	return steps
-}
-
-// commitPlan replays Engine.executePlan against the shared cache and disk:
-// traversal pages in plan order, then each request's pages in ascending
-// physical order, until the granted budget is exhausted (the read that
-// crosses the line still completes — the disk cannot abort a read). It
-// must stay semantically identical to executePlan (engine.go);
-// TestServeIsolatedMatchesSingleSession pins the equivalence.
-func commitPlan(c pageCache, d *sharedDisk, session int, st step, budget time.Duration, contenders int, now time.Duration) (int, time.Duration) {
-	var spent time.Duration
-	prefetched := 0
-
-	readPage := func(pg pagestore.PageID) bool {
-		if c.Contains(pg) {
-			return true // already cached: free (still in cache)
-		}
-		cost := d.readPage(session, pg, contenders, now)
-		spent += cost
-		c.Insert(pg)
-		prefetched++
-		return spent <= budget
-	}
-
-	for _, pg := range st.traversal {
-		if !readPage(pg) {
-			return prefetched, spent
-		}
-	}
-	for _, pages := range st.reqPages {
-		for _, pg := range pages {
-			if !readPage(pg) {
-				return prefetched, spent
-			}
-		}
-	}
-	return prefetched, spent
-}
-
-// commitPlanBatched is Engine.executePlanBatched against the shared cache
-// and disk: one elevator batch per session turn — the step's plan-time
-// batch (step.batch) swept with the arbiter's grant as the budget. Issuing
-// one batch per turn also shrinks the window in which other sessions'
-// in-flight I/O counts as seek interference. scratch is the caller's
-// reusable sweepBatch buffer.
-func commitPlanBatched(c pageCache, d *sharedDisk, session int, batch []pagestore.PageID, budget time.Duration, contenders int, scratch *[]pagestore.PageID, now time.Duration) (int, time.Duration) {
-	n, spent, read := sweepBatch(d.store, c, batch, d.model.MaxBridge(), budget, *scratch, func(run []pagestore.PageID) time.Duration {
-		return d.readSweep(session, run, contenders, now)
-	})
-	*scratch = read
-	return n, spent
 }

@@ -6,11 +6,49 @@ import (
 	"testing"
 	"time"
 
+	"scout/internal/pagestore"
 	"scout/internal/prefetch"
 	"scout/internal/workload"
 )
 
-var benchServeQueries int64
+var (
+	benchServeQueries int64
+	benchShardedHash  uint64
+)
+
+// BenchmarkShardedRunSequence times ShardedEngine.RunSequence over the
+// hilbert layout at one and eight shards, unreplicated (R=1: the one-member
+// chain — the demand read no end-to-end workload times on its own, since
+// explore_sharded and serve_sharded both run Replicas 2) and replicated
+// (R=2, the failover-capable prefetch flush). Engine and sequences are built
+// outside the timer; ns/op is one 12-query sequence.
+func BenchmarkShardedRunSequence(b *testing.B) {
+	store, tree := cloudWorld(b, 20000, 9)
+	if err := store.Relayout(pagestore.HilbertLayout()); err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	seqs := make([]workload.Sequence, 8)
+	for i := range seqs {
+		seqs[i] = randomWalk(rng, 12, 30)
+	}
+	for _, shards := range []int{1, 8} {
+		for _, replicas := range []int{1, 2} {
+			cfg := DefaultConfig()
+			cfg.Replicas = replicas
+			b.Run(fmt.Sprintf("S=%d/R=%d", shards, replicas), func(b *testing.B) {
+				e := NewShardedEngine(store, tree, cfg, shards)
+				defer e.Close()
+				p := prefetch.NewStraightLine(1000)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					benchShardedHash ^= e.RunSequence(seqs[i%len(seqs)], p).ResultHash
+				}
+			})
+		}
+	}
+}
 
 // BenchmarkServeCommit times the commit phase alone — SessionPlans.Serve
 // over plans built once outside the timer, the way the mu*/rob1/load1

@@ -8,30 +8,6 @@ import (
 	"scout/internal/pagestore"
 )
 
-// serveShard is one commit-phase shard worker's private state: its slice of
-// the shared cache, a shared-style disk with per-session heads over the
-// shard's physical range, and its own prefetch-budget arbiter — the
-// "per-shard arbiter pool". Only the shard's worker goroutine touches it
-// during a fan-out; the coordinator may read it between fan-outs (the
-// ShardSet's WaitGroup gives the happens-before edge).
-type serveShard struct {
-	disk  *sharedDisk
-	cache *cache.Sharded
-	arb   *Arbiter
-	miss  []pagestore.PageID
-	read  []pagestore.PageID // sweepBatch scratch
-}
-
-// serveDemandOut is shard i's result slot for one turn's demand fan-out.
-type serveDemandOut struct {
-	io     time.Duration // miss sweep plus this shard's stall delay
-	stall  time.Duration
-	stalls int64
-	hits   int
-	pages  int // demand pages routed to this shard (arbiter evidence)
-	miss   int
-}
-
 // servePrefetchOut is shard i's result slot for one granted window.
 type servePrefetchOut struct {
 	grant time.Duration
@@ -42,7 +18,7 @@ type servePrefetchOut struct {
 // demandMerge is the coordinator's view of one merged demand turn.
 type demandMerge struct {
 	hits        int
-	residual    time.Duration // slowest shard (io incl. stall) + route charge
+	residual    time.Duration // slowest shard (io plus stall) + route charge
 	stall       time.Duration // summed across shards, reporting only
 	stallEvents int64
 	fanout      int
@@ -62,23 +38,20 @@ type demandMerge struct {
 // (TestServeShardedSingleShardBitExact).
 type serveShardSet struct {
 	router Router
-	set    *ShardSet[*serveShard]
+	set    *ShardSet[*shard]
 	inj    *fault.Injector // nil unless fault injection is armed
 
 	parts  [][]pagestore.PageID
 	pparts [][]pagestore.PageID
 	counts []int
-	demand []serveDemandOut
+	demand []demandOut
 	pref   []servePrefetchOut
-	home   int
 
-	// ha, non-nil when ServeConfig.Replicas > 1 or shard faults are
-	// planned, carries the replicated partition, the per-shard health
-	// ledgers and the failover routes for the current turn (DESIGN.md
-	// §13). Nil keeps demandTurn on the single-fan-out replication-free
-	// path byte-identically.
-	ha        *haState
-	haRetries []int64
+	// ha carries the replicated partition, the per-shard health ledgers and
+	// the failover routes for the current turn (DESIGN.md §13); with
+	// ServeConfig.Replicas <= 1 and no shard faults planned it is a
+	// one-member chain that routes every home to itself for free.
+	ha *haState
 }
 
 // newServeShardSet builds the shard fleet for one Serve call: the cache
@@ -90,51 +63,35 @@ type serveShardSet struct {
 func newServeShardSet(store *pagestore.Store, cfg ServeConfig, sessions, capacity int, inj *fault.Injector) *serveShardSet {
 	shards := cfg.Shards
 	base, extra := capacity/shards, capacity%shards
-	state := make([]*serveShard, shards)
+	state := make([]*shard, shards)
 	for i := range state {
 		sc := base
 		if i < extra {
 			sc++
 		}
-		sh := &serveShard{
-			disk:  newSharedDisk(store, cfg.Engine.Cost, cfg.InterferenceSeek, sessions),
+		sh := &shard{
+			disk:  pagestore.NewSharedDisk(store, cfg.Engine.Cost, sessions, cfg.InterferenceSeek),
 			cache: cache.NewSharded(sc, resolveCacheShards(sc, cfg.CacheShards)),
 			arb:   NewArbiter(cfg.Policy, sessions),
 		}
 		if inj != nil {
-			sh.disk.setFaults(inj, cfg.Retry)
+			sh.disk.SetFaults(inj, cfg.Retry)
 		}
 		if cfg.Engine.Backing != nil {
-			sh.disk.setBacking(cfg.Engine.Backing)
+			sh.disk.SetBacking(cfg.Engine.Backing)
 		}
 		state[i] = sh
 	}
-	replicas := cfg.Replicas
-	if replicas < 1 {
-		replicas = 1
-	}
-	if replicas > shards {
-		replicas = shards
-	}
-	part := pagestore.NewReplicatedPartition(store, shards, replicas)
-	sv := &serveShardSet{
+	part := pagestore.NewReplicatedPartition(store, shards, cfg.Replicas)
+	return &serveShardSet{
 		router: NewRouter(store, part, cfg.Engine.Cost),
 		set:    NewShardSet(state),
 		inj:    inj,
 		counts: make([]int, shards),
-		demand: make([]serveDemandOut, shards),
+		demand: make([]demandOut, shards),
 		pref:   make([]servePrefetchOut, shards),
+		ha:     newHAState(part, inj, cfg.Engine.Cost, cfg.Retry, 0),
 	}
-	shardFaults := inj != nil && inj.Plan().ShardFaultsEnabled()
-	if replicas > 1 || shardFaults {
-		var haInj *fault.Injector
-		if shardFaults {
-			haInj = inj
-		}
-		sv.ha = newHAState(part, haInj, cfg.Engine.Cost, cfg.Retry, 0)
-		sv.haRetries = make([]int64, shards)
-	}
-	return sv
 }
 
 // setPriority forwards a class weight to every shard's arbiter.
@@ -152,164 +109,47 @@ func (sv *serveShardSet) setShedding(session int, shed bool) {
 }
 
 // demandTurn runs one turn's demand phase: split the demand set by shard
-// range, fan out (each shard resets the session's head, charges stalls on
-// its own cache's shard index, looks up its pages and sweeps its misses in
-// one elevator batch), then merge — the residual is the slowest shard's
-// sweep-plus-stall (the shard disks run in parallel) plus Route per miss
-// page shipped from a non-home shard. Remote cache hits stay free, exactly
-// as hits never touch the residual on the unsharded path. The prefetch
-// slots are reset here so a turn that sheds its window records zero spend.
+// range, fan out (each shard binds its disk to the session's head, the
+// contender count and the turn's commit time, resets that head, charges
+// stalls on its own cache's shard index and looks up its pages), read the
+// misses through the failover router (haState.serveMisses: each miss
+// sub-batch swept in one elevator batch on its serving shard), then merge —
+// the residual is the slowest shard's sweep-plus-stall (the shard disks run
+// in parallel) plus Route per miss page shipped from a non-home shard.
+// Remote cache hits stay free, exactly as hits never touch the residual on
+// the unsharded path. Health evidence — outage probes, brownout service,
+// injected read retries — folds into the per-shard ledgers at the end of the
+// demand phase, so a shard that stays sick trips once and is then skipped
+// for free until its cooldown probe. The prefetch slots are reset here so a
+// turn that sheds its window records zero spend.
 func (sv *serveShardSet) demandTurn(s int, pages []pagestore.PageID, contenders int, now time.Duration) demandMerge {
 	sv.parts = sv.router.Split(pages, sv.parts)
-	sv.home = sv.router.Home(sv.parts)
+	home := sv.router.Home(sv.parts)
 	parts, outs, prefs, inj := sv.parts, sv.demand, sv.pref, sv.inj
-	if sv.ha == nil {
-		sv.set.Do(func(i int, sh *serveShard) {
-			o := &outs[i]
-			*o = serveDemandOut{}
-			prefs[i] = servePrefetchOut{}
-			sh.disk.resetHead(s)
-			part := parts[i]
-			o.pages = len(part)
-			sh.miss = sh.miss[:0]
-			for _, pg := range part {
-				if inj != nil {
-					if d := inj.ShardStall(sh.cache.ShardIndex(pg), now); d > 0 {
-						o.stall += d
-						o.stalls++
-					}
-				}
-				if sh.cache.Lookup(pg) {
-					o.hits++
-				} else {
-					sh.miss = append(sh.miss, pg)
-				}
-			}
-			o.miss = len(sh.miss)
-			o.io = sh.disk.readBatch(s, sh.miss, contenders, now) + o.stall
-		})
-	} else {
-		sv.demandTurnHA(s, contenders, now)
-	}
+	sv.set.Do(func(i int, sh *shard) {
+		prefs[i] = servePrefetchOut{}
+		sh.disk.At(s, contenders, now)
+		sh.disk.ResetHead()
+		o := &outs[i]
+		*o = demandOut{pages: len(parts[i])}
+		o.hits, o.stall, o.stalls = sh.lookup(parts[i], inj, now)
+	})
+	sv.ha.serveMisses(sv.set, now, outs)
+	sv.ha.foldRetries(sv.set, now)
+
 	m := demandMerge{fanout: sv.router.Fanout(parts)}
 	for i := range outs {
-		if outs[i].io > m.residual {
-			m.residual = outs[i].io
+		if io := outs[i].io + outs[i].stall; io > m.residual {
+			m.residual = io
 		}
 		m.hits += outs[i].hits
 		m.stall += outs[i].stall
 		m.stallEvents += outs[i].stalls
 		sv.counts[i] = outs[i].miss
 	}
-	m.routed, m.charge = sv.router.Charge(sv.counts, sv.home)
+	m.routed, m.charge = sv.router.Charge(sv.counts, home)
 	m.residual += m.charge
 	return m
-}
-
-// demandTurnHA is demandTurn's fault-tolerant body (DESIGN.md §13), the
-// serve-path twin of ShardedEngine.demandHA: fan-out A prices stalls and
-// runs the cache lookups, the coordinator chain-walks every missing home's
-// replica at the turn's commit time, and fan-out B sweeps each miss
-// sub-batch on its serving shard — browned sweeps billed at their
-// multiplier, replica-slice pages surcharged per page. A home whose whole
-// chain is down contributes its discovery charge plus the client read
-// deadline as its service time (the session is answered degraded; the
-// pages are counted lost in the HA ledger). Health evidence — outage
-// probes, brownout service, injected read retries — folds into the
-// per-shard ledgers at the end of the turn, so a shard that stays sick
-// trips once and is then skipped for free until its cooldown probe.
-func (sv *serveShardSet) demandTurnHA(s, contenders int, now time.Duration) {
-	parts, outs, prefs, inj, ha := sv.parts, sv.demand, sv.pref, sv.inj, sv.ha
-	sv.set.Do(func(i int, sh *serveShard) {
-		o := &outs[i]
-		*o = serveDemandOut{}
-		prefs[i] = servePrefetchOut{}
-		sh.disk.resetHead(s)
-		part := parts[i]
-		o.pages = len(part)
-		sh.miss = sh.miss[:0]
-		for _, pg := range part {
-			if inj != nil {
-				if d := inj.ShardStall(sh.cache.ShardIndex(pg), now); d > 0 {
-					o.stall += d
-					o.stalls++
-				}
-			}
-			if sh.cache.Lookup(pg) {
-				o.hits++
-			} else {
-				sh.miss = append(sh.miss, pg)
-			}
-		}
-		o.miss = len(sh.miss)
-	})
-
-	for j := 0; j < sv.set.Shards(); j++ {
-		r := haRoute{target: j, factor: 1, hedge: -1, hedgeFactor: 1}
-		if len(parts[j]) > 0 && len(sv.set.State(j).miss) > 0 {
-			r = ha.routeDemand(j, now)
-		}
-		ha.routes[j] = r
-	}
-
-	sv.set.Do(func(t int, sh *serveShard) {
-		for j := 0; j < sv.set.Shards(); j++ {
-			r := &ha.routes[j]
-			if r.target != t || len(parts[j]) == 0 {
-				continue
-			}
-			miss := sv.set.State(j).miss
-			base := sh.disk.readBatch(s, miss, contenders, now)
-			var extra time.Duration
-			if r.factor > 1 {
-				extra = time.Duration(float64(base) * (r.factor - 1))
-			}
-			var repPages int64
-			if t != j {
-				repPages = int64(len(miss))
-			}
-			rep := sh.disk.chargeHA(extra, repPages)
-			outs[j].io = r.pre + base + extra + rep + outs[j].stall
-		}
-	})
-
-	for j := 0; j < sv.set.Shards(); j++ {
-		r := &ha.routes[j]
-		if len(parts[j]) == 0 {
-			continue
-		}
-		miss := sv.set.State(j).miss
-		if len(miss) == 0 {
-			outs[j].io = outs[j].stall
-			continue
-		}
-		switch {
-		case r.target < 0:
-			ha.stats.LostBatches++
-			ha.stats.LostPages += int64(len(miss))
-			ha.stats.LostDelay += ha.retry.Timeout
-			outs[j].miss = 0
-			outs[j].io = r.pre + outs[j].stall
-		case r.target != j:
-			ha.stats.FailedOverBatches++
-			ha.stats.FailedOverPages += int64(len(miss))
-		}
-		if r.target >= 0 && r.factor > 1 {
-			ha.stats.BrownedBatches++
-			x := outs[j].io - r.pre - outs[j].stall
-			if r.target != j {
-				x -= time.Duration(len(miss)) * ha.cost.ReplicaRead
-			}
-			ha.stats.BrownoutDelay += x - time.Duration(float64(x)/r.factor)
-		}
-	}
-
-	for i := 0; i < sv.set.Shards(); i++ {
-		retries := sv.set.State(i).disk.stats.FaultRetries
-		ha.evidence[i] += float64(retries - sv.haRetries[i])
-		sv.haRetries[i] = retries
-	}
-	ha.observe(now)
 }
 
 // prefetchTurn runs one granted prefetch window: the step's plan-time
@@ -317,38 +157,36 @@ func (sv *serveShardSet) demandTurnHA(s, contenders int, now time.Duration) {
 // and every shard asks ITS arbiter for a grant against the full window
 // budget — the shard disks sweep concurrently, so the fleet may spend up to
 // S grants of device time while the window (PrefetchIO, the slowest shard's
-// spend) still closes on time. That is the scale-out win. grant0 is shard
-// 0's grant, which paces the background scrub exactly like the unsharded
-// grant does.
+// spend) still closes on time. That is the scale-out win. The sweeps are
+// charged to the read context demandTurn bound for this turn (same session,
+// contenders and commit time). grant0 is shard 0's grant, which paces the
+// background scrub exactly like the unsharded grant does.
 func (sv *serveShardSet) prefetchTurn(s int, batch []pagestore.PageID, budget time.Duration, contenders []int, now time.Duration) (prefetched int, io, grant0 time.Duration) {
 	sv.pparts = sv.router.Split(batch, sv.pparts)
 	parts, outs := sv.pparts, sv.pref
-	nc := len(contenders)
 	ha := sv.ha
-	sv.set.Do(func(i int, sh *serveShard) {
+	sv.set.Do(func(i int, sh *shard) {
 		o := &outs[i]
 		grant := sh.arb.Grant(s, contenders, budget)
 		o.grant = grant
 		if grant <= 0 {
 			return
 		}
-		factor := 1.0
-		if ha != nil {
-			// Background reads have no failover on the serve path (demand
-			// failover is what protects waiting clients): an outaged home
-			// simply skips its window, a browned one sweeps at its
-			// multiplier and delivers fewer pages per grant. ShardOutage/
-			// ShardBrownout are pure, so this is safe on the workers.
-			if ha.inj.ShardOutage(i, sv.set.Shards(), now) {
-				return
-			}
-			factor = ha.inj.ShardBrownout(i, now)
+		// Background reads have no failover on the serve path (demand
+		// failover is what protects waiting clients): an outaged home simply
+		// skips its window, a browned one sweeps at its multiplier and
+		// delivers fewer pages per grant. ShardOutage/ShardBrownout are pure
+		// (and nil-safe: no shard faults, no outage, factor 1), so this is
+		// safe on the workers.
+		if ha.inj.ShardOutage(i, sv.set.Shards(), now) {
+			return
 		}
-		o.n, o.spent, sh.read = sweepBatch(sh.disk.store, sh.cache, parts[i], sh.disk.model.MaxBridge(), grant, sh.read, func(run []pagestore.PageID) time.Duration {
-			base := sh.disk.readSweep(s, run, nc, now)
+		factor := ha.inj.ShardBrownout(i, now)
+		o.n, o.spent, sh.read = sweepBatch(sh.disk.Store(), sh.cache, parts[i], sh.disk.Model().MaxBridge(), grant, sh.read, func(run []pagestore.PageID) time.Duration {
+			base := sh.disk.ReadSorted(run)
 			if factor > 1 {
 				extra := time.Duration(float64(base) * (factor - 1))
-				sh.disk.chargeHA(extra, 0)
+				sh.disk.ChargeHA(extra, 0)
 				base += extra
 			}
 			return base
@@ -369,30 +207,24 @@ func (sv *serveShardSet) prefetchTurn(s int, batch []pagestore.PageID, budget ti
 // arb.Record placement, so ledger EWMAs tick at the same rate.
 func (sv *serveShardSet) record(s int) {
 	outs, prefs := sv.demand, sv.pref
-	sv.set.Do(func(i int, sh *serveShard) {
+	sv.set.Do(func(i int, sh *shard) {
 		sh.arb.Record(s, outs[i].pages, outs[i].hits, prefs[i].spent)
 	})
 }
 
-// faultCounters sums the fault-evidence counters across the shard disks;
-// the commit loop differences them around a turn to feed the breaker.
-func (sv *serveShardSet) faultCounters() (retries, timeouts, corrupt, repaired int64) {
+// faultCounters sums the fault-evidence counters across the shard disks
+// (only those four fields are filled); the commit loop differences them
+// around a turn to feed the breaker.
+func (sv *serveShardSet) faultCounters() (sum pagestore.DiskStats) {
 	for i := 0; i < sv.set.Shards(); i++ {
-		st := &sv.set.State(i).disk.stats
-		retries += st.FaultRetries
-		timeouts += st.TimedOutReads
-		corrupt += st.CorruptPages
-		repaired += st.RepairedPages
+		st := sv.set.State(i).disk.Stats()
+		sum.FaultRetries += st.FaultRetries
+		sum.TimedOutReads += st.TimedOutReads
+		sum.CorruptPages += st.CorruptPages
+		sum.RepairedPages += st.RepairedPages
 	}
-	return
+	return sum
 }
-
-// scrubbing reports whether the fleet has a durable backing to scrub.
-func (sv *serveShardSet) scrubbing() bool { return sv.set.State(0).disk.backing != nil }
-
-// scrubStep advances the background scrub on shard 0's disk — the scrub
-// cursor lives in the shared FileStore, one ledger owns its accounting.
-func (sv *serveShardSet) scrubStep(max int) { sv.set.State(0).disk.scrubStep(max) }
 
 // ledger merges one session's per-shard arbiter ledgers: Queries and the
 // Shedding flag are fleet-wide properties (identical on every shard — all
@@ -425,16 +257,15 @@ func (sv *serveShardSet) ledger(session int) SessionLedger {
 // result (per-shard disk stats kept in shard order for the experiments)
 // and stops the workers.
 func (sv *serveShardSet) finish(res *ServeResult) {
-	if sv.ha != nil {
-		res.HA = sv.ha.stats
-	}
+	res.HA = sv.ha.stats
 	res.ShardDisks = make([]pagestore.DiskStats, sv.set.Shards())
 	for i := 0; i < sv.set.Shards(); i++ {
 		d := sv.set.State(i).disk
-		res.ShardDisks[i] = d.stats
-		res.Disk.Add(d.stats)
-		res.InterferenceSeeks += d.interferenceSeeks
-		res.Interference += d.interferenceTime
+		res.ShardDisks[i] = d.Stats()
+		res.Disk.Add(d.Stats())
+		seeks, penalty := d.Interference()
+		res.InterferenceSeeks += seeks
+		res.Interference += penalty
 		snap := sv.set.State(i).cache.Stats()
 		if i == 0 {
 			res.Cache.Epoch = snap.Epoch

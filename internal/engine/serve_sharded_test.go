@@ -171,6 +171,32 @@ func TestServeShardedReplicationInert(t *testing.T) {
 	}
 }
 
+// TestServeShardedUnreplicatedHALedgerZero: every sharded serve reads its
+// demand misses through the failover router, but with Replicas <= 1 and no
+// shard-fault profile there is nothing to fail over to — page-level fault
+// evidence (read retries under the heavy profile) must not trip shard health
+// ledgers, and the whole HA ledger stays zero.
+func TestServeShardedUnreplicatedHALedgerZero(t *testing.T) {
+	store, tree := lineWorld(t, 4000)
+	for _, seed := range []int64{1, 7, 9, 23} {
+		cfg := ServeConfig{
+			Engine:           DefaultConfig(),
+			Policy:           FairShare,
+			InterferenceSeek: time.Millisecond,
+			Shards:           4,
+			Workers:          4,
+			Faults:           heavyInjector(t, seed),
+		}
+		res := Serve(store, tree, shardServeWorkloads(8), cfg)
+		if res.Disk.FaultRetries == 0 {
+			t.Fatalf("seed %d: heavy profile injected no read retries; test is vacuous", seed)
+		}
+		if res.HA != (HAStats{}) {
+			t.Errorf("seed %d: unreplicated serve touched the HA ledger: %+v", seed, res.HA)
+		}
+	}
+}
+
 // TestServeShardedRejectsPrivateCaches: per-session private caches cannot
 // split across shard workers; the config is a programming error and must
 // fail loudly, not quietly misaccount.

@@ -11,23 +11,54 @@ import (
 	"scout/internal/workload"
 )
 
-// engineShard is one shard worker's private state: its slice of the prefetch
-// cache, a disk with its own head and seek ledger, and scratch. Only the
-// shard's worker goroutine touches it during a fan-out.
-type engineShard struct {
+// shard is one shard worker's private state: its slice of the prefetch
+// cache, a disk with its own heads and seek ledger over the shard's physical
+// range, scratch, and — on the serving path only — its own prefetch-budget
+// arbiter (the "per-shard arbiter pool"). Only the shard's worker goroutine
+// touches it during a fan-out; the coordinator may read it between fan-outs
+// (the ShardSet's WaitGroup gives the happens-before edge).
+type shard struct {
 	disk  *pagestore.Disk
 	cache *cache.Sharded
-	miss  []pagestore.PageID
+	arb   *Arbiter           // serving only
+	miss  []pagestore.PageID // the current demand turn's misses (lookup)
 	read  []pagestore.PageID // sweepBatch scratch (plain flush)
 	batch []pagestore.PageID // assembled sub-batch (HA flush)
 }
 
-// demandOut is shard i's result slot for one demand fan-out.
+// lookup runs one demand part against the shard's cache, leaving the misses
+// in sh.miss (always reset, so an empty part leaves no stale misses behind).
+// A stalled cache shard charges its penalty on every access, hit or miss:
+// the stall is in front of the data, not behind it. inj is nil unless fault
+// injection is armed, which keeps the fault-free loop free of the per-page
+// shard-index hash.
+func (sh *shard) lookup(part []pagestore.PageID, inj *fault.Injector, now time.Duration) (hits int, stall time.Duration, stalls int64) {
+	sh.miss = sh.miss[:0]
+	for _, pg := range part {
+		if inj != nil {
+			if d := inj.ShardStall(sh.cache.ShardIndex(pg), now); d > 0 {
+				stall += d
+				stalls++
+			}
+		}
+		if sh.cache.Lookup(pg) {
+			hits++
+		} else {
+			sh.miss = append(sh.miss, pg)
+		}
+	}
+	return hits, stall, stalls
+}
+
+// demandOut is shard i's result slot for one demand turn.
 type demandOut struct {
-	cold     time.Duration
-	missCost time.Duration
-	hits     int
-	miss     int
+	cold   time.Duration // the part's cold sweep (single-session engine only)
+	io     time.Duration // storage service time of the misses homed here (haState.serveMisses)
+	stall  time.Duration // injected cache-shard stall delay (serving only)
+	stalls int64
+	hits   int
+	pages  int // demand pages routed to this shard (arbiter evidence)
+	miss   int // miss pages actually served
 }
 
 // prefetchOut is shard i's result slot for one prefetch-window fan-out.
@@ -57,7 +88,7 @@ type ShardedEngine struct {
 	cfg    Config
 	shards int
 	router Router
-	set    *ShardSet[*engineShard]
+	set    *ShardSet[*shard]
 
 	// Coordinator-owned fan-out scratch.
 	parts    [][]pagestore.PageID
@@ -68,13 +99,15 @@ type ShardedEngine struct {
 	batchBuf []pagestore.PageID
 	reqBuf   []pagestore.PageID
 
-	// High-availability state (DESIGN.md §13), nil unless replication,
-	// hedging or shard faults are configured — the nil check is what keeps
-	// every replication-free run on the exact PR-era fan-out code path and
-	// therefore byte-identical to its pinned goldens.
+	// High-availability state (DESIGN.md §13). Every engine has one: without
+	// replication or shard faults it is a one-member chain with a nil
+	// injector, which routes every demand miss to its home for free. haFlush
+	// selects the prefetch flush that can fail over and hedge
+	// (executePlanShardedHA) — it needs every sub-batch assembled up front,
+	// so a fleet with nothing to fail over to keeps the lazy sweep.
 	ha        *haState
+	haFlush   bool
 	vclock    time.Duration // virtual serving clock: sum of Residual+Window over all queries run
-	haRetries []int64       // per-shard FaultRetries watermark for health evidence
 	prefHedge []prefetchOut // hedge result slots for the prefetch fan-out
 	estBuf    []time.Duration
 }
@@ -93,23 +126,16 @@ func NewShardedEngine(store *pagestore.Store, index Index, cfg Config, shards in
 	if shards < 1 {
 		shards = 1
 	}
-	replicas := cfg.Replicas
-	if replicas < 1 {
-		replicas = 1
-	}
-	if replicas > shards {
-		replicas = shards
-	}
-	part := pagestore.NewReplicatedPartition(store, shards, replicas)
+	part := pagestore.NewReplicatedPartition(store, shards, cfg.Replicas)
 	capacity := cacheCapacity(cfg, store)
 	base, extra := capacity/shards, capacity%shards
-	state := make([]*engineShard, shards)
+	state := make([]*shard, shards)
 	for i := range state {
 		sc := base
 		if i < extra {
 			sc++
 		}
-		sh := &engineShard{
+		sh := &shard{
 			disk:  pagestore.NewDisk(store, cfg.Cost),
 			cache: cache.NewSharded(sc, 1),
 		}
@@ -133,13 +159,9 @@ func NewShardedEngine(store *pagestore.Store, index Index, cfg Config, shards in
 		counts:   make([]int, shards),
 	}
 	inj, _ := cfg.Faults.(*fault.Injector)
-	shardFaults := inj != nil && inj.Plan().ShardFaultsEnabled()
-	if replicas > 1 || cfg.Hedge > 0 || shardFaults {
-		if !shardFaults {
-			inj = nil
-		}
-		e.ha = newHAState(part, inj, cfg.Cost, cfg.Retry, cfg.Hedge)
-		e.haRetries = make([]int64, shards)
+	e.ha = newHAState(part, inj, cfg.Cost, cfg.Retry, cfg.Hedge)
+	if part.Replicas() > 1 || cfg.Hedge > 0 || e.ha.inj != nil {
+		e.haFlush = true
 		e.prefHedge = make([]prefetchOut, shards)
 	}
 	return e
@@ -147,12 +169,7 @@ func NewShardedEngine(store *pagestore.Store, index Index, cfg Config, shards in
 
 // HAStats returns the accumulated high-availability ledger (zero value when
 // the engine runs without replication, hedging or shard faults).
-func (e *ShardedEngine) HAStats() HAStats {
-	if e.ha == nil {
-		return HAStats{}
-	}
-	return e.ha.stats
-}
+func (e *ShardedEngine) HAStats() HAStats { return e.ha.stats }
 
 // Shards returns the shard count.
 func (e *ShardedEngine) Shards() int { return e.shards }
@@ -215,7 +232,7 @@ func (e *ShardedEngine) ResetStats() {
 //     pages while PrefetchIO — the slowest shard's spend — still respects
 //     the window. That is the scale-out win the shard1 experiment measures.
 func (e *ShardedEngine) RunSequence(seq workload.Sequence, p prefetch.Prefetcher) SequenceResult {
-	e.set.Do(func(i int, sh *engineShard) {
+	e.set.Do(func(i int, sh *shard) {
 		sh.cache.Clear()
 		sh.disk.ResetHead()
 	})
@@ -238,41 +255,16 @@ func (e *ShardedEngine) RunSequence(seq workload.Sequence, p prefetch.Prefetcher
 		home := e.router.Home(e.parts)
 		tr.Fanout = e.router.Fanout(e.parts)
 
-		outs := e.demand
-		parts := e.parts
-		served := pageBuf
-		if e.ha == nil {
-			e.set.Do(func(i int, sh *engineShard) {
-				o := &outs[i]
-				*o = demandOut{}
-				sh.disk.ResetHead()
-				part := parts[i]
-				if len(part) == 0 {
-					return
-				}
-				o.cold = sh.disk.ColdCost(part)
-				sh.miss = sh.miss[:0]
-				for _, pg := range part {
-					if sh.cache.Lookup(pg) {
-						o.hits++
-					} else {
-						sh.miss = append(sh.miss, pg)
-					}
-				}
-				o.miss = len(sh.miss)
-				o.missCost = sh.disk.ReadBatch(sh.miss)
-			})
-		} else {
-			served = e.demandHA(parts, pageBuf, &tr)
-		}
+		served := e.demandRead(pageBuf, &tr)
+		outs, parts := e.demand, e.parts
 
 		var coldMax, missMax time.Duration
 		for i := range outs {
 			if outs[i].cold > coldMax {
 				coldMax = outs[i].cold
 			}
-			if outs[i].missCost > missMax {
-				missMax = outs[i].missCost
+			if outs[i].io > missMax {
+				missMax = outs[i].io
 			}
 			tr.HitPages += outs[i].hits
 			e.counts[i] = outs[i].miss
@@ -308,43 +300,28 @@ func (e *ShardedEngine) RunSequence(seq workload.Sequence, p prefetch.Prefetcher
 		if qi < len(seq.Queries)-1 && budget > 0 {
 			var prefetched int
 			var ioTime time.Duration
-			if e.ha == nil {
-				prefetched, ioTime = e.executePlanSharded(plan, budget)
-			} else {
+			if e.haFlush {
 				prefetched, ioTime = e.executePlanShardedHA(plan, budget)
+			} else {
+				prefetched, ioTime = e.executePlanSharded(plan, budget)
 			}
 			tr.Prefetched = prefetched
 			tr.PrefetchIO = ioTime
 		}
 
-		if e.cfg.ScrubPages > 0 && e.cfg.Backing != nil && qi < len(seq.Queries)-1 {
-			if leftover := budget - tr.PrefetchIO; leftover > 0 {
-				max := e.cfg.ScrubPages
-				if t := e.cfg.Cost.Transfer; t > 0 {
-					if byTime := int(leftover / t); byTime < max {
-						max = byTime
-					}
-				}
-				// The scrub cursor lives in the shared FileStore; shard 0's
-				// disk carries the scrub ledger.
-				e.set.State(0).disk.ScrubStep(max)
-			}
+		if qi < len(seq.Queries)-1 {
+			// The scrub cursor lives in the shared FileStore; shard 0's disk
+			// carries the scrub ledger.
+			e.set.State(0).disk.ScrubIdle(budget-tr.PrefetchIO, e.cfg.ScrubPages)
 		}
 
-		if e.ha != nil {
-			// Fold this query's injected read retries into shard health
-			// evidence, tick every ledger, and advance the virtual serving
-			// clock by the query's end-to-end span. The clock persists
-			// across sequences: fault episodes are functions of total time
-			// served, not of per-sequence offsets.
-			for i := 0; i < e.shards; i++ {
-				retries := e.set.State(i).disk.Stats().FaultRetries
-				e.ha.evidence[i] += float64(retries - e.haRetries[i])
-				e.haRetries[i] = retries
-			}
-			e.ha.observe(e.vclock)
-			e.vclock += tr.Residual + tr.Window
-		}
+		// Fold this query's injected read retries into shard health evidence,
+		// tick every ledger, and advance the virtual serving clock by the
+		// query's end-to-end span. The clock persists across sequences: fault
+		// episodes are functions of total time served, not of per-sequence
+		// offsets.
+		e.ha.foldRetries(e.set, e.vclock)
+		e.vclock += tr.Residual + tr.Window
 
 		counted := !(e.cfg.SkipFirstQuery && qi == 0)
 		if counted {
@@ -387,7 +364,7 @@ func (e *ShardedEngine) executePlanSharded(plan prefetch.Plan, budget time.Durat
 	outs := e.prefetch
 	parts := e.pparts
 	maxBridge := e.cfg.Cost.MaxBridge()
-	e.set.Do(func(i int, sh *engineShard) {
+	e.set.Do(func(i int, sh *shard) {
 		outs[i].n, outs[i].spent, sh.read = sweepBatch(e.store, sh.cache, parts[i], maxBridge, budget, sh.read, sh.disk.ReadSorted)
 	})
 
@@ -419,115 +396,42 @@ func hashResult(h uint64, qi int, result []pagestore.ObjectID) uint64 {
 	return h
 }
 
-// demandHA is the demand read with failover routing (DESIGN.md §13). It
-// splits the plain single fan-out into two so the coordinator can route
-// between them:
+// demandRead is the demand read (DESIGN.md §12, §13), split into two
+// fan-outs so the coordinator can route between them:
 //
 //	A: every home shard prices its cold sweep and runs its cache lookups —
 //	   no storage reads yet, only the miss sub-batches are known after this.
-//	B: the coordinator walks each missing home's replica chain (routeDemand)
-//	   at the current virtual time; the chosen serving shards then sweep the
-//	   sub-batches assigned to them, a browned shard's sweep billed at its
-//	   multiplier and replica-slice reads surcharged per page.
+//	B: haState.serveMisses routes each missing home along its replica chain
+//	   at the current virtual time and sweeps the sub-batches on the chosen
+//	   serving shards.
 //
-// With every chain healthy each home serves itself and the two fan-outs
-// issue exactly the per-worker disk call sequence of the plain path, which
-// is the bit-exactness argument for replication without faults. A home
-// whose whole chain is down loses its misses: the pages are dropped from
-// the served result (the caller answers degraded after waiting out the
-// client read deadline), never silently zero-costed.
-func (e *ShardedEngine) demandHA(parts [][]pagestore.PageID, pageBuf []pagestore.PageID, tr *QueryTrace) []pagestore.PageID {
-	ha := e.ha
-	outs := e.demand
-	now := e.vclock
-
-	e.set.Do(func(i int, sh *engineShard) {
-		o := &outs[i]
-		*o = demandOut{}
+// It reads pageBuf's split (e.parts), fills e.demand, and returns the served
+// page set: pageBuf itself unless a home's whole chain was down, in which
+// case that home's miss pages are dropped from the result (the caller
+// answers degraded after waiting out the client read deadline).
+func (e *ShardedEngine) demandRead(pageBuf []pagestore.PageID, tr *QueryTrace) []pagestore.PageID {
+	parts, outs, ha := e.parts, e.demand, e.ha
+	e.set.Do(func(i int, sh *shard) {
 		sh.disk.ResetHead()
-		part := parts[i]
-		if len(part) == 0 {
-			return
-		}
-		o.cold = sh.disk.ColdCost(part)
-		sh.miss = sh.miss[:0]
-		for _, pg := range part {
-			if sh.cache.Lookup(pg) {
-				o.hits++
-			} else {
-				sh.miss = append(sh.miss, pg)
-			}
-		}
+		o := &outs[i]
+		*o = demandOut{cold: sh.disk.ColdCost(parts[i])}
+		o.hits, _, _ = sh.lookup(parts[i], nil, 0)
 	})
+	ha.serveMisses(e.set, e.vclock, outs)
 
 	anyLost := false
-	for j := 0; j < e.shards; j++ {
-		r := haRoute{target: j, factor: 1, hedge: -1, hedgeFactor: 1}
-		if len(e.set.State(j).miss) > 0 && len(parts[j]) > 0 {
-			r = ha.routeDemand(j, now)
-		}
-		ha.routes[j] = r
-		if r.target < 0 {
-			anyLost = true
-		}
-	}
-
-	e.set.Do(func(t int, sh *engineShard) {
-		for j := 0; j < e.shards; j++ {
-			r := &ha.routes[j]
-			if r.target != t {
-				continue
-			}
-			if len(parts[j]) == 0 {
-				continue
-			}
-			miss := e.set.State(j).miss
-			base := sh.disk.ReadBatch(miss)
-			var extra time.Duration
-			if r.factor > 1 {
-				extra = time.Duration(float64(base) * (r.factor - 1))
-			}
-			var repPages int64
-			if t != j {
-				repPages = int64(len(miss))
-			}
-			rep := sh.disk.ChargeHA(extra, repPages)
-			outs[j].miss = len(miss)
-			outs[j].missCost = r.pre + base + extra + rep
-		}
-	})
-
-	for j := 0; j < e.shards; j++ {
-		r := &ha.routes[j]
-		miss := e.set.State(j).miss
-		if len(parts[j]) == 0 || len(miss) == 0 {
+	for j := range ha.routes {
+		miss := len(e.set.State(j).miss)
+		if miss == 0 {
 			continue
 		}
-		switch {
-		case r.target < 0:
-			ha.stats.LostBatches++
-			ha.stats.LostPages += int64(len(miss))
-			ha.stats.LostDelay += ha.retry.Timeout
-			tr.LostPages += len(miss)
-			outs[j].miss = 0
-			outs[j].missCost = r.pre
-		case r.target != j:
-			ha.stats.FailedOverBatches++
-			ha.stats.FailedOverPages += int64(len(miss))
-			tr.FailedOverPages += len(miss)
-		}
-		if r.target >= 0 && r.factor > 1 {
-			ha.stats.BrownedBatches++
-			// The serving read cost x = base·factor (+replica surcharge,
-			// subtracted off first); the brownout's share is x - x/factor.
-			x := outs[j].missCost - r.pre
-			if r.target != j {
-				x -= time.Duration(len(miss)) * ha.cost.ReplicaRead
-			}
-			ha.stats.BrownoutDelay += x - time.Duration(float64(x)/r.factor)
+		if t := ha.routes[j].target; t < 0 {
+			tr.LostPages += miss
+			anyLost = true
+		} else if t != j {
+			tr.FailedOverPages += miss
 		}
 	}
-
 	if !anyLost {
 		return pageBuf
 	}
@@ -535,7 +439,7 @@ func (e *ShardedEngine) demandHA(parts [][]pagestore.PageID, pageBuf []pagestore
 	// pageBuf order (result hashing and the prefetcher observation depend
 	// on it).
 	lost := make(map[pagestore.PageID]struct{})
-	for j := 0; j < e.shards; j++ {
+	for j := range ha.routes {
 		if ha.routes[j].target < 0 {
 			for _, pg := range e.set.State(j).miss {
 				lost[pg] = struct{}{}
@@ -558,7 +462,7 @@ func (e *ShardedEngine) demandHA(parts [][]pagestore.PageID, pageBuf []pagestore
 // delivered-page count n is replayed for cache insertion on the home shard
 // once the (possibly hedged) winner is known. The budget closes on the run
 // that crossed it, exactly like the plain flush.
-func (sh *engineShard) priceSweep(store *pagestore.Store, batch []pagestore.PageID, maxBridge pagestore.PageID, budget time.Duration, factor float64, replica bool) prefetchOut {
+func (sh *shard) priceSweep(store *pagestore.Store, batch []pagestore.PageID, maxBridge pagestore.PageID, budget time.Duration, factor float64, replica bool) prefetchOut {
 	var spent, brown time.Duration
 	var repPages int64
 	repCost := sh.disk.Model().ReplicaRead
@@ -607,7 +511,7 @@ func (e *ShardedEngine) executePlanShardedHA(plan prefetch.Plan, budget time.Dur
 	ha := e.ha
 	now := e.vclock
 
-	e.set.Do(func(i int, sh *engineShard) {
+	e.set.Do(func(i int, sh *shard) {
 		sh.batch = sh.batch[:0]
 		if len(parts[i]) == 0 {
 			return
@@ -630,7 +534,7 @@ func (e *ShardedEngine) executePlanShardedHA(plan prefetch.Plan, budget time.Dur
 		e.planHedge(now)
 	}
 
-	e.set.Do(func(t int, sh *engineShard) {
+	e.set.Do(func(t int, sh *shard) {
 		for j := 0; j < e.shards; j++ {
 			r := &ha.routes[j]
 			batch := e.set.State(j).batch
@@ -661,7 +565,7 @@ func (e *ShardedEngine) executePlanShardedHA(plan prefetch.Plan, budget time.Dur
 		}
 	}
 
-	e.set.Do(func(i int, sh *engineShard) {
+	e.set.Do(func(i int, sh *shard) {
 		left := mains[i].n
 		if left == 0 {
 			return

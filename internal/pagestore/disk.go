@@ -184,9 +184,7 @@ type FaultOutcome struct {
 // spike, then bounded retry-with-backoff over injected transient failures
 // (each failed attempt charges one Transfer — the wasted rotation — plus
 // the exponential backoff), the whole recovery capped by the per-read
-// timeout. The single-session Disk and the multi-session shared disk both
-// charge through here, so the two recovery paths can never drift apart.
-// A nil injector prices to the zero outcome.
+// timeout. A nil injector prices to the zero outcome.
 func (m CostModel) FaultCost(inj FaultInjector, r RetryPolicy, p PageID, now time.Duration) FaultOutcome {
 	if inj == nil {
 		return FaultOutcome{}
@@ -211,27 +209,44 @@ func (m CostModel) FaultCost(inj FaultInjector, r RetryPolicy, p PageID, now tim
 }
 
 // Disk mediates page reads against a Store, charging the cost model and
-// tracking physical head position for sequential-run detection. Disk is not
-// safe for concurrent use; the engine serializes access, as the paper's
-// single I/O subsystem does.
+// tracking physical head position for sequential-run detection. One disk
+// serves one or more read STREAMS — a single engine, or the serving layer's
+// concurrent sessions — each with its own head; At selects the stream a read
+// is charged to. Disk is not safe for concurrent use; the engine serializes
+// access, as the paper's single I/O subsystem does.
 type Disk struct {
 	store *Store
 	model CostModel
 	stats DiskStats
-	// last is the PHYSICAL address most recently read, or InvalidPage after
-	// ResetHead. Reading physical address last+1 is sequential and skips
-	// the seek. With the identity layout physical == logical.
-	last PageID
-	// batchBuf is ReadBatch's reusable elevator-schedule scratch; coldBuf
+	// heads holds one PHYSICAL head address per stream: the address that
+	// stream most recently read, or InvalidPage after ResetHead. Reading
+	// physical address head+1 is sequential and skips the seek. With the
+	// identity layout physical == logical. cur is the stream reads are
+	// charged to (At).
+	heads []PageID
+	cur   int
+	// Cross-stream interference (NewSharedDisk): every seek pays
+	// contenders × interference on top of the model's Seek — queueing and
+	// head-stealing while other streams' I/O is in flight. contenders is set
+	// per read context by At; the two counters are the Interference ledger.
+	interference      time.Duration
+	contenders        int
+	interferenceSeeks int64
+	interferenceTime  time.Duration
+	// batchBuf is ReadPages/ReadBatch's reusable schedule scratch; coldBuf
 	// is ColdCost's reusable physical-translation scratch.
 	batchBuf []PageID
 	coldBuf  []PageID
 	// faults, when non-nil, injects per-read faults recovered under retry
-	// (SetFaults). The disk's virtual time coordinate is its accumulated
-	// SimulatedIO — deterministic, monotone, and shared with the costs the
-	// injector perturbs.
+	// (SetFaults). The fault rolls' virtual time coordinate is the disk's
+	// accumulated SimulatedIO — deterministic, monotone, and shared with the
+	// costs the injector perturbs — until the first At: a caller that keeps
+	// its own virtual clock (the serving commit loop) passes it there, and
+	// now replaces SimulatedIO from then on.
 	faults FaultInjector
 	retry  RetryPolicy
+	timed  bool
+	now    time.Duration
 	// backing, when non-nil, is the durable file store every simulated read
 	// also physically performs (SetBacking): checksums verify, wall time
 	// lands in WallRead, corruption is priced on the virtual clock. backBuf
@@ -241,12 +256,53 @@ type Disk struct {
 	errs    []error
 }
 
-// NewDisk creates a Disk over the given paginated store.
+// NewDisk creates a single-stream Disk over the given paginated store.
 func NewDisk(store *Store, model CostModel) *Disk {
+	return NewSharedDisk(store, model, 1, 0)
+}
+
+// NewSharedDisk creates a Disk shared by `streams` concurrent read streams,
+// each with its own head, charging `interference` per contending stream on
+// every seek (0 disables cross-stream interference). Reads are charged to
+// stream 0 with no contenders until At says otherwise.
+func NewSharedDisk(store *Store, model CostModel, streams int, interference time.Duration) *Disk {
 	if !store.Paginated() {
 		panic("pagestore: NewDisk requires a paginated store")
 	}
-	return &Disk{store: store, model: model, last: InvalidPage}
+	if streams < 1 {
+		streams = 1
+	}
+	heads := make([]PageID, streams)
+	for i := range heads {
+		heads[i] = InvalidPage
+	}
+	return &Disk{store: store, model: model, heads: heads, interference: interference}
+}
+
+// At sets the context of the reads that follow: they move stream's head,
+// pay the interference penalty for `contenders` other streams with I/O in
+// flight, and roll injected faults at the caller's virtual time now.
+func (d *Disk) At(stream, contenders int, now time.Duration) {
+	d.cur, d.contenders = stream, contenders
+	d.timed, d.now = true, now
+}
+
+// interfere prices and records the interference penalty on `seeks` seeks of
+// the current read context.
+func (d *Disk) interfere(seeks int64) time.Duration {
+	if seeks == 0 || d.contenders <= 0 || d.interference <= 0 {
+		return 0
+	}
+	penalty := time.Duration(seeks) * time.Duration(d.contenders) * d.interference
+	satAdd(&d.interferenceSeeks, seeks)
+	d.interferenceTime += penalty
+	return penalty
+}
+
+// Interference returns the seeks that paid a nonzero interference penalty
+// and the total penalty time charged (also inside SimulatedIO).
+func (d *Disk) Interference() (seeks int64, total time.Duration) {
+	return d.interferenceSeeks, d.interferenceTime
 }
 
 // Store returns the underlying store.
@@ -264,13 +320,17 @@ func (d *Disk) SetFaults(inj FaultInjector, retry RetryPolicy) {
 }
 
 // chargeFault prices and records one page read's fault recovery at the
-// disk's current virtual time; returns the extra cost to fold into the
-// read. No-op (and no overhead beyond one nil check) when disarmed.
+// disk's current virtual time (see faults); returns the extra cost to fold
+// into the read. No-op (and no overhead beyond one nil check) when disarmed.
 func (d *Disk) chargeFault(p PageID) time.Duration {
 	if d.faults == nil {
 		return 0
 	}
-	out := d.model.FaultCost(d.faults, d.retry, p, d.stats.SimulatedIO)
+	now := d.stats.SimulatedIO
+	if d.timed {
+		now = d.now
+	}
+	out := d.model.FaultCost(d.faults, d.retry, p, now)
 	satAdd(&d.stats.FaultRetries, out.Retries)
 	if out.TimedOut {
 		satAdd(&d.stats.TimedOutReads, 1)
@@ -306,9 +366,7 @@ const maxErrLedger = 16
 // CorruptionCost prices one detected-corruption event on the virtual
 // clock: the wasted transfer of the bad read, plus — when the page was
 // repaired from the replica — a seek to the replica and two transfers
-// (read the good copy, rewrite the bad one). The single-session Disk and
-// the multi-session shared disk both charge through here, so the two
-// corruption paths can never drift apart.
+// (read the good copy, rewrite the bad one).
 func (m CostModel) CorruptionCost(repaired bool) time.Duration {
 	c := m.Transfer
 	if repaired {
@@ -321,9 +379,7 @@ func (m CostModel) CorruptionCost(repaired bool) time.Duration {
 // stats.WallRead, detected corruption is counted and priced
 // (CorruptionCost), and unrepairable reads append their typed error to the
 // capped ledger. It returns the extra VIRTUAL cost to fold into the
-// simulated read. Disk and the engine's multi-session shared disk both
-// read through here, so the two backend paths can never drift apart. A nil
-// fs is a no-op.
+// simulated read. A nil fs is a no-op.
 func ReadBacked(fs *FileStore, m CostModel, p PageID, stats *DiskStats, buf []byte, errs *[]error) time.Duration {
 	if fs == nil {
 		return 0
@@ -356,9 +412,9 @@ func ReadBacked(fs *FileStore, m CostModel, p PageID, stats *DiskStats, buf []by
 // ScrubStep advances the background integrity scrub by up to max pages
 // (FileStore.Scrub) and returns the virtual cost charged: one seek to move
 // the arm to the scrub cursor, one transfer per page verified, and the
-// repair price for each page healed. The caller paces steps out of idle
-// prefetch-window time so scrubbing never competes with demand reads
-// (engine.Config.ScrubPages). No-op without a backing store.
+// repair price for each page healed. The cost lands in the scrub ledger and
+// SimulatedIO only — it never pays interference and is not a read the
+// caller waits on. No-op without a backing store.
 func (d *Disk) ScrubStep(max int) time.Duration {
 	if d.backing == nil || max <= 0 {
 		return 0
@@ -376,9 +432,28 @@ func (d *Disk) ScrubStep(max int) time.Duration {
 	satAdd(&d.stats.RepairedPages, rep.Repaired)
 	d.stats.ScrubIO += cost
 	d.stats.SimulatedIO += cost
-	// The scrub moved the arm; the next demand read seeks back.
-	d.last = InvalidPage
+	// The scrub moved the arm; the current stream's next read seeks back.
+	// Unobservable on the serving path, where every turn begins with
+	// ResetHead on its own stream.
+	d.heads[d.cur] = InvalidPage
 	return cost
+}
+
+// ScrubIdle is the one scrub pacing rule: spend an idle stretch of prefetch
+// window on the background scrub, at most maxPages pages and no more than
+// fit the idle time at one Transfer each, so scrubbing never competes with
+// demand reads or planned prefetch (engine.Config.ScrubPages). A
+// non-positive idle window scrubs nothing.
+func (d *Disk) ScrubIdle(idle time.Duration, maxPages int) time.Duration {
+	if idle <= 0 {
+		return 0
+	}
+	if t := d.model.Transfer; t > 0 {
+		if byTime := int(idle / t); byTime < maxPages {
+			maxPages = byTime
+		}
+	}
+	return d.ScrubStep(maxPages)
 }
 
 // Model returns the disk's cost model.
@@ -386,9 +461,7 @@ func (d *Disk) Model() CostModel { return d.model }
 
 // PageCost prices reading page p with the head at `head` (InvalidPage =
 // unknown position): one Transfer, plus one Seek unless the read is
-// physically sequential. It reports whether a seek was paid. Both the
-// single-session Disk and the multi-session shared disk charge through
-// here, so the two can never drift apart.
+// physically sequential. It reports whether a seek was paid.
 func (m CostModel) PageCost(head, p PageID) (cost time.Duration, seek bool) {
 	cost = m.Transfer
 	if head == InvalidPage || p != head+1 {
@@ -410,37 +483,35 @@ func (m CostModel) MaxBridge() PageID {
 	return PageID((m.Seek - 1) / m.Transfer)
 }
 
-// ReadPage simulates reading one (logical) page and returns its cost. The
-// head moves in physical space: seeks are charged on physical, not logical,
-// discontinuities.
+// ReadPage simulates reading one (logical) page on the current stream and
+// returns its cost. The head moves in physical space: seeks are charged on
+// physical, not logical, discontinuities.
 func (d *Disk) ReadPage(p PageID) time.Duration {
 	phys := d.store.PhysicalPage(p)
-	cost, seek := d.model.PageCost(d.last, phys)
+	cost, seek := d.model.PageCost(d.heads[d.cur], phys)
 	if seek {
 		d.stats.Seeks++
+		cost += d.interfere(1)
 	}
 	cost += d.chargeFault(p)
 	if d.backing != nil {
 		cost += ReadBacked(d.backing, d.model, p, &d.stats, d.backBuf, &d.errs)
 	}
-	d.last = phys
+	d.heads[d.cur] = phys
 	d.stats.PagesRead++
 	d.stats.SimulatedIO += cost
 	return cost
 }
 
-// ReadPages simulates reading a set of pages in ascending physical order
-// (the order a real scheduler would issue them) and returns the total cost.
-// The input slice is not modified.
+// ReadPages simulates reading a set of pages one by one in ascending logical
+// order — the seed's per-page path, kept for the non-batched configuration's
+// byte-identical goldens — and returns the total cost. The input slice is
+// not modified.
 func (d *Disk) ReadPages(pages []PageID) time.Duration {
-	if len(pages) == 0 {
-		return 0
-	}
-	sorted := make([]PageID, len(pages))
-	copy(sorted, pages)
-	sortPageIDs(sorted)
+	d.batchBuf = append(d.batchBuf[:0], pages...)
+	sortPageIDs(d.batchBuf)
 	var total time.Duration
-	for _, p := range sorted {
+	for _, p := range d.batchBuf {
 		total += d.ReadPage(p)
 	}
 	return total
@@ -454,9 +525,8 @@ func (d *Disk) ReadPages(pages []PageID) time.Duration {
 // than the seek it replaces. It returns the seeks paid, the pages bridged
 // and the final head position; the sweep's time is
 // seeks·Seek + (len(sorted)+bridged)·Transfer. Duplicates cost one
-// transfer each (the head is already on the page). Disk.ReadSorted and
-// the multi-session shared disk both price through here, so the two
-// elevators can never drift apart. The input must not be empty.
+// transfer each (the head is already on the page). The input must not be
+// empty.
 func (m CostModel) SweepCost(s *Store, sorted []PageID, last PageID) (seeks, bridged int64, newLast PageID) {
 	maxBridge := m.MaxBridge()
 	i := 0
@@ -490,18 +560,19 @@ func (m CostModel) SweepCost(s *Store, sorted []PageID, last PageID) (seeks, bri
 	return seeks, bridged, last
 }
 
-// ReadSorted simulates one elevator sweep over pages already in ascending
-// physical order — e.g. a single run from Store.Runs — without copying or
-// re-sorting, and returns its cost. See SweepCost for the run-merging and
-// gap-bridging rules.
+// ReadSorted simulates one elevator sweep on the current stream over pages
+// already in ascending physical order — e.g. a single run from Store.Runs —
+// without copying or re-sorting, and returns its cost. See SweepCost for the
+// run-merging and gap-bridging rules.
 func (d *Disk) ReadSorted(sorted []PageID) time.Duration {
 	if len(sorted) == 0 {
 		return 0
 	}
-	seeks, bridged, last := d.model.SweepCost(d.store, sorted, d.last)
-	d.last = last
+	seeks, bridged, last := d.model.SweepCost(d.store, sorted, d.heads[d.cur])
+	d.heads[d.cur] = last
 	cost := time.Duration(seeks)*d.model.Seek +
-		time.Duration(int64(len(sorted))+bridged)*d.model.Transfer
+		time.Duration(int64(len(sorted))+bridged)*d.model.Transfer +
+		d.interfere(seeks)
 	if d.faults != nil || d.backing != nil {
 		// Fault recovery and backend verification per page of the sweep, all
 		// at the sweep's start time: a faulted or corrupt page breaks the
@@ -593,10 +664,10 @@ func (m CostModel) ColdCostOn(s *Store, pages []PageID) time.Duration {
 	return m.coldCostInPlace(phys)
 }
 
-// ResetHead forgets the physical head position, e.g. after the engine clears
-// caches between sequences ("we clear the prefetch cache, the operating
-// system cache and the disk buffers", §7.1).
-func (d *Disk) ResetHead() { d.last = InvalidPage }
+// ResetHead forgets the current stream's physical head position, e.g. after
+// the engine clears caches between sequences ("we clear the prefetch cache,
+// the operating system cache and the disk buffers", §7.1).
+func (d *Disk) ResetHead() { d.heads[d.cur] = InvalidPage }
 
 // ChargeHA folds the sharded failover router's high-availability charges
 // into this disk's ledgers (DESIGN.md §13): faultDelay is extra virtual

@@ -1,0 +1,191 @@
+package pagestore
+
+import (
+	"math/rand"
+	"testing"
+	"time"
+)
+
+// TestDiskStreamsKeepIndependentHeads: each stream of a shared disk tracks
+// its own head — a sequential run on stream 0 keeps its no-seek discount
+// across an interleaved read on stream 1, and ResetHead forgets only the
+// current stream's position.
+func TestDiskStreamsKeepIndependentHeads(t *testing.T) {
+	s := paginatedStore(t, 2000, 8)
+	m := CostModel{Seek: 10 * time.Millisecond, Transfer: time.Millisecond}
+	d := NewSharedDisk(s, m, 2, 0)
+
+	d.At(0, 0, 0)
+	if got, want := d.ReadPage(10), m.Seek+m.Transfer; got != want {
+		t.Fatalf("stream 0 first read = %v, want %v", got, want)
+	}
+	d.At(1, 0, 0)
+	if got, want := d.ReadPage(100), m.Seek+m.Transfer; got != want {
+		t.Fatalf("stream 1 first read = %v, want %v", got, want)
+	}
+	d.At(0, 0, 0)
+	if got := d.ReadPage(11); got != m.Transfer {
+		t.Errorf("stream 0 lost its run to stream 1's read: page 11 cost %v, want %v", got, m.Transfer)
+	}
+	d.At(1, 0, 0)
+	if got := d.ReadSorted([]PageID{101, 102}); got != 2*m.Transfer {
+		t.Errorf("stream 1 lost its run to stream 0's read: sweep cost %v, want %v", got, 2*m.Transfer)
+	}
+
+	// ResetHead on stream 1 leaves stream 0's head where it was.
+	d.ResetHead()
+	if got, want := d.ReadPage(103), m.Seek+m.Transfer; got != want {
+		t.Errorf("stream 1 after ResetHead: page 103 cost %v, want %v", got, want)
+	}
+	d.At(0, 0, 0)
+	if got := d.ReadPage(12); got != m.Transfer {
+		t.Errorf("ResetHead on stream 1 moved stream 0's head: page 12 cost %v, want %v", got, m.Transfer)
+	}
+	if seeks, total := d.Interference(); seeks != 0 || total != 0 {
+		t.Errorf("interference charged with no contenders and no penalty: %d seeks, %v", seeks, total)
+	}
+}
+
+// TestDiskInterference: every seek pays contenders × penalty on top of the
+// model's Seek, on the per-page and the sweep path alike; zero contenders pay
+// nothing; the penalty lands in Interference() and in SimulatedIO.
+func TestDiskInterference(t *testing.T) {
+	s := paginatedStore(t, 4000, 8)
+	m := DefaultCostModel()
+	const penalty = 300 * time.Microsecond
+	d := NewSharedDisk(s, m, 4, penalty)
+
+	// No contenders: exactly the plain charge.
+	d.At(2, 0, 0)
+	if got, want := d.ReadPage(7), m.Seek+m.Transfer; got != want {
+		t.Fatalf("uncontended read = %v, want %v", got, want)
+	}
+	if seeks, total := d.Interference(); seeks != 0 || total != 0 {
+		t.Fatalf("uncontended read charged interference: %d seeks, %v", seeks, total)
+	}
+
+	// Per-page path: one seek, three contenders; the sequential follow-up
+	// seeks nothing and pays nothing.
+	d.At(2, 3, 0)
+	if got, want := d.ReadPage(50), m.Seek+m.Transfer+3*penalty; got != want {
+		t.Errorf("contended ReadPage = %v, want %v", got, want)
+	}
+	if got := d.ReadPage(51); got != m.Transfer {
+		t.Errorf("contended sequential ReadPage = %v, want %v", got, m.Transfer)
+	}
+
+	// Sweep path: pages 200,201 | 400 | 600 are three runs (the gaps exceed
+	// MaxBridge), so three seeks × two contenders.
+	d.At(1, 2, 0)
+	sweep := []PageID{200, 201, 400, 600}
+	if got, want := d.ReadSorted(sweep), 3*m.Seek+4*m.Transfer+3*2*penalty; got != want {
+		t.Errorf("contended ReadSorted = %v, want %v", got, want)
+	}
+
+	seeks, total := d.Interference()
+	if wantSeeks, wantTotal := int64(1+3), 3*penalty+6*penalty; seeks != wantSeeks || total != wantTotal {
+		t.Errorf("Interference() = %d seeks, %v; want %d, %v", seeks, total, wantSeeks, wantTotal)
+	}
+	st := d.Stats()
+	if want := 5*m.Seek + 7*m.Transfer + total; st.SimulatedIO != want || st.Seeks != 5 {
+		t.Errorf("stats = %d seeks, %v simulated; want 5, %v", st.Seeks, st.SimulatedIO, want)
+	}
+}
+
+// clockInjector injects nothing and records the virtual time of every roll.
+type clockInjector struct{ nows []time.Duration }
+
+func (c *clockInjector) ReadFailure(PageID, time.Duration, int) bool { return false }
+
+func (c *clockInjector) SlowPage(_ PageID, now time.Duration) time.Duration {
+	c.nows = append(c.nows, now)
+	return 0
+}
+
+// TestDiskFaultClock: a disk that is never At-ed rolls faults at its own
+// accumulated SimulatedIO, advancing page by page; after At the caller's
+// virtual time replaces it, constant across the reads of that context.
+func TestDiskFaultClock(t *testing.T) {
+	s := paginatedStore(t, 2000, 8)
+	m := DefaultCostModel()
+
+	solo := &clockInjector{}
+	d := NewDisk(s, m)
+	d.SetFaults(solo, RetryPolicy{})
+	d.ReadPages([]PageID{5, 6, 900})
+	want := []time.Duration{0, m.Seek + m.Transfer, m.Seek + 2*m.Transfer}
+	if len(solo.nows) != len(want) {
+		t.Fatalf("un-At-ed disk rolled %d times, want %d", len(solo.nows), len(want))
+	}
+	for i := range want {
+		if solo.nows[i] != want[i] {
+			t.Errorf("un-At-ed roll %d at %v, want the disk's SimulatedIO %v", i, solo.nows[i], want[i])
+		}
+	}
+
+	served := &clockInjector{}
+	d = NewSharedDisk(s, m, 2, 0)
+	d.SetFaults(served, RetryPolicy{})
+	const now = 42 * time.Millisecond
+	d.At(1, 0, now)
+	d.ReadPages([]PageID{5, 6, 900})
+	d.ReadBatch([]PageID{30, 31})
+	if len(served.nows) != 5 {
+		t.Fatalf("At-ed disk rolled %d times, want 5", len(served.nows))
+	}
+	for i, got := range served.nows {
+		if got != now {
+			t.Errorf("At-ed roll %d at %v, want the caller's %v", i, got, now)
+		}
+	}
+}
+
+// TestDiskSharedSingleStreamMatchesNewDisk: a one-stream shared disk with no
+// interference, driven through At with no contenders and no injector, prices
+// random page sets exactly like NewDisk on every read path, under the
+// insertion and the hilbert layout.
+func TestDiskSharedSingleStreamMatchesNewDisk(t *testing.T) {
+	s := paginatedStore(t, 4000, 8)
+	defer func() {
+		if err := s.Relayout(InsertionLayout()); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	m := DefaultCostModel()
+	rng := rand.New(rand.NewSource(19))
+	for _, l := range []Layout{InsertionLayout(), HilbertLayout()} {
+		if err := s.Relayout(l); err != nil {
+			t.Fatal(err)
+		}
+		a, b := NewDisk(s, m), NewSharedDisk(s, m, 1, 0)
+		for trial := 0; trial < 60; trial++ {
+			pages := make([]PageID, 1+rng.Intn(40))
+			for i := range pages {
+				pages[i] = PageID(rng.Intn(s.NumPages()))
+			}
+			b.At(0, 0, time.Duration(trial)*time.Millisecond)
+			if trial%4 == 0 {
+				a.ResetHead()
+				b.ResetHead()
+			}
+			var ca, cb time.Duration
+			switch trial % 3 {
+			case 0:
+				ca, cb = a.ReadPages(pages), b.ReadPages(pages)
+			case 1:
+				ca, cb = a.ReadBatch(pages), b.ReadBatch(pages)
+			default:
+				ca, cb = a.ReadPage(pages[0]), b.ReadPage(pages[0])
+			}
+			if ca != cb {
+				t.Fatalf("layout %s trial %d: NewDisk %v != NewSharedDisk %v", l.Name(), trial, ca, cb)
+			}
+		}
+		if a.Stats() != b.Stats() {
+			t.Fatalf("layout %s: stats diverged:\n %+v\n %+v", l.Name(), a.Stats(), b.Stats())
+		}
+		if seeks, total := b.Interference(); seeks != 0 || total != 0 {
+			t.Fatalf("layout %s: single stream charged interference: %d seeks, %v", l.Name(), seeks, total)
+		}
+	}
+}
