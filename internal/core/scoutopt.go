@@ -228,7 +228,9 @@ func (s *ScoutOpt) sparseBuild(obs prefetch.Observation, bounds geom.AABB, tol f
 		// detection and page expansion below see the same objects a fresh
 		// sparse build would.
 		added := s.pageAdded[:0]
-		for _, id := range s.store.PageObjects(p) {
+		page := s.store.PageSlice(p)
+		for i := range page {
+			id := page[i].ID
 			if !s.inResult.has(uint32(id)) {
 				continue
 			}
@@ -427,12 +429,13 @@ func (s *ScoutOpt) gapTraverse(exits []sgraph.Boundary, region geom.AABB, side, 
 			used++
 			pages = append(pages, p)
 
-			for _, id := range s.store.PageObjects(p) {
-				o := s.store.Object(id)
+			page := s.store.PageSlice(p)
+			for i := range page {
+				o := &page[i]
 				if !o.IntersectsBox(corridor) {
 					continue
 				}
-				v := g.AddObject(id)
+				v := g.AddObject(o.ID)
 				if o.Seg.DistToPoint(e.Point) < side*0.15 {
 					starts = append(starts, v)
 				}

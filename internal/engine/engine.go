@@ -230,6 +230,7 @@ func (e *Engine) RunSequence(seq workload.Sequence, p prefetch.Prefetcher) Seque
 
 	var pageBuf []pagestore.PageID
 	var missBuf []pagestore.PageID
+	resultLen := 0
 	for qi, q := range seq.Queries {
 		tr := QueryTrace{Seq: qi}
 
@@ -265,7 +266,8 @@ func (e *Engine) RunSequence(seq workload.Sequence, p prefetch.Prefetcher) Seque
 
 		// 2. The prefetcher observes the completed query (content included:
 		// SCOUT needs it, baselines ignore it).
-		result := e.queryObjects(q.Region, pageBuf)
+		result := e.store.AppendMatches(newResult(resultLen), q.Region, pageBuf)
+		resultLen = len(result)
 		p.Observe(prefetch.Observation{
 			Seq:    qi,
 			Region: q.Region,
@@ -389,12 +391,6 @@ func (e *Engine) executePlanBatched(plan prefetch.Plan, budget time.Duration) (i
 	n, spent, read := sweepBatch(e.store, e.cache, elevatorBatch(e.store, buf), e.disk.Model().MaxBridge(), budget, e.readBuf, e.disk.ReadSorted)
 	e.readBuf = read
 	return n, spent
-}
-
-// queryObjects filters the candidate pages' objects by the region (shared
-// with the multi-session plan phase; see serve.go).
-func (e *Engine) queryObjects(r geom.Region, pages []pagestore.PageID) []pagestore.ObjectID {
-	return queryObjects(e.store, r, pages)
 }
 
 // Clone creates an engine over the same (immutable) store and index with

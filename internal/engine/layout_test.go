@@ -68,7 +68,7 @@ func TestRelayoutPreservesResultSets(t *testing.T) {
 	for si, seq := range seqs {
 		for qi, q := range seq.Queries {
 			pages := tree.QueryPages(q.Region, nil)
-			truth[key{si, qi}] = queryObjects(store, q.Region, pages)
+			truth[key{si, qi}] = store.AppendMatches(nil, q.Region, pages)
 		}
 	}
 
@@ -83,7 +83,7 @@ func TestRelayoutPreservesResultSets(t *testing.T) {
 		for si, seq := range seqs {
 			for qi, q := range seq.Queries {
 				pages := tree.QueryPages(q.Region, nil)
-				got := queryObjects(store, q.Region, pages)
+				got := store.AppendMatches(nil, q.Region, pages)
 				if !reflect.DeepEqual(got, truth[key{si, qi}]) {
 					t.Fatalf("layout %s: query %d/%d result set changed", name, si, qi)
 				}

@@ -31,7 +31,6 @@ import (
 
 	"scout/internal/cache"
 	"scout/internal/fault"
-	"scout/internal/geom"
 	"scout/internal/pagestore"
 	"scout/internal/prefetch"
 	"scout/internal/workload"
@@ -525,18 +524,13 @@ func cacheCapacity(cfg Config, store *pagestore.Store) int {
 	return capacity
 }
 
-// queryObjects filters the candidate pages' objects by the region; the
-// single-session Engine.queryObjects delegates here.
-func queryObjects(store *pagestore.Store, r geom.Region, pages []pagestore.PageID) []pagestore.ObjectID {
-	var out []pagestore.ObjectID
-	for _, pg := range pages {
-		for _, id := range store.PageObjects(pg) {
-			if pagestore.Matches(r, store.Object(id)) {
-				out = append(out, id)
-			}
-		}
-	}
-	return out
+// newResult returns the empty slice one query's result is refined into
+// (pagestore.Store.AppendMatches). It is fresh for every query — observers
+// may retain Observation.Result — and sized by the previous query's result
+// length, which consecutive queries of a walk stay close to, so the refine
+// allocates once instead of climbing an append ladder.
+func newResult(prevLen int) []pagestore.ObjectID {
+	return make([]pagestore.ObjectID, 0, prevLen)
 }
 
 // SessionPlans is the reusable output of the plan phase: every session's
@@ -1075,10 +1069,12 @@ func planSession(store *pagestore.Store, index Index, w SessionWorkload, cost pa
 		if ratio <= 0 {
 			ratio = 1
 		}
+		resultLen := 0
 		for qi, q := range seq.Queries {
 			pages := index.QueryPages(q.Region, nil)
 			cold := cost.ColdCostOn(store, pages)
-			result := queryObjects(store, q.Region, pages)
+			result := store.AppendMatches(newResult(resultLen), q.Region, pages)
+			resultLen = len(result)
 			p.Observe(prefetch.Observation{
 				Seq:    qi,
 				Region: q.Region,

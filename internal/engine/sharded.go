@@ -246,6 +246,7 @@ func (e *ShardedEngine) RunSequence(seq workload.Sequence, p prefetch.Prefetcher
 	}
 
 	var pageBuf []pagestore.PageID
+	resultLen := 0
 	for qi, q := range seq.Queries {
 		tr := QueryTrace{Seq: qi}
 
@@ -278,7 +279,8 @@ func (e *ShardedEngine) RunSequence(seq workload.Sequence, p prefetch.Prefetcher
 		tr.Residual = missMax + missCharge
 		tr.RoutedPages = remoteMiss
 
-		result := queryObjects(e.store, q.Region, served)
+		result := e.store.AppendMatches(newResult(resultLen), q.Region, served)
+		resultLen = len(result)
 		res.ResultHash = hashResult(res.ResultHash, qi, result)
 		p.Observe(prefetch.Observation{
 			Seq:    qi,

@@ -362,8 +362,8 @@ func encodePage(s *Store, p PageID, frame []byte) uint32 {
 		frame[i] = 0
 	}
 	off := 0
-	for _, id := range s.PageObjects(p) {
-		encodeObject(frame[off:off+objBytes], s.Object(id))
+	for _, o := range s.PageSlice(p) {
+		encodeObject(frame[off:off+objBytes], o)
 		off += objBytes
 	}
 	return uint32(off)
@@ -930,14 +930,13 @@ func (fs *FileStore) VerifyAgainst(s *Store) error {
 		if crc64.Checksum(frame, crcTable) != h.checksum {
 			return &CorruptPageError{Page: logical, Slot: slot, Path: fs.path, Reason: "checksum mismatch"}
 		}
-		want := s.PageObjects(logical)
+		want := s.PageSlice(logical)
 		if int(h.length) != len(want)*objBytes {
 			return fmt.Errorf("pagestore: page %d holds %d bytes, store has %d objects", p, h.length, len(want))
 		}
-		for i, id := range want {
-			got := decodeObject(frame[i*objBytes:])
-			if got != s.Object(id) {
-				return fmt.Errorf("pagestore: page %d object %d decoded %+v, store has %+v", p, i, got, s.Object(id))
+		for i := range want {
+			if got := decodeObject(frame[i*objBytes:]); got != want[i] {
+				return fmt.Errorf("pagestore: page %d object %d decoded %+v, store has %+v", p, i, got, want[i])
 			}
 		}
 	}

@@ -28,12 +28,15 @@ const InvalidPage = PageID(^uint32(0))
 // rule (§4.2: "a minimum bounding rectangle ..., a straight line or a point
 // can be used"): cylinders keep their axis and maximum radius, mesh
 // triangles keep their longest edge, road segments are stored as-is.
+//
+// The field order packs the struct into 64 bytes with no padding — one cache
+// line per object, 64 objects per 4 KB page (TestObjectLayout pins it).
 type Object struct {
-	ID  ObjectID
 	Seg geom.Segment
 	// Radius inflates the segment into the object's true extent; zero for
 	// line data such as road networks.
 	Radius float64
+	ID     ObjectID
 	// Struct is the ground-truth structure identifier assigned by the
 	// dataset generator (a neuron branch, an artery, a road). It exists so
 	// workload generators can walk real structures; prefetchers MUST NOT
@@ -57,16 +60,22 @@ func (o Object) IntersectsBox(b geom.AABB) bool {
 	return o.Seg.IntersectsAABB(b.Inflate(o.Radius))
 }
 
-// Store holds a dataset's objects and their assignment to pages. A Store is
-// immutable after pagination and safe for concurrent readers; the one
-// exception is Relayout (layout.go), which swaps the physical-page
-// placement and must not run concurrently with readers.
+// Store holds a dataset's objects and their assignment to pages. Pages are
+// clustered: once paginated, the objects of page p are the contiguous run
+// objects[p·perPage : (p+1)·perPage], as they would be in the 4 KB disk page
+// the store models. A Store is immutable after pagination and safe for
+// concurrent readers; the exceptions are Paginate, which moves objects, and
+// Relayout (layout.go), which swaps the physical-page placement — neither
+// may run concurrently with readers.
 type Store struct {
+	// objects holds every object, in storage order once paginated.
 	objects []Object
-	// pages[p] lists the objects stored in page p, in storage order.
-	pages [][]ObjectID
-	// pageOf[o] is the page holding object o.
-	pageOf []PageID
+	// order[slot] is the ID of objects[slot]; PageObjects sub-slices it.
+	order []ObjectID
+	// slotOf[id] is the position of object id in objects. IDs are the
+	// positions the objects had when the store was created and never change;
+	// only slots do.
+	slotOf []uint32
 	// pageBounds[p] is the MBR of page p's objects.
 	pageBounds []geom.AABB
 	perPage    int
@@ -84,18 +93,28 @@ const PageSizeBytes = 4096
 // DefaultObjectsPerPage is the modeled page fanout. The paper stores 87
 // objects per 4 KB page (§7.1, ≈47 bytes each including attributes); this
 // reproduction's Object is 64 bytes (two endpoints, radius, ids), so a 4 KB
-// page honestly holds 64.
+// page holds exactly 64 of them, contiguously.
 const DefaultObjectsPerPage = 64
 
-// NewStore creates a store over the given objects. Object IDs are rewritten
-// to their slice positions so lookups are O(1). Pages are not assigned until
-// Paginate is called (normally by an index bulk-loader, which chooses the
-// storage order).
+// NewStore creates a store over the given objects. Pages are not assigned
+// until Paginate is called (normally by an index bulk-loader, which chooses
+// the storage order).
+//
+// The store takes ownership of the slice: object IDs are rewritten to their
+// slice positions here, and Paginate later reorders the slice in place into
+// storage order. After pagination objects[i].ID == i no longer holds, so the
+// caller must reach objects through the store (Object, PageSlice), never by
+// indexing its own slice, and two stores must never share a backing slice.
 func NewStore(objects []Object) *Store {
-	s := &Store{objects: objects, pageOf: make([]PageID, len(objects))}
+	s := &Store{
+		objects: objects,
+		order:   make([]ObjectID, len(objects)),
+		slotOf:  make([]uint32, len(objects)),
+	}
 	for i := range s.objects {
 		s.objects[i].ID = ObjectID(i)
-		s.pageOf[i] = InvalidPage
+		s.order[i] = ObjectID(i)
+		s.slotOf[i] = uint32(i)
 	}
 	return s
 }
@@ -104,31 +123,63 @@ func NewStore(objects []Object) *Store {
 func (s *Store) NumObjects() int { return len(s.objects) }
 
 // NumPages returns the number of pages (0 before pagination).
-func (s *Store) NumPages() int { return len(s.pages) }
+func (s *Store) NumPages() int { return len(s.pageBounds) }
 
 // ObjectsPerPage returns the pagination fanout (0 before pagination).
 func (s *Store) ObjectsPerPage() int { return s.perPage }
 
 // Object returns the object with the given ID.
-func (s *Store) Object(id ObjectID) Object { return s.objects[int(id)] }
+func (s *Store) Object(id ObjectID) Object { return s.objects[s.slotOf[id]] }
 
-// Objects returns the backing object slice. Callers must not modify it.
+// Objects returns the backing object slice: creation order before
+// pagination, storage order after it, so an object's identity is its ID
+// field, not its index. Callers must not modify the slice.
 func (s *Store) Objects() []Object { return s.objects }
 
-// PageOf returns the page holding the given object.
-func (s *Store) PageOf(id ObjectID) PageID { return s.pageOf[int(id)] }
+// PageOf returns the page holding the given object (InvalidPage before
+// pagination).
+func (s *Store) PageOf(id ObjectID) PageID {
+	if s.perPage == 0 {
+		return InvalidPage
+	}
+	return PageID(int(s.slotOf[id]) / s.perPage)
+}
 
-// PageObjects returns the IDs of the objects in page p. Callers must not
-// modify the returned slice.
-func (s *Store) PageObjects(p PageID) []ObjectID { return s.pages[int(p)] }
+// pageSpan returns the slot range [lo, hi) of page p.
+func (s *Store) pageSpan(p PageID) (lo, hi int) {
+	lo = int(p) * s.perPage
+	hi = lo + s.perPage
+	if hi > len(s.objects) {
+		hi = len(s.objects)
+	}
+	return lo, hi
+}
+
+// PageObjects returns the IDs of the objects in page p, in storage order.
+// Callers must not modify the returned slice.
+func (s *Store) PageObjects(p PageID) []ObjectID {
+	lo, hi := s.pageSpan(p)
+	return s.order[lo:hi:hi]
+}
+
+// PageSlice returns the objects of page p, in storage order: the page's
+// contiguous run of the object array, so PageSlice(p)[i].ID ==
+// PageObjects(p)[i]. Callers must not modify the returned slice.
+func (s *Store) PageSlice(p PageID) []Object {
+	lo, hi := s.pageSpan(p)
+	return s.objects[lo:hi:hi]
+}
 
 // PageBounds returns the MBR of page p's objects.
 func (s *Store) PageBounds(p PageID) geom.AABB { return s.pageBounds[int(p)] }
 
 // Paginate assigns objects to pages of perPage objects each, in the given
-// storage order. The order slice must be a permutation of all object IDs;
-// the bulk loader of the index decides it (STR order in this reproduction,
-// matching the paper's "STR Bulkloaded" R-tree with 100% fill factor).
+// storage order, and moves the objects into that order in place. The order
+// slice must be a permutation of all object IDs; the bulk loader of the
+// index decides it (STR order in this reproduction, matching the paper's
+// "STR Bulkloaded" R-tree with 100% fill factor). Object IDs do not change.
+// Paginate may be called again on a paginated store; pages, indexes and
+// disks built over the earlier pagination are then stale.
 func (s *Store) Paginate(order []ObjectID, perPage int) error {
 	if perPage < 1 {
 		return fmt.Errorf("pagestore: perPage %d < 1", perPage)
@@ -137,42 +188,61 @@ func (s *Store) Paginate(order []ObjectID, perPage int) error {
 		return fmt.Errorf("pagestore: order has %d ids, store has %d objects",
 			len(order), len(s.objects))
 	}
-	seen := make([]bool, len(s.objects))
+	pending := make([]bool, len(s.objects))
 	for _, id := range order {
 		if int(id) >= len(s.objects) {
 			return fmt.Errorf("pagestore: order contains unknown object %d", id)
 		}
-		if seen[id] {
+		if pending[id] {
 			return fmt.Errorf("pagestore: order contains object %d twice", id)
 		}
-		seen[id] = true
+		pending[id] = true
+	}
+
+	// Permute objects into storage order by following cycles: slot j receives
+	// the object now at slotOf[order[j]]. One object is held aside per cycle,
+	// so no second copy of the array ever exists. pending (all true after
+	// validation) is reused, now indexed by slot, to mark slots not yet
+	// filled; slotOf keeps the old placement until every cycle is closed.
+	objs := s.objects
+	for j := range objs {
+		if !pending[j] {
+			continue
+		}
+		held := objs[j]
+		k := j
+		for {
+			pending[k] = false
+			src := int(s.slotOf[order[k]])
+			if src == j {
+				objs[k] = held
+				break
+			}
+			objs[k] = objs[src]
+			k = src
+		}
+	}
+	copy(s.order, order)
+	for slot, id := range order {
+		s.slotOf[id] = uint32(slot)
 	}
 
 	s.perPage = perPage
 	numPages := (len(order) + perPage - 1) / perPage
-	s.pages = make([][]ObjectID, 0, numPages)
-	s.pageBounds = make([]geom.AABB, 0, numPages)
-	for start := 0; start < len(order); start += perPage {
-		end := start + perPage
-		if end > len(order) {
-			end = len(order)
-		}
-		page := make([]ObjectID, end-start)
-		copy(page, order[start:end])
-		pid := PageID(len(s.pages))
+	s.pageBounds = make([]geom.AABB, numPages)
+	for p := range s.pageBounds {
 		mbr := geom.EmptyAABB()
-		for _, id := range page {
-			s.pageOf[id] = pid
-			mbr = mbr.Union(s.objects[id].Bounds())
+		page := s.PageSlice(PageID(p))
+		for i := range page {
+			mbr = mbr.Union(page[i].Bounds())
 		}
-		s.pages = append(s.pages, page)
-		s.pageBounds = append(s.pageBounds, mbr)
+		s.pageBounds[p] = mbr
 	}
 	return nil
 }
 
 // Paginated reports whether pages have been assigned.
-func (s *Store) Paginated() bool { return len(s.pages) > 0 }
+func (s *Store) Paginated() bool { return len(s.pageBounds) > 0 }
 
 // TotalBytes returns the modeled on-disk size of the dataset.
 func (s *Store) TotalBytes() int64 {

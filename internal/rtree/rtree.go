@@ -119,6 +119,10 @@ func Build(store *pagestore.Store, cfg Config) (*Tree, error) {
 // centroid: sort by x, cut into vertical slabs, sort each slab by y, cut
 // into runs, sort each run by z. Objects that end up consecutive are
 // spatially close, which is what gives STR-packed trees their tight leaves.
+//
+// objects is a store's object slice (pagestore.Store.Objects): the IDs are a
+// permutation of 0..n-1 but, once the store has been paginated, not the
+// slice positions, so everything here is keyed by ID.
 func STROrder(objects []pagestore.Object, perPage int) []pagestore.ObjectID {
 	n := len(objects)
 	order := make([]pagestore.ObjectID, n)
@@ -129,8 +133,8 @@ func STROrder(objects []pagestore.Object, perPage int) []pagestore.ObjectID {
 		return order
 	}
 	cent := make([]geom.Vec3, n)
-	for i, o := range objects {
-		cent[i] = o.Centroid()
+	for i := range objects {
+		cent[objects[i].ID] = objects[i].Centroid()
 	}
 
 	pages := (n + perPage - 1) / perPage
@@ -226,20 +230,12 @@ func (t *Tree) query(r geom.Region, rb geom.AABB, level, node int, dst []pagesto
 }
 
 // QueryObjects appends to dst the IDs of all objects matching the region,
-// by filtering the objects of every candidate page. The page scan reuses a
-// stack buffer for typical result sizes, so steady-state queries allocate
-// only when dst grows.
+// by refining every candidate page (pagestore.Store.AppendMatches). The page
+// scan reuses a stack buffer for typical result sizes, so steady-state
+// queries allocate only when dst grows.
 func (t *Tree) QueryObjects(r geom.Region, dst []pagestore.ObjectID) []pagestore.ObjectID {
 	var pageArr [512]pagestore.PageID
-	pages := t.QueryPages(r, pageArr[:0])
-	for _, p := range pages {
-		for _, id := range t.store.PageObjects(p) {
-			if pagestore.Matches(r, t.store.Object(id)) {
-				dst = append(dst, id)
-			}
-		}
-	}
-	return dst
+	return t.store.AppendMatches(dst, r, t.QueryPages(r, pageArr[:0]))
 }
 
 // NodesVisited returns the cumulative number of nodes inspected by queries.

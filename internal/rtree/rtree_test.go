@@ -3,6 +3,7 @@ package rtree
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"scout/internal/geom"
@@ -144,8 +145,9 @@ func TestSTROrderIsPermutation(t *testing.T) {
 
 func TestSTROrderLocality(t *testing.T) {
 	// Consecutive objects in STR order must be much closer on average than
-	// random pairs.
-	objs := uniformObjects(5000, 100, 8)
+	// random pairs. STROrder keys by object ID, which NewStore assigns; the
+	// store is not paginated, so IDs are still slice positions below.
+	objs := pagestore.NewStore(uniformObjects(5000, 100, 8)).Objects()
 	order := STROrder(objs, 87)
 	var consecutive float64
 	for i := 1; i < len(order); i++ {
@@ -161,6 +163,36 @@ func TestSTROrderLocality(t *testing.T) {
 	random /= 5000
 	if consecutive > random/3 {
 		t.Errorf("weak locality: consecutive=%v random=%v", consecutive, random)
+	}
+}
+
+// TestSTROrderOnClusteredStore: pagination moves the objects into storage
+// order, so slice position stops being the object ID. STROrder must read IDs,
+// not positions — recomputed over the clustered store it returns the same
+// order, and a second BulkLoad reproduces the same pages.
+func TestSTROrderOnClusteredStore(t *testing.T) {
+	store := pagestore.NewStore(uniformObjects(5000, 100, 8))
+	first := STROrder(store.Objects(), 87)
+	if _, err := BulkLoad(store, Config{ObjectsPerPage: 87}); err != nil {
+		t.Fatal(err)
+	}
+	if store.Objects()[0].ID == 0 && store.Objects()[1].ID == 1 && store.Objects()[2].ID == 2 {
+		t.Fatal("pagination left the objects in creation order; the test needs a real permutation")
+	}
+	bounds := make([]geom.AABB, store.NumPages())
+	for p := range bounds {
+		bounds[p] = store.PageBounds(pagestore.PageID(p))
+	}
+	if again := STROrder(store.Objects(), 87); !reflect.DeepEqual(again, first) {
+		t.Fatal("STROrder over the clustered store differs from the order that clustered it")
+	}
+	if _, err := BulkLoad(store, Config{ObjectsPerPage: 87}); err != nil {
+		t.Fatal(err)
+	}
+	for p := range bounds {
+		if got := store.PageBounds(pagestore.PageID(p)); got != bounds[p] {
+			t.Fatalf("second BulkLoad moved page %d: bounds %v, were %v", p, got, bounds[p])
+		}
 	}
 }
 
