@@ -168,7 +168,7 @@ func (r SequenceResult) Speedup() float64 {
 
 // Index is the spatial index contract the engine needs. The FLAT index adds
 // ordered retrieval on top, which SCOUT-OPT uses internally; the engine
-// itself only needs candidate pages.
+// itself only needs candidate pages, under prefetch.Index's contract.
 type Index interface {
 	QueryPages(r geom.Region, dst []pagestore.PageID) []pagestore.PageID
 }

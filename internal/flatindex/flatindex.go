@@ -33,8 +33,9 @@ type Index struct {
 	// over the same pages (FLAT's "first find an arbitrary object inside
 	// the query region" seed lookup).
 	seed *rtree.Tree
-	// neighbors[p] lists pages whose MBR intersects page p's MBR, sorted by
-	// page ID. This is the precomputed spatial neighborhood information.
+	// neighbors[p] lists pages whose MBR intersects page p's MBR, in the
+	// seed tree's ascending page-ID order. This is the precomputed spatial
+	// neighborhood information.
 	neighbors [][]pagestore.PageID
 }
 
@@ -61,7 +62,6 @@ func Build(store *pagestore.Store, cfg rtree.Config, epsilon float64) (*Index, e
 				ns = append(ns, q)
 			}
 		}
-		sort.Slice(ns, func(a, b int) bool { return ns[a] < ns[b] })
 		idx.neighbors[p] = ns
 	}
 	return idx, nil
@@ -76,14 +76,10 @@ func (x *Index) Neighbors(p pagestore.PageID) []pagestore.PageID {
 	return x.neighbors[p]
 }
 
-// QueryPages returns the candidate pages of the region, identical to the
-// R-tree's result set, in page-ID order.
+// QueryPages appends the candidate pages of the region: the R-tree's result
+// set, in its ascending page-ID order.
 func (x *Index) QueryPages(r geom.Region, dst []pagestore.PageID) []pagestore.PageID {
-	start := len(dst)
-	dst = x.seed.QueryPages(r, dst)
-	out := dst[start:]
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return dst
+	return x.seed.QueryPages(r, dst)
 }
 
 // QueryPagesFrom returns the candidate pages of the region in ordered-

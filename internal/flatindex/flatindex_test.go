@@ -39,9 +39,13 @@ func TestNeighborsSymmetric(t *testing.T) {
 	idx, store := buildIndex(t, 2000, 100, 1)
 	for p := 0; p < store.NumPages(); p++ {
 		pid := pagestore.PageID(p)
-		for _, q := range idx.Neighbors(pid) {
+		ns := idx.Neighbors(pid)
+		for i, q := range ns {
 			if q == pid {
 				t.Fatalf("page %d is its own neighbor", p)
+			}
+			if i > 0 && q <= ns[i-1] {
+				t.Fatalf("page %d: neighbors out of order: %v", p, ns)
 			}
 			found := false
 			for _, r := range idx.Neighbors(q) {
@@ -90,7 +94,18 @@ func TestQueryMatchesRTree(t *testing.T) {
 			want[p] = true
 		}
 
-		got := idx.QueryPages(q, nil)
+		// Same pages, in the R-tree's ascending order (prefetch.Index's
+		// contract), appended behind what dst already holds.
+		got := idx.QueryPages(q, []pagestore.PageID{9999})
+		if got[0] != 9999 {
+			t.Fatalf("trial %d: QueryPages overwrote dst", trial)
+		}
+		got = got[1:]
+		for i := 1; i < len(got); i++ {
+			if got[i] <= got[i-1] {
+				t.Fatalf("trial %d: pages out of order: %v", trial, got)
+			}
+		}
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: flat %d pages, rtree %d", trial, len(got), len(want))
 		}

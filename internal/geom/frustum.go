@@ -115,34 +115,37 @@ func (f Frustum) Contains(p Vec3) bool {
 	return true
 }
 
-// IntersectsAABB conservatively reports whether box b may intersect the
-// frustum, using the positive-vertex test against each plane. It can report
-// rare false positives (standard for frustum culling) but never a false
-// negative.
-func (f Frustum) IntersectsAABB(b AABB) bool {
-	if b.IsEmpty() {
+// Overlaps conservatively reports whether box b may intersect the frustum,
+// using the positive-vertex test against each plane. It can report rare false
+// positives (standard for frustum culling) but never a false negative. This
+// is the one definition of the plane test: the R-tree probe and the refine
+// kernel call it in place on stored boxes, IntersectsAABB wraps it.
+func (f *Frustum) Overlaps(b *AABB) bool {
+	if b.Min.X > b.Max.X || b.Min.Y > b.Max.Y || b.Min.Z > b.Max.Z {
 		return false
 	}
-	for _, pl := range f.planes {
+	for i := range f.planes {
+		pl := &f.planes[i]
 		// p-vertex: box corner furthest along the plane normal.
-		p := Vec3{
-			X: pick(pl.n.X >= 0, b.Max.X, b.Min.X),
-			Y: pick(pl.n.Y >= 0, b.Max.Y, b.Min.Y),
-			Z: pick(pl.n.Z >= 0, b.Max.Z, b.Min.Z),
+		x, y, z := b.Min.X, b.Min.Y, b.Min.Z
+		if pl.n.X >= 0 {
+			x = b.Max.X
 		}
-		if pl.signedDist(p) < 0 {
+		if pl.n.Y >= 0 {
+			y = b.Max.Y
+		}
+		if pl.n.Z >= 0 {
+			z = b.Max.Z
+		}
+		if pl.n.X*x+pl.n.Y*y+pl.n.Z*z+pl.d < 0 {
 			return false
 		}
 	}
 	return true
 }
 
-func pick(cond bool, a, b float64) float64 {
-	if cond {
-		return a
-	}
-	return b
-}
+// IntersectsAABB is Overlaps by value, satisfying Region.
+func (f Frustum) IntersectsAABB(b AABB) bool { return f.Overlaps(&b) }
 
 // Bounds returns the axis-aligned bounding box of the frustum.
 func (f Frustum) Bounds() AABB {

@@ -23,26 +23,61 @@ func Matches(r geom.Region, o Object) bool {
 // refine step of every range query: the index names candidate pages, the
 // kernel walks each page's contiguous run of objects.
 func (s *Store) AppendMatches(dst []ObjectID, r geom.Region, pages []PageID) []ObjectID {
-	if b, ok := r.(geom.AABB); ok {
+	switch q := r.(type) {
+	case geom.AABB:
 		for _, p := range pages {
 			page := s.PageSlice(p)
 			for i := range page {
-				if o := &page[i]; o.intersectsBox(&b) {
+				if o := &page[i]; o.intersectsBox(&q) {
 					dst = append(dst, o.ID)
 				}
 			}
 		}
-		return dst
-	}
-	for _, p := range pages {
-		page := s.PageSlice(p)
-		for i := range page {
-			if o := &page[i]; r.IntersectsAABB(o.Bounds()) {
-				dst = append(dst, o.ID)
+	case geom.Frustum:
+		for _, p := range pages {
+			page := s.PageSlice(p)
+			for i := range page {
+				if o := &page[i]; o.overlapsFrustum(&q) {
+					dst = append(dst, o.ID)
+				}
+			}
+		}
+	default:
+		for _, p := range pages {
+			page := s.PageSlice(p)
+			for i := range page {
+				if o := &page[i]; r.IntersectsAABB(o.Bounds()) {
+					dst = append(dst, o.ID)
+				}
 			}
 		}
 	}
 	return dst
+}
+
+// overlapsFrustum is f.IntersectsAABB(o.Bounds()) for the kernel: it builds
+// the object's bounds in place with plain compares. Where an endpoint pair
+// holds both zeros the compares may keep the other one than math.Min would;
+// the plane test sums products and compares with zero, so it cannot tell.
+func (o *Object) overlapsFrustum(f *geom.Frustum) bool {
+	a, e, r := &o.Seg.A, &o.Seg.B, o.Radius
+	b := geom.AABB{Min: *a, Max: *e}
+	if e.X < a.X {
+		b.Min.X, b.Max.X = e.X, a.X
+	}
+	if e.Y < a.Y {
+		b.Min.Y, b.Max.Y = e.Y, a.Y
+	}
+	if e.Z < a.Z {
+		b.Min.Z, b.Max.Z = e.Z, a.Z
+	}
+	b.Min.X -= r
+	b.Min.Y -= r
+	b.Min.Z -= r
+	b.Max.X += r
+	b.Max.Y += r
+	b.Max.Z += r
+	return f.Overlaps(&b)
 }
 
 // intersectsBox is Object.IntersectsBox for the kernel: it reads the object

@@ -145,6 +145,7 @@ func TestAppendMatchesDoesNotAllocate(t *testing.T) {
 	for name, r := range map[string]geom.Region{
 		"aabb":    geom.CubeAt(at, 80_000),
 		"frustum": geom.FrustumWithVolume(at, geom.V(1, 0, 0), geom.V(0, 0, 1), 1.0, 1.3, 80_000),
+		"other":   ball{at, 25},
 	} {
 		pages := tree.QueryPages(r, nil)
 		dst := store.AppendMatches(nil, r, pages)
@@ -253,6 +254,129 @@ func TestAppendMatchesAdversarialBoxes(t *testing.T) {
 	empty := geom.AABB{Min: geom.V(1, 1, 1), Max: geom.V(0.5, 3, 3)}
 	if n := checkRefine(t, store, empty, pages); n != 0 {
 		t.Errorf("empty box matched %d objects", n)
+	}
+}
+
+// ball is a Region the kernel has no branch for: it takes the interface
+// fallback, r.IntersectsAABB(o.Bounds()).
+type ball struct {
+	c geom.Vec3
+	r float64
+}
+
+func (b ball) Bounds() geom.AABB {
+	return geom.AABB{Min: b.c.Sub(geom.V(b.r, b.r, b.r)), Max: b.c.Add(geom.V(b.r, b.r, b.r))}
+}
+func (b ball) IntersectsAABB(o geom.AABB) bool { return !o.IsEmpty() && o.DistSq(b.c) <= b.r*b.r }
+func (b ball) ContainsPoint(p geom.Vec3) bool  { return p.DistSq(b.c) <= b.r*b.r }
+func (b ball) Volume() float64                 { return 4.0 / 3 * math.Pi * b.r * b.r * b.r }
+
+// TestAppendMatchesFrustumEdgeCases aims frusta at the places where the
+// frustum branch — object bounds built in place with plain compares, then the
+// shared plane test — could part ways with Matches' Object.Bounds: zero-length
+// segments, zero radius, endpoint coordinates of either zero (a compare keeps
+// the other zero than math.Min does), and planes that pass exactly through a
+// corner of an object's bounds. Balls run the fallback branch over the same
+// objects.
+func TestAppendMatchesFrustumEdgeCases(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	below := math.Nextafter(0, math.Inf(-1))
+	objs := []pagestore.Object{
+		// The near plane of the first frustum below is x = 0. Bounds corner
+		// exactly on it: a match. One float short of it: none.
+		0: {Seg: geom.Seg(geom.V(-2, 0, 0), geom.V(-1, 0, 0)), Radius: 1},
+		1: {Seg: geom.Seg(geom.V(-2, 0, 0), geom.V(math.Nextafter(-1, math.Inf(-1)), 0, 0)), Radius: 1},
+		2: {Seg: geom.Seg(geom.V(0, 0, 0), geom.V(0, 0, 0))},
+		3: {Seg: geom.Seg(geom.V(negZero, negZero, negZero), geom.V(0, 0, 0))},
+		4: {Seg: geom.Seg(geom.V(0, 0, 0), geom.V(negZero, negZero, negZero))},
+		5: {Seg: geom.Seg(geom.V(below, 0, 0), geom.V(below, 0, 0))},
+	}
+	rng := rand.New(rand.NewSource(16))
+	zeros := []float64{0, negZero}
+	snap := func(v geom.Vec3) geom.Vec3 {
+		if rng.Intn(3) == 0 {
+			v.X = zeros[rng.Intn(2)]
+		}
+		if rng.Intn(3) == 0 {
+			v.Y = zeros[rng.Intn(2)]
+		}
+		if rng.Intn(3) == 0 {
+			v.Z = zeros[rng.Intn(2)]
+		}
+		return v
+	}
+	radii := []float64{0, 0, 0.25, 1}
+	for i := 0; i < 400; i++ {
+		a := snap(geom.V(rng.Float64()*6-3, rng.Float64()*6-3, rng.Float64()*6-3))
+		b := a // zero length, both endpoints the same zeros
+		switch i % 3 {
+		case 1:
+			b = snap(a.Add(randUnit(rng).Scale(2 * rng.Float64())))
+		case 2: // zero length up to the sign of its zeros
+			b = snap(a)
+		}
+		objs = append(objs, pagestore.Object{Seg: geom.Seg(a, b), Radius: radii[rng.Intn(len(radii))]})
+	}
+	store := pagestore.NewStore(objs)
+	order := make([]pagestore.ObjectID, len(objs))
+	for i, j := range rng.Perm(len(objs)) {
+		order[i] = pagestore.ObjectID(j)
+	}
+	if err := store.Paginate(order, pagestore.DefaultObjectsPerPage); err != nil {
+		t.Fatal(err)
+	}
+	pages := make([]pagestore.PageID, store.NumPages())
+	for p := range pages {
+		pages[p] = pagestore.PageID(p)
+	}
+
+	// Near plane through the origin, looking along +x.
+	f := geom.NewFrustum(geom.V(-5, 0, 0), geom.V(1, 0, 0), geom.V(0, 0, 1), 1.0, 1.3, 5, 50)
+	checkRefine(t, store, f, pages)
+	got := map[pagestore.ObjectID]bool{}
+	for _, id := range store.AppendMatches(nil, f, pages) {
+		got[id] = true
+	}
+	for id, want := range []bool{0: true, 1: false, 2: true, 3: true, 4: true, 5: false} {
+		if id := pagestore.ObjectID(id); got[id] != want {
+			t.Errorf("object %d (%+v) against the plane x = 0: matched %v, want %v", id, store.Object(id), got[id], want)
+		}
+	}
+
+	// Near planes through the origin along every axis, both ways; then
+	// frusta and balls of all sizes around it.
+	regions, matched := 0, 0
+	check := func(r geom.Region) {
+		matched += checkRefine(t, store, r, pages)
+		regions++
+	}
+	for axis := 0; axis < 3; axis++ {
+		for _, sign := range []float64{-1, 1} {
+			var dir geom.Vec3
+			up := geom.V(0, 0, 1)
+			switch axis {
+			case 0:
+				dir.X = sign
+			case 1:
+				dir.Y = sign
+			default:
+				dir.Z, up = sign, geom.V(1, 0, 0)
+			}
+			check(geom.NewFrustum(dir.Scale(-5), dir, up, 1.0, 1.3, 5, 50))
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		eye := geom.V(rng.Float64()*8-4, rng.Float64()*8-4, rng.Float64()*8-4)
+		dir, up := randUnit(rng), geom.V(0, 0, 1)
+		if math.Abs(dir.Z) > 0.9 {
+			up = geom.V(1, 0, 0)
+		}
+		vol := math.Pow(0.2+3*rng.Float64(), 3)
+		check(geom.FrustumWithVolume(eye, dir, up, 0.4+rng.Float64(), 0.7+rng.Float64(), vol))
+		check(ball{eye, 2 * rng.Float64()})
+	}
+	if matched == 0 || matched == regions*len(objs) {
+		t.Fatalf("%d regions matched %d objects in total: degenerate", regions, matched)
 	}
 }
 

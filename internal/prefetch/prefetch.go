@@ -25,6 +25,8 @@ import (
 // translate regions into pages. Both the R-tree and the FLAT index satisfy
 // it.
 type Index interface {
+	// QueryPages appends to dst every page whose bounds intersect r, each
+	// once, in ascending page-ID order, and returns the grown slice.
 	QueryPages(r geom.Region, dst []pagestore.PageID) []pagestore.PageID
 }
 

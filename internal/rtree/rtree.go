@@ -174,13 +174,6 @@ func STROrder(objects []pagestore.Object, perPage int) []pagestore.ObjectID {
 	return order
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // Store returns the store this tree indexes.
 func (t *Tree) Store() *pagestore.Store { return t.store }
 
@@ -198,35 +191,79 @@ func (t *Tree) QueryPages(r geom.Region, dst []pagestore.PageID) []pagestore.Pag
 	if t.height == 0 {
 		return dst
 	}
-	rb := r.Bounds()
-	dst, visited := t.query(r, rb, 0, 0, dst)
+	// The region's type and emptiness are settled here, once per query, so
+	// the per-node test is six compares plus, for the few nodes that pass
+	// them, the plane test or the interface call. A box region is its own
+	// bounds and needs neither. An empty region intersects nothing: it
+	// inspects the root and stops there.
+	visited := int64(1)
+	if box := r.Bounds(); !box.IsEmpty() {
+		var frustum *geom.Frustum
+		var other geom.Region
+		switch q := r.(type) {
+		case geom.AABB:
+		case geom.Frustum:
+			frustum = &q
+		default:
+			other = r
+		}
+		dst, visited = t.sweep(&box, frustum, other, dst)
+	}
 	t.nodesVisited.Add(visited)
 	return dst
 }
 
-// query descends the implicit tree from node `node` at depth `level`,
-// returning the grown result slice and the number of nodes inspected in the
-// subtree. Recursion depth equals tree height (≤ 4 even at hundreds of
-// millions of objects with the paper's fanout), and nothing escapes to the
-// heap.
-func (t *Tree) query(r geom.Region, rb geom.AABB, level, node int, dst []pagestore.PageID) ([]pagestore.PageID, int64) {
-	visited := int64(1)
-	mbr := t.levels[level][node]
-	if !mbr.Intersects(rb) || !r.IntersectsAABB(mbr) {
-		return dst, visited
-	}
-	if level == t.height-1 {
-		return append(dst, pagestore.PageID(node)), visited
-	}
-	child := t.levels[level+1]
-	lo := node * t.fanout
-	hi := min(lo+t.fanout, len(child))
-	for c := lo; c < hi; c++ {
-		var sub int64
-		dst, sub = t.query(r, rb, level+1, c, dst)
-		visited += sub
+// frontierStack is the capacity of sweep's two on-stack frontier buffers. A
+// frontier holds the surviving nodes of one inner level: with the default
+// fanout the widest inner level of a 1M-object tree has 245 nodes. Wider
+// frontiers (tiny fanouts, huge regions) spill to the heap.
+const frontierStack = 256
+
+// sweep probes the tree level by level. The frontier — the nodes of level
+// l-1 that intersect the region, in ascending order — expands into their
+// contiguous child runs at level l, so the inner loop is a linear walk over a
+// []geom.AABB and the leaves come out in ascending page-ID order. A node
+// intersects the region when its MBR overlaps box, the region's bounds, and
+// passes the frustum's plane test or the other region's own test when one is
+// given. sweep returns the grown result slice and the number of nodes
+// inspected: the root plus every child of every intersecting inner node.
+func (t *Tree) sweep(box *geom.AABB, frustum *geom.Frustum, other geom.Region, dst []pagestore.PageID) ([]pagestore.PageID, int64) {
+	var bufA, bufB [frontierStack]uint32
+	// The root is the one-node run of a parent 0 above the tree.
+	cur, next := append(bufA[:0], 0), bufB[:0]
+	var visited int64
+	for l, level := range t.levels {
+		leaf := l == t.height-1
+		for _, parent := range cur {
+			lo := int(parent) * t.fanout
+			run := level[lo:min(lo+t.fanout, len(level))]
+			visited += int64(len(run))
+			for c := range run {
+				mbr := &run[c]
+				if !overlaps(box, mbr) ||
+					(frustum != nil && !frustum.Overlaps(mbr)) ||
+					(other != nil && !other.IntersectsAABB(*mbr)) {
+					continue
+				}
+				if leaf {
+					dst = append(dst, pagestore.PageID(lo+c))
+				} else {
+					next = append(next, uint32(lo+c))
+				}
+			}
+		}
+		cur, next = next, cur[:0]
 	}
 	return dst, visited
+}
+
+// overlaps is AABB.Intersects for two non-empty boxes, by reference (touching
+// counts). QueryPages has checked the query box; a node MBR is a union of
+// non-empty boxes, and an EmptyAABB or a NaN corner fails the compares anyway.
+func overlaps(a, b *geom.AABB) bool {
+	return a.Min.X <= b.Max.X && a.Max.X >= b.Min.X &&
+		a.Min.Y <= b.Max.Y && a.Max.Y >= b.Min.Y &&
+		a.Min.Z <= b.Max.Z && a.Max.Z >= b.Min.Z
 }
 
 // QueryObjects appends to dst the IDs of all objects matching the region,

@@ -241,16 +241,57 @@ func TestSinglePageTree(t *testing.T) {
 	}
 }
 
+// TestNodesVisitedCounter pins the counter's definition — the root, plus
+// every child of every node that intersects the region — on a tree small
+// enough to count by hand: nine one-point pages at x = 0, 10, ..., 80 under
+// fanout 3, so the inner level is [0,20] [30,50] [60,80] and the root [0,80].
 func TestNodesVisitedCounter(t *testing.T) {
-	store := pagestore.NewStore(uniformObjects(3000, 100, 12))
-	tree, err := BulkLoad(store, Config{ObjectsPerPage: 20, Fanout: 4})
+	objs := make([]pagestore.Object, 9)
+	order := make([]pagestore.ObjectID, len(objs))
+	for i := range objs {
+		p := geom.V(float64(10*i), 0, 0)
+		objs[i] = pagestore.Object{Seg: geom.Seg(p, p)}
+		order[i] = pagestore.ObjectID(i)
+	}
+	store := pagestore.NewStore(objs)
+	if err := store.Paginate(order, 1); err != nil {
+		t.Fatal(err)
+	}
+	tree, err := Build(store, Config{ObjectsPerPage: 1, Fanout: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree.ResetNodesVisited()
-	tree.QueryPages(geom.CubeAt(geom.V(50, 50, 50), 10000), nil)
-	if tree.NodesVisited() == 0 {
-		t.Error("NodesVisited stayed zero after a query")
+	if tree.Height() != 3 {
+		t.Fatalf("Height = %d, want 3", tree.Height())
+	}
+	slab := func(lo, hi float64) geom.AABB {
+		return geom.AABB{Min: geom.V(lo, -1, -1), Max: geom.V(hi, 1, 1)}
+	}
+	var total int64
+	for _, tc := range []struct {
+		name    string
+		q       geom.AABB
+		pages   []pagestore.PageID
+		visited int64
+	}{
+		{"misses the root", slab(100, 110), nil, 1},
+		{"root only, between two inner nodes", slab(22, 28), nil, 1 + 3},
+		{"one inner node, between its leaves", slab(32, 38), nil, 1 + 3 + 3},
+		{"two inner nodes", slab(15, 35), []pagestore.PageID{2, 3}, 1 + 3 + 6},
+		{"everything", slab(-5, 85), []pagestore.PageID{0, 1, 2, 3, 4, 5, 6, 7, 8}, 1 + 3 + 9},
+		{"empty region", geom.EmptyAABB(), nil, 1},
+	} {
+		before := tree.NodesVisited()
+		if got := tree.QueryPages(tc.q, nil); !reflect.DeepEqual(got, tc.pages) {
+			t.Errorf("%s: pages %v, want %v", tc.name, got, tc.pages)
+		}
+		if got := tree.NodesVisited() - before; got != tc.visited {
+			t.Errorf("%s: inspected %d nodes, want %d", tc.name, got, tc.visited)
+		}
+		total += tc.visited
+	}
+	if tree.NodesVisited() != total {
+		t.Errorf("NodesVisited = %d after all queries, want the sum %d", tree.NodesVisited(), total)
 	}
 	tree.ResetNodesVisited()
 	if tree.NodesVisited() != 0 {
