@@ -250,7 +250,9 @@ type Disk struct {
 	// backing, when non-nil, is the durable file store every simulated read
 	// also physically performs (SetBacking): checksums verify, wall time
 	// lands in WallRead, corruption is priced on the virtual clock. backBuf
-	// is the reusable page frame; errs is the capped corruption ledger.
+	// is the reusable read buffer, scrubStretch frames long: one run of a
+	// sweep or one scrub stretch per pread. errs is the capped corruption
+	// ledger.
 	backing *FileStore
 	backBuf []byte
 	errs    []error
@@ -346,7 +348,7 @@ func (d *Disk) chargeFault(p PageID) time.Duration {
 func (d *Disk) SetBacking(fs *FileStore) {
 	d.backing = fs
 	if fs != nil && d.backBuf == nil {
-		d.backBuf = make([]byte, PageSizeBytes)
+		d.backBuf = make([]byte, scrubStretch*frameBytes)
 	}
 }
 
@@ -409,6 +411,27 @@ func ReadBacked(fs *FileStore, m CostModel, p PageID, stats *DiskStats, buf []by
 	return extra
 }
 
+// readBackedSweep physically performs a sweep's backend reads, one pread
+// per run of pages on consecutive file slots (FileStore.ReadRun); a page a
+// run stops at goes through ReadBacked, the one path that detects, repairs
+// and prices corruption. Gaps the cost model bridges are not read: a
+// bridged run is mostly pages nobody asked for. Returns the extra virtual
+// cost, as ReadBacked does.
+func (d *Disk) readBackedSweep(sorted []PageID) time.Duration {
+	var extra time.Duration
+	for len(sorted) > 0 {
+		start := time.Now()
+		n := d.backing.ReadRun(sorted, d.backBuf)
+		d.stats.WallRead += time.Since(start)
+		if n == 0 {
+			extra += ReadBacked(d.backing, d.model, sorted[0], &d.stats, d.backBuf, &d.errs)
+			n = 1
+		}
+		sorted = sorted[n:]
+	}
+	return extra
+}
+
 // ScrubStep advances the background integrity scrub by up to max pages
 // (FileStore.Scrub) and returns the virtual cost charged: one seek to move
 // the arm to the scrub cursor, one transfer per page verified, and the
@@ -420,7 +443,7 @@ func (d *Disk) ScrubStep(max int) time.Duration {
 		return 0
 	}
 	start := time.Now()
-	rep := d.backing.Scrub(max)
+	rep := d.backing.scrub(max, d.backBuf)
 	d.stats.WallRead += time.Since(start)
 	if rep.Scanned == 0 {
 		return 0
@@ -573,17 +596,17 @@ func (d *Disk) ReadSorted(sorted []PageID) time.Duration {
 	cost := time.Duration(seeks)*d.model.Seek +
 		time.Duration(int64(len(sorted))+bridged)*d.model.Transfer +
 		d.interfere(seeks)
-	if d.faults != nil || d.backing != nil {
-		// Fault recovery and backend verification per page of the sweep, all
-		// at the sweep's start time: a faulted or corrupt page breaks the
-		// elevator's stream, its wasted transfers, backoff and repair charged
-		// on top of the sweep.
+	// Fault recovery and backend verification per page of the sweep, all at
+	// the sweep's start time: a faulted or corrupt page breaks the elevator's
+	// stream, its wasted transfers, backoff and repair charged on top of the
+	// sweep.
+	if d.faults != nil {
 		for _, p := range sorted {
 			cost += d.chargeFault(p)
-			if d.backing != nil {
-				cost += ReadBacked(d.backing, d.model, p, &d.stats, d.backBuf, &d.errs)
-			}
 		}
+	}
+	if d.backing != nil {
+		cost += d.readBackedSweep(sorted)
 	}
 	d.stats.Seeks += seeks
 	d.stats.PagesRead += int64(len(sorted))

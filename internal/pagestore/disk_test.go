@@ -1,7 +1,9 @@
 package pagestore
 
 import (
+	"errors"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 )
@@ -187,5 +189,152 @@ func TestDiskSharedSingleStreamMatchesNewDisk(t *testing.T) {
 		if seeks, total := b.Interference(); seeks != 0 || total != 0 {
 			t.Fatalf("layout %s: single stream charged interference: %d seeks, %v", l.Name(), seeks, total)
 		}
+	}
+}
+
+// TestReadSortedBackedMatchesPerPageReads: a backed sweep reads run by run,
+// and everything it leaves behind — the sweep's cost, the corruption
+// counters and delay, the order of the error ledger, the file's own counters
+// — is what one ReadBacked per page leaves on a twin file: three damaged
+// pages at the start, middle and end of a ten-page run plus one in a run of
+// its own, unrepairable under verify and repaired exactly once under repair.
+func TestReadSortedBackedMatchesPerPageReads(t *testing.T) {
+	sweep := []PageID{10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 40, 41, 90}
+	dmg := &testDamage{flip: map[PageID]int{10: 5, 14: 999, 19: 30000}, tear: map[PageID]bool{90: true}}
+	for _, c := range []struct {
+		cfg               FileStoreConfig
+		repaired, ledger  int
+		perCorruptVirtual func(CostModel) time.Duration
+	}{
+		{FileStoreConfig{Mode: ChecksumVerify}, 0, 4, func(m CostModel) time.Duration { return m.CorruptionCost(false) }},
+		{FileStoreConfig{Mode: ChecksumRepair, Replica: true}, 4, 0, func(m CostModel) time.Duration { return m.CorruptionCost(true) }},
+	} {
+		t.Run(c.cfg.Mode.String(), func(t *testing.T) {
+			s := paginatedStore(t, 800, 8)
+			m := DefaultCostModel()
+			disks := [2]*Disk{NewDisk(s, m), NewDisk(s, m)}
+			files := [2]*FileStore{newFileStore(t, s, c.cfg), newFileStore(t, s, c.cfg)}
+			for i, fs := range files {
+				if _, _, err := fs.ApplyCorruption(dmg); err != nil {
+					t.Fatal(err)
+				}
+				disks[i].SetBacking(fs)
+			}
+			// The same sweep twice: the second meets what the first left.
+			for pass := 0; pass < 2; pass++ {
+				got := disks[0].ReadSorted(sweep)
+				// The reference: the sweep priced unbacked, plus one ReadBacked
+				// per page in sweep order.
+				ref := disks[1]
+				ref.backing = nil
+				want := ref.ReadSorted(sweep)
+				ref.backing = files[1]
+				for _, p := range sweep {
+					extra := ReadBacked(files[1], m, p, &ref.stats, ref.backBuf, &ref.errs)
+					ref.stats.SimulatedIO += extra
+					want += extra
+				}
+				if got != want {
+					t.Fatalf("pass %d: sweep cost %v by runs, %v page by page", pass, got, want)
+				}
+			}
+			a, b := disks[0].Stats(), disks[1].Stats()
+			if a.WallRead <= 0 {
+				t.Error("run reads recorded no wall time")
+			}
+			a.WallRead, b.WallRead = 0, 0
+			if a != b {
+				t.Fatalf("disk stats diverged:\n by run  %+v\n by page %+v", a, b)
+			}
+			if files[0].Stats() != files[1].Stats() {
+				t.Fatalf("file stats diverged:\n by run  %+v\n by page %+v", files[0].Stats(), files[1].Stats())
+			}
+			// Pinned: under verify the four pages fail on both passes; under
+			// repair they are healed on the first and clean on the second.
+			events := int64(4)
+			if c.ledger > 0 {
+				events = 8
+			}
+			if a.CorruptPages != events || a.RepairedPages != int64(c.repaired) ||
+				a.CorruptDelay != time.Duration(events)*c.perCorruptVirtual(m) || a.PagesRead != 26 {
+				t.Errorf("stats = %+v, want %d corrupt, %d repaired, %v delay, 26 pages", a, events, c.repaired,
+					time.Duration(events)*c.perCorruptVirtual(m))
+			}
+			if st := files[0].Stats(); st.Reads != 26 || st.CorruptDetected != events || st.Repaired != int64(c.repaired) {
+				t.Errorf("file stats = %+v, want 26 reads, %d detected, %d repaired", st, events, c.repaired)
+			}
+			errs := disks[0].Errs()
+			if len(errs) != 2*c.ledger {
+				t.Fatalf("error ledger holds %d entries, want %d", len(errs), 2*c.ledger)
+			}
+			for i, err := range errs {
+				var cpe *CorruptPageError
+				if want := []PageID{10, 14, 19, 90}[i%4]; !errors.As(err, &cpe) || cpe.Page != want {
+					t.Errorf("ledger entry %d = %v, want *CorruptPageError for page %d", i, err, want)
+				}
+			}
+		})
+	}
+}
+
+// TestDiskBackedRaceHammer (run it under -race): four disks over ONE
+// FileStore — the sharded engines' arrangement — sweep and scrub a damaged
+// file concurrently. Repairs serialize inside the store, so whichever disk
+// meets a rotten page first heals it and nobody heals it twice: the file
+// ends intact with exactly one repair per damaged page, fleet-wide.
+func TestDiskBackedRaceHammer(t *testing.T) {
+	s := paginatedStore(t, 4000, 8)
+	if err := s.Relayout(HilbertLayout()); err != nil {
+		t.Fatal(err)
+	}
+	n := s.NumPages()
+	fs := newFileStore(t, s, FileStoreConfig{Mode: ChecksumRepair, Replica: true})
+	dmg := &testDamage{flip: map[PageID]int{}, tear: map[PageID]bool{}}
+	for p := 0; p < n; p += 3 {
+		dmg.flip[PageID(p)] = 11 * p
+	}
+	for p := 1; p < n; p += 10 {
+		dmg.tear[PageID(p)] = true
+	}
+	flipped, torn, err := fs.ApplyCorruption(dmg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	damaged := int64(flipped + torn)
+
+	const workers = 4
+	steps := (n+scrubStretch-1)/scrubStretch/workers + 1 // together: more than one scrub cycle
+	disks := make([]*Disk, workers)
+	var wg sync.WaitGroup
+	for w := range disks {
+		disks[w] = NewDisk(s, DefaultCostModel())
+		disks[w].SetBacking(fs)
+		wg.Add(1)
+		go func(d *Disk, seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < steps; i++ {
+				d.ReadBatch(elevatorList(rng, s, 120))
+				d.ScrubStep(scrubStretch)
+			}
+		}(disks[w], int64(w))
+	}
+	wg.Wait()
+
+	if err := fs.VerifyAgainst(s); err != nil {
+		t.Fatal(err)
+	}
+	if st := fs.Stats(); st.Repaired != damaged || st.CorruptDetected != damaged || st.RepairFailures != 0 {
+		t.Errorf("file stats = %+v, want %d detected and repaired", st, damaged)
+	}
+	var fleet DiskStats
+	for _, d := range disks {
+		if len(d.Errs()) != 0 {
+			t.Errorf("a disk surfaced read errors: %v", d.Errs())
+		}
+		fleet.Add(d.Stats())
+	}
+	if fleet.RepairedPages != damaged {
+		t.Errorf("the fleet repaired %d pages, want %d (one repair per damaged page)", fleet.RepairedPages, damaged)
 	}
 }

@@ -1,15 +1,18 @@
 // Durable file-backed page store. The simulated Disk prices every read on
 // the virtual clock; a FileStore makes those reads real — one page-aligned
 // file whose physical slot order IS the store's physical layout, read with
-// pread (os.File.ReadAt) and measured in wall-clock nanoseconds alongside
-// the simulated cost (DESIGN.md §10).
+// pread (os.File.ReadAt), one call per run of consecutive slots a sweep
+// touches (ReadRun) or per page (ReadPage), and measured in wall-clock
+// nanoseconds alongside the simulated cost (DESIGN.md §10).
 //
 // A real backend must survive real failure modes, so the file format is
 // hardened end-to-end:
 //
-//   - every page payload carries a CRC64 checksum and a generation stamp in
-//     a header table, verified on every read; mismatches surface as a typed
-//     *CorruptPageError and, when a replica exists, are repaired in place;
+//   - every page payload carries a CRC32-C checksum and a generation stamp
+//     in a header table, verified on EVERY read — there is no verify-once
+//     cache and no frame a read or a scrub skips; mismatches surface as a
+//     typed *CorruptPageError and, when a replica exists, are repaired in
+//     place (recoverPage, the one recovery path);
 //   - Relayout is an actual on-disk rewrite: page-at-a-time into a shadow
 //     file, fsync, then one atomic rename, generation-stamped so a crash at
 //     any enumerated point (RelayoutCrashPoints) leaves either the old or
@@ -17,20 +20,36 @@
 //   - a cursor-based Scrub walks pages in rate-limited steps, verifying
 //     checksums and repairing bit rot before a demand read ever meets it.
 //
-// On-disk layout (all offsets fixed by the superblock):
+// On-disk layout, format version 2 (all offsets fixed by the superblock):
 //
 //	[superblock 4096B][header table N×32B, zero-padded to 4096B][payload frames N×4096B]
 //
 // Frames live at dataOff + slot·4096 in PHYSICAL slot order; the header
 // table entry for slot i names the logical page stored there, so the
 // logical→physical permutation is recoverable from the file alone.
+//
+// Every checksum is CRC32-C (Castagnoli), which the standard library
+// computes with the CPU's own instruction (SSE4.2 crc32q, ARMv8 CRC32C):
+// 0.16 µs per 4 KB frame where the table-driven CRC64 of version 1 took
+// 2.6 µs — more than the pread it guarded. Thirty-two bits are enough for
+// a 4 KB frame: at 32 768 bits CRC-32C has Hamming distance 4, so every 1-,
+// 2- and 3-bit error and every burst of up to 32 bits is caught — the
+// damage ApplyCorruption models is single flipped bits and zeroed tails —
+// and ext4 metadata, Btrfs, iSCSI and RocksDB blocks rely on the same
+// polynomial at the same size. The 8-byte checksum fields keep their
+// version-1 offsets (CRC in the low half, the high half must be zero), and
+// each header entry now also carries a CRC32-C of itself in what was a
+// reserved word. There is no version-1 reader: no page file outlives the
+// process that wrote it (every CreateFileStore caller truncates into a
+// temporary or -backenddir directory), so a second verification path would
+// serve no file; decodeSuper refuses any other version by number.
 package pagestore
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc64"
+	"hash/crc32"
 	"io"
 	"math"
 	"os"
@@ -43,12 +62,16 @@ import (
 const (
 	fileMagic   uint32 = 0x53435446 // "SCTF"
 	pageMagic   uint32 = 0x53435450 // "SCTP"
-	fileVersion uint32 = 1
+	fileVersion uint32 = 2
 
 	superBytes = PageSizeBytes // superblock occupies one aligned page
 	entryBytes = 32            // header-table entry size
 	frameBytes = PageSizeBytes // one payload frame
 	objBytes   = 64            // one encoded Object record
+
+	// scrubStretch is how many consecutive frames one Scrub read covers, and
+	// so the size in frames of the buffer a caller lends it (Disk.backBuf).
+	scrubStretch = 64
 
 	// shadowSuffix and replicaSuffix name the sibling files next to the
 	// primary: the in-flight relayout target and the repair source.
@@ -56,8 +79,14 @@ const (
 	replicaSuffix = ".replica"
 )
 
-// crcTable is the CRC64-ECMA table every checksum in the file format uses.
-var crcTable = crc64.MakeTable(crc64.ECMA)
+// castagnoli is the CRC32-C table every checksum in the file format uses.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// checksum is the one checksum of format v2: CRC32-C in the low 32 bits of
+// the 8-byte on-disk field, the high 32 bits zero. hash/crc32 dispatches
+// Castagnoli through a package-level function variable, so b escapes: hand
+// it caller-owned buffers, never a per-call make on a hot path.
+func checksum(b []byte) uint64 { return uint64(crc32.Checksum(b, castagnoli)) }
 
 // ChecksumMode selects how much integrity machinery a FileStore runs per
 // read.
@@ -358,9 +387,7 @@ func getVec(buf []byte) geom.Vec3 {
 // encodePage fills frame (len frameBytes) with page p's objects and returns
 // the payload length.
 func encodePage(s *Store, p PageID, frame []byte) uint32 {
-	for i := range frame {
-		frame[i] = 0
-	}
+	clear(frame)
 	off := 0
 	for _, o := range s.PageSlice(p) {
 		encodeObject(frame[off:off+objBytes], o)
@@ -392,7 +419,7 @@ func encodeSuper(sb superblock) []byte {
 		name = name[:24]
 	}
 	copy(buf[36:60], name)
-	binary.LittleEndian.PutUint64(buf[superBytes-8:], crc64.Checksum(buf[:superBytes-8], crcTable))
+	binary.LittleEndian.PutUint64(buf[superBytes-8:], checksum(buf[:superBytes-8]))
 	return buf
 }
 
@@ -408,7 +435,7 @@ func decodeSuper(buf []byte) (superblock, error) {
 	if v := binary.LittleEndian.Uint32(buf[4:8]); v != fileVersion {
 		return sb, fmt.Errorf("pagestore: unsupported file version %d", v)
 	}
-	if got, want := binary.LittleEndian.Uint64(buf[superBytes-8:]), crc64.Checksum(buf[:superBytes-8], crcTable); got != want {
+	if got, want := binary.LittleEndian.Uint64(buf[superBytes-8:]), checksum(buf[:superBytes-8]); got != want {
 		return sb, errors.New("pagestore: superblock checksum mismatch")
 	}
 	sb.gen = binary.LittleEndian.Uint64(buf[8:16])
@@ -420,10 +447,22 @@ func decodeSuper(buf []byte) (superblock, error) {
 		end++
 	}
 	sb.layout = string(buf[36:end])
-	if sb.n < 0 || sb.dataOff != dataOffFor(sb.n) {
-		return sb, fmt.Errorf("pagestore: implausible superblock geometry (n=%d dataOff=%d)", sb.n, sb.dataOff)
+	// Page IDs are 32 bits with InvalidPage reserved, which also keeps
+	// dataOffFor and fits clear of int64 overflow on a crafted count.
+	if sb.n < 0 || sb.n >= int(InvalidPage) || sb.dataOff != dataOffFor(sb.n) ||
+		sb.perPage <= 0 || sb.perPage > frameBytes/objBytes {
+		return sb, fmt.Errorf("pagestore: implausible superblock geometry (n=%d perPage=%d dataOff=%d)", sb.n, sb.perPage, sb.dataOff)
 	}
 	return sb, nil
+}
+
+// entrySum is a header-table entry's CRC32-C over itself, its own field
+// (bytes 12–16) skipped. Without it a flipped bit in the page field makes
+// one slot claim its neighbour's logical page, and that page then reads
+// back as the wrong frame with a matching frame checksum (FuzzOpenFileStore
+// found exactly this).
+func entrySum(buf []byte) uint32 {
+	return crc32.Update(crc32.Update(0, castagnoli, buf[0:12]), castagnoli, buf[16:entryBytes])
 }
 
 // encodeEntry renders one header-table entry.
@@ -431,9 +470,9 @@ func encodeEntry(buf []byte, h pageHeader, gen uint64) {
 	binary.LittleEndian.PutUint32(buf[0:4], pageMagic)
 	binary.LittleEndian.PutUint32(buf[4:8], uint32(h.page))
 	binary.LittleEndian.PutUint32(buf[8:12], h.length)
-	binary.LittleEndian.PutUint32(buf[12:16], 0)
 	binary.LittleEndian.PutUint64(buf[16:24], gen)
 	binary.LittleEndian.PutUint64(buf[24:32], h.checksum)
+	binary.LittleEndian.PutUint32(buf[12:16], entrySum(buf))
 }
 
 // decodeEntry validates one header-table entry against the file generation.
@@ -441,6 +480,9 @@ func decodeEntry(buf []byte, gen uint64, n int) (pageHeader, error) {
 	var h pageHeader
 	if binary.LittleEndian.Uint32(buf[0:4]) != pageMagic {
 		return h, errors.New("bad page magic")
+	}
+	if binary.LittleEndian.Uint32(buf[12:16]) != entrySum(buf) {
+		return h, errors.New("entry checksum mismatch")
 	}
 	h.page = PageID(binary.LittleEndian.Uint32(buf[4:8]))
 	h.length = binary.LittleEndian.Uint32(buf[8:12])
@@ -450,6 +492,9 @@ func decodeEntry(buf []byte, gen uint64, n int) (pageHeader, error) {
 	h.checksum = binary.LittleEndian.Uint64(buf[24:32])
 	if int(h.page) >= n || h.length > frameBytes {
 		return h, fmt.Errorf("implausible entry (page=%d len=%d)", h.page, h.length)
+	}
+	if h.checksum>>32 != 0 {
+		return h, fmt.Errorf("checksum field %#x has high bits set", h.checksum)
 	}
 	return h, nil
 }
@@ -466,7 +511,7 @@ func writeImage(w io.WriterAt, s *Store, logicalAt []PageID, gen uint64, layout 
 	for slot := 0; slot < n; slot++ {
 		logical := logicalAt[slot]
 		length := encodePage(s, logical, frame)
-		headers[slot] = pageHeader{page: logical, length: length, checksum: crc64.Checksum(frame, crcTable)}
+		headers[slot] = pageHeader{page: logical, length: length, checksum: checksum(frame)}
 		if _, err := w.WriteAt(frame, dataOff+int64(slot)*frameBytes); err != nil {
 			return nil, err
 		}
@@ -516,6 +561,9 @@ func slotOrder(s *Store) []PageID {
 func CreateFileStore(path string, s *Store, cfg FileStoreConfig) (*FileStore, error) {
 	if !s.Paginated() {
 		return nil, errors.New("pagestore: CreateFileStore requires a paginated store")
+	}
+	if s.ObjectsPerPage() > frameBytes/objBytes {
+		return nil, fmt.Errorf("pagestore: %d objects per page do not fit a %d-byte frame", s.ObjectsPerPage(), frameBytes)
 	}
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -589,13 +637,36 @@ func (fs *FileStore) Close() error {
 	return err
 }
 
-// readSuperAt reads and validates the superblock of an arbitrary file.
+// readSuperAt reads and validates the superblock of an arbitrary file,
+// including that the geometry it declares fits inside the file: everything
+// after this sizes allocations and reads by sb.n.
 func readSuperAt(f *os.File) (superblock, error) {
 	buf := make([]byte, superBytes)
 	if _, err := f.ReadAt(buf, 0); err != nil {
 		return superblock{}, err
 	}
-	return decodeSuper(buf)
+	sb, err := decodeSuper(buf)
+	if err != nil {
+		return sb, err
+	}
+	st, err := f.Stat()
+	if err != nil {
+		return sb, err
+	}
+	if end := sb.dataOff + int64(sb.n)*frameBytes; end > st.Size() {
+		return sb, fmt.Errorf("pagestore: implausible superblock geometry (%d pages end at byte %d of a %d-byte file)", sb.n, end, st.Size())
+	}
+	return sb, nil
+}
+
+// readTable reads the whole (zero-padded) header table in one read; slot
+// i's entry is table[i*entryBytes:][:entryBytes].
+func readTable(f *os.File, sb superblock) ([]byte, error) {
+	table := make([]byte, sb.dataOff-superBytes)
+	if _, err := f.ReadAt(table, superBytes); err != nil {
+		return nil, err
+	}
+	return table, nil
 }
 
 // imageValid reports whether the file is a complete, self-consistent image:
@@ -607,14 +678,14 @@ func imageValid(f *os.File) (superblock, bool) {
 	if err != nil {
 		return sb, false
 	}
-	entry := make([]byte, entryBytes)
+	table, err := readTable(f, sb)
+	if err != nil {
+		return sb, false
+	}
 	frame := make([]byte, frameBytes)
 	seen := make([]bool, sb.n)
 	for slot := 0; slot < sb.n; slot++ {
-		if _, err := f.ReadAt(entry, entryOff(PageID(slot))); err != nil {
-			return sb, false
-		}
-		h, err := decodeEntry(entry, sb.gen, sb.n)
+		h, err := decodeEntry(table[slot*entryBytes:], sb.gen, sb.n)
 		if err != nil || seen[h.page] {
 			return sb, false
 		}
@@ -622,7 +693,7 @@ func imageValid(f *os.File) (superblock, bool) {
 		if _, err := f.ReadAt(frame, sb.dataOff+int64(slot)*frameBytes); err != nil {
 			return sb, false
 		}
-		if crc64.Checksum(frame, crcTable) != h.checksum {
+		if checksum(frame) != h.checksum {
 			return sb, false
 		}
 	}
@@ -683,14 +754,14 @@ func OpenFileStore(path string, cfg FileStoreConfig) (*FileStore, error) {
 		fs.slotOf[i] = InvalidPage
 		fs.logicalAt[i] = InvalidPage
 	}
-	entry := make([]byte, entryBytes)
+	table, err := readTable(primary, psb)
+	if err != nil {
+		fs.Close()
+		return nil, fmt.Errorf("pagestore: header table of %s: %w", path, err)
+	}
 	badSlots := map[PageID]string{}
 	for slot := 0; slot < fs.n; slot++ {
-		if _, err := primary.ReadAt(entry, entryOff(PageID(slot))); err != nil {
-			fs.Close()
-			return nil, fmt.Errorf("pagestore: header table of %s: %w", path, err)
-		}
-		h, err := decodeEntry(entry, fs.gen, fs.n)
+		h, err := decodeEntry(table[slot*entryBytes:], fs.gen, fs.n)
 		if err != nil {
 			badSlots[PageID(slot)] = err.Error()
 			continue
@@ -753,7 +824,7 @@ func (fs *FileStore) reconcileReplica(badSlots map[PageID]string) error {
 				if _, err := rep.ReadAt(frame, fs.frameOff(slot)); err != nil {
 					continue
 				}
-				if crc64.Checksum(frame, crcTable) != h.checksum {
+				if checksum(frame) != h.checksum {
 					continue
 				}
 				// The replica's copy of this slot verifies: heal the primary's
@@ -802,7 +873,7 @@ func (fs *FileStore) ReadPage(p PageID, buf []byte) (payload []byte, repaired bo
 		}
 		return frame[:fs.headers[slot].length], false, nil
 	}
-	if crc64.Checksum(frame, crcTable) == fs.headers[slot].checksum {
+	if checksum(frame) == fs.headers[slot].checksum {
 		return frame[:fs.headers[slot].length], false, nil
 	}
 	return fs.recoverPage(p, buf, "checksum mismatch")
@@ -814,6 +885,53 @@ func growFrame(buf []byte) []byte {
 		return make([]byte, frameBytes)
 	}
 	return buf[:frameBytes]
+}
+
+// ReadRun is the fast path for a sweep already in ascending slot order: it
+// reads the longest prefix of pages that sits on consecutive slots of the
+// file — at most cap(buf)/4096 frames, stopping before any page in the
+// bad-page ledger — with ONE pread into buf, verifies each frame per the
+// configured mode exactly as ReadPage does, and returns how many leading
+// pages came back clean. Those are counted in Stats().Reads and their
+// payloads sit at buf[i*4096:][:length]. Zero means pages[0] needs ReadPage:
+// it is out of range, lost, unreadable or fails its checksum, and detection,
+// repair and the typed error all stay on that one path.
+func (fs *FileStore) ReadRun(pages []PageID, buf []byte) (clean int) {
+	limit := min(len(pages), cap(buf)/frameBytes)
+	if limit == 0 || int(pages[0]) >= fs.n {
+		return 0
+	}
+	first := fs.slotOf[pages[0]]
+	run := 0
+	fs.mu.Lock()
+	for ; run < limit; run++ {
+		p := pages[run]
+		if int(p) >= fs.n || fs.slotOf[p] != first+PageID(run) {
+			break
+		}
+		if _, bad := fs.badPages[p]; bad {
+			break
+		}
+	}
+	fs.mu.Unlock()
+	if run == 0 {
+		return 0
+	}
+	frames := buf[:run*frameBytes]
+	if _, err := fs.f.ReadAt(frames, fs.frameOff(first)); err != nil {
+		return 0
+	}
+	for ; clean < run; clean++ {
+		if fs.cfg.Mode == ChecksumOff {
+			if fs.known[pages[clean]] {
+				fs.silent.Add(1)
+			}
+		} else if checksum(frames[clean*frameBytes:(clean+1)*frameBytes]) != fs.headers[int(first)+clean].checksum {
+			break
+		}
+	}
+	fs.reads.Add(int64(clean))
+	return clean
 }
 
 // badReason reports (under the repair mutex, so concurrent readers observe
@@ -846,7 +964,7 @@ func (fs *FileStore) recoverPage(p PageID, buf []byte, reason string) ([]byte, b
 	frame := growFrame(buf)
 	// Another session may have repaired the page while we waited.
 	if _, err := fs.f.ReadAt(frame, fs.frameOff(slot)); err == nil {
-		if _, bad := fs.badPages[p]; !bad && crc64.Checksum(frame, crcTable) == fs.headers[slot].checksum {
+		if _, bad := fs.badPages[p]; !bad && checksum(frame) == fs.headers[slot].checksum {
 			return frame[:fs.headers[slot].length], false, nil
 		}
 	}
@@ -869,7 +987,7 @@ func (fs *FileStore) recoverPage(p PageID, buf []byte, reason string) ([]byte, b
 		}
 		h = rh
 	}
-	if crc64.Checksum(frame, crcTable) != h.checksum {
+	if checksum(frame) != h.checksum {
 		// Both copies rotted: unrecoverable, and reported as such — never
 		// as a timeout.
 		return corruptErr()
@@ -927,7 +1045,7 @@ func (fs *FileStore) VerifyAgainst(s *Store) error {
 			return err
 		}
 		h := fs.headers[slot]
-		if crc64.Checksum(frame, crcTable) != h.checksum {
+		if checksum(frame) != h.checksum {
 			return &CorruptPageError{Page: logical, Slot: slot, Path: fs.path, Reason: "checksum mismatch"}
 		}
 		want := s.PageSlice(logical)
@@ -1010,39 +1128,53 @@ type ScrubReport struct {
 // idle window time so it never competes with demand reads (see
 // engine.Config.ScrubPages). With checksums off there is nothing to verify
 // and Scrub reports zero work.
-func (fs *FileStore) Scrub(max int) ScrubReport {
+func (fs *FileStore) Scrub(max int) ScrubReport { return fs.scrub(max, nil) }
+
+// scrub is Scrub reading into a buffer the caller lends. It claims cursor
+// stretches of up to scrubStretch consecutive slots under the mutex and
+// reads each with one pread; a buffer shorter than a stretch shortens the
+// stretches, one shorter than a frame is replaced. The buffer is lent, not
+// made here, because checksum's argument escapes: a per-call make would be
+// a heap allocation on every idle window (Disk.ScrubStep lends backBuf).
+func (fs *FileStore) scrub(max int, buf []byte) ScrubReport {
 	var rep ScrubReport
 	if fs.cfg.Mode == ChecksumOff || max <= 0 || fs.n == 0 {
 		return rep
 	}
-	if max > fs.n {
-		max = fs.n
+	max = min(max, fs.n)
+	if cap(buf) < frameBytes {
+		buf = make([]byte, min(max, scrubStretch)*frameBytes)
 	}
-	frame := make([]byte, frameBytes)
-	for i := 0; i < max; i++ {
+	for left := max; left > 0; {
+		var bad [scrubStretch]bool
 		fs.mu.Lock()
-		slot := PageID(fs.scrubCursor)
-		fs.scrubCursor = (fs.scrubCursor + 1) % fs.n
-		fs.mu.Unlock()
-		rep.Scanned++
-		logical := fs.logicalAt[slot]
-		bad := false
-		if logical != InvalidPage {
-			_, bad = fs.badReason(logical)
-		}
-		ok := false
-		if logical != InvalidPage && !bad {
-			if _, err := fs.f.ReadAt(frame, fs.frameOff(slot)); err == nil {
-				ok = crc64.Checksum(frame, crcTable) == fs.headers[slot].checksum
+		first := fs.scrubCursor
+		k := min(left, fs.n-first, scrubStretch, cap(buf)/frameBytes)
+		fs.scrubCursor = (first + k) % fs.n
+		if len(fs.badPages) > 0 {
+			for i := 0; i < k; i++ {
+				_, bad[i] = fs.badPages[fs.logicalAt[first+i]]
 			}
 		}
-		if ok {
-			continue
-		}
-		rep.Corrupt++
-		if logical != InvalidPage {
-			if _, repaired, err := fs.recoverPage(logical, frame, "scrub checksum mismatch"); err == nil && repaired {
-				rep.Repaired++
+		fs.mu.Unlock()
+		left -= k
+		rep.Scanned += int64(k)
+		// A short read verifies the frames it did deliver; the rest take the
+		// recovery path below, as a failed single-frame read always has.
+		got, _ := fs.f.ReadAt(buf[:k*frameBytes], fs.frameOff(PageID(first)))
+		for i := 0; i < k; i++ {
+			slot := first + i
+			logical := fs.logicalAt[slot]
+			frame := buf[i*frameBytes : (i+1)*frameBytes]
+			if logical != InvalidPage && !bad[i] && (i+1)*frameBytes <= got &&
+				checksum(frame) == fs.headers[slot].checksum {
+				continue
+			}
+			rep.Corrupt++
+			if logical != InvalidPage {
+				if _, repaired, err := fs.recoverPage(logical, frame, "scrub checksum mismatch"); err == nil && repaired {
+					rep.Repaired++
+				}
 			}
 		}
 	}

@@ -1,10 +1,14 @@
 package pagestore
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -83,6 +87,16 @@ func TestCreateFileStoreRequiresPaginated(t *testing.T) {
 	s := NewStore(makeObjects(10))
 	if _, err := CreateFileStore(filepath.Join(t.TempDir(), "x.pages"), s, FileStoreConfig{}); err == nil {
 		t.Fatal("unpaginated store accepted")
+	}
+}
+
+// TestCreateFileStoreRefusesOversizedPages: more 64-byte records per page
+// than a 4 KB frame holds is an error, not an out-of-range panic while
+// encoding.
+func TestCreateFileStoreRefusesOversizedPages(t *testing.T) {
+	s := paginatedStore(t, 200, frameBytes/objBytes+1)
+	if _, err := CreateFileStore(filepath.Join(t.TempDir(), "x.pages"), s, FileStoreConfig{}); err == nil {
+		t.Fatal("65 objects per page accepted")
 	}
 }
 
@@ -483,4 +497,392 @@ func TestParseChecksumMode(t *testing.T) {
 			t.Errorf("ParseChecksumMode(%q) accepted", bad)
 		}
 	}
+}
+
+// elevatorList draws k random pages (duplicates allowed) and returns them in
+// ascending physical order: the shape of a sweep handed to ReadSorted.
+func elevatorList(rng *rand.Rand, s *Store, k int) []PageID {
+	pages := make([]PageID, k)
+	for i := range pages {
+		pages[i] = PageID(rng.Intn(s.NumPages()))
+	}
+	s.ElevatorSort(pages)
+	return pages
+}
+
+// readByRuns reads pages the way Disk.ReadSorted does — ReadRun, and ReadPage
+// for the page a run stops at — and returns a copy of every payload (nil for
+// a page that surfaced an error).
+func readByRuns(t *testing.T, fs *FileStore, pages []PageID, buf []byte) [][]byte {
+	t.Helper()
+	var out [][]byte
+	for len(pages) > 0 {
+		n := fs.ReadRun(pages, buf)
+		for i := 0; i < n; i++ {
+			length := fs.headers[fs.slotOf[pages[i]]].length
+			out = append(out, bytes.Clone(buf[i*frameBytes:][:length]))
+		}
+		if n == 0 {
+			payload, _, err := fs.ReadPage(pages[0], buf)
+			var cpe *CorruptPageError
+			if err != nil && !errors.As(err, &cpe) {
+				t.Fatalf("page %d: %v", pages[0], err)
+			}
+			out = append(out, bytes.Clone(payload))
+			n = 1
+		}
+		pages = pages[n:]
+	}
+	return out
+}
+
+// TestReadRunEqualsReadPageLoop: over random ascending page lists, on the
+// insertion and the hilbert layout and in all three modes, reading by runs
+// returns the same payload bytes and moves Stats() exactly as the per-page
+// ReadPage loop does on a twin file with the same damage.
+func TestReadRunEqualsReadPageLoop(t *testing.T) {
+	dmg := &testDamage{
+		flip: map[PageID]int{0: 3, 41: 900, 42: 17, 130: 4000, 257: 31999, 499: 8},
+		tear: map[PageID]bool{77: true, 300: true},
+	}
+	for _, l := range []Layout{InsertionLayout(), HilbertLayout()} {
+		for _, cfg := range []FileStoreConfig{
+			{Mode: ChecksumOff}, {Mode: ChecksumVerify}, {Mode: ChecksumRepair, Replica: true},
+		} {
+			t.Run(l.Name()+"/"+cfg.Mode.String(), func(t *testing.T) {
+				s := paginatedStore(t, 4000, 8)
+				if err := s.Relayout(l); err != nil {
+					t.Fatal(err)
+				}
+				byRun, byPage := newFileStore(t, s, cfg), newFileStore(t, s, cfg)
+				for _, fs := range []*FileStore{byRun, byPage} {
+					if _, _, err := fs.ApplyCorruption(dmg); err != nil {
+						t.Fatal(err)
+					}
+				}
+				rng := rand.New(rand.NewSource(23))
+				buf := make([]byte, 16*frameBytes)
+				runs := 0
+				for trial := 0; trial < 40; trial++ {
+					pages := elevatorList(rng, s, 1+rng.Intn(200))
+					before := byRun.Stats().Reads
+					got := readByRuns(t, byRun, pages, buf)
+					if byRun.Stats().Reads-before != int64(len(pages)) {
+						t.Fatalf("trial %d: %d pages moved Reads by %d", trial, len(pages), byRun.Stats().Reads-before)
+					}
+					for i, p := range pages {
+						want, _, err := byPage.ReadPage(p, nil)
+						if (err != nil) != (got[i] == nil) || !bytes.Equal(got[i], want) {
+							t.Fatalf("trial %d page %d: run path read %d bytes, per-page loop %d (%v)", trial, p, len(got[i]), len(want), err)
+						}
+						if i > 0 && s.PhysicalPage(p) == s.PhysicalPage(pages[i-1])+1 {
+							runs++
+						}
+					}
+					if byRun.Stats() != byPage.Stats() {
+						t.Fatalf("trial %d: stats diverged:\n by run  %+v\n by page %+v", trial, byRun.Stats(), byPage.Stats())
+					}
+				}
+				if runs == 0 {
+					t.Fatal("no two pages of any list were adjacent: the run path was never exercised")
+				}
+				if cfg.Mode != ChecksumOff && byRun.Stats().CorruptDetected == 0 {
+					t.Fatal("no list met a damaged page")
+				}
+			})
+		}
+	}
+}
+
+// TestReadRunStopsBeforeTrouble pins ReadRun's contract on one ten-page run:
+// the clean prefix before a flipped bit at run index 0, in the middle and at
+// the end; the bound a short buffer sets; a page whose header entry is lost;
+// and the ends of a run (a slot gap, a duplicate, a page out of range).
+func TestReadRunStopsBeforeTrouble(t *testing.T) {
+	s := paginatedStore(t, 800, 8)
+	run := []PageID{10, 11, 12, 13, 14, 15, 16, 17, 18, 19}
+	buf := make([]byte, 16*frameBytes)
+
+	fs := newFileStore(t, s, FileStoreConfig{Mode: ChecksumRepair, Replica: true})
+	if _, _, err := fs.ApplyCorruption(&testDamage{flip: map[PageID]int{10: 1, 14: 2000, 19: 32767}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, step := range []struct {
+		from, clean int
+	}{{0, 0}, {1, 3}, {4, 0}, {5, 4}, {9, 0}} {
+		if got := fs.ReadRun(run[step.from:], buf); got != step.clean {
+			t.Fatalf("ReadRun from run index %d = %d clean pages, want %d", step.from, got, step.clean)
+		}
+		if step.clean > 0 {
+			continue
+		}
+		// The page the run stopped at is repaired by ReadPage, exactly once.
+		p := run[step.from]
+		if _, repaired, err := fs.ReadPage(p, buf); err != nil || !repaired {
+			t.Fatalf("page %d after a stopped run = (repaired=%v, %v), want an in-place repair", p, repaired, err)
+		}
+		if got := fs.ReadRun(run[step.from:step.from+1], buf); got != 1 {
+			t.Fatalf("page %d still stops a run after its repair", p)
+		}
+	}
+	if st, want := fs.Stats(), (FileStoreStats{Reads: 3 + 4 + 3 + 3, CorruptDetected: 3, Repaired: 3}); st != want {
+		t.Errorf("stats = %+v, want %+v", st, want)
+	}
+	if got := fs.ReadRun(run, buf); got != len(run) {
+		t.Fatalf("healed run read %d clean pages, want %d", got, len(run))
+	}
+
+	// A page in the bad ledger that still has a slot (Open never leaves one
+	// today; the ledger allows it) stops a run like a failed checksum does.
+	fs.badPages[16] = "injected"
+	if got := fs.ReadRun(run, buf); got != 6 {
+		t.Fatalf("run across a bad-ledger page read %d pages, want the 6 before it", got)
+	}
+	if _, repaired, err := fs.ReadPage(16, buf); err != nil || !repaired {
+		t.Fatalf("bad-ledger page read = (repaired=%v, %v), want a repair from the replica", repaired, err)
+	}
+	if got := fs.ReadRun(run, buf); got != len(run) {
+		t.Fatalf("run read %d pages after the ledger cleared, want %d", got, len(run))
+	}
+
+	// A run longer than the buffer comes back in buffer-sized pieces, and a
+	// buffer shorter than one frame reads nothing.
+	small := make([]byte, 4*frameBytes+100)
+	for from, want := range map[int]int{0: 4, 4: 4, 8: 2} {
+		if got := fs.ReadRun(run[from:], small); got != want {
+			t.Errorf("4-frame buffer from index %d: %d pages, want %d", from, got, want)
+		}
+	}
+	if got := fs.ReadRun(run, make([]byte, frameBytes-1)); got != 0 {
+		t.Errorf("sub-frame buffer read %d pages", got)
+	}
+	if got := fs.ReadRun(nil, buf); got != 0 {
+		t.Errorf("empty page list read %d pages", got)
+	}
+
+	// Run ends: a slot gap, a duplicate, a page past the end of the file.
+	n := PageID(s.NumPages())
+	for _, c := range []struct {
+		pages []PageID
+		want  int
+	}{
+		{[]PageID{30, 31, 33, 34}, 2},
+		{[]PageID{30, 30, 31}, 1},
+		{[]PageID{31, 30}, 1},
+		{[]PageID{n - 2, n - 1, n}, 2},
+		{[]PageID{n, 0}, 0},
+	} {
+		if got := fs.ReadRun(c.pages, buf); got != c.want {
+			t.Errorf("ReadRun(%v) = %d, want %d", c.pages, got, c.want)
+		}
+	}
+
+	// A lost header entry with no replica to restore it: the page is in the
+	// bad ledger, a run stops before it and resumes after it.
+	lost := newFileStore(t, s, FileStoreConfig{Mode: ChecksumVerify})
+	path := lost.Path()
+	lost.Close()
+	patchFile(t, path, entryOff(13), make([]byte, entryBytes))
+	re, err := OpenFileStore(path, FileStoreConfig{Mode: ChecksumVerify})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got := re.ReadRun(run, buf); got != 3 {
+		t.Fatalf("run across a lost entry read %d pages, want the 3 before it", got)
+	}
+	if got := re.ReadRun(run[3:], buf); got != 0 {
+		t.Fatalf("run starting at the lost page read %d pages", got)
+	}
+	var cpe *CorruptPageError
+	if _, _, err := re.ReadPage(13, buf); !errors.As(err, &cpe) {
+		t.Fatalf("lost page read = %v, want *CorruptPageError", err)
+	}
+	if got := re.ReadRun(run[4:], buf); got != 6 {
+		t.Fatalf("run after the lost page read %d pages, want 6", got)
+	}
+	if st, want := re.Stats(), (FileStoreStats{Reads: 9, CorruptDetected: 1}); st != want {
+		t.Errorf("stats = %+v, want %+v", st, want)
+	}
+}
+
+// patchFile overwrites len(b) bytes of the file at off.
+func patchFile(t *testing.T, path string, off int64, b []byte) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.WriteAt(b, off); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestScrubVisitsEverySlotOncePerCycle: with every page damaged, steps
+// smaller than a stretch, one stretch long, longer, and longer than the
+// file — through wraps at the end of the file that fall inside a step, and
+// with a lent buffer shorter than a stretch — find and heal each slot
+// exactly once in the first n slots scanned, and find nothing after.
+func TestScrubVisitsEverySlotOncePerCycle(t *testing.T) {
+	s := paginatedStore(t, 1200, 8)
+	n := s.NumPages() // 150: not a multiple of any step below
+	all := &testDamage{flip: map[PageID]int{}}
+	for p := 0; p < n; p++ {
+		all.flip[PageID(p)] = 7 * p
+	}
+	for _, c := range []struct {
+		name string
+		step int
+		buf  []byte
+	}{
+		{"step-7", 7, nil},
+		{"step-64", scrubStretch, nil},
+		{"step-100", 100, nil},
+		{"step-over-n", n + 50, nil},
+		{"step-100-lent-3-frames", 100, make([]byte, 3*frameBytes)},
+		{"step-100-lent-stretch", 100, make([]byte, scrubStretch*frameBytes)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			fs := newFileStore(t, s, FileStoreConfig{Mode: ChecksumRepair, Replica: true})
+			if flipped, _, err := fs.ApplyCorruption(all); err != nil || flipped != n {
+				t.Fatalf("ApplyCorruption = (%d, %v), want %d flips", flipped, err, n)
+			}
+			var scanned, corrupt, repaired int64
+			for scanned < int64(2*n) {
+				rep := fs.scrub(c.step, c.buf)
+				if want := int64(min(c.step, n)); rep.Scanned != want {
+					t.Fatalf("step scanned %d slots, want %d", rep.Scanned, want)
+				}
+				// A slot is found damaged on its first visit only: after k
+				// slots scanned, min(k, n) are healed.
+				scanned += rep.Scanned
+				corrupt += rep.Corrupt
+				repaired += rep.Repaired
+				if want := min(scanned, int64(n)); corrupt != want || repaired != want {
+					t.Fatalf("after %d slots: %d found, %d healed, want %d", scanned, corrupt, repaired, want)
+				}
+				if fs.scrubCursor != int(scanned)%n {
+					t.Fatalf("after %d slots the cursor is at %d, want %d", scanned, fs.scrubCursor, int(scanned)%n)
+				}
+			}
+			if st := fs.Stats(); st.ScrubbedPages != scanned || st.Repaired != int64(n) || st.Reads != 0 {
+				t.Errorf("stats = %+v, want %d scrubbed, %d repaired, 0 demand reads", st, scanned, n)
+			}
+			if err := fs.VerifyAgainst(s); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestOpenRefusesForeignFormats: a version-1 superblock, geometry the file
+// cannot hold, and a header entry with checksum bits a v2 writer never sets
+// are errors — from Open or from the read — never panics or huge allocations.
+func TestOpenRefusesForeignFormats(t *testing.T) {
+	s := paginatedStore(t, 300, 8)
+	n := s.NumPages()
+	fresh := func(t *testing.T) (path string, super []byte) {
+		fs := newFileStore(t, s, FileStoreConfig{})
+		fs.Close()
+		super = make([]byte, superBytes)
+		f, err := os.Open(fs.Path())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if _, err := f.ReadAt(super, 0); err != nil {
+			t.Fatal(err)
+		}
+		return fs.Path(), super
+	}
+	for _, c := range []struct {
+		name  string
+		patch func(super []byte)
+		want  string
+	}{
+		{"version-1", func(b []byte) { binary.LittleEndian.PutUint32(b[4:8], 1) }, "unsupported file version 1"},
+		{"one-page-too-many", func(b []byte) {
+			binary.LittleEndian.PutUint64(b[16:24], uint64(n+1))
+			binary.LittleEndian.PutUint64(b[28:36], uint64(dataOffFor(n+1)))
+		}, "implausible superblock geometry"},
+		{"2^40-pages", func(b []byte) {
+			binary.LittleEndian.PutUint64(b[16:24], 1<<40)
+			binary.LittleEndian.PutUint64(b[28:36], uint64(dataOffFor(1<<40)))
+		}, "implausible superblock geometry"},
+		{"2^62-pages", func(b []byte) {
+			binary.LittleEndian.PutUint64(b[16:24], 1<<62)
+			binary.LittleEndian.PutUint64(b[28:36], uint64(dataOffFor(1<<62)))
+		}, "implausible superblock geometry"},
+		{"zero-objects-per-page", func(b []byte) { binary.LittleEndian.PutUint32(b[24:28], 0) }, "implausible superblock geometry"},
+		{"65-objects-per-page", func(b []byte) { binary.LittleEndian.PutUint32(b[24:28], 65) }, "implausible superblock geometry"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			path, super := fresh(t)
+			c.patch(super)
+			resum(super)
+			patchFile(t, path, 0, super)
+			fs, err := OpenFileStore(path, FileStoreConfig{Mode: ChecksumVerify})
+			if err == nil {
+				fs.Close()
+				t.Fatal("opened")
+			}
+			if !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("error %q, want it to say %q", err, c.want)
+			}
+		})
+	}
+	t.Run("truncated", func(t *testing.T) {
+		path, _ := fresh(t)
+		if err := os.Truncate(path, dataOffFor(n)+int64(n)*frameBytes-1); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenFileStore(path, FileStoreConfig{}); err == nil || !strings.Contains(err.Error(), "implausible superblock geometry") {
+			t.Fatalf("open of a file one byte short = %v", err)
+		}
+	})
+	t.Run("entry-high-checksum-bits", func(t *testing.T) {
+		path, _ := fresh(t)
+		// A v1 (CRC64) entry for slot 4, otherwise well-formed: its own
+		// checksum is recomputed so only the high bits are wrong.
+		entry := make([]byte, entryBytes)
+		encodeEntry(entry, pageHeader{page: 4, length: 8 * objBytes, checksum: 0xc96c5795_d7870f42}, 1)
+		if _, err := decodeEntry(entry, 1, n); err == nil || !strings.Contains(err.Error(), "high bits") {
+			t.Fatalf("decodeEntry = %v, want the high bits refused", err)
+		}
+		patchFile(t, path, entryOff(4), entry)
+		fs, err := OpenFileStore(path, FileStoreConfig{Mode: ChecksumVerify})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fs.Close()
+		var cpe *CorruptPageError
+		if _, _, err := fs.ReadPage(4, nil); !errors.As(err, &cpe) {
+			t.Fatalf("page behind the refused entry read = %v, want *CorruptPageError", err)
+		}
+		if _, _, err := fs.ReadPage(5, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Run("entry-page-field-flip", func(t *testing.T) {
+		// One flipped bit makes slot 4 claim page 5. The entry's own checksum
+		// catches it: page 4 is lost, and page 5 still reads page 5's bytes.
+		path, _ := fresh(t)
+		entry := make([]byte, entryBytes)
+		encodeEntry(entry, pageHeader{page: 4}, 1)
+		patchFile(t, path, entryOff(4)+4, []byte{entry[4] ^ 1})
+		fs, err := OpenFileStore(path, FileStoreConfig{Mode: ChecksumVerify})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fs.Close()
+		var cpe *CorruptPageError
+		if _, _, err := fs.ReadPage(4, nil); !errors.As(err, &cpe) {
+			t.Fatalf("page 4 read = %v, want *CorruptPageError", err)
+		}
+		objs, err := fs.DecodePage(5)
+		if err != nil || len(objs) == 0 || objs[0] != s.PageSlice(5)[0] {
+			t.Fatalf("page 5 decoded %v (%v), want the store's page 5", objs, err)
+		}
+	})
 }
