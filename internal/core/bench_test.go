@@ -14,7 +14,14 @@ import (
 // benchSetup builds a small neuro world and one sequence of observations.
 func benchSetup(b *testing.B) (*pagestore.Store, *flatindex.Index, []prefetch.Observation) {
 	b.Helper()
-	ds := dataset.GenerateNeuro(dataset.NeuroConfig{NumObjects: 60_000, Seed: 1})
+	return benchWorld(b, dataset.NeuroConfig{NumObjects: 60_000, Seed: 1})
+}
+
+// benchWorld builds a neuro world of the given configuration and one
+// 25-query sequence of observations over it.
+func benchWorld(b *testing.B, neuro dataset.NeuroConfig) (*pagestore.Store, *flatindex.Index, []prefetch.Observation) {
+	b.Helper()
+	ds := dataset.GenerateNeuro(neuro)
 	store := pagestore.NewStore(ds.Objects)
 	cfg := rtree.Config{}
 	tree, err := rtree.BulkLoad(store, cfg)
@@ -58,6 +65,34 @@ func BenchmarkScoutObserve(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(obs)), "ns/query")
+}
+
+// BenchmarkScoutColdSession measures what planning one serving session pays:
+// a new prefetcher and its first 25-query walk, on the main experiments'
+// 1M-object store. B/op is everything the prefetcher allocates on the way —
+// its arenas grown to the walk's results — and must not depend on the
+// store's size (TestPrefetcherStateScalesWithResult is the gate; with
+// store-sized arrays these rows read 12 and 16 MB/op higher).
+func BenchmarkScoutColdSession(b *testing.B) {
+	store, flat, obs := benchWorld(b, dataset.DefaultNeuroConfig())
+	for _, kind := range []struct {
+		name  string
+		fresh func() prefetch.Prefetcher
+	}{
+		{"scout", func() prefetch.Prefetcher { return New(store, nil, DefaultConfig()) }},
+		{"scout-opt", func() prefetch.Prefetcher { return NewOpt(flat, nil, DefaultConfig()) }},
+	} {
+		b.Run(kind.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s := kind.fresh()
+				for _, o := range obs {
+					s.Observe(o)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(obs)), "ns/query")
+		})
+	}
 }
 
 // BenchmarkScoutOptObserve measures SCOUT-OPT's step including sparse graph

@@ -306,7 +306,7 @@ func (s *Scout) buildGraph(obs prefetch.Observation, bounds geom.AABB) (*sgraph.
 	}
 	if s.adjacency != nil {
 		g := s.resetGraph(bounds, 0)
-		s.inResult.reset(s.store.NumObjects())
+		s.inResult.reset()
 		for _, id := range obs.Result {
 			s.inResult.add(uint32(id))
 		}
@@ -350,7 +350,7 @@ func (s *Scout) tryAdvance(obs prefetch.Observation, bounds geom.AABB, res int) 
 	if !s.graph.CanAdvance(bounds, res) {
 		return false
 	}
-	s.inResult.reset(s.store.NumObjects())
+	s.inResult.reset()
 	for _, id := range obs.Result {
 		s.inResult.add(uint32(id))
 	}

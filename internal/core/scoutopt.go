@@ -180,18 +180,18 @@ func (s *ScoutOpt) Observe(obs prefetch.Observation) {
 // vertices keep their cells and edges and cost a table lookup instead of a
 // voxel walk) rather than reset.
 func (s *ScoutOpt) sparseBuild(obs prefetch.Observation, bounds geom.AABB, tol float64, exitPts []geom.Vec3, startVerts []int32) (*sgraph.Graph, []int32, int, bool) {
-	s.inResult.reset(s.store.NumObjects())
+	s.inResult.reset()
 	for _, id := range obs.Result {
 		s.inResult.add(uint32(id))
 	}
-	s.inCand.reset(s.store.NumPages())
+	s.inCand.reset()
 	for _, p := range obs.Pages {
 		s.inCand.add(uint32(p))
 	}
 
 	// Seed pages: candidate pages whose MBR comes within tol of an exit.
 	queue := s.pageQueue[:0]
-	s.pageSeen.reset(s.store.NumPages())
+	s.pageSeen.reset()
 	for _, p := range obs.Pages {
 		mbr := s.store.PageBounds(p)
 		for _, pt := range exitPts {
@@ -394,7 +394,7 @@ func (s *ScoutOpt) gapTraverse(exits []sgraph.Boundary, region geom.AABB, side, 
 		s.gapLive = true
 		g := s.gapGraph
 		ops0 := g.Ops()
-		s.pageSeen.reset(s.store.NumPages())
+		s.pageSeen.reset()
 		frontier := s.gapFronts[:0]
 		if seed, ok := s.flat.SeedPage(e.Point.Add(e.Dir.Scale(side * 0.02))); ok {
 			frontier = append(frontier, seed)

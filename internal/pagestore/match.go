@@ -80,6 +80,11 @@ func (o *Object) overlapsFrustum(f *geom.Frustum) bool {
 	return f.Overlaps(&b)
 }
 
+// clipMargin is the relative margin by which the box refine's "beyond a
+// face" reject must win: 1e-12 against the four roundings of 2⁻⁵³ each
+// between the compare and ClipAABB's parameter (see intersectsBox).
+const clipMargin = 1 + 1e-12
+
 // intersectsBox is Object.IntersectsBox for the kernel: it reads the object
 // in place and settles most objects without the slab clip's three divisions.
 // Both shortcuts are consequences of ClipAABB's own arithmetic, not of exact
@@ -87,15 +92,31 @@ func (o *Object) overlapsFrustum(f *geom.Frustum) bool {
 //
 //   - Start point A inside the (inflated) box: on every axis t0 ≤ 0 ≤ t1, so
 //     tmin stays 0, tmax stays ≥ 0 and the clip succeeds.
-//   - A beyond a face and B not nearer to it than A: that axis yields
-//     t1 < 0 ≤ tmin (or, for a segment parallel to the face, ClipAABB's own
-//     A-outside test), so the clip fails. (t1 is a product of two finite
-//     non-zero factors; it could only lose its sign by underflowing, which
-//     takes coordinates some 300 orders of magnitude apart.)
+//   - A beyond a face and the whole segment clearly beyond it. Take
+//     A.x > max; min and the other axes are symmetric. Let p = A.x − max > 0
+//     and q = A.x − B.x, both as rounded — the negations of ClipAABB's own
+//     operands max − A.x and d.x, since rounding is symmetric. The test is
+//     p > q·clipMargin, as rounded.
+//     q ≤ 0 (B not nearer the face than A): the product is ≤ 0 < p, the test
+//     holds, and ClipAABB gets t1 = (−p)·(1/−q) < 0 ≤ tmin for −q > 1e-15
+//     or takes its parallel branch, which rejects because A is outside.
+//     (t1 is a product of two finite non-zero factors; it could only lose
+//     its sign by underflowing, which takes coordinates some 300 orders of
+//     magnitude apart.)
+//     0 < q ≤ 1e-15: the parallel branch again, a reject whatever the test
+//     says.
+//     q > 1e-15: ClipAABB's entry parameter on this axis is
+//     fl(p·fl(1/q)). With u = 2⁻⁵³, the constant is ≥ (1+1e-12)(1−u) and
+//     fl(q·clipMargin) ≥ q·clipMargin·(1−u), so the test gives
+//     p/q > (1+1e-12)(1−u)²; fl(1/q) ≥ (1−u)/q and the outer rounding
+//     costs one more (1−u), so the parameter is ≥ (1+1e-12)(1−u)⁴ > 1 ≥
+//     tmax — four roundings of 1.1e-16 against a margin of 1e-12 — and the
+//     clip fails on this axis if not before.
 //
-// "Both endpoints beyond one face" is NOT such a consequence — with B a few
-// floats outside the face, (face−A)·(1/(B−A)) can round to ≤ 1 and the clip
-// succeed — so the remaining objects go through ClipAABB itself
+// Without the margin "both endpoints beyond one face" is NOT such a
+// consequence — with B a few floats outside the face, (face−A)·(1/(B−A)) can
+// round to ≤ 1 and the clip succeed — so objects inside the margin, and the
+// ones that straddle a face, go through ClipAABB itself
 // (TestAppendMatchesAdversarialBoxes walks those boundaries). Inflating by a
 // zero radius is exact, so the Radius == 0 case needs no branch.
 func (o *Object) intersectsBox(b *geom.AABB) bool {
@@ -112,9 +133,10 @@ func (o *Object) intersectsBox(b *geom.AABB) bool {
 		a.Z >= box.Min.Z && a.Z <= box.Max.Z {
 		return true
 	}
-	if (a.X > box.Max.X && e.X >= a.X) || (a.X < box.Min.X && e.X <= a.X) ||
-		(a.Y > box.Max.Y && e.Y >= a.Y) || (a.Y < box.Min.Y && e.Y <= a.Y) ||
-		(a.Z > box.Max.Z && e.Z >= a.Z) || (a.Z < box.Min.Z && e.Z <= a.Z) {
+	const k = clipMargin
+	if (a.X > box.Max.X && a.X-box.Max.X > (a.X-e.X)*k) || (a.X < box.Min.X && box.Min.X-a.X > (e.X-a.X)*k) ||
+		(a.Y > box.Max.Y && a.Y-box.Max.Y > (a.Y-e.Y)*k) || (a.Y < box.Min.Y && box.Min.Y-a.Y > (e.Y-a.Y)*k) ||
+		(a.Z > box.Max.Z && a.Z-box.Max.Z > (a.Z-e.Z)*k) || (a.Z < box.Min.Z && box.Min.Z-a.Z > (e.Z-a.Z)*k) {
 		return false
 	}
 	return o.Seg.IntersectsAABB(box)

@@ -167,10 +167,12 @@ func nudges(v float64) [5]float64 {
 
 // TestAppendMatchesAdversarialBoxes aims boxes at the places where the
 // kernel's shortcuts (endpoint inside: accept; start endpoint outside a face
-// and the segment not heading back: reject) could part ways with the slab
-// clip that defines the result: faces exactly on a segment endpoint, on the
-// endpoint pushed out by the radius, and one or two floats either side of
-// both; against general, axis-parallel, nearly-degenerate and zero-length
+// and the other one short of it by more than the margin: reject) could part
+// ways with the slab clip that defines the result: faces exactly on a
+// segment endpoint, on the endpoint pushed out by the radius, a relative
+// 1e-13, 1e-12 and 1e-11 of the segment's extent either side of those (the
+// reject's margin is 1e-12), and zero, one and two floats either side of all
+// of them; against general, axis-parallel, nearly-degenerate and zero-length
 // segments, with and without a radius.
 func TestAppendMatchesAdversarialBoxes(t *testing.T) {
 	rng := rand.New(rand.NewSource(20120827))
@@ -213,7 +215,17 @@ func TestAppendMatchesAdversarialBoxes(t *testing.T) {
 		seg := o.Seg.Bounds()
 		for axis := 0; axis < 3; axis++ {
 			lo, hi := seg.Min.Component(axis), seg.Max.Component(axis)
-			for _, face := range []float64{lo, hi, lo - o.Radius, hi + o.Radius, lo + o.Radius, hi - o.Radius} {
+			faces := []float64{lo, hi, lo - o.Radius, hi + o.Radius, lo + o.Radius, hi - o.Radius}
+			// Either side of the margin reject's own boundary: the far
+			// endpoint A a segment's extent q beyond the face, the near one B
+			// beyond it (or short of it) by q times 1e-13, 1e-12, 1e-11.
+			for _, rel := range []float64{1e-13, 1e-12, 1e-11} {
+				for _, shift := range []float64{-o.Radius, o.Radius} {
+					d := (hi - lo) * rel
+					faces = append(faces, lo+shift-d, lo+shift+d, hi+shift-d, hi+shift+d)
+				}
+			}
+			for _, face := range faces {
 				for _, v := range nudges(face) {
 					for _, above := range []bool{false, true} {
 						// The other two axes cover the object generously or

@@ -2,6 +2,7 @@ package sgraph
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"scout/internal/geom"
@@ -130,5 +131,52 @@ func TestGraphReuseNoAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("warm Reset+rebuild allocates %.1f times, want 0", allocs)
+	}
+}
+
+// TestCellMemoFillsPoolToCap: a memoized run is its key count followed by its
+// keys, and memoPoolCap counts both. A walk whose run ends exactly at the cap
+// is stored and reads back its own length; the next one finds no room, is
+// walked again on every build, and the graph is the fresh one either way.
+func TestCellMemoFillsPoolToCap(t *testing.T) {
+	store, chains := chainStore(1, 6, 50)
+	bounds := geom.Box(geom.V(-1, -1, -1), geom.V(9, 9, 9))
+	a, b := chains[0][1], chains[0][2]
+	g := New(store, bounds, 512)
+	want := g.lat.segmentCells(store.Object(a).Seg, nil, true)
+	if len(want) == 0 {
+		t.Fatal("object hashes to no cell")
+	}
+	g.memoPool = make([]uint64, memoPoolCap-1-len(want), memoPoolCap)
+
+	g.AddObject(a)
+	g.AddObject(b)
+	if len(g.memoPool) != memoPoolCap {
+		t.Fatalf("pool holds %d words, want the cap %d", len(g.memoPool), memoPoolCap)
+	}
+	run, ok := g.memoRun(a)
+	if !ok {
+		t.Fatal("the run that fits exactly was not memoized")
+	}
+	if !reflect.DeepEqual(run, want) || &run[len(run)-1] != &g.memoPool[memoPoolCap-1] {
+		t.Fatalf("memoized run %#x, want %#x ending at the cap", run, want)
+	}
+	if n := g.memoPool[memoPoolCap-1-len(want)]; int(n) != len(want) {
+		t.Fatalf("run's length prefix reads %d, want %d", n, len(want))
+	}
+	if _, ok := g.memoRun(b); ok {
+		t.Fatal("a run was memoized past the cap")
+	}
+
+	ids := []pagestore.ObjectID{a, b}
+	g.Reset(bounds, 512) // a from the memo, b walked
+	for _, id := range ids {
+		g.AddObject(id)
+	}
+	fresh := Build(store, bounds, 512, ids)
+	gv, ga, _, gx := graphFingerprint(t, g, bounds)
+	fv, fa, _, fx := graphFingerprint(t, fresh, bounds)
+	if !reflect.DeepEqual(gv, fv) || !reflect.DeepEqual(ga, fa) || !reflect.DeepEqual(gx, fx) {
+		t.Fatalf("graph rebuilt at the pool cap differs from a fresh one:\n%v %v %v\n%v %v %v", gv, ga, gx, fv, fa, fx)
 	}
 }

@@ -53,9 +53,14 @@ type cellSlot struct {
 	gen  uint32
 }
 
-// memoPoolCap bounds the cell memo's total entries (8M keys ≈ 64 MB): once
-// full, cold objects keep paying the walk instead of growing the pool.
+// memoPoolCap bounds the cell memo's pool (8M words ≈ 64 MB, each run's
+// length prefix included): once full, cold objects keep paying the walk
+// instead of growing the pool.
 const memoPoolCap = 1 << 23
+
+// memoBlockBits sizes the cell memo's index blocks: 16 consecutive object
+// IDs share one 64-byte block (see Graph.memo).
+const memoBlockBits = 4
 
 // maxDenseCells bounds the dense cell directory. The paper's operating
 // points (Figure 13e sweeps 8..32768 total cells) all fit; resolutions
@@ -129,13 +134,19 @@ type Graph struct {
 	// size, so it is memoized across queries AND sequences (pure-function
 	// memoization keeps Reset ≡ fresh bit-exact — an empty and a warm memo
 	// produce identical graphs, which TestGraphReuseEquivalence checks).
-	// Epoch stamps invalidate the memo in O(1) when the cell size changes.
-	memoStart []int32
-	memoCount []int32
-	memoGen   []uint32
-	memoEpoch uint32
-	memoCell  geom.Vec3
-	memoPool  []uint64
+	// An object's run in memoPool is its key count followed by its keys.
+	// The index to it has two levels: memo maps a block of 16 consecutive
+	// object IDs to that block's 16 slots in memoIdx, each the pool offset
+	// of a run's first key (0: none — offset 0 is a length prefix). Results
+	// are runs of neighbouring IDs, so the table stays small and cached and
+	// an index access keeps the locality of a dense array (a flat ID-keyed
+	// table scatters them: +12 % per query on explore-shaped walks). All
+	// three grow with the objects hashed, never with the store; a cell-size
+	// change empties them in O(1).
+	memo     intMap
+	memoIdx  []int32
+	memoCell geom.Vec3
+	memoPool []uint64
 
 	// Delta-work counters, reset at every lifecycle boundary (Reset, Advance,
 	// BeginAdvance): buildVerts counts vertices inserted, resurrected or
@@ -232,23 +243,11 @@ func (g *Graph) resetToLattice(lat lattice, resolution int) {
 		return
 	}
 	g.lat = lat
-	if nObj := g.store.NumObjects(); len(g.memoGen) < nObj {
-		g.memoStart = make([]int32, nObj)
-		g.memoCount = make([]int32, nObj)
-		g.memoGen = make([]uint32, nObj)
-		g.memoEpoch = 0
-		g.memoCell = geom.Vec3{}
-	}
 	if g.lat.cell != g.memoCell {
 		g.memoCell = g.lat.cell
+		g.memo.reset()
+		g.memoIdx = g.memoIdx[:0]
 		g.memoPool = g.memoPool[:0]
-		g.memoEpoch++
-		if g.memoEpoch == 0 { // wrapped: stale stamps could collide, clear
-			for i := range g.memoGen {
-				g.memoGen[i] = 0
-			}
-			g.memoEpoch = 1
-		}
 	}
 	n := g.lat.numCells()
 	g.denseCells = n <= maxDenseCells
@@ -610,17 +609,15 @@ func (g *Graph) hashVertex(v int32, checkPresent bool) {
 	// eligibility (an interior walk is window-independent).
 	allInside := g.lat.strictlyContains(s.A) && g.lat.strictlyContains(s.B)
 	var keys []uint64
-	if allInside && g.memoGen[id] == g.memoEpoch {
-		st := g.memoStart[id]
-		keys = g.memoPool[st : st+g.memoCount[id]]
-	} else {
+	hit := false
+	if allInside {
+		keys, hit = g.memoRun(id)
+	}
+	if !hit {
 		g.keyScratch = g.lat.segmentCells(s, g.keyScratch[:0], allInside)
 		keys = g.keyScratch
-		if allInside && len(g.memoPool)+len(keys) <= memoPoolCap {
-			g.memoStart[id] = int32(len(g.memoPool))
-			g.memoCount[id] = int32(len(keys))
-			g.memoGen[id] = g.memoEpoch
-			g.memoPool = append(g.memoPool, keys...)
+		if allInside {
+			g.memoStore(id, keys)
 		}
 	}
 	g.beginPairWalk(v)
@@ -681,6 +678,42 @@ func (g *Graph) hashVertex(v int32, checkPresent bool) {
 	g.cellCount[v] += added
 	g.entLive += int(added)
 	g.clipped[v] = !allInside
+}
+
+// memoSlot is the memoIdx position of object id within its block's chunk c.
+func memoSlot(c int32, id pagestore.ObjectID) int32 {
+	return c<<memoBlockBits | int32(id&(1<<memoBlockBits-1))
+}
+
+// memoRun returns the memoized cell keys of object id's interior walk.
+func (g *Graph) memoRun(id pagestore.ObjectID) ([]uint64, bool) {
+	c, ok := g.memo.get(uint32(id) >> memoBlockBits)
+	if !ok {
+		return nil, false
+	}
+	st := g.memoIdx[memoSlot(c, id)]
+	if st == 0 {
+		return nil, false
+	}
+	return g.memoPool[st : st+int32(g.memoPool[st-1])], true
+}
+
+// memoStore memoizes keys as object id's interior walk, unless the pool is
+// full.
+func (g *Graph) memoStore(id pagestore.ObjectID, keys []uint64) {
+	if len(g.memoPool)+1+len(keys) > memoPoolCap {
+		return
+	}
+	block := uint32(id) >> memoBlockBits
+	c, ok := g.memo.get(block)
+	if !ok {
+		c = int32(len(g.memoIdx) >> memoBlockBits)
+		g.memoIdx = append(g.memoIdx, make([]int32, 1<<memoBlockBits)...)
+		g.memo.put(block, c)
+	}
+	g.memoPool = append(g.memoPool, uint64(len(keys)))
+	g.memoIdx[memoSlot(c, id)] = int32(len(g.memoPool))
+	g.memoPool = append(g.memoPool, keys...)
 }
 
 // beginPairWalk starts a connect-dedup epoch for one vertex's hash walk.
