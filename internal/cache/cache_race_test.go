@@ -11,7 +11,9 @@ import (
 // full operation mix — lookups, inserts, membership probes, stats snapshots,
 // clears and stat resets — so `go test -race ./internal/cache` exercises
 // every lock path of the shard layer. Beyond data-race freedom it checks the
-// invariants that survive any interleaving: Len never exceeds capacity, the
+// invariants that survive any interleaving: Len never exceeds capacity, every
+// shard's table and recency list are consistent whenever its lock is free
+// (check, once per goroutine exit, while the others are still running), the
 // epoch only advances, and the final counters balance.
 func TestShardedRaceHammer(t *testing.T) {
 	const (
@@ -58,6 +60,9 @@ func TestShardedRaceHammer(t *testing.T) {
 				default:
 					c.Lookup(p)
 				}
+			}
+			if err := c.check(); err != nil {
+				t.Error(err)
 			}
 		}(g)
 	}

@@ -89,8 +89,7 @@ func nextPow2(n int) int {
 // in different shards (Fibonacci hashing), so a sequential prefetch run
 // does not serialize on one lock.
 func (c *Sharded) shardFor(p pagestore.PageID) *shard {
-	h := uint64(p) * 0x9E3779B97F4A7C15
-	return &c.shards[uint32(h>>33)&c.mask]
+	return &c.shards[c.ShardIndex(p)]
 }
 
 // ShardCount returns the number of shards.

@@ -84,10 +84,14 @@ type Config struct {
 	Hedge float64
 }
 
+// defaultCacheFraction is the paper's setup: 4 GB of prefetch cache for a
+// 33 GB data set (§7.1).
+const defaultCacheFraction = 4.0 / 33.0
+
 // DefaultConfig mirrors the paper's setup.
 func DefaultConfig() Config {
 	return Config{
-		CacheFraction:  4.0 / 33.0,
+		CacheFraction:  defaultCacheFraction,
 		Cost:           pagestore.DefaultCostModel(),
 		SkipFirstQuery: true,
 	}

@@ -514,7 +514,7 @@ func cacheCapacity(cfg Config, store *pagestore.Store) int {
 	if capacity <= 0 {
 		frac := cfg.CacheFraction
 		if frac <= 0 {
-			frac = 4.0 / 33.0
+			frac = defaultCacheFraction
 		}
 		capacity = int(frac * float64(store.NumPages()))
 		if capacity < 1 {
