@@ -98,7 +98,7 @@ type haRoute struct {
 
 // haState is the failover router's mutable state: the replicated partition,
 // the (possibly nil) shard-fault injector, one health breaker per shard,
-// and per-fan-out scratch. Single-coordinator, like everything merged on
+// and per-turn scratch. Single-coordinator, like everything merged on
 // the virtual clock.
 type haState struct {
 	part  *pagestore.Partition
@@ -205,9 +205,9 @@ func (h *haState) routeDemand(j int, now time.Duration) haRoute {
 }
 
 // serveMisses is the demand read's storage half, run after the lookup
-// fan-out left every home shard's misses in its shard.miss (DESIGN.md §13):
+// pass left every home shard's misses in its shard.miss (DESIGN.md §13):
 // the coordinator walks each missing home's replica chain (routeDemand) at
-// virtual time now; a second fan-out then sweeps every miss sub-batch on its
+// virtual time now; a second pass then sweeps every miss sub-batch on its
 // serving shard in one elevator batch — a browned shard's sweep billed at
 // its multiplier, replica-slice reads surcharged per page — and the outcome
 // settles into the HA ledger. outs[j].io receives home j's storage service
@@ -230,7 +230,7 @@ func (h *haState) serveMisses(set *ShardSet[*shard], now time.Duration, outs []d
 		h.routes[j] = r
 	}
 	if !missing {
-		return // every page hit: no storage read to fan out
+		return // every page hit: no storage read
 	}
 
 	set.Do(func(t int, sh *shard) {
@@ -303,7 +303,7 @@ func (h *haState) foldRetries(set *ShardSet[*shard], now time.Duration) {
 }
 
 // routeQuiet mirrors routeDemand for background work: no probe charges, no
-// health evidence, no half-open arming — the prefetch fan-out reuses the
+// health evidence, no half-open arming — the prefetch flush reuses the
 // demand turn's discoveries at the same virtual time, and a dead chain is
 // simply skipped (background reads have no waiting client).
 func (h *haState) routeQuiet(j int, now time.Duration) haRoute {
@@ -350,9 +350,10 @@ func (h *haState) observe(now time.Duration) {
 }
 
 // sweepEstimate prices a physically sorted batch as a cold elevator sweep —
-// the pure pre-fan-out cost estimate hedging thresholds on. It deliberately
-// ignores the serving disk's current head (unknowable without racing the
-// fan-out); hedging is a threshold heuristic, not an exact prediction.
+// the pure cost estimate hedging thresholds on, taken before any shard
+// sweeps. It deliberately ignores the serving disk's current head (a
+// coordinator deciding before it issues the window would not know it);
+// hedging is a threshold heuristic, not an exact prediction.
 func (h *haState) sweepEstimate(store *pagestore.Store, sorted []pagestore.PageID) time.Duration {
 	if len(sorted) == 0 {
 		return 0

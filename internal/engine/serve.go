@@ -113,10 +113,10 @@ type ServeConfig struct {
 	Classes []ClassSpec
 	// Shards > 0 routes the commit phase through the in-process sharded
 	// backend (DESIGN.md §12): the page space splits into that many
-	// contiguous Hilbert ranges of the layout key, each owned by a shard
-	// worker with its own slice of the cache, its own per-session disk heads
-	// and its own prefetch-budget arbiter; demand reads and prefetch windows
-	// fan out across the shard workers in parallel and merge as
+	// contiguous Hilbert ranges of the layout key, each a shard with its
+	// own slice of the cache, its own per-session disk heads and its own
+	// prefetch-budget arbiter; demand reads and prefetch windows split by
+	// shard, are priced shard by shard on the commit loop, and merge as
 	// max-over-shards service time plus a per-page routing charge
 	// (CostModel.Route) for pages shipped from non-home shards. Sharding
 	// implies the batched elevator path (Engine.BatchedIO is ignored) and is
@@ -643,7 +643,7 @@ func (p *SessionPlans) Serve(cfg ServeConfig) ServeResult {
 	switch {
 	case cfg.Shards > 0:
 		if cfg.PrivateCaches {
-			panic("engine: ServeConfig{Shards > 0, PrivateCaches: true}: per-session private caches cannot split across shard workers")
+			panic("engine: ServeConfig{Shards > 0, PrivateCaches: true}: per-session private caches cannot split across shards")
 		}
 		// The sharded backend owns its caches; caches/shared stay nil and
 		// every use site below branches on shardSrv.
@@ -819,7 +819,7 @@ func (p *SessionPlans) Serve(cfg ServeConfig) ServeResult {
 		// current contenders, with faults rolled at the turn's commit time.
 		// Every query starts with a cold head, exactly like the
 		// single-session engine (think time moves the head). The sharded
-		// backend does both on every shard inside the demand fan-out.
+		// backend does both on every shard inside demandTurn.
 		if shardSrv == nil {
 			disk.At(s, len(contBuf), t)
 			disk.ResetHead()

@@ -50,40 +50,49 @@ func BenchmarkShardedRunSequence(b *testing.B) {
 	}
 }
 
+// walkWorkloads is n sessions of one random q-query walk each through the
+// cloud, predicted by the straight-line baseline.
+func walkWorkloads(rng *rand.Rand, n, q int) []SessionWorkload {
+	out := make([]SessionWorkload, n)
+	for i := range out {
+		out[i] = SessionWorkload{
+			Sequences:  []workload.Sequence{randomWalk(rng, q, 30)},
+			Prefetcher: prefetch.NewStraightLine(1000),
+		}
+	}
+	return out
+}
+
 // BenchmarkServeCommit times the commit phase alone — SessionPlans.Serve
 // over plans built once outside the timer, the way the mu*/rob1/load1
 // experiments re-commit one plan set under many configs — on the per-page
-// and the batched flush at 16, 64 and 256 sessions of a shared cache under
-// the fair policy with seek interference. ns/op is one whole commit;
-// ns/query divides by the queries it served.
+// flush, the batched flush and the sharded backend (Shards 8, Replicas 2)
+// at 16, 64 and 256 sessions of a shared cache under the fair policy with
+// seek interference. ns/op is one whole commit; ns/query divides by the
+// queries it served.
 func BenchmarkServeCommit(b *testing.B) {
 	store, tree := cloudWorld(b, 20000, 9)
+	base := ServeConfig{
+		Engine:           DefaultConfig(),
+		Policy:           FairShare,
+		InterferenceSeek: 500 * time.Microsecond,
+	}
+	batched, sharded := base, base
+	batched.Engine.BatchedIO = true
+	sharded.Shards, sharded.Replicas = 8, 2
+	paths := []struct {
+		name string
+		cfg  ServeConfig
+	}{{"per-page", base}, {"batched", batched}, {"sharded", sharded}}
 	for _, sessions := range []int{16, 64, 256} {
-		rng := rand.New(rand.NewSource(int64(sessions)))
-		workloads := make([]SessionWorkload, sessions)
-		for i := range workloads {
-			workloads[i] = SessionWorkload{
-				Sequences:  []workload.Sequence{randomWalk(rng, 12, 30)},
-				Prefetcher: prefetch.NewStraightLine(1000),
-			}
-		}
+		workloads := walkWorkloads(rand.New(rand.NewSource(int64(sessions))), sessions, 12)
 		plans := PlanSessions(store, tree, workloads, DefaultConfig().Cost, 0)
-		for _, batched := range []bool{false, true} {
-			cfg := ServeConfig{
-				Engine:           DefaultConfig(),
-				Policy:           FairShare,
-				InterferenceSeek: 500 * time.Microsecond,
-			}
-			cfg.Engine.BatchedIO = batched
-			path := "per-page"
-			if batched {
-				path = "batched"
-			}
-			b.Run(fmt.Sprintf("%s/sessions=%d", path, sessions), func(b *testing.B) {
+		for _, path := range paths {
+			b.Run(fmt.Sprintf("%s/sessions=%d", path.name, sessions), func(b *testing.B) {
 				b.ReportAllocs()
 				var queries int64
 				for i := 0; i < b.N; i++ {
-					queries += plans.Serve(cfg).Queries
+					queries += plans.Serve(path.cfg).Queries
 				}
 				benchServeQueries = queries
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(queries), "ns/query")

@@ -27,15 +27,15 @@ type demandMerge struct {
 }
 
 // serveShardSet is the sharded backend of the commit loop (ServeConfig.
-// Shards > 0): S shard workers over contiguous Hilbert ranges of the layout
-// key, driven through the same plan-then-fan-out router as the
-// single-session ShardedEngine. The commit loop stays the single
-// coordinator — fan-outs from the event loop are sequential — so the
-// virtual-time arithmetic is deterministic; the parallelism lives inside
-// each fan-out. With one shard every split is a no-op, shard 0's cache,
-// disk and arbiter are built exactly like the unsharded serve's, and the
-// whole turn is bit-exact with the unsharded BatchedIO commit path
-// (TestServeShardedSingleShardBitExact).
+// Shards > 0): S shards over contiguous Hilbert ranges of the layout key,
+// driven through the same split-route-merge router as the single-session
+// ShardedEngine. The commit loop is the single coordinator and visits the
+// shards in order (ShardSet.Do), so the virtual-time arithmetic is
+// deterministic; the fleet's parallelism is modelled — max over the shards'
+// service times — not executed. With one shard every split is a no-op,
+// shard 0's cache, disk and arbiter are built exactly like the unsharded
+// serve's, and the whole turn is bit-exact with the unsharded BatchedIO
+// commit path (TestServeShardedSingleShardBitExact).
 type serveShardSet struct {
 	router Router
 	set    *ShardSet[*shard]
@@ -59,7 +59,7 @@ type serveShardSet struct {
 // resolveCacheShards, the same rule as the unsharded serve cache), and each
 // shard gets its own per-session disk heads, interference ledger and
 // arbiter. inj must be nil unless the caller's faultsOn gate passed, so the
-// fault-free path stays branch-free inside the workers.
+// fault-free path stays branch-free inside the shard turns.
 func newServeShardSet(store *pagestore.Store, cfg ServeConfig, sessions, capacity int, inj *fault.Injector) *serveShardSet {
 	shards := cfg.Shards
 	base, extra := capacity/shards, capacity%shards
@@ -109,7 +109,7 @@ func (sv *serveShardSet) setShedding(session int, shed bool) {
 }
 
 // demandTurn runs one turn's demand phase: split the demand set by shard
-// range, fan out (each shard binds its disk to the session's head, the
+// range, visit every shard (each binds its disk to the session's head, the
 // contender count and the turn's commit time, resets that head, charges
 // stalls on its own cache's shard index and looks up its pages), read the
 // misses through the failover router (haState.serveMisses: each miss
@@ -153,14 +153,15 @@ func (sv *serveShardSet) demandTurn(s int, pages []pagestore.PageID, contenders 
 }
 
 // prefetchTurn runs one granted prefetch window: the step's plan-time
-// elevator batch (step.batch) splits by shard range (each part stays an elevator batch)
-// and every shard asks ITS arbiter for a grant against the full window
-// budget — the shard disks sweep concurrently, so the fleet may spend up to
-// S grants of device time while the window (PrefetchIO, the slowest shard's
-// spend) still closes on time. That is the scale-out win. The sweeps are
-// charged to the read context demandTurn bound for this turn (same session,
-// contenders and commit time). grant0 is shard 0's grant, which paces the
-// background scrub exactly like the unsharded grant does.
+// elevator batch (step.batch) splits by shard range (each part stays an
+// elevator batch) and every shard asks ITS arbiter for a grant against the
+// full window budget — the modelled shard disks sweep side by side, so the
+// fleet may spend up to S grants of device time while the window
+// (PrefetchIO, the slowest shard's spend) still closes on time. That is the
+// scale-out win. The sweeps are charged to the read context demandTurn bound
+// for this turn (same session, contenders and commit time). grant0 is shard
+// 0's grant, which paces the background scrub exactly like the unsharded
+// grant does.
 func (sv *serveShardSet) prefetchTurn(s int, batch []pagestore.PageID, budget time.Duration, contenders []int, now time.Duration) (prefetched int, io, grant0 time.Duration) {
 	sv.pparts = sv.router.Split(batch, sv.pparts)
 	parts, outs := sv.pparts, sv.pref
@@ -175,9 +176,8 @@ func (sv *serveShardSet) prefetchTurn(s int, batch []pagestore.PageID, budget ti
 		// Background reads have no failover on the serve path (demand
 		// failover is what protects waiting clients): an outaged home simply
 		// skips its window, a browned one sweeps at its multiplier and
-		// delivers fewer pages per grant. ShardOutage/ShardBrownout are pure
-		// (and nil-safe: no shard faults, no outage, factor 1), so this is
-		// safe on the workers.
+		// delivers fewer pages per grant. ShardOutage/ShardBrownout are
+		// nil-safe: no shard faults, no outage, factor 1.
 		if ha.inj.ShardOutage(i, sv.set.Shards(), now) {
 			return
 		}
@@ -254,8 +254,7 @@ func (sv *serveShardSet) ledger(session int) SessionLedger {
 }
 
 // finish folds the fleet's disk, interference and cache ledgers into the
-// result (per-shard disk stats kept in shard order for the experiments)
-// and stops the workers.
+// result (per-shard disk stats kept in shard order for the experiments).
 func (sv *serveShardSet) finish(res *ServeResult) {
 	res.HA = sv.ha.stats
 	res.ShardDisks = make([]pagestore.DiskStats, sv.set.Shards())
@@ -276,5 +275,4 @@ func (sv *serveShardSet) finish(res *ServeResult) {
 		res.Cache.Evictions += snap.Evictions
 		res.Cache.Shards += snap.Shards
 	}
-	sv.set.Close()
 }

@@ -97,9 +97,9 @@ func TestServeShardedSingleShardBitExact(t *testing.T) {
 }
 
 // TestServeShardedCrossWorkerByteIdentity: a multi-shard serve must be
-// byte-identical for any plan-phase worker count and across repeated runs —
-// the per-shard fan-outs run on real goroutines, so under -race this is
-// also the memory-safety check for the serve-side shard fleet. The workload
+// byte-identical for any plan-phase worker count and across repeated runs;
+// under -race this also checks the plan phase's goroutines against the
+// commit loop that then walks the shard fleet. The workload
 // must actually exercise routing (some query fans out) for the check to
 // mean anything.
 func TestServeShardedCrossWorkerByteIdentity(t *testing.T) {
@@ -198,7 +198,7 @@ func TestServeShardedUnreplicatedHALedgerZero(t *testing.T) {
 }
 
 // TestServeShardedRejectsPrivateCaches: per-session private caches cannot
-// split across shard workers; the config is a programming error and must
+// split across shards; the config is a programming error and must
 // fail loudly, not quietly misaccount.
 func TestServeShardedRejectsPrivateCaches(t *testing.T) {
 	store, tree := lineWorld(t, 500)

@@ -1,7 +1,7 @@
 package engine
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"scout/internal/cache"
@@ -11,12 +11,13 @@ import (
 	"scout/internal/workload"
 )
 
-// shard is one shard worker's private state: its slice of the prefetch
-// cache, a disk with its own heads and seek ledger over the shard's physical
-// range, scratch, and — on the serving path only — its own prefetch-budget
-// arbiter (the "per-shard arbiter pool"). Only the shard's worker goroutine
-// touches it during a fan-out; the coordinator may read it between fan-outs
-// (the ShardSet's WaitGroup gives the happens-before edge).
+// shard is one shard's state: its slice of the prefetch cache, a disk with
+// its own heads and seek ledger over the shard's physical range, scratch,
+// and — on the serving path only — its own prefetch-budget arbiter (the
+// "per-shard arbiter pool"). The coordinator visits it in shard order
+// (ShardSet.Do); within one phase a shard writes only its own state and
+// result slot and reads other shards' scratch (miss, batch) as left by the
+// previous phase.
 type shard struct {
 	disk  *pagestore.Disk
 	cache *cache.Sharded
@@ -61,7 +62,7 @@ type demandOut struct {
 	miss   int // miss pages actually served
 }
 
-// prefetchOut is shard i's result slot for one prefetch-window fan-out.
+// prefetchOut is shard i's result slot for one prefetch window.
 type prefetchOut struct {
 	spent time.Duration
 	n     int
@@ -69,11 +70,12 @@ type prefetchOut struct {
 
 // ShardedEngine is the scale-out variant of Engine: the page space is
 // partitioned into S contiguous Hilbert ranges of the layout key
-// (pagestore.Partition), each owned by a shard worker with its own cache
-// slice, disk head and seek state. A stateless Router splits every demand
-// set and prefetch prediction set by range; per-shard elevator batches run
-// genuinely in parallel on the shard workers, and the merged service time
-// is the slowest shard (parallel I/O) plus a per-page routing charge for
+// (pagestore.Partition), each owned by a shard with its own cache slice,
+// disk head and seek state. A stateless Router splits every demand set and
+// prefetch prediction set by range; the shards' disks are modelled as
+// running in parallel — each per-shard elevator batch is priced on its own
+// head, one shard after another on the coordinator, and the merged service
+// time is the slowest shard (parallel I/O) plus a per-page routing charge for
 // pages shipped from non-home shards. The plan phase (prefetcher observe +
 // plan) is untouched, and the commit arithmetic is deterministic, so output
 // is byte-identical run-to-run; with S=1 every split is a no-op and the
@@ -90,7 +92,7 @@ type ShardedEngine struct {
 	router Router
 	set    *ShardSet[*shard]
 
-	// Coordinator-owned fan-out scratch.
+	// Per-turn scratch: splits and per-shard result slots.
 	parts    [][]pagestore.PageID
 	pparts   [][]pagestore.PageID
 	demand   []demandOut
@@ -108,7 +110,7 @@ type ShardedEngine struct {
 	ha        *haState
 	haFlush   bool
 	vclock    time.Duration // virtual serving clock: sum of Residual+Window over all queries run
-	prefHedge []prefetchOut // hedge result slots for the prefetch fan-out
+	prefHedge []prefetchOut // hedge result slots for the prefetch flush
 	estBuf    []time.Duration
 }
 
@@ -118,7 +120,7 @@ type ShardedEngine struct {
 // cache.Sharded with a single internal shard, i.e. an exact LRU over that
 // shard's slice, which is what makes S=1 cache behavior identical to the
 // unsharded engine's. Reads always take the batched elevator path —
-// Config.BatchedIO is implied. Close must be called to stop the workers.
+// Config.BatchedIO is implied.
 func NewShardedEngine(store *pagestore.Store, index Index, cfg Config, shards int) *ShardedEngine {
 	if cfg.Cost == (pagestore.CostModel{}) {
 		cfg.Cost = pagestore.DefaultCostModel()
@@ -177,8 +179,9 @@ func (e *ShardedEngine) Shards() int { return e.shards }
 // Router exposes the engine's router (for tests).
 func (e *ShardedEngine) Router() Router { return e.router }
 
-// Close stops the shard workers. The engine must be idle.
-func (e *ShardedEngine) Close() { e.set.Close() }
+// Close releases nothing — the engine owns no goroutines or files — and
+// stays so that callers keep pairing NewShardedEngine with it.
+func (e *ShardedEngine) Close() {}
 
 // Clone creates an independent sharded engine over the same store and index
 // with fresh shard state (parallel runs give every coordinator a clone).
@@ -216,7 +219,7 @@ func (e *ShardedEngine) ResetStats() {
 
 // RunSequence mirrors Engine.RunSequence step for step — same clearing
 // discipline, same observe/plan flow, same window arithmetic — with the
-// demand read and the prefetch flush fanned out across the shard workers.
+// demand read and the prefetch flush split across the shards.
 // Comments that would duplicate the unsharded path are omitted; see
 // engine.go. Divergences:
 //
@@ -224,7 +227,7 @@ func (e *ShardedEngine) ResetStats() {
 //     shards' disks run in parallel) plus Route per page shipped from a
 //     non-home shard. Cold charges routing for the whole demand set (cold
 //     means nothing is cached anywhere); Residual charges it for remote
-//     misses only — a remote cache hit is returned by the shard worker from
+//     misses only — a remote cache hit is returned by its shard from
 //     memory and its handoff is folded into CacheHit-scale noise we do not
 //     model, keeping hits free exactly as on the unsharded path.
 //   - The prefetch window closes per shard: every shard may sweep up to the
@@ -357,10 +360,10 @@ func (e *ShardedEngine) gatherBatch(plan prefetch.Plan) []pagestore.PageID {
 
 // executePlanSharded is executePlanBatched with the elevator batch split by
 // shard range: each shard sweeps its part against its own cache under the
-// full window budget, concurrently. Shard ranges are contiguous in physical
-// order, so every part is itself an elevator batch, and with S=1 the single
-// part is the global batch and the arithmetic is bit-exact with the
-// unsharded flush.
+// full window budget (the modelled disks run side by side). Shard ranges
+// are contiguous in physical order, so every part is itself an elevator
+// batch, and with S=1 the single part is the global batch and the
+// arithmetic is bit-exact with the unsharded flush.
 func (e *ShardedEngine) executePlanSharded(plan prefetch.Plan, budget time.Duration) (int, time.Duration) {
 	e.pparts = e.router.Split(elevatorBatch(e.store, e.gatherBatch(plan)), e.pparts)
 	outs := e.prefetch
@@ -398,8 +401,8 @@ func hashResult(h uint64, qi int, result []pagestore.ObjectID) uint64 {
 	return h
 }
 
-// demandRead is the demand read (DESIGN.md §12, §13), split into two
-// fan-outs so the coordinator can route between them:
+// demandRead is the demand read (DESIGN.md §12, §13), in two passes over the
+// shards with the routing decision between them:
 //
 //	A: every home shard prices its cold sweep and runs its cache lookups —
 //	   no storage reads yet, only the miss sub-batches are known after this.
@@ -490,7 +493,7 @@ func (sh *shard) priceSweep(store *pagestore.Store, batch []pagestore.PageID, ma
 }
 
 // executePlanShardedHA is executePlanSharded with failover routing and
-// hedged reads, split into three fan-outs:
+// hedged reads, in three passes over the shards:
 //
 //	A: each home assembles its sub-batch against its own cache (dedup +
 //	   elevator order), exactly as the plain path does inline.
@@ -501,10 +504,11 @@ func (sh *shard) priceSweep(store *pagestore.Store, batch []pagestore.PageID, ma
 //	C: the coordinator takes the cheaper outcome of each hedged pair, and
 //	   every home replays its winner's delivered run prefix into its own
 //	   cache — insertion must happen on the home (the cache slice is the
-//	   home's), which is why pricing and insertion are separate fan-outs.
+//	   home's) and needs the winner, which is why pricing and insertion
+//	   are separate passes.
 //
 // Healthy chains reduce to home-serves-home with no hedge marks, and the
-// three fan-outs replay the plain path's disk and cache call sequences
+// three passes replay the plain path's disk and cache call sequences
 // verbatim.
 func (e *ShardedEngine) executePlanShardedHA(plan prefetch.Plan, budget time.Duration) (int, time.Duration) {
 	e.pparts = e.router.Split(e.gatherBatch(plan), e.pparts)
@@ -625,7 +629,7 @@ func (e *ShardedEngine) planHedge(now time.Duration) {
 	if len(est) < 2 {
 		return
 	}
-	sort.Slice(est, func(a, b int) bool { return est[a] < est[b] })
+	slices.Sort(est)
 	median := est[len(est)/2]
 	if median <= 0 || float64(slowEst) <= ha.hedge*float64(median) {
 		return

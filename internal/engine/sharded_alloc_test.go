@@ -1,0 +1,74 @@
+package engine
+
+import (
+	"math/rand"
+	"testing"
+	"time"
+
+	"scout/internal/fault"
+	"scout/internal/pagestore"
+	"scout/internal/prefetch"
+)
+
+// TestShardedTurnAllocations is the gate that keeps a shard turn on the
+// coordinator: with one goroutine per shard every ShardSet.Do mailed S
+// heap-allocated closures past a WaitGroup, four to six times a query (41
+// allocations per served query, 64 per RunSequence query at S=8). What is
+// left is per commit or per sequence — result rows, trace slices, the
+// observation's page copy — so the per-query ceilings sit a little above
+// today's readings and an order of magnitude below a hand-off's.
+func TestShardedTurnAllocations(t *testing.T) {
+	store, tree := cloudWorld(t, 20000, 9)
+	if err := store.Relayout(pagestore.HilbertLayout()); err != nil {
+		t.Fatal(err)
+	}
+	defer store.Relayout(pagestore.InsertionLayout())
+	plan, err := fault.ParseProfile("shard:flaky", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	t.Run("serve", func(t *testing.T) {
+		workloads := walkWorkloads(rand.New(rand.NewSource(16)), 16, 25)
+		plans := PlanSessions(store, tree, workloads, DefaultConfig().Cost, 1)
+		cfg := ServeConfig{
+			Engine:           DefaultConfig(),
+			Policy:           FairShare,
+			InterferenceSeek: 500 * time.Microsecond,
+			Shards:           8,
+			Replicas:         2,
+			Breaker:          DefaultBreakerConfig(),
+			Admission:        AdmissionConfig{Enabled: true, MaxConcurrent: 8, Degrade: true},
+			Faults:           fault.New(plan),
+		}
+		res := plans.Serve(cfg)
+		if res.HA.FailedOverPages == 0 {
+			t.Fatal("shard:flaky never failed over; the commit skips the HA turn")
+		}
+		perQuery := testing.AllocsPerRun(5, func() { plans.Serve(cfg) }) / float64(res.Queries)
+		t.Logf("%.2f allocs/query over %d queries", perQuery, res.Queries)
+		if perQuery > 4 {
+			t.Errorf("sharded-HA commit: %.1f allocs/query, want <= 4", perQuery)
+		}
+	})
+
+	t.Run("run_sequence", func(t *testing.T) {
+		cfg := DefaultConfig()
+		cfg.Replicas = 2
+		cfg.Hedge = 1.5
+		cfg.Faults = fault.New(plan)
+		e := NewShardedEngine(store, tree, cfg, 8)
+		defer e.Close()
+		seq := randomWalk(rand.New(rand.NewSource(5)), 25, 30)
+		p := prefetch.NewStraightLine(1000)
+		e.RunSequence(seq, p)
+		if e.HAStats().HedgedWindows == 0 {
+			t.Fatal("no window hedged; the sequence skips planHedge")
+		}
+		perQuery := testing.AllocsPerRun(5, func() { e.RunSequence(seq, p) }) / float64(len(seq.Queries))
+		t.Logf("%.2f allocs/query", perQuery)
+		if perQuery > 16 {
+			t.Errorf("hedged S=8/R=2 RunSequence: %.1f allocs/query, want <= 16", perQuery)
+		}
+	})
+}

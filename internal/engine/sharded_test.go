@@ -3,7 +3,6 @@ package engine
 import (
 	"math/rand"
 	"reflect"
-	"sync"
 	"testing"
 
 	"scout/internal/pagestore"
@@ -125,8 +124,8 @@ func TestShardedResultSetsMatchUnsharded(t *testing.T) {
 }
 
 // TestShardedDeterministic: two fresh sharded engines (and a Clone) replay
-// the same workload bit-identically — the parallel per-shard sweeps must not
-// leak scheduling into the virtual clock.
+// the same workload bit-identically — nothing outside the engine's own
+// state may reach the virtual clock.
 func TestShardedDeterministic(t *testing.T) {
 	store, tree := cloudWorld(t, 3000, 19)
 	if err := store.Relayout(pagestore.HilbertLayout()); err != nil {
@@ -152,66 +151,34 @@ func TestShardedDeterministic(t *testing.T) {
 	}
 }
 
-// TestShardSetRaceHammer drives one shared ShardSet from 16 concurrent
-// coordinators under -race: the mailboxes must serialize every shard's
-// state perfectly (the per-shard counters and disk ledgers come out exact),
-// and the stateless Router must tolerate concurrent Splits. Determinism of
-// a single coordinator is covered elsewhere; this test is about memory
-// safety and serialization.
-func TestShardSetRaceHammer(t *testing.T) {
-	store, tree := cloudWorld(t, 2000, 13)
-	if err := store.Relayout(pagestore.HilbertLayout()); err != nil {
-		t.Fatal(err)
-	}
-	defer store.Relayout(pagestore.InsertionLayout())
-
+// TestShardSetOrder pins the ShardSet contract: Do visits shards 0..S-1 in
+// order on the caller's goroutine. The visit counter is plain unsynchronised
+// memory, so under -race a hand-off to another goroutine would be reported
+// as well as mis-ordered.
+func TestShardSetOrder(t *testing.T) {
 	const shards = 8
-	const coordinators = 16
-	const rounds = 25
-	type hammerShard struct {
-		disk  *pagestore.Disk
-		reads int64
-	}
-	state := make([]*hammerShard, shards)
+	state := make([]*int, shards)
 	for i := range state {
-		state[i] = &hammerShard{disk: pagestore.NewDisk(store, pagestore.DefaultCostModel())}
+		state[i] = new(int)
 	}
 	set := NewShardSet(state)
-	defer set.Close()
-	router := NewRouter(store, pagestore.NewPartition(store, shards), pagestore.DefaultCostModel())
+	if set.Shards() != shards {
+		t.Fatalf("Shards() = %d, want %d", set.Shards(), shards)
+	}
 
-	var wg sync.WaitGroup
-	for c := 0; c < coordinators; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(c)))
-			var parts [][]pagestore.PageID
-			for r := 0; r < rounds; r++ {
-				seq := randomWalk(rng, 2, 20)
-				pages := tree.QueryPages(seq.Queries[0].Region, nil)
-				parts = router.Split(pages, parts)
-				snapshot := parts
-				set.Do(func(i int, sh *hammerShard) {
-					for _, pg := range snapshot[i] {
-						sh.disk.ReadPage(pg)
-						sh.reads++
-					}
-				})
+	visits := 0
+	for round := 0; round < 3; round++ {
+		set.Do(func(i int, slot *int) {
+			if slot != set.State(i) {
+				t.Fatalf("round %d: shard %d handed another shard's state", round, i)
 			}
-		}(c)
+			if want := round*shards + i; visits != want {
+				t.Fatalf("round %d: shard %d visited at step %d, want %d", round, i, visits, want)
+			}
+			visits++
+		})
 	}
-	wg.Wait()
-
-	var reads, pagesRead int64
-	for _, sh := range state {
-		reads += sh.reads
-		pagesRead += sh.disk.Stats().PagesRead
-	}
-	if reads != pagesRead {
-		t.Fatalf("shard ledgers torn: %d reads vs %d pages read", reads, pagesRead)
-	}
-	if pagesRead == 0 {
-		t.Fatal("hammer read nothing")
+	if visits != 3*shards {
+		t.Fatalf("%d visits, want %d", visits, 3*shards)
 	}
 }

@@ -1,92 +1,38 @@
 package engine
 
-import "sync"
-
-// shardTask is one unit of work mailed to a shard worker.
-type shardTask struct {
-	fn func()
-	wg *sync.WaitGroup
-}
-
-// ShardSet runs one long-lived worker goroutine per shard, each draining its
-// own channel mailbox. A shard's mutable state (disk head, cache, arbiter) is
-// touched only by closures executed on that shard's worker, so per-shard
-// state needs no locks and fan-outs across shards genuinely overlap. The
-// mailbox serializes tasks per shard, which makes a ShardSet safe to drive
-// from multiple coordinators concurrently (the race hammer does); the
-// ordering — and therefore determinism — of a single coordinator's fan-outs
-// is preserved because Do waits for every shard before returning.
+// ShardSet holds one state entry per shard and visits them in shard order.
+// It is a single-coordinator object, like Engine, cache.Cache and
+// pagestore.Disk: the shard fleet is a cost model — parallel heads are
+// max-over-shards arithmetic on the coordinator's virtual clock — and a
+// shard's turn is a few hundred nanoseconds of work, so the turn runs on the
+// goroutine that called Do. Nothing here synchronises; concurrent callers
+// need one set each.
 type ShardSet[T any] struct {
 	state []T
-	mail  []chan shardTask
-	done  sync.WaitGroup
 }
 
-// NewShardSet starts one worker per state entry.
+// NewShardSet wraps one state entry per shard.
 func NewShardSet[T any](state []T) *ShardSet[T] {
-	ss := &ShardSet[T]{state: state, mail: make([]chan shardTask, len(state))}
-	for i := range state {
-		ch := make(chan shardTask)
-		ss.mail[i] = ch
-		ss.done.Add(1)
-		go func() {
-			defer ss.done.Done()
-			for t := range ch {
-				t.fn()
-				t.wg.Done()
-			}
-		}()
-	}
-	return ss
+	return &ShardSet[T]{state: state}
 }
 
 // Shards returns the shard count.
 func (ss *ShardSet[T]) Shards() int { return len(ss.state) }
 
-// State returns shard i's state. Callers may touch it directly only between
-// fan-outs they themselves issued (Do's wait establishes the necessary
-// happens-before edge); during a fan-out it belongs to the worker.
+// State returns shard i's state.
 func (ss *ShardSet[T]) State(i int) T { return ss.state[i] }
 
-// Do mails fn to every shard worker and waits for all of them. The closures
-// run concurrently across shards; fn must confine itself to shard i's state
-// and any result slot dedicated to shard i.
-//
-// A panic inside fn is caught on the worker, the barrier still completes
-// (every other shard finishes its task and the mailbox stays drainable),
-// and the first panic value — by completion order — re-panics on the
-// coordinator. Swallowing it would turn a shard bug into silent data loss;
-// letting it kill the worker goroutine would deadlock every later fan-out.
+// Do calls fn(i, state[i]) for i = 0..S-1, in shard order, on the calling
+// goroutine. fn must confine its writes to shard i's state and any result
+// slot dedicated to shard i, so that a turn's outcome does not depend on the
+// visiting order. A panic in fn propagates from the shard that raised it:
+// earlier shards have run, later ones have not.
 func (ss *ShardSet[T]) Do(fn func(i int, st T)) {
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var panicked any
-	wg.Add(len(ss.mail))
-	for i := range ss.mail {
-		i := i
-		ss.mail[i] <- shardTask{fn: func() {
-			defer func() {
-				if r := recover(); r != nil {
-					mu.Lock()
-					if panicked == nil {
-						panicked = r
-					}
-					mu.Unlock()
-				}
-			}()
-			fn(i, ss.state[i])
-		}, wg: &wg}
-	}
-	wg.Wait()
-	if panicked != nil {
-		panic(panicked)
+	for i, st := range ss.state {
+		fn(i, st)
 	}
 }
 
-// Close stops the workers and waits for them to exit. The set must be idle.
-func (ss *ShardSet[T]) Close() {
-	for _, ch := range ss.mail {
-		close(ch)
-	}
-	ss.done.Wait()
-}
+// Close does nothing: a ShardSet owns no goroutines. It remains for callers
+// written against the worker-per-shard set.
+func (ss *ShardSet[T]) Close() {}
