@@ -1,0 +1,346 @@
+package engine
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+	"time"
+
+	"scout/internal/fault"
+	"scout/internal/pagestore"
+	"scout/internal/prefetch"
+	"scout/internal/workload"
+)
+
+// fingerprint folds the %+v rendering of its arguments with FNV-1a: every
+// field of every nested result, trace and ledger row moves it.
+func fingerprint(vs ...any) uint64 {
+	h := fnvOffset
+	for _, v := range vs {
+		for _, b := range []byte(fmt.Sprintf("%+v|", v)) {
+			h = (h ^ uint64(b)) * fnvPrime
+		}
+	}
+	return h
+}
+
+// withoutFanOut strips the fan-out bookkeeping — QueryTrace.Fanout and
+// SequenceResult.ResultHash — from results of the one-range configurations
+// (Engine through New, Serve with Shards 0). Those two fields say nothing
+// about behaviour there (nothing fans out; the served sets are hashed on the
+// sharded rows) and whether a one-range run bothers to fill them is not part
+// of what the table pins. Everything else, and every field of the sharded
+// rows, is.
+func withoutFanOut(seqs []SequenceResult) []SequenceResult {
+	out := make([]SequenceResult, len(seqs))
+	for i, r := range seqs {
+		r.ResultHash = 0
+		r.Queries = append([]QueryTrace(nil), r.Queries...)
+		for k := range r.Queries {
+			r.Queries[k].Fanout = 0
+		}
+		out[i] = r
+	}
+	return out
+}
+
+// coreFingerprints was recorded at commit 7fb4c01, before the four execution
+// paths were folded onto one shard fleet, and is the oracle that fold leans
+// on: the 31 experiment goldens have known holes (two wrong programs have
+// passed all of them), so every configuration the fold moves is pinned here
+// field by field. A row may only change with a stated behavioural reason.
+var coreFingerprints = map[string]uint64{
+	"engine/insertion/per-page":        0xe43fd3f7528b7a7,
+	"engine/insertion/batched":         0xa04bb99909901dce,
+	"engine/hilbert/per-page":          0x5d3505731ecba9fa,
+	"engine/hilbert/per-page/heavy":    0x7be280fbf6802164,
+	"engine/hilbert/batched":           0xa7203f8a4cbfbfe5,
+	"engine/hilbert/batched/heavy":     0x5163c003d09adb4,
+	"engine/str/per-page":              0xb07308d76b058f79,
+	"engine/str/batched":               0x6a5c39ddfee4ca77,
+	"sharded/S=1/R=1/hedge=0/none":     0x6e3444d9950b674d,
+	"sharded/S=1/R=1/hedge=0/flaky1":   0x41b8e18e851aa5c9,
+	"sharded/S=1/R=1/hedge=0/flaky3":   0x9f0ba24d67a99533,
+	"sharded/S=1/R=1/hedge=1.5/none":   0x6e3444d9950b674d,
+	"sharded/S=1/R=1/hedge=1.5/flaky1": 0x41b8e18e851aa5c9,
+	"sharded/S=1/R=1/hedge=1.5/flaky3": 0x9f0ba24d67a99533,
+	"sharded/S=1/R=2/hedge=0/none":     0x6e3444d9950b674d,
+	"sharded/S=1/R=2/hedge=0/flaky1":   0x41b8e18e851aa5c9,
+	"sharded/S=1/R=2/hedge=0/flaky3":   0x9f0ba24d67a99533,
+	"sharded/S=1/R=2/hedge=1.5/none":   0x6e3444d9950b674d,
+	"sharded/S=1/R=2/hedge=1.5/flaky1": 0x41b8e18e851aa5c9,
+	"sharded/S=1/R=2/hedge=1.5/flaky3": 0x9f0ba24d67a99533,
+	"sharded/S=4/R=1/hedge=0/none":     0xd743dbb73c087159,
+	"sharded/S=4/R=1/hedge=0/flaky1":   0x945731a1d94372ba,
+	"sharded/S=4/R=1/hedge=0/flaky3":   0x8cfd9ebda0b0b818,
+	"sharded/S=4/R=1/hedge=1.5/none":   0xd743dbb73c087159,
+	"sharded/S=4/R=1/hedge=1.5/flaky1": 0x945731a1d94372ba,
+	"sharded/S=4/R=1/hedge=1.5/flaky3": 0x8cfd9ebda0b0b818,
+	"sharded/S=4/R=2/hedge=0/none":     0xd743dbb73c087159,
+	"sharded/S=4/R=2/hedge=0/flaky1":   0xb3fe6e98f6e839f4,
+	"sharded/S=4/R=2/hedge=0/flaky3":   0x1f8d0629a766af8a,
+	"sharded/S=4/R=2/hedge=1.5/none":   0xd743dbb73c087159,
+	"sharded/S=4/R=2/hedge=1.5/flaky1": 0xb50916c5ea5f32b8,
+	"sharded/S=4/R=2/hedge=1.5/flaky3": 0x1f8d0629a766af8a,
+	"sharded/S=8/R=1/hedge=0/none":     0x24224b331db93db5,
+	"sharded/S=8/R=1/hedge=0/flaky1":   0xf4eba5f53ce7c5c5,
+	"sharded/S=8/R=1/hedge=0/flaky3":   0x1ff3933052bde74,
+	"sharded/S=8/R=1/hedge=1.5/none":   0x24224b331db93db5,
+	"sharded/S=8/R=1/hedge=1.5/flaky1": 0xf4eba5f53ce7c5c5,
+	"sharded/S=8/R=1/hedge=1.5/flaky3": 0x1ff3933052bde74,
+	"sharded/S=8/R=2/hedge=0/none":     0x24224b331db93db5,
+	"sharded/S=8/R=2/hedge=0/flaky1":   0xcc71f7fbc71c74ec,
+	"sharded/S=8/R=2/hedge=0/flaky3":   0xfc776bb3923d74d4,
+	"sharded/S=8/R=2/hedge=1.5/none":   0x24224b331db93db5,
+	"sharded/S=8/R=2/hedge=1.5/flaky1": 0xcc71f7fbc71c74ec,
+	"sharded/S=8/R=2/hedge=1.5/flaky3": 0xf20774d22e9d062a,
+	"serve/fair/shared/per-page":       0x60b633753cc34378,
+	"serve/fair/shared/batched":        0xaf029d205442d3e6,
+	"serve/fair/private/per-page":      0x47055d62c18f6487,
+	"serve/fair/private/batched":       0x4705cb39a8e75946,
+	"serve/demand/shared/per-page":     0x3fc4f50c6f9f8578,
+	"serve/demand/shared/batched":      0x836413180f476ace,
+	"serve/demand/private/per-page":    0x8f79e123678c0e5a,
+	"serve/demand/private/batched":     0x60dcbb652a121e1a,
+	"serve/starved/shared/per-page":    0xc9c736b60fd0e5ee,
+	"serve/starved/shared/batched":     0xc2487329201ab563,
+	"serve/starved/private/per-page":   0x7033c41e2874f5ab,
+	"serve/starved/private/batched":    0x7c6340353ff9387e,
+	"serve/none/shared/per-page":       0xbd7b1f4cf3a4489a,
+	"serve/none/shared/batched":        0x357265a1e3781c5f,
+	"serve/none/private/per-page":      0x67873a99564be3b,
+	"serve/none/private/batched":       0xf7dc9d24ae7a04e1,
+	"serve/robust/per-page":            0xb56663e05d2f411d,
+	"serve/robust/private/per-page":    0xd3fc7d8f65fe278f,
+	"serve/robust/batched":             0x83efd8fc4fab4f70,
+	"serve/robust/private/batched":     0x48f41034de84857f,
+	"serve/robust/S=1":                 0x34b7846ab7059b4,
+	"serve/classes/per-page":           0xc6d1f9ba1146cd58,
+	"serve/classes/batched":            0xca60e572f7f36fe2,
+	"serve/classes/S=4":                0x1fabf1304ff542e2,
+	"serve/flaky/S=1/R=1":              0x495de75f09915ccf,
+	"serve/flaky/S=1/R=2":              0x495de75f09915ccf,
+	"serve/flaky/S=4/R=1":              0x1a282698608d87ae,
+	"serve/flaky/S=4/R=2":              0x7a9462804c97ed0,
+	"serve/flaky/S=0":                  0xe818e7eeecd2023c,
+}
+
+// TestCoreFingerprints runs every execution-core configuration — Engine
+// {per-page, batched} under each layout and under page faults; ShardedEngine
+// over shard counts, replication, hedging and shard faults; Serve over
+// policy × cache mode × I/O mode, the robustness stack, open-loop classes,
+// and the replicated fleet under shard faults — and compares the FNV-1a of
+// the whole result (traces, ledgers, disk, cache and HA stats) against
+// constants.
+func TestCoreFingerprints(t *testing.T) {
+	seen := map[string]bool{}
+	check := func(name string, got uint64) {
+		t.Helper()
+		seen[name] = true
+		want, ok := coreFingerprints[name]
+		if !ok {
+			t.Errorf("unrecorded row:\n\t%q: %#x,", name, got)
+		} else if got != want {
+			t.Errorf("%s: fingerprint %#x, want %#x", name, got, want)
+		}
+	}
+	flaky := func(seed int64) *fault.Injector {
+		plan, err := fault.ParseProfile("shard:flaky", seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fault.New(plan)
+	}
+	ioModes := []struct {
+		name    string
+		batched bool
+	}{{"per-page", false}, {"batched", true}}
+
+	t.Run("engine", func(t *testing.T) {
+		store, tree := cloudWorld(t, 4000, 31)
+		defer store.Relayout(pagestore.InsertionLayout())
+		rng := rand.New(rand.NewSource(41))
+		seqs := []workload.Sequence{randomWalk(rng, 12, 20), randomWalk(rng, 15, 20)}
+		run := func(cfg Config) uint64 {
+			e := New(store, tree, cfg)
+			p := prefetch.NewStraightLine(20 * 20 * 20)
+			var res []SequenceResult
+			for _, seq := range seqs {
+				res = append(res, e.RunSequence(seq, p))
+			}
+			return fingerprint(withoutFanOut(res), e.Disk().Stats(), e.Cache().Stats())
+		}
+		for _, layout := range pagestore.LayoutNames() {
+			l, err := pagestore.ParseLayout(layout)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := store.Relayout(l); err != nil {
+				t.Fatal(err)
+			}
+			for _, io := range ioModes {
+				cfg := DefaultConfig()
+				cfg.BatchedIO = io.batched
+				check(fmt.Sprintf("engine/%s/%s", layout, io.name), run(cfg))
+				if layout == "hilbert" {
+					// An armed engine disk rolls faults on its own clock (its
+					// accumulated I/O time), not on a serving clock.
+					cfg.Faults = heavyInjector(t, 7)
+					check(fmt.Sprintf("engine/%s/%s/heavy", layout, io.name), run(cfg))
+				}
+			}
+		}
+	})
+
+	t.Run("sharded", func(t *testing.T) {
+		store, tree := cloudWorld(t, 4000, 31)
+		if err := store.Relayout(pagestore.HilbertLayout()); err != nil {
+			t.Fatal(err)
+		}
+		defer store.Relayout(pagestore.InsertionLayout())
+		rng := rand.New(rand.NewSource(43))
+		seqs := []workload.Sequence{randomWalk(rng, 14, 24), randomWalk(rng, 12, 24)}
+		for _, shards := range []int{1, 4, 8} {
+			for _, replicas := range []int{1, 2} {
+				for _, hedge := range []float64{0, 1.5} {
+					// Seed 1 hedges a window at S=4, seed 3 at S=8; both fail over.
+					for _, faultSeed := range []int64{0, 1, 3} {
+						cfg := DefaultConfig()
+						cfg.Replicas, cfg.Hedge = replicas, hedge
+						faults := "none"
+						if faultSeed > 0 {
+							cfg.Faults = flaky(faultSeed)
+							faults = fmt.Sprintf("flaky%d", faultSeed)
+						}
+						e := NewShardedEngine(store, tree, cfg, shards)
+						p := prefetch.NewStraightLine(24 * 24 * 24)
+						var res []SequenceResult
+						for _, seq := range seqs {
+							// The virtual serving clock runs on across sequences.
+							res = append(res, e.RunSequence(seq, p))
+						}
+						check(fmt.Sprintf("sharded/S=%d/R=%d/hedge=%v/%s", shards, replicas, hedge, faults),
+							fingerprint(res, e.Stats(), e.ShardStats(), e.HAStats()))
+						e.Close()
+					}
+				}
+			}
+		}
+	})
+
+	t.Run("serve", func(t *testing.T) {
+		store, tree := lineWorld(t, 4000)
+		cost := DefaultConfig().Cost
+		// flat commits a one-range configuration; sharded one with Shards set.
+		flat := func(plans *SessionPlans, cfg ServeConfig) uint64 {
+			res := plans.Serve(cfg)
+			for i := range res.Sessions {
+				res.Sessions[i].Sequences = withoutFanOut(res.Sessions[i].Sequences)
+			}
+			return fingerprint(res)
+		}
+		sharded := func(plans *SessionPlans, cfg ServeConfig) uint64 { return fingerprint(plans.Serve(cfg)) }
+
+		plans := PlanSessions(store, tree, serveWorkloads(6, 7), cost, 2)
+		for _, policy := range Policies() {
+			for _, private := range []bool{false, true} {
+				for _, io := range ioModes {
+					cfg := ServeConfig{
+						Engine:           DefaultConfig(),
+						Policy:           policy,
+						PrivateCaches:    private,
+						InterferenceSeek: time.Millisecond,
+						CacheShards:      8,
+					}
+					cfg.Engine.BatchedIO = io.batched
+					mode := "shared"
+					if private {
+						mode = "private"
+					}
+					check(fmt.Sprintf("serve/%v/%s/%s", policy, mode, io.name), flat(plans, cfg))
+				}
+			}
+		}
+
+		// The robustness stack of TestServeShardedSingleShardBitExact: page
+		// faults, stalled cache shards, starved windows, breaker, degrading
+		// admission, SLO, Poisson arrivals.
+		robust := ServeConfig{
+			Engine:           DefaultConfig(),
+			Policy:           FairShare,
+			InterferenceSeek: time.Millisecond,
+			CacheShards:      8,
+			Faults:           heavyInjector(t, 7),
+			Breaker:          DefaultBreakerConfig(),
+			Admission:        AdmissionConfig{Enabled: true, MaxConcurrent: 4, Degrade: true},
+			SLO:              40 * time.Millisecond,
+			Arrivals:         ArrivalConfig{Enabled: true, Rate: 50, Seed: 11},
+		}
+		for _, io := range ioModes {
+			cfg := robust
+			cfg.Engine.BatchedIO = io.batched
+			check("serve/robust/"+io.name, flat(plans, cfg))
+			cfg.PrivateCaches = true
+			check("serve/robust/private/"+io.name, flat(plans, cfg))
+		}
+		robust.Shards = 1
+		check("serve/robust/S=1", sharded(plans, robust))
+
+		// Workload classes with patience under Poisson arrivals, loaded enough
+		// that admission rejects sessions, impatient ones abandon and the SLO
+		// is missed: priorities in the arbiter, lost-query accounting.
+		classed := PlanSessions(store, tree, classedWorkloads(16, 5), cost, 2)
+		for _, io := range ioModes {
+			cfg := ServeConfig{
+				Engine:           DefaultConfig(),
+				Policy:           DemandWeighted,
+				InterferenceSeek: 500 * time.Microsecond,
+				CacheShards:      8,
+				Admission:        AdmissionConfig{Enabled: true, MaxConcurrent: 6},
+				SLO:              5 * time.Millisecond,
+				Arrivals:         ArrivalConfig{Enabled: true, Rate: 200, Seed: 3},
+				Classes:          testClasses(2 * time.Millisecond),
+			}
+			cfg.Engine.BatchedIO = io.batched
+			check("serve/classes/"+io.name, flat(classed, cfg))
+			if io.batched {
+				cfg.Shards = 4
+				check("serve/classes/S=4", sharded(classed, cfg))
+			}
+		}
+
+		// The replicated fleet under shard faults (seed 6: outages lose pages at
+		// R=1 and fail over at R=2, brownouts at both), on walks that start on
+		// shard-range boundaries so demand sets straddle two shards.
+		straddling := PlanSessions(store, tree, shardServeWorkloads(8), cost, 2)
+		for _, shards := range []int{1, 4} {
+			for _, replicas := range []int{1, 2} {
+				cfg := ServeConfig{
+					Engine:           DefaultConfig(),
+					Policy:           FairShare,
+					InterferenceSeek: time.Millisecond,
+					Shards:           shards,
+					Replicas:         replicas,
+					Breaker:          DefaultBreakerConfig(),
+					Faults:           flaky(6),
+				}
+				check(fmt.Sprintf("serve/flaky/S=%d/R=%d", shards, replicas), sharded(straddling, cfg))
+			}
+		}
+		// Shard faults have no fleet to act on at Shards 0: only the plan's
+		// page-level read errors apply.
+		check("serve/flaky/S=0", flat(straddling, ServeConfig{
+			Engine:           DefaultConfig(),
+			Policy:           FairShare,
+			InterferenceSeek: time.Millisecond,
+			Breaker:          DefaultBreakerConfig(),
+			Faults:           flaky(6),
+		}))
+	})
+
+	for name := range coreFingerprints {
+		if !seen[name] {
+			t.Errorf("row %q is recorded but no configuration produced it", name)
+		}
+	}
+}
