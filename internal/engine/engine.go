@@ -44,13 +44,14 @@ type Config struct {
 	// wastes its seek). False keeps the seed's per-page loop, whose goldens
 	// are pinned byte-for-byte. Non-insertion physical layouts should set
 	// it: per-page logical-order scheduling on a permuted layout pays a
-	// seek per page.
+	// seek per page. Only the flat configurations (New, ServeConfig.Shards
+	// 0) read it; a sharded fleet is always batched.
 	BatchedIO bool
-	// Faults arms the engine's disk with a deterministic fault injector
-	// (see internal/fault); nil injects nothing and keeps the run
-	// byte-identical to the seed. The multi-session serving path takes its
-	// injector from ServeConfig.Faults instead — this field governs the
-	// single-session engine only.
+	// Faults arms every shard disk with a deterministic fault injector (see
+	// internal/fault); nil injects nothing and keeps the run byte-identical
+	// to the seed. A *fault.Injector also drives the shard-fault domains
+	// (outages, brownouts) of a NewShardedEngine fleet. Serve overrides this
+	// field with ServeConfig.Faults.
 	Faults pagestore.FaultInjector
 	// Retry bounds recovery from injected transient read faults; zero
 	// fields take pagestore.DefaultRetryPolicy when Faults is set.
@@ -69,13 +70,13 @@ type Config struct {
 	// the prefetcher left unused, so the scrub never starves demand reads
 	// or planned prefetch. Zero disables scrubbing. Requires Backing.
 	ScrubPages int
-	// Replicas is the sharded engine's chained range-replication degree
+	// Replicas is a sharded fleet's chained range-replication degree
 	// (DESIGN.md §13): each Hilbert range is also readable from the next
 	// Replicas-1 shards, at CostModel.ReplicaRead per replica-served page.
 	// 0 or 1 disables replication; degrees above the shard count clamp to
-	// it. Ignored by the unsharded engine.
+	// it. A flat engine (New) has one range and nothing to replicate.
 	Replicas int
-	// Hedge is the sharded engine's hedged-prefetch threshold: when the
+	// Hedge is a sharded engine's hedged-prefetch threshold: when the
 	// slowest shard's estimated prefetch sweep exceeds Hedge times the
 	// median shard estimate, that sub-batch is also issued to its next
 	// live replica and the cheaper outcome wins (both disks bill the
@@ -110,17 +111,17 @@ type QueryTrace struct {
 	Prediction  time.Duration
 	PrefetchIO  time.Duration // window time spent reading prefetch pages
 	Prefetched  int           // pages prefetched during the window
-	// Fanout and RoutedPages are filled by the sharded engine only: the
-	// number of shards the demand set touched, and the miss pages shipped
-	// from non-home shards (each charged CostModel.Route inside Residual).
-	// Zero on the unsharded path.
+	// Fanout is the number of shards the demand set touched (1 on a
+	// one-range fleet, 0 for an empty query) and RoutedPages the miss pages
+	// shipped from non-home shards (each charged CostModel.Route inside
+	// Residual).
 	Fanout      int
 	RoutedPages int
-	// FailedOverPages and LostPages are filled by the sharded engine's HA
-	// path only: demand miss pages served by a replica instead of their
-	// home shard, and demand pages unserved because every member of their
-	// range's replica chain was down (the client waited out its read
-	// deadline and was answered without them).
+	// FailedOverPages and LostPages are filled by RunSequence only: demand
+	// miss pages served by a replica instead of their home shard, and
+	// demand pages unserved because every member of their range's replica
+	// chain was down (the client waited out its read deadline and was
+	// answered without them).
 	FailedOverPages int
 	LostPages       int
 }
@@ -144,12 +145,12 @@ type SequenceResult struct {
 	// ResultHash fingerprints the served result sets: an FNV-1a fold over
 	// every query's object IDs, in query order, including skipped queries.
 	// Two runs served byte-identical results iff their hashes match — the
-	// ha1 replication-identity acceptance keys on it. Filled by the
-	// sharded engine only; zero on the unsharded path.
+	// ha1 replication-identity acceptance keys on it. Filled by
+	// RunSequence; the serving commit loop replays result sets the plan
+	// phase computed and leaves it zero.
 	ResultHash uint64
-	// LostPages totals QueryTrace.LostPages over all queries (HA path
-	// only): demand pages dropped from result sets because their whole
-	// replica chain was down.
+	// LostPages totals QueryTrace.LostPages over all queries: demand pages
+	// dropped from result sets because their whole replica chain was down.
 	LostPages int64
 }
 
@@ -177,107 +178,140 @@ type Index interface {
 	QueryPages(r geom.Region, dst []pagestore.PageID) []pagestore.PageID
 }
 
-// Engine runs sequences against one dataset + index + prefetcher binding.
+// Engine runs sequences against one dataset + index + prefetcher binding: the
+// single-session driver of a shard fleet. New builds the flat configuration
+// — one range, one disk head, one LRU, per-page or batched I/O as
+// Config.BatchedIO says — and NewShardedEngine the scale-out one: S
+// contiguous Hilbert ranges of the layout key, each with its own cache
+// slice, disk head and seek state, optionally replicated and hedged. The
+// plan phase (prefetcher observe + plan) is the same whatever the fleet, and
+// the fleet's arithmetic is deterministic, so output is byte-identical
+// run-to-run.
+//
+// An Engine is a single-coordinator object: RunSequence must not be called
+// concurrently on the same instance. Use Clone for parallel runs.
 type Engine struct {
-	store *pagestore.Store
-	index Index
-	disk  *pagestore.Disk
-	cache *cache.Cache
-	cfg   Config
-	// batchBuf and readBuf are the batched prefetch flush's reusable scratch
-	// (BatchedIO mode only): the prediction set, and the pages sweepBatch
-	// read from it.
-	batchBuf, readBuf []pagestore.PageID
+	store  *pagestore.Store
+	index  Index
+	cfg    Config
+	shards int // newFleet's shard argument: 0 through New
+	fleet  *fleet
+	// vclock is the virtual serving clock — the sum of Residual+Window over
+	// all queries run. It persists across sequences: shard-fault episodes are
+	// functions of total time served, not of per-sequence offsets.
+	vclock time.Duration
+	// batchBuf and reqBuf are the batched flushes' reusable scratch: the
+	// window's prediction set, and one request's pages.
+	batchBuf, reqBuf []pagestore.PageID
 }
 
-// New creates an engine. The store must be paginated (bulk-loaded).
+// ShardedEngine is an Engine built by NewShardedEngine.
+type ShardedEngine = Engine
+
+// New creates the flat engine. The store must be paginated (bulk-loaded).
 func New(store *pagestore.Store, index Index, cfg Config) *Engine {
+	return newEngine(store, index, cfg, 0)
+}
+
+// NewShardedEngine builds an S-shard engine over the store's current
+// layout (shard counts below 1 are clamped to 1). The total cache capacity
+// (same sizing rule as New) is split across shards ±1 page, each slice an
+// exact LRU. Reads always take the batched elevator path — Config.BatchedIO
+// is implied — and cfg.Replicas, cfg.Hedge and the shard-fault domains of a
+// *fault.Injector in cfg.Faults take effect.
+func NewShardedEngine(store *pagestore.Store, index Index, cfg Config, shards int) *ShardedEngine {
+	return newEngine(store, index, cfg, max(shards, 1))
+}
+
+func newEngine(store *pagestore.Store, index Index, cfg Config, shards int) *Engine {
 	if cfg.Cost == (pagestore.CostModel{}) {
 		cfg.Cost = pagestore.DefaultCostModel()
 	}
-	e := &Engine{
-		store: store,
-		index: index,
-		disk:  pagestore.NewDisk(store, cfg.Cost),
-		cache: cache.New(cacheCapacity(cfg, store)),
-		cfg:   cfg,
-	}
-	if cfg.Faults != nil {
-		e.disk.SetFaults(cfg.Faults, cfg.Retry)
-	}
-	if cfg.Backing != nil {
-		e.disk.SetBacking(cfg.Backing)
-	}
-	return e
+	return &Engine{store: store, index: index, cfg: cfg, shards: shards, fleet: newFleet(store, cfg, shards, nil)}
 }
 
-// Cache exposes the engine's prefetch cache (for inspection in tests).
-func (e *Engine) Cache() *cache.Cache { return e.cache }
+// Cache exposes shard 0's prefetch cache — the engine's whole cache unless
+// it is sharded (for inspection in tests).
+func (e *Engine) Cache() *cache.Cache { return e.fleet.shards[0].cache.(*cache.Cache) }
 
-// Disk exposes the engine's simulated disk (for inspection in tests).
-func (e *Engine) Disk() *pagestore.Disk { return e.disk }
+// Disk exposes shard 0's simulated disk — the engine's only disk unless it
+// is sharded. It carries the background scrub's ledger: the scrub cursor
+// lives in the one backing FileStore, so one disk owns it.
+func (e *Engine) Disk() *pagestore.Disk { return e.fleet.shards[0].disk }
 
-// RunSequence executes one guided sequence with the given prefetcher. State
-// (cache, disk head, prefetcher) is cleared first, matching the paper's
-// methodology ("after executing each sequence of queries, we clear the
-// prefetch cache, the operating system cache and the disk buffers", §7.1).
+// Stats returns the fleet-wide I/O statistics.
+func (e *Engine) Stats() pagestore.DiskStats { return e.fleet.diskStats() }
+
+// ShardStats returns each shard disk's accumulated statistics, indexed by
+// shard.
+func (e *Engine) ShardStats() []pagestore.DiskStats { return e.fleet.shardStats() }
+
+// HAStats returns the accumulated high-availability ledger (zero value when
+// the engine runs without replication, hedging or shard faults).
+func (e *Engine) HAStats() HAStats { return e.fleet.ha.stats }
+
+// Router exposes the engine's router (for tests).
+func (e *Engine) Router() Router { return e.fleet.router }
+
+// Close releases nothing — the engine owns no goroutines or files — and
+// stays so that callers keep pairing NewShardedEngine with it.
+func (e *Engine) Close() {}
+
+// Clone creates an engine over the same (immutable) store and index with
+// fresh shard state — its own disk heads and prefetch caches. The parallel
+// executor gives every worker a clone, so concurrent sequence runs share
+// only read-only state.
+func (e *Engine) Clone() *Engine {
+	return newEngine(e.store, e.index, e.cfg, e.shards)
+}
+
+// RunSequence executes one guided sequence with the given prefetcher, one
+// turn of the paper's Figure 2 timeline per query. State (caches, disk
+// heads, prefetcher) is cleared first, matching the paper's methodology
+// (§7.1).
 func (e *Engine) RunSequence(seq workload.Sequence, p prefetch.Prefetcher) SequenceResult {
-	e.cache.Clear()
-	e.disk.ResetHead()
+	f := e.fleet
+	f.reset()
 	p.Reset()
 
-	res := SequenceResult{}
+	res := SequenceResult{ResultHash: fnvOffset}
 	ratio := seq.Params.WindowRatio
 	if ratio <= 0 {
 		ratio = 1
 	}
 
 	var pageBuf []pagestore.PageID
-	var missBuf []pagestore.PageID
 	resultLen := 0
 	for qi, q := range seq.Queries {
 		tr := QueryTrace{Seq: qi}
 
-		// The head position does not survive user think time (the OS and
-		// other processes move it), so every query starts cold — exactly
-		// the assumption behind ColdCost. Within the query and its prefetch
-		// window, sequential-run discounts apply normally.
-		e.disk.ResetHead()
-
 		// 1. Locate the query's pages and serve them: cache hits from the
-		// prefetch cache, misses from disk (residual I/O). The cache holds
-		// prefetched data only ("4GB of memory to cache prefetched data",
-		// §7.1) — user-query misses are NOT inserted, so the hit rate is a
-		// pure measure of prediction accuracy, which is what makes the
-		// paper's Figure 3 baselines meaningful.
+		// prefetch cache, misses from disk (residual I/O) — see demandTurn.
+		// Cold charges routing for the whole demand set (cold means nothing
+		// is cached anywhere), Residual for remote misses only.
 		pageBuf = e.index.QueryPages(q.Region, pageBuf[:0])
 		tr.ResultPages = len(pageBuf)
-		tr.Cold = e.disk.ColdCost(pageBuf)
-
-		missBuf = missBuf[:0]
-		for _, pg := range pageBuf {
-			if e.cache.Lookup(pg) {
-				tr.HitPages++
-			} else {
-				missBuf = append(missBuf, pg)
-			}
-		}
-		if e.cfg.BatchedIO {
-			tr.Residual = e.disk.ReadBatch(missBuf)
-		} else {
-			tr.Residual = e.disk.ReadPages(missBuf)
-		}
+		dm := f.demandTurn(pageBuf, e.vclock)
+		tr.HitPages, tr.Residual = dm.hits, dm.residual
+		tr.Fanout, tr.RoutedPages = dm.fanout, dm.routed
+		tr.Cold = f.coldCost()
+		// A home whose whole replica chain was down drops its miss pages
+		// from the result: the client waited out its read deadline (inside
+		// Residual) and is answered without them.
+		var served []pagestore.PageID
+		served, tr.FailedOverPages, tr.LostPages = f.served(pageBuf)
 
 		// 2. The prefetcher observes the completed query (content included:
 		// SCOUT needs it, baselines ignore it).
-		result := e.store.AppendMatches(newResult(resultLen), q.Region, pageBuf)
+		result := e.store.AppendMatches(newResult(resultLen), q.Region, served)
 		resultLen = len(result)
+		res.ResultHash = hashResult(res.ResultHash, qi, result)
 		p.Observe(prefetch.Observation{
 			Seq:    qi,
 			Region: q.Region,
 			Center: q.Center,
 			Result: result,
-			Pages:  append([]pagestore.PageID(nil), pageBuf...),
+			Pages:  append([]pagestore.PageID(nil), served...),
 		})
 		plan := p.Plan()
 		tr.GraphBuild = plan.GraphBuild
@@ -286,25 +320,29 @@ func (e *Engine) RunSequence(seq workload.Sequence, p prefetch.Prefetcher) Seque
 
 		// 3. The prefetch window: user analysis takes r × cold time.
 		// Prediction computation eats into the window unless the prefetcher
-		// hides it under result retrieval (§6.2).
+		// hides it under result retrieval (§6.2). The last query has no
+		// window.
 		tr.Window = time.Duration(ratio * float64(tr.Cold))
 		budget := tr.Window
 		if !plan.PredictionHidden {
 			budget -= plan.Prediction
 		}
-		if qi < len(seq.Queries)-1 && budget > 0 {
-			prefetched, ioTime := e.executePlan(plan, budget)
-			tr.Prefetched = prefetched
-			tr.PrefetchIO = ioTime
+		if qi < len(seq.Queries)-1 {
+			if budget > 0 {
+				tr.Prefetched, tr.PrefetchIO = e.spendWindow(plan, budget)
+			}
+			// 3b. Background integrity scrub, arbiter-aware by construction:
+			// it runs only on window time that demand reads AND planned
+			// prefetch left unused, and its per-window step is capped
+			// (ScrubPages), so it can never starve either.
+			e.Disk().ScrubIdle(budget-tr.PrefetchIO, e.cfg.ScrubPages)
 		}
 
-		// 3b. Background integrity scrub, arbiter-aware by construction: it
-		// runs only on window time that demand reads AND planned prefetch
-		// left unused, and its per-window step is capped (ScrubPages), so it
-		// can never starve either. The last query has no window.
-		if qi < len(seq.Queries)-1 {
-			e.disk.ScrubIdle(budget-tr.PrefetchIO, e.cfg.ScrubPages)
-		}
+		// Fold this query's injected read retries into shard health evidence,
+		// tick every ledger, and advance the virtual serving clock by the
+		// query's end-to-end span.
+		f.tick(e.vclock)
+		e.vclock += tr.Residual + tr.Window
 
 		// 4. Accounting.
 		counted := !(e.cfg.SkipFirstQuery && qi == 0)
@@ -319,89 +357,41 @@ func (e *Engine) RunSequence(seq workload.Sequence, p prefetch.Prefetcher) Seque
 				res.DeltaBuilds++
 			}
 		}
+		res.LostPages += int64(tr.LostPages)
 		res.Queries = append(res.Queries, tr)
 	}
 	return res
 }
 
-// executePlan spends the prefetch window on the plan: one elevator batch
-// with BatchedIO, else the per-page flush, with each request resolved
-// through the index only when the flush reaches it — a window that closes
-// early never pays for the ladder's later rungs.
-func (e *Engine) executePlan(plan prefetch.Plan, budget time.Duration) (int, time.Duration) {
-	if e.cfg.BatchedIO {
-		return e.executePlanBatched(plan, budget)
-	}
-	var buf []pagestore.PageID
-	return prefetchPages(e.cache, e.disk, plan.TraversalPages, len(plan.Requests), func(i int) []pagestore.PageID {
-		buf = e.index.QueryPages(plan.Requests[i].Region, buf[:0])
-		pagestore.SortPageIDs(buf)
-		return buf
-	}, budget)
-}
-
-// prefetchPages is the per-page prefetch flush, shared by the single-session
-// engine and the flat serving path: it reads the plan's uncached pages into
-// the cache until the budget is exhausted — first the gap-traversal pages in
-// plan order (gap traversal reads them in structure-following priority),
-// then the incremental request ladder, request i's pages (reqPages(i), in
-// ascending order, as a disk scheduler would issue them, so contiguous runs
-// earn their discount) only once the flush gets there. The read that crosses
-// the budget still completes — the disk cannot abort a read — and closes the
-// window. It returns the pages prefetched and the I/O time spent.
-func prefetchPages(c pageCache, d *pagestore.Disk, traversal []pagestore.PageID, requests int, reqPages func(i int) []pagestore.PageID, budget time.Duration) (int, time.Duration) {
-	var spent time.Duration
-	prefetched := 0
-
-	readPage := func(pg pagestore.PageID) bool {
-		if c.Contains(pg) {
-			return true // already cached: free (still in cache)
+// spendWindow hands the plan's prediction set to the fleet in the shape its
+// flush reads. The per-page flush resolves each request through the index
+// only when it reaches it; the batched flushes take the whole set —
+// traversal pages plus every request's pages — up front, the lazy sweep as
+// one elevator batch.
+func (e *Engine) spendWindow(plan prefetch.Plan, budget time.Duration) (int, time.Duration) {
+	f := e.fleet
+	var batch []pagestore.PageID
+	var l ladder
+	if f.perPage {
+		l = ladder{traversal: plan.TraversalPages, requests: len(plan.Requests), reqPages: func(i int) []pagestore.PageID {
+			e.reqBuf = e.index.QueryPages(plan.Requests[i].Region, e.reqBuf[:0])
+			pagestore.SortPageIDs(e.reqBuf)
+			return e.reqBuf
+		}}
+	} else {
+		batch = append(e.batchBuf[:0], plan.TraversalPages...)
+		for _, r := range plan.Requests {
+			e.reqBuf = e.index.QueryPages(r.Region, e.reqBuf[:0])
+			batch = append(batch, e.reqBuf...)
 		}
-		spent += d.ReadPage(pg)
-		c.Insert(pg)
-		prefetched++
-		return spent <= budget
-	}
-
-	for _, pg := range traversal {
-		if !readPage(pg) {
-			return prefetched, spent
+		e.batchBuf = batch
+		if f.haFlush {
+			return f.flushHA(batch, budget, e.vclock)
 		}
+		batch = elevatorBatch(e.store, batch)
 	}
-	for i := 0; i < requests; i++ {
-		for _, pg := range reqPages(i) {
-			if !readPage(pg) {
-				return prefetched, spent
-			}
-		}
-	}
-	return prefetched, spent
-}
-
-// executePlanBatched is the BatchedIO flush: the plan's whole prediction
-// set — traversal pages plus every request's pages — becomes one elevator
-// batch (elevatorBatch) and sweepBatch reads its uncached pages in a single
-// sweep, one seek per physically contiguous run, until the run that crosses
-// the budget. The sweep trades the incremental ladder's priority order for
-// physical locality; layout1 measures that trade.
-func (e *Engine) executePlanBatched(plan prefetch.Plan, budget time.Duration) (int, time.Duration) {
-	buf := append(e.batchBuf[:0], plan.TraversalPages...)
-	var req []pagestore.PageID
-	for _, r := range plan.Requests {
-		req = e.index.QueryPages(r.Region, req[:0])
-		buf = append(buf, req...)
-	}
-	e.batchBuf = buf
-	n, spent, read := sweepBatch(e.store, e.cache, elevatorBatch(e.store, buf), e.disk.Model().MaxBridge(), budget, e.readBuf, e.disk.ReadSorted)
-	e.readBuf = read
-	return n, spent
-}
-
-// Clone creates an engine over the same (immutable) store and index with
-// its own disk head and prefetch cache. The parallel executor gives every
-// worker a clone, so concurrent sequence runs share only read-only state.
-func (e *Engine) Clone() *Engine {
-	return New(e.store, e.index, e.cfg)
+	n, io, _ := f.prefetchTurn(0, nil, batch, l, budget, e.vclock)
+	return n, io
 }
 
 // RunAll executes many sequences and aggregates their results.

@@ -10,17 +10,15 @@ import (
 // This file is the shard fault-tolerance layer (DESIGN.md §13): a per-shard
 // health ledger reusing the PR 6 breaker shape, chain-walking failover
 // routing over the replicated partition, the demand read's storage half
-// (serveMisses) and the hedged-prefetch pick. Every sharded fleet — the
-// single-session ShardedEngine and the multi-session serveShardSet, with or
-// without replication — reads its demand misses through here: an
-// unreplicated fleet with no shard faults is a one-member chain and a nil
-// injector, which routes every home to itself and charges nothing. All
-// decisions are pure functions of (fault plan, virtual time, health state
-// driven by the same), which keeps every run byte-identical for any worker
-// count.
+// (serveMisses) and the hedged-prefetch pick. Every fleet, whatever its
+// driver, shard count and replication degree, reads its demand misses
+// through here: an unreplicated fleet with no shard faults is a one-member
+// chain and a nil injector, which routes every home to itself and charges
+// nothing. All decisions are pure functions of (fault plan, virtual time,
+// health state driven by the same), which keeps every run byte-identical for
+// any worker count.
 
-// HAStats is the fleet-wide high-availability ledger one sharded run
-// accumulates. All zero when replication and shard faults are off.
+// HAStats is the fleet-wide high-availability ledger one run accumulates. All zero when replication and shard faults are off.
 type HAStats struct {
 	// FailedOverBatches/Pages count demand sub-batches (and their pages)
 	// served by a replica shard instead of their sick home.
@@ -106,6 +104,10 @@ type haState struct {
 	cost  pagestore.CostModel
 	retry pagestore.RetryPolicy
 	hedge float64 // hedged-prefetch threshold; 0 = off
+	// plain marks a fleet of one-member chains with no shard-fault injector:
+	// every home serves itself at factor 1, there is nowhere to fail over to
+	// and nothing to skip, so no route is walked and no health evidence kept.
+	plain bool
 
 	health   []breaker
 	routes   []haRoute
@@ -129,6 +131,7 @@ func newHAState(part *pagestore.Partition, inj *fault.Injector, cost pagestore.C
 		cost:     cost,
 		retry:    retry.WithDefaults(),
 		hedge:    hedge,
+		plain:    part.Replicas() <= 1 && inj == nil,
 		health:   make([]breaker, n),
 		routes:   make([]haRoute, n),
 		evidence: make([]float64, n),
@@ -205,97 +208,76 @@ func (h *haState) routeDemand(j int, now time.Duration) haRoute {
 }
 
 // serveMisses is the demand read's storage half, run after the lookup
-// pass left every home shard's misses in its shard.miss (DESIGN.md §13):
-// the coordinator walks each missing home's replica chain (routeDemand) at
-// virtual time now; a second pass then sweeps every miss sub-batch on its
-// serving shard in one elevator batch — a browned shard's sweep billed at
-// its multiplier, replica-slice reads surcharged per page — and the outcome
-// settles into the HA ledger. outs[j].io receives home j's storage service
-// time (discovery charge included) and outs[j].miss the pages actually
-// served. A home whose whole chain is down loses its misses: it serves
-// none, its service time is the discovery charge (the client waits out its
-// read deadline and is answered degraded), and the pages are counted lost,
-// never silently zero-costed; routes[j].target < 0 marks it for the caller.
+// pass left every home shard's misses in its shard.miss (DESIGN.md §14).
+// For each missing home, in shard order, the coordinator walks its replica
+// chain (routeDemand) at virtual time now, reads the miss sub-batch on the serving shard — one elevator batch, or page by page on a
+// per-page fleet; a browned shard's read billed at its multiplier,
+// replica-slice reads surcharged per page — and settles the outcome into the
+// HA ledger. demand[j].io receives home j's storage service time (discovery
+// charge included) and demand[j].miss the pages actually served. A home
+// whose whole chain is down loses its misses: it serves none, its service
+// time is the discovery charge (the client waits out its read deadline and
+// is answered degraded), and the pages are counted lost, never silently
+// zero-costed; routes[j].target < 0 marks it for the caller.
 //
 // With every chain healthy each home serves itself, so a one-member chain
-// issues exactly one ReadBatch per missing shard and charges nothing else.
-func (h *haState) serveMisses(set *ShardSet[*shard], now time.Duration, outs []demandOut) {
-	missing := false
-	for j := range h.routes {
+// issues exactly one read per missing shard and charges nothing else. Each
+// disk sees its reads in home order, whichever homes it serves.
+func (f *fleet) serveMisses(now time.Duration) {
+	h := f.ha
+	for j, home := range f.shards {
 		r := haRoute{target: j, factor: 1, hedge: -1, hedgeFactor: 1}
-		if len(set.State(j).miss) > 0 {
+		miss := home.miss
+		if len(miss) > 0 && !h.plain {
 			r = h.routeDemand(j, now)
-			missing = true
 		}
 		h.routes[j] = r
-	}
-	if !missing {
-		return // every page hit: no storage read
-	}
-
-	set.Do(func(t int, sh *shard) {
-		for j := range h.routes {
-			r := &h.routes[j]
-			miss := set.State(j).miss
-			if r.target != t || len(miss) == 0 {
-				continue
-			}
-			base := sh.disk.ReadBatch(miss)
-			var extra time.Duration
-			if r.factor > 1 {
-				extra = time.Duration(float64(base) * (r.factor - 1))
-			}
-			var repPages int64
-			if t != j {
-				repPages = int64(len(miss))
-			}
-			rep := sh.disk.ChargeHA(extra, repPages)
-			outs[j].io = r.pre + base + extra + rep
-		}
-	})
-
-	for j := range h.routes {
-		r := &h.routes[j]
-		miss := len(set.State(j).miss)
-		outs[j].miss = miss
-		if miss == 0 {
+		o := &f.demand[j]
+		if len(miss) == 0 {
 			continue
 		}
-		switch {
-		case r.target < 0:
+		if r.target < 0 {
 			h.stats.LostBatches++
-			h.stats.LostPages += int64(miss)
+			h.stats.LostPages += int64(len(miss))
 			h.stats.LostDelay += h.retry.Timeout
-			outs[j].miss = 0
-			outs[j].io = r.pre
-		case r.target != j:
-			h.stats.FailedOverBatches++
-			h.stats.FailedOverPages += int64(miss)
+			o.io = r.pre
+			continue
 		}
-		if r.target >= 0 && r.factor > 1 {
+		o.miss = len(miss)
+
+		sh := f.shards[r.target]
+		var base time.Duration
+		if f.perPage {
+			base = sh.disk.ReadPages(miss)
+		} else {
+			base = sh.disk.ReadBatch(miss)
+		}
+		var extra time.Duration
+		if r.factor > 1 {
+			extra = time.Duration(float64(base) * (r.factor - 1))
 			h.stats.BrownedBatches++
-			// The serving read cost x = base·factor (+replica surcharge,
-			// subtracted off first); the brownout's share is x - x/factor.
-			x := outs[j].io - r.pre
-			if r.target != j {
-				x -= time.Duration(miss) * h.cost.ReplicaRead
-			}
+			// The serving read cost x = base·factor; the brownout's share
+			// is x - x/factor.
+			x := base + extra
 			h.stats.BrownoutDelay += x - time.Duration(float64(x)/r.factor)
 		}
+		var repPages int64
+		if r.target != j {
+			repPages = int64(len(miss))
+			h.stats.FailedOverBatches++
+			h.stats.FailedOverPages += repPages
+		}
+		o.io = r.pre + base + extra + sh.disk.ChargeHA(extra, repPages)
 	}
 }
 
 // foldRetries ends a turn: each shard disk's injected read retries since
 // the last turn fold into its health evidence, then every ledger ticks
-// (observe). A one-member chain with no shard-fault injector has no routing
-// decision for the evidence to inform — there is nowhere to fail over to and
-// nothing to skip — so its ledgers stay untouched and HAStats stays zero.
-func (h *haState) foldRetries(set *ShardSet[*shard], now time.Duration) {
-	if h.part.Replicas() <= 1 && h.inj == nil {
-		return
-	}
+// (observe). A plain fleet has no routing decision for the evidence to
+// inform, so fleet.tick leaves its ledgers untouched and HAStats stays zero.
+func (h *haState) foldRetries(shards []*shard, now time.Duration) {
 	for i := range h.retries {
-		retries := set.State(i).disk.Stats().FaultRetries
+		retries := shards[i].disk.Stats().FaultRetries
 		h.evidence[i] += float64(retries - h.retries[i])
 		h.retries[i] = retries
 	}

@@ -134,9 +134,10 @@ func TestBatchedEngineNeverSlowerIO(t *testing.T) {
 	}
 }
 
-// TestServeBatchedIsolatedMatchesSingleSession extends the serve/engine
-// equivalence pin to the batched path: the flat serve's sweepBatch call must
-// stay semantically identical to executePlanBatched.
+// TestServeBatchedIsolatedMatchesSingleSession extends the driver-vs-driver
+// identity (TestServeIsolatedMatchesSingleSession) to the batched path: the
+// commit loop's plan-time elevator batch and RunSequence's per-window one
+// must sweep identically.
 func TestServeBatchedIsolatedMatchesSingleSession(t *testing.T) {
 	store, tree := lineWorld(t, 4000)
 	engCfg := DefaultConfig()
@@ -153,6 +154,7 @@ func TestServeBatchedIsolatedMatchesSingleSession(t *testing.T) {
 		for i := 0; i < n; i++ {
 			e := New(store, tree, engCfg)
 			want := e.RunSequence(workloads[i].Sequences[0], prefetch.NewStraightLine(1000))
+			want.ResultHash = 0 // the commit loop does not hash the plan phase's result sets
 			if !reflect.DeepEqual(res.Sessions[i].Sequences[0], want) {
 				t.Errorf("n %d session %d: batched serve differs from single-session batched run", n, i)
 			}

@@ -27,18 +27,26 @@ func NewRouter(store *pagestore.Store, part *pagestore.Partition, cost pagestore
 func (r Router) Partition() *pagestore.Partition { return r.part }
 
 // Split distributes pages to per-shard slices, preserving the input order
-// within each shard. dst is reused when it has the right shape. Because
-// shard ranges are contiguous in physical order, an elevator batch (sorted,
-// duplicate-free — the prefetch flush splits one) yields per-shard parts
-// that are elevator batches themselves and whose concatenation in shard
-// order is the input — the property that makes S=1 bit-exact with the
-// unsharded batched path.
+// within each shard. dst is reused when it has the right shape (reuse it only
+// with the Router that filled it). Because shard ranges are contiguous in
+// physical order, an elevator batch (sorted, duplicate-free — the prefetch
+// flush splits one) yields per-shard parts that are elevator batches
+// themselves and whose concatenation in shard order is the input.
+//
+// The parts are read-only for the caller and everything downstream of it
+// (shard.lookup, sweepBatch and Disk.ReadBatch only read them): a one-range
+// partition has nothing to route, so its single part IS the input slice, not
+// a copy of it.
 func (r Router) Split(pages []pagestore.PageID, dst [][]pagestore.PageID) [][]pagestore.PageID {
 	n := r.part.Shards()
 	if cap(dst) < n {
 		dst = make([][]pagestore.PageID, n)
 	}
 	dst = dst[:n]
+	if n == 1 {
+		dst[0] = pages
+		return dst
+	}
 	for i := range dst {
 		dst[i] = dst[i][:0]
 	}
@@ -60,30 +68,10 @@ func (r Router) Fanout(parts [][]pagestore.PageID) int {
 	return n
 }
 
-// Home picks the query's home shard: the one owning the largest share of
-// its demand set (lowest index on ties), where the requesting session is
-// modeled as colocated for the duration of the query. Returns 0 for an
-// empty query so downstream charge arithmetic stays total.
-func (r Router) Home(parts [][]pagestore.PageID) int {
-	home, best := 0, -1
-	for i, p := range parts {
-		if len(p) > best {
-			home, best = i, len(p)
-		}
-	}
-	return home
-}
-
-// Charge prices the fan-out: every page shipped from a shard other than
-// home pays CostModel.Route (the cross-shard handoff). counts[i] is the
-// number of pages shard i actually served for this request. A query landing
-// entirely on its home shard — in particular any query when S=1 — pays
-// nothing.
-func (r Router) Charge(counts []int, home int) (remote int, charge time.Duration) {
-	for i, c := range counts {
-		if i != home {
-			remote += c
-		}
-	}
-	return remote, time.Duration(remote) * r.cost.Route
+// Charge prices the fan-out: every page shipped from a shard other than the
+// query's home pays CostModel.Route (the cross-shard handoff). A query landing
+// entirely on its home shard — in particular any query of a one-range
+// partition — ships none and pays nothing.
+func (r Router) Charge(remote int) time.Duration {
+	return time.Duration(remote) * r.cost.Route
 }

@@ -1,18 +1,18 @@
 // Multi-session serving: N concurrent navigation sessions — each with its
-// own prefetcher clone and virtual clock — share one page cache and one
-// disk. Execution is split into two phases so the output is byte-identical
-// for any worker count:
+// own prefetcher clone and virtual clock — share one shard fleet (fleet.go):
+// by default a fleet of one, i.e. one page cache and one disk. Execution is
+// split into two phases so the output is byte-identical for any worker
+// count:
 //
 //  1. a parallel PLAN phase: each session independently runs its
 //     prefetcher over its own query trajectory (observations and plans
 //     depend only on the immutable store and index, never on cache state)
 //     and resolves every planned region to sorted page lists;
 //  2. a sequential COMMIT phase: a discrete-event loop replays the
-//     sessions' queries against the shared cache, the shared disk (a
+//     sessions' queries against the fleet — per shard a cache, a
 //     pagestore.Disk with one head per session plus a seek-interference
-//     penalty per contender) and
-//     the prefetch-budget arbiter, in virtual-time order with session ID
-//     as the deterministic tie-break.
+//     penalty per contender, and a prefetch-budget arbiter — in
+//     virtual-time order with session ID as the deterministic tie-break.
 //
 // The split is exact, not an approximation: a prefetcher's Observation
 // carries the query's result objects, which are a pure function of the
@@ -58,10 +58,11 @@ type ServeConfig struct {
 	// contending sessions.
 	Policy Policy
 	// PrivateCaches gives every session its own full-size single-threaded
-	// cache instead of one shared sharded cache: the "N independent
+	// cache instead of one shared lock-striped cache: the "N independent
 	// replicas" baseline, and the mode in which (with Unarbitrated policy
-	// and no interference) a serve is byte-identical to isolated
-	// single-session runs.
+	// and no interference) the commit loop drives the fleet exactly as N
+	// isolated RunSequence calls would. Shards 0 only: a private cache
+	// cannot split across shards.
 	PrivateCaches bool
 	// CacheShards is the shared cache's shard count (rounded up to a power
 	// of two; 0 = 16). Ignored with PrivateCaches.
@@ -74,11 +75,11 @@ type ServeConfig struct {
 	// Results are byte-identical for any value.
 	Workers int
 	// Faults injects deterministic faults into the commit phase: transient
-	// read errors and slow pages on the shared disk, stalled cache shards,
-	// and starved arbiter windows (see internal/fault). Nil — or an
-	// injector whose Plan is disabled — keeps the serve byte-identical to
-	// the fault-free seed. (The single-session Engine arms its own disk
-	// via Config.Faults; this field governs the serving path only.)
+	// read errors and slow pages on the shard disks, stalled cache shards,
+	// starved arbiter windows and, with Shards > 0, shard outages and
+	// brownouts (see internal/fault). Nil — or an injector whose Plan is
+	// disabled — keeps the serve byte-identical to the fault-free seed. It
+	// replaces Engine.Faults, which a serve never reads.
 	Faults *fault.Injector
 	// Retry bounds recovery from injected transient read faults; zero
 	// fields take pagestore.DefaultRetryPolicy when faults are armed.
@@ -111,21 +112,22 @@ type ServeConfig struct {
 	// arbiter, per-class SLOs, and per-class abandonment patience under
 	// open-loop arrivals. Nil means one neutral class (the seed behavior).
 	Classes []ClassSpec
-	// Shards > 0 routes the commit phase through the in-process sharded
-	// backend (DESIGN.md §12): the page space splits into that many
-	// contiguous Hilbert ranges of the layout key, each a shard with its
-	// own slice of the cache, its own per-session disk heads and its own
-	// prefetch-budget arbiter; demand reads and prefetch windows split by
-	// shard, are priced shard by shard on the commit loop, and merge as
-	// max-over-shards service time plus a per-page routing charge
-	// (CostModel.Route) for pages shipped from non-home shards. Sharding
-	// implies the batched elevator path (Engine.BatchedIO is ignored) and is
-	// incompatible with PrivateCaches. 0 keeps the seed single-disk commit
-	// path byte-identically; Shards == 1 runs the sharded machinery and is
-	// bit-exact with the unsharded BatchedIO serve.
+	// Shards is the fleet's shard count (DESIGN.md §12, §14): the page space
+	// splits into that many contiguous Hilbert ranges of the layout key,
+	// each a shard with its own slice of the cache, its own per-session
+	// disk heads and its own prefetch-budget arbiter; demand reads and
+	// prefetch windows split by shard, are priced shard by shard on the
+	// commit loop, and merge as max-over-shards service time plus a
+	// per-page routing charge (CostModel.Route) for pages shipped from
+	// non-home shards. 0 and 1 both build the one-range fleet and differ
+	// only in how it is configured: 0 honours Engine.BatchedIO and
+	// PrivateCaches, never arms the shard-fault domains (there is no fleet
+	// to fault) and reports Shards 0 with no ShardDisks; >= 1 always reads
+	// through the batched elevator path, rejects PrivateCaches, and arms
+	// whatever shard faults the injector plans.
 	Shards int
-	// Replicas is the sharded backend's chained range-replication degree
-	// (DESIGN.md §13): with R > 1 each shard's range is also readable from
+	// Replicas is the fleet's chained range-replication degree (DESIGN.md
+	// §13): with R > 1 each shard's range is also readable from
 	// the next R-1 shards and demand misses fail over along the chain when
 	// their home is outaged or its health ledger has tripped, at
 	// CostModel.ReplicaRead per replica-served page. 0 or 1 is a one-member
@@ -236,8 +238,9 @@ func (s SessionResult) Aggregate() Aggregate {
 // ServeResult is the outcome of a multi-session run.
 type ServeResult struct {
 	Sessions []SessionResult
-	// Cache is the shared cache's epoch-stamped snapshot. With
-	// PrivateCaches it aggregates the per-session caches (Shards 0).
+	// Cache folds the fleet's caches: the shared cache's epoch-stamped
+	// snapshot (summed over shards, shard 0's epoch), or with PrivateCaches
+	// the per-session caches' counters (no epoch, Shards 0).
 	Cache cache.StatsSnapshot
 	// Disk aggregates all sessions' I/O.
 	Disk pagestore.DiskStats
@@ -279,18 +282,18 @@ type ServeResult struct {
 	// Classes aggregates per-class outcomes when ServeConfig.Classes is
 	// set (nil otherwise).
 	Classes []ClassResult
-	// Sharded-backend ledger (zero/nil unless ServeConfig.Shards > 0).
-	// Shards echoes the configured shard count; ShardDisks holds each shard
-	// disk's stats in shard order (Disk is their fold); RoutedPages counts
-	// demand miss pages shipped from non-home shards and RouteCharge the
-	// total per-page routing time billed into residuals.
+	// Fleet ledger. Shards echoes the configured shard count; ShardDisks
+	// holds each shard disk's stats in shard order when it is > 0 (Disk is
+	// their fold); RoutedPages counts demand miss pages shipped from
+	// non-home shards and RouteCharge the total per-page routing time
+	// billed into residuals (both zero on a one-range fleet).
 	Shards      int
 	ShardDisks  []pagestore.DiskStats
 	RoutedPages int64
 	RouteCharge time.Duration
-	// HA is the sharded backend's high-availability ledger (failovers,
-	// probes, lost sub-batches, brownout surcharges); zero unless
-	// replication or shard faults were configured.
+	// HA is the fleet's high-availability ledger (failovers, probes, lost
+	// sub-batches, brownout surcharges); zero unless replication or shard
+	// faults were configured.
 	HA HAStats
 }
 
@@ -407,94 +410,10 @@ type step struct {
 	batch []pagestore.PageID
 }
 
-// pageCache is the cache surface the commit loop needs; both the
-// single-threaded Cache (private mode) and Sharded satisfy it.
-type pageCache interface {
-	Lookup(pagestore.PageID) bool
-	Contains(pagestore.PageID) bool
-	Insert(pagestore.PageID) bool
-	Clear()
-}
-
-// elevatorBatch turns an accumulated prediction set into one elevator
-// batch, in place: ascending physical order, with duplicates (overlapping
-// ladder rungs), made adjacent by the sort, collapsed so each page is read
-// once.
-func elevatorBatch(store *pagestore.Store, buf []pagestore.PageID) []pagestore.PageID {
-	store.ElevatorSort(buf)
-	k := 0
-	for i, pg := range buf {
-		if i == 0 || pg != buf[i-1] {
-			buf[k] = pg
-			k++
-		}
-	}
-	return buf[:k]
-}
-
-// assembleBatch is elevatorBatch over the uncached pages only, in place: the
-// whole filtered batch up front, which only the sharded engine's HA flush
-// needs (its hedge estimate prices every home's full sub-batch before any
-// read). Every other batched flush filters lazily, in sweepBatch.
-func assembleBatch(store *pagestore.Store, c pageCache, buf []pagestore.PageID) []pagestore.PageID {
-	k := 0
-	for _, pg := range buf {
-		if !c.Contains(pg) {
-			buf[k] = pg
-			k++
-		}
-	}
-	return elevatorBatch(store, buf[:k])
-}
-
-// sweepBatch is the batched prefetch flush of every non-HA batched path
-// (single-session, sharded, flat serve, sharded serve): it walks an elevator
-// batch, skips cached pages, grows elevator runs
-// by Store.Runs' rule (one readRun per run: internal gaps are bridged, the
-// boundary to the previous run seeks), and stops after the run that crosses
-// the budget — a half-fetched run would waste its seek. Work is proportional
-// to the pages scanned before that stop, not to the batch.
-//
-// The pages read enter the cache only after the last run is priced, in sweep
-// order: an insert can evict a cached page that sits later in the batch, and
-// that page was cached when the flush was issued, so every Contains must see
-// the pre-flush cache. Returns the pages read, the time spent, and the read
-// pages' buffer (scratch, reused).
-func sweepBatch(store *pagestore.Store, c pageCache, sorted []pagestore.PageID, maxBridge pagestore.PageID, budget time.Duration, scratch []pagestore.PageID, readRun func(run []pagestore.PageID) time.Duration) (int, time.Duration, []pagestore.PageID) {
-	read := scratch[:0]
-	start := 0 // read[start:] is the run being grown
-	var spent time.Duration
-	var last pagestore.PageID
-	for _, pg := range sorted {
-		if c.Contains(pg) {
-			continue
-		}
-		phys := store.PhysicalPage(pg)
-		if len(read) > start && phys-last > maxBridge+1 {
-			spent += readRun(read[start:])
-			start = len(read)
-			if spent > budget {
-				break
-			}
-		}
-		read = append(read, pg)
-		last = phys
-	}
-	if len(read) > start {
-		spent += readRun(read[start:])
-	}
-	for _, pg := range read {
-		c.Insert(pg)
-	}
-	return len(read), spent, read
-}
-
-// resolveCacheShards picks a shared cache's shard count: the configured
-// value, or a default of 16 halved until every shard holds at least 8 pages
-// — tiny caches (scaled-down test datasets) would otherwise quantize to ~1
-// page per shard and destroy LRU behavior. The unsharded serve cache and
-// each engine shard's cache slice both size through here, so S=1 cache
-// behavior cannot drift from the unsharded serve.
+// resolveCacheShards picks a shared cache's internal shard count: the
+// configured value, or a default of 16 halved until every shard holds at
+// least 8 pages — tiny caches (scaled-down test datasets) would otherwise
+// quantize to ~1 page per shard and destroy LRU behavior.
 func resolveCacheShards(capacity, configured int) int {
 	if configured > 0 {
 		return configured
@@ -506,9 +425,8 @@ func resolveCacheShards(capacity, configured int) int {
 	return shards
 }
 
-// cacheCapacity sizes the prefetch cache; Engine.New and the serving
-// layer's commit phase both use it, so single- and multi-session caches
-// can never drift apart.
+// cacheCapacity sizes a fleet's prefetch cache, before it splits across
+// shards.
 func cacheCapacity(cfg Config, store *pagestore.Store) int {
 	capacity := cfg.CachePages
 	if capacity <= 0 {
@@ -609,9 +527,9 @@ func PlanSessions(store *pagestore.Store, index Index, workloads []SessionWorklo
 	return plans
 }
 
-// Serve runs the session workloads to completion against one shared cache,
-// one shared disk and one prefetch-budget arbiter, and returns per-session
-// results plus the shared-resource stats. Output is deterministic: the
+// Serve runs the session workloads to completion against one shard fleet —
+// by default one shared cache, one shared disk and one prefetch-budget
+// arbiter — and returns per-session results plus the shared-resource stats. Output is deterministic: the
 // same store, workloads and config produce byte-identical results for any
 // Workers value. To commit the same workloads under several configs
 // without re-running the prefetchers, use PlanSessions + SessionPlans.Serve.
@@ -637,60 +555,31 @@ func (p *SessionPlans) Serve(cfg ServeConfig) ServeResult {
 		return ServeResult{}
 	}
 
-	capacity := cacheCapacity(cfg.Engine, store)
-	var shared *cache.Sharded
-	caches := make([]pageCache, n)
-	switch {
-	case cfg.Shards > 0:
-		if cfg.PrivateCaches {
-			panic("engine: ServeConfig{Shards > 0, PrivateCaches: true}: per-session private caches cannot split across shards")
-		}
-		// The sharded backend owns its caches; caches/shared stay nil and
-		// every use site below branches on shardSrv.
-	case cfg.PrivateCaches:
-		for i := range caches {
-			caches[i] = cache.New(capacity)
-		}
-	default:
-		shared = cache.NewSharded(capacity, resolveCacheShards(capacity, cfg.CacheShards))
-		for i := range caches {
-			caches[i] = shared
-		}
+	if cfg.Shards > 0 && cfg.PrivateCaches {
+		panic("engine: ServeConfig{Shards > 0, PrivateCaches: true}: per-session private caches cannot split across shards")
 	}
-	disk := pagestore.NewSharedDisk(store, cfg.Engine.Cost, n, cfg.InterferenceSeek)
-	readSorted, maxBridge := disk.ReadSorted, cfg.Engine.Cost.MaxBridge()
-	arb := NewArbiter(cfg.Policy, n)
-
 	// Robustness machinery. faultsOn gates every injection-side branch so a
 	// nil or disabled injector leaves the loop byte-identical to the seed;
 	// breaker and admission are independent of injection (they react to
 	// evidence, wherever it comes from).
 	inj := cfg.Faults
 	faultsOn := inj != nil && inj.Plan().Enabled()
+	// The fleet is a single-session engine's plus the serving half: the
+	// serving config's injector (only when live, so a fault-free run never
+	// enters a fault branch), retry policy and replication degree replace
+	// the engine config's, and background windows never hedge.
+	ec := cfg.Engine
+	ec.Faults, ec.Retry, ec.Replicas, ec.Hedge = nil, cfg.Retry, cfg.Replicas, 0
 	if faultsOn {
-		disk.SetFaults(inj, cfg.Retry)
+		ec.Faults = inj
 	}
-	if cfg.Engine.Backing != nil {
-		disk.SetBacking(cfg.Engine.Backing)
-	}
-	// Sharded backend (DESIGN.md §12): built after the faultsOn gate so the
-	// shard disks arm only when injection is live. Sharding implies the
-	// batched elevator path; the flat disk/arbiter above stay idle.
-	var shardSrv *serveShardSet
-	if cfg.Shards > 0 {
-		var shardInj *fault.Injector
-		if faultsOn {
-			shardInj = inj
-		}
-		shardSrv = newServeShardSet(store, cfg, n, capacity, shardInj)
-	}
-	// faultLedger reads the fault-evidence counters of whichever disks serve
-	// this run. The background scrub's cursor lives in the one FileStore, so
-	// one disk owns its ledger: the flat disk, or shard 0's.
-	faultLedger, scrubDisk := disk.Stats, disk
-	if shardSrv != nil {
-		faultLedger, scrubDisk = shardSrv.faultCounters, shardSrv.set.State(0).disk
-	}
+	f := newFleet(store, ec, cfg.Shards, &serving{
+		sessions:     n,
+		policy:       cfg.Policy,
+		interference: cfg.InterferenceSeek,
+		private:      cfg.PrivateCaches,
+		cacheShards:  cfg.CacheShards,
+	})
 	brkCfg := cfg.Breaker
 	if brkCfg.Enabled {
 		brkCfg = brkCfg.withDefaults()
@@ -717,11 +606,7 @@ func (p *SessionPlans) Serve(cfg ServeConfig) ServeResult {
 	// (or all-neutral weights) the arbiter arithmetic stays bit-exact.
 	for i := 0; i < n; i++ {
 		if cs, ok := cfg.classSpec(p.class(i)); ok {
-			if shardSrv != nil {
-				shardSrv.setPriority(i, cs.weight())
-			} else {
-				arb.SetPriority(i, cs.weight())
-			}
+			f.setPriority(i, cs.weight())
 		}
 	}
 
@@ -743,9 +628,7 @@ func (p *SessionPlans) Serve(cfg ServeConfig) ServeResult {
 	}
 
 	res := ServeResult{Shards: cfg.Shards}
-	var missBuf []pagestore.PageID
 	var contBuf []int
-	var sweepBuf []pagestore.PageID
 	for {
 		// Next event: the unfinished session with the smallest clock,
 		// lowest ID breaking ties.
@@ -788,11 +671,7 @@ func (p *SessionPlans) Serve(cfg ServeConfig) ServeResult {
 				if adm.Degrade {
 					ss.out.Degraded = true
 					res.DegradedSessions++
-					if shardSrv != nil {
-						shardSrv.setShedding(s, true)
-					} else {
-						arb.SetShedding(s, true)
-					}
+					f.setShedding(s, true)
 				} else {
 					ss.out.Rejected = true
 					res.RejectedSessions++
@@ -807,78 +686,41 @@ func (p *SessionPlans) Serve(cfg ServeConfig) ServeResult {
 			}
 		}
 
-		if st.queryIdx == 0 {
+		// The turn's reads are charged to session s's head, against the
+		// current contenders, with faults rolled at the turn's commit time.
+		f.bind(s, len(contBuf), t)
+		if st.queryIdx == 0 && cfg.PrivateCaches {
 			// Sequence start: private caches clear like RunSequence; the
 			// shared cache persists — serving is continuous, one session
 			// finishing a sequence must not flush everyone's working set.
-			if cfg.PrivateCaches {
-				caches[s].Clear()
-			}
-		}
-		// The turn's reads are charged to session s's head, against the
-		// current contenders, with faults rolled at the turn's commit time.
-		// Every query starts with a cold head, exactly like the
-		// single-session engine (think time moves the head). The sharded
-		// backend does both on every shard inside demandTurn.
-		if shardSrv == nil {
-			disk.At(s, len(contBuf), t)
-			disk.ResetHead()
+			f.reset()
 		}
 
+		// The demand phase (fleet.demandTurn), then the health tick: outage
+		// probes, brownout service and injected read retries fold into the
+		// per-shard ledgers at the end of the demand phase, so a shard that
+		// stays sick trips once and is then skipped for free until its
+		// cooldown probe (the window's own retries fold in next turn).
+		dm := f.demandTurn(st.pages, t)
+		f.tick(t)
 		tr := QueryTrace{
 			Seq:         st.queryIdx,
 			ResultPages: len(st.pages),
+			HitPages:    dm.hits,
 			Cold:        st.cold,
+			Residual:    dm.residual,
 			Window:      st.window,
 			GraphBuild:  st.graphBuild,
 			GraphDelta:  st.graphDelta,
 			Prediction:  st.prediction,
+			Fanout:      dm.fanout,
+			RoutedPages: dm.routed,
 		}
-		// Per-query fault evidence: the disk ledger's deltas over this step
-		// plus stalled-shard hits and detected corruption feed the session's
-		// breaker.
-		pre := faultLedger()
-
-		// Demand lookups. A stalled cache shard (shared mode only — a
-		// private cache has no cross-session shard contention) charges its
-		// penalty on every access, hit or miss: the stall is in front of the
-		// data, not behind it.
-		var stallDelay time.Duration
-		var stallEvents int64
-		if shardSrv != nil {
-			dm := shardSrv.demandTurn(s, st.pages, len(contBuf), t)
-			tr.HitPages = dm.hits
-			tr.Residual = dm.residual
-			tr.Fanout = dm.fanout
-			tr.RoutedPages = dm.routed
-			stallDelay, stallEvents = dm.stall, dm.stallEvents
-			res.RoutedPages += int64(dm.routed)
-			res.RouteCharge += dm.charge
-		} else {
-			missBuf = missBuf[:0]
-			for _, pg := range st.pages {
-				if faultsOn && shared != nil {
-					if d := inj.ShardStall(shared.ShardIndex(pg), t); d > 0 {
-						stallDelay += d
-						stallEvents++
-					}
-				}
-				if caches[s].Lookup(pg) {
-					tr.HitPages++
-				} else {
-					missBuf = append(missBuf, pg)
-				}
-			}
-			if cfg.Engine.BatchedIO {
-				tr.Residual = disk.ReadBatch(missBuf)
-			} else {
-				tr.Residual = disk.ReadPages(missBuf)
-			}
-			tr.Residual += stallDelay
-		}
-		ss.out.ShardStalls += stallEvents
-		res.ShardStalls += stallEvents
-		res.StallDelay += stallDelay
+		res.RoutedPages += int64(dm.routed)
+		res.RouteCharge += dm.charge
+		ss.out.ShardStalls += dm.stallEvents
+		res.ShardStalls += dm.stallEvents
+		res.StallDelay += dm.stall
 
 		budget := st.window
 		if !st.predictionHidden {
@@ -896,40 +738,25 @@ func (p *SessionPlans) Serve(cfg ServeConfig) ServeResult {
 			} else if brkCfg.Enabled {
 				shed := !breakers[s].allowPrefetch(t)
 				allow = !shed
-				if shardSrv != nil {
-					shardSrv.setShedding(s, shed)
-				} else {
-					arb.SetShedding(s, shed)
-				}
+				f.setShedding(s, shed)
 			}
 			if !allow {
 				ss.out.ShedPrefetches++
 				res.ShedPrefetches++
 			} else if faultsOn && inj.BudgetStarved(t) {
 				res.StarvedWindows++
-			} else if shardSrv != nil {
-				tr.Prefetched, tr.PrefetchIO, grantTime = shardSrv.prefetchTurn(s, st.batch, budget, contBuf, t)
 			} else {
-				grant := arb.Grant(s, contBuf, budget)
-				grantTime = grant
-				if grant > 0 {
-					if cfg.Engine.BatchedIO {
-						// One elevator batch per session turn — which also
-						// shrinks the window in which other sessions' in-flight
-						// I/O counts as seek interference.
-						tr.Prefetched, tr.PrefetchIO, sweepBuf = sweepBatch(store, caches[s], st.batch, maxBridge, grant, sweepBuf, readSorted)
-					} else {
-						tr.Prefetched, tr.PrefetchIO = prefetchPages(caches[s], disk, st.traversal, len(st.reqPages),
-							func(i int) []pagestore.PageID { return st.reqPages[i] }, grant)
-					}
-				}
+				// Batched, the window is one elevator batch per session turn —
+				// which also shrinks the span in which other sessions' in-flight
+				// I/O counts as seek interference.
+				tr.Prefetched, tr.PrefetchIO, grantTime = f.prefetchTurn(s, contBuf, st.batch, ladder{
+					traversal: st.traversal,
+					requests:  len(st.reqPages),
+					reqPages:  func(i int) []pagestore.PageID { return st.reqPages[i] },
+				}, budget, t)
 			}
 		}
-		if shardSrv != nil {
-			shardSrv.record(s)
-		} else {
-			arb.Record(s, tr.ResultPages, tr.HitPages, tr.PrefetchIO)
-		}
+		f.record(s)
 
 		// Background scrub, paced from the idle remainder of the session's
 		// GRANTED window: arbiter-aware (only the session's own share is
@@ -937,21 +764,22 @@ func (p *SessionPlans) Serve(cfg ServeConfig) ServeResult {
 		// grantTime 0 and scrubs nothing). The cost is charged to the scrub
 		// ledger only: it occupies window time the session was idle for
 		// anyway, so it never extends busyUntil and never shows up as seek
-		// interference to contenders.
-		scrubDisk.ScrubIdle(grantTime-tr.PrefetchIO, cfg.Engine.ScrubPages)
+		// interference to contenders. The scrub cursor lives in the one
+		// FileStore, so one disk owns its ledger: shard 0's, whose grant
+		// paces it.
+		f.shards[0].disk.ScrubIdle(grantTime-tr.PrefetchIO, cfg.Engine.ScrubPages)
 
-		post := faultLedger()
-		qRetries := post.FaultRetries - pre.FaultRetries
-		qTimeouts := post.TimedOutReads - pre.TimedOutReads
-		qCorrupt := post.CorruptPages - pre.CorruptPages
-		qRepaired := post.RepairedPages - pre.RepairedPages
-		ss.out.FaultRetries += qRetries
-		ss.out.TimedOutReads += qTimeouts
-		ss.out.CorruptPages += qCorrupt
-		ss.out.RepairedPages += qRepaired
+		// Per-query fault evidence: what the disk ledgers gained over this
+		// turn (nothing reads a disk between turns) plus stalled-shard hits
+		// and detected corruption feed the session's breaker.
+		ev := f.faultEvidence()
+		ss.out.FaultRetries += ev.retries
+		ss.out.TimedOutReads += ev.timeouts
+		ss.out.CorruptPages += ev.corrupt
+		ss.out.RepairedPages += ev.repaired
 		if brkCfg.Enabled && !ss.out.Degraded {
 			breakers[s].observe(t+tr.Residual,
-				faultScore(qRetries, qTimeouts, stallEvents)+corruptionScore(qCorrupt, qRepaired))
+				faultScore(ev.retries, ev.timeouts, dm.stallEvents)+corruptionScore(ev.corrupt, ev.repaired))
 		}
 
 		counted := !(cfg.Engine.SkipFirstQuery && st.queryIdx == 0)
@@ -1003,11 +831,7 @@ func (p *SessionPlans) Serve(cfg ServeConfig) ServeResult {
 	}
 
 	for i, ss := range states {
-		if shardSrv != nil {
-			ss.out.Ledger = shardSrv.ledger(i)
-		} else {
-			ss.out.Ledger = arb.Ledger(i)
-		}
+		ss.out.Ledger = f.ledger(i)
 		ss.out.BreakerTrips = breakers[i].trips
 		res.BreakerTrips += ss.out.BreakerTrips
 		res.Sessions = append(res.Sessions, ss.out)
@@ -1015,19 +839,17 @@ func (p *SessionPlans) Serve(cfg ServeConfig) ServeResult {
 			res.Makespan = ss.out.Completed
 		}
 	}
-	if shardSrv != nil {
-		shardSrv.finish(&res)
-	} else if shared != nil {
-		res.Cache = shared.Stats()
-	} else {
-		for i := range caches {
-			st := caches[i].(*cache.Cache).Stats()
-			res.Cache.Hits += st.Hits
-			res.Cache.Misses += st.Misses
-			res.Cache.Inserted += st.Inserted
-			res.Cache.Evictions += st.Evictions
-		}
+	res.Cache = f.cacheStats()
+	res.Disk = f.diskStats()
+	if cfg.Shards > 0 {
+		res.ShardDisks = f.shardStats()
 	}
+	for _, sh := range f.shards {
+		seeks, penalty := sh.disk.Interference()
+		res.InterferenceSeeks += seeks
+		res.Interference += penalty
+	}
+	res.HA = f.ha.stats
 	if len(cfg.Classes) > 0 {
 		res.Classes = make([]ClassResult, len(cfg.Classes))
 		for i := range res.Classes {
@@ -1049,10 +871,6 @@ func (p *SessionPlans) Serve(cfg ServeConfig) ServeResult {
 			c.SLOViolations += s.SLOViolations
 			c.LostQueries += s.LostQueries
 		}
-	}
-	if shardSrv == nil {
-		res.Disk = disk.Stats()
-		res.InterferenceSeeks, res.Interference = disk.Interference()
 	}
 	return res
 }

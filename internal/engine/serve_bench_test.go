@@ -16,12 +16,14 @@ var (
 	benchShardedHash  uint64
 )
 
-// BenchmarkShardedRunSequence times ShardedEngine.RunSequence over the
-// hilbert layout at one and eight shards, unreplicated (R=1: the one-member
-// chain — the demand read no end-to-end workload times on its own, since
-// explore_sharded and serve_sharded both run Replicas 2) and replicated
-// (R=2, the failover-capable prefetch flush). Engine and sequences are built
-// outside the timer; ns/op is one 12-query sequence.
+// BenchmarkShardedRunSequence times RunSequence over the hilbert layout:
+// through New on both I/O modes (engine/per-page is what `explore` runs,
+// engine/batched what `explore_file` runs), and through NewShardedEngine at
+// one and eight shards, unreplicated (R=1: the one-member chain — the demand
+// read no end-to-end workload times on its own, since explore_sharded and
+// serve_sharded both run Replicas 2) and replicated (R=2, the
+// failover-capable prefetch flush). Engine and sequences are built outside
+// the timer; ns/op is one 12-query sequence.
 func BenchmarkShardedRunSequence(b *testing.B) {
 	store, tree := cloudWorld(b, 20000, 9)
 	if err := store.Relayout(pagestore.HilbertLayout()); err != nil {
@@ -32,6 +34,25 @@ func BenchmarkShardedRunSequence(b *testing.B) {
 	for i := range seqs {
 		seqs[i] = randomWalk(rng, 12, 30)
 	}
+	run := func(b *testing.B, e interface {
+		RunSequence(workload.Sequence, prefetch.Prefetcher) SequenceResult
+	}) {
+		p := prefetch.NewStraightLine(1000)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			benchShardedHash ^= e.RunSequence(seqs[i%len(seqs)], p).ResultHash
+		}
+	}
+	for _, batched := range []bool{false, true} {
+		cfg := DefaultConfig()
+		cfg.BatchedIO = batched
+		name := "engine/per-page"
+		if batched {
+			name = "engine/batched"
+		}
+		b.Run(name, func(b *testing.B) { run(b, New(store, tree, cfg)) })
+	}
 	for _, shards := range []int{1, 8} {
 		for _, replicas := range []int{1, 2} {
 			cfg := DefaultConfig()
@@ -39,12 +60,7 @@ func BenchmarkShardedRunSequence(b *testing.B) {
 			b.Run(fmt.Sprintf("S=%d/R=%d", shards, replicas), func(b *testing.B) {
 				e := NewShardedEngine(store, tree, cfg, shards)
 				defer e.Close()
-				p := prefetch.NewStraightLine(1000)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					benchShardedHash ^= e.RunSequence(seqs[i%len(seqs)], p).ResultHash
-				}
+				run(b, e)
 			})
 		}
 	}
@@ -66,10 +82,11 @@ func walkWorkloads(rng *rand.Rand, n, q int) []SessionWorkload {
 // BenchmarkServeCommit times the commit phase alone — SessionPlans.Serve
 // over plans built once outside the timer, the way the mu*/rob1/load1
 // experiments re-commit one plan set under many configs — on the per-page
-// flush, the batched flush and the sharded backend (Shards 8, Replicas 2)
-// at 16, 64 and 256 sessions of a shared cache under the fair policy with
-// seek interference. ns/op is one whole commit; ns/query divides by the
-// queries it served.
+// flush, the batched flush, private per-session caches (per-page; half of
+// serve_flat's cells are private) and the sharded backend (Shards 8,
+// Replicas 2) at 16, 64 and 256 sessions under the fair policy with seek
+// interference; all but `private` share one cache. ns/op is one whole
+// commit; ns/query divides by the queries it served.
 func BenchmarkServeCommit(b *testing.B) {
 	store, tree := cloudWorld(b, 20000, 9)
 	base := ServeConfig{
@@ -77,13 +94,14 @@ func BenchmarkServeCommit(b *testing.B) {
 		Policy:           FairShare,
 		InterferenceSeek: 500 * time.Microsecond,
 	}
-	batched, sharded := base, base
+	batched, private, sharded := base, base, base
 	batched.Engine.BatchedIO = true
+	private.PrivateCaches = true
 	sharded.Shards, sharded.Replicas = 8, 2
 	paths := []struct {
 		name string
 		cfg  ServeConfig
-	}{{"per-page", base}, {"batched", batched}, {"sharded", sharded}}
+	}{{"per-page", base}, {"batched", batched}, {"private", private}, {"sharded", sharded}}
 	for _, sessions := range []int{16, 64, 256} {
 		workloads := walkWorkloads(rand.New(rand.NewSource(int64(sessions))), sessions, 12)
 		plans := PlanSessions(store, tree, workloads, DefaultConfig().Cost, 0)

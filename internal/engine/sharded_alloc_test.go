@@ -52,6 +52,34 @@ func TestShardedTurnAllocations(t *testing.T) {
 		}
 	})
 
+	// The flat commit (Shards 0) is the one-shard fleet, built per Serve call:
+	// fleet, shard, partition, router and failover scratch are per-commit
+	// allocations on top of what the commit loop always made (result rows,
+	// response samples, per-session heads and ledgers). 96 sessions × 25
+	// queries read 0.630 (per-page), 0.632 (batched) and 0.798 (private)
+	// allocs/query with the flat disk/arbiter/cache triple this replaced;
+	// bench/'s serve_flat bounds allocs_per_query at 6 %, so the ceilings
+	// leave a fleet about twenty allocations a commit, not one per turn.
+	flat := ServeConfig{Engine: DefaultConfig(), Policy: FairShare, InterferenceSeek: 500 * time.Microsecond}
+	batched, private := flat, flat
+	batched.Engine.BatchedIO = true
+	private.PrivateCaches = true
+	plans := PlanSessions(store, tree, walkWorkloads(rand.New(rand.NewSource(96)), 96, 25), DefaultConfig().Cost, 1)
+	for _, row := range []struct {
+		name    string
+		cfg     ServeConfig
+		ceiling float64
+	}{{"per-page", flat, 0.65}, {"batched", batched, 0.65}, {"private", private, 0.82}} {
+		t.Run("flat/"+row.name, func(t *testing.T) {
+			res := plans.Serve(row.cfg)
+			perQuery := testing.AllocsPerRun(5, func() { plans.Serve(row.cfg) }) / float64(res.Queries)
+			t.Logf("%.3f allocs/query over %d queries", perQuery, res.Queries)
+			if perQuery > row.ceiling {
+				t.Errorf("flat %s commit: %.3f allocs/query, want <= %.2f", row.name, perQuery, row.ceiling)
+			}
+		})
+	}
+
 	t.Run("run_sequence", func(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Replicas = 2

@@ -6,7 +6,9 @@ package engine
 // max-over-shards arithmetic on the coordinator's virtual clock — and a
 // shard's turn is a few hundred nanoseconds of work, so the turn runs on the
 // goroutine that called Do. Nothing here synchronises; concurrent callers
-// need one set each.
+// need one set each. The fleet ranges over its shard slice directly; the
+// type stays for bench/probes.go, which times Do, and for measured-mode
+// shard workers (ROADMAP item 9) to come back to.
 type ShardSet[T any] struct {
 	state []T
 }
