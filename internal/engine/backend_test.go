@@ -84,6 +84,12 @@ func TestBackedEngineScrubHeals(t *testing.T) {
 	if st.RepairedPages == 0 {
 		t.Fatalf("scrub repaired nothing: %+v", st)
 	}
+	// Scrub steps and repairs bill ScrubIO and CorruptDelay; the read ledger
+	// of this walk is the clean simulation's (12 cold query starts, 19 pages).
+	// dur1 runs this configuration and prints neither count.
+	if st.Seeks != 12 || st.PagesRead != 19 {
+		t.Errorf("read ledger moved under scrub and repair: Seeks %d PagesRead %d, want 12 and 19", st.Seeks, st.PagesRead)
+	}
 	if len(e.Disk().Errs()) != 0 {
 		t.Errorf("repairable corruption surfaced errors: %v", e.Disk().Errs())
 	}
