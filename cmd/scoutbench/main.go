@@ -5,9 +5,9 @@
 //
 // Sequences within each measurement are fanned out across -workers cores
 // (results are byte-identical to a sequential run; see engine.RunEach).
-// -compare additionally re-runs every experiment single-core and reports
-// the wall-clock speedup; -benchjson writes the timings to a JSON file so
-// the perf trajectory is tracked across commits (CI stores BENCH_hotpath.json).
+// The tables are virtual-clock quantities; the wall-clock lines printed
+// after each one are progress, not a measurement — bench/ is the
+// wall-clock benchmark.
 //
 // Usage:
 //
@@ -22,11 +22,9 @@
 //	scoutbench -exp load1 -arrivals bursty -rate 4  # open-loop sweep, one load point
 //	scoutbench -exp shard1 -shards 8  # sharded engine, one shard count
 //	scoutbench -exp ha1 -replicas 2 -hedge 1.5 -faults shard:outage  # one HA cell
-//	scoutbench -exp all -compare -benchjson BENCH_hotpath.json
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -35,7 +33,6 @@ import (
 	"strings"
 	"time"
 
-	"scout/internal/benchfmt"
 	"scout/internal/engine"
 	"scout/internal/experiments"
 	"scout/internal/fault"
@@ -66,8 +63,6 @@ func main() {
 		shards     = flag.Int("shards", 0, "pin shard1's and ha1's shard-count sweeps to one count (0 = full sweep; no other experiment shards)")
 		replicas   = flag.Int("replicas", 0, "pin ha1's replication-mode sweep to one chain length (0 = full sweep: unreplicated, 2-way, 2-way hedged; no other experiment replicates)")
 		hedge      = flag.Float64("hedge", 0, "ha1's hedged-prefetch threshold: re-issue a shard sub-batch to its replica when its estimate exceeds this multiple of the median (0 = the hedged mode's default 1.5; must be >= 1)")
-		compare    = flag.Bool("compare", false, "also run single-core and report the wall-clock speedup")
-		jsonOut    = flag.String("benchjson", "", "write wall-clock metrics to this JSON file")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the experiment runs to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile (after all runs) to this file")
 		verbose    = flag.Bool("v", false, "print progress while running")
@@ -202,36 +197,19 @@ func main() {
 		}
 	}
 
-	// The sequential comparison environment shares nothing with the parallel
-	// one except the options, so dataset build time is charged to both runs
-	// equally (datasets are memoized per environment, not globally).
-	var seqEnv *experiments.Env
-	if *compare {
-		seqOpt := opt
-		seqOpt.Workers = 1
-		seqEnv = experiments.NewEnv(seqOpt)
-	}
-
-	// Build the shared datasets before starting any timer, so the recorded
-	// wall-clocks measure experiment execution, not one-time dataset
-	// generation (which would otherwise land inside the first experiment's
-	// measurement and distort the perf trajectory in -benchjson). Each
-	// experiment declares its datasets via Warm; builds are memoized per
-	// environment, so overlapping declarations cost nothing. fig13b/fig14
-	// use parameterized density-sweep datasets that must build inside the
-	// run (Warm == nil).
+	// Build the shared datasets before the profile and the progress timers
+	// start, so both cover experiment execution, not one-time dataset
+	// generation (which would otherwise land inside the first experiment).
+	// Each experiment declares its datasets via Warm; builds are memoized per
+	// environment, so overlapping declarations cost nothing. fig13b/fig14 use
+	// parameterized density-sweep datasets that must build inside the run
+	// (Warm == nil).
 	for _, e := range toRun {
-		if e.Warm == nil {
-			continue
-		}
-		e.Warm(env)
-		if seqEnv != nil {
-			e.Warm(seqEnv)
+		if e.Warm != nil {
+			e.Warm(env)
 		}
 	}
 
-	// Profiling starts after dataset warm-up so profiles capture hot-path
-	// experiment execution, not one-time generation.
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -246,91 +224,6 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	// -sessions/-policy only affect the mu*/rob* experiments, and
-	// -faults/-faultseed/-slo only rob*; stamping them into the JSON for a
-	// run without those experiments would make benchdiff void comparisons
-	// between configurations that are actually identical.
-	hasMu, hasRob, hasLoad, hasShard, hasHA := false, false, false, false, false
-	for _, e := range toRun {
-		if strings.HasPrefix(e.ID, "mu") || strings.HasPrefix(e.ID, "rob") {
-			hasMu = true
-		}
-		if strings.HasPrefix(e.ID, "rob") {
-			hasRob = true
-		}
-		if strings.HasPrefix(e.ID, "load") {
-			hasLoad = true
-		}
-		if strings.HasPrefix(e.ID, "shard") {
-			hasShard = true
-		}
-		if strings.HasPrefix(e.ID, "ha") {
-			hasHA = true
-		}
-	}
-	out := benchfmt.File{
-		Scale:      *scale,
-		Sequences:  *seqs,
-		Seed:       *seed,
-		Workers:    *workers,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-	}
-	if hasMu {
-		out.Sessions = *sessions
-		out.SessionPolicy = *policy
-	}
-	// "off" IS the default fault configuration, like "insertion" for
-	// -layout below: normalize it so spelling the default never voids a
-	// benchdiff comparison. ha1 shares the fault/SLO knobs with rob1 (its
-	// profiles are the shard:* ones).
-	if hasRob || hasHA {
-		if *faults != "off" {
-			out.Faults = *faults
-		}
-		out.FaultSeed = *faultSeed
-		out.SLOMS = float64(slo.Microseconds()) / 1000
-	}
-	// -arrivals/-rate/-classes/-patience only shape load1's offered-load
-	// points; "poisson" and "mixed" ARE the defaults, so normalize them like
-	// "off"/"insertion" above — spelling the default never voids a benchdiff
-	// comparison.
-	if hasLoad {
-		if *arrivals != "poisson" {
-			out.Arrivals = *arrivals
-		}
-		out.ArrivalRate = *rate
-		if *classes != "mixed" {
-			out.Classes = *classes
-		}
-		out.PatienceMS = float64(patience.Microseconds()) / 1000
-	}
-	// -shards pins shard1's and ha1's shard-count sweeps; 0 IS the default
-	// (full sweep), and omitempty drops it, so only a real pin voids a
-	// benchdiff comparison. Same for ha1's -replicas/-hedge.
-	if hasShard || hasHA {
-		out.Shards = *shards
-	}
-	if hasHA {
-		out.Replicas = *replicas
-		out.Hedge = *hedge
-	}
-	// "insertion" IS the default configuration: normalize it to the empty
-	// string so benchdiff never voids a comparison between two identical
-	// setups spelled differently.
-	if *layout != "insertion" {
-		out.Layout = *layout
-	}
-	// Same normalization for the backend ("sim" is the default) and the
-	// integrity mode ("repair" is the default).
-	if *backend != "sim" {
-		out.Backend = *backend
-	}
-	if *checksum != "repair" {
-		out.Checksum = *checksum
-	}
-	// total accumulates only the (parallel) experiment runs, excluding the
-	// -compare sequential re-runs, so the JSON trajectory metric tracks the
-	// harness's own wall-clock across commits.
 	var total time.Duration
 	for _, e := range toRun {
 		start := time.Now()
@@ -338,27 +231,8 @@ func main() {
 		wall := time.Since(start)
 		total += wall
 		fmt.Println(res.String())
-
-		rec := benchfmt.Record{ID: e.ID, WallMS: float64(wall.Microseconds()) / 1000, Seeks: res.Seeks, P999MS: res.P999MS}
-		if *compare {
-			seqStart := time.Now()
-			seqRes := e.Run(seqEnv)
-			seqWall := time.Since(seqStart)
-			rec.SequentialWallMS = float64(seqWall.Microseconds()) / 1000
-			if rec.WallMS > 0 {
-				rec.Speedup = rec.SequentialWallMS / rec.WallMS
-			}
-			if seqRes.String() != res.String() {
-				fmt.Fprintf(os.Stderr, "WARNING: %s: parallel output differs from sequential output\n", e.ID)
-			}
-			fmt.Printf("(%s completed in %s; sequential %s, speedup %.2fx)\n\n",
-				e.ID, wall.Round(time.Millisecond), seqWall.Round(time.Millisecond), rec.Speedup)
-		} else {
-			fmt.Printf("(%s completed in %s)\n\n", e.ID, wall.Round(time.Millisecond))
-		}
-		out.Experiments = append(out.Experiments, rec)
+		fmt.Printf("(%s completed in %s)\n\n", e.ID, wall.Round(time.Millisecond))
 	}
-	out.TotalWallMS = float64(total.Microseconds()) / 1000
 	fmt.Printf("total wall-clock: %s (%d experiments, workers=%d)\n",
 		total.Round(time.Millisecond), len(toRun), effectiveWorkers(*workers))
 
@@ -375,20 +249,6 @@ func main() {
 		}
 		f.Close()
 		fmt.Printf("wrote %s\n", *memProfile)
-	}
-
-	if *jsonOut != "" {
-		data, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(1)
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *jsonOut)
 	}
 }
 

@@ -38,9 +38,10 @@ func runScoutbench(t *testing.T, args ...string) (stderr string, exitCode int) {
 }
 
 // TestUsageErrors pins the strict-flag contract: a typo in -faults, -policy
-// or -layout (or a nonsense -slo / -exp) must exit non-zero with the valid
-// options on stderr — never fall back silently to measuring the default
-// configuration.
+// or -layout (or a nonsense -slo / -exp) must exit 2 with the valid options
+// on stderr — never fall back silently to measuring the default
+// configuration. A removed flag is the same error: a stale script must fail,
+// not run without the measurement it asked for.
 func TestUsageErrors(t *testing.T) {
 	cases := []struct {
 		name string
@@ -83,12 +84,16 @@ func TestUsageErrors(t *testing.T) {
 			[]string{"-hedge takes 0 (default threshold) or a multiplier >= 1"}},
 		{"mistyped shard profile", []string{"-faults", "shard:meltdown"},
 			[]string{"shard:meltdown", "-faults takes one of:", "shard:brownout", "shard:outage", "shard:flaky"}},
+		{"removed -compare", []string{"-compare"},
+			[]string{"flag provided but not defined: -compare"}},
+		{"removed -benchjson", []string{"-benchjson", "x.json"},
+			[]string{"flag provided but not defined: -benchjson"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			stderr, code := runScoutbench(t, tc.args...)
-			if code == 0 {
-				t.Fatalf("scoutbench %v exited 0\nstderr: %s", tc.args, stderr)
+			if code != 2 {
+				t.Fatalf("scoutbench %v exited %d, want 2\nstderr: %s", tc.args, code, stderr)
 			}
 			for _, want := range tc.want {
 				if !strings.Contains(stderr, want) {

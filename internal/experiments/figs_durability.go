@@ -124,7 +124,6 @@ func Dur1(env *Env) Result {
 				ms(lat.P99),
 				ms(ds.ScrubIO),
 				intact)
-			res.Seeks += ds.Seeks
 			fs.Close()
 			opt.progress("dur1: rate=%s mode=%s done", pct(rate), modeLabel(mode))
 		}

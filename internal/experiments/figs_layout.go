@@ -70,7 +70,6 @@ func Layout1(env *Env) Result {
 				ms(stats.SimulatedIO),
 				pct(hit),
 				vs)
-			res.Seeks += stats.Seeks
 			opt.progress("layout1: %s %s/%s done", s.DS.Name, m.layout, path)
 		}
 		relayout(s.Store, restore)

@@ -168,7 +168,6 @@ func Shard1(env *Env) Result {
 			ms(p.P95Single),
 			ms(p.P95Multi),
 			pct(p.HitRate))
-		res.Seeks += p.Seeks
 	}
 	res.Notes = append(res.Notes,
 		"service = summed counted residual I/O; speedup is vs the same layout/workload at one shard",

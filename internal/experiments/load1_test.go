@@ -42,18 +42,3 @@ func TestLoad1MitigationImprovesSaturatedTail(t *testing.T) {
 			points[0].Mult, points[0].P999, points[len(points)-2].Mult, points[len(points)-2].P999)
 	}
 }
-
-// TestLoad1StampsP999 pins the benchdiff gate: Load1 must stamp the
-// highest-load mitigated p999 into Result.P999MS.
-func TestLoad1StampsP999(t *testing.T) {
-	res := Load1(NewEnv(goldenOptions()))
-	if res.P999MS <= 0 {
-		t.Fatalf("Load1 must stamp P999MS, got %v", res.P999MS)
-	}
-	if res.ID != "load1" {
-		t.Fatalf("unexpected ID %q", res.ID)
-	}
-	if len(res.Rows) != 2*len(load1Multipliers) {
-		t.Fatalf("expected %d rows, got %d", 2*len(load1Multipliers), len(res.Rows))
-	}
-}

@@ -15,18 +15,6 @@ type Result struct {
 	Rows   [][]string
 	// Notes document modeling caveats that affect interpretation.
 	Notes []string
-	// Seeks is the experiment's total simulated seek count when it
-	// measures I/O (layout1), zero otherwise. It is not rendered —
-	// scoutbench stamps it into benchfmt records so benchdiff can gate
-	// seek regressions deterministically (the virtual clock never jitters
-	// like wall time does).
-	Seeks int64
-	// P999MS is the experiment's headline p999 response time in
-	// milliseconds when it measures tail latency under load (load1's
-	// highest-load mitigated configuration), zero otherwise. Deterministic
-	// (virtual clock), so benchdiff can gate on it exactly; scoutbench
-	// stamps it into benchfmt records.
-	P999MS float64
 }
 
 // AddRow appends a formatted row.

@@ -28,7 +28,7 @@ import (
 
 // Layout computes a physical placement for a paginated store's pages.
 type Layout interface {
-	// Name identifies the layout in flags, tables and benchfmt records.
+	// Name identifies the layout in flags and tables.
 	Name() string
 	// Permutation returns perm with perm[logical] = physical slot. It must
 	// be a bijection over [0, s.NumPages()).
