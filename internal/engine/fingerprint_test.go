@@ -123,13 +123,21 @@ var coreFingerprints = map[string]uint64{
 	"serve/flaky/S=4/R=1":              0x1a282698608d87ae,
 	"serve/flaky/S=4/R=2":              0x7a9462804c97ed0,
 	"serve/flaky/S=0":                  0xe818e7eeecd2023c,
+	// Recorded at commit b45e7ca, before the commit loop's next-event scan
+	// became a (virtual time, session ID) heap: ties and arrival order.
+	"serve/bursty/per-page":   0xaafed9f090fd7fac,
+	"serve/bursty/batched":    0x917cecbed31d5a1b,
+	"serve/schedule":          0x8396dcda30c4e8b9,
+	"serve/closed64/per-page": 0xbee6fa79d0cef880,
+	"serve/closed64/batched":  0xaca7f32a6c5ff364,
 }
 
 // TestCoreFingerprints runs every execution-core configuration — Engine
 // {per-page, batched} under each layout and under page faults; ShardedEngine
 // over shard counts, replication, hedging and shard faults; Serve over
 // policy × cache mode × I/O mode, the robustness stack, open-loop classes,
-// and the replicated fleet under shard faults — and compares the FNV-1a of
+// tied and out-of-order arrivals, and the replicated fleet under shard
+// faults — and compares the FNV-1a of
 // the whole result (traces, ledgers, disk, cache and HA stats) against
 // constants.
 func TestCoreFingerprints(t *testing.T) {
@@ -307,6 +315,49 @@ func TestCoreFingerprints(t *testing.T) {
 				cfg.Shards = 4
 				check("serve/classes/S=4", sharded(classed, cfg))
 			}
+		}
+
+		// Event order under ties and out-of-order arrivals, all decided by the
+		// commit loop's (virtual time, session ID) order: bursts of
+		// simultaneous arrivals that meet the admission gate mid-run, an
+		// explicit schedule that arrives out of session-ID order and repeats
+		// instants, and a 64-session closed loop where everyone ties at t = 0.
+		ordered := PlanSessions(store, tree, serveWorkloads(16, 9), cost, 2)
+		for _, io := range ioModes {
+			cfg := ServeConfig{
+				Engine:           DefaultConfig(),
+				Policy:           FairShare,
+				InterferenceSeek: time.Millisecond,
+				CacheShards:      8,
+				Admission:        AdmissionConfig{Enabled: true, MaxConcurrent: 4},
+				Arrivals:         ArrivalConfig{Enabled: true, Process: Bursty, Rate: 100, BurstSize: 4, Seed: 5},
+			}
+			cfg.Engine.BatchedIO = io.batched
+			// Bursts land at 65, 94, 250 and 286 ms; the second and fourth
+			// arrive while the one before is still reading and are rejected.
+			check("serve/bursty/"+io.name, flat(ordered, cfg))
+		}
+		scheduled := PlanSessions(store, tree, serveWorkloads(10, 13), cost, 2)
+		ms := time.Millisecond
+		check("serve/schedule", flat(scheduled, ServeConfig{
+			Engine:           DefaultConfig(),
+			Policy:           DemandWeighted,
+			InterferenceSeek: time.Millisecond,
+			CacheShards:      8,
+			Admission:        AdmissionConfig{Enabled: true, MaxConcurrent: 3, Degrade: true},
+			// Sessions 8 and 9 reuse the last entry; five sessions degrade.
+			Arrivals: ArrivalConfig{Enabled: true, Times: []time.Duration{30 * ms, 0, 30 * ms, 10 * ms, 0, 50 * ms, 10 * ms, 30 * ms}},
+		}))
+		closed := PlanSessions(store, tree, serveWorkloads(64, 3), cost, 2)
+		for _, io := range ioModes {
+			cfg := ServeConfig{
+				Engine:           DefaultConfig(),
+				Policy:           FairShare,
+				InterferenceSeek: time.Millisecond,
+				CacheShards:      8,
+			}
+			cfg.Engine.BatchedIO = io.batched
+			check("serve/closed64/"+io.name, flat(closed, cfg))
 		}
 
 		// The replicated fleet under shard faults (seed 6: outages lose pages at
