@@ -115,13 +115,6 @@ func NewArbiter(policy Policy, sessions int) *Arbiter {
 	return &Arbiter{policy: policy, ledgers: make([]ledger, sessions)}
 }
 
-// Policy returns the arbiter's policy.
-func (a *Arbiter) Policy() Policy {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.policy
-}
-
 // Grant returns how much of the session's prefetch window it may spend on
 // prefetch I/O, given the sessions currently contending for the disk
 // (sessions whose I/O is still in flight at this virtual time). The grant

@@ -195,6 +195,20 @@ type ClassResult struct {
 	LostQueries   int64
 }
 
+// add folds one session's outcome into the class.
+func (c *ClassResult) add(s *SessionResult) {
+	c.Sessions++
+	if s.Rejected {
+		c.Rejected++
+	}
+	if s.Abandoned {
+		c.Abandoned++
+	}
+	c.Counted += int64(len(s.Responses))
+	c.SLOViolations += s.SLOViolations
+	c.LostQueries += s.LostQueries
+}
+
 // SLORate returns the class's SLO-violation rate with lost queries counted
 // as violations, mirroring ServeResult.SLORate.
 func (c ClassResult) SLORate() float64 {

@@ -29,9 +29,6 @@ type Config struct {
 	// pages. The paper grants 4 GB of cache for a 33 GB dataset (§7.1), a
 	// ratio of ≈0.12.
 	CacheFraction float64
-	// CachePages overrides CacheFraction with an absolute capacity when
-	// positive.
-	CachePages int
 	// Cost is the disk cost model.
 	Cost pagestore.CostModel
 	// SkipFirstQuery excludes each sequence's first query from hit-rate
@@ -152,6 +149,28 @@ type SequenceResult struct {
 	// LostPages totals QueryTrace.LostPages over all queries: demand pages
 	// dropped from result sets because their whole replica chain was down.
 	LostPages int64
+}
+
+// account folds one query's trace into the sequence, for both drivers: the
+// trace and its lost pages always; its pages, response-time components and
+// delta build only when the query is counted, i.e. unless it is a first
+// query under SkipFirstQuery. It reports whether the query was counted.
+func (r *SequenceResult) account(tr QueryTrace, skipFirst bool) bool {
+	r.Queries = append(r.Queries, tr)
+	r.LostPages += int64(tr.LostPages)
+	if skipFirst && tr.Seq == 0 {
+		return false
+	}
+	r.HitPages += int64(tr.HitPages)
+	r.TotalPages += int64(tr.ResultPages)
+	r.Cold += tr.Cold
+	r.Residual += tr.Residual
+	r.GraphBuild += tr.GraphBuild
+	r.Prediction += tr.Prediction
+	if tr.GraphDelta {
+		r.DeltaBuilds++
+	}
+	return true
 }
 
 // HitRate returns the sequence's cache hit rate.
@@ -345,20 +364,7 @@ func (e *Engine) RunSequence(seq workload.Sequence, p prefetch.Prefetcher) Seque
 		e.vclock += tr.Residual + tr.Window
 
 		// 4. Accounting.
-		counted := !(e.cfg.SkipFirstQuery && qi == 0)
-		if counted {
-			res.HitPages += int64(tr.HitPages)
-			res.TotalPages += int64(tr.ResultPages)
-			res.Cold += tr.Cold
-			res.Residual += tr.Residual
-			res.GraphBuild += tr.GraphBuild
-			res.Prediction += tr.Prediction
-			if tr.GraphDelta {
-				res.DeltaBuilds++
-			}
-		}
-		res.LostPages += int64(tr.LostPages)
-		res.Queries = append(res.Queries, tr)
+		res.account(tr, e.cfg.SkipFirstQuery)
 	}
 	return res
 }
@@ -396,11 +402,7 @@ func (e *Engine) spendWindow(plan prefetch.Plan, budget time.Duration) (int, tim
 
 // RunAll executes many sequences and aggregates their results.
 func (e *Engine) RunAll(seqs []workload.Sequence, p prefetch.Prefetcher) Aggregate {
-	var agg Aggregate
-	for _, r := range e.RunEach(seqs, p, 1) {
-		agg.add(r)
-	}
-	return agg
+	return e.RunAllParallel(seqs, p, 1)
 }
 
 // RunEach executes the sequences and returns one result per sequence, in

@@ -76,8 +76,11 @@ func TestNoneHasNoHits(t *testing.T) {
 func TestOraclePrefetcherHitsEverything(t *testing.T) {
 	store, tree := lineWorld(t, 500)
 	cfg := DefaultConfig()
-	cfg.CachePages = store.NumPages() // cache everything
+	cfg.CacheFraction = 1 // cache everything
 	e := New(store, tree, cfg)
+	if got := e.Cache().Capacity(); got != store.NumPages() {
+		t.Fatalf("capacity = %d, want every page (%d)", got, store.NumPages())
+	}
 	seq := walkSequence(10, 10, 9, 50) // giant window: oracle can read all
 	res := e.RunSequence(seq, oracle{region: geom.Box(geom.V(-1, -1, -1), geom.V(501, 1, 1))})
 	if hr := res.HitRate(); hr < 0.99 {
@@ -107,8 +110,11 @@ func TestRepeatedQueryStillMissesWithoutPrefetch(t *testing.T) {
 func TestWindowBudgetLimitsPrefetching(t *testing.T) {
 	store, tree := lineWorld(t, 2000)
 	cfg := DefaultConfig()
-	cfg.CachePages = store.NumPages() // isolate the window effect from eviction
+	cfg.CacheFraction = 1 // isolate the window effect from eviction
 	e := New(store, tree, cfg)
+	if got := e.Cache().Capacity(); got != store.NumPages() {
+		t.Fatalf("capacity = %d, want every page (%d)", got, store.NumPages())
+	}
 	// Tiny window ratio: almost no prefetching possible.
 	seqSmall := walkSequence(10, 10, 9, 0.01)
 	resSmall := e.RunSequence(seqSmall, oracle{region: geom.Box(geom.V(-1, -1, -1), geom.V(2001, 1, 1))})
@@ -251,10 +257,11 @@ func TestCacheCapacityFromFraction(t *testing.T) {
 	if got := e.Cache().Capacity(); got != want {
 		t.Errorf("capacity = %d, want %d", got, want)
 	}
-	cfg.CachePages = 7
+	// A fraction half a page above 7 pages truncates to exactly 7.
+	cfg.CacheFraction = 7.5 / float64(store.NumPages())
 	e = New(store, tree, cfg)
 	if got := e.Cache().Capacity(); got != 7 {
-		t.Errorf("absolute capacity = %d, want 7", got)
+		t.Errorf("small capacity = %d, want 7", got)
 	}
 }
 

@@ -49,22 +49,6 @@ type HAStats struct {
 	FailoverTrips int64
 }
 
-// Add folds another HA ledger into this one.
-func (s *HAStats) Add(o HAStats) {
-	s.FailedOverBatches += o.FailedOverBatches
-	s.FailedOverPages += o.FailedOverPages
-	s.OutageProbes += o.OutageProbes
-	s.ProbeDelay += o.ProbeDelay
-	s.LostBatches += o.LostBatches
-	s.LostPages += o.LostPages
-	s.LostDelay += o.LostDelay
-	s.BrownedBatches += o.BrownedBatches
-	s.BrownoutDelay += o.BrownoutDelay
-	s.HedgedWindows += o.HedgedWindows
-	s.HedgeWins += o.HedgeWins
-	s.FailoverTrips += o.FailoverTrips
-}
-
 // failoverBreakerConfig tunes the per-shard health ledger. It reuses the
 // breaker struct but trips faster and cools quicker than the per-session
 // prefetch breaker: one outage discovery (weight 3, alpha 0.5) reaches the

@@ -22,6 +22,7 @@
 package engine
 
 import (
+	"container/heap"
 	"fmt"
 	"math"
 	"runtime"
@@ -139,15 +140,6 @@ type ServeConfig struct {
 	Replicas int
 }
 
-// classSpec resolves a session's class (normalized weight), reporting
-// whether one is configured.
-func (c ServeConfig) classSpec(idx int) (ClassSpec, bool) {
-	if idx < 0 || idx >= len(c.Classes) {
-		return ClassSpec{}, false
-	}
-	return c.Classes[idx], true
-}
-
 // AdmissionConfig parameterizes Serve's admission control. Under fault
 // pressure every marginal session adds seek interference for everyone; the
 // ceiling caps how many in-flight sessions a newcomer may join.
@@ -169,14 +161,6 @@ type AdmissionConfig struct {
 // defaults (reject, ceiling 8).
 func DefaultAdmissionConfig() AdmissionConfig {
 	return AdmissionConfig{Enabled: true, MaxConcurrent: 8}
-}
-
-// withDefaults fills zero tuning fields of an enabled config.
-func (c AdmissionConfig) withDefaults() AdmissionConfig {
-	if c.MaxConcurrent <= 0 {
-		c.MaxConcurrent = DefaultAdmissionConfig().MaxConcurrent
-	}
-	return c
 }
 
 // SessionResult is one session's outcome.
@@ -394,7 +378,7 @@ func Percentile(samples []time.Duration, p float64) time.Duration {
 // step is one planned query: everything phase 1 can precompute without
 // touching shared state.
 type step struct {
-	seqIdx, queryIdx int
+	queryIdx         int
 	last             bool // last query of its sequence: no prefetch window I/O
 	pages            []pagestore.PageID
 	cold             time.Duration
@@ -428,18 +412,11 @@ func resolveCacheShards(capacity, configured int) int {
 // cacheCapacity sizes a fleet's prefetch cache, before it splits across
 // shards.
 func cacheCapacity(cfg Config, store *pagestore.Store) int {
-	capacity := cfg.CachePages
-	if capacity <= 0 {
-		frac := cfg.CacheFraction
-		if frac <= 0 {
-			frac = defaultCacheFraction
-		}
-		capacity = int(frac * float64(store.NumPages()))
-		if capacity < 1 {
-			capacity = 1
-		}
+	frac := cfg.CacheFraction
+	if frac <= 0 {
+		frac = defaultCacheFraction
 	}
-	return capacity
+	return max(int(frac*float64(store.NumPages())), 1)
 }
 
 // newResult returns the empty slice one query's result is refined into
@@ -460,7 +437,6 @@ func newResult(prevLen int) []pagestore.ObjectID {
 // commit and safe to reuse.
 type SessionPlans struct {
 	store *pagestore.Store
-	index Index
 	cost  pagestore.CostModel
 	// layout names the store layout the steps were priced and elevator-
 	// sorted under (step.cold, step.batch); Serve refuses any other.
@@ -472,28 +448,6 @@ type SessionPlans struct {
 	classes []int
 }
 
-// class returns session i's workload-class index (0 out of range, which is
-// also the neutral default class).
-func (p *SessionPlans) class(i int) int {
-	if i < 0 || i >= len(p.classes) {
-		return 0
-	}
-	return p.classes[i]
-}
-
-// countedSteps counts the counted-query slots in a step suffix — the
-// queries a rejection or abandonment forfeits from the SLO denominator.
-func countedSteps(steps []step, skipFirst bool) int64 {
-	var n int64
-	for _, st := range steps {
-		if skipFirst && st.queryIdx == 0 {
-			continue
-		}
-		n++
-	}
-	return n
-}
-
 // PlanSessions runs the plan phase only: each session's prefetcher runs
 // over its own trajectory, fanned across workers goroutines (0 =
 // GOMAXPROCS). Deterministic for any worker count.
@@ -502,10 +456,7 @@ func PlanSessions(store *pagestore.Store, index Index, workloads []SessionWorklo
 		cost = pagestore.DefaultCostModel()
 	}
 	n := len(workloads)
-	plans := &SessionPlans{store: store, index: index, cost: cost, layout: store.LayoutName(), steps: make([][]step, n), classes: make([]int, n)}
-	for i := range workloads {
-		plans.classes[i] = workloads[i].Class
-	}
+	plans := &SessionPlans{store: store, cost: cost, layout: store.LayoutName(), steps: make([][]step, n), classes: make([]int, n)}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -515,6 +466,7 @@ func PlanSessions(store *pagestore.Store, index Index, workloads []SessionWorklo
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, workers)
 	for i := range workloads {
+		plans.classes[i] = workloads[i].Class
 		wg.Add(1)
 		sem <- struct{}{}
 		go func(i int) {
@@ -529,319 +481,396 @@ func PlanSessions(store *pagestore.Store, index Index, workloads []SessionWorklo
 
 // Serve runs the session workloads to completion against one shard fleet —
 // by default one shared cache, one shared disk and one prefetch-budget
-// arbiter — and returns per-session results plus the shared-resource stats. Output is deterministic: the
-// same store, workloads and config produce byte-identical results for any
-// Workers value. To commit the same workloads under several configs
-// without re-running the prefetchers, use PlanSessions + SessionPlans.Serve.
+// arbiter — and returns per-session results plus the shared-resource stats.
+// Output is deterministic: the same store, workloads and config produce
+// byte-identical results for any Workers value. To commit the same workloads
+// under several configs without re-running the prefetchers, use
+// PlanSessions + SessionPlans.Serve.
 func Serve(store *pagestore.Store, index Index, workloads []SessionWorkload, cfg ServeConfig) ServeResult {
 	return PlanSessions(store, index, workloads, cfg.Engine.Cost, cfg.Workers).Serve(cfg)
 }
 
-// Serve is the commit phase: the deterministic virtual-time event loop
-// over the planned sessions. The plan's cost model overrides
-// cfg.Engine.Cost — plans priced under one model must not be committed
-// under another — nor under another layout: a Store.Relayout between
-// PlanSessions and Serve would price the plan's cold costs and elevator
-// batches with the wrong adjacency, so Serve panics instead.
+// Serve is the commit phase: the deterministic virtual-time event loop over
+// the planned sessions (DESIGN.md §14). Each event is one session's next
+// step: next takes it off the (virtual time, session ID) queue, admit gates
+// a session's first step, turn commits it. The plan's cost model overrides
+// cfg.Engine.Cost — plans priced under one model must not be committed under
+// another — nor under another layout: a Store.Relayout between PlanSessions
+// and Serve would price the plan's cold costs and elevator batches with the
+// wrong adjacency, so Serve panics instead.
 func (p *SessionPlans) Serve(cfg ServeConfig) ServeResult {
-	cfg.Engine.Cost = p.cost
-	store := p.store
-	if cur := store.LayoutName(); cur != p.layout {
+	if cur := p.store.LayoutName(); cur != p.layout {
 		panic(fmt.Sprintf("engine: SessionPlans planned under layout %q, committed under layout %q: re-run PlanSessions after Store.Relayout", p.layout, cur))
 	}
-	plans := p.steps
-	n := len(plans)
-	if n == 0 {
+	if len(p.steps) == 0 {
 		return ServeResult{}
 	}
+	c := p.newCommit(cfg)
+	for c.q.Len() > 0 {
+		s, t := c.next()
+		if c.admit(s) {
+			c.turn(s, t)
+		}
+	}
+	return c.finish()
+}
 
+// queue orders the sessions with steps left by (virtual clock, session ID);
+// its root is the next event.
+type queue struct {
+	ids []int
+	now []time.Duration // each session's clock, indexed by session ID
+}
+
+func (q *queue) Len() int      { return len(q.ids) }
+func (q *queue) Swap(i, j int) { q.ids[i], q.ids[j] = q.ids[j], q.ids[i] }
+func (q *queue) Push(x any)    { q.ids = append(q.ids, x.(int)) }
+
+func (q *queue) Less(i, j int) bool {
+	a, b := q.ids[i], q.ids[j]
+	return q.now[a] < q.now[b] || q.now[a] == q.now[b] && a < b
+}
+
+// Pop drops the last element. The loop only pops the root it has just
+// served, so the value is never read, and none is boxed.
+func (q *queue) Pop() any {
+	q.ids = q.ids[:len(q.ids)-1]
+	return nil
+}
+
+// session is one session's commit state. slo is its class SLO, else
+// ServeConfig.SLO; patience its class patience under open-loop arrivals (0:
+// it never abandons).
+type session struct {
+	stepIdx       int
+	slo, patience time.Duration
+	brk           breaker
+	cur           SequenceResult // the sequence in progress
+	out           SessionResult
+}
+
+// commit is one run of the commit phase: the fleet, every session's state,
+// the event queue, and the ServeResult counters that exist only per turn.
+// Every per-session total is folded from the sessions in finish.
+type commit struct {
+	cfg   ServeConfig // Breaker and Admission with their defaults filled
+	plans [][]step
+	f     *fleet
+	inj   *fault.Injector // nil unless the config's injector is live
+	sess  []session
+	q     queue
+	// busy is when each session's disk I/O in flight ends; cont is the
+	// current event's contenders, the other sessions still busy at its time.
+	busy []time.Duration
+	cont []int
+	res  ServeResult
+}
+
+// newCommit builds the commit state: the fleet; each session's breaker,
+// arbiter priority, SLO and patience, resolved once from its class; and the
+// queue of sessions with steps, each at its arrival time.
+func (p *SessionPlans) newCommit(cfg ServeConfig) *commit {
 	if cfg.Shards > 0 && cfg.PrivateCaches {
 		panic("engine: ServeConfig{Shards > 0, PrivateCaches: true}: per-session private caches cannot split across shards")
 	}
-	// Robustness machinery. faultsOn gates every injection-side branch so a
-	// nil or disabled injector leaves the loop byte-identical to the seed;
-	// breaker and admission are independent of injection (they react to
-	// evidence, wherever it comes from).
-	inj := cfg.Faults
-	faultsOn := inj != nil && inj.Plan().Enabled()
+	n := len(p.steps)
+	cfg.Engine.Cost = p.cost
+	if cfg.Breaker.Enabled {
+		cfg.Breaker = cfg.Breaker.withDefaults()
+	}
+	if cfg.Admission.Enabled && cfg.Admission.MaxConcurrent <= 0 {
+		cfg.Admission.MaxConcurrent = DefaultAdmissionConfig().MaxConcurrent
+	}
+	c := &commit{cfg: cfg, plans: p.steps, sess: make([]session, n), q: queue{now: make([]time.Duration, n)},
+		busy: make([]time.Duration, n), res: ServeResult{Shards: cfg.Shards}}
 	// The fleet is a single-session engine's plus the serving half: the
-	// serving config's injector (only when live, so a fault-free run never
-	// enters a fault branch), retry policy and replication degree replace
-	// the engine config's, and background windows never hedge.
+	// serving config's injector (only when live, so a nil or disabled one
+	// never enters a fault branch), retry policy and replication degree
+	// replace the engine config's, and background windows never hedge.
+	// Breaker and admission are independent of injection: they react to
+	// evidence, wherever it comes from.
 	ec := cfg.Engine
 	ec.Faults, ec.Retry, ec.Replicas, ec.Hedge = nil, cfg.Retry, cfg.Replicas, 0
-	if faultsOn {
-		ec.Faults = inj
+	if inj := cfg.Faults; inj != nil && inj.Plan().Enabled() {
+		ec.Faults, c.inj = inj, inj
 	}
-	f := newFleet(store, ec, cfg.Shards, &serving{
+	c.f = newFleet(p.store, ec, cfg.Shards, &serving{
 		sessions:     n,
 		policy:       cfg.Policy,
 		interference: cfg.InterferenceSeek,
 		private:      cfg.PrivateCaches,
 		cacheShards:  cfg.CacheShards,
 	})
-	brkCfg := cfg.Breaker
-	if brkCfg.Enabled {
-		brkCfg = brkCfg.withDefaults()
-	}
-	breakers := make([]breaker, n)
-	for i := range breakers {
-		breakers[i].cfg = brkCfg
-	}
-	adm := cfg.Admission
-	if adm.Enabled {
-		adm = adm.withDefaults()
-	}
 	// Open-loop arrivals: each session's clock starts at its generated
-	// arrival time, so the event loop interleaves arrivals, departures and
+	// arrival time, so the queue interleaves arrivals, departures and
 	// in-flight sessions in true virtual-time order — admission sees the
 	// contender set at arrival, not at a synthetic time zero. Disabled, all
 	// arrivals are zero and the loop is the closed-loop seed bit-for-bit.
-	openLoop := cfg.Arrivals.Enabled
+	open := cfg.Arrivals.Enabled
 	var arrivals []time.Duration
-	if openLoop {
+	if open {
 		arrivals = cfg.Arrivals.ArrivalTimes(n)
 	}
-	// Class priorities reach the arbiter before any grant; with no classes
-	// (or all-neutral weights) the arbiter arithmetic stays bit-exact.
-	for i := 0; i < n; i++ {
-		if cs, ok := cfg.classSpec(p.class(i)); ok {
-			f.setPriority(i, cs.weight())
+	for i := range c.sess {
+		ss := &c.sess[i]
+		ss.out = SessionResult{Session: i, Class: p.classes[i]}
+		ss.brk.cfg, ss.slo = cfg.Breaker, cfg.SLO
+		// Class priorities reach the arbiter before any grant; with no
+		// classes (or all-neutral weights) the arbiter arithmetic stays
+		// bit-exact. An out-of-range class is the neutral default.
+		if k := ss.out.Class; k >= 0 && k < len(cfg.Classes) {
+			cs := cfg.Classes[k]
+			c.f.setPriority(i, cs.weight())
+			if cs.SLO > 0 {
+				ss.slo = cs.SLO
+			}
+			if open {
+				ss.patience = cs.Patience
+			}
+		}
+		if open {
+			ss.out.Arrival, c.q.now[i] = arrivals[i], arrivals[i]
+		}
+		if len(p.steps[i]) > 0 {
+			c.q.ids = append(c.q.ids, i)
 		}
 	}
+	heap.Init(&c.q)
+	return c
+}
 
-	type sessState struct {
-		now       time.Duration
-		busyUntil time.Duration
-		stepIdx   int
-		admitted  bool
-		cur       SequenceResult
-		out       SessionResult
-	}
-	states := make([]*sessState, n)
-	for i := range states {
-		states[i] = &sessState{out: SessionResult{Session: i, Class: p.class(i)}}
-		if openLoop {
-			states[i].now = arrivals[i]
-			states[i].out.Arrival = arrivals[i]
-		}
-	}
-
-	res := ServeResult{Shards: cfg.Shards}
-	var contBuf []int
-	for {
-		// Next event: the unfinished session with the smallest clock,
-		// lowest ID breaking ties.
-		s := -1
-		for i, st := range states {
-			if st.stepIdx >= len(plans[i]) {
-				continue
-			}
-			if s == -1 || st.now < states[s].now {
-				s = i
-			}
-		}
-		if s == -1 {
-			break
-		}
-		ss := states[s]
-		st := plans[s][ss.stepIdx]
-		t := ss.now
-
-		// Contenders: other sessions whose disk I/O is still in flight at
-		// this virtual time.
-		contBuf = contBuf[:0]
-		for j, other := range states {
-			if j != s && other.busyUntil > t {
-				contBuf = append(contBuf, j)
-			}
-		}
-
-		// Admission: a session's first commit step is where it "arrives" —
-		// under open-loop arrivals that step happens at the generated
-		// arrival time, so the gate sees the true in-flight set at arrival.
-		// At or over the ceiling it is rejected (its whole trajectory
-		// skipped — zero queries, zero disk time) or, with Degrade, admitted
-		// with prefetch permanently shed. An open-loop rejection is not
-		// silent: the trajectory's counted-query slots are charged to
-		// LostQueries, so the SLO and goodput story keeps its denominator.
-		if adm.Enabled && !ss.admitted {
-			ss.admitted = true
-			if len(contBuf) >= adm.MaxConcurrent {
-				if adm.Degrade {
-					ss.out.Degraded = true
-					res.DegradedSessions++
-					f.setShedding(s, true)
-				} else {
-					ss.out.Rejected = true
-					res.RejectedSessions++
-					if openLoop {
-						lost := countedSteps(plans[s][ss.stepIdx:], cfg.Engine.SkipFirstQuery)
-						ss.out.LostQueries += lost
-						res.LostQueries += lost
-					}
-					ss.stepIdx = len(plans[s])
-					continue
-				}
-			}
-		}
-
-		// The turn's reads are charged to session s's head, against the
-		// current contenders, with faults rolled at the turn's commit time.
-		f.bind(s, len(contBuf), t)
-		if st.queryIdx == 0 && cfg.PrivateCaches {
-			// Sequence start: private caches clear like RunSequence; the
-			// shared cache persists — serving is continuous, one session
-			// finishing a sequence must not flush everyone's working set.
-			f.reset()
-		}
-
-		// The demand phase (fleet.demandTurn), then the health tick: outage
-		// probes, brownout service and injected read retries fold into the
-		// per-shard ledgers at the end of the demand phase, so a shard that
-		// stays sick trips once and is then skipped for free until its
-		// cooldown probe (the window's own retries fold in next turn).
-		dm := f.demandTurn(st.pages, t)
-		f.tick(t)
-		tr := QueryTrace{
-			Seq:         st.queryIdx,
-			ResultPages: len(st.pages),
-			HitPages:    dm.hits,
-			Cold:        st.cold,
-			Residual:    dm.residual,
-			Window:      st.window,
-			GraphBuild:  st.graphBuild,
-			GraphDelta:  st.graphDelta,
-			Prediction:  st.prediction,
-			Fanout:      dm.fanout,
-			RoutedPages: dm.routed,
-		}
-		res.RoutedPages += int64(dm.routed)
-		res.RouteCharge += dm.charge
-		ss.out.ShardStalls += dm.stallEvents
-		res.ShardStalls += dm.stallEvents
-		res.StallDelay += dm.stall
-
-		budget := st.window
-		if !st.predictionHidden {
-			budget -= st.prediction
-		}
-		var grantTime time.Duration
-		if !st.last && budget > 0 {
-			// The prefetch window: shed it when the session is degraded or
-			// its breaker is open (the budget share returns to the arbiter
-			// pool), and lose it when the injector starves this arbiter
-			// window for everyone.
-			allow := true
-			if ss.out.Degraded {
-				allow = false
-			} else if brkCfg.Enabled {
-				shed := !breakers[s].allowPrefetch(t)
-				allow = !shed
-				f.setShedding(s, shed)
-			}
-			if !allow {
-				ss.out.ShedPrefetches++
-				res.ShedPrefetches++
-			} else if faultsOn && inj.BudgetStarved(t) {
-				res.StarvedWindows++
-			} else {
-				// Batched, the window is one elevator batch per session turn —
-				// which also shrinks the span in which other sessions' in-flight
-				// I/O counts as seek interference.
-				tr.Prefetched, tr.PrefetchIO, grantTime = f.prefetchTurn(s, contBuf, st.batch, ladder{
-					traversal: st.traversal,
-					requests:  len(st.reqPages),
-					reqPages:  func(i int) []pagestore.PageID { return st.reqPages[i] },
-				}, budget, t)
-			}
-		}
-		f.record(s)
-
-		// Background scrub, paced from the idle remainder of the session's
-		// GRANTED window: arbiter-aware (only the session's own share is
-		// spent) and shedding-aware (a shed, starved or degraded window has
-		// grantTime 0 and scrubs nothing). The cost is charged to the scrub
-		// ledger only: it occupies window time the session was idle for
-		// anyway, so it never extends busyUntil and never shows up as seek
-		// interference to contenders. The scrub cursor lives in the one
-		// FileStore, so one disk owns its ledger: shard 0's, whose grant
-		// paces it.
-		f.shards[0].disk.ScrubIdle(grantTime-tr.PrefetchIO, cfg.Engine.ScrubPages)
-
-		// Per-query fault evidence: what the disk ledgers gained over this
-		// turn (nothing reads a disk between turns) plus stalled-shard hits
-		// and detected corruption feed the session's breaker.
-		ev := f.faultEvidence()
-		ss.out.FaultRetries += ev.retries
-		ss.out.TimedOutReads += ev.timeouts
-		ss.out.CorruptPages += ev.corrupt
-		ss.out.RepairedPages += ev.repaired
-		if brkCfg.Enabled && !ss.out.Degraded {
-			breakers[s].observe(t+tr.Residual,
-				faultScore(ev.retries, ev.timeouts, dm.stallEvents)+corruptionScore(ev.corrupt, ev.repaired))
-		}
-
-		counted := !(cfg.Engine.SkipFirstQuery && st.queryIdx == 0)
-		if counted {
-			ss.cur.HitPages += int64(tr.HitPages)
-			ss.cur.TotalPages += int64(tr.ResultPages)
-			ss.cur.Cold += tr.Cold
-			ss.cur.Residual += tr.Residual
-			ss.cur.GraphBuild += tr.GraphBuild
-			ss.cur.Prediction += tr.Prediction
-			if tr.GraphDelta {
-				ss.cur.DeltaBuilds++
-			}
-			ss.out.Responses = append(ss.out.Responses, tr.Residual)
-			slo := cfg.SLO
-			if cs, ok := cfg.classSpec(ss.out.Class); ok && cs.SLO > 0 {
-				slo = cs.SLO
-			}
-			if slo > 0 && tr.Residual > slo {
-				ss.out.SLOViolations++
-				res.SLOViolations++
-			}
-		}
-		ss.cur.Queries = append(ss.cur.Queries, tr)
-		res.Queries++
-
-		ss.out.Completed = t + tr.Residual
-		ss.busyUntil = t + tr.Residual + tr.PrefetchIO
-		ss.now = t + tr.Residual + st.window
-		ss.stepIdx++
-		if st.last {
-			ss.out.Sequences = append(ss.out.Sequences, ss.cur)
-			ss.cur = SequenceResult{}
-		} else if openLoop {
-			// Patience: an open-loop session whose response blew past its
-			// class patience gives up — the rest of its trajectory is
-			// forfeited as lost queries and its partial sequence is flushed.
-			if cs, ok := cfg.classSpec(ss.out.Class); ok && cs.Patience > 0 && tr.Residual > cs.Patience {
-				lost := countedSteps(plans[s][ss.stepIdx:], cfg.Engine.SkipFirstQuery)
-				ss.out.LostQueries += lost
-				res.LostQueries += lost
-				ss.out.Abandoned = true
-				res.AbandonedSessions++
-				ss.out.Sequences = append(ss.out.Sequences, ss.cur)
-				ss.cur = SequenceResult{}
-				ss.stepIdx = len(plans[s])
-			}
+// next returns the queue's root and collects its contenders: the other
+// sessions whose disk I/O is still in flight at its virtual time. That is a
+// pass over a dense slice, not an in-flight set: at any event a large share
+// of the sessions is in flight, and the arbiter walks them in ID order
+// (DESIGN.md §14).
+func (c *commit) next() (s int, t time.Duration) {
+	s = c.q.ids[0]
+	t = c.q.now[s]
+	cont := c.cont[:0]
+	for j, until := range c.busy {
+		if j != s && until > t {
+			cont = append(cont, j)
 		}
 	}
+	c.cont = cont
+	return s, t
+}
 
-	for i, ss := range states {
-		ss.out.Ledger = f.ledger(i)
-		ss.out.BreakerTrips = breakers[i].trips
-		res.BreakerTrips += ss.out.BreakerTrips
-		res.Sessions = append(res.Sessions, ss.out)
-		if ss.out.Completed > res.Makespan {
-			res.Makespan = ss.out.Completed
+// admit gates a session's first commit step, where it "arrives": under
+// open-loop arrivals that is its generated arrival time, so the gate sees the
+// true in-flight set. At or over the ceiling the session is admitted with
+// prefetch permanently shed (Degrade) or rejected, forfeiting its whole
+// trajectory. admit reports whether the step is committed.
+func (c *commit) admit(s int) bool {
+	ss, adm := &c.sess[s], c.cfg.Admission
+	if !adm.Enabled || ss.stepIdx > 0 || len(c.cont) < adm.MaxConcurrent {
+		return true
+	}
+	if adm.Degrade {
+		ss.out.Degraded = true
+		c.f.setShedding(s, true)
+		return true
+	}
+	ss.out.Rejected = true
+	c.forfeit(s)
+	return false
+}
+
+// forfeit removes session s, the queue's root, with the rest of its
+// trajectory: a rejection or an abandonment. Under open-loop arrivals each
+// unserved step that would have been counted is charged to LostQueries, so
+// the SLO and goodput story keeps its denominator; a closed-loop rejection
+// keeps the seed's skip-silently accounting.
+func (c *commit) forfeit(s int) {
+	ss := &c.sess[s]
+	for _, st := range c.plans[s][ss.stepIdx:] {
+		if c.cfg.Arrivals.Enabled && !(c.cfg.Engine.SkipFirstQuery && st.queryIdx == 0) {
+			ss.out.LostQueries++
 		}
 	}
+	heap.Pop(&c.q)
+}
+
+// turn commits session s's next step at virtual time t, in stage order:
+// bind, demand, tick, window, record, scrub, fault evidence, account,
+// advance.
+func (c *commit) turn(s int, t time.Duration) {
+	f, ss := c.f, &c.sess[s]
+	st := &c.plans[s][ss.stepIdx]
+	// The turn's reads are charged to session s's head, against the current
+	// contenders, with faults rolled at the turn's commit time.
+	f.bind(s, len(c.cont), t)
+	if st.queryIdx == 0 && c.cfg.PrivateCaches {
+		// Sequence start: private caches clear like RunSequence; the shared
+		// cache persists — serving is continuous, one session finishing a
+		// sequence must not flush everyone's working set.
+		f.reset()
+	}
+
+	// The demand phase (fleet.demandTurn), then the health tick: outage
+	// probes, brownout service and injected read retries fold into the
+	// per-shard ledgers at the end of the demand phase, so a shard that stays
+	// sick trips once and is then skipped for free until its cooldown probe
+	// (the window's own retries fold in next turn).
+	dm := f.demandTurn(st.pages, t)
+	f.tick(t)
+	tr := QueryTrace{
+		Seq:         st.queryIdx,
+		ResultPages: len(st.pages),
+		HitPages:    dm.hits,
+		Cold:        st.cold,
+		Residual:    dm.residual,
+		Window:      st.window,
+		GraphBuild:  st.graphBuild,
+		GraphDelta:  st.graphDelta,
+		Prediction:  st.prediction,
+		Fanout:      dm.fanout,
+		RoutedPages: dm.routed,
+	}
+	c.res.RoutedPages += int64(dm.routed)
+	c.res.RouteCharge += dm.charge
+	c.res.StallDelay += dm.stall
+	ss.out.ShardStalls += dm.stallEvents
+
+	var grant time.Duration
+	tr.Prefetched, tr.PrefetchIO, grant = c.window(s, st, t)
+	f.record(s)
+
+	// Background scrub, paced from the idle remainder of the session's
+	// GRANTED window: arbiter-aware (only the session's own share is spent)
+	// and shedding-aware (a shed, starved or degraded window has grant 0 and
+	// scrubs nothing). The cost is charged to the scrub ledger only: it
+	// occupies window time the session was idle for anyway, so it never
+	// extends busy and never shows up as seek interference to contenders.
+	// The scrub cursor lives in the one FileStore, so one disk owns its
+	// ledger: shard 0's, whose grant paces it.
+	f.shards[0].disk.ScrubIdle(grant-tr.PrefetchIO, c.cfg.Engine.ScrubPages)
+
+	// Per-query fault evidence: what the disk ledgers gained over this turn
+	// (nothing reads a disk between turns) plus stalled-shard hits and
+	// detected corruption feed the session's breaker.
+	ev := f.faultEvidence()
+	ss.out.FaultRetries += ev.retries
+	ss.out.TimedOutReads += ev.timeouts
+	ss.out.CorruptPages += ev.corrupt
+	ss.out.RepairedPages += ev.repaired
+	if c.cfg.Breaker.Enabled && !ss.out.Degraded {
+		ss.brk.observe(t+tr.Residual,
+			faultScore(ev.retries, ev.timeouts, dm.stallEvents)+corruptionScore(ev.corrupt, ev.repaired))
+	}
+
+	if ss.cur.account(tr, c.cfg.Engine.SkipFirstQuery) {
+		ss.out.Responses = append(ss.out.Responses, tr.Residual)
+		if ss.slo > 0 && tr.Residual > ss.slo {
+			ss.out.SLOViolations++
+		}
+	}
+	c.res.Queries++
+	c.advance(s, st, tr, t)
+}
+
+// window spends the step's prefetch window — its window less any unhidden
+// prediction time; a sequence's last query has none — unless it is shed (the
+// session is degraded or its breaker open: the budget share returns to the
+// arbiter pool) or the injector starves this arbiter window for everyone. It
+// returns the pages prefetched, the I/O time and shard 0's grant (0 unless
+// the window was spent).
+func (c *commit) window(s int, st *step, t time.Duration) (int, time.Duration, time.Duration) {
+	budget := st.window
+	if !st.predictionHidden {
+		budget -= st.prediction
+	}
+	if st.last || budget <= 0 {
+		return 0, 0, 0
+	}
+	ss := &c.sess[s]
+	shed := ss.out.Degraded
+	if !shed && c.cfg.Breaker.Enabled {
+		shed = !ss.brk.allowPrefetch(t)
+		c.f.setShedding(s, shed)
+	}
+	switch {
+	case shed:
+		ss.out.ShedPrefetches++
+	case c.inj != nil && c.inj.BudgetStarved(t):
+		c.res.StarvedWindows++
+	default:
+		// Batched, the window is one elevator batch per session turn — which
+		// also shrinks the span in which other sessions' in-flight I/O counts
+		// as seek interference.
+		return c.f.prefetchTurn(s, c.cont, st.batch, ladder{
+			traversal: st.traversal,
+			requests:  len(st.reqPages),
+			reqPages:  func(i int) []pagestore.PageID { return st.reqPages[i] },
+		}, budget, t)
+	}
+	return 0, 0, 0
+}
+
+// advance moves session s past the step committed at t: the response is
+// delivered at t + Residual, the disk stays busy through the prefetch I/O,
+// and the next query issues when the window (user think time) closes. Under
+// open-loop arrivals a response past the class patience makes the session
+// abandon, flushing its partial sequence. A session with no steps left
+// leaves the queue.
+func (c *commit) advance(s int, st *step, tr QueryTrace, t time.Duration) {
+	ss := &c.sess[s]
+	ss.out.Completed = t + tr.Residual
+	c.busy[s] = t + tr.Residual + tr.PrefetchIO
+	ss.stepIdx++
+	abandon := !st.last && ss.patience > 0 && tr.Residual > ss.patience
+	if st.last || abandon {
+		ss.out.Sequences = append(ss.out.Sequences, ss.cur)
+		ss.cur = SequenceResult{}
+	}
+	switch {
+	case abandon:
+		ss.out.Abandoned = true
+		c.forfeit(s)
+	case ss.stepIdx == len(c.plans[s]):
+		heap.Pop(&c.q)
+	default:
+		c.q.now[s] = t + tr.Residual + st.window
+		heap.Fix(&c.q, 0)
+	}
+}
+
+// finish folds the commit into its result: per session its arbiter ledger
+// and breaker trips; the per-session totals, once, overall and per class;
+// the fleet's cache, disk, interference and HA ledgers.
+func (c *commit) finish() ServeResult {
+	res, f := c.res, c.f
+	if len(c.cfg.Classes) > 0 {
+		res.Classes = make([]ClassResult, len(c.cfg.Classes))
+		for i := range res.Classes {
+			res.Classes[i].Name = c.cfg.Classes[i].Name
+		}
+	}
+	var all ClassResult
+	res.Sessions = make([]SessionResult, len(c.sess))
+	for i := range c.sess {
+		s := &res.Sessions[i]
+		*s = c.sess[i].out
+		s.Ledger, s.BreakerTrips = f.ledger(i), c.sess[i].brk.trips
+		res.Makespan = max(res.Makespan, s.Completed)
+		res.ShardStalls += s.ShardStalls
+		res.ShedPrefetches += s.ShedPrefetches
+		res.BreakerTrips += s.BreakerTrips
+		if s.Degraded {
+			res.DegradedSessions++
+		}
+		all.add(s)
+		// An unbound session is in the neutral default class, not aggregated.
+		if s.Class >= 0 && s.Class < len(res.Classes) {
+			res.Classes[s.Class].add(s)
+		}
+	}
+	res.RejectedSessions, res.AbandonedSessions = all.Rejected, all.Abandoned
+	res.SLOViolations, res.LostQueries = all.SLOViolations, all.LostQueries
 	res.Cache = f.cacheStats()
 	res.Disk = f.diskStats()
-	if cfg.Shards > 0 {
+	if c.cfg.Shards > 0 {
 		res.ShardDisks = f.shardStats()
 	}
 	for _, sh := range f.shards {
@@ -850,28 +879,6 @@ func (p *SessionPlans) Serve(cfg ServeConfig) ServeResult {
 		res.Interference += penalty
 	}
 	res.HA = f.ha.stats
-	if len(cfg.Classes) > 0 {
-		res.Classes = make([]ClassResult, len(cfg.Classes))
-		for i := range res.Classes {
-			res.Classes[i].Name = cfg.Classes[i].Name
-		}
-		for _, s := range res.Sessions {
-			if s.Class < 0 || s.Class >= len(res.Classes) {
-				continue // unbound session: neutral default class, not aggregated
-			}
-			c := &res.Classes[s.Class]
-			c.Sessions++
-			if s.Rejected {
-				c.Rejected++
-			}
-			if s.Abandoned {
-				c.Abandoned++
-			}
-			c.Counted += int64(len(s.Responses))
-			c.SLOViolations += s.SLOViolations
-			c.LostQueries += s.LostQueries
-		}
-	}
 	return res
 }
 
@@ -881,7 +888,7 @@ func planSession(store *pagestore.Store, index Index, w SessionWorkload, cost pa
 	var steps []step
 	var batchBuf []pagestore.PageID
 	p := w.Prefetcher
-	for si, seq := range w.Sequences {
+	for _, seq := range w.Sequences {
 		p.Reset()
 		ratio := seq.Params.WindowRatio
 		if ratio <= 0 {
@@ -902,7 +909,6 @@ func planSession(store *pagestore.Store, index Index, w SessionWorkload, cost pa
 			})
 			plan := p.Plan()
 			st := step{
-				seqIdx:           si,
 				queryIdx:         qi,
 				last:             qi == len(seq.Queries)-1,
 				pages:            pages,
