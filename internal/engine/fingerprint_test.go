@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"scout/internal/cache"
 	"scout/internal/fault"
 	"scout/internal/pagestore"
 	"scout/internal/prefetch"
@@ -130,6 +131,11 @@ var coreFingerprints = map[string]uint64{
 	"serve/schedule":          0x8396dcda30c4e8b9,
 	"serve/closed64/per-page": 0xbee6fa79d0cef880,
 	"serve/closed64/batched":  0xaca7f32a6c5ff364,
+	// Recorded at commit 5cf1249, before each demand set got one physical
+	// order: lookup and miss-read order under a cache that evicts every turn.
+	"evicting/sharded/S=8/R=2":   0xb5f5b07d96034a76,
+	"evicting/serve/S=8/R=2":     0xfb203ad661565062,
+	"evicting/serve/S=0/batched": 0x4ee0f88f40a6337d,
 }
 
 // TestCoreFingerprints runs every execution-core configuration — Engine
@@ -137,7 +143,8 @@ var coreFingerprints = map[string]uint64{
 // over shard counts, replication, hedging and shard faults; Serve over
 // policy × cache mode × I/O mode, the robustness stack, open-loop classes,
 // tied and out-of-order arrivals, and the replicated fleet under shard
-// faults — and compares the FNV-1a of
+// faults; both drivers under a cache that evicts every turn — and compares
+// the FNV-1a of
 // the whole result (traces, ledgers, disk, cache and HA stats) against
 // constants.
 func TestCoreFingerprints(t *testing.T) {
@@ -387,6 +394,59 @@ func TestCoreFingerprints(t *testing.T) {
 			Breaker:          DefaultBreakerConfig(),
 			Faults:           flaky(6),
 		}))
+	})
+
+	// Under the hilbert layout the index returns a demand set out of physical
+	// order, and a cache of a few pages per shard evicts on every turn: these
+	// rows see the order the lookups run in (LRU recency) and the order the
+	// misses are read in, on both drivers and on the flat and sharded fleets.
+	t.Run("evicting", func(t *testing.T) {
+		store, tree := cloudWorld(t, 4000, 31)
+		if err := store.Relayout(pagestore.HilbertLayout()); err != nil {
+			t.Fatal(err)
+		}
+		defer store.Relayout(pagestore.InsertionLayout())
+		cfg := DefaultConfig()
+		cfg.CacheFraction = 0.05
+		evicts := func(name string, queries int64, st cache.StatsSnapshot) {
+			t.Helper()
+			if st.Evictions < queries {
+				t.Fatalf("%s: %d evictions over %d queries; the cache no longer evicts every turn", name, st.Evictions, queries)
+			}
+		}
+
+		rng := rand.New(rand.NewSource(47))
+		seqs := []workload.Sequence{randomWalk(rng, 14, 24), randomWalk(rng, 12, 24)}
+		ec := cfg
+		ec.Replicas = 2
+		e := NewShardedEngine(store, tree, ec, 8)
+		var res []SequenceResult
+		queries := int64(0)
+		for _, seq := range seqs {
+			res = append(res, e.RunSequence(seq, prefetch.NewStraightLine(24*24*24)))
+			queries += int64(len(seq.Queries))
+		}
+		var st cache.StatsSnapshot
+		for _, sh := range e.fleet.shards {
+			st.Evictions += sh.cache.(*cache.Cache).Stats().Evictions
+		}
+		evicts("evicting/sharded/S=8/R=2", queries, st)
+		check("evicting/sharded/S=8/R=2", fingerprint(res, e.Stats(), e.ShardStats(), e.HAStats()))
+
+		plans := PlanSessions(store, tree, walkWorkloads(rng, 12, 10), cfg.Cost, 2)
+		sharded := ServeConfig{Engine: cfg, Policy: FairShare, InterferenceSeek: time.Millisecond, Shards: 8, Replicas: 2}
+		sr := plans.Serve(sharded)
+		evicts("evicting/serve/S=8/R=2", sr.Queries, sr.Cache)
+		check("evicting/serve/S=8/R=2", fingerprint(sr))
+
+		flat := ServeConfig{Engine: cfg, Policy: FairShare, InterferenceSeek: time.Millisecond}
+		flat.Engine.BatchedIO = true
+		fr := plans.Serve(flat)
+		evicts("evicting/serve/S=0/batched", fr.Queries, fr.Cache)
+		for i := range fr.Sessions {
+			fr.Sessions[i].Sequences = withoutFanOut(fr.Sessions[i].Sequences)
+		}
+		check("evicting/serve/S=0/batched", fingerprint(fr))
 	})
 
 	for name := range coreFingerprints {
