@@ -105,15 +105,14 @@ func (c *Cache) check() error {
 	return nil
 }
 
-// check verifies every shard's structure under its lock.
+// check verifies every stripe's structure under its lock.
 func (c *Sharded) check() error {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		err := s.lru.check()
-		s.mu.Unlock()
+	for i, s := range c.core.stripes {
+		c.locks[i].Lock()
+		err := s.check()
+		c.locks[i].Unlock()
 		if err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
+			return fmt.Errorf("stripe %d: %w", i, err)
 		}
 	}
 	return nil

@@ -36,8 +36,8 @@ func TestShardedNoZeroCapacityShards(t *testing.T) {
 	if got := c.Capacity(); got != 40 {
 		t.Errorf("Capacity = %d, want 40", got)
 	}
-	for i := range c.shards {
-		if c.shards[i].lru.Capacity() == 0 {
+	for i, s := range c.core.stripes {
+		if s.Capacity() == 0 {
 			t.Fatalf("shard %d has zero capacity", i)
 		}
 	}
@@ -79,6 +79,54 @@ func TestShardedMatchesCacheSingleShard(t *testing.T) {
 	ps, ss := plain.Stats(), shard.Stats().Stats
 	if ps != ss {
 		t.Errorf("stats diverge: %+v vs %+v", ps, ss)
+	}
+}
+
+// TestStripedMatchesSharded pins that the lock-free core and the locked
+// wrapper are one cache: under the same operation stream — clears and stat
+// resets included — they answer every call alike and end with the same
+// contents, statistics and epoch.
+func TestStripedMatchesSharded(t *testing.T) {
+	for _, tc := range []struct{ capacity, shards int }{{0, 4}, {1, 16}, {7, 4}, {40, 64}, {64, 0}, {300, 8}} {
+		core, locked := NewStriped(tc.capacity, tc.shards), NewSharded(tc.capacity, tc.shards)
+		if core.ShardCount() != locked.ShardCount() || core.Capacity() != locked.Capacity() {
+			t.Fatalf("%+v: %d stripes / capacity %d vs %d / %d", tc, core.ShardCount(), core.Capacity(), locked.ShardCount(), locked.Capacity())
+		}
+		x := uint32(tc.capacity*31 + tc.shards + 1)
+		for i := 0; i < 4000; i++ {
+			x = x*1664525 + 1013904223
+			p := pagestore.PageID(x % 512)
+			var a, b bool
+			switch x >> 28 {
+			case 0:
+				if i%7 == 0 {
+					core.Clear()
+					locked.Clear()
+				}
+			case 1:
+				if i%5 == 0 {
+					core.ResetStats()
+					locked.ResetStats()
+				}
+			case 2, 3:
+				a, b = core.Contains(p), locked.Contains(p)
+			case 4, 5, 6, 7, 8, 9:
+				a, b = core.Insert(p), locked.Insert(p)
+			default:
+				a, b = core.Lookup(p), locked.Lookup(p)
+			}
+			if a != b || core.ShardIndex(p) != locked.ShardIndex(p) {
+				t.Fatalf("%+v: op %d on page %d: striped %v, sharded %v", tc, i, p, a, b)
+			}
+		}
+		if core.Len() != locked.Len() || core.Stats() != locked.Stats() || core.Epoch() != locked.Epoch() {
+			t.Errorf("%+v: striped Len %d %+v, sharded Len %d %+v", tc, core.Len(), core.Stats(), locked.Len(), locked.Stats())
+		}
+		for p := pagestore.PageID(0); p < 512; p++ {
+			if core.Contains(p) != locked.Contains(p) {
+				t.Fatalf("%+v: page %d cached on one side only", tc, p)
+			}
+		}
 	}
 }
 

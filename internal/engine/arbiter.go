@@ -90,11 +90,58 @@ type ledger struct {
 }
 
 // Arbiter splits the per-window prefetch budget across sessions by a
-// pluggable policy. It is safe for concurrent use; the serving layer's
-// deterministic commit loop calls it in virtual-time order, so its
-// decisions are reproducible run to run.
+// pluggable policy. It is safe for concurrent use: a mutex around the
+// unlocked arbiter a single coordinator owns. The serving layer's commit
+// loop, which runs on one goroutine, gives each fleet shard the unlocked
+// one and calls it in virtual-time order, so its decisions are
+// reproducible run to run.
 type Arbiter struct {
-	mu      sync.Mutex
+	mu   sync.Mutex
+	core arbiter
+}
+
+// NewArbiter creates an arbiter for a fixed session population.
+func NewArbiter(policy Policy, sessions int) *Arbiter {
+	return &Arbiter{core: *newArbiter(policy, sessions)}
+}
+
+// Grant is arbiter.Grant under the lock.
+func (a *Arbiter) Grant(session int, contenders []int, window time.Duration) time.Duration {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.core.Grant(session, contenders, window)
+}
+
+// SetPriority is arbiter.SetPriority under the lock.
+func (a *Arbiter) SetPriority(session int, w float64) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.core.SetPriority(session, w)
+}
+
+// SetShedding is arbiter.SetShedding under the lock.
+func (a *Arbiter) SetShedding(session int, shed bool) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.core.SetShedding(session, shed)
+}
+
+// Record is arbiter.Record under the lock.
+func (a *Arbiter) Record(session, resultPages, hitPages int, used time.Duration) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.core.Record(session, resultPages, hitPages, used)
+}
+
+// Ledger is arbiter.Ledger under the lock.
+func (a *Arbiter) Ledger(session int) SessionLedger {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.core.Ledger(session)
+}
+
+// arbiter is the Arbiter without its lock, for one coordinator.
+type arbiter struct {
 	policy  Policy
 	ledgers []ledger
 	// weighted flips when any session's priority is set away from 1:
@@ -102,17 +149,15 @@ type Arbiter struct {
 	// priority-free arbiter stays bit-exact with the integer-division seed
 	// arithmetic.
 	weighted bool
-	// contBuf is Grant's reusable shed-filtered contender scratch,
-	// guarded by mu.
+	// contBuf is Grant's reusable shed-filtered contender scratch.
 	contBuf []int
 }
 
-// NewArbiter creates an arbiter for a fixed session population.
-func NewArbiter(policy Policy, sessions int) *Arbiter {
+func newArbiter(policy Policy, sessions int) *arbiter {
 	if sessions < 1 {
 		sessions = 1
 	}
-	return &Arbiter{policy: policy, ledgers: make([]ledger, sessions)}
+	return &arbiter{policy: policy, ledgers: make([]ledger, sessions)}
 }
 
 // Grant returns how much of the session's prefetch window it may spend on
@@ -122,12 +167,10 @@ func NewArbiter(policy Policy, sessions int) *Arbiter {
 // session marked shedding (SetShedding) is granted nothing, and shedding
 // contenders are excluded from the active split — their share of the
 // window returns to the pool.
-func (a *Arbiter) Grant(session int, contenders []int, window time.Duration) time.Duration {
+func (a *arbiter) Grant(session int, contenders []int, window time.Duration) time.Duration {
 	if window <= 0 {
 		return 0
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	if session < 0 || session >= len(a.ledgers) {
 		return 0
 	}
@@ -174,7 +217,7 @@ func (a *Arbiter) Grant(session int, contenders []int, window time.Duration) tim
 // mean demand of the contending set. Sessions that have not recorded a
 // query yet weigh as the neutral 1.0. With class priorities set, each
 // session's demand weight is additionally scaled by its priority.
-func (a *Arbiter) demandGrant(session int, contenders []int, window time.Duration, active int) time.Duration {
+func (a *arbiter) demandGrant(session int, contenders []int, window time.Duration, active int) time.Duration {
 	mine := a.weightOf(session)
 	total := mine
 	for _, c := range contenders {
@@ -190,7 +233,7 @@ func (a *Arbiter) demandGrant(session int, contenders []int, window time.Duratio
 
 // priorityShare is the class-weighted fair share: window × (my priority /
 // total active priority). Only reached when some priority differs from 1.
-func (a *Arbiter) priorityShare(session int, contenders []int, window time.Duration, active int) time.Duration {
+func (a *arbiter) priorityShare(session int, contenders []int, window time.Duration, active int) time.Duration {
 	mine := a.priorityOf(session)
 	total := mine
 	for _, c := range contenders {
@@ -203,7 +246,7 @@ func (a *Arbiter) priorityShare(session int, contenders []int, window time.Durat
 }
 
 // priorityOf returns a session's class priority (unset = 1.0).
-func (a *Arbiter) priorityOf(session int) float64 {
+func (a *arbiter) priorityOf(session int) float64 {
 	if session < 0 || session >= len(a.ledgers) {
 		return 0
 	}
@@ -218,9 +261,7 @@ func (a *Arbiter) priorityOf(session int) float64 {
 // share), DemandWeighted (demand × priority) and StarvedFirst (the
 // throttled share); Unarbitrated ignores them. With every priority at the
 // neutral 1 the arbiter's arithmetic is bit-exact with the unweighted seed.
-func (a *Arbiter) SetPriority(session int, w float64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
+func (a *arbiter) SetPriority(session int, w float64) {
 	if session < 0 || session >= len(a.ledgers) {
 		return
 	}
@@ -236,7 +277,7 @@ func (a *Arbiter) SetPriority(session int, w float64) {
 // weightOf returns a session's demand weight: its miss-page EWMA, floored
 // so a fully warm session still makes progress, or 1.0 before any Record —
 // scaled by the session's class priority when one is set.
-func (a *Arbiter) weightOf(session int) float64 {
+func (a *arbiter) weightOf(session int) float64 {
 	if session < 0 || session >= len(a.ledgers) {
 		return 0
 	}
@@ -258,7 +299,7 @@ func (a *Arbiter) weightOf(session int) float64 {
 // the starved session keeps its full window, everyone else gets half a
 // fair share. Ties (including the all-fresh start) are starved too, so the
 // first windows run unthrottled.
-func (a *Arbiter) starvedGrant(session int, contenders []int, window time.Duration, active int) time.Duration {
+func (a *arbiter) starvedGrant(session int, contenders []int, window time.Duration, active int) time.Duration {
 	min := a.hitOf(session)
 	for _, c := range contenders {
 		if h := a.hitOf(c); h < min {
@@ -278,7 +319,7 @@ func (a *Arbiter) starvedGrant(session int, contenders []int, window time.Durati
 
 // hitOf returns a session's hit-rate EWMA (0 before any Record, which marks
 // fresh sessions as maximally starved).
-func (a *Arbiter) hitOf(session int) float64 {
+func (a *arbiter) hitOf(session int) float64 {
 	if session < 0 || session >= len(a.ledgers) {
 		return 0
 	}
@@ -289,9 +330,7 @@ func (a *Arbiter) hitOf(session int) float64 {
 // circuit breaker or a degraded admission. While set, Grant gives the
 // session nothing and excludes it from every other session's active
 // split, returning its budget share to the pool.
-func (a *Arbiter) SetShedding(session int, shed bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
+func (a *arbiter) SetShedding(session int, shed bool) {
 	if session < 0 || session >= len(a.ledgers) {
 		return
 	}
@@ -301,9 +340,7 @@ func (a *Arbiter) SetShedding(session int, shed bool) {
 // Record feeds one completed query back into the session's ledger: how
 // many result pages it touched, how many hit the cache, and how much
 // prefetch I/O time it actually used of its last grant.
-func (a *Arbiter) Record(session, resultPages, hitPages int, used time.Duration) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
+func (a *arbiter) Record(session, resultPages, hitPages int, used time.Duration) {
 	if session < 0 || session >= len(a.ledgers) {
 		return
 	}
@@ -340,9 +377,7 @@ type SessionLedger struct {
 }
 
 // Ledger returns the snapshot for one session (zero value out of range).
-func (a *Arbiter) Ledger(session int) SessionLedger {
-	a.mu.Lock()
-	defer a.mu.Unlock()
+func (a *arbiter) Ledger(session int) SessionLedger {
 	if session < 0 || session >= len(a.ledgers) {
 		return SessionLedger{}
 	}

@@ -220,8 +220,11 @@ type Engine struct {
 	// functions of total time served, not of per-sequence offsets.
 	vclock time.Duration
 	// batchBuf and reqBuf are the batched flushes' reusable scratch: the
-	// window's prediction set, and one request's pages.
+	// window's prediction set, and one request's pages; order and keys the
+	// demand set's physical order and its sort scratch.
 	batchBuf, reqBuf []pagestore.PageID
+	order            []int32
+	keys             []uint64
 }
 
 // ShardedEngine is an Engine built by NewShardedEngine.
@@ -309,11 +312,12 @@ func (e *Engine) RunSequence(seq workload.Sequence, p prefetch.Prefetcher) Seque
 		// Cold charges routing for the whole demand set (cold means nothing
 		// is cached anywhere), Residual for remote misses only.
 		pageBuf = e.index.QueryPages(q.Region, pageBuf[:0])
+		e.order, e.keys = physicalOrder(e.store, pageBuf, e.order, e.keys)
 		tr.ResultPages = len(pageBuf)
-		dm := f.demandTurn(pageBuf, e.vclock)
+		dm := f.demandTurn(pageBuf, e.order, e.vclock)
 		tr.HitPages, tr.Residual = dm.hits, dm.residual
 		tr.Fanout, tr.RoutedPages = dm.fanout, dm.routed
-		tr.Cold = f.coldCost()
+		tr.Cold = f.coldCost(pageBuf, e.order)
 		// A home whose whole replica chain was down drops its miss pages
 		// from the result: the client waited out its read deadline (inside
 		// Residual) and is answered without them.

@@ -192,17 +192,19 @@ func (h *haState) routeDemand(j int, now time.Duration) haRoute {
 }
 
 // serveMisses is the demand read's storage half, run after the lookup
-// pass left every home shard's misses in its shard.miss (DESIGN.md §14).
-// For each missing home, in shard order, the coordinator walks its replica
-// chain (routeDemand) at virtual time now, reads the miss sub-batch on the serving shard — one elevator batch, or page by page on a
-// per-page fleet; a browned shard's read billed at its multiplier,
-// replica-slice reads surcharged per page — and settles the outcome into the
-// HA ledger. demand[j].io receives home j's storage service time (discovery
-// charge included) and demand[j].miss the pages actually served. A home
-// whose whole chain is down loses its misses: it serves none, its service
-// time is the discovery charge (the client waits out its read deadline and
-// is answered degraded), and the pages are counted lost, never silently
-// zero-costed; routes[j].target < 0 marks it for the caller.
+// pass left every home shard's misses in its shard.miss, in ascending
+// physical order (DESIGN.md §14). For each missing home, in shard order, the
+// coordinator walks its replica chain (routeDemand) at virtual time now,
+// reads the miss sub-batch on the serving shard — one elevator sweep as it
+// stands, or page by page on a per-page fleet; a browned shard's read billed
+// at its multiplier, replica-slice reads surcharged per page — and settles
+// the outcome into the HA ledger. demand[j].io receives home j's storage
+// service time (discovery charge included) and demand[j].miss the pages
+// actually served. A home whose whole chain is down loses its misses: it
+// serves none, its service time is the discovery charge (the client waits
+// out its read deadline and is answered degraded), and the pages are counted
+// lost, never silently zero-costed; routes[j].target < 0 marks it for the
+// caller.
 //
 // With every chain healthy each home serves itself, so a one-member chain
 // issues exactly one read per missing shard and charges nothing else. Each
@@ -234,7 +236,7 @@ func (f *fleet) serveMisses(now time.Duration) {
 		if f.perPage {
 			base = sh.disk.ReadPages(miss)
 		} else {
-			base = sh.disk.ReadBatch(miss)
+			base = sh.disk.ReadSorted(miss)
 		}
 		var extra time.Duration
 		if r.factor > 1 {

@@ -9,10 +9,10 @@ import (
 	"scout/internal/pagestore"
 )
 
-// pageCache is the cache surface a shard turn needs. The single-threaded
+// pageCache is the cache surface a shard turn needs. The plain LRU
 // cache.Cache (an engine's shard slice, a session's private cache) and the
-// lock-striped cache.Sharded (the cache concurrent sessions share) both
-// satisfy it.
+// striped cache.Striped (the cache the sessions of a commit share) both
+// satisfy it. Neither takes a lock: a fleet is a single-coordinator object.
 type pageCache interface {
 	Lookup(pagestore.PageID) bool
 	Contains(pagestore.PageID) bool
@@ -30,40 +30,15 @@ type shard struct {
 	disk *pagestore.Disk
 	// cache is the cache the current turn reads and fills. With private
 	// per-session caches (a one-shard serving fleet only) bind installs the
-	// turn's session's, out of private.
+	// turn's session's, out of private. shared is cache as the striped cache
+	// the sessions share, nil otherwise: injected stalls address its stripes.
 	cache   pageCache
 	private []pageCache
-	arb     *Arbiter           // nil on a single-session fleet: one session has nobody to share a window with
-	miss    []pagestore.PageID // the current demand turn's misses (lookup)
+	shared  *cache.Striped
+	arb     *arbiter           // nil on a single-session fleet: one session has nobody to share a window with
+	miss    []pagestore.PageID // the current demand turn's misses, in ascending physical order (lookup)
 	read    []pagestore.PageID // sweepBatch scratch (lazy flush)
 	batch   []pagestore.PageID // assembled sub-batch (HA flush)
-}
-
-// lookup runs one demand part against the shard's cache, leaving the misses
-// in sh.miss (always reset, so an empty part leaves no stale misses behind).
-func (sh *shard) lookup(part []pagestore.PageID) (hits int) {
-	sh.miss = sh.miss[:0]
-	for _, pg := range part {
-		if sh.cache.Lookup(pg) {
-			hits++
-		} else {
-			sh.miss = append(sh.miss, pg)
-		}
-	}
-	return hits
-}
-
-// stallDelay prices the injected cache-shard stalls on one demand part. A
-// stalled cache shard charges its penalty on every access, hit or miss: the
-// stall is in front of the data, not behind it.
-func stallDelay(c *cache.Sharded, inj *fault.Injector, part []pagestore.PageID, now time.Duration) (delay time.Duration, events int64) {
-	for _, pg := range part {
-		if d := inj.ShardStall(c.ShardIndex(pg), now); d > 0 {
-			delay += d
-			events++
-		}
-	}
-	return delay, events
 }
 
 // demandOut is shard i's result slot for one demand turn.
@@ -158,9 +133,16 @@ type fleet struct {
 	// burns shared device time.
 	haFlush bool
 
-	// Per-turn scratch: splits, the current query's home shard and per-shard
-	// result slots.
-	parts  [][]pagestore.PageID
+	// Per-turn scratch: the demand set's routing (Router.route: each shard's
+	// run of its physical order, each position's shard) and lookup outcomes,
+	// the prediction set's parts (runs: subslices of an elevator batch;
+	// pparts: Split copies for the HA flush — kept apart, since Split appends
+	// into its parts), the current query's home shard and per-shard result
+	// slots.
+	cut    []int
+	at     []int32
+	missed []bool
+	runs   [][]pagestore.PageID
 	pparts [][]pagestore.PageID
 	home   int
 	faults faultTotals // disk fault counters as of the last faultEvidence call
@@ -176,8 +158,10 @@ type fleet struct {
 // the batched elevator path. The cache capacity splits across shards ±1
 // page. A single-session fleet (srv == nil) gives each shard one disk head
 // and a plain LRU; a serving fleet one head per session with the
-// interference ledger, an arbiter, and either one lock-striped cache the
-// sessions share or, with serving.private, a full-size LRU per session.
+// interference ledger, an arbiter, and either one striped cache the sessions
+// share or, with serving.private, a full-size LRU per session. Arbiter and
+// shared cache are private to the commit that builds the fleet, which runs on
+// one goroutine, so neither takes a lock.
 // cfg.Faults arms every shard disk; when it is a *fault.Injector it also
 // drives the shard-fault domains and cache-shard stalls.
 func newFleet(store *pagestore.Store, cfg Config, shards int, srv *serving) *fleet {
@@ -194,6 +178,7 @@ func newFleet(store *pagestore.Store, cfg Config, shards int, srv *serving) *fle
 	part := pagestore.NewReplicatedPartition(store, n, replicas)
 	f.router = NewRouter(store, part, cfg.Cost)
 	f.ha = newHAState(part, inj, cfg.Cost, cfg.Retry, hedge)
+	f.cut = make([]int, 0, n+1)
 	f.demand = make([]demandOut, n)
 	f.pref = make([]prefetchOut, n)
 	f.haFlush = srv == nil && (part.Replicas() > 1 || hedge > 0 || f.ha.inj != nil)
@@ -212,14 +197,15 @@ func newFleet(store *pagestore.Store, cfg Config, shards int, srv *serving) *fle
 			sh.cache = cache.New(sc)
 		} else {
 			sh.disk = pagestore.NewSharedDisk(store, cfg.Cost, srv.sessions, srv.interference)
-			sh.arb = NewArbiter(srv.policy, srv.sessions)
+			sh.arb = newArbiter(srv.policy, srv.sessions)
 			if srv.private {
 				sh.private = make([]pageCache, srv.sessions)
 				for s := range sh.private {
 					sh.private[s] = cache.New(sc)
 				}
 			} else {
-				sh.cache = cache.NewSharded(sc, resolveCacheShards(sc, srv.cacheShards))
+				sh.shared = cache.NewStriped(sc, resolveCacheShards(sc, srv.cacheShards))
+				sh.cache = sh.shared
 			}
 		}
 		if cfg.Faults != nil {
@@ -258,45 +244,45 @@ func (f *fleet) reset() {
 	}
 }
 
-// demandTurn serves one query's demand set at virtual time now: split it by
-// shard range; on every shard forget the head (it does not survive user
-// think time — the OS and other processes move it — so every query starts
-// cold, exactly the assumption behind ColdCost), charge stalls and run the
-// cache lookups; read the misses through the failover router (serveMisses:
-// each miss sub-batch read on its serving shard); then merge — the residual
-// is the slowest shard's read-plus-stall (the shard disks run in parallel)
-// plus Route per miss page shipped from a non-home shard. Remote cache hits
-// stay free: a hit is returned by its shard from memory and its handoff is
+// demandTurn serves one query's demand set at virtual time now. order is the
+// set's physical order (physicalOrder; empty when pages already are in it),
+// which routes it (Router.route), orders each shard's misses and, in
+// coldCost, prices it. The turn: route the set by shard range; on every
+// shard forget the head (it does not survive user think time — the OS and
+// other processes move it — so every query starts cold, exactly the
+// assumption behind ColdCost); charge stalls and run the cache lookups
+// (lookup); read the misses through the failover router (serveMisses: each
+// miss sub-batch read on its serving shard); then merge — the residual is the
+// slowest shard's read-plus-stall (the shard disks run in parallel) plus
+// Route per miss page shipped from a non-home shard. Remote cache hits stay
+// free: a hit is returned by its shard from memory and its handoff is
 // CacheHit-scale noise we do not model. The cache holds prefetched data only
 // ("4GB of memory to cache prefetched data", §7.1) — demand misses are NOT
 // inserted, so the hit rate is a pure measure of prediction accuracy, which
 // is what makes the paper's Figure 3 baselines meaningful. The prefetch
 // slots are reset here so a turn that sheds its window records zero spend.
-func (f *fleet) demandTurn(pages []pagestore.PageID, now time.Duration) demandMerge {
-	f.parts = f.router.Split(pages, f.parts)
-	parts, outs := f.parts, f.demand
+func (f *fleet) demandTurn(pages []pagestore.PageID, order []int32, now time.Duration) demandMerge {
+	f.cut, f.at = f.router.route(pages, order, f.cut, f.at)
+	outs := f.demand
 	var m demandMerge
 	// The query's home shard owns the largest share of its demand set (lowest
 	// index on ties, shard 0 for an empty query): the requesting session is
 	// modelled as colocated with it for the duration of the query.
 	f.home = 0
 	for i, sh := range f.shards {
-		n := len(parts[i])
+		n := f.cut[i+1] - f.cut[i]
 		if n > 0 {
 			m.fanout++
 		}
-		if n > len(parts[f.home]) {
+		if n > f.cut[f.home+1]-f.cut[f.home] {
 			f.home = i
 		}
 		f.pref[i] = prefetchOut{}
 		sh.disk.ResetHead()
-		o := &outs[i]
-		*o = demandOut{pages: n}
-		if f.stalls != nil {
-			o.stall, o.stalls = stallDelay(sh.cache.(*cache.Sharded), f.stalls, parts[i], now)
-		}
-		o.hits = sh.lookup(parts[i])
+		sh.miss = sh.miss[:0]
+		outs[i] = demandOut{pages: n}
 	}
+	f.lookup(pages, order, now)
 	f.serveMisses(now)
 
 	served := 0
@@ -315,18 +301,68 @@ func (f *fleet) demandTurn(pages []pagestore.PageID, now time.Duration) demandMe
 	return m
 }
 
-// coldCost prices the current demand split as if nothing were cached
-// anywhere: the slowest shard's cold sweep plus routing for every page a
-// non-home shard owns.
-func (f *fleet) coldCost() time.Duration {
+// lookup runs the demand set's cache lookups, each on its shard's cache, in
+// query order — LRU recency is order-sensitive, so that order is part of the
+// contract — charging the injected cache-shard stalls (a stalled stripe
+// charges its penalty on every access, hit or miss: the stall is in front of
+// the data, not behind it). It leaves each shard's misses in sh.miss in
+// ascending physical order, ready for Disk.ReadSorted: when the set already
+// is in that order (an empty order: every demand set of the insertion
+// layout) the misses are collected as they come, else by a walk of each
+// shard's run of the physical order.
+func (f *fleet) lookup(pages []pagestore.PageID, order []int32, now time.Duration) {
+	sorted := len(order) == 0
+	if !sorted {
+		f.missed = slices.Grow(f.missed[:0], len(pages))[:len(pages)]
+	}
+	for j, pg := range pages {
+		i := 0
+		if f.at != nil { // nil on a one-range fleet: route never assigns
+			i = int(f.at[j])
+		}
+		sh, o := f.shards[i], &f.demand[i]
+		if f.stalls != nil {
+			if d := f.stalls.ShardStall(sh.shared.ShardIndex(pg), now); d > 0 {
+				o.stall += d
+				o.stalls++
+			}
+		}
+		hit := sh.cache.Lookup(pg)
+		switch {
+		case hit:
+			o.hits++
+		case sorted:
+			sh.miss = append(sh.miss, pg)
+		}
+		if !sorted {
+			f.missed[j] = !hit
+		}
+	}
+	if sorted {
+		return
+	}
+	for i, sh := range f.shards {
+		for _, j := range order[f.cut[i]:f.cut[i+1]] {
+			if f.missed[j] {
+				sh.miss = append(sh.miss, pages[j])
+			}
+		}
+	}
+}
+
+// coldCost prices the last demand turn (pages, order: its demand set) as if
+// nothing were cached anywhere: the slowest shard's cold sweep over its run
+// of the physical order plus routing for every page a non-home shard owns.
+func (f *fleet) coldCost(pages []pagestore.PageID, order []int32) time.Duration {
 	var slowest time.Duration
 	remote := 0
-	for i, sh := range f.shards {
-		if c := sh.disk.ColdCost(f.parts[i]); c > slowest {
+	for i := range f.shards {
+		lo, hi := f.cut[i], f.cut[i+1]
+		if c := coldSweep(f.store, f.router.cost, pages, order, lo, hi); c > slowest {
 			slowest = c
 		}
 		if i != f.home {
-			remote += len(f.parts[i])
+			remote += hi - lo
 		}
 	}
 	return slowest + f.router.Charge(remote)
@@ -376,15 +412,16 @@ func (f *fleet) served(pages []pagestore.PageID) (kept []pagestore.PageID, faile
 //
 // The flush is the lazy elevator sweep (sweepBatch) over the shard's part of
 // batch — shard ranges are contiguous in physical order, so each part of an
-// elevator batch is one itself — or, on a per-page fleet, prefetchPages over
-// the ladder; a caller fills the one its fleet reads. Background reads have no
+// elevator batch is a run of it (Router.SplitRuns), read in place — or, on a
+// per-page fleet, prefetchPages over the ladder; a caller fills the one its
+// fleet reads. Background reads have no
 // failover here: an outaged home simply skips its window, a browned one
 // sweeps at its multiplier and delivers fewer pages per grant. Reads are
 // charged to the context bind set for this turn.
 // grant0 is shard 0's grant, which paces the background scrub.
 func (f *fleet) prefetchTurn(s int, contenders []int, batch []pagestore.PageID, l ladder, budget, now time.Duration) (prefetched int, io, grant0 time.Duration) {
 	if !f.perPage {
-		f.pparts = f.router.Split(batch, f.pparts)
+		f.runs = f.router.SplitRuns(batch, f.runs)
 	}
 	for i, sh := range f.shards {
 		o := &f.pref[i]
@@ -413,7 +450,7 @@ func (f *fleet) prefetchTurn(s int, contenders []int, batch []pagestore.PageID, 
 				}
 			}
 		}
-		o.n, o.spent, sh.read = sweepBatch(f.store, sh.cache, f.pparts[i], f.maxBridge, o.grant, sh.read, readRun)
+		o.n, o.spent, sh.read = sweepBatch(f.store, sh.cache, f.runs[i], f.maxBridge, o.grant, sh.read, readRun)
 	}
 	for i := range f.pref {
 		prefetched += f.pref[i].n
@@ -799,8 +836,8 @@ func (f *fleet) cacheStats() (agg cache.StatsSnapshot) {
 		for _, c := range sh.private {
 			add(c.(*cache.Cache).Stats())
 		}
-		if shared, ok := sh.cache.(*cache.Sharded); ok {
-			snap := shared.Stats()
+		if sh.shared != nil {
+			snap := sh.shared.Stats()
 			add(snap.Stats)
 			agg.Shards += snap.Shards
 			if i == 0 {

@@ -58,8 +58,8 @@ type ServeConfig struct {
 	// Policy selects how the arbiter splits prefetch budgets between
 	// contending sessions.
 	Policy Policy
-	// PrivateCaches gives every session its own full-size single-threaded
-	// cache instead of one shared lock-striped cache: the "N independent
+	// PrivateCaches gives every session its own full-size LRU instead of one
+	// striped cache the sessions share: the "N independent
 	// replicas" baseline, and the mode in which (with Unarbitrated policy
 	// and no interference) the commit loop drives the fleet exactly as N
 	// isolated RunSequence calls would. Shards 0 only: a private cache
@@ -378,9 +378,14 @@ func Percentile(samples []time.Duration, p float64) time.Duration {
 // step is one planned query: everything phase 1 can precompute without
 // touching shared state.
 type step struct {
-	queryIdx         int
-	last             bool // last query of its sequence: no prefetch window I/O
-	pages            []pagestore.PageID
+	queryIdx int
+	last     bool // last query of its sequence: no prefetch window I/O
+	pages    []pagestore.PageID
+	// order is the demand set's physical order (physicalOrder; empty when
+	// pages already are in it) — the one order the commit routes the set by,
+	// reads its misses in and cold is priced over. Like cold and batch, it is
+	// bound to the layout installed at plan time.
+	order            []int32
 	cold             time.Duration
 	window           time.Duration
 	graphBuild       time.Duration
@@ -438,8 +443,9 @@ func newResult(prevLen int) []pagestore.ObjectID {
 type SessionPlans struct {
 	store *pagestore.Store
 	cost  pagestore.CostModel
-	// layout names the store layout the steps were priced and elevator-
-	// sorted under (step.cold, step.batch); Serve refuses any other.
+	// layout names the store layout the steps were ordered, priced and
+	// elevator-sorted under (step.order, step.cold, step.batch); Serve
+	// refuses any other.
 	layout string
 	steps  [][]step
 	// classes carries each session's workload-class index into the commit
@@ -713,7 +719,7 @@ func (c *commit) turn(s int, t time.Duration) {
 	// per-shard ledgers at the end of the demand phase, so a shard that stays
 	// sick trips once and is then skipped for free until its cooldown probe
 	// (the window's own retries fold in next turn).
-	dm := f.demandTurn(st.pages, t)
+	dm := f.demandTurn(st.pages, st.order, t)
 	f.tick(t)
 	tr := QueryTrace{
 		Seq:         st.queryIdx,
@@ -887,6 +893,7 @@ func (c *commit) finish() ServeResult {
 func planSession(store *pagestore.Store, index Index, w SessionWorkload, cost pagestore.CostModel) []step {
 	var steps []step
 	var batchBuf []pagestore.PageID
+	var keys []uint64
 	p := w.Prefetcher
 	for _, seq := range w.Sequences {
 		p.Reset()
@@ -897,7 +904,9 @@ func planSession(store *pagestore.Store, index Index, w SessionWorkload, cost pa
 		resultLen := 0
 		for qi, q := range seq.Queries {
 			pages := index.QueryPages(q.Region, nil)
-			cold := cost.ColdCostOn(store, pages)
+			var order []int32
+			order, keys = physicalOrder(store, pages, nil, keys)
+			cold := coldSweep(store, cost, pages, order, 0, len(pages))
 			result := store.AppendMatches(newResult(resultLen), q.Region, pages)
 			resultLen = len(result)
 			p.Observe(prefetch.Observation{
@@ -912,6 +921,7 @@ func planSession(store *pagestore.Store, index Index, w SessionWorkload, cost pa
 				queryIdx:         qi,
 				last:             qi == len(seq.Queries)-1,
 				pages:            pages,
+				order:            order,
 				cold:             cold,
 				window:           time.Duration(ratio * float64(cold)),
 				graphBuild:       plan.GraphBuild,

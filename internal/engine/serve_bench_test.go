@@ -85,8 +85,13 @@ func walkWorkloads(rng *rand.Rand, n, q int) []SessionWorkload {
 // flush, the batched flush, private per-session caches (per-page; half of
 // serve_flat's cells are private) and the sharded backend (Shards 8,
 // Replicas 2) at 16, 64 and 256 sessions under the fair policy with seek
-// interference; all but `private` share one cache. ns/op is one whole
-// commit; ns/query divides by the queries it served.
+// interference; all but `private` share one cache. Those rows run on the
+// insertion layout, where the index returns every demand set already in
+// physical order; `sharded-hilbert` commits the same walks on the sharded
+// backend after a hilbert relayout, where it does not, so routing, miss
+// lists and cold pricing follow each step's planned physical order — the
+// serve_sharded configuration. ns/op is one whole commit; ns/query divides
+// by the queries it served.
 func BenchmarkServeCommit(b *testing.B) {
 	store, tree := cloudWorld(b, 20000, 9)
 	base := ServeConfig{
@@ -102,19 +107,32 @@ func BenchmarkServeCommit(b *testing.B) {
 		name string
 		cfg  ServeConfig
 	}{{"per-page", base}, {"batched", batched}, {"private", private}, {"sharded", sharded}}
+	commit := func(name string, plans *SessionPlans, cfg ServeConfig) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			var queries int64
+			for i := 0; i < b.N; i++ {
+				queries += plans.Serve(cfg).Queries
+			}
+			benchServeQueries = queries
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(queries), "ns/query")
+		})
+	}
 	for _, sessions := range []int{16, 64, 256} {
-		workloads := walkWorkloads(rand.New(rand.NewSource(int64(sessions))), sessions, 12)
-		plans := PlanSessions(store, tree, workloads, DefaultConfig().Cost, 0)
+		plan := func() *SessionPlans {
+			workloads := walkWorkloads(rand.New(rand.NewSource(int64(sessions))), sessions, 12)
+			return PlanSessions(store, tree, workloads, DefaultConfig().Cost, 0)
+		}
+		plans := plan()
 		for _, path := range paths {
-			b.Run(fmt.Sprintf("%s/sessions=%d", path.name, sessions), func(b *testing.B) {
-				b.ReportAllocs()
-				var queries int64
-				for i := 0; i < b.N; i++ {
-					queries += plans.Serve(path.cfg).Queries
-				}
-				benchServeQueries = queries
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(queries), "ns/query")
-			})
+			commit(fmt.Sprintf("%s/sessions=%d", path.name, sessions), plans, path.cfg)
+		}
+		if err := store.Relayout(pagestore.HilbertLayout()); err != nil {
+			b.Fatal(err)
+		}
+		commit(fmt.Sprintf("sharded-hilbert/sessions=%d", sessions), plan(), sharded)
+		if err := store.Relayout(pagestore.InsertionLayout()); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -630,61 +630,26 @@ func (d *Disk) ReadBatch(pages []PageID) time.Duration {
 // ColdCost returns the simulated cost of reading the pages from disk without
 // performing the read (no counters or head movement change). It assumes the
 // same ascending-physical-order schedule as ReadPages/ReadBatch and an
-// initial seek. Unlike the stateless ColdCostOn, a permuted layout's
-// translation reuses the disk's scratch buffer (this runs once per query).
+// initial seek: a seek at the start and at every physical discontinuity, a
+// transfer per page. The translation and sort reuse the disk's scratch
+// buffer. The engine prices a demand set it has already put in physical
+// order without sorting again, by the same rule.
 func (d *Disk) ColdCost(pages []PageID) time.Duration {
-	if d.store.physOf == nil {
-		return d.model.ColdCost(pages)
-	}
 	d.coldBuf = d.coldBuf[:0]
 	for _, p := range pages {
-		d.coldBuf = append(d.coldBuf, d.store.physOf[p])
+		d.coldBuf = append(d.coldBuf, d.store.PhysicalPage(p))
 	}
-	return d.model.coldCostInPlace(d.coldBuf)
-}
-
-// ColdCost is Disk.ColdCost as a pure function of the cost model: the
-// simulated cost of reading the pages cold, in ascending physical order with
-// an initial seek. The multi-session serving layer uses it to price queries
-// during its parallel planning phase, where no disk state exists yet.
-func (m CostModel) ColdCost(pages []PageID) time.Duration {
-	if len(pages) == 0 {
-		return 0
-	}
-	sorted := make([]PageID, len(pages))
-	copy(sorted, pages)
-	return m.coldCostInPlace(sorted)
-}
-
-// coldCostInPlace is ColdCost over a scratch slice of physical addresses
-// the caller owns: sorts it in place and charges the cold schedule.
-func (m CostModel) coldCostInPlace(phys []PageID) time.Duration {
-	sortPageIDs(phys)
+	sortPageIDs(d.coldBuf)
 	total := time.Duration(0)
 	last := InvalidPage
-	for _, p := range phys {
+	for _, p := range d.coldBuf {
 		if last == InvalidPage || p != last+1 {
-			total += m.Seek
+			total += d.model.Seek
 		}
-		total += m.Transfer
+		total += d.model.Transfer
 		last = p
 	}
 	return total
-}
-
-// ColdCostOn is ColdCost with the store's logical→physical translation
-// applied: the cost of one cold elevator sweep over the pages' physical
-// addresses. With the identity layout it is exactly ColdCost. Stateless —
-// Disk.ColdCost is the scratch-reusing variant for per-query hot paths.
-func (m CostModel) ColdCostOn(s *Store, pages []PageID) time.Duration {
-	if s.physOf == nil {
-		return m.ColdCost(pages)
-	}
-	phys := make([]PageID, len(pages))
-	for i, p := range pages {
-		phys[i] = s.physOf[p]
-	}
-	return m.coldCostInPlace(phys)
 }
 
 // ResetHead forgets the current stream's physical head position, e.g. after
