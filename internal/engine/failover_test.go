@@ -198,7 +198,8 @@ func TestShardedUnreplicatedHALedgerZero(t *testing.T) {
 // decisions live on the single-coordinator virtual clock), the protection
 // must actually engage, and the served result sets must hash identical to a
 // fault-free unreplicated run: outages are invisible in results, visible
-// only in time.
+// only in time. Without replication the same outages lose pages, and the
+// hashes of the subsets served instead are pinned as constants.
 func TestShardedFailoverHammer(t *testing.T) {
 	store, tree := cloudWorld(t, 3000, 17)
 	if err := store.Relayout(pagestore.HilbertLayout()); err != nil {
@@ -254,7 +255,17 @@ func TestShardedFailoverHammer(t *testing.T) {
 		}
 	}
 
-	if _, _, lostNone := run(1, 0, true); lostNone == 0 {
+	// Unreplicated, the same outages darken whole chains and their pages drop
+	// out of the served result sets. The hashes pin what was served, per
+	// sequence. (Here the lost pages hold no matches; TestCoreFingerprints'
+	// flaky3 rows are where a loss changes a result set.)
+	none, _, lostNone := run(1, 0, true)
+	if lostNone == 0 {
 		t.Fatal("unreplicated run lost nothing under shard:flaky; profile too gentle for the hammer")
+	}
+	for i, want := range []uint64{0x868706bddc1a8f72, 0xd12e3547fbf08312, 0xc5781587de8315d4} {
+		if got := none[i].ResultHash; got != want {
+			t.Errorf("sequence %d: unreplicated faulted result hash %#x, want %#x", i, got, want)
+		}
 	}
 }

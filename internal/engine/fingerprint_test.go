@@ -230,12 +230,22 @@ func TestCoreFingerprints(t *testing.T) {
 						e := NewShardedEngine(store, tree, cfg, shards)
 						p := prefetch.NewStraightLine(24 * 24 * 24)
 						var res []SequenceResult
+						var lost int64
 						for _, seq := range seqs {
 							// The virtual serving clock runs on across sequences.
 							res = append(res, e.RunSequence(seq, p))
+							lost += res[len(res)-1].LostPages
 						}
-						check(fmt.Sprintf("sharded/S=%d/R=%d/hedge=%v/%s", shards, replicas, hedge, faults),
-							fingerprint(res, e.Stats(), e.ShardStats(), e.HAStats()))
+						name := fmt.Sprintf("sharded/S=%d/R=%d/hedge=%v/%s", shards, replicas, hedge, faults)
+						// Seed 3's outages darken whole chains where nothing
+						// is replicated (R=1, or S=1, where R clamps to 1):
+						// those rows pin the lost-page path, served subsets
+						// and their result hashes included, and no other row
+						// may lose a page.
+						if wantLoss := faultSeed == 3 && min(shards, replicas) == 1; (lost > 0) != wantLoss {
+							t.Errorf("%s: %d pages lost, want loss %v", name, lost, wantLoss)
+						}
+						check(name, fingerprint(res, e.Stats(), e.ShardStats(), e.HAStats()))
 						e.Close()
 					}
 				}
