@@ -193,8 +193,35 @@ func (r SequenceResult) Speedup() float64 {
 // Index is the spatial index contract the engine needs. The FLAT index adds
 // ordered retrieval on top, which SCOUT-OPT uses internally; the engine
 // itself only needs candidate pages, under prefetch.Index's contract.
+//
+// QueryPages must be safe for concurrent calls: PlanSessions probes one
+// index from all its workers, and RunSequence probes it from its filter
+// goroutine while the coordinator resolves prefetch requests (and a
+// prefetcher such as SCOUT-OPT walks the same index) on its own.
 type Index interface {
 	QueryPages(r geom.Region, dst []pagestore.PageID) []pagestore.PageID
+}
+
+// filtered is one query's filter step: its candidate pages (the demand set,
+// in index order), their physical order (physicalOrder) and its refined
+// result.
+type filtered struct {
+	pages  []pagestore.PageID
+	order  []int32
+	result []pagestore.ObjectID
+}
+
+// filter runs one query's filter step — index probe, physical order, refine
+// — reusing dst's pages and order; keys is physicalOrder's sort scratch,
+// returned for reuse. The result is fresh (newResult, sized by prevLen),
+// since observers may retain it. It reads only the immutable store and the
+// index, so the plan phase and RunSequence's filter goroutine both run it
+// off the coordinator.
+func filter(store *pagestore.Store, index Index, r geom.Region, dst filtered, keys []uint64, prevLen int) (filtered, []uint64) {
+	dst.pages = index.QueryPages(r, dst.pages[:0])
+	dst.order, keys = physicalOrder(store, dst.pages, dst.order, keys)
+	dst.result = store.AppendMatches(newResult(prevLen), r, dst.pages)
+	return dst, keys
 }
 
 // Engine runs sequences against one dataset + index + prefetcher binding: the
@@ -220,11 +247,20 @@ type Engine struct {
 	// functions of total time served, not of per-sequence offsets.
 	vclock time.Duration
 	// batchBuf and reqBuf are the batched flushes' reusable scratch: the
-	// window's prediction set, and one request's pages; order and keys the
-	// demand set's physical order and its sort scratch.
+	// window's prediction set, and one request's pages.
 	batchBuf, reqBuf []pagestore.PageID
-	order            []int32
-	keys             []uint64
+
+	// The filter-ahead state (filterAhead). slots holds query i's filter
+	// step and hashes[i] the ResultHash folded through query i, both reused
+	// across calls; keys is the filter goroutine's sort scratch. ready
+	// carries finished slot indices to the coordinator (-1: the goroutine
+	// panicked with filterPanic), and filtering waits for the goroutine.
+	slots       []filtered
+	hashes      []uint64
+	keys        []uint64
+	ready       chan int
+	filterPanic any
+	filtering   sync.WaitGroup
 }
 
 // ShardedEngine is an Engine built by NewShardedEngine.
@@ -275,8 +311,9 @@ func (e *Engine) HAStats() HAStats { return e.fleet.ha.stats }
 // Router exposes the engine's router (for tests).
 func (e *Engine) Router() Router { return e.fleet.router }
 
-// Close releases nothing — the engine owns no goroutines or files — and
-// stays so that callers keep pairing NewShardedEngine with it.
+// Close releases nothing — the engine owns no files, and its filter
+// goroutine never outlives RunSequence — and stays so that callers keep
+// pairing NewShardedEngine with it.
 func (e *Engine) Close() {}
 
 // Clone creates an engine over the same (immutable) store and index with
@@ -291,6 +328,12 @@ func (e *Engine) Clone() *Engine {
 // turn of the paper's Figure 2 timeline per query. State (caches, disk
 // heads, prefetcher) is cleared first, matching the paper's methodology
 // (§7.1).
+//
+// Each query's filter step depends only on its region, the store and the
+// index, so a second goroutine runs the whole sequence's filter steps ahead
+// (filterAhead) while this one runs the stateful turns in query order. The
+// goroutine is gone when RunSequence returns, panics included; a panic in it
+// is re-raised here with its original value.
 func (e *Engine) RunSequence(seq workload.Sequence, p prefetch.Prefetcher) SequenceResult {
 	f := e.fleet
 	f.reset()
@@ -302,33 +345,42 @@ func (e *Engine) RunSequence(seq workload.Sequence, p prefetch.Prefetcher) Seque
 		ratio = 1
 	}
 
-	var pageBuf []pagestore.PageID
-	resultLen := 0
+	e.startFilter(seq.Queries)
+	defer e.stopFilter()
+	rehash := false
 	for qi, q := range seq.Queries {
 		tr := QueryTrace{Seq: qi}
 
-		// 1. Locate the query's pages and serve them: cache hits from the
-		// prefetch cache, misses from disk (residual I/O) — see demandTurn.
-		// Cold charges routing for the whole demand set (cold means nothing
-		// is cached anywhere), Residual for remote misses only.
-		pageBuf = e.index.QueryPages(q.Region, pageBuf[:0])
-		e.order, e.keys = physicalOrder(e.store, pageBuf, e.order, e.keys)
-		tr.ResultPages = len(pageBuf)
-		dm := f.demandTurn(pageBuf, e.order, e.vclock)
+		// 1. Take the query's filtered pages and serve them: cache hits from
+		// the prefetch cache, misses from disk (residual I/O) — see
+		// demandTurn. Cold charges routing for the whole demand set (cold
+		// means nothing is cached anywhere), Residual for remote misses only.
+		fq := e.nextFiltered()
+		tr.ResultPages = len(fq.pages)
+		dm := f.demandTurn(fq.pages, fq.order, e.vclock)
 		tr.HitPages, tr.Residual = dm.hits, dm.residual
 		tr.Fanout, tr.RoutedPages = dm.fanout, dm.routed
-		tr.Cold = f.coldCost(pageBuf, e.order)
+		tr.Cold = f.coldCost(fq.pages, fq.order)
 		// A home whose whole replica chain was down drops its miss pages
 		// from the result: the client waited out its read deadline (inside
-		// Residual) and is answered without them.
+		// Residual) and is answered without them. The result filtered ahead
+		// covers every page, so the served subset is refined again here, and
+		// the hash folded ahead no longer applies from this query on.
 		var served []pagestore.PageID
-		served, tr.FailedOverPages, tr.LostPages = f.served(pageBuf)
+		served, tr.FailedOverPages, tr.LostPages = f.served(fq.pages)
+		result := fq.result
+		if tr.LostPages > 0 {
+			result = e.store.AppendMatches(newResult(len(result)), q.Region, served)
+			rehash = true
+		}
+		if rehash {
+			res.ResultHash = hashResult(res.ResultHash, qi, result)
+		} else {
+			res.ResultHash = e.hashes[qi]
+		}
 
 		// 2. The prefetcher observes the completed query (content included:
 		// SCOUT needs it, baselines ignore it).
-		result := e.store.AppendMatches(newResult(resultLen), q.Region, served)
-		resultLen = len(result)
-		res.ResultHash = hashResult(res.ResultHash, qi, result)
 		p.Observe(prefetch.Observation{
 			Seq:    qi,
 			Region: q.Region,
@@ -371,6 +423,68 @@ func (e *Engine) RunSequence(seq workload.Sequence, p prefetch.Prefetcher) Seque
 		res.account(tr, e.cfg.SkipFirstQuery)
 	}
 	return res
+}
+
+// startFilter starts the filter goroutine over queries (filterAhead), after
+// sizing the slots and the ready channel for them on this goroutine.
+func (e *Engine) startFilter(queries []workload.Query) {
+	n := len(queries)
+	for len(e.slots) < n {
+		e.slots = append(e.slots, filtered{})
+	}
+	if len(e.hashes) < n {
+		e.hashes = make([]uint64, n)
+	}
+	if cap(e.ready) < n {
+		e.ready = make(chan int, n)
+	}
+	e.filterPanic = nil
+	e.filtering.Add(1)
+	go e.filterAhead(queries)
+}
+
+// filterAhead runs every query's filter step in order into e.slots, folds
+// the result hash into e.hashes, and publishes each finished slot on
+// e.ready. ready holds the whole sequence, so the goroutine never waits on
+// the coordinator: with a small ring and back-pressure the scheduler's
+// hand-off ran both goroutines on one P and nothing overlapped. A panic is
+// recovered and published as -1 for nextFiltered to re-raise.
+func (e *Engine) filterAhead(queries []workload.Query) {
+	defer e.filtering.Done()
+	defer func() {
+		if v := recover(); v != nil {
+			e.filterPanic = v
+			e.ready <- -1
+		}
+	}()
+	h, prevLen := fnvOffset, 0
+	for qi, q := range queries {
+		s := &e.slots[qi]
+		*s, e.keys = filter(e.store, e.index, q.Region, *s, e.keys, prevLen)
+		prevLen = len(s.result)
+		h = hashResult(h, qi, s.result)
+		e.hashes[qi] = h
+		e.ready <- qi
+	}
+}
+
+// nextFiltered waits for the next query's filter step and returns its slot,
+// re-raising a panic of the filter goroutine on the calling goroutine.
+func (e *Engine) nextFiltered() *filtered {
+	i := <-e.ready
+	if i < 0 {
+		panic(e.filterPanic)
+	}
+	return &e.slots[i]
+}
+
+// stopFilter waits for the filter goroutine and empties ready, which still
+// holds the slots a panicking coordinator did not take.
+func (e *Engine) stopFilter() {
+	e.filtering.Wait()
+	for len(e.ready) > 0 {
+		<-e.ready
+	}
 }
 
 // spendWindow hands the plan's prediction set to the fleet in the shape its

@@ -903,25 +903,23 @@ func planSession(store *pagestore.Store, index Index, w SessionWorkload, cost pa
 		}
 		resultLen := 0
 		for qi, q := range seq.Queries {
-			pages := index.QueryPages(q.Region, nil)
-			var order []int32
-			order, keys = physicalOrder(store, pages, nil, keys)
-			cold := coldSweep(store, cost, pages, order, 0, len(pages))
-			result := store.AppendMatches(newResult(resultLen), q.Region, pages)
-			resultLen = len(result)
+			var fq filtered
+			fq, keys = filter(store, index, q.Region, fq, keys, resultLen)
+			cold := coldSweep(store, cost, fq.pages, fq.order, 0, len(fq.pages))
+			resultLen = len(fq.result)
 			p.Observe(prefetch.Observation{
 				Seq:    qi,
 				Region: q.Region,
 				Center: q.Center,
-				Result: result,
-				Pages:  append([]pagestore.PageID(nil), pages...),
+				Result: fq.result,
+				Pages:  append([]pagestore.PageID(nil), fq.pages...),
 			})
 			plan := p.Plan()
 			st := step{
 				queryIdx:         qi,
 				last:             qi == len(seq.Queries)-1,
-				pages:            pages,
-				order:            order,
+				pages:            fq.pages,
+				order:            fq.order,
 				cold:             cold,
 				window:           time.Duration(ratio * float64(cold)),
 				graphBuild:       plan.GraphBuild,

@@ -26,7 +26,9 @@ import (
 // it.
 type Index interface {
 	// QueryPages appends to dst every page whose bounds intersect r, each
-	// once, in ascending page-ID order, and returns the grown slice.
+	// once, in ascending page-ID order, and returns the grown slice. It must
+	// be safe for concurrent calls: the engine probes the index a prefetcher
+	// uses from other goroutines while the prefetcher runs (engine.Index).
 	QueryPages(r geom.Region, dst []pagestore.PageID) []pagestore.PageID
 }
 
