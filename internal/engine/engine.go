@@ -251,12 +251,11 @@ type Engine struct {
 	batchBuf, reqBuf []pagestore.PageID
 
 	// The filter-ahead state (filterAhead). slots holds query i's filter
-	// step and hashes[i] the ResultHash folded through query i, both reused
-	// across calls; keys is the filter goroutine's sort scratch. ready
-	// carries finished slot indices to the coordinator (-1: the goroutine
-	// panicked with filterPanic), and filtering waits for the goroutine.
+	// step, reused across calls; keys is the filter goroutine's sort
+	// scratch. ready carries finished slot indices to the coordinator (-1:
+	// the goroutine panicked with filterPanic), and filtering waits for the
+	// goroutine.
 	slots       []filtered
-	hashes      []uint64
 	keys        []uint64
 	ready       chan int
 	filterPanic any
@@ -347,7 +346,6 @@ func (e *Engine) RunSequence(seq workload.Sequence, p prefetch.Prefetcher) Seque
 
 	e.startFilter(seq.Queries)
 	defer e.stopFilter()
-	rehash := false
 	for qi, q := range seq.Queries {
 		tr := QueryTrace{Seq: qi}
 
@@ -364,20 +362,14 @@ func (e *Engine) RunSequence(seq workload.Sequence, p prefetch.Prefetcher) Seque
 		// A home whose whole replica chain was down drops its miss pages
 		// from the result: the client waited out its read deadline (inside
 		// Residual) and is answered without them. The result filtered ahead
-		// covers every page, so the served subset is refined again here, and
-		// the hash folded ahead no longer applies from this query on.
+		// covers every page, so the served subset is refined again here.
 		var served []pagestore.PageID
 		served, tr.FailedOverPages, tr.LostPages = f.served(fq.pages)
 		result := fq.result
 		if tr.LostPages > 0 {
 			result = e.store.AppendMatches(newResult(len(result)), q.Region, served)
-			rehash = true
 		}
-		if rehash {
-			res.ResultHash = hashResult(res.ResultHash, qi, result)
-		} else {
-			res.ResultHash = e.hashes[qi]
-		}
+		res.ResultHash = hashResult(res.ResultHash, qi, result)
 
 		// 2. The prefetcher observes the completed query (content included:
 		// SCOUT needs it, baselines ignore it).
@@ -432,23 +424,19 @@ func (e *Engine) startFilter(queries []workload.Query) {
 	for len(e.slots) < n {
 		e.slots = append(e.slots, filtered{})
 	}
-	if len(e.hashes) < n {
-		e.hashes = make([]uint64, n)
-	}
 	if cap(e.ready) < n {
 		e.ready = make(chan int, n)
 	}
-	e.filterPanic = nil
 	e.filtering.Add(1)
 	go e.filterAhead(queries)
 }
 
-// filterAhead runs every query's filter step in order into e.slots, folds
-// the result hash into e.hashes, and publishes each finished slot on
-// e.ready. ready holds the whole sequence, so the goroutine never waits on
-// the coordinator: with a small ring and back-pressure the scheduler's
-// hand-off ran both goroutines on one P and nothing overlapped. A panic is
-// recovered and published as -1 for nextFiltered to re-raise.
+// filterAhead runs every query's filter step in order into e.slots and
+// publishes each finished slot on e.ready. ready holds the whole sequence,
+// so the goroutine never waits on the coordinator: with a small ring and
+// back-pressure the scheduler's hand-off ran both goroutines on one P and
+// nothing overlapped. A panic is recovered and published as -1 for
+// nextFiltered to re-raise.
 func (e *Engine) filterAhead(queries []workload.Query) {
 	defer e.filtering.Done()
 	defer func() {
@@ -457,13 +445,11 @@ func (e *Engine) filterAhead(queries []workload.Query) {
 			e.ready <- -1
 		}
 	}()
-	h, prevLen := fnvOffset, 0
+	prevLen := 0
 	for qi, q := range queries {
 		s := &e.slots[qi]
 		*s, e.keys = filter(e.store, e.index, q.Region, *s, e.keys, prevLen)
 		prevLen = len(s.result)
-		h = hashResult(h, qi, s.result)
-		e.hashes[qi] = h
 		e.ready <- qi
 	}
 }
