@@ -24,7 +24,7 @@ func buildIndex(t *testing.T, n int, side float64, seed int64) (*Index, *pagesto
 	t.Helper()
 	store := pagestore.NewStore(uniformObjects(n, side, seed))
 	cfg := rtree.Config{ObjectsPerPage: 50}
-	order := rtree.STROrder(store.Objects(), cfg.ObjectsPerPage)
+	order := rtree.STROrder(store, cfg.ObjectsPerPage)
 	if err := store.Paginate(order, cfg.ObjectsPerPage); err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestEpsilonExpandsNeighborhoods(t *testing.T) {
 	// With a large epsilon every page neighbors every other (small store).
 	store := pagestore.NewStore(uniformObjects(200, 100, 8))
 	cfg := rtree.Config{ObjectsPerPage: 50}
-	order := rtree.STROrder(store.Objects(), cfg.ObjectsPerPage)
+	order := rtree.STROrder(store, cfg.ObjectsPerPage)
 	if err := store.Paginate(order, cfg.ObjectsPerPage); err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,8 @@ func TestQueryObjectsMatchesBruteForce(t *testing.T) {
 	for _, id := range idx.QueryObjects(q, nil) {
 		got[id] = true
 	}
-	for _, o := range store.Objects() {
+	for id := range store.NumObjects() {
+		o := store.Object(pagestore.ObjectID(id))
 		if want := pagestore.Matches(q, o); want != got[o.ID] {
 			t.Fatalf("object %d: got %v want %v", o.ID, got[o.ID], want)
 		}

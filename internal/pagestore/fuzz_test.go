@@ -4,13 +4,19 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"testing"
+
+	"scout/internal/geom"
 )
 
-// Fuzz targets for the on-disk decoders (ROADMAP 8(c)). The seed corpora run
-// under plain `go test`; CI adds a short -fuzz run of FuzzOpenFileStore.
+// Fuzz targets for the on-disk decoders and for Paginate (ROADMAP 8(c)). The
+// seed corpora run under plain `go test`; CI adds short -fuzz runs of
+// FuzzOpenFileStore and FuzzPaginate.
 
 // FuzzDecodeSuper: arbitrary bytes never panic the superblock decoder, and
 // whatever it accepts has a geometry the rest of the code may size by.
@@ -56,6 +62,119 @@ func FuzzDecodeEntry(f *testing.F) {
 			t.Fatalf("decodeEntry accepted %+v for a %d-page file", h, n)
 		}
 	})
+}
+
+// FuzzPaginate turns bytes into an (order, perPage) for a small clustered
+// store. swaps is a list of (i, j) byte pairs, transpositions applied to the
+// identity order; edits is a list of (slot, id) byte pairs written into it,
+// which may repeat an ID or name one the store lacks, and an odd trailing
+// byte b drops the last ID (b even) or appends b (b odd). With self set and
+// a valid order, the store is first paginated into that order as one page,
+// and Paginate is handed the store's own PageObjects(0).
+//
+// A rejected order (not a permutation, or perPage < 1) must leave every
+// Object, PageOf, PageObjects, PageSlice and PageBounds as it was; an
+// accepted one must give ⌈n/perPage⌉ pages and the store that paginating a
+// fresh copy gives.
+func FuzzPaginate(f *testing.F) {
+	const n = 45
+	f.Add(8, []byte{}, []byte{}, false)                          // identity
+	f.Add(7, []byte{0, 44, 3, 9, 9, 3, 12, 30}, []byte{}, false) // a few cycles
+	f.Add(1, []byte{2, 40}, []byte{}, false)                     // one object a page
+	f.Add(64, []byte{5, 6}, []byte{}, false)                     // one page
+	f.Add(math.MaxInt, []byte{5, 6}, []byte{}, false)            // one page, pages not overflowing
+	f.Add(0, []byte{}, []byte{}, false)                          // perPage < 1
+	f.Add(-3, []byte{1, 2}, []byte{}, false)                     // perPage < 1
+	f.Add(8, []byte{}, []byte{4, 7}, false)                      // object 7 twice
+	f.Add(8, []byte{}, []byte{4, 200}, false)                    // unknown object
+	f.Add(8, []byte{}, []byte{2}, false)                         // one ID short
+	f.Add(8, []byte{}, []byte{45}, false)                        // one ID too many
+	f.Add(8, []byte{3, 30}, []byte{}, true)                      // the store's own order
+	f.Fuzz(func(t *testing.T, perPage int, swaps, edits []byte, self bool) {
+		order := identityOrder(n)
+		for ; len(swaps) >= 2; swaps = swaps[2:] {
+			i, j := int(swaps[0])%n, int(swaps[1])%n
+			order[i], order[j] = order[j], order[i]
+		}
+		for ; len(edits) >= 2; edits = edits[2:] {
+			order[int(edits[0])%n] = ObjectID(edits[1])
+		}
+		if len(edits) == 1 && edits[0]%2 == 0 {
+			order = order[:n-1]
+		} else if len(edits) == 1 {
+			order = append(order, ObjectID(edits[0]))
+		}
+		valid := perPage >= 1 && len(order) == n
+		seen := make([]bool, n)
+		for _, id := range order {
+			if int(id) >= n || seen[id] {
+				valid = false
+				break
+			}
+			seen[id] = true
+		}
+
+		s := NewStore(makeObjects(n))
+		reversed := identityOrder(n)
+		slices.Reverse(reversed)
+		if err := s.Paginate(reversed, 8); err != nil {
+			t.Fatal(err)
+		}
+		want := slices.Clone(order)
+		if valid && self {
+			if err := s.Paginate(order, n); err != nil {
+				t.Fatal(err)
+			}
+			order = s.PageObjects(0)
+		}
+		before := pagination(s)
+		err := s.Paginate(order, perPage)
+		if !valid {
+			if err == nil {
+				t.Fatalf("Paginate accepted perPage %d and order %v", perPage, order)
+			}
+			if after := pagination(s); !reflect.DeepEqual(after, before) {
+				t.Fatalf("rejected Paginate (%v) changed the store", err)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("Paginate refused a permutation at perPage %d: %v", perPage, err)
+		}
+		if s.NumPages() != (n-1)/perPage+1 {
+			t.Fatalf("perPage %d: %d objects in %d pages", perPage, n, s.NumPages())
+		}
+		fresh := NewStore(makeObjects(n))
+		if err := fresh.Paginate(want, perPage); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(pagination(s), pagination(fresh)) {
+			t.Fatalf("perPage %d, order %v: the clustered store's pages differ from a fresh copy's", perPage, want)
+		}
+	})
+}
+
+// storePagination is everything a store answers about its objects and pages.
+type storePagination struct {
+	objects []Object
+	pageOf  []PageID
+	ids     [][]ObjectID
+	pages   [][]Object
+	bounds  []geom.AABB
+}
+
+func pagination(s *Store) storePagination {
+	var sp storePagination
+	for id := range ObjectID(s.NumObjects()) {
+		sp.objects = append(sp.objects, s.Object(id))
+		sp.pageOf = append(sp.pageOf, s.PageOf(id))
+	}
+	for p := range PageID(s.NumPages()) {
+		sp.ids = append(sp.ids, slices.Clone(s.PageObjects(p)))
+		sp.pages = append(sp.pages, slices.Clone(s.PageSlice(p)))
+		sp.bounds = append(sp.bounds, s.PageBounds(p))
+	}
+	return sp
 }
 
 // resum recomputes a patched superblock's checksum, so a test reaches the

@@ -10,6 +10,8 @@ package pagestore
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 
 	"scout/internal/geom"
 )
@@ -131,11 +133,6 @@ func (s *Store) ObjectsPerPage() int { return s.perPage }
 // Object returns the object with the given ID.
 func (s *Store) Object(id ObjectID) Object { return s.objects[s.slotOf[id]] }
 
-// Objects returns the backing object slice: creation order before
-// pagination, storage order after it, so an object's identity is its ID
-// field, not its index. Callers must not modify the slice.
-func (s *Store) Objects() []Object { return s.objects }
-
 // PageOf returns the page holding the given object (InvalidPage before
 // pagination).
 func (s *Store) PageOf(id ObjectID) PageID {
@@ -188,56 +185,79 @@ func (s *Store) Paginate(order []ObjectID, perPage int) error {
 		return fmt.Errorf("pagestore: order has %d ids, store has %d objects",
 			len(order), len(s.objects))
 	}
-	pending := make([]bool, len(s.objects))
+	seen := make([]uint64, (len(s.objects)+63)/64) // a bit per ID
 	for _, id := range order {
 		if int(id) >= len(s.objects) {
 			return fmt.Errorf("pagestore: order contains unknown object %d", id)
 		}
-		if pending[id] {
+		word, bit := id/64, uint64(1)<<(id%64)
+		if seen[word]&bit != 0 {
 			return fmt.Errorf("pagestore: order contains object %d twice", id)
 		}
-		pending[id] = true
+		seen[word] |= bit
 	}
 
-	// Permute objects into storage order by following cycles: slot j receives
-	// the object now at slotOf[order[j]]. One object is held aside per cycle,
-	// so no second copy of the array ever exists. pending (all true after
-	// validation) is reused, now indexed by slot, to mark slots not yet
-	// filled; slotOf keeps the old placement until every cycle is closed.
+	// src[k] is the slot that holds, now, the object slot k receives. It is
+	// computed in one in-order pass, into s.order: that is rebuilt below
+	// from the moved objects, and reading order[k] before writing src[k]
+	// keeps this right even when order is s.order itself.
+	src := s.order
+	for k, id := range order {
+		src[k] = ObjectID(s.slotOf[id])
+	}
+	// Permute objects into storage order by following cycles: slot k
+	// receives objs[src[k]]. One object is held aside per cycle, so no
+	// second copy of the array ever exists. A filled slot becomes a fixed
+	// point of src, so the walk's only dependent load is the next src[k].
 	objs := s.objects
 	for j := range objs {
-		if !pending[j] {
+		if int(src[j]) == j {
 			continue
 		}
 		held := objs[j]
 		k := j
 		for {
-			pending[k] = false
-			src := int(s.slotOf[order[k]])
-			if src == j {
+			from := int(src[k])
+			src[k] = ObjectID(k)
+			if from == j {
 				objs[k] = held
 				break
 			}
-			objs[k] = objs[src]
-			k = src
+			objs[k] = objs[from]
+			k = from
 		}
-	}
-	copy(s.order, order)
-	for slot, id := range order {
-		s.slotOf[id] = uint32(slot)
 	}
 
+	// Each page's pass rebuilds order and slotOf for its own slots, from the
+	// IDs the moved objects carry, and computes the page's bounds. Pages
+	// share nothing, so they run on GOMAXPROCS goroutines, each over a
+	// contiguous run of pages.
 	s.perPage = perPage
-	numPages := (len(order) + perPage - 1) / perPage
-	s.pageBounds = make([]geom.AABB, numPages)
-	for p := range s.pageBounds {
-		mbr := geom.EmptyAABB()
-		page := s.PageSlice(PageID(p))
-		for i := range page {
-			mbr = mbr.Union(page[i].Bounds())
-		}
-		s.pageBounds[p] = mbr
+	pages := len(objs) / perPage // len(objs)+perPage-1 could overflow
+	if len(objs)%perPage != 0 {
+		pages++
 	}
+	s.pageBounds = make([]geom.AABB, pages)
+	workers := min(runtime.GOMAXPROCS(0), pages)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for p := w * pages / workers; p < (w+1)*pages/workers; p++ {
+				lo, hi := s.pageSpan(PageID(p))
+				mbr := geom.EmptyAABB()
+				for slot := lo; slot < hi; slot++ {
+					o := &objs[slot]
+					s.order[slot] = o.ID
+					s.slotOf[o.ID] = uint32(slot)
+					mbr = mbr.Union(o.Bounds())
+				}
+				s.pageBounds[p] = mbr
+			}
+		}()
+	}
+	wg.Wait()
 	return nil
 }
 

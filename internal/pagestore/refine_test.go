@@ -472,13 +472,13 @@ func TestPaginateClustersInPlace(t *testing.T) {
 	}
 
 	// A rejected order must leave the clustered store as it was.
-	before := append([]pagestore.Object(nil), s.Objects()...)
+	before := append([]pagestore.Object(nil), s.PageSlice(0)...)
 	bad := perm()
 	bad[3] = bad[4]
 	if err := s.Paginate(bad, 64); err == nil {
 		t.Fatal("duplicate order accepted")
 	}
-	if !reflect.DeepEqual(before, s.Objects()) || s.ObjectsPerPage() != n+5 {
+	if !reflect.DeepEqual(before, s.PageSlice(0)) || s.ObjectsPerPage() != n+5 {
 		t.Error("rejected Paginate modified the store")
 	}
 }

@@ -11,25 +11,66 @@ import (
 	"scout/internal/workload"
 )
 
-func BenchmarkSTROrder100k(b *testing.B) {
-	objs := uniformObjects(100_000, 500, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		STROrder(objs, pagestore.DefaultObjectsPerPage)
-	}
-}
+// bulkLoadStore is BenchmarkBulkLoad's 1M-object neuro store, generated by
+// the first run that needs it.
+var bulkLoadStore *pagestore.Store
 
-func BenchmarkBulkLoad100k(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		store := pagestore.NewStore(uniformObjects(100_000, 500, 1))
-		b.StartTimer()
-		if _, err := BulkLoad(store, Config{}); err != nil {
+// BenchmarkBulkLoad times BulkLoad's three phases on the main experiments'
+// 1M-object neuro store, each from the state BulkLoad hands it: STROrder over
+// the store in creation order, Paginate from creation order into the STR
+// order, and Build over the paginated store. Paginating into the identity
+// order, untimed, puts the objects back in creation order between rows and
+// iterations.
+func BenchmarkBulkLoad(b *testing.B) {
+	if bulkLoadStore == nil {
+		bulkLoadStore = pagestore.NewStore(dataset.GenerateNeuro(dataset.DefaultNeuroConfig()).Objects)
+	}
+	store, perPage := bulkLoadStore, pagestore.DefaultObjectsPerPage
+	identity := make([]pagestore.ObjectID, store.NumObjects())
+	for i := range identity {
+		identity[i] = pagestore.ObjectID(i)
+	}
+	reset := func(b *testing.B) {
+		if err := store.Paginate(identity, perPage); err != nil {
 			b.Fatal(err)
 		}
 	}
+	perObject := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(store.NumObjects()), "ns/object")
+	}
+	reset(b)
+	order := STROrder(store, perPage)
+	b.Run("STROrder", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			STROrder(store, perPage)
+		}
+		perObject(b)
+	})
+	b.Run("Paginate", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			reset(b)
+			b.StartTimer()
+			if err := store.Paginate(order, perPage); err != nil {
+				b.Fatal(err)
+			}
+		}
+		perObject(b)
+	})
+	if err := store.Paginate(order, perPage); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("Build", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := Build(store, Config{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		perObject(b)
+	})
 }
 
 // probeBench is the fixture of the QueryPages benchmarks: the main

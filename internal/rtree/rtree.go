@@ -19,7 +19,9 @@ package rtree
 
 import (
 	"math"
+	"runtime"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"scout/internal/geom"
@@ -69,7 +71,7 @@ func (c Config) withDefaults() Config {
 // before any disks or other indexes are created over it.
 func BulkLoad(store *pagestore.Store, cfg Config) (*Tree, error) {
 	cfg = cfg.withDefaults()
-	order := STROrder(store.Objects(), cfg.ObjectsPerPage)
+	order := STROrder(store, cfg.ObjectsPerPage)
 	if err := store.Paginate(order, cfg.ObjectsPerPage); err != nil {
 		return nil, err
 	}
@@ -115,63 +117,104 @@ func Build(store *pagestore.Store, cfg Config) (*Tree, error) {
 	return t, nil
 }
 
-// STROrder computes the Sort-Tile-Recursive storage order of the objects by
-// centroid: sort by x, cut into vertical slabs, sort each slab by y, cut
-// into runs, sort each run by z. Objects that end up consecutive are
+// STROrder computes the Sort-Tile-Recursive storage order of the store's
+// objects by centroid: sort by x, cut into vertical slabs, sort each slab by
+// y, cut into runs, sort each run by z. Objects that end up consecutive are
 // spatially close, which is what gives STR-packed trees their tight leaves.
 //
-// objects is a store's object slice (pagestore.Store.Objects): the IDs are a
-// permutation of 0..n-1 but, once the store has been paginated, not the
-// slice positions, so everything here is keyed by ID.
-func STROrder(objects []pagestore.Object, perPage int) []pagestore.ObjectID {
-	n := len(objects)
-	order := make([]pagestore.ObjectID, n)
-	for i := range order {
-		order[i] = pagestore.ObjectID(i)
+// Objects are read by ID, so a store that is already paginated gets the
+// same order as a fresh one. The slabs are sorted on GOMAXPROCS goroutines;
+// each slab's sorts depend on nothing outside it, so the order does not
+// depend on the number of workers.
+func STROrder(store *pagestore.Store, perPage int) []pagestore.ObjectID {
+	n := store.NumObjects()
+	// cent[i] is the centroid of ids[i]; the sorts swap both together, so a
+	// comparison reads its two operands from one array, in place.
+	ids := make([]pagestore.ObjectID, n)
+	cent := make([]geom.Vec3, n)
+	for i := range ids {
+		ids[i] = pagestore.ObjectID(i)
+		cent[i] = store.Object(ids[i]).Centroid()
 	}
 	if n == 0 {
-		return order
-	}
-	cent := make([]geom.Vec3, n)
-	for i := range objects {
-		cent[objects[i].ID] = objects[i].Centroid()
+		return ids
 	}
 
-	pages := (n + perPage - 1) / perPage
+	pages := (n-1)/perPage + 1
 	s := int(math.Ceil(math.Cbrt(float64(pages)))) // slabs per axis
 
-	// Ties are broken by the remaining axes so that degenerate data (planar
-	// road networks, collinear chains) still gets a deterministic,
-	// locality-preserving order instead of sort.Slice's arbitrary one.
-	less := func(p, q geom.Vec3, axes [3]int) bool {
-		for _, ax := range axes {
-			a, b := p.Component(ax), q.Component(ax)
-			if a != b {
-				return a < b
-			}
-		}
-		return false
-	}
-	sort.Slice(order, func(a, b int) bool {
-		return less(cent[order[a]], cent[order[b]], [3]int{0, 1, 2})
-	})
+	sort.Sort(byCentroid{cent, ids})
 	slabSize := (n + s - 1) / s
-	for xs := 0; xs < n; xs += slabSize {
+	parallelFor((n+slabSize-1)/slabSize, func(slab int) {
+		xs := slab * slabSize
 		xe := min(xs+slabSize, n)
-		slab := order[xs:xe]
-		sort.Slice(slab, func(a, b int) bool {
-			return less(cent[slab[a]], cent[slab[b]], [3]int{1, 2, 0})
-		})
-		runSize := (len(slab) + s - 1) / s
-		for ys := 0; ys < len(slab); ys += runSize {
-			ye := min(ys+runSize, len(slab))
-			run := slab[ys:ye]
-			sort.Slice(run, func(a, b int) bool {
-				return less(cent[run[a]], cent[run[b]], [3]int{2, 0, 1})
-			})
+		// The y and z sorts compare the rotated centroids (y, z, x) and then
+		// (z, x, y) with the same comparator.
+		rotate(cent[xs:xe])
+		sort.Sort(byCentroid{cent[xs:xe], ids[xs:xe]})
+		rotate(cent[xs:xe])
+		runSize := (xe - xs + s - 1) / s
+		for ys := xs; ys < xe; ys += runSize {
+			ye := min(ys+runSize, xe)
+			sort.Sort(byCentroid{cent[ys:ye], ids[ys:ye]})
 		}
+	})
+	return ids
+}
+
+// byCentroid sorts object IDs by their centroids, compared lexicographically
+// in X, Y, Z order. Ties on one axis are broken by the next, so degenerate
+// data (planar road networks, collinear chains) still gets a deterministic,
+// locality-preserving order. Only exact duplicates compare equal; they end
+// where pdqsort puts them. sort.Sort, sort.Slice and slices.SortFunc are
+// instances of the same generated pdqsort, so the same comparison results
+// give the same permutation, ties included: TestSTROrderMatchesSortSlice
+// holds STROrder to its sort.Slice form.
+type byCentroid struct {
+	cent []geom.Vec3
+	ids  []pagestore.ObjectID
+}
+
+func (s byCentroid) Len() int { return len(s.ids) }
+
+func (s byCentroid) Less(i, j int) bool {
+	a, b := &s.cent[i], &s.cent[j]
+	if a.X != b.X {
+		return a.X < b.X
 	}
-	return order
+	if a.Y != b.Y {
+		return a.Y < b.Y
+	}
+	return a.Z < b.Z
+}
+
+func (s byCentroid) Swap(i, j int) {
+	s.cent[i], s.cent[j] = s.cent[j], s.cent[i]
+	s.ids[i], s.ids[j] = s.ids[j], s.ids[i]
+}
+
+// rotate turns every (x, y, z) into (y, z, x).
+func rotate(cent []geom.Vec3) {
+	for i, c := range cent {
+		cent[i] = geom.Vec3{X: c.Y, Y: c.Z, Z: c.X}
+	}
+}
+
+// parallelFor calls fn(i) for every i in [0, n) on up to GOMAXPROCS
+// goroutines and returns when all calls have.
+func parallelFor(n int, fn func(i int)) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // Store returns the store this tree indexes.

@@ -1,11 +1,16 @@
 package rtree
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
+	"sort"
 	"testing"
 
+	"scout/internal/dataset"
 	"scout/internal/geom"
 	"scout/internal/pagestore"
 )
@@ -98,7 +103,8 @@ func TestQueryObjectsExact(t *testing.T) {
 		for _, id := range tree.QueryObjects(q, nil) {
 			got[id] = true
 		}
-		for _, o := range store.Objects() {
+		for id := range store.NumObjects() {
+			o := store.Object(pagestore.ObjectID(id))
 			want := pagestore.Matches(q, o)
 			if want != got[o.ID] {
 				t.Fatalf("object %d: got %v, want %v", o.ID, got[o.ID], want)
@@ -129,12 +135,12 @@ func TestQueryFrustum(t *testing.T) {
 }
 
 func TestSTROrderIsPermutation(t *testing.T) {
-	objs := uniformObjects(1234, 50, 7)
-	order := STROrder(objs, 87)
-	if len(order) != len(objs) {
+	store := pagestore.NewStore(uniformObjects(1234, 50, 7))
+	order := STROrder(store, 87)
+	if len(order) != store.NumObjects() {
 		t.Fatalf("order length %d", len(order))
 	}
-	seen := make([]bool, len(objs))
+	seen := make([]bool, len(order))
 	for _, id := range order {
 		if seen[id] {
 			t.Fatalf("duplicate id %d", id)
@@ -145,20 +151,20 @@ func TestSTROrderIsPermutation(t *testing.T) {
 
 func TestSTROrderLocality(t *testing.T) {
 	// Consecutive objects in STR order must be much closer on average than
-	// random pairs. STROrder keys by object ID, which NewStore assigns; the
-	// store is not paginated, so IDs are still slice positions below.
-	objs := pagestore.NewStore(uniformObjects(5000, 100, 8)).Objects()
-	order := STROrder(objs, 87)
+	// random pairs.
+	store := pagestore.NewStore(uniformObjects(5000, 100, 8))
+	order := STROrder(store, 87)
+	centroid := func(id pagestore.ObjectID) geom.Vec3 { return store.Object(id).Centroid() }
 	var consecutive float64
 	for i := 1; i < len(order); i++ {
-		consecutive += objs[order[i-1]].Centroid().Dist(objs[order[i]].Centroid())
+		consecutive += centroid(order[i-1]).Dist(centroid(order[i]))
 	}
 	consecutive /= float64(len(order) - 1)
 	rng := rand.New(rand.NewSource(9))
 	var random float64
 	for i := 0; i < 5000; i++ {
-		a, b := rng.Intn(len(objs)), rng.Intn(len(objs))
-		random += objs[a].Centroid().Dist(objs[b].Centroid())
+		a, b := rng.Intn(len(order)), rng.Intn(len(order))
+		random += centroid(pagestore.ObjectID(a)).Dist(centroid(pagestore.ObjectID(b)))
 	}
 	random /= 5000
 	if consecutive > random/3 {
@@ -172,18 +178,18 @@ func TestSTROrderLocality(t *testing.T) {
 // order, and a second BulkLoad reproduces the same pages.
 func TestSTROrderOnClusteredStore(t *testing.T) {
 	store := pagestore.NewStore(uniformObjects(5000, 100, 8))
-	first := STROrder(store.Objects(), 87)
+	first := STROrder(store, 87)
 	if _, err := BulkLoad(store, Config{ObjectsPerPage: 87}); err != nil {
 		t.Fatal(err)
 	}
-	if store.Objects()[0].ID == 0 && store.Objects()[1].ID == 1 && store.Objects()[2].ID == 2 {
+	if page := store.PageSlice(0); page[0].ID == 0 && page[1].ID == 1 && page[2].ID == 2 {
 		t.Fatal("pagination left the objects in creation order; the test needs a real permutation")
 	}
 	bounds := make([]geom.AABB, store.NumPages())
 	for p := range bounds {
 		bounds[p] = store.PageBounds(pagestore.PageID(p))
 	}
-	if again := STROrder(store.Objects(), 87); !reflect.DeepEqual(again, first) {
+	if again := STROrder(store, 87); !reflect.DeepEqual(again, first) {
 		t.Fatal("STROrder over the clustered store differs from the order that clustered it")
 	}
 	if _, err := BulkLoad(store, Config{ObjectsPerPage: 87}); err != nil {
@@ -192,6 +198,130 @@ func TestSTROrderOnClusteredStore(t *testing.T) {
 	for p := range bounds {
 		if got := store.PageBounds(pagestore.PageID(p)); got != bounds[p] {
 			t.Fatalf("second BulkLoad moved page %d: bounds %v, were %v", p, got, bounds[p])
+		}
+	}
+}
+
+// strOrderSortSlice is STROrder as it was before its sorts moved onto the
+// packed centroid array, kept verbatim as the oracle of
+// TestSTROrderMatchesSortSlice: three rounds of sort.Slice over an ID slice,
+// reading each compared centroid through it.
+func strOrderSortSlice(objects []pagestore.Object, perPage int) []pagestore.ObjectID {
+	n := len(objects)
+	order := make([]pagestore.ObjectID, n)
+	for i := range order {
+		order[i] = pagestore.ObjectID(i)
+	}
+	if n == 0 {
+		return order
+	}
+	cent := make([]geom.Vec3, n)
+	for i := range objects {
+		cent[objects[i].ID] = objects[i].Centroid()
+	}
+
+	pages := (n + perPage - 1) / perPage
+	s := int(math.Ceil(math.Cbrt(float64(pages)))) // slabs per axis
+
+	// Ties are broken by the remaining axes so that degenerate data (planar
+	// road networks, collinear chains) still gets a deterministic,
+	// locality-preserving order instead of sort.Slice's arbitrary one.
+	less := func(p, q geom.Vec3, axes [3]int) bool {
+		for _, ax := range axes {
+			a, b := p.Component(ax), q.Component(ax)
+			if a != b {
+				return a < b
+			}
+		}
+		return false
+	}
+	sort.Slice(order, func(a, b int) bool {
+		return less(cent[order[a]], cent[order[b]], [3]int{0, 1, 2})
+	})
+	slabSize := (n + s - 1) / s
+	for xs := 0; xs < n; xs += slabSize {
+		xe := min(xs+slabSize, n)
+		slab := order[xs:xe]
+		sort.Slice(slab, func(a, b int) bool {
+			return less(cent[slab[a]], cent[slab[b]], [3]int{1, 2, 0})
+		})
+		runSize := (len(slab) + s - 1) / s
+		for ys := 0; ys < len(slab); ys += runSize {
+			ye := min(ys+runSize, len(slab))
+			run := slab[ys:ye]
+			sort.Slice(run, func(a, b int) bool {
+				return less(cent[run[a]], cent[run[b]], [3]int{2, 0, 1})
+			})
+		}
+	}
+	return order
+}
+
+// cornerObjects returns n segments between random corners of the unit cube:
+// their centroids take 27 values, so nearly every comparison STROrder makes
+// meets exact duplicates, and their order is pdqsort's.
+func cornerObjects(n int, seed int64) []pagestore.Object {
+	rng := rand.New(rand.NewSource(seed))
+	corner := func() geom.Vec3 {
+		return geom.V(float64(rng.Intn(2)), float64(rng.Intn(2)), float64(rng.Intn(2)))
+	}
+	objs := make([]pagestore.Object, n)
+	for i := range objs {
+		objs[i] = pagestore.Object{Seg: geom.Seg(corner(), corner()), Radius: rng.Float64()}
+	}
+	return objs
+}
+
+// TestSTROrderMatchesSortSlice: STROrder returns the sort.Slice oracle's
+// order exactly, ties included, on the four dataset kinds, on centroids full
+// of exact duplicates, on a clustered store (IDs are not slice positions),
+// and at every size around one page, whatever GOMAXPROCS is.
+func TestSTROrderMatchesSortSlice(t *testing.T) {
+	type input struct {
+		name    string
+		store   *pagestore.Store
+		perPage int
+	}
+	var inputs []input
+	for _, ds := range []*dataset.Dataset{
+		dataset.GenerateNeuro(dataset.SmallNeuroConfig()),
+		dataset.GenerateArtery(dataset.SmallArteryConfig()),
+		dataset.GenerateLung(dataset.SmallLungConfig()),
+		dataset.GenerateRoad(dataset.SmallRoadConfig()),
+	} {
+		inputs = append(inputs, input{ds.Name, pagestore.NewStore(ds.Objects), pagestore.DefaultObjectsPerPage})
+	}
+	inputs = append(inputs, input{"duplicates", pagestore.NewStore(cornerObjects(20_000, 1)), pagestore.DefaultObjectsPerPage})
+	clustered := pagestore.NewStore(uniformObjects(5000, 100, 12))
+	if _, err := BulkLoad(clustered, Config{}); err != nil {
+		t.Fatal(err)
+	}
+	inputs = append(inputs, input{"clustered", clustered, 87})
+	for _, perPage := range []int{1, 7, 64, 87} {
+		for _, n := range []int{0, 1, perPage - 1, perPage, perPage + 1} {
+			name := fmt.Sprintf("perPage=%d/n=%d", perPage, n)
+			inputs = append(inputs, input{name, pagestore.NewStore(cornerObjects(n, int64(n))), perPage})
+		}
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, in := range inputs {
+		objs := make([]pagestore.Object, in.store.NumObjects())
+		for id := range objs {
+			objs[id] = in.store.Object(pagestore.ObjectID(id))
+		}
+		want := strOrderSortSlice(objs, in.perPage)
+		for _, procs := range []int{1, 4} {
+			runtime.GOMAXPROCS(procs)
+			got := STROrder(in.store, in.perPage)
+			if slices.Equal(got, want) {
+				continue
+			}
+			i := 0
+			for i < min(len(got), len(want)) && got[i] == want[i] {
+				i++
+			}
+			t.Errorf("%s, GOMAXPROCS %d: orders of %d and %d IDs differ from slot %d on", in.name, procs, len(got), len(want), i)
 		}
 	}
 }

@@ -28,6 +28,18 @@ func chainStore(chains int, segsPerChain int, spacing float64) (*pagestore.Store
 	return pagestore.NewStore(objs), ids
 }
 
+// boxResult returns the IDs of the store's objects that intersect region, in
+// ID order.
+func boxResult(s *pagestore.Store, region geom.AABB) []pagestore.ObjectID {
+	var result []pagestore.ObjectID
+	for id := range pagestore.ObjectID(s.NumObjects()) {
+		if s.Object(id).IntersectsBox(region) {
+			result = append(result, id)
+		}
+	}
+	return result
+}
+
 func allIDs(s *pagestore.Store) []pagestore.ObjectID {
 	ids := make([]pagestore.ObjectID, s.NumObjects())
 	for i := range ids {
@@ -136,12 +148,7 @@ func TestCrossings(t *testing.T) {
 	region := geom.Box(geom.V(5.5, -1, -1), geom.V(10.5, 1, 1))
 	// Result: segments intersecting region = those covering x in [5.5,10.5]:
 	// segments 5..10 (seg s spans [s, s+1]).
-	var result []pagestore.ObjectID
-	for _, o := range store.Objects() {
-		if o.IntersectsBox(region) {
-			result = append(result, o.ID)
-		}
-	}
+	result := boxResult(store, region)
 	g := Build(store, region, 4096, result)
 
 	crossings := g.Crossings(region)
@@ -179,12 +186,7 @@ func TestCrossingsOutwardForReversedSegments(t *testing.T) {
 	}
 	store := pagestore.NewStore(objs)
 	region := geom.Box(geom.V(5.5, -1, -1), geom.V(10.5, 1, 1))
-	var result []pagestore.ObjectID
-	for _, o := range store.Objects() {
-		if o.IntersectsBox(region) {
-			result = append(result, o.ID)
-		}
-	}
+	result := boxResult(store, region)
 	g := Build(store, region, 4096, result)
 	for _, c := range g.Crossings(region) {
 		if vecAlmostEq(c.Point, geom.V(10.5, 0, 0), 1e-9) &&
@@ -208,12 +210,7 @@ func TestStructuresAnnotation(t *testing.T) {
 	// Use wider spacing to keep chains distinct.
 	store2, _ := chainStore(2, 20, 3)
 	region := geom.Box(geom.V(5.2, -1, -1), geom.V(10.2, 4, 4))
-	var result []pagestore.ObjectID
-	for _, o := range store2.Objects() {
-		if o.IntersectsBox(region) {
-			result = append(result, o.ID)
-		}
-	}
+	result := boxResult(store2, region)
 	g := Build(store2, region, 32768, result)
 	sts := g.Structures(region)
 	if len(sts) != 2 {
@@ -229,12 +226,7 @@ func TestStructuresAnnotation(t *testing.T) {
 func TestReachableExits(t *testing.T) {
 	store, chains := chainStore(2, 20, 3)
 	region := geom.Box(geom.V(5.2, -1, -1), geom.V(10.2, 4, 4))
-	var result []pagestore.ObjectID
-	for _, o := range store.Objects() {
-		if o.IntersectsBox(region) {
-			result = append(result, o.ID)
-		}
-	}
+	result := boxResult(store, region)
 	g := Build(store, region, 32768, result)
 
 	// Start from chain 0's entry vertex: only chain 0's crossings are
@@ -326,12 +318,7 @@ func TestNoSpuriousLongEdges(t *testing.T) {
 func TestOpsDeterministic(t *testing.T) {
 	store, _ := chainStore(3, 30, 3)
 	region := geom.Box(geom.V(5, -1, -1), geom.V(25, 8, 8))
-	var result []pagestore.ObjectID
-	for _, o := range store.Objects() {
-		if o.IntersectsBox(region) {
-			result = append(result, o.ID)
-		}
-	}
+	result := boxResult(store, region)
 	run := func() int64 {
 		g := Build(store, region, 4096, result)
 		g.ReachableCrossings([]int32{0}, region)
