@@ -20,16 +20,18 @@ type ScoutOpt struct {
 	flat *flatindex.Index
 
 	// Reusable per-query working set: candidate/visited page sets, the page
-	// expansion queue of sparse construction, and a second graph arena for
-	// gap traversal (the main arena holds the query's graph, which must
-	// survive while the gap corridors are explored). gapLive marks that the
-	// gap arena holds a corridor of this sequence; corridors of consecutive
-	// queries overlap along the followed structure, so the arena advances
-	// (AdvanceWithin) instead of resetting when the lattice carries over.
+	// expansion queue of sparse construction and one added vertex's
+	// crossings, and a second graph arena for gap traversal (the main arena
+	// holds the query's graph, which must survive while the gap corridors
+	// are explored). gapLive marks that the gap arena holds a corridor of
+	// this sequence; corridors of consecutive queries overlap along the
+	// followed structure, so the arena advances (AdvanceWithin) instead of
+	// resetting when the lattice carries over.
 	inCand    idSet
 	pageSeen  idSet
 	pageQueue []pagestore.PageID
 	pageAdded []int32
+	vertCross []sgraph.Boundary
 	gapGraph  *sgraph.Graph
 	gapLive   bool
 	gapStarts []int32
@@ -241,7 +243,8 @@ func (s *ScoutOpt) sparseBuild(obs prefetch.Observation, bounds geom.AABB, tol f
 		// Newly found crossings near the previous exits (only the vertices
 		// added by this page can contribute new ones).
 		for _, v := range added {
-			for _, c := range g.VertexCrossings(v, obs.Region) {
+			s.vertCross = g.AppendVertexCrossings(s.vertCross[:0], v, obs.Region)
+			for _, c := range s.vertCross {
 				if nearAny(c.Point, exitPts, tol) && !containsVert(startVerts, c.Vertex) {
 					startVerts = append(startVerts, c.Vertex)
 				}

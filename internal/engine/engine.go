@@ -196,8 +196,8 @@ func (r SequenceResult) Speedup() float64 {
 //
 // QueryPages must be safe for concurrent calls: PlanSessions probes one
 // index from all its workers, and RunSequence probes it from its filter
-// goroutine while the coordinator resolves prefetch requests (and a
-// prefetcher such as SCOUT-OPT walks the same index) on its own.
+// goroutine while the coordinator resolves prefetch requests on its own and
+// a prefetcher such as SCOUT-OPT walks the same index on the observe stage.
 type Index interface {
 	QueryPages(r geom.Region, dst []pagestore.PageID) []pagestore.PageID
 }
@@ -222,6 +222,22 @@ func filter(store *pagestore.Store, index Index, r geom.Region, dst filtered, ke
 	dst.order, keys = physicalOrder(store, dst.pages, dst.order, keys)
 	dst.result = store.AppendMatches(newResult(prevLen), r, dst.pages)
 	return dst, keys
+}
+
+// observeQuery hands the prefetcher query qi once it is answered — its
+// region and path centre, the result and a private copy of the pages it was
+// answered from — and returns the plan for the window after it. It is the
+// one place an Observation is built: RunSequence's observe stage and its
+// inline path, and the plan phase.
+func observeQuery(p prefetch.Prefetcher, qi int, q workload.Query, result []pagestore.ObjectID, pages []pagestore.PageID) prefetch.Plan {
+	p.Observe(prefetch.Observation{
+		Seq:    qi,
+		Region: q.Region,
+		Center: q.Center,
+		Result: result,
+		Pages:  append([]pagestore.PageID(nil), pages...),
+	})
+	return p.Plan()
 }
 
 // Engine runs sequences against one dataset + index + prefetcher binding: the
@@ -250,16 +266,22 @@ type Engine struct {
 	// window's prediction set, and one request's pages.
 	batchBuf, reqBuf []pagestore.PageID
 
-	// The filter-ahead state (filterAhead). slots holds query i's filter
-	// step, reused across calls; keys is the filter goroutine's sort
-	// scratch. ready carries finished slot indices to the coordinator (-1:
-	// the goroutine panicked with filterPanic), and filtering waits for the
-	// goroutine.
-	slots       []filtered
-	keys        []uint64
-	ready       chan int
-	filterPanic any
-	filtering   sync.WaitGroup
+	// The pipeline state (filterAhead, observeAhead). slots holds query i's
+	// filter step and plans the plan the prefetcher returned after observing
+	// it, both reused across calls; keys is the filter goroutine's sort
+	// scratch. ready carries finished filter slots to their consumer — the
+	// observe stage, or the coordinator when it observes inline — and
+	// planned carries finished plan slots to the coordinator; -1 on either
+	// means its sender panicked with filterPanic or observePanic. helpers
+	// waits for both goroutines.
+	slots        []filtered
+	plans        []prefetch.Plan
+	keys         []uint64
+	ready        chan int
+	planned      chan int
+	filterPanic  any
+	observePanic any
+	helpers      sync.WaitGroup
 }
 
 // ShardedEngine is an Engine built by NewShardedEngine.
@@ -310,8 +332,8 @@ func (e *Engine) HAStats() HAStats { return e.fleet.ha.stats }
 // Router exposes the engine's router (for tests).
 func (e *Engine) Router() Router { return e.fleet.router }
 
-// Close releases nothing — the engine owns no files, and its filter
-// goroutine never outlives RunSequence — and stays so that callers keep
+// Close releases nothing — the engine owns no files, and its pipeline
+// goroutines never outlive RunSequence — and stays so that callers keep
 // pairing NewShardedEngine with it.
 func (e *Engine) Close() {}
 
@@ -328,11 +350,17 @@ func (e *Engine) Clone() *Engine {
 // heads, prefetcher) is cleared first, matching the paper's methodology
 // (§7.1).
 //
-// Each query's filter step depends only on its region, the store and the
-// index, so a second goroutine runs the whole sequence's filter steps ahead
-// (filterAhead) while this one runs the stateful turns in query order. The
-// goroutine is gone when RunSequence returns, panics included; a panic in it
-// is re-raised here with its original value.
+// It runs as a three-stage pipeline. Each query's filter step depends only
+// on its region, the store and the index, so a filter goroutine runs the
+// whole sequence's filter steps ahead (filterAhead). What the prefetcher
+// observes then depends only on the filter step, so an observe goroutine
+// runs each query's Observe and Plan (observeAhead) while this one commits
+// the query before it: demand turn, prefetch window, scrub, tick and
+// accounting, in query order. The exception is a fleet with shard faults
+// armed: it can drop pages from an answer, so the prefetcher must see the
+// served subset, known only after the demand turn, and such a fleet observes
+// inline here. Both goroutines are gone when RunSequence returns, panics
+// included; a panic in either is re-raised here with its original value.
 func (e *Engine) RunSequence(seq workload.Sequence, p prefetch.Prefetcher) SequenceResult {
 	f := e.fleet
 	f.reset()
@@ -344,16 +372,24 @@ func (e *Engine) RunSequence(seq workload.Sequence, p prefetch.Prefetcher) Seque
 		ratio = 1
 	}
 
-	e.startFilter(seq.Queries)
-	defer e.stopFilter()
+	inline := f.ha.inj != nil
+	e.startPipeline(seq.Queries, p, inline)
+	defer e.stopPipeline()
 	for qi, q := range seq.Queries {
 		tr := QueryTrace{Seq: qi}
 
-		// 1. Take the query's filtered pages and serve them: cache hits from
-		// the prefetch cache, misses from disk (residual I/O) — see
-		// demandTurn. Cold charges routing for the whole demand set (cold
-		// means nothing is cached anywhere), Residual for remote misses only.
-		fq := e.nextFiltered()
+		// 1. Take the query's filtered pages (and its plan, unless observing
+		// inline) and serve them: cache hits from the prefetch cache, misses
+		// from disk (residual I/O) — see demandTurn. Cold charges routing for
+		// the whole demand set (cold means nothing is cached anywhere),
+		// Residual for remote misses only.
+		var fq *filtered
+		var plan prefetch.Plan
+		if inline {
+			fq = e.nextFiltered()
+		} else {
+			fq, plan = e.nextPlanned()
+		}
 		tr.ResultPages = len(fq.pages)
 		dm := f.demandTurn(fq.pages, fq.order, e.vclock)
 		tr.HitPages, tr.Residual = dm.hits, dm.residual
@@ -372,15 +408,11 @@ func (e *Engine) RunSequence(seq workload.Sequence, p prefetch.Prefetcher) Seque
 		res.ResultHash = hashResult(res.ResultHash, qi, result)
 
 		// 2. The prefetcher observes the completed query (content included:
-		// SCOUT needs it, baselines ignore it).
-		p.Observe(prefetch.Observation{
-			Seq:    qi,
-			Region: q.Region,
-			Center: q.Center,
-			Result: result,
-			Pages:  append([]pagestore.PageID(nil), served...),
-		})
-		plan := p.Plan()
+		// SCOUT needs it, baselines ignore it) — on the observe stage, or here
+		// on the subset a fleet with shard faults armed served.
+		if inline {
+			plan = observeQuery(p, qi, q, result, served)
+		}
 		tr.GraphBuild = plan.GraphBuild
 		tr.GraphDelta = plan.GraphDelta
 		tr.Prediction = plan.Prediction
@@ -417,9 +449,10 @@ func (e *Engine) RunSequence(seq workload.Sequence, p prefetch.Prefetcher) Seque
 	return res
 }
 
-// startFilter starts the filter goroutine over queries (filterAhead), after
-// sizing the slots and the ready channel for them on this goroutine.
-func (e *Engine) startFilter(queries []workload.Query) {
+// startPipeline starts the filter goroutine over queries (filterAhead) and,
+// unless p is observed inline, the observe stage feeding p (observeAhead),
+// after sizing the slots and channels for them on this goroutine.
+func (e *Engine) startPipeline(queries []workload.Query, p prefetch.Prefetcher, inline bool) {
 	n := len(queries)
 	for len(e.slots) < n {
 		e.slots = append(e.slots, filtered{})
@@ -427,18 +460,29 @@ func (e *Engine) startFilter(queries []workload.Query) {
 	if cap(e.ready) < n {
 		e.ready = make(chan int, n)
 	}
-	e.filtering.Add(1)
+	e.helpers.Add(1)
 	go e.filterAhead(queries)
+	if inline {
+		return
+	}
+	if len(e.plans) < n {
+		e.plans = make([]prefetch.Plan, n)
+	}
+	if cap(e.planned) < n {
+		e.planned = make(chan int, n)
+	}
+	e.helpers.Add(1)
+	go e.observeAhead(queries, p)
 }
 
 // filterAhead runs every query's filter step in order into e.slots and
 // publishes each finished slot on e.ready. ready holds the whole sequence,
-// so the goroutine never waits on the coordinator: with a small ring and
+// so the goroutine never waits on its consumer: with a small ring and
 // back-pressure the scheduler's hand-off ran both goroutines on one P and
 // nothing overlapped. A panic is recovered and published as -1 for
 // nextFiltered to re-raise.
 func (e *Engine) filterAhead(queries []workload.Query) {
-	defer e.filtering.Done()
+	defer e.helpers.Done()
 	defer func() {
 		if v := recover(); v != nil {
 			e.filterPanic = v
@@ -464,13 +508,52 @@ func (e *Engine) nextFiltered() *filtered {
 	return &e.slots[i]
 }
 
-// stopFilter waits for the filter goroutine and empties ready, which still
-// holds the slots a panicking coordinator did not take.
-func (e *Engine) stopFilter() {
-	e.filtering.Wait()
+// observeAhead is the observe stage: it takes every query's filter slot in
+// order, has p observe the query and publishes the plan into e.plans and its
+// index on e.planned. planned holds the whole sequence, so like filterAhead
+// it never waits on the coordinator, and p's next Observe may run while the
+// coordinator still reads the plan before it (prefetch.Prefetcher allows
+// it). A panic — p's own, or the filter goroutine's re-raised by
+// nextFiltered — is recovered and published as -1 for nextPlanned to
+// re-raise.
+func (e *Engine) observeAhead(queries []workload.Query, p prefetch.Prefetcher) {
+	defer e.helpers.Done()
+	defer func() {
+		if v := recover(); v != nil {
+			e.observePanic = v
+			e.planned <- -1
+		}
+	}()
+	for qi, q := range queries {
+		fq := e.nextFiltered()
+		e.plans[qi] = observeQuery(p, qi, q, fq.result, fq.pages)
+		e.planned <- qi
+	}
+}
+
+// nextPlanned waits for the next query's plan and returns its filter slot
+// and the plan, re-raising a panic of either helper on the calling
+// goroutine.
+func (e *Engine) nextPlanned() (*filtered, prefetch.Plan) {
+	i := <-e.planned
+	if i < 0 {
+		panic(e.observePanic)
+	}
+	return &e.slots[i], e.plans[i]
+}
+
+// stopPipeline waits for both helpers and empties their channels, which
+// still hold the slots a panicking consumer did not take, and drops the
+// plans so the engine keeps none of the prefetcher's memory alive.
+func (e *Engine) stopPipeline() {
+	e.helpers.Wait()
 	for len(e.ready) > 0 {
 		<-e.ready
 	}
+	for len(e.planned) > 0 {
+		<-e.planned
+	}
+	clear(e.plans)
 }
 
 // spendWindow hands the plan's prediction set to the fleet in the shape its

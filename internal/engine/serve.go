@@ -907,14 +907,7 @@ func planSession(store *pagestore.Store, index Index, w SessionWorkload, cost pa
 			fq, keys = filter(store, index, q.Region, fq, keys, resultLen)
 			cold := coldSweep(store, cost, fq.pages, fq.order, 0, len(fq.pages))
 			resultLen = len(fq.result)
-			p.Observe(prefetch.Observation{
-				Seq:    qi,
-				Region: q.Region,
-				Center: q.Center,
-				Result: fq.result,
-				Pages:  append([]pagestore.PageID(nil), fq.pages...),
-			})
-			plan := p.Plan()
+			plan := observeQuery(p, qi, q, fq.result, fq.pages)
 			st := step{
 				queryIdx:         qi,
 				last:             qi == len(seq.Queries)-1,

@@ -66,6 +66,25 @@ func BenchmarkShardedRunSequence(b *testing.B) {
 	}
 }
 
+// BenchmarkRunSequenceScout times RunSequence on explore's two bindings
+// (exploreWorld): scout/rtree is SCOUT over the R-tree on frustum walks,
+// scoutopt/flat SCOUT-OPT over FLAT on frustum walks with gaps. These are the
+// single-session SCOUT paths, where the observe stage overlaps the
+// prefetcher's Observe with the caller's commit. Engine, prefetcher and walks
+// are built outside the timer; ns/op is one 12-query sequence.
+func BenchmarkRunSequenceScout(b *testing.B) {
+	w := newExploreWorld(b)
+	for _, bd := range w.bindings() {
+		b.Run(bd.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchShardedHash ^= bd.e.RunSequence(bd.seqs[i%len(bd.seqs)], bd.p).ResultHash
+			}
+		})
+	}
+}
+
 // walkWorkloads is n sessions of one random q-query walk each through the
 // cloud, predicted by the straight-line baseline.
 func walkWorkloads(rng *rand.Rand, n, q int) []SessionWorkload {

@@ -2,11 +2,13 @@ package geom
 
 // ClipSegment clips a segment against the frustum's six planes and returns
 // the parameter range [tmin, tmax] ⊆ [0,1] inside the frustum, with ok false
-// when the segment misses it entirely.
-func (f Frustum) ClipSegment(s Segment) (tmin, tmax float64, ok bool) {
+// when the segment misses it entirely. The planes are read in place (see
+// Contains).
+func (f *Frustum) ClipSegment(s Segment) (tmin, tmax float64, ok bool) {
 	tmin, tmax = 0, 1
 	d := s.Dir()
-	for _, pl := range f.planes {
+	for i := range f.planes {
+		pl := &f.planes[i]
 		da := pl.signedDist(s.A)
 		dd := pl.n.Dot(d)
 		if dd == 0 {

@@ -105,10 +105,12 @@ func planeFrom3(a, b, c Vec3) plane {
 	return plane{n: n, d: -n.Dot(a)}
 }
 
-// Contains reports whether point p lies inside the frustum.
-func (f Frustum) Contains(p Vec3) bool {
-	for _, pl := range f.planes {
-		if pl.signedDist(p) < 0 {
+// Contains reports whether point p lies inside the frustum. Like Overlaps it
+// reads the planes in place: a Frustum is 384 bytes, and per-vertex crossing
+// tests call it on every boundary candidate.
+func (f *Frustum) Contains(p Vec3) bool {
+	for i := range f.planes {
+		if f.planes[i].signedDist(p) < 0 {
 			return false
 		}
 	}

@@ -79,13 +79,22 @@ type Plan struct {
 }
 
 // Prefetcher is implemented by every prefetching approach.
+//
+// The engine calls a prefetcher's methods one at a time, but not always
+// from the goroutine that called the engine: Engine.RunSequence observes
+// and plans on a pipeline stage of its own, a query ahead of the window it
+// spends.
 type Prefetcher interface {
 	// Name identifies the approach in experiment tables.
 	Name() string
 	// Observe is called once per completed user query, in sequence order.
+	// It may run on a goroutine other than the engine caller's.
 	Observe(obs Observation)
 	// Plan returns the prefetch plan for the window after the last
-	// observed query.
+	// observed query. The plan must stay valid across the next Observe:
+	// the engine may still be reading it while the prefetcher observes the
+	// next query, so a prefetcher must not reuse the plan's slices (or
+	// anything its regions point to) for a later plan.
 	Plan() Plan
 	// Reset drops all sequence-local state; called between sequences.
 	Reset()

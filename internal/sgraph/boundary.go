@@ -64,6 +64,12 @@ func (g *Graph) appendCrossingsOf(dst []Boundary, v int32, region geom.Region) [
 	if !ok {
 		return dst
 	}
+	return appendOutward(dst, v, s, inA, inB, tmin, tmax)
+}
+
+// appendOutward appends the crossings of vertex v's segment s, clipped to
+// [tmin, tmax], at each endpoint that lies outside the region.
+func appendOutward(dst []Boundary, v int32, s geom.Segment, inA, inB bool, tmin, tmax float64) []Boundary {
 	dir := s.Dir().Normalize()
 	if !inA { // A is outside: the crossing at the entry point heads A-ward
 		dst = append(dst, Boundary{Vertex: v, Point: s.At(tmin), Dir: dir.Neg()})
@@ -74,11 +80,18 @@ func (g *Graph) appendCrossingsOf(dst []Boundary, v int32, region geom.Region) [
 	return dst
 }
 
-// VertexCrossings returns the outward-oriented boundary crossings of one
-// vertex. Incremental builders use it to examine only newly added vertices
-// instead of rescanning the whole graph.
-func (g *Graph) VertexCrossings(v int32, region geom.Region) []Boundary {
-	return g.crossingsOf(v, region)
+// AppendVertexCrossings appends the outward-oriented boundary crossings of
+// one vertex to a caller-recycled buffer. Incremental builders use it to
+// examine only newly added vertices instead of rescanning the whole graph.
+// Boxes and frusta take AppendCrossings' devirtualized paths.
+func (g *Graph) AppendVertexCrossings(dst []Boundary, v int32, region geom.Region) []Boundary {
+	switch r := region.(type) {
+	case geom.AABB:
+		return g.appendBoxCrossingsOf(dst, v, r)
+	case geom.Frustum:
+		return g.appendFrustumCrossingsOf(dst, v, &r)
+	}
+	return g.appendCrossingsOf(dst, v, region)
 }
 
 // Crossings returns every boundary crossing of the live graph relative to
@@ -88,9 +101,10 @@ func (g *Graph) Crossings(region geom.Region) []Boundary {
 }
 
 // AppendCrossings is Crossings appending into a caller-recycled buffer: one
-// pass over the live vertices, no per-vertex allocation. Box regions (the
-// common case) take a devirtualized path — containment and clipping against
-// an interface cost two dynamic dispatches per vertex otherwise.
+// pass over the live vertices, no per-vertex allocation. Boxes and frusta
+// take devirtualized paths — through the interface, containment and
+// clipping cost three dynamic dispatches per vertex, each of which copies a
+// frustum's 384 bytes.
 func (g *Graph) AppendCrossings(dst []Boundary, region geom.Region) []Boundary {
 	if box, ok := region.(geom.AABB); ok {
 		if g.gridOn && box == g.lat.clip {
@@ -110,6 +124,15 @@ func (g *Graph) AppendCrossings(dst []Boundary, region geom.Region) []Boundary {
 				continue
 			}
 			dst = g.appendBoxCrossingsOf(dst, v, box)
+		}
+		return dst
+	}
+	if fr, ok := region.(geom.Frustum); ok {
+		for v := int32(0); v < int32(len(g.ids)); v++ {
+			if g.dead[v] {
+				continue
+			}
+			dst = g.appendFrustumCrossingsOf(dst, v, &fr)
 		}
 		return dst
 	}
@@ -134,14 +157,23 @@ func (g *Graph) appendBoxCrossingsOf(dst []Boundary, v int32, box geom.AABB) []B
 	if !ok {
 		return dst
 	}
-	dir := s.Dir().Normalize()
-	if !inA { // A is outside: the crossing at the entry point heads A-ward
-		dst = append(dst, Boundary{Vertex: v, Point: s.At(tmin), Dir: dir.Neg()})
+	return appendOutward(dst, v, s, inA, inB, tmin, tmax)
+}
+
+// appendFrustumCrossingsOf is appendCrossingsOf specialized for frusta,
+// reading the frustum in place.
+func (g *Graph) appendFrustumCrossingsOf(dst []Boundary, v int32, f *geom.Frustum) []Boundary {
+	s := g.store.Object(g.ids[v]).Seg
+	inA := f.Contains(s.A)
+	inB := f.Contains(s.B)
+	if inA && inB {
+		return dst
 	}
-	if !inB { // B is outside: the crossing at the exit point heads B-ward
-		dst = append(dst, Boundary{Vertex: v, Point: s.At(tmax), Dir: dir})
+	tmin, tmax, ok := f.ClipSegment(s)
+	if !ok {
+		return dst
 	}
-	return dst
+	return appendOutward(dst, v, s, inA, inB, tmin, tmax)
 }
 
 // MarkReachable walks the graph from the start vertices, marking every
@@ -186,7 +218,7 @@ func (g *Graph) AppendReachedCrossings(dst []Boundary, region geom.Region) []Bou
 		if g.dead[v] || !g.Reached(v) {
 			continue
 		}
-		dst = g.appendCrossingsOf(dst, v, region)
+		dst = g.AppendVertexCrossings(dst, v, region)
 	}
 	return dst
 }

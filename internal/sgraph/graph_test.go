@@ -3,6 +3,7 @@ package sgraph
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"scout/internal/geom"
@@ -326,5 +327,57 @@ func TestOpsDeterministic(t *testing.T) {
 	}
 	if run() != run() {
 		t.Error("traversal ops not deterministic")
+	}
+}
+
+// sphere is a region type with no devirtualized path: crossings against it
+// go through the Region interface.
+type sphere struct {
+	c geom.Vec3
+	r float64
+}
+
+func (s sphere) Bounds() geom.AABB {
+	return geom.Box(s.c.Sub(geom.V(s.r, s.r, s.r)), s.c.Add(geom.V(s.r, s.r, s.r)))
+}
+func (s sphere) IntersectsAABB(b geom.AABB) bool { return b.DistSq(s.c) <= s.r*s.r }
+func (s sphere) ContainsPoint(p geom.Vec3) bool  { return p.DistSq(s.c) <= s.r*s.r }
+func (s sphere) Volume() float64                 { return 4 / 3.0 * math.Pi * s.r * s.r * s.r }
+
+// TestCrossingPathsAgree: AppendCrossings and AppendVertexCrossings, whose
+// boxes and frusta skip the Region interface, return exactly the crossings
+// of the interface path (crossingsOf) vertex by vertex, on a random cloud.
+func TestCrossingPathsAgree(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	objs := make([]pagestore.Object, 3000)
+	for i := range objs {
+		a := geom.V(rng.Float64()*40, rng.Float64()*40, rng.Float64()*40)
+		objs[i] = pagestore.Object{Seg: geom.Seg(a, a.Add(geom.V(rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()).Scale(2)))}
+	}
+	store := pagestore.NewStore(objs)
+	box := geom.Box(geom.V(8, 10, 12), geom.V(30, 28, 26))
+	regions := []geom.Region{
+		box,
+		geom.FrustumWithVolume(geom.V(2, 20, 20), geom.V(1, 0.2, -0.1), geom.V(0, 0, 1), math.Pi/3, 1.3, 6000),
+		sphere{c: geom.V(20, 20, 20), r: 9},
+	}
+	for _, region := range regions {
+		for _, bounds := range []geom.AABB{region.Bounds(), box} {
+			g := Build(store, bounds, 64, allIDs(store))
+			var want []Boundary
+			for v := int32(0); v < int32(g.NumVertices()); v++ {
+				one := g.crossingsOf(v, region)
+				if got := g.AppendVertexCrossings(nil, v, region); !reflect.DeepEqual(got, one) {
+					t.Fatalf("%T: vertex %d: AppendVertexCrossings %v, interface path %v", region, v, got, one)
+				}
+				want = append(want, one...)
+			}
+			if len(want) == 0 {
+				t.Fatalf("%T: no crossings; the test is vacuous", region)
+			}
+			if got := g.AppendCrossings(nil, region); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%T over %v: AppendCrossings differs from the interface path (%d vs %d crossings)", region, bounds, len(got), len(want))
+			}
+		}
 	}
 }
