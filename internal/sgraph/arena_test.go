@@ -134,49 +134,81 @@ func TestGraphReuseNoAllocs(t *testing.T) {
 	}
 }
 
-// TestCellMemoFillsPoolToCap: a memoized run is its key count followed by its
-// keys, and memoPoolCap counts both. A walk whose run ends exactly at the cap
-// is stored and reads back its own length; the next one finds no room, is
-// walked again on every build, and the graph is the fresh one either way.
-func TestCellMemoFillsPoolToCap(t *testing.T) {
-	store, chains := chainStore(1, 6, 50)
-	bounds := geom.Box(geom.V(-1, -1, -1), geom.V(9, 9, 9))
-	a, b := chains[0][1], chains[0][2]
-	g := New(store, bounds, 512)
-	want := g.lat.segmentCells(store.Object(a).Seg, nil, true)
-	if len(want) == 0 {
-		t.Fatal("object hashes to no cell")
-	}
-	g.memoPool = make([]uint64, memoPoolCap-1-len(want), memoPoolCap)
+// retainedBytes sums the capacity, in bytes, of every backing array the
+// graph holds — each slice field, the slices inside its structs, and the
+// parked capacity of nested slices such as recycled adjacency lists. The
+// store is shared, not retained, and is skipped.
+func retainedBytes(g *Graph) int64 {
+	return backingBytes(reflect.ValueOf(g).Elem())
+}
 
-	g.AddObject(a)
-	g.AddObject(b)
-	if len(g.memoPool) != memoPoolCap {
-		t.Fatalf("pool holds %d words, want the cap %d", len(g.memoPool), memoPoolCap)
+func backingBytes(v reflect.Value) int64 {
+	switch v.Kind() {
+	case reflect.Struct:
+		var b int64
+		for i := 0; i < v.NumField(); i++ {
+			b += backingBytes(v.Field(i))
+		}
+		return b
+	case reflect.Slice:
+		b := int64(v.Cap()) * int64(v.Type().Elem().Size())
+		switch v.Type().Elem().Kind() {
+		case reflect.Slice, reflect.Struct:
+			full := v.Slice(0, v.Cap())
+			for i := 0; i < full.Len(); i++ {
+				b += backingBytes(full.Index(i))
+			}
+		}
+		return b
 	}
-	run, ok := g.memoRun(a)
-	if !ok {
-		t.Fatal("the run that fits exactly was not memoized")
+	return 0
+}
+
+// TestGraphRetentionBoundedByResult drives one arena through disjoint,
+// equal-size regions of equal result size and checks that what it retains
+// stays bounded by what a single region's graph needs: the arena recycles
+// storage, it does not accumulate state about every object it has hashed.
+func TestGraphRetentionBoundedByResult(t *testing.T) {
+	const (
+		regions   = 24
+		perRegion = 250
+		side      = 10.0
+		res       = 512
+	)
+	rng := rand.New(rand.NewSource(32))
+	var objs []pagestore.Object
+	boxes := make([]geom.AABB, regions)
+	for r := range boxes {
+		lo := geom.V(float64(r)*3*side, 0, 0)
+		boxes[r] = geom.Box(lo, lo.Add(geom.V(side, side, side)))
+		for range perRegion {
+			a := lo.Add(geom.V(1+rng.Float64()*(side-2), 1+rng.Float64()*(side-2), 1+rng.Float64()*(side-2)))
+			d := geom.V(rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()).Normalize()
+			objs = append(objs, pagestore.Object{Seg: geom.Seg(a, a.Add(d.Scale(0.9))), Radius: 0.1})
+		}
 	}
-	if !reflect.DeepEqual(run, want) || &run[len(run)-1] != &g.memoPool[memoPoolCap-1] {
-		t.Fatalf("memoized run %#x, want %#x ending at the cap", run, want)
-	}
-	if n := g.memoPool[memoPoolCap-1-len(want)]; int(n) != len(want) {
-		t.Fatalf("run's length prefix reads %d, want %d", n, len(want))
-	}
-	if _, ok := g.memoRun(b); ok {
-		t.Fatal("a run was memoized past the cap")
+	store := pagestore.NewStore(objs)
+	result := func(r int) []pagestore.ObjectID {
+		ids := make([]pagestore.ObjectID, perRegion)
+		for i := range ids {
+			ids[i] = pagestore.ObjectID(r*perRegion + i)
+		}
+		return ids
 	}
 
-	ids := []pagestore.ObjectID{a, b}
-	g.Reset(bounds, 512) // a from the memo, b walked
-	for _, id := range ids {
-		g.AddObject(id)
+	var largest int64
+	for r := range boxes {
+		largest = max(largest, retainedBytes(Build(store, boxes[r], res, result(r))))
 	}
-	fresh := Build(store, bounds, 512, ids)
-	gv, ga, _, gx := graphFingerprint(t, g, bounds)
-	fv, fa, _, fx := graphFingerprint(t, fresh, bounds)
-	if !reflect.DeepEqual(gv, fv) || !reflect.DeepEqual(ga, fa) || !reflect.DeepEqual(gx, fx) {
-		t.Fatalf("graph rebuilt at the pool cap differs from a fresh one:\n%v %v %v\n%v %v %v", gv, ga, gx, fv, fa, fx)
+	arena := New(store, boxes[0], res)
+	for r := range boxes {
+		arena.Reset(boxes[r], res)
+		for _, id := range result(r) {
+			arena.AddObject(id)
+		}
+	}
+	if got := retainedBytes(arena); float64(got) > 1.5*float64(largest) {
+		t.Fatalf("arena retains %d B after %d regions, largest single-region graph %d B (limit 1.5x)",
+			got, regions, largest)
 	}
 }

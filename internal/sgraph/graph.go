@@ -53,15 +53,6 @@ type cellSlot struct {
 	gen  uint32
 }
 
-// memoPoolCap bounds the cell memo's pool (8M words ≈ 64 MB, each run's
-// length prefix included): once full, cold objects keep paying the walk
-// instead of growing the pool.
-const memoPoolCap = 1 << 23
-
-// memoBlockBits sizes the cell memo's index blocks: 16 consecutive object
-// IDs share one 64-byte block (see Graph.memo).
-const memoBlockBits = 4
-
 // maxDenseCells bounds the dense cell directory. The paper's operating
 // points (Figure 13e sweeps 8..32768 total cells) all fit; resolutions
 // beyond it use the world-keyed open-addressed table instead so memory stays
@@ -70,7 +61,10 @@ const maxDenseCells = 1 << 18
 
 // Graph is the approximate graph of a query result. It is built for one
 // region and either rebuilt (Reset) or advanced in place (Advance) for the
-// next; both lifecycles recycle all storage.
+// next; both lifecycles recycle all storage. Nothing carries across a
+// Reset but that recycled capacity, so what an arena retains is bounded by
+// the largest result it has built, not by every object it has ever hashed
+// (§8.2 prices the graph against the result it models).
 type Graph struct {
 	store      *pagestore.Store
 	lat        lattice
@@ -128,25 +122,6 @@ type Graph struct {
 	// cellsTouched counts distinct cells with at least one occupant this
 	// query, for memory accounting (§8.2).
 	cellsTouched int
-
-	// Cell memo: with the lattice's absolute world phase, an interior
-	// object's voxel walk is a pure function of its segment and the cell
-	// size, so it is memoized across queries AND sequences (pure-function
-	// memoization keeps Reset ≡ fresh bit-exact — an empty and a warm memo
-	// produce identical graphs, which TestGraphReuseEquivalence checks).
-	// An object's run in memoPool is its key count followed by its keys.
-	// The index to it has two levels: memo maps a block of 16 consecutive
-	// object IDs to that block's 16 slots in memoIdx, each the pool offset
-	// of a run's first key (0: none — offset 0 is a length prefix). Results
-	// are runs of neighbouring IDs, so the table stays small and cached and
-	// an index access keeps the locality of a dense array (a flat ID-keyed
-	// table scatters them: +12 % per query on explore-shaped walks). All
-	// three grow with the objects hashed, never with the store; a cell-size
-	// change empties them in O(1).
-	memo     intMap
-	memoIdx  []int32
-	memoCell geom.Vec3
-	memoPool []uint64
 
 	// Delta-work counters, reset at every lifecycle boundary (Reset, Advance,
 	// BeginAdvance): buildVerts counts vertices inserted, resurrected or
@@ -243,12 +218,6 @@ func (g *Graph) resetToLattice(lat lattice, resolution int) {
 		return
 	}
 	g.lat = lat
-	if g.lat.cell != g.memoCell {
-		g.memoCell = g.lat.cell
-		g.memo.reset()
-		g.memoIdx = g.memoIdx[:0]
-		g.memoPool = g.memoPool[:0]
-	}
 	n := g.lat.numCells()
 	g.denseCells = n <= maxDenseCells
 	g.cellMap64.reset()
@@ -602,24 +571,12 @@ func (g *Graph) AddObjectFirst(id pagestore.ObjectID) (int32, bool) {
 // vertex may already be chained into some of its cells and must not be
 // chained twice.
 func (g *Graph) hashVertex(v int32, checkPresent bool) {
-	id := g.ids[v]
-	s := g.store.Object(id).Seg
-	// Strict interior containment decides the clipped flag, the clip fast
-	// path (strictly inside ⇒ clips to the full segment) and memo
-	// eligibility (an interior walk is window-independent).
+	s := g.store.Object(g.ids[v]).Seg
+	// Strict interior containment decides the clipped flag and the clip
+	// fast path (strictly inside ⇒ clips to the full segment).
 	allInside := g.lat.strictlyContains(s.A) && g.lat.strictlyContains(s.B)
-	var keys []uint64
-	hit := false
-	if allInside {
-		keys, hit = g.memoRun(id)
-	}
-	if !hit {
-		g.keyScratch = g.lat.segmentCells(s, g.keyScratch[:0], allInside)
-		keys = g.keyScratch
-		if allInside {
-			g.memoStore(id, keys)
-		}
-	}
+	g.keyScratch = g.lat.segmentCells(s, g.keyScratch[:0], allInside)
+	keys := g.keyScratch
 	g.beginPairWalk(v)
 	added := int32(0)
 	if g.denseCells {
@@ -678,42 +635,6 @@ func (g *Graph) hashVertex(v int32, checkPresent bool) {
 	g.cellCount[v] += added
 	g.entLive += int(added)
 	g.clipped[v] = !allInside
-}
-
-// memoSlot is the memoIdx position of object id within its block's chunk c.
-func memoSlot(c int32, id pagestore.ObjectID) int32 {
-	return c<<memoBlockBits | int32(id&(1<<memoBlockBits-1))
-}
-
-// memoRun returns the memoized cell keys of object id's interior walk.
-func (g *Graph) memoRun(id pagestore.ObjectID) ([]uint64, bool) {
-	c, ok := g.memo.get(uint32(id) >> memoBlockBits)
-	if !ok {
-		return nil, false
-	}
-	st := g.memoIdx[memoSlot(c, id)]
-	if st == 0 {
-		return nil, false
-	}
-	return g.memoPool[st : st+int32(g.memoPool[st-1])], true
-}
-
-// memoStore memoizes keys as object id's interior walk, unless the pool is
-// full.
-func (g *Graph) memoStore(id pagestore.ObjectID, keys []uint64) {
-	if len(g.memoPool)+1+len(keys) > memoPoolCap {
-		return
-	}
-	block := uint32(id) >> memoBlockBits
-	c, ok := g.memo.get(block)
-	if !ok {
-		c = int32(len(g.memoIdx) >> memoBlockBits)
-		g.memoIdx = append(g.memoIdx, make([]int32, 1<<memoBlockBits)...)
-		g.memo.put(block, c)
-	}
-	g.memoPool = append(g.memoPool, uint64(len(keys)))
-	g.memoIdx[memoSlot(c, id)] = int32(len(g.memoPool))
-	g.memoPool = append(g.memoPool, keys...)
 }
 
 // beginPairWalk starts a connect-dedup epoch for one vertex's hash walk.

@@ -21,8 +21,8 @@ import (
 // assign it (unless its segment was clipped by the old window, which
 // Graph.Advance detects and re-walks). Because the phase is absolute, an
 // interior object's cell list depends on nothing but its geometry and the
-// cell size — which is what makes the Graph's cell memo (pure-function
-// memoization across queries and sequences) bit-exact.
+// cell size, so a survivor's chains stay exactly what a fresh build on the
+// grown window would produce.
 //
 // Cell coordinates are bounded to ±(2²⁰−1) around the anchor so a cell packs
 // into a 63-bit key (21 bits per axis, biased); canCover rejects windows that
@@ -78,10 +78,12 @@ func makeLattice(bounds geom.AABB, resolution int) lattice {
 
 // quantizeCell zeroes the low 20 mantissa bits of a cell size — a relative
 // perturbation ≤ 2⁻³², far below geometric significance. Last-ulp size
-// differences between equal-volume query boxes vanish under it, so their
-// lattices (and the Graph's cell memo, which compares cells bit-exactly)
-// agree; the rare straddle of a quantization boundary merely flushes the
-// memo and forces a fresh build (sameCell tolerates 1 ppb either way).
+// differences between equal-volume query boxes vanish under it, so every
+// query of one volume gets one lattice with one bit-exact phase: a graph a
+// sequence carries forward (CanAdvance) keeps cell boundaries where a
+// fresh build of the next query would put them, and the goldens depend on
+// that phase. CanAdvance does not hinge on the quantum: sameCell tolerates
+// 1 ppb either way.
 func quantizeCell(c float64) float64 {
 	return math.Float64frombits(math.Float64bits(c) &^ (1<<20 - 1))
 }
