@@ -99,18 +99,6 @@ type Dataset struct {
 // Volume returns the world volume of the dataset.
 func (d *Dataset) Volume() float64 { return d.World.Volume() }
 
-// LongStructures returns the structures with arc length ≥ minLen, which
-// workload generators need for long query sequences.
-func (d *Dataset) LongStructures(minLen float64) []Structure {
-	var out []Structure
-	for _, s := range d.Structures {
-		if s.Length() >= minLen {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // Stats summarizes a dataset for logging and documentation.
 func (d *Dataset) Stats() string {
 	var totalLen float64

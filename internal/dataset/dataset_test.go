@@ -86,6 +86,17 @@ func checkDataset(t *testing.T, d *Dataset, wantObjects int, tolerance float64) 
 	}
 }
 
+// countLong returns how many of d's structures are at least minLen long.
+func countLong(d *Dataset, minLen float64) int {
+	n := 0
+	for _, s := range d.Structures {
+		if s.Length() >= minLen {
+			n++
+		}
+	}
+	return n
+}
+
 func TestGenerateNeuro(t *testing.T) {
 	cfg := SmallNeuroConfig()
 	d := GenerateNeuro(cfg)
@@ -95,8 +106,7 @@ func TestGenerateNeuro(t *testing.T) {
 	}
 	// Structures must be long enough for guided sequences (25 queries of
 	// ~43 µm sides need ≈1000 µm).
-	long := d.LongStructures(1000)
-	if len(long) == 0 {
+	if countLong(d, 1000) == 0 {
 		t.Error("no structure ≥ 1000 µm")
 	}
 	// Density must be near the configured value.
@@ -175,9 +185,8 @@ func TestGenerateRoad(t *testing.T) {
 		}
 	}
 	// Routes should be long (≥ 10 hops × spacing).
-	long := d.LongStructures(10 * cfg.Spacing)
-	if len(long) < cfg.Routes/2 {
-		t.Errorf("only %d long routes", len(long))
+	if long := countLong(d, 10*cfg.Spacing); long < cfg.Routes/2 {
+		t.Errorf("only %d long routes", long)
 	}
 }
 
@@ -238,21 +247,6 @@ func TestDatasetStatsString(t *testing.T) {
 	s := d.Stats()
 	if s == "" {
 		t.Error("empty stats")
-	}
-}
-
-func TestLongStructuresFilter(t *testing.T) {
-	d := &Dataset{
-		Structures: []Structure{
-			NewStructure(0, []geom.Vec3{geom.V(0, 0, 0), geom.V(10, 0, 0)}),
-			NewStructure(1, []geom.Vec3{geom.V(0, 0, 0), geom.V(1000, 0, 0)}),
-		},
-	}
-	if got := len(d.LongStructures(100)); got != 1 {
-		t.Errorf("LongStructures = %d, want 1", got)
-	}
-	if got := len(d.LongStructures(1)); got != 2 {
-		t.Errorf("LongStructures = %d, want 2", got)
 	}
 }
 

@@ -115,7 +115,7 @@ func GenerateNeuro(cfg NeuroConfig) *Dataset {
 			id := structID
 			structID++
 			root := growTree(rng, world, p, soma, randUnit(rng), perTrunk, id, &d.Objects)
-			for _, path := range samplePaths(rng, root, cfg.PathsPerNeuron/cfg.TrunksPerNeuron+1) {
+			for _, path := range samplePaths(rng, root, cfg.PathsPerNeuron/cfg.TrunksPerNeuron+1, d.Objects) {
 				d.Structures = append(d.Structures,
 					NewStructure(int32(len(d.Structures)), path))
 			}

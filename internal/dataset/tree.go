@@ -39,11 +39,14 @@ type treeParams struct {
 	MaxGen int
 }
 
-// branchNode is one branch of a grown skeleton: the polyline of positions it
-// visited plus its children (which start at the node's last point... or at
-// the point where they forked, recorded in childAt).
+// branchNode is one branch of a grown skeleton: the point it starts from
+// (the soma, or the point of its parent where it forked), the cylinders it
+// emitted in order, and the branches that forked off it. Its polyline is
+// start followed by each cylinder's end point, read back from the emitted
+// objects, so the skeleton holds no second copy of the endpoints.
 type branchNode struct {
-	points   []geom.Vec3 // polyline including the fork point as points[0]
+	start    geom.Vec3
+	segs     []int32 // indices into the generator's objects
 	children []*branchNode
 	gen      int
 }
@@ -55,7 +58,7 @@ func growTree(rng *rand.Rand, world geom.AABB, p treeParams,
 	root geom.Vec3, dir geom.Vec3, budget int, structID int32,
 	objs *[]pagestore.Object) *branchNode {
 
-	node := &branchNode{points: []geom.Vec3{root}}
+	node := &branchNode{start: root}
 	grow(rng, world, p, node, dir, budget, structID, objs)
 	return node
 }
@@ -66,7 +69,7 @@ func grow(rng *rand.Rand, world geom.AABB, p treeParams,
 	node *branchNode, dir geom.Vec3, budget int, structID int32,
 	objs *[]pagestore.Object) int {
 
-	pos := node.points[len(node.points)-1]
+	pos := node.start
 	used := 0
 	radius := p.Radius0
 	for g := 0; g < node.gen; g++ {
@@ -87,19 +90,19 @@ func grow(rng *rand.Rand, world geom.AABB, p treeParams,
 				break // wedged in a corner: stop this branch
 			}
 		}
+		node.segs = append(node.segs, int32(len(*objs)))
 		*objs = append(*objs, pagestore.Object{
 			Seg:    geom.Seg(pos, next),
 			Radius: radius,
 			Struct: structID,
 		})
-		node.points = append(node.points, next)
 		pos = next
 		used++
 
 		if node.gen < p.MaxGen && rng.Float64() < p.BifurcateProb && budget-used > 8 {
 			side := int(float64(budget-used) * p.SideBudgetFrac)
 			if side > 0 {
-				child := &branchNode{points: []geom.Vec3{pos}, gen: node.gen + 1}
+				child := &branchNode{start: pos, gen: node.gen + 1}
 				node.children = append(node.children, child)
 				childDir := perturbDir(rng, dir, p.BranchAngle)
 				used += grow(rng, world, p, child, childDir, side, structID, objs)
@@ -110,27 +113,32 @@ func grow(rng *rand.Rand, world geom.AABB, p treeParams,
 }
 
 // samplePaths extracts up to k distinct root-to-tip polylines from the
-// skeleton by random descent, preferring deeper tips. These become the
-// dataset's guiding structures.
-func samplePaths(rng *rand.Rand, root *branchNode, k int) [][]geom.Vec3 {
+// skeleton by random descent, preferring deeper tips; objs holds the
+// cylinders the skeleton's segs index. These become the dataset's guiding
+// structures. Each descent is recorded first, so a path is allocated once at
+// its exact length.
+func samplePaths(rng *rand.Rand, root *branchNode, k int, objs []pagestore.Object) [][]geom.Vec3 {
 	if k <= 0 {
 		return nil
 	}
 	var paths [][]geom.Vec3
+	var descent []*branchNode
 	for attempt := 0; attempt < k*3 && len(paths) < k; attempt++ {
-		var path []geom.Vec3
-		node := root
-		for {
-			// Skip the duplicated fork point when concatenating.
-			start := 0
-			if len(path) > 0 {
-				start = 1
-			}
-			path = append(path, node.points[start:]...)
+		descent = descent[:0]
+		n := 1 // root.start
+		for node := root; ; node = node.children[rng.Intn(len(node.children))] {
+			descent = append(descent, node)
+			n += len(node.segs)
 			if len(node.children) == 0 {
 				break
 			}
-			node = node.children[rng.Intn(len(node.children))]
+		}
+		path := make([]geom.Vec3, 1, n)
+		path[0] = root.start
+		for _, node := range descent {
+			for _, s := range node.segs {
+				path = append(path, objs[s].Seg.B)
+			}
 		}
 		if len(path) >= 2 && !duplicatePath(paths, path) {
 			paths = append(paths, path)

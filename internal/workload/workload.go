@@ -190,10 +190,27 @@ func GenerateMany(ds *dataset.Dataset, p Params, count int, seed int64) ([]Seque
 }
 
 // pickWalk chooses a structure, start arc position and walk direction (±1).
+// It draws uniformly among the structures at least needed long, counting
+// them first and then taking the drawn one in place, so no per-walk slice of
+// structures is built.
 func pickWalk(ds *dataset.Dataset, p Params, needed float64, rng *rand.Rand) (dataset.Structure, float64, float64) {
-	long := ds.LongStructures(needed)
-	if len(long) > 0 {
-		s := long[rng.Intn(len(long))]
+	long := 0
+	for _, s := range ds.Structures {
+		if s.Length() >= needed {
+			long++
+		}
+	}
+	if long > 0 {
+		k := rng.Intn(long)
+		var s dataset.Structure
+		for _, s = range ds.Structures {
+			if s.Length() >= needed {
+				if k == 0 {
+					break
+				}
+				k--
+			}
+		}
 		slack := s.Length() - needed
 		start := p.Side()/2 + rng.Float64()*slack
 		if rng.Intn(2) == 0 {

@@ -133,6 +133,36 @@ func TestGeneratePingPongFallback(t *testing.T) {
 	}
 }
 
+// TestPickWalkLongStructures: pickWalk draws uniformly among the structures
+// long enough for the walk, with one rng.Intn over their count, exactly as
+// indexing a filtered slice would.
+func TestPickWalkLongStructures(t *testing.T) {
+	ds := &dataset.Dataset{Name: "mixed"}
+	for i, length := range []float64{10, 1000, 10, 2000} {
+		ds.Structures = append(ds.Structures, dataset.NewStructure(int32(i),
+			[]geom.Vec3{geom.V(0, 0, 0), geom.V(length, 0, 0)}))
+	}
+	for _, tc := range []struct {
+		needed float64
+		want   []int32
+	}{
+		{100, []int32{1, 3}},
+		{1, []int32{0, 1, 2, 3}},
+	} {
+		seen := map[int32]bool{}
+		for seed := int64(0); seed < 40; seed++ {
+			s, _, _ := pickWalk(ds, Params{Volume: 1000}, tc.needed, rand.New(rand.NewSource(seed)))
+			if want := tc.want[rand.New(rand.NewSource(seed)).Intn(len(tc.want))]; s.ID != want {
+				t.Fatalf("needed %v, seed %d: picked structure %d, want %d", tc.needed, seed, s.ID, want)
+			}
+			seen[s.ID] = true
+		}
+		if len(seen) != len(tc.want) {
+			t.Errorf("needed %v: picked %v over 40 seeds, want all of %v", tc.needed, seen, tc.want)
+		}
+	}
+}
+
 func TestGenerateErrors(t *testing.T) {
 	ds := lineDataset(100)
 	rng := rand.New(rand.NewSource(5))
