@@ -38,36 +38,41 @@ func (s Strategy) String() string {
 	return "broad"
 }
 
-// CostConfig models SCOUT's CPU costs on the virtual clock, making the
-// paper's overhead experiments (Figures 14–16) deterministic and machine-
-// independent. The defaults are calibrated so that, at the default dataset
-// scale, graph building lands near 15% and prediction near 6% of query
-// response time, matching §8.1.
-type CostConfig struct {
-	// PerObject is charged for every object added to a graph (insertions,
-	// resurrections and window re-walks under the delta lifecycle).
-	PerObject time.Duration
-	// PerEdge is charged for every edge created or detached.
-	PerEdge time.Duration
-	// PerOp is charged for every elementary traversal operation.
-	PerOp time.Duration
-	// PerMaintOp is charged for every elementary maintenance operation of
-	// the delta lifecycle — lazy connectivity rebuilds, cell-directory
+// SCOUT's CPU costs on the virtual clock, making the paper's overhead
+// experiments (Figures 14–16) deterministic and machine-independent. They
+// are calibrated so that, at the default dataset scale, graph building lands
+// near 15% and prediction near 6% of query response time, matching §8.1.
+const (
+	// costPerObject is charged for every object added to a graph
+	// (insertions, resurrections and window re-walks under the delta
+	// lifecycle).
+	costPerObject = 4 * time.Microsecond
+	// costPerEdge is charged for every edge created or detached.
+	costPerEdge = 1 * time.Microsecond
+	// costPerOp is charged for every elementary traversal operation.
+	costPerOp = 500 * time.Nanosecond
+	// costPerMaintOp is charged for every elementary maintenance operation
+	// of the delta lifecycle — lazy connectivity rebuilds, cell-directory
 	// migration, tombstone compaction. These are cheap array/hash slots, an
-	// order of magnitude below the geometric work PerObject/PerEdge model;
-	// full builds perform none, so the §8.1 calibration is unaffected.
-	PerMaintOp time.Duration
-}
+	// order of magnitude below the geometric work costPerObject/costPerEdge
+	// model; full builds perform none, so the §8.1 calibration is
+	// unaffected.
+	costPerMaintOp = 25 * time.Nanosecond
+)
 
-// DefaultCostConfig returns the calibrated cost model.
-func DefaultCostConfig() CostConfig {
-	return CostConfig{
-		PerObject:  4 * time.Microsecond,
-		PerEdge:    1 * time.Microsecond,
-		PerOp:      500 * time.Nanosecond,
-		PerMaintOp: 25 * time.Nanosecond,
-	}
-}
+const (
+	// matchTolFrac scales the entry↔exit matching tolerance of candidate
+	// pruning, as a fraction of the query side length.
+	matchTolFrac = 0.35
+	// minOverlapFrac is the result-set overlap (surviving objects over the
+	// larger of the old and new result) below which SCOUT falls back from
+	// Advance to a fresh build — churning most of the graph through
+	// tombstones costs more than rebuilding.
+	minOverlapFrac = 0.4
+	// rngSeed seeds the deep strategy's random pick and k-means seeding;
+	// Reset reseeds with it, so every sequence draws the same stream.
+	rngSeed = 1
+)
 
 // Config parameterizes SCOUT.
 type Config struct {
@@ -82,9 +87,6 @@ type Config struct {
 	// Ladder is the number of growing incremental prefetch queries per
 	// predicted location (§5.1).
 	Ladder int
-	// MatchTolFrac scales the entry↔exit matching tolerance of candidate
-	// pruning, as a fraction of the query side length.
-	MatchTolFrac float64
 	// GapIOFrac is SCOUT-OPT's gap traversal I/O budget as a fraction of
 	// the pages used by the most recent query; the paper uses 10% (§7.4.6).
 	GapIOFrac float64
@@ -95,29 +97,16 @@ type Config struct {
 	// ablation: every query rebuilds its graph from scratch (the paper's
 	// literal per-query lifecycle) instead of advancing the previous one.
 	DisableIncremental bool
-	// MinOverlapFrac is the result-set overlap (surviving objects over the
-	// larger of the old and new result) below which SCOUT falls back from
-	// Advance to a fresh build — churning most of the graph through
-	// tombstones costs more than rebuilding.
-	MinOverlapFrac float64
-	// Cost is the CPU cost model.
-	Cost CostConfig
-	// Seed drives the deep strategy's random pick and k-means seeding.
-	Seed int64
 }
 
 // DefaultConfig returns the paper's default operating point.
 func DefaultConfig() Config {
 	return Config{
-		Resolution:     32768,
-		Strategy:       Broad,
-		MaxLocations:   4,
-		Ladder:         6,
-		MatchTolFrac:   0.35,
-		GapIOFrac:      0.10,
-		MinOverlapFrac: 0.4,
-		Cost:           DefaultCostConfig(),
-		Seed:           1,
+		Resolution:   32768,
+		Strategy:     Broad,
+		MaxLocations: 4,
+		Ladder:       6,
+		GapIOFrac:    0.10,
 	}
 }
 
@@ -131,17 +120,8 @@ func (c Config) withDefaults() Config {
 	if c.Ladder <= 0 {
 		c.Ladder = 6
 	}
-	if c.MatchTolFrac <= 0 {
-		c.MatchTolFrac = 0.35
-	}
 	if c.GapIOFrac <= 0 {
 		c.GapIOFrac = 0.10
-	}
-	if c.MinOverlapFrac <= 0 {
-		c.MinOverlapFrac = 0.4
-	}
-	if c.Cost == (CostConfig{}) {
-		c.Cost = DefaultCostConfig()
 	}
 	return c
 }

@@ -84,8 +84,8 @@ func TestScoutDisableIncremental(t *testing.T) {
 
 // TestDeltaBuildChargesDeltaCost pins the accounting fix: a steady-state
 // delta build must report a fraction of the full build's modeled cost, and
-// disabling the incremental lifecycle must restore the V·PerObject+E·PerEdge
-// calibration (§8.1) exactly.
+// disabling the incremental lifecycle must restore the
+// V·costPerObject+E·costPerEdge calibration (§8.1) exactly.
 func TestDeltaBuildChargesDeltaCost(t *testing.T) {
 	w := newChainWorld(t, 3, 400, 20)
 
@@ -107,10 +107,10 @@ func TestDeltaBuildChargesDeltaCost(t *testing.T) {
 		incCost += int64(inc.LastStats().GraphBuild)
 
 		fs := full.LastStats()
-		wantFull := int64(fs.Vertices)*int64(full.cfg.Cost.PerObject) +
-			int64(fs.Edges)*int64(full.cfg.Cost.PerEdge)
+		wantFull := int64(fs.Vertices)*int64(costPerObject) +
+			int64(fs.Edges)*int64(costPerEdge)
 		if int64(fs.GraphBuild) != wantFull {
-			t.Fatalf("q%d: full build charged %d, want V·PerObject+E·PerEdge = %d",
+			t.Fatalf("q%d: full build charged %d, want V·costPerObject+E·costPerEdge = %d",
 				i, fs.GraphBuild, wantFull)
 		}
 	}

@@ -166,7 +166,7 @@ func New(store *pagestore.Store, adjacency [][]pagestore.ObjectID, cfg Config) *
 		store:     store,
 		adjacency: adjacency,
 		cfg:       cfg,
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
+		rng:       rand.New(rand.NewSource(rngSeed)),
 	}
 }
 
@@ -184,7 +184,7 @@ func (s *Scout) Reset() {
 	s.plan = prefetch.Plan{}
 	s.stats = QueryStats{}
 	s.graphLive = false
-	s.rng = rand.New(rand.NewSource(s.cfg.Seed))
+	s.rng = rand.New(rand.NewSource(rngSeed))
 }
 
 // Clone implements prefetch.Cloner: an independent fresh-state copy sharing
@@ -237,7 +237,7 @@ func (s *Scout) Observe(obs prefetch.Observation) {
 	// Build cost is computed after prediction: a delta build's lazy
 	// connectivity rebuild triggers on the first Connected call in there,
 	// and its maintenance work belongs to graph building, not prediction.
-	buildCost := graphBuildCost(s.cfg.Cost, g)
+	buildCost := graphBuildCost(g)
 
 	s.stats = QueryStats{
 		ResultObjects: len(obs.Result),
@@ -334,7 +334,7 @@ func (s *Scout) buildGraph(obs prefetch.Observation, bounds geom.AABB) (*sgraph.
 // tryAdvance diffs the new result set against the graph's live vertices with
 // the epoch-stamped inResult set and advances the graph in place when the
 // lattice carries over (same resolution, same query volume, window within
-// range) and the overlap clears MinOverlapFrac — below that, churning most
+// range) and the overlap clears minOverlapFrac — below that, churning most
 // of the graph through tombstones costs more than a fresh build.
 func (s *Scout) tryAdvance(obs prefetch.Observation, bounds geom.AABB, res int) bool {
 	if s.cfg.DisableIncremental || !s.graphLive || s.graph == nil {
@@ -344,7 +344,7 @@ func (s *Scout) tryAdvance(obs prefetch.Observation, bounds geom.AABB, res int) 
 	// when the regions themselves share less volume than the threshold the
 	// result-set diff cannot pass either — skip the O(result + live) diff.
 	inter := bounds.Intersection(s.prevBounds)
-	if inter.IsEmpty() || inter.Volume() < s.cfg.MinOverlapFrac*bounds.Volume() {
+	if inter.IsEmpty() || inter.Volume() < minOverlapFrac*bounds.Volume() {
 		return false
 	}
 	if !s.graph.CanAdvance(bounds, res) {
@@ -368,7 +368,7 @@ func (s *Scout) tryAdvance(obs prefetch.Observation, bounds geom.AABB, res int) 
 	if live := surviving + len(removed); live > denom {
 		denom = live
 	}
-	if denom == 0 || float64(surviving) < s.cfg.MinOverlapFrac*float64(denom) {
+	if denom == 0 || float64(surviving) < minOverlapFrac*float64(denom) {
 		return false
 	}
 	added := s.addedIDs[:0]
@@ -417,7 +417,7 @@ func (s *Scout) predict(g *sgraph.Graph, region geom.Region, side, estGap float6
 		// within tol AND its outward direction OPPOSES the walk — an
 		// entering structure's outward crossing points back toward where
 		// the user came from.
-		tol := side*s.cfg.MatchTolFrac + estGap*0.6
+		tol := side*matchTolFrac + estGap*0.6
 		s.projPts = appendProjectedPoints(s.projPts[:0], s.prevExits, estGap)
 		s.projDirs = appendBoundaryDirs(s.projDirs[:0], s.prevExits)
 		tol2 := tol * tol
@@ -466,7 +466,7 @@ func (s *Scout) predict(g *sgraph.Graph, region geom.Region, side, estGap float6
 		g.ChargeFullTraversal()
 	}
 
-	predCost := time.Duration(g.Ops()-ops0) * s.cfg.Cost.PerOp
+	predCost := time.Duration(g.Ops()-ops0) * costPerOp
 	return exits, candidates, predCost
 }
 
@@ -500,7 +500,7 @@ func (s *Scout) predictFrom(g *sgraph.Graph, region geom.Region, side float64, s
 	// within a fraction of a cell of each other, and one representative per
 	// exit location carries the same information at a fraction of the cost.
 	// The 0.1·side radius is well under both the matching tolerance
-	// (MatchTolFrac·side) and dedupeLocations' 0.3·side, so neither
+	// (matchTolFrac·side) and dedupeLocations' 0.3·side, so neither
 	// candidate pruning nor location selection loses resolution.
 	cand = dedupeExitsInPlace(cand, side*0.1)
 	s.candBuf = cand
@@ -722,10 +722,10 @@ func countComponents(g *sgraph.Graph, verts []int32) int {
 // §8.1 calibration); a delta build charges only the delta work: objects
 // inserted, resurrected or re-walked, edges created or detached, plus the
 // cheap per-slot maintenance of lazy connectivity rebuilds and compaction.
-func graphBuildCost(c CostConfig, g *sgraph.Graph) time.Duration {
-	return time.Duration(g.BuildVertices())*c.PerObject +
-		time.Duration(g.BuildEdges())*c.PerEdge +
-		time.Duration(g.MaintOps())*c.PerMaintOp
+func graphBuildCost(g *sgraph.Graph) time.Duration {
+	return time.Duration(g.BuildVertices())*costPerObject +
+		time.Duration(g.BuildEdges())*costPerEdge +
+		time.Duration(g.MaintOps())*costPerMaintOp
 }
 
 // sideOf returns the cube-equivalent side length of a box.

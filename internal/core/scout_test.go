@@ -347,7 +347,4 @@ func TestConfigDefaults(t *testing.T) {
 	if c.Resolution != 32768 || c.MaxLocations != 4 || c.Ladder != 6 {
 		t.Errorf("defaults wrong: %+v", c)
 	}
-	if c.Cost == (CostConfig{}) {
-		t.Error("cost defaults missing")
-	}
 }

@@ -71,7 +71,7 @@ func (s *ScoutOpt) Observe(obs prefetch.Observation) {
 	side := sideOf(bounds)
 	s.centers = append(s.centers, obs.Center)
 	_, estGap := s.estimateStep(side)
-	tol := side*s.cfg.MatchTolFrac + estGap*0.6
+	tol := side*matchTolFrac + estGap*0.6
 
 	var g *sgraph.Graph
 	startVerts := s.startVerts[:0]
@@ -103,10 +103,10 @@ func (s *ScoutOpt) Observe(obs prefetch.Observation) {
 
 	ops0 := g.Ops()
 	exits, candidates := s.predictFrom(g, obs.Region, side, startVerts, prevPts, crossings)
-	predCost := time.Duration(g.Ops()-ops0) * s.cfg.Cost.PerOp
+	predCost := time.Duration(g.Ops()-ops0) * costPerOp
 	// After prediction: a delta build's lazy connectivity rebuild triggers
 	// on the first Connected call above and is charged to graph building.
-	buildCost := graphBuildCost(s.cfg.Cost, g)
+	buildCost := graphBuildCost(g)
 	s.prevExits = exits
 
 	// Gap traversal (§6.3): follow the candidate structures across the gap
@@ -482,8 +482,8 @@ func (s *ScoutOpt) gapTraverse(exits []sgraph.Boundary, region geom.AABB, side, 
 		}
 		locs = append(locs, loc)
 	}
-	cost := time.Duration(ops)*s.cfg.Cost.PerOp +
-		time.Duration(len(pages))*s.cfg.Cost.PerObject // page-handling overhead
+	cost := time.Duration(ops)*costPerOp +
+		time.Duration(len(pages))*costPerObject // page-handling overhead
 	return dedupeLocations(locs, side*0.3), pages, cost
 }
 

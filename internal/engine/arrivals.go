@@ -25,10 +25,13 @@ const (
 	Poisson ArrivalProcess = iota
 	// Bursty groups arrivals into simultaneous bursts (think a lab starting
 	// a demo, or a lecture hall opening the same model): bursts of
-	// BurstSize sessions arrive together, with exponential gaps between
+	// burstSize sessions arrive together, with exponential gaps between
 	// bursts scaled so the long-run offered rate matches Rate.
 	Bursty
 )
+
+// burstSize is the sessions per burst under Bursty.
+const burstSize = 4
 
 // String names the process as the -arrivals flag spells it.
 func (p ArrivalProcess) String() string {
@@ -71,15 +74,13 @@ type ArrivalConfig struct {
 	// Rate is the offered load in session arrivals per simulated second
 	// (default 8).
 	Rate float64
-	// BurstSize is the sessions per burst under Bursty (default 4).
-	BurstSize int
 	// Seed keys the arrival draws. Like the fault seed, arrivals hash
 	// through their own generator, so sharing the workload seed does not
 	// correlate arrival times with trajectories.
 	Seed int64
 	// Times, when non-empty, is an explicit arrival schedule overriding
 	// Process/Rate: session i arrives at Times[i] (sessions past the end
-	// reuse the last entry). For tests and trace replay.
+	// reuse the last entry). For tests only.
 	Times []time.Duration
 }
 
@@ -87,9 +88,6 @@ type ArrivalConfig struct {
 func (c ArrivalConfig) withDefaults() ArrivalConfig {
 	if c.Rate <= 0 {
 		c.Rate = 8
-	}
-	if c.BurstSize <= 0 {
-		c.BurstSize = 4
 	}
 	return c
 }
@@ -115,12 +113,12 @@ func (c ArrivalConfig) ArrivalTimes(n int) []time.Duration {
 	var t float64
 	switch c.Process {
 	case Bursty:
-		// Gaps between bursts are exponential at Rate/BurstSize, so the
+		// Gaps between bursts are exponential at Rate/burstSize, so the
 		// long-run session rate is still Rate; everyone in a burst lands on
 		// the same instant.
 		for i := 0; i < n; {
-			t += expGap(rng, c.Rate/float64(c.BurstSize))
-			for k := 0; k < c.BurstSize && i < n; k++ {
+			t += expGap(rng, c.Rate/burstSize)
+			for k := 0; k < burstSize && i < n; k++ {
 				out[i] = secondsToDuration(t)
 				i++
 			}
@@ -149,11 +147,11 @@ func secondsToDuration(s float64) time.Duration {
 }
 
 // ClassSpec defines one workload class of a mixed-traffic serve: its
-// prefetch-budget priority in the arbiter, its abandonment patience, and an
-// optional class-specific SLO. Sessions bind to a class via
+// prefetch-budget priority in the arbiter and its abandonment patience.
+// Every class shares ServeConfig.SLO. Sessions bind to a class via
 // SessionWorkload.Class (an index into ServeConfig.Classes); an
 // out-of-range index, or a nil Classes slice, means the neutral default
-// (weight 1, no patience, the global SLO).
+// (weight 1, no patience).
 type ClassSpec struct {
 	// Name labels the class in results and experiment tables.
 	Name string
@@ -167,8 +165,6 @@ type ClassSpec struct {
 	// the rest of its trajectory (counted as lost queries). 0 = infinite
 	// patience. Ignored when the open-loop generator is disabled.
 	Patience time.Duration
-	// SLO overrides ServeConfig.SLO for this class's queries (0 inherits).
-	SLO time.Duration
 }
 
 // weight returns the spec's normalized priority.

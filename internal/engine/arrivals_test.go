@@ -38,19 +38,19 @@ func TestArrivalTimesPoisson(t *testing.T) {
 	}
 }
 
-// TestArrivalTimesBursty: arrivals land in bursts of BurstSize identical
+// TestArrivalTimesBursty: arrivals land in bursts of burstSize identical
 // instants, with the long-run rate preserved.
 func TestArrivalTimesBursty(t *testing.T) {
-	cfg := ArrivalConfig{Enabled: true, Process: Bursty, Rate: 100, BurstSize: 4, Seed: 7}
+	cfg := ArrivalConfig{Enabled: true, Process: Bursty, Rate: 100, Seed: 7}
 	times := cfg.ArrivalTimes(400)
-	for i := 0; i < len(times); i += 4 {
-		for k := 1; k < 4; k++ {
+	for i := 0; i < len(times); i += burstSize {
+		for k := 1; k < burstSize; k++ {
 			if times[i+k] != times[i] {
 				t.Fatalf("burst at %d not simultaneous: %v vs %v", i, times[i+k], times[i])
 			}
 		}
 		if i > 0 && times[i] <= times[i-1] {
-			t.Fatalf("burst %d did not advance time", i/4)
+			t.Fatalf("burst %d did not advance time", i/burstSize)
 		}
 	}
 	mean := times[len(times)-1].Seconds() / float64(len(times))

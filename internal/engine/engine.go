@@ -31,9 +31,6 @@ type Config struct {
 	CacheFraction float64
 	// Cost is the disk cost model.
 	Cost pagestore.CostModel
-	// SkipFirstQuery excludes each sequence's first query from hit-rate
-	// accounting: no prediction can exist for it, for any prefetcher.
-	SkipFirstQuery bool
 	// BatchedIO routes disk reads through the batched elevator path:
 	// residual misses go through Disk.ReadBatch, and the prefetch window
 	// flushes each query's whole prediction set as one physically sorted
@@ -50,9 +47,6 @@ type Config struct {
 	// (outages, brownouts) of a NewShardedEngine fleet. Serve overrides this
 	// field with ServeConfig.Faults.
 	Faults pagestore.FaultInjector
-	// Retry bounds recovery from injected transient read faults; zero
-	// fields take pagestore.DefaultRetryPolicy when Faults is set.
-	Retry pagestore.RetryPolicy
 	// Backing, when non-nil, arms the engine's disk with a durable
 	// file-backed page store (DESIGN.md §10): every simulated read is also
 	// physically performed and checksum-verified, wall time recorded in
@@ -89,9 +83,8 @@ const defaultCacheFraction = 4.0 / 33.0
 // DefaultConfig mirrors the paper's setup.
 func DefaultConfig() Config {
 	return Config{
-		CacheFraction:  defaultCacheFraction,
-		Cost:           pagestore.DefaultCostModel(),
-		SkipFirstQuery: true,
+		CacheFraction: defaultCacheFraction,
+		Cost:          pagestore.DefaultCostModel(),
 	}
 }
 
@@ -126,8 +119,7 @@ type QueryTrace struct {
 // SequenceResult aggregates one sequence's execution.
 type SequenceResult struct {
 	Queries []QueryTrace
-	// HitPages/TotalPages accumulate over counted queries (respecting
-	// SkipFirstQuery).
+	// HitPages/TotalPages accumulate over counted queries (Counted).
 	HitPages   int64
 	TotalPages int64
 	// Cold and Residual accumulate the response-time components over
@@ -151,14 +143,18 @@ type SequenceResult struct {
 	LostPages int64
 }
 
+// Counted reports whether the seq-th query of a sequence (0-based) enters
+// hit-rate and response-time accounting: every query but the first, for
+// which no prediction can exist, for any prefetcher.
+func Counted(seq int) bool { return seq > 0 }
+
 // account folds one query's trace into the sequence, for both drivers: the
 // trace and its lost pages always; its pages, response-time components and
-// delta build only when the query is counted, i.e. unless it is a first
-// query under SkipFirstQuery. It reports whether the query was counted.
-func (r *SequenceResult) account(tr QueryTrace, skipFirst bool) bool {
+// delta build only when the query is Counted. It reports whether it was.
+func (r *SequenceResult) account(tr QueryTrace) bool {
 	r.Queries = append(r.Queries, tr)
 	r.LostPages += int64(tr.LostPages)
-	if skipFirst && tr.Seq == 0 {
+	if !Counted(tr.Seq) {
 		return false
 	}
 	r.HitPages += int64(tr.HitPages)
@@ -444,7 +440,7 @@ func (e *Engine) RunSequence(seq workload.Sequence, p prefetch.Prefetcher) Seque
 		e.vclock += tr.Residual + tr.Window
 
 		// 4. Accounting.
-		res.account(tr, e.cfg.SkipFirstQuery)
+		res.account(tr)
 	}
 	return res
 }

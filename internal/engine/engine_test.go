@@ -196,24 +196,40 @@ func TestTraversalPagesAreChargedAndCached(t *testing.T) {
 	}
 }
 
+// TestSkipFirstQueryAccounting pins the counted-query rule (Counted) on
+// both drivers, RunSequence and a one-session Serve: every query is traced,
+// and the totals hold exactly the result pages of queries 1…n−1.
 func TestSkipFirstQueryAccounting(t *testing.T) {
 	store, tree := lineWorld(t, 500)
-	cfgSkip := DefaultConfig()
-	e1 := New(store, tree, cfgSkip)
 	seq := walkSequence(5, 10, 9, 1)
-	resSkip := e1.RunSequence(seq, prefetch.None{})
-
-	cfgAll := DefaultConfig()
-	cfgAll.SkipFirstQuery = false
-	e2 := New(store, tree, cfgAll)
-	resAll := e2.RunSequence(seq, prefetch.None{})
-
-	if resAll.TotalPages <= resSkip.TotalPages {
-		t.Errorf("counting all queries did not increase totals: %d vs %d",
-			resAll.TotalPages, resSkip.TotalPages)
+	served := Serve(store, tree, []SessionWorkload{{
+		Sequences:  []workload.Sequence{seq},
+		Prefetcher: prefetch.None{},
+	}}, ServeConfig{Engine: DefaultConfig()})
+	if len(served.Sessions) != 1 || len(served.Sessions[0].Sequences) != 1 {
+		t.Fatalf("serve returned %d sessions, want one with one sequence", len(served.Sessions))
 	}
-	if len(resSkip.Queries) != 5 || len(resAll.Queries) != 5 {
-		t.Error("traces must include every query regardless of accounting")
+	for _, d := range []struct {
+		name string
+		res  SequenceResult
+	}{
+		{"RunSequence", New(store, tree, DefaultConfig()).RunSequence(seq, prefetch.None{})},
+		{"Serve", served.Sessions[0].Sequences[0]},
+	} {
+		if len(d.res.Queries) != len(seq.Queries) {
+			t.Fatalf("%s: %d traces for %d queries", d.name, len(d.res.Queries), len(seq.Queries))
+		}
+		if d.res.Queries[0].ResultPages == 0 {
+			t.Fatalf("%s: first query read no pages, so skipping it cannot show", d.name)
+		}
+		var want int64
+		for _, tr := range d.res.Queries[1:] {
+			want += int64(tr.ResultPages)
+		}
+		if d.res.TotalPages != want {
+			t.Errorf("%s: TotalPages = %d, want %d (queries 1…%d)",
+				d.name, d.res.TotalPages, want, len(seq.Queries)-1)
+		}
 	}
 }
 

@@ -78,6 +78,11 @@ type haRoute struct {
 	hedgeFactor float64
 }
 
+// readDeadline is one read's fault-recovery cap under the retry policy
+// every fleet disk runs (pagestore.DefaultRetryPolicy): the time a client
+// waits out for a sub-batch whose whole replica chain is down.
+var readDeadline = pagestore.DefaultRetryPolicy().Timeout
+
 // haState is the failover router's mutable state: the replicated partition,
 // the (possibly nil) shard-fault injector, one health breaker per shard,
 // and per-turn scratch. Single-coordinator, like everything merged on
@@ -86,7 +91,6 @@ type haState struct {
 	part  *pagestore.Partition
 	inj   *fault.Injector
 	cost  pagestore.CostModel
-	retry pagestore.RetryPolicy
 	hedge float64 // hedged-prefetch threshold; 0 = off
 	// plain marks a fleet of one-member chains with no shard-fault injector:
 	// every home serves itself at factor 1, there is nowhere to fail over to
@@ -104,7 +108,7 @@ type haState struct {
 // fleet's fault injector, or nil; only its shard-fault domains concern the
 // router, so an injector that plans none is dropped — h.inj != nil means
 // shard faults are armed. hedge 0 disables hedged prefetch.
-func newHAState(part *pagestore.Partition, inj *fault.Injector, cost pagestore.CostModel, retry pagestore.RetryPolicy, hedge float64) *haState {
+func newHAState(part *pagestore.Partition, inj *fault.Injector, cost pagestore.CostModel, hedge float64) *haState {
 	if inj != nil && !inj.Plan().ShardFaultsEnabled() {
 		inj = nil
 	}
@@ -113,7 +117,6 @@ func newHAState(part *pagestore.Partition, inj *fault.Injector, cost pagestore.C
 		part:     part,
 		inj:      inj,
 		cost:     cost,
-		retry:    retry.WithDefaults(),
 		hedge:    hedge,
 		plain:    part.Replicas() <= 1 && inj == nil,
 		health:   make([]breaker, n),
@@ -187,7 +190,7 @@ func (h *haState) routeDemand(j int, now time.Duration) haRoute {
 			return r
 		}
 	}
-	r.pre = h.retry.Timeout
+	r.pre = readDeadline
 	return r
 }
 
@@ -225,7 +228,7 @@ func (f *fleet) serveMisses(now time.Duration) {
 		if r.target < 0 {
 			h.stats.LostBatches++
 			h.stats.LostPages += int64(len(miss))
-			h.stats.LostDelay += h.retry.Timeout
+			h.stats.LostDelay += readDeadline
 			o.io = r.pre
 			continue
 		}

@@ -128,7 +128,7 @@ func TestShardSetPanicSurfaces(t *testing.T) {
 func TestFailoverLedgerRecovery(t *testing.T) {
 	store, _ := cloudWorld(t, 1000, 9)
 	part := pagestore.NewReplicatedPartition(store, 2, 2)
-	h := newHAState(part, nil, pagestore.DefaultCostModel(), pagestore.RetryPolicy{}, 0)
+	h := newHAState(part, nil, pagestore.DefaultCostModel(), 0)
 	cooldown := failoverBreakerConfig().Cooldown
 
 	t0 := 10 * time.Millisecond

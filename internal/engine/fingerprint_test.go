@@ -347,7 +347,7 @@ func TestCoreFingerprints(t *testing.T) {
 				InterferenceSeek: time.Millisecond,
 				CacheShards:      8,
 				Admission:        AdmissionConfig{Enabled: true, MaxConcurrent: 4},
-				Arrivals:         ArrivalConfig{Enabled: true, Process: Bursty, Rate: 100, BurstSize: 4, Seed: 5},
+				Arrivals:         ArrivalConfig{Enabled: true, Process: Bursty, Rate: 100, Seed: 5},
 			}
 			cfg.Engine.BatchedIO = io.batched
 			// Bursts land at 65, 94, 250 and 286 ms; the second and fourth

@@ -177,7 +177,7 @@ func newFleet(store *pagestore.Store, cfg Config, shards int, srv *serving) *fle
 	}
 	part := pagestore.NewReplicatedPartition(store, n, replicas)
 	f.router = NewRouter(store, part, cfg.Cost)
-	f.ha = newHAState(part, inj, cfg.Cost, cfg.Retry, hedge)
+	f.ha = newHAState(part, inj, cfg.Cost, hedge)
 	f.cut = make([]int, 0, n+1)
 	f.demand = make([]demandOut, n)
 	f.pref = make([]prefetchOut, n)
@@ -209,7 +209,7 @@ func newFleet(store *pagestore.Store, cfg Config, shards int, srv *serving) *fle
 			}
 		}
 		if cfg.Faults != nil {
-			sh.disk.SetFaults(cfg.Faults, cfg.Retry)
+			sh.disk.SetFaults(cfg.Faults, pagestore.DefaultRetryPolicy())
 		}
 		if cfg.Backing != nil {
 			sh.disk.SetBacking(cfg.Backing)
@@ -255,8 +255,8 @@ func (f *fleet) reset() {
 // miss sub-batch read on its serving shard); then merge — the residual is the
 // slowest shard's read-plus-stall (the shard disks run in parallel) plus
 // Route per miss page shipped from a non-home shard. Remote cache hits stay
-// free: a hit is returned by its shard from memory and its handoff is
-// CacheHit-scale noise we do not model. The cache holds prefetched data only
+// free: a hit is returned by its shard from memory and its handoff, a
+// memory copy, is noise we do not model. The cache holds prefetched data only
 // ("4GB of memory to cache prefetched data", §7.1) — demand misses are NOT
 // inserted, so the hit rate is a pure measure of prediction accuracy, which
 // is what makes the paper's Figure 3 baselines meaningful. The prefetch

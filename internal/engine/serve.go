@@ -52,7 +52,7 @@ type SessionWorkload struct {
 
 // ServeConfig parameterizes a multi-session run.
 type ServeConfig struct {
-	// Engine supplies cache sizing, the cost model and SkipFirstQuery,
+	// Engine supplies cache sizing and the cost model,
 	// exactly as for a single-session engine.
 	Engine Config
 	// Policy selects how the arbiter splits prefetch budgets between
@@ -82,9 +82,6 @@ type ServeConfig struct {
 	// disabled — keeps the serve byte-identical to the fault-free seed. It
 	// replaces Engine.Faults, which a serve never reads.
 	Faults *fault.Injector
-	// Retry bounds recovery from injected transient read faults; zero
-	// fields take pagestore.DefaultRetryPolicy when faults are armed.
-	Retry pagestore.RetryPolicy
 	// Breaker configures the per-session circuit breaker that sheds
 	// PREFETCH windows (never demand reads) when a session's fault
 	// evidence EWMA trips. The zero value disables it.
@@ -100,8 +97,7 @@ type ServeConfig struct {
 	Admission AdmissionConfig
 	// SLO is the per-query response-time objective: counted queries whose
 	// response (residual I/O plus injected stalls) exceeds it are SLO
-	// violations. 0 disables SLO accounting. A session's class can
-	// override it (ClassSpec.SLO).
+	// violations. 0 disables SLO accounting.
 	SLO time.Duration
 	// Arrivals configures the open-loop session generator (DESIGN.md §11):
 	// seeded Poisson or bursty arrival times, so offered load sweeps
@@ -110,8 +106,8 @@ type ServeConfig struct {
 	Arrivals ArrivalConfig
 	// Classes defines the workload classes sessions bind to via
 	// SessionWorkload.Class: per-class prefetch-budget priorities in the
-	// arbiter, per-class SLOs, and per-class abandonment patience under
-	// open-loop arrivals. Nil means one neutral class (the seed behavior).
+	// arbiter and per-class abandonment patience under open-loop arrivals.
+	// Nil means one neutral class (the seed behavior).
 	Classes []ClassSpec
 	// Shards is the fleet's shard count (DESIGN.md §12, §14): the page space
 	// splits into that many contiguous Hilbert ranges of the layout key,
@@ -252,8 +248,7 @@ type ServeResult struct {
 	// RejectedSessions / DegradedSessions count admission outcomes.
 	RejectedSessions int
 	DegradedSessions int
-	// SLOViolations counts counted queries whose response exceeded the
-	// effective SLO — the session's class SLO when set, else
+	// SLOViolations counts counted queries whose response exceeded
 	// ServeConfig.SLO (0 when no SLO was set).
 	SLOViolations int64
 	// Open-loop churn ledger (all zero with the generator disabled — the
@@ -544,15 +539,14 @@ func (q *queue) Pop() any {
 	return nil
 }
 
-// session is one session's commit state. slo is its class SLO, else
-// ServeConfig.SLO; patience its class patience under open-loop arrivals (0:
-// it never abandons).
+// session is one session's commit state. patience is its class patience
+// under open-loop arrivals (0: it never abandons).
 type session struct {
-	stepIdx       int
-	slo, patience time.Duration
-	brk           breaker
-	cur           SequenceResult // the sequence in progress
-	out           SessionResult
+	stepIdx  int
+	patience time.Duration
+	brk      breaker
+	cur      SequenceResult // the sequence in progress
+	out      SessionResult
 }
 
 // commit is one run of the commit phase: the fleet, every session's state,
@@ -573,7 +567,7 @@ type commit struct {
 }
 
 // newCommit builds the commit state: the fleet; each session's breaker,
-// arbiter priority, SLO and patience, resolved once from its class; and the
+// arbiter priority and patience, resolved once from its class; and the
 // queue of sessions with steps, each at its arrival time.
 func (p *SessionPlans) newCommit(cfg ServeConfig) *commit {
 	if cfg.Shards > 0 && cfg.PrivateCaches {
@@ -591,12 +585,12 @@ func (p *SessionPlans) newCommit(cfg ServeConfig) *commit {
 		busy: make([]time.Duration, n), res: ServeResult{Shards: cfg.Shards}}
 	// The fleet is a single-session engine's plus the serving half: the
 	// serving config's injector (only when live, so a nil or disabled one
-	// never enters a fault branch), retry policy and replication degree
-	// replace the engine config's, and background windows never hedge.
+	// never enters a fault branch) and replication degree replace the
+	// engine config's, and background windows never hedge.
 	// Breaker and admission are independent of injection: they react to
 	// evidence, wherever it comes from.
 	ec := cfg.Engine
-	ec.Faults, ec.Retry, ec.Replicas, ec.Hedge = nil, cfg.Retry, cfg.Replicas, 0
+	ec.Faults, ec.Replicas, ec.Hedge = nil, cfg.Replicas, 0
 	if inj := cfg.Faults; inj != nil && inj.Plan().Enabled() {
 		ec.Faults, c.inj = inj, inj
 	}
@@ -620,16 +614,13 @@ func (p *SessionPlans) newCommit(cfg ServeConfig) *commit {
 	for i := range c.sess {
 		ss := &c.sess[i]
 		ss.out = SessionResult{Session: i, Class: p.classes[i]}
-		ss.brk.cfg, ss.slo = cfg.Breaker, cfg.SLO
+		ss.brk.cfg = cfg.Breaker
 		// Class priorities reach the arbiter before any grant; with no
 		// classes (or all-neutral weights) the arbiter arithmetic stays
 		// bit-exact. An out-of-range class is the neutral default.
 		if k := ss.out.Class; k >= 0 && k < len(cfg.Classes) {
 			cs := cfg.Classes[k]
 			c.f.setPriority(i, cs.weight())
-			if cs.SLO > 0 {
-				ss.slo = cs.SLO
-			}
 			if open {
 				ss.patience = cs.Patience
 			}
@@ -691,7 +682,7 @@ func (c *commit) admit(s int) bool {
 func (c *commit) forfeit(s int) {
 	ss := &c.sess[s]
 	for _, st := range c.plans[s][ss.stepIdx:] {
-		if c.cfg.Arrivals.Enabled && !(c.cfg.Engine.SkipFirstQuery && st.queryIdx == 0) {
+		if c.cfg.Arrivals.Enabled && Counted(st.queryIdx) {
 			ss.out.LostQueries++
 		}
 	}
@@ -766,9 +757,9 @@ func (c *commit) turn(s int, t time.Duration) {
 			faultScore(ev.retries, ev.timeouts, dm.stallEvents)+corruptionScore(ev.corrupt, ev.repaired))
 	}
 
-	if ss.cur.account(tr, c.cfg.Engine.SkipFirstQuery) {
+	if ss.cur.account(tr) {
 		ss.out.Responses = append(ss.out.Responses, tr.Residual)
-		if ss.slo > 0 && tr.Residual > ss.slo {
+		if c.cfg.SLO > 0 && tr.Residual > c.cfg.SLO {
 			ss.out.SLOViolations++
 		}
 	}

@@ -97,7 +97,7 @@ func Dur1(env *Env) Result {
 			var samples []time.Duration
 			for _, r := range results {
 				for qi, tr := range r.Queries {
-					if cfg.SkipFirstQuery && qi == 0 {
+					if !engine.Counted(qi) {
 						continue
 					}
 					samples = append(samples, tr.Residual)

@@ -147,7 +147,7 @@ func runHACell(s *Setup, seqs []workload.Sequence, profile string, mode haMode, 
 		pt.Lost += r.LostPages
 		for _, tr := range r.Queries {
 			pt.FailedOver += int64(tr.FailedOverPages)
-			if cfg.SkipFirstQuery && tr.Seq == 0 {
+			if !engine.Counted(tr.Seq) {
 				continue
 			}
 			samples = append(samples, haSample{res: tr.Residual, lost: tr.LostPages > 0})

@@ -106,7 +106,7 @@ func runShardWalks(s *Setup, layout, wl string, shards int, seqs []workload.Sequ
 			pt.RoutedPages += int64(tr.RoutedPages)
 			fanSum += int64(tr.Fanout)
 			fanN++
-			if cfg.SkipFirstQuery && tr.Seq == 0 {
+			if !engine.Counted(tr.Seq) {
 				continue
 			}
 			if tr.Fanout > 1 {

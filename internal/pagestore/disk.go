@@ -16,9 +16,6 @@ type CostModel struct {
 	Seek time.Duration
 	// Transfer is charged once per page read from disk.
 	Transfer time.Duration
-	// CacheHit is the cost of serving a page from the prefetch cache
-	// (memory copy), orders of magnitude below Transfer.
-	CacheHit time.Duration
 	// Route is the per-page fan-out charge the sharded engine pays to ship a
 	// page from a non-home shard back to the requesting session (an
 	// in-process handoff today, a network hop in a scale-out deployment).
@@ -35,13 +32,13 @@ type CostModel struct {
 }
 
 // DefaultCostModel approximates a 2012-era striped SAS array: ~5 ms average
-// seek, ~40 µs to transfer one 4 KB page (≈100 MB/s effective per stream),
-// and ~1 µs to copy a cached page out of RAM.
+// seek and ~40 µs to transfer one 4 KB page (≈100 MB/s effective per
+// stream). A cache hit is free: copying a page out of RAM is orders of
+// magnitude below Transfer.
 func DefaultCostModel() CostModel {
 	return CostModel{
 		Seek:        5 * time.Millisecond,
 		Transfer:    40 * time.Microsecond,
-		CacheHit:    1 * time.Microsecond,
 		Route:       5 * time.Microsecond,
 		ReplicaRead: 10 * time.Microsecond,
 	}
