@@ -18,7 +18,9 @@
 package flatindex
 
 import (
+	"runtime"
 	"sort"
+	"sync"
 
 	"scout/internal/geom"
 	"scout/internal/pagestore"
@@ -52,18 +54,30 @@ func Build(store *pagestore.Store, cfg rtree.Config, epsilon float64) (*Index, e
 		seed:      seed,
 		neighbors: make([][]pagestore.PageID, store.NumPages()),
 	}
-	var buf []pagestore.PageID
-	for p := 0; p < store.NumPages(); p++ {
-		pid := pagestore.PageID(p)
-		buf = idx.seed.QueryPages(store.PageBounds(pid).Inflate(epsilon), buf[:0])
-		ns := make([]pagestore.PageID, 0, len(buf))
-		for _, q := range buf {
-			if q != pid {
-				ns = append(ns, q)
+	// Each goroutine probes a contiguous range of pages and writes only
+	// those pages' lists, so the lists do not depend on the worker count.
+	pages := store.NumPages()
+	workers := min(runtime.GOMAXPROCS(0), pages)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			var buf []pagestore.PageID
+			for p := lo; p < hi; p++ {
+				pid := pagestore.PageID(p)
+				buf = idx.seed.QueryPages(store.PageBounds(pid).Inflate(epsilon), buf[:0])
+				ns := make([]pagestore.PageID, 0, len(buf))
+				for _, q := range buf {
+					if q != pid {
+						ns = append(ns, q)
+					}
+				}
+				idx.neighbors[p] = ns
 			}
-		}
-		idx.neighbors[p] = ns
+		}(w*pages/workers, (w+1)*pages/workers)
 	}
+	wg.Wait()
 	return idx, nil
 }
 

@@ -2,6 +2,8 @@ package flatindex
 
 import (
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"scout/internal/geom"
@@ -33,6 +35,25 @@ func buildIndex(t *testing.T, n int, side float64, seed int64) (*Index, *pagesto
 		t.Fatal(err)
 	}
 	return idx, store
+}
+
+// TestBuildIndependentOfGOMAXPROCS: Build splits the pages among GOMAXPROCS
+// goroutines, and the neighbour lists must not show how.
+func TestBuildIndependentOfGOMAXPROCS(t *testing.T) {
+	_, store := buildIndex(t, 3000, 100, 4)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var lists [][][]pagestore.PageID
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		idx, err := Build(store, rtree.Config{ObjectsPerPage: 50}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lists = append(lists, idx.neighbors)
+	}
+	if !reflect.DeepEqual(lists[0], lists[1]) {
+		t.Fatal("neighbour lists built at GOMAXPROCS 1 and 4 differ")
+	}
 }
 
 func TestNeighborsSymmetric(t *testing.T) {

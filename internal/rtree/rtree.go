@@ -20,7 +20,6 @@ package rtree
 import (
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -123,19 +122,24 @@ func Build(store *pagestore.Store, cfg Config) (*Tree, error) {
 // spatially close, which is what gives STR-packed trees their tight leaves.
 //
 // Objects are read by ID, so a store that is already paginated gets the
-// same order as a fresh one. The slabs are sorted on GOMAXPROCS goroutines;
-// each slab's sorts depend on nothing outside it, so the order does not
-// depend on the number of workers.
+// same order as a fresh one. Each object is sorted as one 32-byte record,
+// its centroid beside its ID, by sortRecs: a copy of Go 1.24's pdqsort with
+// the compares inlined and its large recursions on their own goroutines.
+// The slabs are sorted on GOMAXPROCS goroutines; each slab's sorts depend on
+// nothing outside it, and sortRecs leaves the same permutation at any
+// GOMAXPROCS, so the order does not depend on the number of workers. Exact
+// duplicate centroids end where that pdqsort puts them. The copy fixes the
+// order whatever the toolchain's sort package does; on go1.24
+// TestSTROrderMatchesSortSlice holds it to its sort.Slice form, ties
+// included.
 func STROrder(store *pagestore.Store, perPage int) []pagestore.ObjectID {
 	n := store.NumObjects()
-	// cent[i] is the centroid of ids[i]; the sorts swap both together, so a
-	// comparison reads its two operands from one array, in place.
-	ids := make([]pagestore.ObjectID, n)
-	cent := make([]geom.Vec3, n)
-	for i := range ids {
-		ids[i] = pagestore.ObjectID(i)
-		cent[i] = store.Object(ids[i]).Centroid()
+	recs := make([]strRec, n)
+	for i := range recs {
+		id := pagestore.ObjectID(i)
+		recs[i] = strRec{c: store.Object(id).Centroid(), id: id}
 	}
+	ids := make([]pagestore.ObjectID, n)
 	if n == 0 {
 		return ids
 	}
@@ -143,60 +147,33 @@ func STROrder(store *pagestore.Store, perPage int) []pagestore.ObjectID {
 	pages := (n-1)/perPage + 1
 	s := int(math.Ceil(math.Cbrt(float64(pages)))) // slabs per axis
 
-	sort.Sort(byCentroid{cent, ids})
+	sortRecs(recs)
 	slabSize := (n + s - 1) / s
 	parallelFor((n+slabSize-1)/slabSize, func(slab int) {
 		xs := slab * slabSize
 		xe := min(xs+slabSize, n)
 		// The y and z sorts compare the rotated centroids (y, z, x) and then
 		// (z, x, y) with the same comparator.
-		rotate(cent[xs:xe])
-		sort.Sort(byCentroid{cent[xs:xe], ids[xs:xe]})
-		rotate(cent[xs:xe])
+		rotate(recs[xs:xe])
+		sortRecs(recs[xs:xe])
+		rotate(recs[xs:xe])
 		runSize := (xe - xs + s - 1) / s
 		for ys := xs; ys < xe; ys += runSize {
 			ye := min(ys+runSize, xe)
-			sort.Sort(byCentroid{cent[ys:ye], ids[ys:ye]})
+			sortRecs(recs[ys:ye])
+		}
+		for i := xs; i < xe; i++ {
+			ids[i] = recs[i].id
 		}
 	})
 	return ids
 }
 
-// byCentroid sorts object IDs by their centroids, compared lexicographically
-// in X, Y, Z order. Ties on one axis are broken by the next, so degenerate
-// data (planar road networks, collinear chains) still gets a deterministic,
-// locality-preserving order. Only exact duplicates compare equal; they end
-// where pdqsort puts them. sort.Sort, sort.Slice and slices.SortFunc are
-// instances of the same generated pdqsort, so the same comparison results
-// give the same permutation, ties included: TestSTROrderMatchesSortSlice
-// holds STROrder to its sort.Slice form.
-type byCentroid struct {
-	cent []geom.Vec3
-	ids  []pagestore.ObjectID
-}
-
-func (s byCentroid) Len() int { return len(s.ids) }
-
-func (s byCentroid) Less(i, j int) bool {
-	a, b := &s.cent[i], &s.cent[j]
-	if a.X != b.X {
-		return a.X < b.X
-	}
-	if a.Y != b.Y {
-		return a.Y < b.Y
-	}
-	return a.Z < b.Z
-}
-
-func (s byCentroid) Swap(i, j int) {
-	s.cent[i], s.cent[j] = s.cent[j], s.cent[i]
-	s.ids[i], s.ids[j] = s.ids[j], s.ids[i]
-}
-
-// rotate turns every (x, y, z) into (y, z, x).
-func rotate(cent []geom.Vec3) {
-	for i, c := range cent {
-		cent[i] = geom.Vec3{X: c.Y, Y: c.Z, Z: c.X}
+// rotate turns every record's centroid (x, y, z) into (y, z, x).
+func rotate(recs []strRec) {
+	for i := range recs {
+		c := &recs[i].c
+		*c = geom.Vec3{X: c.Y, Y: c.Z, Z: c.X}
 	}
 }
 

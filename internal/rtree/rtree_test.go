@@ -274,8 +274,9 @@ func cornerObjects(n int, seed int64) []pagestore.Object {
 
 // TestSTROrderMatchesSortSlice: STROrder returns the sort.Slice oracle's
 // order exactly, ties included, on the four dataset kinds, on centroids full
-// of exact duplicates, on a clustered store (IDs are not slice positions),
-// and at every size around one page, whatever GOMAXPROCS is.
+// of exact duplicates (below and above the sort's parallel cutoff), on a
+// clustered store (IDs are not slice positions), and at every size around
+// one page, whatever GOMAXPROCS is.
 func TestSTROrderMatchesSortSlice(t *testing.T) {
 	type input struct {
 		name    string
@@ -291,7 +292,11 @@ func TestSTROrderMatchesSortSlice(t *testing.T) {
 	} {
 		inputs = append(inputs, input{ds.Name, pagestore.NewStore(ds.Objects), pagestore.DefaultObjectsPerPage})
 	}
-	inputs = append(inputs, input{"duplicates", pagestore.NewStore(cornerObjects(20_000, 1)), pagestore.DefaultObjectsPerPage})
+	// The small store's sorts all stay below parallelCutoff; the large
+	// one's x-sort spawns, and its goroutines meet ties too.
+	inputs = append(inputs,
+		input{"duplicates", pagestore.NewStore(cornerObjects(20_000, 1)), pagestore.DefaultObjectsPerPage},
+		input{"duplicates-150k", pagestore.NewStore(cornerObjects(150_000, 2)), pagestore.DefaultObjectsPerPage})
 	clustered := pagestore.NewStore(uniformObjects(5000, 100, 12))
 	if _, err := BulkLoad(clustered, Config{}); err != nil {
 		t.Fatal(err)
@@ -314,14 +319,9 @@ func TestSTROrderMatchesSortSlice(t *testing.T) {
 		for _, procs := range []int{1, 4} {
 			runtime.GOMAXPROCS(procs)
 			got := STROrder(in.store, in.perPage)
-			if slices.Equal(got, want) {
-				continue
+			if !slices.Equal(got, want) {
+				t.Errorf("%s, GOMAXPROCS %d: orders of %d and %d IDs differ from slot %d on", in.name, procs, len(got), len(want), firstDiff(got, want))
 			}
-			i := 0
-			for i < min(len(got), len(want)) && got[i] == want[i] {
-				i++
-			}
-			t.Errorf("%s, GOMAXPROCS %d: orders of %d and %d IDs differ from slot %d on", in.name, procs, len(got), len(want), i)
 		}
 	}
 }

@@ -339,3 +339,105 @@ func TestAdvanceChargesDeltaWork(t *testing.T) {
 			g.BuildVertices(), len(next), len(removed), len(added))
 	}
 }
+
+// checkSimpleEdges fails unless every live vertex's adjacency list names
+// each neighbour once, never itself, and NumEdges is half the summed degree.
+func checkSimpleEdges(t *testing.T, g *Graph, step string) {
+	t.Helper()
+	degree := 0
+	seen := map[int32]bool{}
+	g.ForEachLive(func(v int32, _ pagestore.ObjectID) {
+		clear(seen)
+		for _, w := range g.Adj(v) {
+			if w == v || seen[w] {
+				t.Fatalf("%s: vertex %d lists neighbour %d twice or itself: %v", step, v, w, g.Adj(v))
+			}
+			seen[w] = true
+		}
+		degree += len(g.Adj(v))
+	})
+	if 2*g.NumEdges() != degree {
+		t.Fatalf("%s: NumEdges %d, summed degree %d", step, g.NumEdges(), degree)
+	}
+}
+
+// TestHashedEdgesAreSimple: grid hashing links the edges of a vertex that
+// starts its walk without any (new or resurrected) without a duplicate scan,
+// and connects those of a window-growth re-walk with one. Through Reset,
+// Advance with resurrections and window growth, and the re-add lifecycle, at
+// a coarse 8-cell grid (many objects per cell) and the default resolution,
+// no adjacency list may repeat a neighbour.
+func TestHashedEdgesAreSimple(t *testing.T) {
+	store, _, _ := benchWorld(1500)
+	for _, res := range []int{8, 32768} {
+		t.Run(fmt.Sprintf("res%d", res), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(7 + res)))
+			resultFor := func(region geom.AABB) []pagestore.ObjectID {
+				var out []pagestore.ObjectID
+				for i := 0; i < store.NumObjects(); i++ {
+					id := pagestore.ObjectID(i)
+					if store.Object(id).IntersectsBox(region) && rng.Intn(5) != 0 {
+						out = append(out, id)
+					}
+				}
+				return out
+			}
+			region := geom.Box(geom.V(2, 2, 2), geom.V(18, 18, 18))
+			g := Build(store, region, res, resultFor(region))
+			checkSimpleEdges(t, g, "build")
+			g.Reset(region, res)
+			result := resultFor(region)
+			for _, id := range result {
+				g.AddObject(id)
+			}
+			checkSimpleEdges(t, g, "reset")
+
+			resurrected, rewalked := 0, 0
+			for round := 0; round < 12; round++ {
+				// Out and back, so objects that left re-enter as tombstones.
+				step := geom.V(3, 2, 1)
+				if round%4 >= 2 {
+					step = step.Scale(-1)
+				}
+				region = region.Translate(step)
+				next := resultFor(region)
+				inNext := map[pagestore.ObjectID]bool{}
+				for _, id := range next {
+					inNext[id] = true
+				}
+				var removed, added []pagestore.ObjectID
+				g.ForEachLive(func(_ int32, id pagestore.ObjectID) {
+					if !inNext[id] {
+						removed = append(removed, id)
+					}
+				})
+				for _, id := range next {
+					if !g.Contains(id) {
+						added = append(added, id)
+					}
+				}
+				g.Advance(region, res, removed, added)
+				for _, id := range added {
+					if v := g.VertexOf(id); v >= 0 && int(v) < g.VertexSlots()-len(added) {
+						resurrected++
+					}
+				}
+				rewalked += g.BuildVertices() - len(added)
+				checkSimpleEdges(t, g, fmt.Sprintf("advance %d", round))
+
+				region = region.Translate(geom.V(0.5, 0, 0))
+				if !g.BeginAdvance(region, res) {
+					t.Fatalf("round %d: BeginAdvance refused a same-size window", round)
+				}
+				for _, id := range resultFor(region) {
+					g.AddObjectFirst(id)
+				}
+				g.EndAdvance()
+				checkSimpleEdges(t, g, fmt.Sprintf("re-add %d", round))
+			}
+			if resurrected == 0 || rewalked == 0 {
+				t.Fatalf("%d resurrections and %d window-growth re-walks: the walk did not cover both", resurrected, rewalked)
+			}
+		})
+	}
+}

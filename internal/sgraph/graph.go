@@ -569,7 +569,9 @@ func (g *Graph) AddObjectFirst(id pagestore.ObjectID) (int32, bool) {
 // live occupant of the cells it passes through, and appends it to their
 // chains. checkPresent guards re-walks (resurrection, window growth): the
 // vertex may already be chained into some of its cells and must not be
-// chained twice.
+// chained twice. A vertex that starts the walk without edges (new or
+// resurrected) has none the walk could repeat, and pairGen dedupes the walk
+// itself, so its edges are linked without connect's duplicate scan.
 func (g *Graph) hashVertex(v int32, checkPresent bool) {
 	s := g.store.Object(g.ids[v]).Seg
 	// Strict interior containment decides the clipped flag and the clip
@@ -578,6 +580,7 @@ func (g *Graph) hashVertex(v int32, checkPresent bool) {
 	g.keyScratch = g.lat.segmentCells(s, g.keyScratch[:0], allInside)
 	keys := g.keyScratch
 	g.beginPairWalk(v)
+	fresh := len(g.adj[v]) == 0
 	added := int32(0)
 	if g.denseCells {
 		nx, ny, _ := g.lat.dims()
@@ -605,7 +608,11 @@ func (g *Graph) hashVertex(v int32, checkPresent bool) {
 					continue
 				}
 				g.pairGen[w] = g.pairEpoch
-				g.connect(v, w)
+				if fresh {
+					g.link(v, w)
+				} else {
+					g.connect(v, w)
+				}
 			}
 			if checkPresent && present {
 				continue
@@ -624,7 +631,7 @@ func (g *Graph) hashVertex(v int32, checkPresent bool) {
 				g.cellsTouched++
 				g.touchedCells = append(g.touchedCells, key)
 			}
-			if g.scanChain(v, head, checkPresent) {
+			if g.scanChain(v, head, checkPresent, fresh) {
 				continue
 			}
 			g.ents = append(g.ents, entry{vert: v, next: head})
@@ -651,7 +658,8 @@ func (g *Graph) beginPairWalk(v int32) {
 
 // scanChain connects v to the live occupants of one cell chain, reporting
 // whether v itself is already chained (only meaningful with checkPresent).
-func (g *Graph) scanChain(v, head int32, checkPresent bool) bool {
+// fresh is hashVertex's: link instead of connect.
+func (g *Graph) scanChain(v, head int32, checkPresent, fresh bool) bool {
 	present := false
 	for e := head; e >= 0; e = g.ents[e].next {
 		w := g.ents[e].vert
@@ -663,7 +671,11 @@ func (g *Graph) scanChain(v, head int32, checkPresent bool) bool {
 			continue
 		}
 		g.pairGen[w] = g.pairEpoch
-		g.connect(v, w)
+		if fresh {
+			g.link(v, w)
+		} else {
+			g.connect(v, w)
+		}
 	}
 	return checkPresent && present
 }
@@ -679,8 +691,8 @@ func (g *Graph) ConnectExplicit(a, b pagestore.ObjectID) {
 
 // connect adds an undirected edge if absent. Duplicate suppression scans the
 // shorter adjacency list; grid hashing yields short lists at sane
-// resolutions, and the scan cost is itself part of the modeled graph
-// building cost.
+// resolutions. The modeled graph building cost counts the edges added, not
+// the scan.
 func (g *Graph) connect(a, b int32) {
 	if a == b {
 		return
@@ -699,6 +711,11 @@ func (g *Graph) connect(a, b int32) {
 			return
 		}
 	}
+	g.link(a, b)
+}
+
+// link adds the undirected edge a–b, which the caller knows is absent.
+func (g *Graph) link(a, b int32) {
 	g.adj[a] = append(g.adj[a], b)
 	g.adj[b] = append(g.adj[b], a)
 	g.edges++
