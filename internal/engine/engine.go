@@ -258,7 +258,7 @@ type Engine struct {
 	// all queries run. It persists across sequences: shard-fault episodes are
 	// functions of total time served, not of per-sequence offsets.
 	vclock time.Duration
-	// batchBuf and reqBuf are the batched flushes' reusable scratch: the
+	// batchBuf and reqBuf are the batched flush's reusable scratch: the
 	// window's prediction set, and one request's pages.
 	batchBuf, reqBuf []pagestore.PageID
 
@@ -554,9 +554,10 @@ func (e *Engine) stopPipeline() {
 
 // spendWindow hands the plan's prediction set to the fleet in the shape its
 // flush reads. The per-page flush resolves each request through the index
-// only when it reaches it; the batched flushes take the whole set —
-// traversal pages plus every request's pages — up front, the lazy sweep as
-// one elevator batch.
+// only when it reaches it; the batched flush takes the whole set —
+// traversal pages plus every request's pages, less those already cached —
+// up front, as one elevator batch, whatever the fleet's replication, hedging
+// or faults.
 func (e *Engine) spendWindow(plan prefetch.Plan, budget time.Duration) (int, time.Duration) {
 	f := e.fleet
 	var batch []pagestore.PageID
@@ -568,15 +569,12 @@ func (e *Engine) spendWindow(plan prefetch.Plan, budget time.Duration) (int, tim
 			return e.reqBuf
 		}}
 	} else {
-		batch = append(e.batchBuf[:0], plan.TraversalPages...)
+		batch = f.appendUncached(e.batchBuf[:0], plan.TraversalPages)
 		for _, r := range plan.Requests {
 			e.reqBuf = e.index.QueryPages(r.Region, e.reqBuf[:0])
-			batch = append(batch, e.reqBuf...)
+			batch = f.appendUncached(batch, e.reqBuf)
 		}
 		e.batchBuf = batch
-		if f.haFlush {
-			return f.flushHA(batch, budget, e.vclock)
-		}
 		batch = elevatorBatch(e.store, batch)
 	}
 	n, io, _ := f.prefetchTurn(0, nil, batch, l, budget, e.vclock)

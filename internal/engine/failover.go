@@ -273,14 +273,18 @@ func (h *haState) foldRetries(shards []*shard, now time.Duration) {
 	h.observe(now)
 }
 
-// routeQuiet mirrors routeDemand for background work: no probe charges, no
-// health evidence, no half-open arming — the prefetch flush reuses the
-// demand turn's discoveries at the same virtual time, and a dead chain is
-// simply skipped (background reads have no waiting client).
-func (h *haState) routeQuiet(j int, now time.Duration) haRoute {
+// routeQuiet mirrors routeDemand for background work, walking home j's
+// chain from position from on: no probe charges, no health evidence, no
+// half-open arming — the prefetch flush reuses the demand turn's discoveries
+// at the same virtual time — and the first member that is neither tripped
+// nor outaged serves, at its brownout factor. From 0 it routes a window
+// part; from the routed position + 1 it picks the hedge's alternate. A chain
+// with no such member returns target -1: the part is simply skipped
+// (background reads have no waiting client).
+func (h *haState) routeQuiet(j, from int, now time.Duration) haRoute {
 	r := haRoute{target: -1, k: -1, factor: 1, hedge: -1, hedgeFactor: 1}
 	shards := h.part.Shards()
-	for k := 0; k < h.part.Replicas(); k++ {
+	for k := from; k < h.part.Replicas(); k++ {
 		c := h.part.ReplicaShard(j, k)
 		if !h.health[c].allows(now) || h.inj.ShardOutage(c, shards, now) {
 			continue
@@ -290,21 +294,6 @@ func (h *haState) routeQuiet(j int, now time.Duration) haRoute {
 		return r
 	}
 	return r
-}
-
-// hedgePick returns the next live chain member after position afterK in
-// home j's chain (and its brownout factor), or -1 — the alternate a hedged
-// prefetch re-issues to.
-func (h *haState) hedgePick(j, afterK int, now time.Duration) (int, float64) {
-	shards := h.part.Shards()
-	for k := afterK + 1; k < h.part.Replicas(); k++ {
-		c := h.part.ReplicaShard(j, k)
-		if !h.health[c].allows(now) || h.inj.ShardOutage(c, shards, now) {
-			continue
-		}
-		return c, h.inj.ShardBrownout(c, now)
-	}
-	return -1, 1
 }
 
 // observe ticks every shard's health ledger with the evidence the current

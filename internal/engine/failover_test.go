@@ -15,9 +15,9 @@ import (
 // TestRouterSplitReuseAliasing pins the Split reuse contract and its hazard:
 // passing the previous result back as dst reuses its backing arrays (no
 // per-call allocation), which means the OLD slices are clobbered in place —
-// exactly why every fan-out copies its sub-batch (sh.batch) before handing
-// the scratch back. A caller holding slices across a re-split would silently
-// read the next query's pages.
+// a caller must copy a part it keeps before handing the scratch back. A
+// caller holding slices across a re-split would silently read the next
+// query's pages.
 func TestRouterSplitReuseAliasing(t *testing.T) {
 	store, tree := cloudWorld(t, 3000, 23)
 	if err := store.Relayout(pagestore.HilbertLayout()); err != nil {
@@ -147,7 +147,7 @@ func TestFailoverLedgerRecovery(t *testing.T) {
 	if r := h.routeDemand(0, during); r.target != 1 || r.k != 1 {
 		t.Fatalf("tripped home not failed over during cooldown: %+v", r)
 	}
-	if r := h.routeQuiet(0, during); r.target != 1 || r.k != 1 {
+	if r := h.routeQuiet(0, 0, during); r.target != 1 || r.k != 1 {
 		t.Fatalf("background routing did not avoid the tripped home: %+v", r)
 	}
 
@@ -164,6 +164,46 @@ func TestFailoverLedgerRecovery(t *testing.T) {
 	}
 	if r := h.routeDemand(0, after+time.Millisecond); r.target != 0 || r.k != 0 {
 		t.Fatalf("home routing did not resume after recovery: %+v", r)
+	}
+}
+
+// TestHedgeTieGoesToPrimary pins the hedge's tie-break: when the hedge's
+// duplicate sweep costs exactly what the primary's does, the primary wins —
+// its pages enter the home cache and HedgeWins stays put — while both disks
+// bill the work. Two shards, chains of two, a zero replica surcharge and a
+// threshold below 1 hedge the slower home on every window; both of its sweeps
+// start from a cold head at factor 1, so their spends tie.
+func TestHedgeTieGoesToPrimary(t *testing.T) {
+	store, _ := cloudWorld(t, 1000, 9)
+	cfg := DefaultConfig()
+	cfg.Cost = pagestore.CostModel{Seek: 200 * time.Microsecond, Transfer: 40 * time.Microsecond}
+	cfg.Replicas, cfg.Hedge = 2, 0.5
+	f := newFleet(store, cfg, 2, nil)
+	_, bound := f.router.Partition().Bounds(0)
+	if bound < 4 || int(bound)+20 >= store.NumPages() {
+		t.Fatalf("range bound %d of %d pages leaves no room for the parts", bound, store.NumPages())
+	}
+	// Home 0 holds four pages, one bridged run; home 1 one page, far from it.
+	batch := elevatorBatch(store, []pagestore.PageID{0, 1, 3, 4, bound + 16})
+	home := batch[:4]
+
+	n, io, _ := f.prefetchTurn(0, nil, batch, ladder{}, time.Second, 0)
+	ha := f.ha.stats
+	if ha.HedgedWindows != 1 || ha.HedgeWins != 0 {
+		t.Fatalf("hedged %d windows, hedge won %d; want 1 hedged, 0 won on a tie", ha.HedgedWindows, ha.HedgeWins)
+	}
+	if n != 5 || io != f.pref[0].spent {
+		t.Fatalf("prefetched %d pages in %v, want 5 in home 0's %v", n, io, f.pref[0].spent)
+	}
+	for _, pg := range home {
+		if !f.shards[0].cache.Contains(pg) || f.shards[1].cache.Contains(pg) {
+			t.Fatalf("page %d: not in home 0's cache alone", pg)
+		}
+	}
+	primary, hedge := f.shards[0].disk.Stats(), f.shards[1].disk.Stats()
+	if primary.PagesRead != 4 || primary.ReplicaPages != 0 || hedge.PagesRead != 5 || hedge.ReplicaPages != 4 {
+		t.Fatalf("primary disk read %d (%d replica), hedge disk %d (%d replica); want 4 (0) and 5 (4)",
+			primary.PagesRead, primary.ReplicaPages, hedge.PagesRead, hedge.ReplicaPages)
 	}
 }
 

@@ -25,7 +25,7 @@ type pageCache interface {
 // prefetch-budget arbiter (the "per-shard arbiter pool") and scratch. The
 // coordinator visits the shards in index order; within one phase a shard
 // writes only its own state and result slot and reads other shards' scratch
-// (miss, batch) as left by the previous phase.
+// (miss) as left by the previous phase.
 type shard struct {
 	disk *pagestore.Disk
 	// cache is the cache the current turn reads and fills. With private
@@ -37,8 +37,7 @@ type shard struct {
 	shared  *cache.Striped
 	arb     *arbiter           // nil on a single-session fleet: one session has nobody to share a window with
 	miss    []pagestore.PageID // the current demand turn's misses, in ascending physical order (lookup)
-	read    []pagestore.PageID // sweepBatch scratch (lazy flush)
-	batch   []pagestore.PageID // assembled sub-batch (HA flush)
+	read    []pagestore.PageID // the pages the last sweep served here read (sweepBatch)
 }
 
 // demandOut is shard i's result slot for one demand turn.
@@ -97,7 +96,8 @@ type serving struct {
 // (pagestore.Partition), each owned by a shard with its own cache slice,
 // disk heads and seek state; a stateless Router that splits every
 // demand set and prediction set by range; and the failover state that routes
-// storage reads along replica chains. The shards' disks are modelled as
+// storage reads — demand misses and prefetch windows alike — along replica
+// chains. The shards' disks are modelled as
 // running in parallel — each sub-batch is priced on its own shard's head,
 // one shard after another on the calling goroutine, and the merged service
 // time is the slowest shard plus a per-page routing charge for pages shipped
@@ -125,25 +125,15 @@ type fleet struct {
 	// perPage selects the seed's per-page read and flush (Config.BatchedIO
 	// false), which only a one-range fleet built with shards == 0 honours.
 	perPage bool
-	// haFlush selects the prefetch flush that can fail over and hedge
-	// (flushHA). It needs every sub-batch assembled up front, so a fleet
-	// with nothing to fail over to keeps the lazy sweep, and so does
-	// serving: demand failover is what protects waiting clients —
-	// duplicating background windows under multi-session contention only
-	// burns shared device time.
-	haFlush bool
 
 	// Per-turn scratch: the demand set's routing (Router.route: each shard's
 	// run of its physical order, each position's shard) and lookup outcomes,
-	// the prediction set's parts (runs: subslices of an elevator batch;
-	// pparts: Split copies for the HA flush — kept apart, since Split appends
-	// into its parts), the current query's home shard and per-shard result
-	// slots.
+	// the prediction set's parts (Router.SplitRuns: subslices of an elevator
+	// batch), the current query's home shard and per-shard result slots.
 	cut    []int
 	at     []int32
 	missed []bool
 	runs   [][]pagestore.PageID
-	pparts [][]pagestore.PageID
 	home   int
 	faults faultTotals // disk fault counters as of the last faultEvidence call
 	demand []demandOut
@@ -181,7 +171,6 @@ func newFleet(store *pagestore.Store, cfg Config, shards int, srv *serving) *fle
 	f.cut = make([]int, 0, n+1)
 	f.demand = make([]demandOut, n)
 	f.pref = make([]prefetchOut, n)
-	f.haFlush = srv == nil && (part.Replicas() > 1 || hedge > 0 || f.ha.inj != nil)
 
 	capacity := cacheCapacity(cfg, store)
 	base, extra := capacity/n, capacity%n
@@ -410,18 +399,28 @@ func (f *fleet) served(pages []pagestore.PageID) (kept []pagestore.PageID, faile
 // window (the slowest shard's spend) still closes on time. That is the
 // scale-out win the shard1 experiment measures.
 //
-// The flush is the lazy elevator sweep (sweepBatch) over the shard's part of
-// batch — shard ranges are contiguous in physical order, so each part of an
-// elevator batch is a run of it (Router.SplitRuns), read in place — or, on a
-// per-page fleet, prefetchPages over the ladder; a caller fills the one its
-// fleet reads. Background reads have no
-// failover here: an outaged home simply skips its window, a browned one
-// sweeps at its multiplier and delivers fewer pages per grant. Reads are
-// charged to the context bind set for this turn.
-// grant0 is shard 0's grant, which paces the background scrub.
+// A per-page fleet flushes with prefetchPages over the ladder; every other
+// fleet reads batch, an elevator batch — shard ranges are contiguous in
+// physical order, so each home's part is a run of it (Router.SplitRuns),
+// read in place. A caller fills the one its fleet reads. Each part is routed
+// (routeWindow), the slowest one hedged when hedging is armed (planHedge),
+// and swept on its serving shard (sweepBatch) — the hedge's duplicate too,
+// the cheaper outcome winning — and only then do the pages read enter the
+// home's cache, since the cache slice is the home's and the winner must be
+// known. Homes are swept in shard order, so every disk sees its sweeps in
+// home order whichever homes it serves. Reads are charged to the context
+// bind set for this turn. grant0 is shard 0's grant, which paces the
+// background scrub.
 func (f *fleet) prefetchTurn(s int, contenders []int, batch []pagestore.PageID, l ladder, budget, now time.Duration) (prefetched int, io, grant0 time.Duration) {
+	ha := f.ha
 	if !f.perPage {
 		f.runs = f.router.SplitRuns(batch, f.runs)
+		for j := range f.shards {
+			ha.routes[j] = f.routeWindow(j, now)
+		}
+		if ha.hedge > 0 && ha.part.Replicas() > 1 {
+			f.planHedge(now)
+		}
 	}
 	for i, sh := range f.shards {
 		o := &f.pref[i]
@@ -436,21 +435,30 @@ func (f *fleet) prefetchTurn(s int, contenders []int, batch []pagestore.PageID, 
 			o.n, o.spent = prefetchPages(sh.cache, sh.disk, l.traversal, l.requests, l.reqPages, o.grant)
 			continue
 		}
-		readRun := sh.disk.ReadSorted
-		if inj := f.ha.inj; inj != nil {
-			if inj.ShardOutage(i, len(f.shards), now) {
-				continue
-			}
-			if factor := inj.ShardBrownout(i, now); factor > 1 {
-				readRun = func(run []pagestore.PageID) time.Duration {
-					base := sh.disk.ReadSorted(run)
-					extra := time.Duration(float64(base) * (factor - 1))
-					sh.disk.ChargeHA(extra, 0)
-					return base + extra
-				}
+		r := &ha.routes[i]
+		if r.target < 0 {
+			continue
+		}
+		sv := f.shards[r.target]
+		o.spent, sv.read = sweepBatch(f.store, sh.cache, sv.disk, f.runs[i], f.maxBridge, o.grant, r.factor, r.target != i, sv.read)
+		read := sv.read
+		if r.hedge >= 0 {
+			hv := f.shards[r.hedge]
+			var spent time.Duration
+			spent, hv.read = sweepBatch(f.store, sh.cache, hv.disk, f.runs[i], f.maxBridge, o.grant, r.hedgeFactor, true, hv.read)
+			ha.stats.HedgedWindows++
+			// The cheaper outcome wins; on a spend tie the primary does (more
+			// pages for the same time never loses, and ties must break
+			// deterministically).
+			if spent < o.spent {
+				ha.stats.HedgeWins++
+				o.spent, read = spent, hv.read
 			}
 		}
-		o.n, o.spent, sh.read = sweepBatch(f.store, sh.cache, f.runs[i], f.maxBridge, o.grant, sh.read, readRun)
+		o.n = len(read)
+		for _, pg := range read {
+			sh.cache.Insert(pg)
+		}
 	}
 	for i := range f.pref {
 		prefetched += f.pref[i].n
@@ -459,6 +467,26 @@ func (f *fleet) prefetchTurn(s int, contenders []int, batch []pagestore.PageID, 
 		}
 	}
 	return prefetched, io, f.pref[0].grant
+}
+
+// routeWindow routes home j's part of a prefetch window at virtual time now;
+// an empty part goes nowhere (target -1). A serving fleet reads windows on
+// the home only and ignores shard health: an outaged home skips its window
+// and a browned one reads at its multiplier, delivering fewer pages per
+// grant — demand failover is what protects waiting clients, and duplicating
+// background windows under multi-session contention only burns shared
+// device time. A single-session fleet walks the replica chain quietly
+// (routeQuiet).
+func (f *fleet) routeWindow(j int, now time.Duration) haRoute {
+	r := haRoute{target: -1, k: -1, factor: 1, hedge: -1, hedgeFactor: 1}
+	switch inj := f.ha.inj; {
+	case len(f.runs[j]) == 0:
+	case f.shards[j].arb == nil: // single-session
+		r = f.ha.routeQuiet(j, 0, now)
+	case !inj.ShardOutage(j, len(f.shards), now):
+		r.target, r.k, r.factor = j, 0, inj.ShardBrownout(j, now)
+	}
+	return r
 }
 
 // prefetchPages is the per-page prefetch flush: it reads the plan's uncached
@@ -500,6 +528,19 @@ func prefetchPages(c pageCache, d *pagestore.Disk, traversal []pagestore.PageID,
 	return prefetched, spent
 }
 
+// appendUncached appends to dst the pages that their home shard's cache
+// does not hold. The sweep would skip the others anyway; a prediction set
+// filtered as it is accumulated keeps them out of elevatorBatch's sort.
+func (f *fleet) appendUncached(dst, pages []pagestore.PageID) []pagestore.PageID {
+	part := f.router.part
+	for _, pg := range pages {
+		if !f.shards[part.ShardOf(f.store, pg)].cache.Contains(pg) {
+			dst = append(dst, pg)
+		}
+	}
+	return dst
+}
+
 // elevatorBatch turns an accumulated prediction set into one elevator
 // batch, in place: ascending physical order, with duplicates (overlapping
 // ladder rungs), made adjacent by the sort, collapsed so each page is read
@@ -516,38 +557,42 @@ func elevatorBatch(store *pagestore.Store, buf []pagestore.PageID) []pagestore.P
 	return buf[:k]
 }
 
-// assembleBatch is elevatorBatch over the uncached pages only, in place: the
-// whole filtered batch up front, which only the HA flush needs (its hedge
-// estimate prices every home's full sub-batch before any read). The lazy
-// sweep filters as it goes, in sweepBatch.
-func assembleBatch(store *pagestore.Store, c pageCache, buf []pagestore.PageID) []pagestore.PageID {
-	k := 0
-	for _, pg := range buf {
-		if !c.Contains(pg) {
-			buf[k] = pg
-			k++
+// sweepBatch is the batched prefetch flush of one home's part, on disk d:
+// it walks an elevator batch, skips pages the home's cache c holds, grows
+// elevator runs by Store.Runs' rule (one ReadSorted per run: internal gaps
+// are bridged, the boundary to the previous run seeks), and stops after the
+// run that crosses the budget — a half-fetched run would waste its seek. It
+// trades the incremental ladder's priority order for physical locality;
+// layout1 measures that trade. Work is proportional to the pages scanned
+// before that stop, not to the batch.
+//
+// Each run costs its read at the brownout multiplier factor (1 = none)
+// plus, when d serves the range from its replica slice (replica), the
+// per-page replica surcharge; ChargeHA bills both once, after the last run.
+// The sweep inserts nothing: it returns the time spent and the pages read,
+// in sweep order, appended to scratch[:0], and the caller inserts them into
+// c once it knows the winner. Every Contains thus sees the pre-flush cache —
+// an insert can evict a cached page that sits later in the batch, and that
+// page was cached when the flush was issued.
+func sweepBatch(store *pagestore.Store, c pageCache, d *pagestore.Disk, sorted []pagestore.PageID, maxBridge pagestore.PageID, budget time.Duration, factor float64, replica bool, scratch []pagestore.PageID) (time.Duration, []pagestore.PageID) {
+	var spent, brown time.Duration
+	var repPages int64
+	repCost := d.Model().ReplicaRead
+	readRun := func(run []pagestore.PageID) {
+		base := d.ReadSorted(run)
+		spent += base
+		if factor > 1 {
+			extra := time.Duration(float64(base) * (factor - 1))
+			brown += extra
+			spent += extra
+		}
+		if replica {
+			repPages += int64(len(run))
+			spent += time.Duration(len(run)) * repCost
 		}
 	}
-	return elevatorBatch(store, buf[:k])
-}
-
-// sweepBatch is the batched prefetch flush: it walks an elevator batch, skips
-// cached pages, grows elevator runs by Store.Runs' rule (one readRun per run:
-// internal gaps are bridged, the boundary to the previous run seeks), and
-// stops after the run that crosses the budget — a half-fetched run would
-// waste its seek. It trades the incremental ladder's priority order for
-// physical locality; layout1 measures that trade. Work is proportional to the
-// pages scanned before that stop, not to the batch.
-//
-// The pages read enter the cache only after the last run is priced, in sweep
-// order: an insert can evict a cached page that sits later in the batch, and
-// that page was cached when the flush was issued, so every Contains must see
-// the pre-flush cache. Returns the pages read, the time spent, and the read
-// pages' buffer (scratch, reused).
-func sweepBatch(store *pagestore.Store, c pageCache, sorted []pagestore.PageID, maxBridge pagestore.PageID, budget time.Duration, scratch []pagestore.PageID, readRun func(run []pagestore.PageID) time.Duration) (int, time.Duration, []pagestore.PageID) {
 	read := scratch[:0]
 	start := 0 // read[start:] is the run being grown
-	var spent time.Duration
 	var last pagestore.PageID
 	for _, pg := range sorted {
 		if c.Contains(pg) {
@@ -555,7 +600,7 @@ func sweepBatch(store *pagestore.Store, c pageCache, sorted []pagestore.PageID, 
 		}
 		phys := store.PhysicalPage(pg)
 		if len(read) > start && phys-last > maxBridge+1 {
-			spent += readRun(read[start:])
+			readRun(read[start:])
 			start = len(read)
 			if spent > budget {
 				break
@@ -565,139 +610,36 @@ func sweepBatch(store *pagestore.Store, c pageCache, sorted []pagestore.PageID, 
 		last = phys
 	}
 	if len(read) > start {
-		spent += readRun(read[start:])
+		readRun(read[start:])
 	}
-	for _, pg := range read {
-		c.Insert(pg)
-	}
-	return len(read), spent, read
+	d.ChargeHA(brown, repPages)
+	return spent, read
 }
 
-// priceSweep prices one home's assembled prefetch sub-batch on this shard's
-// disk under the window budget: the usual elevator runs, a brownout
-// multiplier on each run's cost, and the per-page replica surcharge when
-// this shard serves the range from its replica slice. It only prices — the
-// delivered-page count n is replayed for cache insertion on the home shard
-// once the (possibly hedged) winner is known. The budget closes on the run
-// that crossed it, exactly like the lazy sweep.
-func (sh *shard) priceSweep(store *pagestore.Store, batch []pagestore.PageID, maxBridge pagestore.PageID, budget time.Duration, factor float64, replica bool) prefetchOut {
-	var spent, brown time.Duration
-	var repPages int64
-	repCost := sh.disk.Model().ReplicaRead
-	n := 0
-	store.Runs(batch, maxBridge, func(run []pagestore.PageID) bool {
-		base := sh.disk.ReadSorted(run)
-		cost := base
-		if factor > 1 {
-			extra := time.Duration(float64(base) * (factor - 1))
-			brown += extra
-			cost += extra
-		}
-		if replica {
-			repPages += int64(len(run))
-			cost += time.Duration(len(run)) * repCost
-		}
-		spent += cost
-		n += len(run)
-		return spent <= budget
-	})
-	sh.disk.ChargeHA(brown, repPages)
-	return prefetchOut{spent: spent, n: n}
-}
-
-// flushHA is the prefetch flush with failover routing and hedged reads, over
-// the window's raw prediction set (unsorted, duplicates allowed), in two
-// passes over the homes:
-//
-//	A: each home assembles its sub-batch against its own cache (dedup +
-//	   elevator order) and the coordinator routes it (routeQuiet —
-//	   background work pays no probes and skips dead chains); then, when
-//	   hedging is on, the slowest estimated sub-batch is marked for
-//	   duplicate issue to its next live replica (planHedge), which needs
-//	   every sub-batch assembled.
-//	B: each home's serving shard prices its sweep — and the hedge shard the
-//	   duplicate, the cheaper outcome winning — and the home replays the
-//	   winner's delivered run prefix into its own cache: insertion must
-//	   happen on the home (the cache slice is the home's) and needs the
-//	   winner, which is why pricing and insertion are separate steps.
-//
-// Healthy chains reduce to home-serves-home with no hedge marks, and the
-// passes replay the lazy sweep's disk and cache call sequences verbatim.
-// Homes are priced in shard order, so every disk sees its sweeps in home
-// order whichever homes it serves.
-func (f *fleet) flushHA(pages []pagestore.PageID, budget, now time.Duration) (int, time.Duration) {
-	f.pparts = f.router.Split(pages, f.pparts)
-	ha := f.ha
-	for j, sh := range f.shards {
-		sh.batch = assembleBatch(f.store, sh.cache, append(sh.batch[:0], f.pparts[j]...))
-		r := haRoute{target: j, factor: 1, hedge: -1, hedgeFactor: 1}
-		if len(sh.batch) > 0 {
-			r = ha.routeQuiet(j, now)
-		}
-		ha.routes[j] = r
-	}
-	if ha.hedge > 0 && ha.part.Replicas() > 1 {
-		f.planHedge(now)
-	}
-
-	var spentMax time.Duration
-	total := 0
-	for j, sh := range f.shards {
-		r := &ha.routes[j]
-		if len(sh.batch) == 0 || r.target < 0 {
-			continue
-		}
-		won := f.shards[r.target].priceSweep(f.store, sh.batch, f.maxBridge, budget, r.factor, r.target != j)
-		if r.hedge >= 0 {
-			hedged := f.shards[r.hedge].priceSweep(f.store, sh.batch, f.maxBridge, budget, r.hedgeFactor, true)
-			ha.stats.HedgedWindows++
-			// The cheaper outcome wins; on a spend tie the primary does (more
-			// pages for the same time never loses, and ties must break
-			// deterministically).
-			if hedged.spent < won.spent {
-				ha.stats.HedgeWins++
-				won = hedged
-			}
-		}
-		total += won.n
-		if won.spent > spentMax {
-			spentMax = won.spent
-		}
-		if left := won.n; left > 0 {
-			f.store.Runs(sh.batch, f.maxBridge, func(run []pagestore.PageID) bool {
-				for _, pg := range run {
-					sh.cache.Insert(pg)
-					left--
-				}
-				return left > 0
-			})
-		}
-	}
-	return total, spentMax
-}
-
-// planHedge marks the hedged prefetch sub-batch: estimate every routed
-// shard's sweep as a cold elevator pass (haState.sweepEstimate) scaled by
-// its brownout factor and replica surcharge, and when the slowest estimate
-// exceeds Hedge times the median, issue that sub-batch to its next live
-// chain member too. One hedge per window — the point is trimming the
-// straggler that sets PrefetchIO (a max over shards), and duplicating more
-// than the argmax only burns replica bandwidth.
+// planHedge marks the hedged prefetch part: estimate every routed home's
+// part as a cold elevator pass (haState.sweepEstimate) scaled by its
+// brownout factor and replica surcharge, and when the slowest estimate
+// exceeds Hedge times the median, issue that part to its next live chain
+// member too. One hedge per window — the point is trimming the straggler
+// that sets PrefetchIO (a max over shards), and duplicating more than the
+// argmax only burns replica bandwidth. Only a single-session fleet hedges,
+// and its parts hold uncached pages only (spendWindow's appendUncached), so
+// each estimate prices what the sweep may read.
 func (f *fleet) planHedge(now time.Duration) {
 	ha := f.ha
 	est := f.estBuf[:0]
 	slowJ, slowEst := -1, time.Duration(-1)
-	for j, sh := range f.shards {
+	for j, part := range f.runs {
 		r := &ha.routes[j]
-		if len(sh.batch) == 0 || r.target < 0 {
+		if r.target < 0 {
 			continue
 		}
-		c := ha.sweepEstimate(f.store, sh.batch)
+		c := ha.sweepEstimate(f.store, part)
 		if r.factor > 1 {
 			c = time.Duration(float64(c) * r.factor)
 		}
 		if r.target != j {
-			c += time.Duration(len(sh.batch)) * ha.cost.ReplicaRead
+			c += time.Duration(len(part)) * ha.cost.ReplicaRead
 		}
 		est = append(est, c)
 		if c > slowEst {
@@ -713,10 +655,9 @@ func (f *fleet) planHedge(now time.Duration) {
 	if median <= 0 || float64(slowEst) <= ha.hedge*float64(median) {
 		return
 	}
-	hc, hf := ha.hedgePick(slowJ, ha.routes[slowJ].k, now)
-	if hc >= 0 {
-		ha.routes[slowJ].hedge = hc
-		ha.routes[slowJ].hedgeFactor = hf
+	r := &ha.routes[slowJ]
+	if alt := ha.routeQuiet(slowJ, r.k+1, now); alt.target >= 0 {
+		r.hedge, r.hedgeFactor = alt.target, alt.factor
 	}
 }
 

@@ -34,8 +34,8 @@ func (r Router) Partition() *pagestore.Partition { return r.part }
 // duplicate-free) yields per-shard parts that are elevator batches
 // themselves and whose concatenation in shard order is the input — SplitRuns
 // finds them without a per-page search. The turn itself routes demand sets
-// with route and prediction sets with SplitRuns; Split serves the HA flush,
-// whose prediction set is raw.
+// with route and prediction sets with SplitRuns; Split, the per-page
+// reference both are tested against, serves only bench probes and tests.
 //
 // The parts are read-only for the caller and everything downstream of it:
 // a one-range partition has nothing to route, so its single part IS the

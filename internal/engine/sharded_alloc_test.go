@@ -95,8 +95,8 @@ func TestShardedTurnAllocations(t *testing.T) {
 		}
 		perQuery := testing.AllocsPerRun(5, func() { e.RunSequence(seq, p) }) / float64(len(seq.Queries))
 		t.Logf("%.2f allocs/query", perQuery)
-		if perQuery > 16 {
-			t.Errorf("hedged S=8/R=2 RunSequence: %.1f allocs/query, want <= 16", perQuery)
+		if perQuery > 10 {
+			t.Errorf("hedged S=8/R=2 RunSequence: %.1f allocs/query, want <= 10", perQuery)
 		}
 	})
 }
