@@ -47,39 +47,6 @@ type SessionStats struct {
 	GraphBuild  time.Duration
 	Prediction  time.Duration
 	GapPages    int64
-	// Serving-layer robustness outcomes, folded in via AddServe: the
-	// prefetcher never sees these itself (faults live on the disk and in
-	// the serving loop), but a session's operator reads one ledger.
-	FaultRetries   int64
-	ShedPrefetches int64
-	Rejected       int64
-	// Open-loop churn outcomes, folded in via AddOpenLoop: sessions this
-	// ledger's user abandoned after a response blew past their patience,
-	// and the counted-query slots forfeited by rejection or abandonment.
-	Abandoned   int64
-	LostQueries int64
-}
-
-// AddServe folds one serving run's robustness outcomes into the ledger:
-// fault retries charged to the session's reads, prefetch windows shed by
-// the circuit breaker or a degraded admission, and whether admission
-// rejected the session outright.
-func (ss *SessionStats) AddServe(faultRetries, shedPrefetches int64, rejected bool) {
-	ss.FaultRetries += faultRetries
-	ss.ShedPrefetches += shedPrefetches
-	if rejected {
-		ss.Rejected++
-	}
-}
-
-// AddOpenLoop folds one open-loop serving run's churn outcomes into the
-// ledger: whether the session abandoned mid-trajectory, and how many counted
-// queries its rejection or abandonment forfeited.
-func (ss *SessionStats) AddOpenLoop(abandoned bool, lostQueries int64) {
-	if abandoned {
-		ss.Abandoned++
-	}
-	ss.LostQueries += lostQueries
 }
 
 // record folds one observation into the ledger.
@@ -203,20 +170,6 @@ func (s *Scout) Session() SessionStats { return s.session }
 
 // ClearSession zeroes the session-scoped ledger.
 func (s *Scout) ClearSession() { s.session = SessionStats{} }
-
-// AddServe folds one serving run's robustness outcomes for this session
-// into the ledger (see SessionStats.AddServe). The serving loop lives in
-// internal/engine, which only knows the prefetch.Prefetcher interface, so
-// the fold happens at the layer that owns both ends (the experiments).
-func (s *Scout) AddServe(faultRetries, shedPrefetches int64, rejected bool) {
-	s.session.AddServe(faultRetries, shedPrefetches, rejected)
-}
-
-// AddOpenLoop folds one open-loop serving run's churn outcomes for this
-// session into the ledger (see SessionStats.AddOpenLoop).
-func (s *Scout) AddOpenLoop(abandoned bool, lostQueries int64) {
-	s.session.AddOpenLoop(abandoned, lostQueries)
-}
 
 // Plan implements prefetch.Prefetcher.
 func (s *Scout) Plan() prefetch.Plan { return s.plan }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"time"
 
 	"scout/internal/flatindex"
@@ -81,7 +82,7 @@ func (s *ScoutOpt) Observe(obs prefetch.Observation) {
 	reset := len(s.prevExits) == 0
 	if !reset {
 		s.projPts = appendProjectedPoints(s.projPts[:0], s.prevExits, estGap)
-		g, startVerts, sparsePages, advanced = s.sparseBuild(obs, bounds, tol, s.projPts, startVerts)
+		g, startVerts, sparsePages = s.sparseBuild(obs, bounds, tol, s.projPts, startVerts)
 		if len(startVerts) == 0 {
 			reset = true // candidate lost: rebuild in full
 		} else {
@@ -176,12 +177,10 @@ func (s *ScoutOpt) Observe(obs prefetch.Observation) {
 // exits, expanding through page neighborhood links, and leaves the rest of
 // the result pages out of the graph entirely. exitPts are the previous
 // exits projected across the gap; startVerts is an empty recycled buffer.
-// It returns the graph (in the shared arena), the start vertices matched to
-// the previous exits, the number of pages whose objects were added, and
-// whether the arena was advanced in place (first-touch re-adds: surviving
-// vertices keep their cells and edges and cost a table lookup instead of a
-// voxel walk) rather than reset.
-func (s *ScoutOpt) sparseBuild(obs prefetch.Observation, bounds geom.AABB, tol float64, exitPts []geom.Vec3, startVerts []int32) (*sgraph.Graph, []int32, int, bool) {
+// It returns the graph (in the shared arena, reset for this query), the
+// start vertices matched to the previous exits, and the number of pages
+// whose objects were added.
+func (s *ScoutOpt) sparseBuild(obs prefetch.Observation, bounds geom.AABB, tol float64, exitPts []geom.Vec3, startVerts []int32) (*sgraph.Graph, []int32, int) {
 	s.inResult.reset()
 	for _, id := range obs.Result {
 		s.inResult.add(uint32(id))
@@ -206,7 +205,7 @@ func (s *ScoutOpt) sparseBuild(obs prefetch.Observation, bounds geom.AABB, tol f
 	}
 	if len(queue) == 0 {
 		s.pageQueue = queue
-		return nil, nil, 0, false
+		return nil, nil, 0
 	}
 
 	// Sparse construction is itself the paper's incremental mechanism: it
@@ -224,11 +223,9 @@ func (s *ScoutOpt) sparseBuild(obs prefetch.Observation, bounds geom.AABB, tol f
 		p := queue[head]
 		pagesUsed++
 
-		// Build the subgraph of page P: add its result objects. First-touch
-		// semantics make the delta lifecycle transparent: a surviving vertex
-		// re-added by its page counts as added exactly once, so crossing
-		// detection and page expansion below see the same objects a fresh
-		// sparse build would.
+		// Build the subgraph of page P: add its result objects. Only an
+		// object's first touch this query counts as added, so crossing
+		// detection and page expansion below see each object once.
 		added := s.pageAdded[:0]
 		page := s.store.PageSlice(p)
 		for i := range page {
@@ -282,7 +279,7 @@ func (s *ScoutOpt) sparseBuild(obs prefetch.Observation, bounds geom.AABB, tol f
 		s.pageAdded = added[:0]
 	}
 	s.pageQueue = queue[:0]
-	return g, startVerts, pagesUsed, false
+	return g, startVerts, pagesUsed
 }
 
 // nearAny reports whether p is within tol of any of the points.
@@ -516,7 +513,7 @@ func farthestAlong(g *sgraph.Graph, starts []int32, e sgraph.Boundary, estGap, s
 		if d > farDist {
 			farDist = d
 		}
-		if err := abs(d - estGap); err < bestErr {
+		if err := math.Abs(d - estGap); err < bestErr {
 			bestErr = err
 			dir := o.Seg.Dir().Normalize()
 			// Orient the direction away from the exit.
@@ -527,13 +524,6 @@ func farthestAlong(g *sgraph.Graph, starts []int32, e sgraph.Boundary, estGap, s
 		}
 	}
 	return best, farDist >= estGap*0.9
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 var _ prefetch.Prefetcher = (*ScoutOpt)(nil)

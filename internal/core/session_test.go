@@ -59,29 +59,3 @@ func TestSessionStatsSurviveReset(t *testing.T) {
 		t.Errorf("clone inherited session ledger %+v", got)
 	}
 }
-
-// TestSessionStatsAddServe pins the serving-layer fold: AddServe
-// accumulates fault retries and shed prefetch windows, counts rejections,
-// and — like the rest of the ledger — survives Reset but not ClearSession.
-func TestSessionStatsAddServe(t *testing.T) {
-	var ss SessionStats
-	ss.AddServe(3, 2, false)
-	ss.AddServe(4, 0, true)
-	ss.AddServe(0, 5, true)
-	want := SessionStats{FaultRetries: 7, ShedPrefetches: 7, Rejected: 2}
-	if ss != want {
-		t.Errorf("ledger = %+v, want %+v", ss, want)
-	}
-
-	w := newChainWorld(t, 3, 200, 20)
-	s := New(w.store, nil, DefaultConfig())
-	s.AddServe(11, 1, true)
-	s.Reset()
-	if got := s.Session(); got.FaultRetries != 11 || got.ShedPrefetches != 1 || got.Rejected != 1 {
-		t.Errorf("Reset cleared serving outcomes: %+v", got)
-	}
-	s.ClearSession()
-	if got := s.Session(); got != (SessionStats{}) {
-		t.Errorf("ClearSession left %+v", got)
-	}
-}

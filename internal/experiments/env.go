@@ -207,9 +207,6 @@ func ParseHedge(h float64) (float64, error) {
 	return h, nil
 }
 
-// DefaultOptions runs experiments at the documented scale.
-func DefaultOptions() Options { return Options{Scale: 1.0, Seed: 7} }
-
 func (o Options) withDefaults() Options {
 	if o.Scale <= 0 {
 		o.Scale = 1.0

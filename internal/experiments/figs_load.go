@@ -216,13 +216,6 @@ func load1Sweep(env *Env) (points []loadPoint, slo, patience time.Duration, capa
 				cfg.Admission = adm
 			}
 			sr := plans.Serve(cfg)
-			for i, sw := range w {
-				if sc, ok := sw.Prefetcher.(*core.Scout); ok {
-					out := sr.Sessions[i]
-					sc.AddServe(out.FaultRetries, out.ShedPrefetches, out.Rejected)
-					sc.AddOpenLoop(out.Abandoned, out.LostQueries)
-				}
-			}
 			lat := summarize(sr.Responses())
 			points = append(points, loadPoint{
 				Mult:      mult,

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"scout/internal/core"
 	"scout/internal/engine"
 	"scout/internal/fault"
 )
@@ -58,7 +57,7 @@ func Rob1(env *Env) Result {
 	opt := env.Options()
 	n := opt.robSessions()
 	policy := opt.muDefaultPolicy()
-	w, plans := muPlan(env, s, n)
+	_, plans := muPlan(env, s, n)
 	// The objective: -slo when given, else the fault-free unmitigated run's
 	// own p95 — scale-free (residual latencies grow with dataset scale, a
 	// fixed objective would saturate at 0% or 100% violations) and
@@ -97,15 +96,6 @@ func Rob1(env *Env) Result {
 				cfg.Admission = engine.DefaultAdmissionConfig()
 			}
 			sr := plans.Serve(cfg)
-			// Fold each session's robustness outcomes into its prefetcher's
-			// session ledger — the operator-facing counterpart of the
-			// engine's ServeResult counters.
-			for i, sw := range w {
-				if sc, ok := sw.Prefetcher.(*core.Scout); ok {
-					out := sr.Sessions[i]
-					sc.AddServe(out.FaultRetries, out.ShedPrefetches, out.Rejected)
-				}
-			}
 			lat := summarize(sr.Responses())
 			res.AddRow(prof, mode.name,
 				ms(lat.P50),

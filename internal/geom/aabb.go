@@ -61,15 +61,6 @@ func (b AABB) Volume() float64 {
 	return s.X * s.Y * s.Z
 }
 
-// SurfaceArea returns the total surface area of the box (0 if empty).
-func (b AABB) SurfaceArea() float64 {
-	if b.IsEmpty() {
-		return 0
-	}
-	s := b.Size()
-	return 2 * (s.X*s.Y + s.Y*s.Z + s.Z*s.X)
-}
-
 // Contains reports whether point p lies inside or on the boundary of b.
 func (b AABB) Contains(p Vec3) bool {
 	return p.X >= b.Min.X && p.X <= b.Max.X &&
@@ -151,22 +142,6 @@ func (b AABB) DistSq(p Vec3) float64 {
 
 // Dist returns the distance from p to the box (0 if inside).
 func (b AABB) Dist(p Vec3) float64 { return math.Sqrt(b.DistSq(p)) }
-
-// Corner returns the i-th corner of the box, i in [0,8). Bit 0 selects the
-// X extreme, bit 1 the Y extreme, bit 2 the Z extreme.
-func (b AABB) Corner(i int) Vec3 {
-	p := b.Min
-	if i&1 != 0 {
-		p.X = b.Max.X
-	}
-	if i&2 != 0 {
-		p.Y = b.Max.Y
-	}
-	if i&4 != 0 {
-		p.Z = b.Max.Z
-	}
-	return p
-}
 
 // String renders the box as "[min → max]".
 func (b AABB) String() string {

@@ -95,9 +95,6 @@ func TestAABBVolumeSurface(t *testing.T) {
 	if b.Volume() != 24 {
 		t.Errorf("Volume = %v", b.Volume())
 	}
-	if b.SurfaceArea() != 2*(6+12+8) {
-		t.Errorf("SurfaceArea = %v", b.SurfaceArea())
-	}
 }
 
 func TestAABBInflateScale(t *testing.T) {
@@ -128,21 +125,6 @@ func TestAABBClosestPointDist(t *testing.T) {
 	}
 	if got := b.Dist(V(5, 5, 5)); got != 0 {
 		t.Errorf("Dist(inside) = %v", got)
-	}
-}
-
-func TestAABBCorners(t *testing.T) {
-	b := Box(V(0, 0, 0), V(1, 2, 3))
-	seen := map[Vec3]bool{}
-	for i := 0; i < 8; i++ {
-		c := b.Corner(i)
-		if !b.Contains(c) {
-			t.Errorf("corner %d outside box", i)
-		}
-		seen[c] = true
-	}
-	if len(seen) != 8 {
-		t.Errorf("corners not distinct: %d unique", len(seen))
 	}
 }
 

@@ -1,9 +1,6 @@
 package geom
 
-import (
-	"math/rand"
-	"testing"
-)
+import "testing"
 
 func BenchmarkHilbert3D(b *testing.B) {
 	b.ReportAllocs()
@@ -43,22 +40,6 @@ func BenchmarkTriangleIntersectsAABB(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tr.IntersectsAABB(box)
-	}
-}
-
-func BenchmarkGridSegmentCells(b *testing.B) {
-	g := NewGridWithCells(Box(V(0, 0, 0), V(100, 100, 100)), 32768)
-	rng := rand.New(rand.NewSource(1))
-	segs := make([]Segment, 256)
-	for i := range segs {
-		a := V(rng.Float64()*100, rng.Float64()*100, rng.Float64()*100)
-		segs[i] = Seg(a, a.Add(V(rng.NormFloat64()*4, rng.NormFloat64()*4, rng.NormFloat64()*4)))
-	}
-	var buf []int
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = g.SegmentCells(segs[i%len(segs)], buf[:0])
 	}
 }
 

@@ -6,8 +6,8 @@ package geom
 // coordinates are converted to/from the transposed Hilbert representation
 // and then the bits are interleaved into a single index.
 
-// HilbertBits is the per-axis resolution used by Hilbert3D helpers that
-// quantize continuous coordinates: 2^HilbertBits cells per axis.
+// HilbertBits is the default per-axis resolution for quantizing continuous
+// coordinates onto the curve: 2^HilbertBits cells per axis.
 const HilbertBits = 10
 
 // Hilbert3D returns the Hilbert index of the integer cell (x, y, z), each
@@ -99,14 +99,9 @@ func transposeToAxes(X *[3]uint32, bits int) {
 	}
 }
 
-// HilbertKey quantizes a point within world bounds onto a 2^HilbertBits grid
-// and returns its Hilbert index. Points outside the bounds are clamped.
-func HilbertKey(p Vec3, world AABB) uint64 {
-	return HilbertKeyBits(p, world, HilbertBits)
-}
-
-// HilbertKeyBits is HilbertKey with a configurable per-axis resolution of
-// 2^bits cells, so callers can match the cell size to their query size.
+// HilbertKeyBits quantizes a point within world bounds onto a grid of 2^bits
+// cells per axis and returns its Hilbert index; callers match the cell size
+// to their query size. Points outside the bounds are clamped.
 func HilbertKeyBits(p Vec3, world AABB, bits int) uint64 {
 	cells := int64(1) << uint(bits)
 	s := world.Size()
@@ -131,14 +126,8 @@ func HilbertKeyBits(p Vec3, world AABB, bits int) uint64 {
 	)
 }
 
-// HilbertCellBounds returns the world-space box of the Hilbert grid cell
-// containing the given Hilbert key.
-func HilbertCellBounds(key uint64, world AABB) AABB {
-	return HilbertCellBoundsBits(key, world, HilbertBits)
-}
-
-// HilbertCellBoundsBits is HilbertCellBounds with a configurable per-axis
-// resolution of 2^bits cells.
+// HilbertCellBoundsBits returns the world-space box of the cell of a grid of
+// 2^bits cells per axis that holds the given Hilbert key.
 func HilbertCellBoundsBits(key uint64, world AABB, bits int) AABB {
 	cells := float64(int64(1) << uint(bits))
 	x, y, z := Hilbert3DInverse(key, bits)

@@ -72,16 +72,14 @@ func TestHilbertRoundTripQuick(t *testing.T) {
 
 func TestHilbertKeyClamping(t *testing.T) {
 	world := Box(V(0, 0, 0), V(100, 100, 100))
-	inside := HilbertKey(V(50, 50, 50), world)
-	_ = inside
 	// Outside points clamp rather than panic, and clamp to boundary cells.
-	a := HilbertKey(V(-10, 50, 50), world)
-	b := HilbertKey(V(0, 50, 50), world)
+	a := HilbertKeyBits(V(-10, 50, 50), world, HilbertBits)
+	b := HilbertKeyBits(V(0, 50, 50), world, HilbertBits)
 	if a != b {
 		t.Errorf("clamped key %d != boundary key %d", a, b)
 	}
-	c := HilbertKey(V(1000, 50, 50), world)
-	d := HilbertKey(V(100, 50, 50), world)
+	c := HilbertKeyBits(V(1000, 50, 50), world, HilbertBits)
+	d := HilbertKeyBits(V(100, 50, 50), world, HilbertBits)
 	if c != d {
 		t.Errorf("clamped key %d != boundary key %d", c, d)
 	}
@@ -100,7 +98,7 @@ func TestHilbertKeyLocality(t *testing.T) {
 			p := V(rng.Float64()*90+5, rng.Float64()*90+5, rng.Float64()*90+5)
 			dir := V(rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()).Normalize()
 			q := p.Add(dir.Scale(dist))
-			a, b := HilbertKey(p, world), HilbertKey(q, world)
+			a, b := HilbertKeyBits(p, world, HilbertBits), HilbertKeyBits(q, world, HilbertBits)
 			if a > b {
 				a, b = b, a
 			}
@@ -118,8 +116,8 @@ func TestHilbertKeyLocality(t *testing.T) {
 func TestHilbertCellBounds(t *testing.T) {
 	world := Box(V(0, 0, 0), V(100, 100, 100))
 	p := V(33, 66, 12)
-	key := HilbertKey(p, world)
-	cell := HilbertCellBounds(key, world)
+	key := HilbertKeyBits(p, world, HilbertBits)
+	cell := HilbertCellBoundsBits(key, world, HilbertBits)
 	if !cell.Contains(p) {
 		t.Errorf("cell %v does not contain %v", cell, p)
 	}

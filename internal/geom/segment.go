@@ -28,9 +28,6 @@ func (s Segment) At(t float64) Vec3 { return s.A.Lerp(s.B, t) }
 // Bounds returns the tight axis-aligned bounding box of the segment.
 func (s Segment) Bounds() AABB { return Box(s.A, s.B) }
 
-// Reversed returns the segment traversed in the opposite direction.
-func (s Segment) Reversed() Segment { return Segment{A: s.B, B: s.A} }
-
 // ClosestParam returns the parameter t in [0,1] of the point on the segment
 // closest to p.
 func (s Segment) ClosestParam(p Vec3) float64 {
@@ -172,41 +169,4 @@ func (s Segment) ClipAABB(b AABB) (tmin, tmax float64, ok bool) {
 		return 0, 0, false
 	}
 	return tmin, tmax, true
-}
-
-// CrossesBoundary reports whether the segment crosses the boundary of b,
-// and classifies the crossing: enters is true when A is outside and part of
-// the segment is inside; exits is true when B is outside and part of the
-// segment is inside. A segment can both enter and exit (it threads through).
-func (s Segment) CrossesBoundary(b AABB) (enters, exits bool) {
-	inA := b.Contains(s.A)
-	inB := b.Contains(s.B)
-	if inA && inB {
-		return false, false
-	}
-	if !s.IntersectsAABB(b) {
-		return false, false
-	}
-	return !inA, !inB
-}
-
-// ExitPoint returns the point where the segment leaves box b, assuming the
-// segment starts inside (or crossing) b. ok is false when the segment never
-// intersects b.
-func (s Segment) ExitPoint(b AABB) (Vec3, bool) {
-	_, tmax, ok := s.ClipAABB(b)
-	if !ok {
-		return Vec3{}, false
-	}
-	return s.At(tmax), true
-}
-
-// EntryPoint returns the point where the segment first enters box b. ok is
-// false when the segment never intersects b.
-func (s Segment) EntryPoint(b AABB) (Vec3, bool) {
-	tmin, _, ok := s.ClipAABB(b)
-	if !ok {
-		return Vec3{}, false
-	}
-	return s.At(tmin), true
 }

@@ -17,9 +17,6 @@ func TestSegmentBasics(t *testing.T) {
 	if s.At(0.25) != V(2.5, 0, 0) {
 		t.Errorf("At = %v", s.At(0.25))
 	}
-	if s.Reversed() != Seg(V(10, 0, 0), V(0, 0, 0)) {
-		t.Errorf("Reversed = %v", s.Reversed())
-	}
 	if s.Bounds() != Box(V(0, 0, 0), V(10, 0, 0)) {
 		t.Errorf("Bounds = %v", s.Bounds())
 	}
@@ -146,44 +143,6 @@ func TestSegmentClipAABB(t *testing.T) {
 	s3 := Seg(V(20, 5, -5), V(20, 5, 15))
 	if _, _, ok := s3.ClipAABB(b); ok {
 		t.Error("clip should fail for segment outside slab")
-	}
-}
-
-func TestSegmentEntryExitPoints(t *testing.T) {
-	b := Box(V(0, 0, 0), V(10, 10, 10))
-	s := Seg(V(5, 5, 5), V(25, 5, 5)) // starts inside, exits +x
-	exit, ok := s.ExitPoint(b)
-	if !ok || !vecAlmostEq(exit, V(10, 5, 5), 1e-9) {
-		t.Errorf("ExitPoint = %v, ok=%v", exit, ok)
-	}
-	entry, ok := s.EntryPoint(b)
-	if !ok || !vecAlmostEq(entry, V(5, 5, 5), 1e-9) {
-		t.Errorf("EntryPoint = %v, ok=%v", entry, ok)
-	}
-	s2 := Seg(V(-5, 5, 5), V(5, 5, 5)) // enters from −x
-	entry2, ok := s2.EntryPoint(b)
-	if !ok || !vecAlmostEq(entry2, V(0, 5, 5), 1e-9) {
-		t.Errorf("EntryPoint = %v, ok=%v", entry2, ok)
-	}
-}
-
-func TestSegmentCrossesBoundary(t *testing.T) {
-	b := Box(V(0, 0, 0), V(10, 10, 10))
-	cases := []struct {
-		s             Segment
-		enters, exits bool
-	}{
-		{Seg(V(1, 1, 1), V(2, 2, 2)), false, false},       // inside
-		{Seg(V(5, 5, 5), V(15, 5, 5)), false, true},       // exits
-		{Seg(V(-5, 5, 5), V(5, 5, 5)), true, false},       // enters
-		{Seg(V(-5, 5, 5), V(15, 5, 5)), true, true},       // threads
-		{Seg(V(20, 20, 20), V(30, 30, 30)), false, false}, // outside
-	}
-	for i, c := range cases {
-		en, ex := c.s.CrossesBoundary(b)
-		if en != c.enters || ex != c.exits {
-			t.Errorf("case %d: (enters,exits) = (%v,%v), want (%v,%v)", i, en, ex, c.enters, c.exits)
-		}
 	}
 }
 

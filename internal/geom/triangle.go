@@ -20,14 +20,6 @@ func (t Triangle) Bounds() AABB {
 	return Box(t.A, t.B).ExtendPoint(t.C)
 }
 
-// Normal returns the (non-normalized) face normal.
-func (t Triangle) Normal() Vec3 {
-	return t.B.Sub(t.A).Cross(t.C.Sub(t.A))
-}
-
-// Area returns the area of the triangle.
-func (t Triangle) Area() float64 { return t.Normal().Len() / 2 }
-
 // IntersectsAABB reports whether the triangle intersects box b, using the
 // separating-axis test of Akenine-Möller ("Fast 3D Triangle-Box Overlap
 // Testing"). The 13 candidate axes are the 3 box face normals, the triangle

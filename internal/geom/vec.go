@@ -104,21 +104,6 @@ func (v Vec3) Component(i int) float64 {
 	panic(fmt.Sprintf("geom: invalid component index %d", i))
 }
 
-// WithComponent returns a copy of v with the i-th component set to x.
-func (v Vec3) WithComponent(i int, x float64) Vec3 {
-	switch i {
-	case 0:
-		v.X = x
-	case 1:
-		v.Y = x
-	case 2:
-		v.Z = x
-	default:
-		panic(fmt.Sprintf("geom: invalid component index %d", i))
-	}
-	return v
-}
-
 // IsFinite reports whether every component is a finite number.
 func (v Vec3) IsFinite() bool {
 	return !math.IsNaN(v.X) && !math.IsInf(v.X, 0) &&

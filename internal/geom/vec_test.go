@@ -101,9 +101,6 @@ func TestVecComponent(t *testing.T) {
 			t.Errorf("Component(%d) = %v, want %v", i, got, want)
 		}
 	}
-	if got := v.WithComponent(1, 42); got != V(7, 42, 9) {
-		t.Errorf("WithComponent = %v", got)
-	}
 }
 
 func TestVecComponentPanics(t *testing.T) {

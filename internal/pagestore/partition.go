@@ -20,13 +20,6 @@ type Partition struct {
 	// bounds[i] is the first physical slot of shard i; bounds[shards] == n.
 	// Shard i owns physical [bounds[i], bounds[i+1]).
 	bounds []PageID
-	// sources[t] lists the home shards whose ranges shard t holds a
-	// readable copy of, primary first: t itself, then the homes chained
-	// onto it ((t-k+S)%S for k = 1..R-1). Built at construction — the
-	// replica slices are laid out when the shard fleet is, exactly like
-	// Relayout installs a permutation once — so failover routing is pure
-	// arithmetic at serve time.
-	sources [][]int
 }
 
 // NewPartition builds an S-way partition over the store's physical slots.
@@ -56,14 +49,6 @@ func NewReplicatedPartition(s *Store, shards, replicas int) *Partition {
 	for i := 0; i <= shards; i++ {
 		p.bounds[i] = PageID(i * n / shards)
 	}
-	p.sources = make([][]int, shards)
-	for t := 0; t < shards; t++ {
-		src := make([]int, replicas)
-		for k := 0; k < replicas; k++ {
-			src[k] = ((t-k)%shards + shards) % shards
-		}
-		p.sources[t] = src
-	}
 	return p
 }
 
@@ -77,17 +62,6 @@ func (p *Partition) Replicas() int { return p.replicas }
 // for k == 0, then the next shards in index order mod S. k must be below
 // Replicas().
 func (p *Partition) ReplicaShard(home, k int) int { return (home + k) % p.shards }
-
-// ReplicaSources returns the home shards whose ranges shard t can serve,
-// primary first. The returned slice is shared; callers must not mutate it.
-func (p *Partition) ReplicaSources(t int) []int { return p.sources[t] }
-
-// Serves reports whether shard t holds a readable copy of home's range —
-// t is within home's replica chain.
-func (p *Partition) Serves(t, home int) bool {
-	d := ((t-home)%p.shards + p.shards) % p.shards
-	return d < p.replicas
-}
 
 // Bounds returns shard i's half-open physical range [lo, hi).
 func (p *Partition) Bounds(i int) (lo, hi PageID) { return p.bounds[i], p.bounds[i+1] }

@@ -148,54 +148,6 @@ func TestAdvanceEquivalentToFreshBuild(t *testing.T) {
 	}
 }
 
-// TestBeginEndAdvanceEquivalentToFreshBuild covers the re-add lifecycle used
-// by SCOUT-OPT's sparse construction: re-adding the new result between
-// BeginAdvance and EndAdvance must leave exactly the fresh build's graph.
-func TestBeginEndAdvanceEquivalentToFreshBuild(t *testing.T) {
-	store, _, _ := benchWorld(1200)
-	rng := rand.New(rand.NewSource(17))
-	const res = 4096
-	side := 14.0
-	region := geom.Box(geom.V(1, 1, 1), geom.V(1+side, 1+side, 1+side))
-
-	resultFor := func(region geom.AABB) []pagestore.ObjectID {
-		var out []pagestore.ObjectID
-		for i := 0; i < store.NumObjects(); i++ {
-			id := pagestore.ObjectID(i)
-			if store.Object(id).IntersectsBox(region) && rng.Intn(6) != 0 {
-				out = append(out, id)
-			}
-		}
-		return out
-	}
-
-	result := resultFor(region)
-	g := Build(store, region, res, result)
-	for round := 0; round < 10; round++ {
-		region = region.Translate(geom.V(rng.Float64()*6-1, rng.Float64()*6-1, rng.Float64()*6-1))
-		result = resultFor(region)
-		if !g.BeginAdvance(region, res) {
-			t.Fatalf("round %d: BeginAdvance refused a same-size window", round)
-		}
-		firsts := 0
-		for _, id := range result {
-			if _, first := g.AddObjectFirst(id); first {
-				firsts++
-			}
-		}
-		g.EndAdvance()
-		if firsts != len(result) {
-			t.Fatalf("round %d: %d first-touches for %d result objects", round, firsts, len(result))
-		}
-		fresh := freshOnSameLattice(g, result)
-		got, want := canonicalFingerprint(g, region), canonicalFingerprint(fresh, region)
-		if got != want {
-			t.Fatalf("round %d: advanced graph differs from fresh build\nadvanced: %s\nfresh:    %s",
-				round, got, want)
-		}
-	}
-}
-
 // TestAdvanceFallbacks pins when the delta lifecycle must refuse: resolution
 // changes, query-volume changes (different cell size), explicit-adjacency
 // mismatch, and windows drifting beyond the packed coordinate range.
@@ -363,10 +315,10 @@ func checkSimpleEdges(t *testing.T, g *Graph, step string) {
 
 // TestHashedEdgesAreSimple: grid hashing links the edges of a vertex that
 // starts its walk without any (new or resurrected) without a duplicate scan,
-// and connects those of a window-growth re-walk with one. Through Reset,
-// Advance with resurrections and window growth, and the re-add lifecycle, at
-// a coarse 8-cell grid (many objects per cell) and the default resolution,
-// no adjacency list may repeat a neighbour.
+// and connects those of a window-growth re-walk with one. Through Reset and
+// Advance with resurrections and window growth, at a coarse 8-cell grid
+// (many objects per cell) and the default resolution, no adjacency list may
+// repeat a neighbour.
 func TestHashedEdgesAreSimple(t *testing.T) {
 	store, _, _ := benchWorld(1500)
 	for _, res := range []int{8, 32768} {
@@ -424,16 +376,6 @@ func TestHashedEdgesAreSimple(t *testing.T) {
 				}
 				rewalked += g.BuildVertices() - len(added)
 				checkSimpleEdges(t, g, fmt.Sprintf("advance %d", round))
-
-				region = region.Translate(geom.V(0.5, 0, 0))
-				if !g.BeginAdvance(region, res) {
-					t.Fatalf("round %d: BeginAdvance refused a same-size window", round)
-				}
-				for _, id := range resultFor(region) {
-					g.AddObjectFirst(id)
-				}
-				g.EndAdvance()
-				checkSimpleEdges(t, g, fmt.Sprintf("re-add %d", round))
 			}
 			if resurrected == 0 || rewalked == 0 {
 				t.Fatalf("%d resurrections and %d window-growth re-walks: the walk did not cover both", resurrected, rewalked)

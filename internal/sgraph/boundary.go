@@ -1,9 +1,6 @@
 package sgraph
 
-import (
-	"scout/internal/geom"
-	"scout/internal/pagestore"
-)
+import "scout/internal/geom"
 
 // Boundary describes one crossing of the query-region boundary by a
 // structure: the vertex whose object straddles the boundary, the crossing
@@ -300,17 +297,5 @@ func (g *Graph) ReachableFrom(start []int32) []int32 {
 		}
 	}
 	g.stack = stack[:0]
-	return out
-}
-
-// VerticesOfObjects maps object IDs to their live vertices, skipping objects
-// not in the graph (or tombstoned).
-func (g *Graph) VerticesOfObjects(ids []pagestore.ObjectID) []int32 {
-	var out []int32
-	for _, id := range ids {
-		if v, ok := g.vert.get(uint32(id)); ok && !g.dead[v] {
-			out = append(out, v)
-		}
-	}
 	return out
 }

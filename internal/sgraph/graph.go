@@ -23,7 +23,7 @@
 //     extreme resolutions) with an array-linked occupant chain; the vertex
 //     table is an open-addressed intMap. Epoch stamps make clearing O(1).
 //
-//   - Advance (and the BeginAdvance/EndAdvance re-add variant) carries the
+//   - Advance (and AdvanceWithin, the gap-corridor variant) carries the
 //     graph from one query to the next without rebuilding: surviving
 //     vertices keep their grid-cell chains and adjacency untouched, departed
 //     vertices become epoch-stamped tombstones (compacted away periodically),
@@ -92,12 +92,6 @@ type Graph struct {
 	// clipped[v] records that v's segment was clipped by the lattice window
 	// when last hashed; window growth re-walks exactly these vertices.
 	clipped []bool
-	// keepGen/keepEpoch implement the BeginAdvance/EndAdvance re-add
-	// lifecycle: AddObject stamps touched vertices, EndAdvance tombstones
-	// the rest.
-	keepGen   []uint32
-	keepEpoch uint32
-	advancing bool
 
 	// Grid-cell directory: cell → head of its occupant chain in
 	// entVert/entNext (−1 terminates). Dense mode indexes cellHead by the
@@ -124,7 +118,7 @@ type Graph struct {
 	cellsTouched int
 
 	// Delta-work counters, reset at every lifecycle boundary (Reset, Advance,
-	// BeginAdvance): buildVerts counts vertices inserted, resurrected or
+	// AdvanceWithin): buildVerts counts vertices inserted, resurrected or
 	// re-walked; buildEdges counts edges created plus edges removed by kills;
 	// maintOps counts the cheap per-slot bookkeeping of lazy connectivity
 	// rebuilds, directory migration and compaction. The prefetchers charge
@@ -198,11 +192,9 @@ func (g *Graph) resetToLattice(lat lattice, resolution int) {
 	g.rank = g.rank[:0]
 	g.dead = g.dead[:0]
 	g.clipped = g.clipped[:0]
-	g.keepGen = g.keepGen[:0]
 	g.pairGen = g.pairGen[:0]
 	g.deadCount = 0
 	g.ufDirty = false
-	g.advancing = false
 	g.edges = 0
 	g.vert.reset()
 	g.ents = g.ents[:0]
@@ -280,49 +272,6 @@ func (g *Graph) Advance(bounds geom.AABB, resolution int, removed, added []pages
 	g.growWindow(bounds)
 	for _, id := range added {
 		g.AddObject(id)
-	}
-}
-
-// BeginAdvance starts a re-add delta lifecycle for callers that discover
-// the new result set incrementally: every AddObject between BeginAdvance
-// and EndAdvance stamps its vertex, surviving vertices cost a table lookup
-// instead of a voxel walk, and EndAdvance tombstones whatever was not
-// re-touched. Returns false — leaving the graph untouched — when the
-// lattice cannot be carried over; callers then Reset. SCOUT-OPT's sparse
-// construction, the intended consumer, currently rebuilds instead (its
-// sliding candidate window churns kill/resurrect cycles that cost more than
-// the small rebuild it replaces — see DESIGN.md §3); the lifecycle stays
-// available, equivalence-tested, for result sets that mostly persist.
-func (g *Graph) BeginAdvance(bounds geom.AABB, resolution int) bool {
-	if !g.CanAdvance(bounds, resolution) {
-		return false
-	}
-	g.maybeCompact()
-	g.resetBuildCounters()
-	g.keepEpoch++
-	if g.keepEpoch == 0 { // wrapped: stale stamps could collide, clear
-		for i := range g.keepGen {
-			g.keepGen[i] = 0
-		}
-		g.keepEpoch = 1
-	}
-	g.advancing = true
-	g.growWindow(bounds)
-	return true
-}
-
-// EndAdvance closes a BeginAdvance lifecycle: live vertices not re-added
-// since BeginAdvance are tombstoned. Compaction is deferred to the next
-// lifecycle boundary so vertex handles collected by the caller stay valid.
-func (g *Graph) EndAdvance() {
-	if !g.advancing {
-		return
-	}
-	g.advancing = false
-	for v := int32(0); v < int32(len(g.ids)); v++ {
-		if !g.dead[v] && g.keepGen[v] != g.keepEpoch {
-			g.kill(v)
-		}
 	}
 }
 
@@ -448,9 +397,6 @@ func (g *Graph) Contains(id pagestore.ObjectID) bool {
 	return ok && !g.dead[v]
 }
 
-// Dead reports whether vertex v is a tombstone.
-func (g *Graph) Dead(v int32) bool { return g.dead[v] }
-
 // ForEachLive calls f for every live vertex in index order.
 func (g *Graph) ForEachLive(f func(v int32, id pagestore.ObjectID)) {
 	for v := int32(0); v < int32(len(g.ids)); v++ {
@@ -460,51 +406,9 @@ func (g *Graph) ForEachLive(f func(v int32, id pagestore.ObjectID)) {
 	}
 }
 
-// AppendLiveVertices appends every live vertex to dst in index order.
-func (g *Graph) AppendLiveVertices(dst []int32) []int32 {
-	for v := int32(0); v < int32(len(g.ids)); v++ {
-		if !g.dead[v] {
-			dst = append(dst, v)
-		}
-	}
-	return dst
-}
-
 // Adj returns the adjacency list of vertex v (live vertices only — kills
 // detach their edges eagerly). Callers must not modify it.
 func (g *Graph) Adj(v int32) []int32 { return g.adj[v] }
-
-// cellChain returns the head of the occupant chain of the cell with the
-// given packed world key, or −1.
-func (g *Graph) cellChain(key uint64) int32 {
-	if g.denseCells {
-		sl := g.cellSlots[g.denseIndex(key)]
-		if sl.gen != g.cellEpoch {
-			return -1
-		}
-		return sl.head
-	}
-	if h, ok := g.cellMap64.get(key); ok {
-		return h
-	}
-	return -1
-}
-
-// setCellChain updates the occupant-chain head of the cell.
-func (g *Graph) setCellChain(key uint64, head int32) {
-	if g.denseCells {
-		g.cellSlots[g.denseIndex(key)] = cellSlot{head: head, gen: g.cellEpoch}
-		return
-	}
-	g.cellMap64.put(key, head)
-}
-
-// denseIndex converts a packed world key to the window-local dense index.
-func (g *Graph) denseIndex(key uint64) int {
-	ix, iy, iz := latticeCoords(key)
-	nx, ny, _ := g.lat.dims()
-	return (int(iz-g.lat.lo[2])*ny+int(iy-g.lat.lo[1]))*nx + int(ix-g.lat.lo[0])
-}
 
 // AddObject inserts the object as a vertex (idempotently) and, when grid
 // hashing is enabled, connects it to every object sharing a grid cell.
@@ -514,18 +418,13 @@ func (g *Graph) AddObject(id pagestore.ObjectID) int32 {
 	return v
 }
 
-// AddObjectFirst is AddObject also reporting whether this was the object's
-// first touch of the current lifecycle (insert, resurrection, or — inside a
-// BeginAdvance lifecycle — the survivor's keep-stamp). Incremental builders
-// use the flag to process each object exactly once per query regardless of
-// whether the arena already held it.
+// AddObjectFirst is AddObject also reporting whether the call inserted or
+// resurrected the object's vertex; re-adding a live vertex reports false.
+// Incremental builders use the flag to process each object exactly once per
+// query.
 func (g *Graph) AddObjectFirst(id pagestore.ObjectID) (int32, bool) {
 	if v, ok := g.vert.get(uint32(id)); ok {
 		if !g.dead[v] {
-			if g.advancing && g.keepGen[v] != g.keepEpoch {
-				g.keepGen[v] = g.keepEpoch
-				return v, true
-			}
 			return v, false
 		}
 		// Tombstoned: resurrect the slot. Its cell-chain entries are still in
@@ -533,7 +432,6 @@ func (g *Graph) AddObjectFirst(id pagestore.ObjectID) (int32, bool) {
 		// the vertex twice.
 		g.dead[v] = false
 		g.deadCount--
-		g.keepGen[v] = g.keepEpoch
 		g.entLive += int(g.cellCount[v]) // its chain entries are live again
 		g.buildVerts++
 		if g.gridOn {
@@ -555,7 +453,6 @@ func (g *Graph) AddObjectFirst(id pagestore.ObjectID) (int32, bool) {
 	g.rank = append(g.rank, 0)
 	g.dead = append(g.dead, false)
 	g.clipped = append(g.clipped, false)
-	g.keepGen = append(g.keepGen, g.keepEpoch)
 	g.cellCount = append(g.cellCount, 0)
 	g.pairGen = append(g.pairGen, 0)
 	g.buildVerts++
@@ -867,7 +764,6 @@ func (g *Graph) compact() {
 			// tail for recycling by later inserts.
 			g.adj[n], g.adj[v] = g.adj[v], g.adj[n]
 			g.clipped[n] = g.clipped[v]
-			g.keepGen[n] = g.keepGen[v]
 			g.cellCount[n] = g.cellCount[v]
 			g.pairGen[n] = g.pairGen[v]
 		}
@@ -878,7 +774,6 @@ func (g *Graph) compact() {
 	g.ids = g.ids[:n]
 	g.adj = g.adj[:n]
 	g.clipped = g.clipped[:n]
-	g.keepGen = g.keepGen[:n]
 	g.cellCount = g.cellCount[:n]
 	g.pairGen = g.pairGen[:n]
 	g.dead = g.dead[:n]

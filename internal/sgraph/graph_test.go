@@ -277,18 +277,6 @@ func TestMemoryBytesGrows(t *testing.T) {
 	}
 }
 
-func TestVerticesOfObjects(t *testing.T) {
-	store, chains := chainStore(1, 10, 1)
-	bounds := geom.Box(geom.V(-1, -1, -1), geom.V(11, 1, 1))
-	g := New(store, bounds, 4096)
-	g.AddObject(chains[0][0])
-	g.AddObject(chains[0][1])
-	vs := g.VerticesOfObjects([]pagestore.ObjectID{chains[0][0], chains[0][5], chains[0][1]})
-	if len(vs) != 2 {
-		t.Fatalf("got %d vertices, want 2 (missing object skipped)", len(vs))
-	}
-}
-
 // Property: at fine resolutions, grid hashing connects exactly those object
 // pairs that share a cell; as a consequence two objects far apart (more than
 // one cell diagonal + both lengths) are never connected directly.

@@ -8,10 +8,10 @@ import (
 
 // The delta lifecycle (Graph.Advance) keeps surviving vertices' grid cells
 // valid across consecutive, overlapping query regions. That only works if a
-// cell's identity does not depend on the query window: the seed's grid was
-// anchored at each query's bounds.Min, so every query invalidated every cell.
+// cell's identity does not depend on the query window: a grid anchored at
+// each query's bounds.Min would invalidate every cell on every query.
 //
-// lattice replaces it with a world-anchored cell lattice: cell boundaries
+// lattice is therefore a world-anchored cell lattice: cell boundaries
 // sit at integer multiples of the cell size in ABSOLUTE world coordinates
 // (cell (0,0,0) starts at the world origin), and a query's grid is merely a
 // window [lo, hi) of cell coordinates on that lattice, snapped around the
@@ -51,7 +51,6 @@ func latticeCoords(key uint64) (ix, iy, iz int32) {
 type lattice struct {
 	cell   geom.Vec3 // cell side lengths; boundaries at integer multiples
 	lo, hi [3]int32  // window: cells [lo, hi) per axis, absolute coordinates
-	win    geom.AABB // cached windowBox(), updated on every window change
 	// clip is the exact region segments are clipped against — the query
 	// bounds (or, after growth, the union of bounds the lifecycle has
 	// covered). The cell-aligned window necessarily extends past it;
@@ -61,8 +60,8 @@ type lattice struct {
 }
 
 // makeLattice derives the cell size the paper's parameterization implies
-// (resolution ≈ total cells, split evenly across axes — the same split as
-// geom.MakeGridWithCells), quantized so equal-volume queries at different
+// (resolution ≈ total cells, split evenly across axes: round(∛resolution)
+// cells per axis), quantized so equal-volume queries at different
 // centers — whose computed sizes differ in the last ulps — get ONE bit-exact
 // lattice phase, and snaps the smallest absolute-phase window around bounds.
 // Quantization is a pure function of the bounds, so a lattice never depends
@@ -101,7 +100,6 @@ func makeLatticeCell(bounds geom.AABB, cell geom.Vec3) lattice {
 		}
 		l.lo[a], l.hi[a] = int32(lo), int32(hi)
 	}
-	l.win = l.computeWindowBox()
 	return l
 }
 
@@ -124,22 +122,6 @@ func (l *lattice) numCells() int {
 // dims returns the window's per-axis cell counts.
 func (l *lattice) dims() (nx, ny, nz int) {
 	return int(l.hi[0] - l.lo[0]), int(l.hi[1] - l.lo[1]), int(l.hi[2] - l.lo[2])
-}
-
-// windowBox returns the window's world-space box (cached).
-func (l *lattice) windowBox() geom.AABB { return l.win }
-
-func (l *lattice) computeWindowBox() geom.AABB {
-	return geom.AABB{
-		Min: geom.V(
-			float64(l.lo[0])*l.cell.X,
-			float64(l.lo[1])*l.cell.Y,
-			float64(l.lo[2])*l.cell.Z),
-		Max: geom.V(
-			float64(l.hi[0])*l.cell.X,
-			float64(l.hi[1])*l.cell.Y,
-			float64(l.hi[2])*l.cell.Z),
-	}
 }
 
 // sameCell reports whether a lattice configured for (bounds, resolution)
@@ -228,12 +210,11 @@ func (l *lattice) grow(bounds geom.AABB) bool {
 			l.hi[a] = int32(ahi)
 		}
 	}
-	l.win = l.computeWindowBox()
 	return true
 }
 
 // coordsClamped returns the world cell coordinates of p, clamped into the
-// window (matching the seed grid's behavior for boundary points).
+// window, so a boundary point lands in the window's edge cell.
 func (l *lattice) coordsClamped(p geom.Vec3) (ix, iy, iz int32) {
 	ix = clampI32(floorCell(p.X, l.cell.X), l.lo[0], l.hi[0]-1)
 	iy = clampI32(floorCell(p.Y, l.cell.Y), l.lo[1], l.hi[1]-1)
@@ -276,9 +257,9 @@ func (l *lattice) strictlyContains(p geom.Vec3) bool {
 }
 
 // segmentCells appends the packed keys of every cell the segment passes
-// through inside the window, in traversal order without duplicates — the
-// same Amanatides–Woo DDA as geom.Grid.SegmentCells, but on world-anchored
-// coordinates so the result is window-independent for unclipped segments.
+// through inside the window, in traversal order without duplicates. It is
+// an Amanatides–Woo DDA on world-anchored coordinates, so the result is
+// window-independent for unclipped segments.
 func (l *lattice) segmentCells(s geom.Segment, dst []uint64, allInside bool) []uint64 {
 	// Fast path: a segment fully inside the window clips to (0, 1) — most
 	// result objects are interior, and the slab divisions dominate short
