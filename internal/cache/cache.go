@@ -164,8 +164,8 @@ func (c *Cache) Stats() Stats { return c.stats }
 func (c *Cache) ResetStats() { c.stats = Stats{} }
 
 // hashPage spreads page IDs over the table: Fibonacci multiply + fold, the
-// mix sgraph's tables use, so the physically sequential pages of a prefetch
-// run do not share a probe run.
+// mix idtable uses for 32-bit keys, so the physically sequential pages of a
+// prefetch run do not share a probe run.
 func hashPage(p pagestore.PageID) uint32 {
 	h := uint32(p) * 2654435769
 	return h ^ (h >> 16)

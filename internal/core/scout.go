@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"scout/internal/geom"
+	"scout/internal/idtable"
 	"scout/internal/pagestore"
 	"scout/internal/prefetch"
 	"scout/internal/sgraph"
@@ -102,7 +103,7 @@ type Scout struct {
 	graph      *sgraph.Graph
 	graphLive  bool
 	prevBounds geom.AABB
-	inResult   idSet
+	inResult   idtable.Set[pagestore.ObjectID]
 	startVerts []int32
 	projPts    []geom.Vec3
 	projDirs   []geom.Vec3
@@ -259,14 +260,14 @@ func (s *Scout) buildGraph(obs prefetch.Observation, bounds geom.AABB) (*sgraph.
 	}
 	if s.adjacency != nil {
 		g := s.resetGraph(bounds, 0)
-		s.inResult.reset()
+		s.inResult.Reset()
 		for _, id := range obs.Result {
-			s.inResult.add(uint32(id))
+			s.inResult.Add(id)
 		}
 		for _, id := range obs.Result {
 			g.AddObject(id)
 			for _, nb := range s.adjacency[id] {
-				if s.inResult.has(uint32(nb)) {
+				if s.inResult.Has(nb) {
 					g.ConnectExplicit(id, nb)
 				}
 			}
@@ -303,14 +304,14 @@ func (s *Scout) tryAdvance(obs prefetch.Observation, bounds geom.AABB, res int) 
 	if !s.graph.CanAdvance(bounds, res) {
 		return false
 	}
-	s.inResult.reset()
+	s.inResult.Reset()
 	for _, id := range obs.Result {
-		s.inResult.add(uint32(id))
+		s.inResult.Add(id)
 	}
 	removed := s.removedIDs[:0]
 	surviving := 0
 	s.graph.ForEachLive(func(_ int32, id pagestore.ObjectID) {
-		if s.inResult.has(uint32(id)) {
+		if s.inResult.Has(id) {
 			surviving++
 		} else {
 			removed = append(removed, id)
@@ -338,7 +339,7 @@ func (s *Scout) tryAdvance(obs prefetch.Observation, bounds geom.AABB, res int) 
 		// added side alone; survivor↔survivor edges persisted in the arena.
 		for _, id := range added {
 			for _, nb := range s.adjacency[id] {
-				if s.inResult.has(uint32(nb)) && s.graph.Contains(nb) {
+				if s.inResult.Has(nb) && s.graph.Contains(nb) {
 					s.graph.ConnectExplicit(id, nb)
 				}
 			}

@@ -6,6 +6,7 @@ import (
 
 	"scout/internal/flatindex"
 	"scout/internal/geom"
+	"scout/internal/idtable"
 	"scout/internal/pagestore"
 	"scout/internal/prefetch"
 	"scout/internal/sgraph"
@@ -21,18 +22,19 @@ type ScoutOpt struct {
 	flat *flatindex.Index
 
 	// Reusable per-query working set: candidate/visited page sets, the page
-	// expansion queue of sparse construction and one added vertex's
-	// crossings, and a second graph arena for gap traversal (the main arena
-	// holds the query's graph, which must survive while the gap corridors
-	// are explored). gapLive marks that the gap arena holds a corridor of
-	// this sequence; corridors of consecutive queries overlap along the
-	// followed structure, so the arena advances (AdvanceWithin) instead of
-	// resetting when the lattice carries over.
-	inCand    idSet
-	pageSeen  idSet
+	// expansion queue of sparse construction, one added vertex's crossings,
+	// the exits gap clustering keeps, and a second graph arena for gap
+	// traversal (the main arena holds the query's graph, which must survive
+	// while the gap corridors are explored). gapLive marks that the gap
+	// arena holds a corridor of this sequence; corridors of consecutive
+	// queries overlap along the followed structure, so the arena advances
+	// (AdvanceWithin) instead of resetting when the lattice carries over.
+	inCand    idtable.Set[pagestore.PageID]
+	pageSeen  idtable.Set[pagestore.PageID]
 	pageQueue []pagestore.PageID
 	pageAdded []int32
 	vertCross []sgraph.Boundary
+	distinct  []sgraph.Boundary
 	gapGraph  *sgraph.Graph
 	gapLive   bool
 	gapStarts []int32
@@ -123,11 +125,11 @@ func (s *ScoutOpt) Observe(obs prefetch.Observation) {
 		}
 		// Concentrate the tight I/O budget: cluster near-duplicate exits
 		// (boundary wiggles produce several crossings of the same
-		// structure) and follow at most two candidates across the gap.
-		distinct := dedupeExits(exits, side*0.4)
-		if len(distinct) > 2 {
-			distinct = distinct[:2]
-		}
+		// structure) and follow at most two candidates across the gap. The
+		// clustering compacts a copy: requestsFor reads exits below in their
+		// original order.
+		s.distinct = dedupeExitsInPlace(append(s.distinct[:0], exits...), side*0.4)
+		distinct := s.distinct[:min(len(s.distinct), 2)]
 		locs, gapPages, gapCost = s.gapTraverse(distinct, bounds, side, estGap, budget)
 	}
 
@@ -181,24 +183,24 @@ func (s *ScoutOpt) Observe(obs prefetch.Observation) {
 // start vertices matched to the previous exits, and the number of pages
 // whose objects were added.
 func (s *ScoutOpt) sparseBuild(obs prefetch.Observation, bounds geom.AABB, tol float64, exitPts []geom.Vec3, startVerts []int32) (*sgraph.Graph, []int32, int) {
-	s.inResult.reset()
+	s.inResult.Reset()
 	for _, id := range obs.Result {
-		s.inResult.add(uint32(id))
+		s.inResult.Add(id)
 	}
-	s.inCand.reset()
+	s.inCand.Reset()
 	for _, p := range obs.Pages {
-		s.inCand.add(uint32(p))
+		s.inCand.Add(p)
 	}
 
 	// Seed pages: candidate pages whose MBR comes within tol of an exit.
 	queue := s.pageQueue[:0]
-	s.pageSeen.reset()
+	s.pageSeen.Reset()
 	for _, p := range obs.Pages {
 		mbr := s.store.PageBounds(p)
 		for _, pt := range exitPts {
 			if mbr.DistSq(pt) <= tol*tol {
 				queue = append(queue, p)
-				s.pageSeen.add(uint32(p))
+				s.pageSeen.Add(p)
 				break
 			}
 		}
@@ -230,7 +232,7 @@ func (s *ScoutOpt) sparseBuild(obs prefetch.Observation, bounds geom.AABB, tol f
 		page := s.store.PageSlice(p)
 		for i := range page {
 			id := page[i].ID
-			if !s.inResult.has(uint32(id)) {
+			if !s.inResult.Has(id) {
 				continue
 			}
 			if v, first := s.addObjectMaybeExplicit(g, id); first {
@@ -266,11 +268,11 @@ func (s *ScoutOpt) sparseBuild(obs prefetch.Observation, bounds geom.AABB, tol f
 					continue // endpoint stays inside P: no page crossing
 				}
 				for _, q := range s.flat.Neighbors(p) {
-					if !s.inCand.has(uint32(q)) || s.pageSeen.has(uint32(q)) {
+					if !s.inCand.Has(q) || s.pageSeen.Has(q) {
 						continue
 					}
 					if s.store.PageBounds(q).Inflate(eps).Contains(pt) {
-						s.pageSeen.add(uint32(q))
+						s.pageSeen.Add(q)
 						queue = append(queue, q)
 					}
 				}
@@ -303,24 +305,6 @@ func connectedToAny(g *sgraph.Graph, v int32, verts []int32) bool {
 	return false
 }
 
-// dedupeExits merges exits whose crossing points are within tol.
-func dedupeExits(exits []sgraph.Boundary, tol float64) []sgraph.Boundary {
-	var out []sgraph.Boundary
-	for _, e := range exits {
-		dup := false
-		for _, o := range out {
-			if e.Point.Dist(o.Point) < tol {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // containsVert reports whether v is already in verts.
 func containsVert(verts []int32, v int32) bool {
 	for _, w := range verts {
@@ -339,7 +323,7 @@ func (s *ScoutOpt) addObjectMaybeExplicit(g *sgraph.Graph, id pagestore.ObjectID
 	v, first := g.AddObjectFirst(id)
 	if first && s.adjacency != nil {
 		for _, nb := range s.adjacency[id] {
-			if s.inResult.has(uint32(nb)) && g.Contains(nb) {
+			if s.inResult.Has(nb) && g.Contains(nb) {
 				g.ConnectExplicit(id, nb)
 			}
 		}
@@ -394,11 +378,11 @@ func (s *ScoutOpt) gapTraverse(exits []sgraph.Boundary, region geom.AABB, side, 
 		s.gapLive = true
 		g := s.gapGraph
 		ops0 := g.Ops()
-		s.pageSeen.reset()
+		s.pageSeen.Reset()
 		frontier := s.gapFronts[:0]
 		if seed, ok := s.flat.SeedPage(e.Point.Add(e.Dir.Scale(side * 0.02))); ok {
 			frontier = append(frontier, seed)
-			s.pageSeen.add(uint32(seed))
+			s.pageSeen.Add(seed)
 		}
 		// The traversal starts from the objects at the exit location —
 		// including carried-over corridor survivors already in the arena.
@@ -454,13 +438,13 @@ func (s *ScoutOpt) gapTraverse(exits []sgraph.Boundary, region geom.AABB, side, 
 				break
 			}
 			for _, q := range s.flat.Neighbors(p) {
-				if s.pageSeen.has(uint32(q)) {
+				if s.pageSeen.Has(q) {
 					continue
 				}
 				if !s.store.PageBounds(q).Intersects(corridor) {
 					continue
 				}
-				s.pageSeen.add(uint32(q))
+				s.pageSeen.Add(q)
 				frontier = append(frontier, q)
 			}
 		}

@@ -59,6 +59,7 @@ var codeCensus = map[string]codeRow{
 	"pagestore.Store.PageOf":           {"TestStorePagination", "every object's page must list it"},
 	"pagestore.Store.PageObjects":      {"TestStorePagination", "the page listings pagination and FuzzPaginate compare"},
 	"sgraph.Graph.Adj":                 {"TestNoSpuriousLongEdges", "reads adjacency lists; canonicalFingerprint and checkSimpleEdges do too"},
+	"sgraph.Graph.Components":          {"TestAdvanceEquivalentToFreshBuild", "canonicalFingerprint compares the components of advanced and fresh graphs; graphFingerprint does the same for reused arenas"},
 	"sgraph.Graph.ObjectAt":            {"TestAdvanceEquivalentToFreshBuild", "canonicalFingerprint names vertices by object, so advanced and fresh graphs compare"},
 	"sgraph.Graph.VertexOf":            {"TestReachableFrom", "looks up the start vertex of an object"},
 	"sgraph.Graph.VertexSlots":         {"TestAdvanceCompaction", "slots including tombstones show that compaction ran"},

@@ -48,7 +48,7 @@ func canonicalFingerprint(g *Graph, region geom.Region) string {
 	sort.Slice(comps, func(i, j int) bool { return comps[i][0] < comps[j][0] })
 
 	var crossings []string
-	for _, c := range g.Crossings(region) {
+	for _, c := range g.AppendCrossings(nil, region) {
 		crossings = append(crossings, fmt.Sprintf("%d %x %x %x %x %x %x",
 			g.ObjectAt(c.Vertex),
 			math.Float64bits(c.Point.X), math.Float64bits(c.Point.Y), math.Float64bits(c.Point.Z),

@@ -19,7 +19,7 @@ func graphFingerprint(t *testing.T, g *Graph, region geom.Region) (verts []pages
 		verts = append(verts, g.ObjectAt(v))
 		adj = append(adj, append([]int32(nil), g.Adj(v)...))
 	}
-	return verts, adj, g.Components(), g.Crossings(region)
+	return verts, adj, g.Components(), g.AppendCrossings(nil, region)
 }
 
 // TestGraphReuseEquivalence drives one arena graph through a series of

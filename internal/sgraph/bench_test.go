@@ -68,7 +68,7 @@ func BenchmarkGraphReuse(b *testing.B) {
 func BenchmarkReachableCrossings(b *testing.B) {
 	store, bounds, ids := benchWorld(1000)
 	g := Build(store, bounds, 32768, ids)
-	crossings := g.Crossings(bounds)
+	crossings := g.AppendCrossings(nil, bounds)
 	starts := make([]int32, 0, len(crossings))
 	for _, c := range crossings {
 		starts = append(starts, c.Vertex)

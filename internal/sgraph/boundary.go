@@ -19,28 +19,6 @@ type Boundary struct {
 	Dir    geom.Vec3
 }
 
-// Structure is one spatial structure inside a query result: a connected
-// component of the graph together with its boundary crossings. The guiding
-// structure the user follows is one of these (§4.1).
-type Structure struct {
-	Verts     []int32
-	Crossings []Boundary
-}
-
-// Structures returns every connected component annotated with its boundary
-// crossings relative to the region box.
-func (g *Graph) Structures(region geom.Region) []Structure {
-	comps := g.Components()
-	out := make([]Structure, len(comps))
-	for i, verts := range comps {
-		out[i].Verts = verts
-		for _, v := range verts {
-			out[i].Crossings = append(out[i].Crossings, g.crossingsOf(v, region)...)
-		}
-	}
-	return out
-}
-
 // crossingsOf computes the outward-oriented boundary crossings of vertex v's
 // segment with the region (box or frustum): zero, one (one endpoint
 // outside), or two (the segment threads through the region).
@@ -91,13 +69,8 @@ func (g *Graph) AppendVertexCrossings(dst []Boundary, v int32, region geom.Regio
 	return g.appendCrossingsOf(dst, v, region)
 }
 
-// Crossings returns every boundary crossing of the live graph relative to
-// the region, outward-oriented.
-func (g *Graph) Crossings(region geom.Region) []Boundary {
-	return g.AppendCrossings(nil, region)
-}
-
-// AppendCrossings is Crossings appending into a caller-recycled buffer: one
+// AppendCrossings appends every boundary crossing of the live graph
+// relative to the region, outward-oriented, to a caller-recycled buffer: one
 // pass over the live vertices, no per-vertex allocation. Boxes and frusta
 // take devirtualized paths — through the interface, containment and
 // clipping cost three dynamic dispatches per vertex, each of which copies a

@@ -21,7 +21,7 @@
 //     allocation-free at steady state. Grid cells live in an epoch-stamped
 //     dense directory (falling back to a world-keyed open-addressed table at
 //     extreme resolutions) with an array-linked occupant chain; the vertex
-//     table is an open-addressed intMap. Epoch stamps make clearing O(1).
+//     table is an idtable.Map. Epoch stamps make clearing O(1).
 //
 //   - Advance (and AdvanceWithin, the gap-corridor variant) carries the
 //     graph from one query to the next without rebuilding: surviving
@@ -36,6 +36,7 @@ package sgraph
 
 import (
 	"scout/internal/geom"
+	"scout/internal/idtable"
 	"scout/internal/pagestore"
 )
 
@@ -72,7 +73,7 @@ type Graph struct {
 	resolution int
 
 	ids  []pagestore.ObjectID
-	vert intMap // object ID → vertex (tombstoned entries stay until compaction)
+	vert idtable.Map[pagestore.ObjectID, int32] // object ID → vertex (tombstoned entries stay until compaction)
 	adj  [][]int32
 	// edges counts undirected edges among live vertices (kills remove their
 	// edges eagerly, so adjacency lists never contain dead vertices).
@@ -103,7 +104,7 @@ type Graph struct {
 	denseCells bool
 	cellSlots  []cellSlot
 	cellEpoch  uint32
-	cellMap64  intMap64
+	cellMap64  idtable.Map[uint64, int32]
 	ents       []entry
 	// cellCount[v] counts v's chain entries; entLive counts chain entries
 	// belonging to live vertices, so §8.2 memory accounting can exclude
@@ -135,8 +136,7 @@ type Graph struct {
 	// visitGen/visitEpoch/stack recycle the traversal working set of
 	// ReachableFrom and ReachableCrossings the same way; remapScratch,
 	// entScratch and the entAlt arrays are compaction's working set.
-	keyScratch  []uint64
-	cellScratch []int32
+	keyScratch []uint64
 	// pairGen/pairEpoch dedupe connect attempts within one vertex's hash
 	// walk: objects sharing several cells would otherwise re-scan adjacency
 	// per shared cell.
@@ -196,7 +196,7 @@ func (g *Graph) resetToLattice(lat lattice, resolution int) {
 	g.deadCount = 0
 	g.ufDirty = false
 	g.edges = 0
-	g.vert.reset()
+	g.vert.Reset()
 	g.ents = g.ents[:0]
 	g.cellCount = g.cellCount[:0]
 	g.entLive = 0
@@ -212,7 +212,7 @@ func (g *Graph) resetToLattice(lat lattice, resolution int) {
 	g.lat = lat
 	n := g.lat.numCells()
 	g.denseCells = n <= maxDenseCells
-	g.cellMap64.reset()
+	g.cellMap64.Reset()
 	if g.denseCells {
 		if cap(g.cellSlots) < n {
 			g.cellSlots = make([]cellSlot, n)
@@ -265,7 +265,7 @@ func (g *Graph) Advance(bounds geom.AABB, resolution int, removed, added []pages
 	g.maybeCompact()
 	g.resetBuildCounters()
 	for _, id := range removed {
-		if v, ok := g.vert.get(uint32(id)); ok && !g.dead[v] {
+		if v, ok := g.vert.Get(id); ok && !g.dead[v] {
 			g.kill(v)
 		}
 	}
@@ -334,7 +334,7 @@ func (g *Graph) migrateToWorldKeys() {
 			for i := 0; i < nx; i++ {
 				if g.cellSlots[idx].gen == g.cellEpoch {
 					key := latticeKey(int32(i)+g.lat.lo[0], int32(j)+g.lat.lo[1], int32(k)+g.lat.lo[2])
-					g.cellMap64.put(key, g.cellSlots[idx].head)
+					g.cellMap64.Put(key, g.cellSlots[idx].head)
 				}
 				idx++
 			}
@@ -385,7 +385,7 @@ func (g *Graph) ObjectOf(v int32) pagestore.Object {
 // VertexOf returns the live vertex of an object, or -1 when absent or
 // tombstoned.
 func (g *Graph) VertexOf(id pagestore.ObjectID) int32 {
-	if v, ok := g.vert.get(uint32(id)); ok && !g.dead[v] {
+	if v, ok := g.vert.Get(id); ok && !g.dead[v] {
 		return v
 	}
 	return -1
@@ -393,7 +393,7 @@ func (g *Graph) VertexOf(id pagestore.ObjectID) int32 {
 
 // Contains reports whether the object is a live vertex.
 func (g *Graph) Contains(id pagestore.ObjectID) bool {
-	v, ok := g.vert.get(uint32(id))
+	v, ok := g.vert.Get(id)
 	return ok && !g.dead[v]
 }
 
@@ -423,7 +423,7 @@ func (g *Graph) AddObject(id pagestore.ObjectID) int32 {
 // Incremental builders use the flag to process each object exactly once per
 // query.
 func (g *Graph) AddObjectFirst(id pagestore.ObjectID) (int32, bool) {
-	if v, ok := g.vert.get(uint32(id)); ok {
+	if v, ok := g.vert.Get(id); ok {
 		if !g.dead[v] {
 			return v, false
 		}
@@ -441,7 +441,7 @@ func (g *Graph) AddObjectFirst(id pagestore.ObjectID) (int32, bool) {
 	}
 	v := int32(len(g.ids))
 	g.ids = append(g.ids, id)
-	g.vert.put(uint32(id), v)
+	g.vert.Put(id, v)
 	if len(g.adj) < cap(g.adj) {
 		// Recycle the retired adjacency list parked at this slot.
 		g.adj = g.adj[:v+1]
@@ -522,7 +522,7 @@ func (g *Graph) hashVertex(v int32, checkPresent bool) {
 	} else {
 		for _, key := range keys {
 			head := int32(-1)
-			if h, ok := g.cellMap64.get(key); ok {
+			if h, ok := g.cellMap64.Get(key); ok {
 				head = h
 			} else {
 				g.cellsTouched++
@@ -533,7 +533,7 @@ func (g *Graph) hashVertex(v int32, checkPresent bool) {
 			}
 			g.ents = append(g.ents, entry{vert: v, next: head})
 			added++
-			g.cellMap64.put(key, int32(len(g.ents))-1)
+			g.cellMap64.Put(key, int32(len(g.ents))-1)
 		}
 	}
 	g.cellCount[v] += added
@@ -799,9 +799,9 @@ func (g *Graph) compact() {
 		}
 		g.maintOps += int64(len(a))
 	}
-	g.vert.reset()
+	g.vert.Reset()
 	for v := int32(0); v < n; v++ {
-		g.vert.put(uint32(g.ids[v]), v)
+		g.vert.Put(g.ids[v], v)
 	}
 	g.maintOps += int64(n)
 	if g.gridOn {
@@ -864,7 +864,7 @@ func (g *Graph) compactChains(remap []int32) {
 		heads := g.headScratch[:0]
 		keys := g.keyScratch[:0]
 		for _, key := range g.touchedCells {
-			head, ok := g.cellMap64.get(key)
+			head, ok := g.cellMap64.Get(key)
 			if !ok || head < 0 {
 				continue
 			}
@@ -873,9 +873,9 @@ func (g *Graph) compactChains(remap []int32) {
 				heads = append(heads, h)
 			}
 		}
-		g.cellMap64.reset()
+		g.cellMap64.Reset()
 		for i, key := range keys {
-			g.cellMap64.put(key, heads[i])
+			g.cellMap64.Put(key, heads[i])
 		}
 		g.headScratch = heads
 		g.keyScratch = keys[:0]

@@ -152,7 +152,7 @@ func TestCrossings(t *testing.T) {
 	result := boxResult(store, region)
 	g := Build(store, region, 4096, result)
 
-	crossings := g.Crossings(region)
+	crossings := g.AppendCrossings(nil, region)
 	if len(crossings) != 2 {
 		t.Fatalf("crossings = %d, want 2", len(crossings))
 	}
@@ -189,7 +189,7 @@ func TestCrossingsOutwardForReversedSegments(t *testing.T) {
 	region := geom.Box(geom.V(5.5, -1, -1), geom.V(10.5, 1, 1))
 	result := boxResult(store, region)
 	g := Build(store, region, 4096, result)
-	for _, c := range g.Crossings(region) {
+	for _, c := range g.AppendCrossings(nil, region) {
 		if vecAlmostEq(c.Point, geom.V(10.5, 0, 0), 1e-9) &&
 			!vecAlmostEq(c.Dir, geom.V(1, 0, 0), 1e-9) {
 			t.Errorf("front crossing dir = %v, want +x despite reversed storage", c.Dir)
@@ -203,25 +203,6 @@ func TestCrossingsOutwardForReversedSegments(t *testing.T) {
 
 func vecAlmostEq(a, b geom.Vec3, tol float64) bool {
 	return math.Abs(a.X-b.X) <= tol && math.Abs(a.Y-b.Y) <= tol && math.Abs(a.Z-b.Z) <= tol
-}
-
-func TestStructuresAnnotation(t *testing.T) {
-	store, _ := chainStore(2, 20, 0.5) // two parallel chains 0.5 apart? too close
-	_ = store
-	// Use wider spacing to keep chains distinct.
-	store2, _ := chainStore(2, 20, 3)
-	region := geom.Box(geom.V(5.2, -1, -1), geom.V(10.2, 4, 4))
-	result := boxResult(store2, region)
-	g := Build(store2, region, 32768, result)
-	sts := g.Structures(region)
-	if len(sts) != 2 {
-		t.Fatalf("structures = %d, want 2", len(sts))
-	}
-	for i, st := range sts {
-		if len(st.Crossings) != 2 {
-			t.Errorf("structure %d: %d crossings, want 2", i, len(st.Crossings))
-		}
-	}
 }
 
 func TestReachableExits(t *testing.T) {
