@@ -53,16 +53,6 @@ func Policies() []Policy {
 	return []Policy{FairShare, DemandWeighted, StarvedFirst, Unarbitrated}
 }
 
-// ParsePolicy resolves a -policy flag value.
-func ParsePolicy(s string) (Policy, error) {
-	for _, p := range Policies() {
-		if p.String() == s {
-			return p, nil
-		}
-	}
-	return 0, fmt.Errorf("engine: unknown arbiter policy %q (want fair, demand, starved or none)", s)
-}
-
 // demandAlpha is the EWMA weight of the most recent query in a session's
 // demand and hit-rate ledgers.
 const demandAlpha = 0.3

@@ -6,18 +6,6 @@ import (
 	"time"
 )
 
-func TestParsePolicyRoundTrip(t *testing.T) {
-	for _, p := range Policies() {
-		got, err := ParsePolicy(p.String())
-		if err != nil || got != p {
-			t.Errorf("ParsePolicy(%q) = %v, %v", p.String(), got, err)
-		}
-	}
-	if _, err := ParsePolicy("bogus"); err == nil {
-		t.Error("unknown policy accepted")
-	}
-}
-
 func TestFairShareSplitsWindow(t *testing.T) {
 	a := NewArbiter(FairShare, 4)
 	w := 100 * time.Millisecond

@@ -10,7 +10,6 @@
 package engine
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"time"
@@ -33,34 +32,12 @@ const (
 // burstSize is the sessions per burst under Bursty.
 const burstSize = 4
 
-// String names the process as the -arrivals flag spells it.
+// String names the process.
 func (p ArrivalProcess) String() string {
 	if p == Bursty {
 		return "bursty"
 	}
 	return "poisson"
-}
-
-// ArrivalProcesses returns every process, in flag order.
-func ArrivalProcesses() []ArrivalProcess { return []ArrivalProcess{Poisson, Bursty} }
-
-// ArrivalProcessNames lists the -arrivals spellings for usage messages.
-func ArrivalProcessNames() []string {
-	var names []string
-	for _, p := range ArrivalProcesses() {
-		names = append(names, p.String())
-	}
-	return names
-}
-
-// ParseArrivalProcess resolves a -arrivals flag value.
-func ParseArrivalProcess(s string) (ArrivalProcess, error) {
-	for _, p := range ArrivalProcesses() {
-		if p.String() == s {
-			return p, nil
-		}
-	}
-	return 0, fmt.Errorf("engine: unknown arrival process %q (want poisson or bursty)", s)
 }
 
 // ArrivalConfig parameterizes Serve's open-loop session generator. The zero

@@ -70,19 +70,6 @@ func TestArrivalTimesExplicit(t *testing.T) {
 	}
 }
 
-// TestParseArrivalProcess round-trips every process and rejects junk.
-func TestParseArrivalProcess(t *testing.T) {
-	for _, p := range ArrivalProcesses() {
-		got, err := ParseArrivalProcess(p.String())
-		if err != nil || got != p {
-			t.Errorf("ParseArrivalProcess(%q) = %v, %v", p.String(), got, err)
-		}
-	}
-	if _, err := ParseArrivalProcess("steady"); err == nil {
-		t.Error("ParseArrivalProcess accepted junk")
-	}
-}
-
 // TestClassSpecWeight: non-positive weights normalize to the neutral 1.
 func TestClassSpecWeight(t *testing.T) {
 	if w := (ClassSpec{}).weight(); w != 1 {

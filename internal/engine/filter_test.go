@@ -342,7 +342,6 @@ func TestPlanSurvivesNextObserve(t *testing.T) {
 		prefetch.NewPolynomial(2, 30_000),
 		prefetch.NewEWMA(0.3, 30_000),
 		prefetch.NewHilbert(bounds, 30_000, 4),
-		prefetch.NewLayered(bounds, 30_000),
 		core.New(w.store, w.ds.Adjacency, core.DefaultConfig()),
 		core.New(w.store, nil, core.DefaultConfig()),
 		core.NewOpt(w.flat, w.ds.Adjacency, core.DefaultConfig()),

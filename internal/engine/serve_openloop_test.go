@@ -37,7 +37,7 @@ func testClasses(patience time.Duration) []ClassSpec {
 // count, on both arrival processes.
 func TestServeOpenLoopDeterministicAcrossWorkers(t *testing.T) {
 	store, tree := lineWorld(t, 4000)
-	for _, proc := range ArrivalProcesses() {
+	for _, proc := range []ArrivalProcess{Poisson, Bursty} {
 		cfg := ServeConfig{
 			Engine:           DefaultConfig(),
 			Policy:           FairShare,

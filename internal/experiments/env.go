@@ -3,7 +3,7 @@
 // design choices. Each experiment builds its workload, runs every relevant
 // prefetcher through the virtual-clock engine, and returns the same rows or
 // series the paper reports. See DESIGN.md §4 for the experiment index and
-// EXPERIMENTS.md for paper-vs-measured results.
+// PAPER.md's claims table for what each figure claims.
 package experiments
 
 import (
@@ -11,7 +11,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"scout/internal/core"
 	"scout/internal/dataset"
@@ -33,9 +32,9 @@ type Setup struct {
 	// workers is the experiment harness's per-measurement parallelism,
 	// copied from Options by Env.setup (0 = GOMAXPROCS).
 	workers int
-	// cfg is the engine configuration runs use, copied from Options by
-	// Env.setup (zero value = engine defaults, per-page I/O).
-	cfg engine.Config
+	// backing is the file backend's page file when Options.Backend is
+	// "file" (nil = the pure virtual-clock cost model).
+	backing *pagestore.FileStore
 }
 
 // BuildSetup indexes a generated dataset.
@@ -73,30 +72,9 @@ type Options struct {
 	// Sessions overrides the mu* experiments' session-count sweep with a
 	// single count when positive (scoutbench -sessions N).
 	Sessions int
-	// Policy overrides the mu* experiments' arbiter policy — "fair",
-	// "demand", "starved" or "none" (scoutbench -policy P). Empty keeps
-	// each experiment's default or ablation set.
-	Policy string
-	// Layout selects the physical page layout every dataset is stored
-	// under — "insertion", "hilbert" or "str" (scoutbench -layout L).
-	// Empty means insertion: the seed's physical order and per-page I/O
-	// path, byte-identical to the committed goldens. Non-insertion
-	// layouts also route engines through the batched elevator I/O path
-	// (engine.Config.BatchedIO) — per-page logical-order scheduling on a
-	// permuted layout would pay a seek per page. layout1 sweeps layouts
-	// itself and restores this global choice afterwards.
-	Layout string
-	// Faults selects the fault-injection profile the rob1 experiment
-	// injects — "off", "light", "moderate" or "heavy" (scoutbench -faults
-	// F). Empty means rob1 sweeps every profile. No other experiment ever
-	// injects faults, whatever this is set to.
-	Faults string
 	// FaultSeed keys the fault schedules independently of the workload
 	// (scoutbench -faultseed; 0 = reuse Seed).
 	FaultSeed int64
-	// SLO is rob1's per-query response-time objective (scoutbench -slo;
-	// 0 = the 25 ms default, five seeks).
-	SLO time.Duration
 	// Backend selects the page-store backend — "sim" or "file" (scoutbench
 	// -backend B). Empty means sim: the pure virtual-clock cost model,
 	// byte-identical to the committed goldens. "file" additionally writes
@@ -107,42 +85,6 @@ type Options struct {
 	// BackendDir is the directory the file backend writes page files into
 	// (scoutbench -backenddir). Empty means a fresh temp directory.
 	BackendDir string
-	// Checksum selects the file backend's integrity mode — "off", "verify"
-	// or "repair" (scoutbench -checksum C). Empty means repair, the fully
-	// hardened default. The dur1 experiment interprets it differently: it
-	// sweeps all three modes unless this pins one.
-	Checksum string
-	// Arrivals selects the load1 experiment's open-loop arrival process —
-	// "poisson" or "bursty" (scoutbench -arrivals A). Empty means poisson.
-	// No other experiment generates open-loop traffic.
-	Arrivals string
-	// Rate pins load1's offered-load sweep to a single multiplier of the
-	// calibrated closed-loop capacity when positive (scoutbench -rate R;
-	// 0 = the full 0.5×–8× sweep).
-	Rate float64
-	// Classes selects load1's workload-class mix — "mixed" (model-building
-	// walks, scan-heavy users and teleporting users with distinct arbiter
-	// priorities) or "uniform" (one neutral class). Empty means mixed.
-	Classes string
-	// Patience overrides load1's abandonment patience (scoutbench
-	// -patience; 0 = 2× the derived SLO, which keeps it scale-free).
-	Patience time.Duration
-	// Shards pins the shard1 experiment's shard-count sweep to one count
-	// when positive (scoutbench -shards N; valid counts in ShardCounts).
-	// 0 means the full 1→16 sweep. No other experiment shards its engine,
-	// whatever this is set to. The ha1 experiment sweeps the replicated
-	// counts (2, 4, 8, 16) and honors a positive pin the same way.
-	Shards int
-	// Replicas pins the ha1 experiment's replication-mode sweep to one
-	// degree when positive (scoutbench -replicas R; valid degrees in
-	// ReplicaCounts). 0 means the full {none, repl, repl+hedge} mode
-	// sweep. No other experiment replicates its shards.
-	Replicas int
-	// Hedge overrides ha1's hedged-prefetch threshold (scoutbench -hedge
-	// H; a hedge fires when the slowest shard's estimated sweep exceeds H
-	// times the median). 0 means the default 1.5 for hedged modes; valid
-	// values are >= 1.
-	Hedge float64
 	// Progress, when non-nil, receives one line per completed measurement.
 	Progress func(string)
 }
@@ -159,52 +101,6 @@ func ParseBackend(name string) (string, error) {
 		return "file", nil
 	}
 	return "", fmt.Errorf("experiments: unknown backend %q (want sim or file)", name)
-}
-
-// ShardCounts lists the valid -shards values in sweep order.
-func ShardCounts() []int { return []int{1, 2, 4, 8, 16} }
-
-// ParseShardCount validates a -shards value. 0 means the full sweep.
-func ParseShardCount(n int) (int, error) {
-	if n == 0 {
-		return 0, nil
-	}
-	for _, s := range ShardCounts() {
-		if n == s {
-			return n, nil
-		}
-	}
-	return 0, fmt.Errorf("experiments: unknown shard count %d (want 0, 1, 2, 4, 8 or 16)", n)
-}
-
-// ReplicaCounts lists the valid -replicas values in sweep order.
-func ReplicaCounts() []int { return []int{1, 2, 3} }
-
-// ParseReplicaCount validates a -replicas value. 0 means the full
-// replication-mode sweep.
-func ParseReplicaCount(n int) (int, error) {
-	if n == 0 {
-		return 0, nil
-	}
-	for _, r := range ReplicaCounts() {
-		if n == r {
-			return n, nil
-		}
-	}
-	return 0, fmt.Errorf("experiments: unknown replica count %d (want 0, 1, 2 or 3)", n)
-}
-
-// ParseHedge validates a -hedge threshold. 0 means the default; a hedge
-// below 1 would fire on every window (the max always exceeds the median),
-// which is a configuration error, not a tuning choice.
-func ParseHedge(h float64) (float64, error) {
-	if h == 0 {
-		return 0, nil
-	}
-	if h < 1 {
-		return 0, fmt.Errorf("experiments: hedge threshold %g below 1 would hedge every window (want 0 or >= 1)", h)
-	}
-	return h, nil
 }
 
 func (o Options) withDefaults() Options {
@@ -236,20 +132,6 @@ func (o Options) progress(format string, args ...interface{}) {
 	if o.Progress != nil {
 		o.Progress(fmt.Sprintf(format, args...))
 	}
-}
-
-// batchedIO reports whether the options imply the batched elevator I/O
-// path: any explicitly non-insertion layout.
-func (o Options) batchedIO() bool {
-	return o.Layout != "" && o.Layout != "insertion"
-}
-
-// engineConfig is the engine configuration the options imply: the paper's
-// defaults, with BatchedIO following the selected layout.
-func (o Options) engineConfig() engine.Config {
-	cfg := engine.DefaultConfig()
-	cfg.BatchedIO = o.batchedIO()
-	return cfg
 }
 
 // Env lazily builds and caches the datasets shared by experiments, so
@@ -291,33 +173,16 @@ func (e *Env) setup(key string, gen func() *dataset.Dataset) *Setup {
 	if err != nil {
 		panic(fmt.Sprintf("experiments: building %s: %v", key, err))
 	}
-	if e.opt.Layout != "" {
-		l, err := pagestore.ParseLayout(e.opt.Layout)
-		if err != nil {
-			panic(fmt.Sprintf("experiments: %v", err))
-		}
-		if err := s.Store.Relayout(l); err != nil {
-			panic(fmt.Sprintf("experiments: relayout %s: %v", key, err))
-		}
-	}
 	s.workers = e.opt.Workers
-	s.cfg = e.opt.engineConfig()
 	if e.opt.Backend == "file" {
-		// The file is written AFTER Relayout, so its physical slot order is
-		// the final layout and every elevator sweep the cost model prices is
-		// the sweep the file actually performs.
-		mode, err := pagestore.ParseChecksumMode(e.opt.Checksum)
-		if err != nil {
-			panic(fmt.Sprintf("experiments: %v", err))
-		}
 		dir := e.backendDirLocked()
 		fs, err := pagestore.CreateFileStore(
 			filepath.Join(dir, key+".pages"), s.Store,
-			pagestore.FileStoreConfig{Mode: mode, Replica: mode == pagestore.ChecksumRepair})
+			pagestore.FileStoreConfig{Mode: pagestore.ChecksumRepair, Replica: true})
 		if err != nil {
 			panic(fmt.Sprintf("experiments: file backend for %s: %v", key, err))
 		}
-		s.cfg.Backing = fs
+		s.backing = fs
 	}
 	e.setups[key] = s
 	return s
@@ -451,13 +316,12 @@ func (s *Setup) runEach(seqs []workload.Sequence, p prefetch.Prefetcher) []engin
 	return e.RunEach(seqs, p, s.workers)
 }
 
-// engineConfig is the setup's engine configuration (engine defaults for
-// setups built outside an Env, e.g. by cmd/scoutgen).
+// engineConfig is the setup's engine configuration: the engine defaults
+// over the setup's backing store, if any.
 func (s *Setup) engineConfig() engine.Config {
-	if s.cfg == (engine.Config{}) {
-		return engine.DefaultConfig()
-	}
-	return s.cfg
+	cfg := engine.DefaultConfig()
+	cfg.Backing = s.backing
+	return cfg
 }
 
 // genSequences builds the workload for this setup.

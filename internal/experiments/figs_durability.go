@@ -29,19 +29,8 @@ import (
 // a quarter of each rate).
 var dur1Rates = []float64{0, 0.05, 0.20}
 
-// dur1Modes is the integrity-mode sweep, overridable to a single mode by
-// Options.Checksum (scoutbench -checksum C), mirroring how -faults pins
-// rob1's profile sweep.
-func (o Options) dur1Modes() []pagestore.ChecksumMode {
-	if o.Checksum != "" {
-		mode, err := pagestore.ParseChecksumMode(o.Checksum)
-		if err != nil {
-			panic(fmt.Sprintf("experiments: %v", err))
-		}
-		return []pagestore.ChecksumMode{mode}
-	}
-	return []pagestore.ChecksumMode{pagestore.ChecksumOff, pagestore.ChecksumVerify, pagestore.ChecksumRepair}
-}
+// dur1Modes is the integrity-mode sweep.
+var dur1Modes = []pagestore.ChecksumMode{pagestore.ChecksumOff, pagestore.ChecksumVerify, pagestore.ChecksumRepair}
 
 // dur1ScrubPages is the per-window scrub step: small enough that scrubbing
 // stays a background activity in idle window time, large enough to finish
@@ -70,7 +59,7 @@ func Dur1(env *Env) Result {
 	}
 	run := 0
 	for _, rate := range dur1Rates {
-		for _, mode := range opt.dur1Modes() {
+		for _, mode := range dur1Modes {
 			run++
 			fs, err := pagestore.CreateFileStore(
 				filepath.Join(dir, fmt.Sprintf("run%d.pages", run)), s.Store,
@@ -85,7 +74,7 @@ func Dur1(env *Env) Result {
 				panic(fmt.Sprintf("experiments: dur1 corruption: %v", err))
 			}
 
-			cfg := opt.engineConfig()
+			cfg := engine.DefaultConfig()
 			cfg.Backing = fs
 			cfg.ScrubPages = dur1ScrubPages
 			e := engine.New(s.Store, s.Tree, cfg)

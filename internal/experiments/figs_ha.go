@@ -73,47 +73,25 @@ type haMode struct {
 	hedge    float64
 }
 
-// haModes returns the replication-mode sweep: unreplicated, 2-way chained
-// replication, and replication plus hedged prefetch — or the single mode a
-// -replicas pin selects (with -hedge honored when the degree supports it).
-func (o Options) haModes() []haMode {
-	hedge := o.Hedge
-	if hedge <= 0 {
-		hedge = 1.5
-	}
-	if o.Replicas > 0 {
-		m := haMode{name: fmt.Sprintf("replicas=%d", o.Replicas), replicas: o.Replicas}
-		if o.Replicas > 1 && o.Hedge > 0 {
-			m.name += "+hedge"
-			m.hedge = o.Hedge
-		}
-		return []haMode{m}
-	}
-	return []haMode{
-		{name: "none", replicas: 1},
-		{name: "repl", replicas: 2},
-		{name: "repl+hedge", replicas: 2, hedge: hedge},
-	}
+// haModes is the replication-mode sweep: unreplicated, 2-way chained
+// replication, and replication plus hedged prefetch at 1.5 times the
+// median estimate.
+var haModes = []haMode{
+	{name: "none", replicas: 1},
+	{name: "repl", replicas: 2},
+	{name: "repl+hedge", replicas: 2, hedge: 1.5},
 }
 
 // haProfiles is the fault-profile sweep: fault-free plus every shard
-// profile, overridable to a single profile by -faults.
-func (o Options) haProfiles() []string {
-	if o.Faults != "" {
-		return []string{o.Faults}
-	}
+// profile.
+func haProfiles() []string {
 	return append([]string{"off"}, fault.ShardProfiles()...)
 }
 
 // haShardCounts is the shard sweep: the replicated counts only. A single
 // shard has no replica target — its chain is itself — so S=1 cannot show
-// failover and is excluded unless pinned explicitly.
-func (o Options) haShardCounts() []int {
-	if o.Shards > 0 {
-		return []int{o.Shards}
-	}
-	return []int{2, 4, 8, 16}
-}
+// failover.
+var haShardCounts = []int{2, 4, 8, 16}
 
 // runHACell measures one cell on a fresh sharded engine (all sequences, one
 // SCOUT prefetcher, the engine's virtual serving clock carrying fault
@@ -164,14 +142,13 @@ func runHACell(s *Setup, seqs []workload.Sequence, profile string, mode haMode, 
 
 // ha1Sweep runs the grid on the hilbert layout (replication chains are
 // Hilbert-range chains) and finishes every point with the per-shard-count
-// SLO: -slo when given, else the fault-free unreplicated run's own p95 at
-// the same shard count — scale-free and deterministic, same rationale as
-// rob1. Sequential and single-coordinator throughout, so the output is
-// byte-identical for any -workers.
+// SLO: twice the fault-free unreplicated run's own p95 at the same shard
+// count — scale-free and deterministic, same rationale as rob1. Sequential
+// and single-coordinator throughout, so the output is byte-identical for
+// any -workers.
 func ha1Sweep(env *Env) []haPoint {
 	opt := env.Options()
 	s := env.Neuro()
-	counts := opt.haShardCounts()
 	restore := s.Store.LayoutName()
 	relayout(s.Store, "hilbert")
 	seqs := s.genSequences(layoutParams(), opt.sequences(6), opt.Seed)
@@ -181,7 +158,7 @@ func ha1Sweep(env *Env) []haPoint {
 	refSLO := make(map[int]time.Duration)
 	refPoints := make(map[int]haPoint)
 	refSamples := make(map[int][]haSample)
-	for _, n := range counts {
+	for _, n := range haShardCounts {
 		pt, samples := runHACell(s, seqs, "off", refMode, n, opt.faultSeed())
 		refHash[n] = pt.Hash
 		var res []time.Duration
@@ -199,16 +176,9 @@ func ha1Sweep(env *Env) []haPoint {
 	// crediting replication with nothing. With headroom, one fast-fail probe
 	// plus a replica sweep (Seek + ~p50) fits under 2x p95, while a lost
 	// sub-batch violates unconditionally — the protection is visible.
-	slo := func(n int) time.Duration {
-		if opt.SLO > 0 {
-			return opt.SLO
-		}
-		return 2 * refSLO[n]
-	}
-
 	finish := func(pt haPoint, samples []haSample) haPoint {
 		var res []time.Duration
-		objective := slo(pt.Shards)
+		objective := 2 * refSLO[pt.Shards]
 		for _, sm := range samples {
 			res = append(res, sm.res)
 			if sm.res > objective || sm.lost {
@@ -225,9 +195,9 @@ func ha1Sweep(env *Env) []haPoint {
 	}
 
 	var points []haPoint
-	for _, prof := range opt.haProfiles() {
-		for _, mode := range opt.haModes() {
-			for _, n := range counts {
+	for _, prof := range haProfiles() {
+		for _, mode := range haModes {
+			for _, n := range haShardCounts {
 				var pt haPoint
 				var samples []haSample
 				if prof == "off" && mode.name == refMode.name && mode.replicas == 1 && mode.hedge == 0 {
@@ -277,6 +247,9 @@ func Ha1(env *Env) Result {
 			fmt.Sprintf("%d", p.Trips),
 			hash)
 	}
+	// The first note's "(override with -slo)" names a flag scoutbench no
+	// longer has; the ha1 golden pins the text, so it goes with the next
+	// change that moves that golden.
 	res.Notes = append(res.Notes,
 		"SLO = twice the fault-free unreplicated p95 at the same shard count (override with -slo) — headroom a clean failover fits under but a burned read deadline never does; a query missing result pages violates regardless of latency",
 		"replication chains each Hilbert range onto the next R-1 shards; a sick home's misses are served from its chain at CostModel.ReplicaRead per page, after Seek-priced fast-fail probes — an unreplicated outage burns the client's read deadline and loses the pages",

@@ -45,9 +45,9 @@ func Layout1(env *Env) Result {
 	}
 	for _, s := range []*Setup{env.Neuro(), env.Artery(), env.Road()} {
 		seqs := s.genSequences(layoutParams(), opt.sequences(10), opt.Seed)
-		// The sweep remaps the shared store in place; restore the
-		// environment's global layout (scoutbench -layout) afterwards so
-		// later experiments see what they were configured for.
+		// The sweep remaps the shared store in place; restore its layout
+		// afterwards so later experiments see the order they were built
+		// on.
 		restore := s.Store.LayoutName()
 		var baseSeeks int64
 		for _, m := range modes {

@@ -24,15 +24,6 @@ import (
 // closed-loop capacity: below, at, and well past the saturation knee.
 var load1Multipliers = []float64{0.5, 1, 2, 4, 8}
 
-// loadMultipliers is the sweep, overridable to a single multiplier by
-// Options.Rate (scoutbench -rate R).
-func (o Options) loadMultipliers() []float64 {
-	if o.Rate > 0 {
-		return []float64{o.Rate}
-	}
-	return load1Multipliers
-}
-
 // loadSessions is the arriving population: Options.Sessions when pinned,
 // else 24 — three times the default admission ceiling, so the sweep's high
 // end actually saturates the gate.
@@ -43,51 +34,11 @@ func (o Options) loadSessions() int {
 	return 24
 }
 
-// loadProcess resolves the -arrivals option (empty = poisson).
-func (o Options) loadProcess() engine.ArrivalProcess {
-	if o.Arrivals == "" {
-		return engine.Poisson
-	}
-	p, err := engine.ParseArrivalProcess(o.Arrivals)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
-	}
-	return p
-}
-
-// ClassMixNames lists the valid -classes values for usage messages.
-func ClassMixNames() []string { return []string{"mixed", "uniform"} }
-
-// ParseClassMix validates a -classes value and returns its canonical
-// spelling ("" = mixed, the default).
-func ParseClassMix(s string) (string, error) {
-	switch s {
-	case "", "mixed":
-		return "mixed", nil
-	case "uniform":
-		return "uniform", nil
-	}
-	return "", fmt.Errorf("experiments: unknown class mix %q (want mixed or uniform)", s)
-}
-
-// loadMixed reports whether the class mix is the mixed default (false =
-// -classes uniform, one neutral class).
-func (o Options) loadMixed() bool {
-	mix, err := ParseClassMix(o.Classes)
-	if err != nil {
-		panic(err.Error())
-	}
-	return mix == "mixed"
-}
-
 // loadClassParams is the per-class navigation behavior: the class index of
 // every session is its slot in this table (round-robin over arrivals).
 // Model builders run small high-think-time walks, scanners drag large
 // volumes at low think time, teleporters jump between regions.
-func loadClassParams(mixed bool) []workload.Params {
-	if !mixed {
-		return []workload.Params{muParams()}
-	}
+func loadClassParams() []workload.Params {
 	return []workload.Params{
 		{Queries: 25, Volume: 20_000, Shape: workload.Cube, WindowRatio: 2.0},
 		{Queries: 25, Volume: 160_000, Shape: workload.Cube, WindowRatio: 0.8},
@@ -101,11 +52,7 @@ func loadClassParams(mixed bool) []workload.Params {
 // cold jumps warm quickly); unweighted keeps every class neutral, so the
 // two configurations differ ONLY in admission and priorities — patience
 // and SLOs are identical and the comparison stays apples to apples.
-func loadClasses(mixed, weighted bool, patience time.Duration) []engine.ClassSpec {
-	if !mixed {
-		specs := []engine.ClassSpec{{Name: "uniform", Patience: patience}}
-		return specs
-	}
+func loadClasses(weighted bool, patience time.Duration) []engine.ClassSpec {
 	specs := []engine.ClassSpec{
 		{Name: "model", Patience: 2 * patience},
 		{Name: "scan", Patience: patience},
@@ -121,8 +68,8 @@ func loadClasses(mixed, weighted bool, patience time.Duration) []engine.ClassSpe
 // loadWorkloads builds the arriving population: n sessions bound
 // round-robin to the class mix, each with its own SCOUT clone and a
 // class-specific guided walk.
-func loadWorkloads(s *Setup, n int, seed int64, mixed bool) []engine.SessionWorkload {
-	params := loadClassParams(mixed)
+func loadWorkloads(s *Setup, n int, seed int64) []engine.SessionWorkload {
+	params := loadClassParams()
 	out := make([]engine.SessionWorkload, n)
 	for class := range params {
 		// One generator call per class so every class's walks are a
@@ -164,13 +111,10 @@ func load1Sweep(env *Env) (points []loadPoint, slo, patience time.Duration, capa
 	s := env.Neuro()
 	opt := env.Options()
 	n := opt.loadSessions()
-	mixed := opt.loadMixed()
-	policy := opt.muDefaultPolicy()
-	process := opt.loadProcess()
 
-	w := loadWorkloads(s, n, opt.Seed, mixed)
-	plans := engine.PlanSessions(s.Store, s.Tree, w, opt.engineConfig().Cost, opt.Workers)
-	base := muConfig(opt.engineConfig(), policy, false, muInterference)
+	w := loadWorkloads(s, n, opt.Seed)
+	plans := engine.PlanSessions(s.Store, s.Tree, w, engine.DefaultConfig().Cost, opt.Workers)
+	base := muConfig(engine.FairShare, false)
 
 	// Calibrate capacity closed-loop: the drain rate with the whole
 	// population in flight. Offered load is swept in multiples of it, so
@@ -179,33 +123,23 @@ func load1Sweep(env *Env) (points []loadPoint, slo, patience time.Duration, capa
 	capacity = float64(n) / closed.Makespan.Seconds()
 	opt.progress("load1: calibrated capacity %.2f sessions/s", capacity)
 
-	// The objective: -slo when given, else the lowest-load unmitigated
-	// run's p95 — scale-free and deterministic, like rob1. Patience
-	// defaults to 2× the SLO (a user waits a couple of objectives, not
-	// forever).
-	slo = opt.SLO
-	if slo <= 0 {
-		probe := base
-		probe.Arrivals = engine.ArrivalConfig{
-			Enabled: true, Process: process,
-			Rate: load1Multipliers[0] * capacity, Seed: opt.Seed,
-		}
-		probe.Classes = loadClasses(mixed, false, 0)
-		slo = engine.Percentile(plans.Serve(probe).Responses(), 95)
-		opt.progress("load1: derived SLO %s from %.1fx-load p95", slo, load1Multipliers[0])
-	}
-	patience = opt.Patience
-	if patience <= 0 {
-		patience = 2 * slo
-	}
+	// The objective: the lowest-load unmitigated run's p95 — scale-free and
+	// deterministic, like rob1. Patience is 2× the SLO (a user waits a
+	// couple of objectives, not forever).
+	probe := base
+	probe.Arrivals = engine.ArrivalConfig{Enabled: true, Rate: load1Multipliers[0] * capacity, Seed: opt.Seed}
+	probe.Classes = loadClasses(false, 0)
+	slo = engine.Percentile(plans.Serve(probe).Responses(), 95)
+	opt.progress("load1: derived SLO %s from %.1fx-load p95", slo, load1Multipliers[0])
+	patience = 2 * slo
 
-	for _, mult := range opt.loadMultipliers() {
+	for _, mult := range load1Multipliers {
 		rate := mult * capacity
 		for _, mitigated := range []bool{false, true} {
 			cfg := base
 			cfg.SLO = slo
-			cfg.Arrivals = engine.ArrivalConfig{Enabled: true, Process: process, Rate: rate, Seed: opt.Seed}
-			cfg.Classes = loadClasses(mixed, mitigated, patience)
+			cfg.Arrivals = engine.ArrivalConfig{Enabled: true, Rate: rate, Seed: opt.Seed}
+			cfg.Classes = loadClasses(mitigated, patience)
 			if mitigated {
 				// Degrade, don't reject: over-ceiling arrivals are admitted
 				// with prefetch permanently shed. They still answer queries
@@ -247,8 +181,8 @@ func Load1(env *Env) Result {
 	res := Result{
 		ID:     "load1",
 		Figure: "load",
-		Title: fmt.Sprintf("Open-loop load sweep: tail latency and goodput vs offered rate (%d sessions, %s arrivals, %s classes, SLO=%s, patience=%s)",
-			opt.loadSessions(), opt.loadProcess(), map[bool]string{true: "mixed", false: "uniform"}[opt.loadMixed()], slo, patience),
+		Title: fmt.Sprintf("Open-loop load sweep: tail latency and goodput vs offered rate (%d sessions, poisson arrivals, mixed classes, SLO=%s, patience=%s)",
+			opt.loadSessions(), slo, patience),
 		Header: []string{"Load", "Mitigation", "p50", "p95", "p99", "p999", "Goodput", "Abandon", "SLO viol", "Rej/Deg", "Lost"},
 	}
 	// The last row is the headline p999: the highest offered load with

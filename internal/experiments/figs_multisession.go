@@ -35,28 +35,6 @@ func (o Options) muSessionCounts() []int {
 	return []int{1, 2, 4, 8, 16, 32, 64}
 }
 
-// muPolicies is the arbiter-policy ablation set, overridable to a single
-// policy by Options.Policy (scoutbench -policy P).
-func (o Options) muPolicies() []engine.Policy {
-	if o.Policy != "" {
-		return []engine.Policy{o.muDefaultPolicy()}
-	}
-	return engine.Policies()
-}
-
-// muDefaultPolicy is the policy used where the experiment does not ablate
-// policies: fair-share, unless overridden.
-func (o Options) muDefaultPolicy() engine.Policy {
-	if o.Policy == "" {
-		return engine.FairShare
-	}
-	p, err := engine.ParsePolicy(o.Policy)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
-	}
-	return p
-}
-
 // muWorkloads builds n single-sequence sessions, each with its own SCOUT
 // clone over the shared immutable setup.
 func muWorkloads(s *Setup, n int, seed int64) []engine.SessionWorkload {
@@ -96,15 +74,15 @@ func muPlan(env *Env, s *Setup, n int) ([]engine.SessionWorkload, *engine.Sessio
 	return p.w, p.plans
 }
 
-// muConfig is the commit-phase configuration of one measurement. base is
-// the engine configuration the options imply (Options.engineConfig), so
-// -layout's batched elevator path reaches the multi-session commit phase.
-func muConfig(base engine.Config, policy engine.Policy, private bool, interference time.Duration) engine.ServeConfig {
+// muConfig is the commit-phase configuration of one measurement: the
+// engine defaults, the given arbiter policy and cache mode, and
+// muInterference.
+func muConfig(policy engine.Policy, private bool) engine.ServeConfig {
 	return engine.ServeConfig{
-		Engine:           base,
+		Engine:           engine.DefaultConfig(),
 		Policy:           policy,
 		PrivateCaches:    private,
-		InterferenceSeek: interference,
+		InterferenceSeek: muInterference,
 	}
 }
 
@@ -119,7 +97,7 @@ func ms(d time.Duration) string { return fmt.Sprintf("%.2fms", d.Seconds()*1e3) 
 func Mu1(env *Env) Result {
 	s := env.Neuro()
 	opt := env.Options()
-	policy := opt.muDefaultPolicy()
+	policy := engine.FairShare
 	res := Result{
 		ID:     "mu1",
 		Figure: "multi-session",
@@ -129,7 +107,7 @@ func Mu1(env *Env) Result {
 	var base float64
 	for _, n := range opt.muSessionCounts() {
 		w, plans := muPlan(env, s, n)
-		sr := plans.Serve(muConfig(opt.engineConfig(), policy, false, muInterference))
+		sr := plans.Serve(muConfig(policy, false))
 		tp := sr.Throughput()
 		// Scaling is defined against a measured single-session baseline;
 		// with -sessions pinning the sweep away from 1 there is none.
@@ -169,7 +147,7 @@ func Mu1(env *Env) Result {
 func Mu2(env *Env) Result {
 	s := env.Neuro()
 	opt := env.Options()
-	policies := opt.muPolicies()
+	policies := engine.Policies()
 	header := []string{"Sessions"}
 	for _, p := range policies {
 		header = append(header, fmt.Sprintf("%s p50/p95", p))
@@ -184,7 +162,7 @@ func Mu2(env *Env) Result {
 		row := []string{fmt.Sprintf("%d", n)}
 		_, plans := muPlan(env, s, n)
 		for _, policy := range policies {
-			sr := plans.Serve(muConfig(opt.engineConfig(), policy, false, muInterference))
+			sr := plans.Serve(muConfig(policy, false))
 			lat := summarize(sr.Responses())
 			row = append(row, fmt.Sprintf("%s/%s", ms(lat.P50), ms(lat.P95)))
 			opt.progress("mu2: %d sessions, %s done", n, policy)
@@ -203,7 +181,7 @@ func Mu2(env *Env) Result {
 func Mu3(env *Env) Result {
 	s := env.Neuro()
 	opt := env.Options()
-	policy := opt.muDefaultPolicy()
+	policy := engine.FairShare
 	res := Result{
 		ID:     "mu3",
 		Figure: "multi-session",
@@ -212,8 +190,8 @@ func Mu3(env *Env) Result {
 	}
 	for _, n := range opt.muSessionCounts() {
 		_, plans := muPlan(env, s, n)
-		shared := plans.Serve(muConfig(opt.engineConfig(), policy, false, muInterference))
-		private := plans.Serve(muConfig(opt.engineConfig(), policy, true, muInterference))
+		shared := plans.Serve(muConfig(policy, false))
+		private := plans.Serve(muConfig(policy, true))
 		res.AddRow(fmt.Sprintf("%d", n),
 			pct(shared.HitRate()),
 			pct(private.HitRate()),

@@ -26,15 +26,6 @@ func (o Options) robSessions() int {
 	return 16
 }
 
-// robProfiles is the fault-profile sweep, overridable to a single profile
-// by Options.Faults (scoutbench -faults F).
-func (o Options) robProfiles() []string {
-	if o.Faults != "" {
-		return []string{o.Faults}
-	}
-	return fault.Profiles()
-}
-
 // faultSeed keys the fault schedules: -faultseed when given, else the
 // workload seed (fault decisions hash through independent domains, so
 // sharing the seed does not correlate faults with the workload).
@@ -56,18 +47,14 @@ func Rob1(env *Env) Result {
 	s := env.Neuro()
 	opt := env.Options()
 	n := opt.robSessions()
-	policy := opt.muDefaultPolicy()
+	policy := engine.FairShare
 	_, plans := muPlan(env, s, n)
-	// The objective: -slo when given, else the fault-free unmitigated run's
-	// own p95 — scale-free (residual latencies grow with dataset scale, a
-	// fixed objective would saturate at 0% or 100% violations) and
-	// deterministic (virtual clock), so the golden stays byte-stable.
-	slo := opt.SLO
-	if slo <= 0 {
-		base := plans.Serve(muConfig(opt.engineConfig(), policy, false, muInterference))
-		slo = engine.Percentile(base.Responses(), 95)
-		opt.progress("rob1: derived SLO %s from fault-free p95", slo)
-	}
+	// The objective: the fault-free unmitigated run's own p95 — scale-free
+	// (residual latencies grow with dataset scale, a fixed objective would
+	// saturate at 0% or 100% violations) and deterministic (virtual clock),
+	// so the golden stays byte-stable.
+	slo := engine.Percentile(plans.Serve(muConfig(policy, false)).Responses(), 95)
+	opt.progress("rob1: derived SLO %s from fault-free p95", slo)
 	res := Result{
 		ID:     "rob1",
 		Figure: "robustness",
@@ -75,7 +62,7 @@ func Rob1(env *Env) Result {
 			n, policy, slo),
 		Header: []string{"Faults", "Mitigation", "p50", "p95", "p99", "Goodput", "SLO viol", "Retries/TO", "Trips/Shed", "Rej/Deg"},
 	}
-	for _, prof := range opt.robProfiles() {
+	for _, prof := range fault.Profiles() {
 		plan, err := fault.ParseProfile(prof, opt.faultSeed())
 		if err != nil {
 			panic(fmt.Sprintf("experiments: %v", err))
@@ -88,7 +75,7 @@ func Rob1(env *Env) Result {
 			name      string
 			mitigated bool
 		}{{"none", false}, {"breaker+adm", true}} {
-			cfg := muConfig(opt.engineConfig(), policy, false, muInterference)
+			cfg := muConfig(policy, false)
 			cfg.Faults = inj
 			cfg.SLO = slo
 			if mode.mitigated {

@@ -55,24 +55,23 @@ func shardWorkloads() []struct {
 	}
 }
 
+// shard1Counts is shard1's shard-count sweep.
+var shard1Counts = []int{1, 2, 4, 8, 16}
+
 // shard1Sweep runs the full grid — {insertion, hilbert} × {model, boundary}
-// × ShardCounts (or the pinned Options.Shards) — on the neuro dataset and
+// × shard1Counts — on the neuro dataset and
 // returns the structured points. Sequential and single-coordinator
 // throughout, so the output is byte-identical for any -workers.
 func shard1Sweep(env *Env) []shardPoint {
 	opt := env.Options()
 	s := env.Neuro()
-	counts := ShardCounts()
-	if opt.Shards > 0 {
-		counts = []int{opt.Shards}
-	}
 	restore := s.Store.LayoutName()
 	var points []shardPoint
 	for _, layout := range []string{"insertion", "hilbert"} {
 		relayout(s.Store, layout)
 		for _, wl := range shardWorkloads() {
 			seqs := s.genSequences(wl.params, opt.sequences(6), opt.Seed)
-			for _, n := range counts {
+			for _, n := range shard1Counts {
 				points = append(points, runShardWalks(s, layout, wl.name, n, seqs))
 				opt.progress("shard1: %s/%s S=%d done", layout, wl.name, n)
 			}

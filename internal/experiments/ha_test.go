@@ -36,14 +36,14 @@ func haIndex(points []haPoint) map[haKey]haPoint {
 //     lower SLO-violation rate than no replication;
 //   - the machinery actually runs: failover serves pages, hedges fire and
 //     sometimes win, health ledgers trip.
-func assertHAPhysics(t *testing.T, points []haPoint, counts []int) {
+func assertHAPhysics(t *testing.T, points []haPoint) {
 	t.Helper()
 	byCell := haIndex(points)
-	if len(byCell) != 4*3*len(counts) {
-		t.Fatalf("sweep produced %d distinct cells, want %d", len(byCell), 4*3*len(counts))
+	if len(byCell) != 4*3*len(haShardCounts) {
+		t.Fatalf("sweep produced %d distinct cells, want %d", len(byCell), 4*3*len(haShardCounts))
 	}
 
-	for _, n := range counts {
+	for _, n := range haShardCounts {
 		ref := byCell[haKey{"off", "none", n}]
 		for _, mode := range []string{"repl", "repl+hedge"} {
 			p := byCell[haKey{"off", mode, n}]
@@ -63,7 +63,7 @@ func assertHAPhysics(t *testing.T, points []haPoint, counts []int) {
 
 	for _, prof := range []string{"shard:outage", "shard:flaky"} {
 		var noneLost int64
-		for _, n := range counts {
+		for _, n := range haShardCounts {
 			none := byCell[haKey{prof, "none", n}]
 			noneLost += none.Lost
 			for _, mode := range []string{"repl", "repl+hedge"} {
@@ -91,7 +91,7 @@ func assertHAPhysics(t *testing.T, points []haPoint, counts []int) {
 		}
 	}
 
-	for _, n := range counts {
+	for _, n := range haShardCounts {
 		for _, mode := range []string{"repl", "repl+hedge"} {
 			p := byCell[haKey{"shard:brownout", mode, n}]
 			if p.Lost != 0 || !p.HashMatch {
@@ -123,9 +123,7 @@ func TestHa1Properties(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep skipped in -short mode")
 	}
-	opt := goldenOptions()
-	points := ha1Sweep(NewEnv(opt))
-	assertHAPhysics(t, points, opt.haShardCounts())
+	assertHAPhysics(t, ha1Sweep(NewEnv(goldenOptions())))
 }
 
 // TestHa1PropertiesCIScale re-asserts the same physics at a configuration
@@ -136,8 +134,7 @@ func TestHa1PropertiesCIScale(t *testing.T) {
 		t.Skip("sweep skipped in -short mode")
 	}
 	opt := Options{Scale: 0.004, Sequences: 3, Seed: 11, FaultSeed: 3}
-	points := ha1Sweep(NewEnv(opt))
-	assertHAPhysics(t, points, opt.haShardCounts())
+	assertHAPhysics(t, ha1Sweep(NewEnv(opt)))
 }
 
 // TestHa1WorkerInvariance renders ha1 end to end under different worker
@@ -152,7 +149,6 @@ func TestHa1WorkerInvariance(t *testing.T) {
 	render := func(workers int) string {
 		opt := goldenOptions()
 		opt.Workers = workers
-		opt.Faults = "shard:flaky"
 		return Ha1(NewEnv(opt)).String()
 	}
 	one := render(1)
@@ -162,57 +158,24 @@ func TestHa1WorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestHa1PinnedMode: -replicas (with -hedge and -faults and -shards) pins
-// the grid to a single cell, the way scoutbench drills into one config.
+// TestHa1PinnedMode: one cell run directly through runHACell — 2-way
+// replication hedged at twice the median, under shard:outage at S=4 —
+// loses no page and serves the fault-free reference's result sets.
 func TestHa1PinnedMode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep skipped in -short mode")
 	}
 	opt := goldenOptions()
-	opt.Replicas = 2
-	opt.Hedge = 2
-	opt.Faults = "shard:outage"
-	opt.Shards = 4
-	points := ha1Sweep(NewEnv(opt))
-	if len(points) != 1 {
-		t.Fatalf("pinned sweep produced %d points, want 1", len(points))
+	s := NewEnv(opt).Neuro()
+	relayout(s.Store, "hilbert")
+	seqs := s.genSequences(layoutParams(), opt.sequences(6), opt.Seed)
+	ref, _ := runHACell(s, seqs, "off", haMode{name: "none", replicas: 1}, 4, opt.faultSeed())
+	p, _ := runHACell(s, seqs, "shard:outage", haMode{name: "repl+hedge", replicas: 2, hedge: 2}, 4, opt.faultSeed())
+	if p.Lost != 0 || p.Hash != ref.Hash {
+		t.Errorf("replicated cell lost %d pages, hash %x against the reference's %x", p.Lost, p.Hash, ref.Hash)
 	}
-	p := points[0]
-	if p.Mode != "replicas=2+hedge" || p.Shards != 4 || p.Profile != "shard:outage" {
-		t.Fatalf("pinned sweep ran %s/%s S=%d", p.Profile, p.Mode, p.Shards)
-	}
-	if p.Lost != 0 || !p.HashMatch {
-		t.Errorf("pinned replicated cell lost %d pages, match %v", p.Lost, p.HashMatch)
-	}
-}
-
-// TestParseReplicaCount: 0 and the members of ReplicaCounts pass,
-// everything else is a usage error.
-func TestParseReplicaCount(t *testing.T) {
-	for _, ok := range append([]int{0}, ReplicaCounts()...) {
-		if got, err := ParseReplicaCount(ok); err != nil || got != ok {
-			t.Errorf("ParseReplicaCount(%d) = %d, %v", ok, got, err)
-		}
-	}
-	for _, bad := range []int{-1, 4, 5, 16} {
-		if _, err := ParseReplicaCount(bad); err == nil {
-			t.Errorf("ParseReplicaCount(%d) accepted", bad)
-		}
-	}
-}
-
-// TestParseHedge: 0 disables, thresholds >= 1 pass, anything in (0, 1) or
-// negative would hedge every window and is rejected.
-func TestParseHedge(t *testing.T) {
-	for _, ok := range []float64{0, 1, 1.5, 3} {
-		if got, err := ParseHedge(ok); err != nil || got != ok {
-			t.Errorf("ParseHedge(%g) = %g, %v", ok, got, err)
-		}
-	}
-	for _, bad := range []float64{-1, 0.2, 0.99} {
-		if _, err := ParseHedge(bad); err == nil {
-			t.Errorf("ParseHedge(%g) accepted", bad)
-		}
+	if p.FailedOver == 0 {
+		t.Error("no pages failed over; the outage never reached the chain")
 	}
 }
 
@@ -223,11 +186,8 @@ func TestHa1SLOHeadroom(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep skipped in -short mode")
 	}
-	opt := goldenOptions()
-	opt.Faults = "off"
-	points := ha1Sweep(NewEnv(opt))
-	for _, p := range points {
-		if p.Mode != "none" {
+	for _, p := range ha1Sweep(NewEnv(goldenOptions())) {
+		if p.Profile != "off" || p.Mode != "none" {
 			continue
 		}
 		if p.Violations != 0 {

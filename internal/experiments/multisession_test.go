@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -95,19 +97,27 @@ func TestMuExperimentsDeterministic(t *testing.T) {
 	}
 }
 
-// TestMuOptionOverrides: -sessions collapses the sweep to one row and
-// -policy collapses mu2's ablation to one column.
+// TestMuOptionOverrides: -sessions collapses the sweep to one row, mu2
+// prints one column per arbiter policy, and its starved column is the
+// plans committed under muConfig(engine.StarvedFirst, false).
 func TestMuOptionOverrides(t *testing.T) {
-	opt := Options{Scale: 0.002, Sequences: 2, Seed: 7, Sessions: 3, Policy: "starved"}
+	opt := Options{Scale: 0.002, Sequences: 2, Seed: 7, Sessions: 3}
 	env := NewEnv(opt)
 	res := Mu2(env)
 	if len(res.Rows) != 1 {
-		t.Errorf("mu2 rows = %d with -sessions 3, want 1", len(res.Rows))
+		t.Fatalf("mu2 rows = %d with -sessions 3, want 1", len(res.Rows))
 	}
-	if len(res.Header) != 2 {
-		t.Errorf("mu2 columns = %d with -policy starved, want 2", len(res.Header))
+	if len(res.Header) != 1+len(engine.Policies()) {
+		t.Errorf("mu2 columns = %d, want one per policy plus Sessions", len(res.Header))
 	}
 	if res.Rows[0][0] != "3" {
 		t.Errorf("mu2 session count = %q", res.Rows[0][0])
+	}
+	_, plans := muPlan(env, env.Neuro(), 3)
+	lat := summarize(plans.Serve(muConfig(engine.StarvedFirst, false)).Responses())
+	want := fmt.Sprintf("%s/%s", ms(lat.P50), ms(lat.P95))
+	col := slices.Index(res.Header, "starved p50/p95")
+	if col < 0 || res.Rows[0][col] != want {
+		t.Errorf("mu2 starved cell (column %d of %v) is not %s", col, res.Header, want)
 	}
 }

@@ -21,13 +21,15 @@ import (
 // exported field of the configuration structs below and every flag of the
 // cmd/ binaries, each with a row naming who varies it (DESIGN.md
 // "Settings"). A value that nothing varies becomes a constant or goes; one
-// that stays says why in its row.
+// that stays says why in its row. A README example or a test that only
+// parses a flag does not make a value varied: nothing is measured with it.
 
 // settingKind classifies a census row.
 type settingKind string
 
 const (
-	// varied: an experiment, bench workload, CLI flag or example sets it.
+	// varied: an experiment, bench workload, example, or a CLI flag that CI
+	// or an experiment's result depends on sets it.
 	varied settingKind = "varied"
 	// testOnly: only tests set it; the row names the test and the
 	// behaviour it reaches.
@@ -46,7 +48,7 @@ var censusStructs = []any{
 	engine.Config{}, engine.ServeConfig{}, engine.AdmissionConfig{},
 	engine.BreakerConfig{}, engine.ArrivalConfig{}, engine.ClassSpec{},
 	pagestore.CostModel{}, pagestore.RetryPolicy{}, pagestore.FileStoreConfig{},
-	core.Config{},
+	core.Config{}, Options{},
 }
 
 // censusPackages are scanned for exported struct types named like a
@@ -63,26 +65,26 @@ var settingsCensus = map[string]settingRow{
 	// engine.Config
 	"engine.Config.CacheFraction": {varied, "examples/roadnetwork sets 0.02"},
 	"engine.Config.Cost":          {kept, "bench/serve.go passes engine.DefaultConfig().Cost to PlanSessions; only a benchmark change may edit bench/ (ROADMAP item 2)"},
-	"engine.Config.BatchedIO":     {varied, "-layout (Options.engineConfig), layout1, shard1 and ha1, serve_flat's batched axis, explore_file, explore_sharded"},
-	"engine.Config.Faults":        {varied, "ha1 (-faults shard:*), explore_sharded (shard:flaky)"},
+	"engine.Config.BatchedIO":     {varied, "layout1, shard1 and ha1, serve_flat's batched axis, explore_file, explore_sharded"},
+	"engine.Config.Faults":        {varied, "ha1's shard fault profiles, explore_sharded (shard:flaky)"},
 	"engine.Config.Backing":       {varied, "-backend file, dur1, explore_file"},
 	"engine.Config.ScrubPages":    {varied, "dur1 (dur1ScrubPages), explore_file (64)"},
-	"engine.Config.Replicas":      {varied, "ha1's replication modes and -replicas, explore_sharded (2)"},
-	"engine.Config.Hedge":         {varied, "ha1's hedged mode and -hedge, explore_sharded (1.5)"},
+	"engine.Config.Replicas":      {varied, "ha1's replication modes, explore_sharded (2)"},
+	"engine.Config.Hedge":         {varied, "ha1's hedged mode, explore_sharded (1.5)"},
 
 	// engine.ServeConfig
-	"engine.ServeConfig.Engine":           {varied, "mu1-mu3, rob1 and load1 pass Options.engineConfig (-layout), serve_flat's batched axis"},
-	"engine.ServeConfig.Policy":           {varied, "mu2's policy ablation and -policy, serve_flat's policy axis"},
+	"engine.ServeConfig.Engine":           {varied, "serve_flat's batched axis; mu1-mu3, rob1 and load1 pass engine.DefaultConfig through muConfig"},
+	"engine.ServeConfig.Policy":           {varied, "mu2's policy ablation, serve_flat's policy axis"},
 	"engine.ServeConfig.PrivateCaches":    {varied, "mu3's shared vs private column, serve_flat's private axis"},
 	"engine.ServeConfig.CacheShards":      {testOnly, "TestCoreFingerprints' serve/* rows and the serve fault, scrub and open-loop tests set 8: their 7-page shared cache gets 4 stripes at 8 and 1 at the default, so they pin stripe-local eviction"},
 	"engine.ServeConfig.InterferenceSeek": {varied, "mu1-mu3, rob1 and load1 (muInterference), serve_flat and serve_sharded"},
 	"engine.ServeConfig.Workers":          {testOnly, "TestServeDeterministicAcrossWorkers and TestServeFaultsChargeAndDeterminism: byte-identical serves at 1 and 8 plan workers; only the Serve wrapper reads it, experiments and bench give PlanSessions their own count"},
-	"engine.ServeConfig.Faults":           {varied, "rob1's fault profiles and -faults, serve_sharded (shard:flaky)"},
+	"engine.ServeConfig.Faults":           {varied, "rob1's fault profiles, serve_sharded (shard:flaky)"},
 	"engine.ServeConfig.Breaker":          {varied, "rob1's mitigated rows, serve_sharded"},
 	"engine.ServeConfig.Admission":        {varied, "rob1's and load1's mitigated rows, serve_sharded"},
-	"engine.ServeConfig.SLO":              {varied, "rob1 and load1 (-slo, else derived), serve_flat and serve_sharded"},
-	"engine.ServeConfig.Arrivals":         {varied, "load1 (-arrivals, -rate), serve_sharded"},
-	"engine.ServeConfig.Classes":          {varied, "load1 (-classes), serve_sharded"},
+	"engine.ServeConfig.SLO":              {varied, "rob1 and load1 (derived from a fault-free or low-load p95), serve_flat and serve_sharded"},
+	"engine.ServeConfig.Arrivals":         {varied, "load1, serve_sharded"},
+	"engine.ServeConfig.Classes":          {varied, "load1's class mix, serve_sharded"},
 	"engine.ServeConfig.Shards":           {varied, "serve_sharded (8) against serve_flat (0)"},
 	"engine.ServeConfig.Replicas":         {varied, "serve_sharded (2)"},
 
@@ -99,15 +101,15 @@ var settingsCensus = map[string]settingRow{
 
 	// engine.ArrivalConfig
 	"engine.ArrivalConfig.Enabled": {varied, "load1, serve_sharded"},
-	"engine.ArrivalConfig.Process": {varied, "load1 (-arrivals)"},
-	"engine.ArrivalConfig.Rate":    {varied, "load1's offered-load sweep and -rate, serve_sharded's load axis"},
+	"engine.ArrivalConfig.Process": {testOnly, "TestArrivalTimesBursty, TestServeOpenLoopDeterministicAcrossWorkers and TestCoreFingerprints' serve/bursty rows: experiments and bench run the zero value, Poisson; bursty overload is composed by ROADMAP item 8(e)"},
+	"engine.ArrivalConfig.Rate":    {varied, "load1's offered-load sweep, serve_sharded's load axis"},
 	"engine.ArrivalConfig.Seed":    {varied, "load1 (-seed), serve_sharded (--seed plus the session group)"},
 	"engine.ArrivalConfig.Times":   {testOnly, "TestCoreFingerprints' serve/schedule row and TestServeOpenLoopAdmissionAtArrival: arrivals out of session-ID order and on repeated instants"},
 
 	// engine.ClassSpec
-	"engine.ClassSpec.Name":     {varied, "load1's class mixes (-classes), serve_sharded"},
+	"engine.ClassSpec.Name":     {varied, "load1's class mix (model, scan, teleport), serve_sharded"},
 	"engine.ClassSpec.Weight":   {varied, "load1's mitigated rows, serve_sharded"},
-	"engine.ClassSpec.Patience": {varied, "load1 (-patience, else derived)"},
+	"engine.ClassSpec.Patience": {varied, "load1's classes (2x, 1x and 0.5x of twice the derived SLO)"},
 
 	// pagestore.CostModel
 	"pagestore.CostModel.Seek":        {testOnly, "TestSweepBatchMatchesEagerFlush (a 200 µs seek bridges at most 4 pages), TestDiskSequentialVsRandom and the disk head tests: seek/transfer arithmetic at other ratios"},
@@ -121,8 +123,8 @@ var settingsCensus = map[string]settingRow{
 	"pagestore.RetryPolicy.Timeout":    {testOnly, "TestFaultCostRetryMath (3 ms), TestDiskFaultCharging and TestDiskBackingAccounting (10 ms): the per-read cap cutting recovery short"},
 
 	// pagestore.FileStoreConfig
-	"pagestore.FileStoreConfig.Mode":    {varied, "-checksum, dur1's mode sweep, explore_file's read probes (off, verify, repair)"},
-	"pagestore.FileStoreConfig.Replica": {varied, "repair mode in dur1 and -checksum, explore_file"},
+	"pagestore.FileStoreConfig.Mode":    {varied, "dur1's mode sweep, -backend file (repair), explore_file's read probes (off, verify, repair)"},
+	"pagestore.FileStoreConfig.Replica": {varied, "repair mode in dur1 and -backend file, explore_file"},
 
 	// core.Config
 	"core.Config.Resolution":         {varied, "fig13e"},
@@ -133,6 +135,17 @@ var settingsCensus = map[string]settingRow{
 	"core.Config.DisablePruning":     {varied, "ablation_pruning"},
 	"core.Config.DisableIncremental": {varied, "ablation_incremental_build"},
 
+	// experiments.Options
+	"experiments.Options.Scale":      {varied, "-scale; the goldens run 0.002"},
+	"experiments.Options.Sequences":  {varied, "-seqs; the goldens run 2"},
+	"experiments.Options.Seed":       {kept, "-seed's destination; the goldens pin 7 and TestHa1PropertiesCIScale re-checks ha1 at 11"},
+	"experiments.Options.Workers":    {varied, "-workers; CI's Harness smoke diffs 1 against 4"},
+	"experiments.Options.Sessions":   {varied, "-sessions; CI's Harness smoke (16)"},
+	"experiments.Options.FaultSeed":  {kept, "-faultseed's destination; TestHa1PropertiesCIScale runs 3"},
+	"experiments.Options.Backend":    {varied, "-backend; CI's durable run"},
+	"experiments.Options.BackendDir": {varied, "-backenddir; CI's durable run"},
+	"experiments.Options.Progress":   {kept, "no effect on results: -v prints its progress lines on stderr"},
+
 	// cmd/scoutbench
 	"scoutbench -list":       {kept, "prints the experiment index; the -exp usage error points to it"},
 	"scoutbench -exp":        {varied, "CI's Harness smoke and durable run, README"},
@@ -141,21 +154,9 @@ var settingsCensus = map[string]settingRow{
 	"scoutbench -seed":       {kept, "the workload seed (Options.Seed) every experiment draws its sequences from; the goldens pin the default 7"},
 	"scoutbench -workers":    {varied, "CI's Harness smoke diffs -workers 1 against 4"},
 	"scoutbench -sessions":   {varied, "CI's Harness smoke (16), README"},
-	"scoutbench -policy":     {varied, "README, TestValidFlagsPassValidation"},
-	"scoutbench -layout":     {varied, "README, TestValidFlagsPassValidation"},
-	"scoutbench -faults":     {varied, "README, TestValidFlagsPassValidation"},
 	"scoutbench -backend":    {varied, "CI's durable run, README"},
 	"scoutbench -backenddir": {varied, "CI's durable run, TestUnwritableBackendDir"},
-	"scoutbench -checksum":   {varied, "README, TestValidFlagsPassValidation"},
 	"scoutbench -faultseed":  {kept, "decouples rob1's and ha1's fault schedules from -seed (README)"},
-	"scoutbench -slo":        {varied, "README, TestValidFlagsPassValidation"},
-	"scoutbench -arrivals":   {varied, "README, TestValidFlagsPassValidation"},
-	"scoutbench -rate":       {varied, "README, TestValidFlagsPassValidation"},
-	"scoutbench -classes":    {varied, "TestValidFlagsPassValidation"},
-	"scoutbench -patience":   {varied, "README, TestValidFlagsPassValidation"},
-	"scoutbench -shards":     {varied, "README, TestValidFlagsPassValidation"},
-	"scoutbench -replicas":   {varied, "README, TestValidFlagsPassValidation"},
-	"scoutbench -hedge":      {varied, "README, TestValidFlagsPassValidation"},
 	"scoutbench -cpuprofile": {kept, "profiling output, no effect on results (README)"},
 	"scoutbench -memprofile": {kept, "profiling output, no effect on results (README)"},
 	"scoutbench -v":          {kept, "progress lines on stderr, no effect on results"},

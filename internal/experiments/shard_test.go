@@ -23,7 +23,7 @@ func TestShard1Properties(t *testing.T) {
 	}
 	env := NewEnv(goldenOptions())
 	points := shard1Sweep(env)
-	if len(points) != 2*2*len(ShardCounts()) {
+	if len(points) != 2*2*len(shard1Counts) {
 		t.Fatalf("sweep produced %d points", len(points))
 	}
 	byCell := make(map[string][]shardPoint)
@@ -78,35 +78,34 @@ func TestShard1Properties(t *testing.T) {
 	}
 }
 
-// TestShard1PinnedCount: Options.Shards pins the sweep to one column.
+// TestShard1PinnedCount: one column of the sweep run on its own — every
+// layout × workload at S=4 through runShardWalks — reproduces the sweep's
+// S=4 points exactly, so a cell does not depend on the cells run before it
+// on the same setup.
 func TestShard1PinnedCount(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep skipped in -short mode")
 	}
 	opt := goldenOptions()
-	opt.Shards = 4
-	points := shard1Sweep(NewEnv(opt))
-	if len(points) != 4 {
-		t.Fatalf("pinned sweep produced %d points, want 4", len(points))
-	}
-	for _, p := range points {
-		if p.Shards != 4 {
-			t.Fatalf("pinned sweep ran S=%d", p.Shards)
+	env := NewEnv(opt)
+	want := map[string]shardPoint{}
+	for _, p := range shard1Sweep(env) {
+		if p.Shards == 4 {
+			want[p.Layout+"/"+p.Workload] = p
 		}
 	}
-}
-
-// TestParseShardCount: 0 and the members of ShardCounts pass, everything
-// else is a usage error.
-func TestParseShardCount(t *testing.T) {
-	for _, ok := range append([]int{0}, ShardCounts()...) {
-		if got, err := ParseShardCount(ok); err != nil || got != ok {
-			t.Errorf("ParseShardCount(%d) = %d, %v", ok, got, err)
-		}
+	if len(want) != 4 {
+		t.Fatalf("sweep produced %d S=4 points, want 4", len(want))
 	}
-	for _, bad := range []int{-1, 3, 5, 17, 32} {
-		if _, err := ParseShardCount(bad); err == nil {
-			t.Errorf("ParseShardCount(%d) accepted", bad)
+	s := env.Neuro()
+	for _, layout := range []string{"insertion", "hilbert"} {
+		relayout(s.Store, layout)
+		for _, wl := range shardWorkloads() {
+			seqs := s.genSequences(wl.params, opt.sequences(6), opt.Seed)
+			got := runShardWalks(s, layout, wl.name, 4, seqs)
+			if w := want[layout+"/"+wl.name]; got != w {
+				t.Errorf("%s/%s S=4 alone = %+v, in the sweep %+v", layout, wl.name, got, w)
+			}
 		}
 	}
 }

@@ -231,8 +231,8 @@ func (in *Injector) BudgetStarved(now time.Duration) bool {
 	return roll(in.plan.Seed, domainStarv, window, 0, 0, in.plan.StarveRate)
 }
 
-// Profiles returns the canned page-level plan names, in scoutbench -faults
-// order. The rob1 experiment sweeps exactly these.
+// Profiles returns the canned page-level plan names, in the order the rob1
+// experiment sweeps them.
 func Profiles() []string { return []string{"off", "light", "moderate", "heavy"} }
 
 // ShardProfiles returns the canned shard-fault plan names (DESIGN.md §13),
@@ -243,14 +243,10 @@ func ShardProfiles() []string {
 	return []string{"shard:brownout", "shard:outage", "shard:flaky"}
 }
 
-// AllProfiles returns every canned plan name ParseProfile accepts, for
-// usage messages.
-func AllProfiles() []string { return append(Profiles(), ShardProfiles()...) }
-
-// ParseProfile resolves a scoutbench -faults value into a Plan keyed by
-// seed. Unknown names — including the empty string; callers that want a
-// default must choose one explicitly — are usage errors, never silent
-// fallbacks.
+// ParseProfile resolves a canned profile name (one of Profiles or
+// ShardProfiles) into a Plan keyed by seed. Unknown names — including the
+// empty string; callers that want a default must choose one explicitly —
+// are errors, never silent fallbacks.
 func ParseProfile(name string, seed int64) (Plan, error) {
 	switch name {
 	case "shard:brownout":

@@ -134,7 +134,7 @@ func TestParseProfile(t *testing.T) {
 	}
 	// Rejection cases: a typo and the empty string must both be loud usage
 	// errors — never a silent fall-back to the default profile. Callers that
-	// want a default ("off" for -faults) pick one before parsing.
+	// want a default pick one before parsing.
 	for _, bad := range []string{"", "bogus", "OFF", "Light", "catastrophic"} {
 		if plan, err := ParseProfile(bad, 7); err == nil {
 			t.Errorf("ParseProfile(%q) accepted: %+v", bad, plan)

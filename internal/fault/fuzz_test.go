@@ -7,12 +7,12 @@ import (
 )
 
 // FuzzParseProfile: ParseProfile never panics, accepts exactly the names
-// AllProfiles lists, quotes a refused name in its error, keys every accepted
+// Profiles and ShardProfiles list, quotes a refused name in its error, keys every accepted
 // plan but "off" by the seed ("off" is the zero Plan), and is a pure
 // function of its input.
 func FuzzParseProfile(f *testing.F) {
 	known := map[string]bool{}
-	for _, name := range AllProfiles() {
+	for _, name := range append(Profiles(), ShardProfiles()...) {
 		known[name] = true
 		f.Add(name, int64(7))
 	}
@@ -27,7 +27,7 @@ func FuzzParseProfile(f *testing.F) {
 			t.Fatalf("ParseProfile(%q, %d) is not deterministic: %+v, %v then %+v, %v", name, seed, plan, err, again, errAgain)
 		}
 		if (err == nil) != known[name] {
-			t.Fatalf("ParseProfile(%q, %d): err = %v, but AllProfiles lists it: %v", name, seed, err, known[name])
+			t.Fatalf("ParseProfile(%q, %d): err = %v, but the profile lists say: %v", name, seed, err, known[name])
 		}
 		switch {
 		case err != nil:

@@ -104,25 +104,7 @@ const (
 	ChecksumRepair
 )
 
-// ChecksumModeNames lists the valid -checksum values in flag order.
-func ChecksumModeNames() []string { return []string{"off", "verify", "repair"} }
-
-// ParseChecksumMode resolves a -checksum flag value. The empty string means
-// repair — the fully hardened default. Unknown names are usage errors,
-// never silent fallbacks.
-func ParseChecksumMode(name string) (ChecksumMode, error) {
-	switch name {
-	case "", "repair":
-		return ChecksumRepair, nil
-	case "verify":
-		return ChecksumVerify, nil
-	case "off":
-		return ChecksumOff, nil
-	}
-	return 0, fmt.Errorf("pagestore: unknown checksum mode %q (want off, verify or repair)", name)
-}
-
-// String returns the mode's flag spelling.
+// String names the mode.
 func (m ChecksumMode) String() string {
 	switch m {
 	case ChecksumOff:
@@ -137,8 +119,8 @@ func (m ChecksumMode) String() string {
 
 // FileStoreConfig parameterizes a FileStore.
 type FileStoreConfig struct {
-	// Mode is the per-read integrity level (default ChecksumOff is the
-	// zero value; callers normally pass ParseChecksumMode's result).
+	// Mode is the per-read integrity level (ChecksumOff is the zero
+	// value).
 	Mode ChecksumMode
 	// Replica maintains a full second copy of the file (path + ".replica")
 	// as the repair source: a checksum mismatch on the primary is healed

@@ -477,28 +477,6 @@ func TestSatAddSaturates(t *testing.T) {
 	}
 }
 
-// TestParseChecksumMode: empty means the hardened default; unknown names are
-// errors, never silent fallbacks.
-func TestParseChecksumMode(t *testing.T) {
-	if m, err := ParseChecksumMode(""); err != nil || m != ChecksumRepair {
-		t.Errorf("ParseChecksumMode(\"\") = (%v, %v), want repair", m, err)
-	}
-	for _, name := range ChecksumModeNames() {
-		m, err := ParseChecksumMode(name)
-		if err != nil {
-			t.Errorf("ParseChecksumMode(%q): %v", name, err)
-		}
-		if m.String() != name {
-			t.Errorf("mode %q round-trips as %q", name, m.String())
-		}
-	}
-	for _, bad := range []string{"crc", "OFF", "Repair", "none"} {
-		if _, err := ParseChecksumMode(bad); err == nil {
-			t.Errorf("ParseChecksumMode(%q) accepted", bad)
-		}
-	}
-}
-
 // elevatorList draws k random pages (duplicates allowed) and returns them in
 // ascending physical order: the shape of a sweep handed to ReadSorted.
 func elevatorList(rng *rand.Rand, s *Store, k int) []PageID {

@@ -152,8 +152,8 @@ func invert(order []PageID) []PageID {
 // LayoutNames lists the valid layout names in declaration order.
 func LayoutNames() []string { return []string{"insertion", "hilbert", "str"} }
 
-// ParseLayout resolves a -layout flag value. The empty string means
-// insertion (the default).
+// ParseLayout resolves a layout name. The empty string means insertion
+// (the default).
 func ParseLayout(name string) (Layout, error) {
 	switch name {
 	case "", "insertion":

@@ -308,62 +308,6 @@ func (h *Hilbert) Reset() {
 	h.bits = h.initBits
 }
 
-// Layered is the static grid baseline (§2.1, [31]): the dataset is cut into
-// a grid and all cells surrounding the current location's cell are
-// prefetched. Cell size tracks the query volume so "surrounding" means one
-// query-sized shell.
-type Layered struct {
-	world      geom.AABB
-	volume     float64
-	initVolume float64
-	cur        geom.Vec3
-	seen       bool
-}
-
-// NewLayered creates the baseline; volume sizes the grid cells.
-func NewLayered(world geom.AABB, volume float64) *Layered {
-	return &Layered{world: world, volume: volume, initVolume: volume}
-}
-
-// Name implements Prefetcher.
-func (l *Layered) Name() string { return "Layered" }
-
-// Observe implements Prefetcher.
-func (l *Layered) Observe(obs Observation) {
-	l.cur = obs.Center
-	l.seen = true
-	if v := obs.Region.Volume(); v > 0 {
-		l.volume = v
-	}
-}
-
-// Plan implements Prefetcher.
-func (l *Layered) Plan() Plan {
-	if !l.seen || l.volume <= 0 {
-		return Plan{}
-	}
-	side := geom.CubeAt(l.cur, l.volume).Size().X
-	reqs := make([]Request, 0, 26)
-	for dz := -1; dz <= 1; dz++ {
-		for dy := -1; dy <= 1; dy++ {
-			for dx := -1; dx <= 1; dx++ {
-				if dx == 0 && dy == 0 && dz == 0 {
-					continue
-				}
-				c := l.cur.Add(geom.V(float64(dx)*side, float64(dy)*side, float64(dz)*side))
-				reqs = append(reqs, Request{Region: geom.CubeAt(c, l.volume)})
-			}
-		}
-	}
-	return Plan{Requests: reqs}
-}
-
-// Reset implements Prefetcher.
-func (l *Layered) Reset() {
-	l.seen = false
-	l.volume = l.initVolume
-}
-
 // Clone implements Cloner.
 func (None) Clone() Prefetcher { return None{} }
 
@@ -380,20 +324,15 @@ func (e *EWMA) Clone() Prefetcher { return NewEWMA(e.lambda, e.initVolume) }
 // Clone implements Cloner.
 func (h *Hilbert) Clone() Prefetcher { return NewHilbert(h.world, h.initVolume, h.span) }
 
-// Clone implements Cloner.
-func (l *Layered) Clone() Prefetcher { return NewLayered(l.world, l.initVolume) }
-
 var (
 	_ Prefetcher = None{}
 	_ Prefetcher = (*StraightLine)(nil)
 	_ Prefetcher = (*Polynomial)(nil)
 	_ Prefetcher = (*EWMA)(nil)
 	_ Prefetcher = (*Hilbert)(nil)
-	_ Prefetcher = (*Layered)(nil)
 	_ Cloner     = None{}
 	_ Cloner     = (*StraightLine)(nil)
 	_ Cloner     = (*Polynomial)(nil)
 	_ Cloner     = (*EWMA)(nil)
 	_ Cloner     = (*Hilbert)(nil)
-	_ Cloner     = (*Layered)(nil)
 )

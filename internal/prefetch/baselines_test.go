@@ -187,22 +187,6 @@ func TestHilbertPlansNeighborCells(t *testing.T) {
 	}
 }
 
-func TestLayeredPlans26Cells(t *testing.T) {
-	world := geom.Box(geom.V(0, 0, 0), geom.V(100, 100, 100))
-	l := NewLayered(world, 1000)
-	l.Observe(obsAt(0, geom.V(50, 50, 50), 1000))
-	p := l.Plan()
-	if len(p.Requests) != 26 {
-		t.Fatalf("requests = %d, want 26", len(p.Requests))
-	}
-	// None of the cells covers the current center.
-	for _, r := range p.Requests {
-		if r.Region.ContainsPoint(geom.V(50, 50, 50)) {
-			t.Error("surrounding cell contains the current center")
-		}
-	}
-}
-
 func TestIncrementalRequestsGrowAndShift(t *testing.T) {
 	center := geom.V(100, 0, 0)
 	dir := geom.V(1, 0, 0)
@@ -244,7 +228,6 @@ func TestResets(t *testing.T) {
 		NewPolynomial(2, 1000),
 		NewEWMA(0.3, 1000),
 		NewHilbert(world, 1000, 4),
-		NewLayered(world, 1000),
 	}
 	for _, p := range ps {
 		for i := 0; i < 5; i++ {

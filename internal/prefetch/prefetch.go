@@ -1,7 +1,7 @@
 // Package prefetch defines the prefetcher contract shared by SCOUT and the
 // baselines, plus the baseline prefetchers of the paper's related work:
-// Straight-Line extrapolation, Polynomial extrapolation, EWMA, Hilbert
-// prefetching and the Layered (static grid) approach.
+// Straight-Line extrapolation, Polynomial extrapolation, EWMA and Hilbert
+// prefetching.
 //
 // A prefetcher never touches the disk or the cache itself. After every user
 // query it receives an Observation (the query's location and — for
