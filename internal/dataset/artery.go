@@ -1,7 +1,6 @@
 package dataset
 
 import (
-	"math"
 	"math/rand"
 
 	"scout/internal/geom"
@@ -15,30 +14,16 @@ import (
 // the property the paper's Figure 17 findings hinge on (curve extrapolation
 // beats SCOUT on smooth structures at small query volumes), so the per-step
 // tortuosity is an order of magnitude below the neuron generator's.
+// NumObjects counts cylinders, one per walk step; Roots counts the major
+// coronary vessels.
 type ArteryConfig struct {
-	// NumObjects is the approximate target number of cylinders (the fractal
-	// construction stops adding levels when the budget is exhausted).
-	NumObjects int
-	// Roots is the number of arterial trees (e.g. major coronary vessels).
-	Roots int
-	// TrunkLen is the length of a root branch in µm; children shrink by
-	// LenDecay per generation.
-	TrunkLen, LenDecay float64
-	// SegLen is the cylinder length in µm.
-	SegLen float64
-	// Radius0 is the trunk radius; children shrink by RadiusDecay.
-	Radius0, RadiusDecay float64
-	// BranchAngle is the half-angle between sibling branches, radians.
-	BranchAngle float64
-	// Tortuosity is the per-step direction noise (kept small: smooth).
-	Tortuosity float64
-	Seed       int64
+	VesselConfig
 }
 
 // DefaultArteryConfig scales the paper's 2.1M-cylinder tree to 250k (≈1/8),
 // keeping its morphology.
 func DefaultArteryConfig() ArteryConfig {
-	return ArteryConfig{
+	return ArteryConfig{VesselConfig{
 		NumObjects:  250_000,
 		Roots:       6,
 		TrunkLen:    180,
@@ -49,7 +34,7 @@ func DefaultArteryConfig() ArteryConfig {
 		BranchAngle: 0.5,
 		Tortuosity:  0.015,
 		Seed:        2,
-	}
+	}}
 }
 
 // SmallArteryConfig is a fast configuration for tests and examples.
@@ -57,22 +42,6 @@ func SmallArteryConfig() ArteryConfig {
 	cfg := DefaultArteryConfig()
 	cfg.NumObjects = 40_000
 	return cfg
-}
-
-// arteryBranch is one branch of the growing fractal tree.
-type arteryBranch struct {
-	start  geom.Vec3
-	dir    geom.Vec3
-	length float64
-	radius float64
-	gen    int
-	parent *arteryPath
-}
-
-// arteryPath accumulates the polyline from the root to the current branch
-// tip, shared by suffix: each branch keeps its own copy-on-branch points.
-type arteryPath struct {
-	points []geom.Vec3
 }
 
 // GenerateArtery builds the synthetic arterial-tree dataset.
@@ -83,88 +52,21 @@ func GenerateArtery(cfg ArteryConfig) *Dataset {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	// The world is a cube that comfortably contains trees of total reach
 	// ~TrunkLen/(1−LenDecay) grown inward from points near the faces.
-	reach := cfg.TrunkLen / (1 - cfg.LenDecay)
-	half := reach * 0.9
+	half := cfg.TrunkLen / (1 - cfg.LenDecay) * 0.9
 	world := geom.Box(geom.V(-half, -half, -half), geom.V(half, half, half))
 
 	d := &Dataset{Name: "artery", World: world}
 	d.Objects = make([]pagestore.Object, 0, cfg.NumObjects)
-
-	// Breadth-first growth: expand the shallowest branch next so the budget
-	// is spent level by level, as in anatomical trees.
-	var queue []arteryBranch
-	for r := 0; r < cfg.Roots; r++ {
-		// Roots sit near a random face, pointing inward.
-		pos := randPointIn(rng, world.ScaledAbout(0.95))
-		dir := world.Center().Sub(pos).Normalize()
-		queue = append(queue, arteryBranch{
-			start: pos, dir: dir, length: cfg.TrunkLen, radius: cfg.Radius0,
-			parent: &arteryPath{points: []geom.Vec3{pos}},
-		})
-	}
-
-	leafPaths := make([]*arteryPath, 0)
-	for len(queue) > 0 && len(d.Objects) < cfg.NumObjects {
-		b := queue[0]
-		queue = queue[1:]
-
-		// Grow the branch as a smooth walk of SegLen cylinders.
-		steps := int(math.Max(1, b.length/cfg.SegLen))
-		pos, dir := b.start, b.dir
-		path := &arteryPath{points: append([]geom.Vec3{}, b.parent.points...)}
-		for s := 0; s < steps && len(d.Objects) < cfg.NumObjects; s++ {
-			dir = perturbDir(rng, dir, cfg.Tortuosity)
-			next := pos.Add(dir.Scale(cfg.SegLen))
-			if !world.Contains(next) {
-				dir = reflectInto(world, next, dir)
-				next = world.ClosestPoint(pos.Add(dir.Scale(cfg.SegLen)))
-			}
+	d.Structures = growVessels(rng, world, cfg.VesselConfig, &d.Objects,
+		func() (geom.Vec3, geom.Vec3) {
+			// Roots sit near a random face, pointing inward.
+			pos := randPointIn(rng, world.ScaledAbout(0.95))
+			return pos, world.Center().Sub(pos).Normalize()
+		},
+		func(b *vessel, _ int, pos, next, _ geom.Vec3) {
 			d.Objects = append(d.Objects, pagestore.Object{
-				Seg:    geom.Seg(pos, next),
-				Radius: b.radius,
-				Struct: int32(b.gen),
+				Seg: geom.Seg(pos, next), Radius: b.radius, Struct: b.gen,
 			})
-			path.points = append(path.points, next)
-			pos = next
-		}
-
-		childLen := b.length * cfg.LenDecay
-		if childLen < cfg.SegLen*2 || len(d.Objects) >= cfg.NumObjects {
-			leafPaths = append(leafPaths, path)
-			continue
-		}
-		// Bifurcate: two children splayed ±BranchAngle around the tip
-		// direction, rotated by a random roll.
-		u, w := dir.Orthonormal()
-		roll := rng.Float64() * 2 * math.Pi
-		side := u.Scale(math.Cos(roll)).Add(w.Scale(math.Sin(roll)))
-		for _, sign := range []float64{1, -1} {
-			cd := dir.Scale(math.Cos(cfg.BranchAngle)).
-				Add(side.Scale(sign * math.Sin(cfg.BranchAngle))).Normalize()
-			queue = append(queue, arteryBranch{
-				start: pos, dir: cd, length: childLen,
-				radius: b.radius * cfg.RadiusDecay,
-				gen:    b.gen + 1,
-				parent: path,
-			})
-		}
-	}
-	// Remaining queue entries never grew; their parents are tips too.
-	for _, b := range queue {
-		leafPaths = append(leafPaths, b.parent)
-	}
-
-	// Keep a diverse sample of root-to-tip paths as guiding structures
-	// (recording every leaf of a fractal tree would be redundant).
-	const maxStructures = 512
-	stride := 1
-	if len(leafPaths) > maxStructures {
-		stride = len(leafPaths) / maxStructures
-	}
-	for i := 0; i < len(leafPaths); i += stride {
-		if pts := leafPaths[i].points; len(pts) >= 2 {
-			d.Structures = append(d.Structures, NewStructure(int32(len(d.Structures)), pts))
-		}
-	}
+		})
 	return d
 }

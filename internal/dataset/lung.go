@@ -14,38 +14,30 @@ import (
 // triangulated; face adjacency is recorded explicitly, exercising SCOUT's
 // polygon-mesh path ("SCOUT can easily extract a graph with vertices
 // represented by polygon faces and edges connecting adjacent polygon
-// faces", §4.2).
+// faces", §4.2). NumObjects counts triangles; Roots counts airway trees
+// (2 = left + right lung).
 type LungConfig struct {
-	// NumObjects is the approximate target number of triangles.
-	NumObjects int
-	// Roots is the number of airway trees (2 = left + right lung).
-	Roots int
-	// TrunkLen, LenDecay, SegLen, Radius0, RadiusDecay, BranchAngle and
-	// Tortuosity shape the skeleton exactly as in ArteryConfig.
-	TrunkLen, LenDecay   float64
-	SegLen               float64
-	Radius0, RadiusDecay float64
-	BranchAngle          float64
-	Tortuosity           float64
+	VesselConfig
 	// Sectors is the number of triangle pairs around each tube ring.
 	Sectors int
-	Seed    int64
 }
 
 // DefaultLungConfig scales the paper's 7.1M triangles to 250k (≈1/28).
 func DefaultLungConfig() LungConfig {
 	return LungConfig{
-		NumObjects:  250_000,
-		Roots:       2,
-		TrunkLen:    300,
-		LenDecay:    0.82,
-		SegLen:      10,
-		Radius0:     18,
-		RadiusDecay: 0.75,
-		BranchAngle: 0.55,
-		Tortuosity:  0.03,
-		Sectors:     6,
-		Seed:        4,
+		VesselConfig: VesselConfig{
+			NumObjects:  250_000,
+			Roots:       2,
+			TrunkLen:    300,
+			LenDecay:    0.82,
+			SegLen:      10,
+			Radius0:     18,
+			RadiusDecay: 0.75,
+			BranchAngle: 0.55,
+			Tortuosity:  0.03,
+			Seed:        4,
+		},
+		Sectors: 6,
 	}
 }
 
@@ -54,19 +46,6 @@ func SmallLungConfig() LungConfig {
 	cfg := DefaultLungConfig()
 	cfg.NumObjects = 50_000
 	return cfg
-}
-
-// lungBranch mirrors arteryBranch for the airway skeleton.
-type lungBranch struct {
-	start  geom.Vec3
-	dir    geom.Vec3
-	length float64
-	radius float64
-	gen    int
-	parent *arteryPath
-	// parentLastRing holds the triangle IDs of the parent tube's final
-	// ring, to stitch mesh adjacency across the bifurcation.
-	parentLastRing []pagestore.ObjectID
 }
 
 // GenerateLung builds the synthetic lung-airway mesh dataset.
@@ -78,138 +57,69 @@ func GenerateLung(cfg LungConfig) *Dataset {
 		cfg.Sectors = 6
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	reach := cfg.TrunkLen / (1 - cfg.LenDecay)
-	half := reach * 0.95
+	half := cfg.TrunkLen / (1 - cfg.LenDecay) * 0.95
 	world := geom.Box(geom.V(-half, -half, -half), geom.V(half, half, half))
 
+	S := cfg.Sectors
 	d := &Dataset{Name: "lung", World: world}
-	d.Objects = make([]pagestore.Object, 0, cfg.NumObjects)
-	var adjacency [][]pagestore.ObjectID
-
+	// The last step may overshoot the budget by up to a ring of triangles.
+	d.Objects = make([]pagestore.Object, 0, cfg.NumObjects+2*S)
+	d.Adjacency = make([][]pagestore.ObjectID, 0, cfg.NumObjects+2*S)
 	connect := func(a, b pagestore.ObjectID) {
-		adjacency[a] = append(adjacency[a], b)
-		adjacency[b] = append(adjacency[b], a)
+		d.Adjacency[a] = append(d.Adjacency[a], b)
+		d.Adjacency[b] = append(d.Adjacency[b], a)
 	}
 
-	var queue []lungBranch
-	for r := 0; r < cfg.Roots; r++ {
-		pos := randPointIn(rng, world.ScaledAbout(0.6))
-		queue = append(queue, lungBranch{
-			start: pos, dir: randUnit(rng), length: cfg.TrunkLen,
-			radius: cfg.Radius0,
-			parent: &arteryPath{points: []geom.Vec3{pos}},
+	// Each step triangulates the tube between the previous ring of S
+	// vertices around the skeleton and the next one.
+	prev, ring := make([]geom.Vec3, S), make([]geom.Vec3, S)
+	d.Structures = growVessels(rng, world, cfg.VesselConfig, &d.Objects,
+		func() (geom.Vec3, geom.Vec3) {
+			return randPointIn(rng, world.ScaledAbout(0.6)), randUnit(rng)
+		},
+		func(b *vessel, s int, pos, next, dir geom.Vec3) {
+			if s == 0 {
+				ringPoints(prev, pos, b.dir, b.radius)
+			}
+			ringPoints(ring, next, dir, b.radius)
+			// Two triangles per sector: A_j = (p[j], p[j+1], q[j]) at
+			// base+2j and B_j = (p[j+1], q[j+1], q[j]) at base+2j+1.
+			base := pagestore.ObjectID(len(d.Objects))
+			tri := func(k int) pagestore.ObjectID { return base + pagestore.ObjectID(k) }
+			for j := range S {
+				j1 := (j + 1) % S
+				d.Objects = append(d.Objects,
+					triObject(geom.Tri(prev[j], prev[j1], ring[j]), b.gen),
+					triObject(geom.Tri(prev[j1], ring[j1], ring[j]), b.gen))
+				d.Adjacency = append(d.Adjacency, nil, nil)
+			}
+			for j := range S {
+				connect(tri(2*j), tri(2*j+1))         // share edge (p[j+1], q[j])
+				connect(tri(2*j+1), tri(2*((j+1)%S))) // share edge (p[j+1], q[j+1])
+				if s > 0 {
+					connect(tri(2*j+1)-pagestore.ObjectID(2*S), tri(2*j)) // the previous step's B_j: edge (p[j], p[j+1])
+				}
+			}
+			if s == 0 && b.parent != nil {
+				// Stitch to the B triangles of the parent's last ring.
+				for j := range S {
+					connect(b.parent.tail+pagestore.ObjectID(2*j+1), tri(2*j))
+				}
+			}
+			prev, ring = ring, prev
 		})
-	}
-
-	leafPaths := make([]*arteryPath, 0)
-	for len(queue) > 0 && len(d.Objects) < cfg.NumObjects {
-		b := queue[0]
-		queue = queue[1:]
-
-		steps := int(math.Max(1, b.length/cfg.SegLen))
-		pos, dir := b.start, b.dir
-		path := &arteryPath{points: append([]geom.Vec3{}, b.parent.points...)}
-
-		// Build the tube: rings of Sectors vertices around the skeleton.
-		prevRing := ringPoints(pos, dir, b.radius, cfg.Sectors)
-		// prevB holds the B-triangle ids of the previous segment's strip,
-		// used for along-tube adjacency.
-		var prevB []pagestore.ObjectID
-		var lastRing []pagestore.ObjectID
-		for s := 0; s < steps && len(d.Objects) < cfg.NumObjects; s++ {
-			dir = perturbDir(rng, dir, cfg.Tortuosity)
-			next := pos.Add(dir.Scale(cfg.SegLen))
-			if !world.Contains(next) {
-				dir = reflectInto(world, next, dir)
-				next = world.ClosestPoint(pos.Add(dir.Scale(cfg.SegLen)))
-			}
-			ring := ringPoints(next, dir, b.radius, cfg.Sectors)
-
-			// Two triangles per sector: A = (p[j], p[j+1], q[j]),
-			// B = (p[j+1], q[j+1], q[j]).
-			S := cfg.Sectors
-			curA := make([]pagestore.ObjectID, S)
-			curB := make([]pagestore.ObjectID, S)
-			for j := 0; j < S; j++ {
-				j1 := (j + 1) % S
-				triA := geom.Tri(prevRing[j], prevRing[j1], ring[j])
-				triB := geom.Tri(prevRing[j1], ring[j1], ring[j])
-				curA[j] = pagestore.ObjectID(len(d.Objects))
-				d.Objects = append(d.Objects, triObject(triA, int32(b.gen)))
-				adjacency = append(adjacency, nil)
-				curB[j] = pagestore.ObjectID(len(d.Objects))
-				d.Objects = append(d.Objects, triObject(triB, int32(b.gen)))
-				adjacency = append(adjacency, nil)
-			}
-			for j := 0; j < S; j++ {
-				j1 := (j + 1) % S
-				connect(curA[j], curB[j])  // share edge (p[j+1], q[j])
-				connect(curB[j], curA[j1]) // share edge (p[j+1]... ring edge)
-				if prevB != nil {
-					connect(prevB[j], curA[j]) // share ring edge along tube
-				}
-			}
-			if s == 0 && b.parentLastRing != nil {
-				// Stitch to the parent's last ring at the bifurcation.
-				for j := 0; j < S && j < len(b.parentLastRing); j++ {
-					connect(b.parentLastRing[j], curA[j])
-				}
-			}
-			prevB = curB
-			lastRing = curB
-			prevRing = ring
-			path.points = append(path.points, next)
-			pos = next
-		}
-
-		childLen := b.length * cfg.LenDecay
-		if childLen < cfg.SegLen*2 || len(d.Objects) >= cfg.NumObjects {
-			leafPaths = append(leafPaths, path)
-			continue
-		}
-		u, w := dir.Orthonormal()
-		roll := rng.Float64() * 2 * math.Pi
-		side := u.Scale(math.Cos(roll)).Add(w.Scale(math.Sin(roll)))
-		for _, sign := range []float64{1, -1} {
-			cd := dir.Scale(math.Cos(cfg.BranchAngle)).
-				Add(side.Scale(sign * math.Sin(cfg.BranchAngle))).Normalize()
-			queue = append(queue, lungBranch{
-				start: pos, dir: cd, length: childLen,
-				radius:         b.radius * cfg.RadiusDecay,
-				gen:            b.gen + 1,
-				parent:         path,
-				parentLastRing: lastRing,
-			})
-		}
-	}
-	for _, b := range queue {
-		leafPaths = append(leafPaths, b.parent)
-	}
-
-	const maxStructures = 512
-	stride := 1
-	if len(leafPaths) > maxStructures {
-		stride = len(leafPaths) / maxStructures
-	}
-	for i := 0; i < len(leafPaths); i += stride {
-		if pts := leafPaths[i].points; len(pts) >= 2 {
-			d.Structures = append(d.Structures, NewStructure(int32(len(d.Structures)), pts))
-		}
-	}
-	d.Adjacency = adjacency
 	return d
 }
 
-// ringPoints places n points on a circle of the given radius around center,
-// in the plane perpendicular to dir.
-func ringPoints(center, dir geom.Vec3, radius float64, n int) []geom.Vec3 {
+// ringPoints places len(pts) points on a circle of the given radius around
+// center, in the plane perpendicular to dir.
+func ringPoints(pts []geom.Vec3, center, dir geom.Vec3, radius float64) {
 	u, w := dir.Orthonormal()
-	pts := make([]geom.Vec3, n)
-	for i := 0; i < n; i++ {
+	n := len(pts)
+	for i := range pts {
 		a := 2 * math.Pi * float64(i) / float64(n)
 		pts[i] = center.Add(u.Scale(radius * math.Cos(a))).Add(w.Scale(radius * math.Sin(a)))
 	}
-	return pts
 }
 
 // triObject reduces a triangle to its stored simplification: the longest

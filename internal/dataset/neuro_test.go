@@ -10,9 +10,10 @@ import (
 	"scout/internal/geom"
 )
 
-// neuroFingerprint is an FNV-64a hash over every field of every object and
-// every structure's ID, Length() and points.
-func neuroFingerprint(d *Dataset) uint64 {
+// fingerprint is an FNV-64a hash over every field of every object, every
+// structure's ID, Length() and points, and every adjacency list (none for a
+// dataset without explicit adjacency).
+func fingerprint(d *Dataset) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
 	word := func(v uint64) {
@@ -35,6 +36,12 @@ func neuroFingerprint(d *Dataset) uint64 {
 			vec(p)
 		}
 	}
+	for _, ns := range d.Adjacency {
+		word(uint64(len(ns)))
+		for _, m := range ns {
+			word(uint64(m))
+		}
+	}
 	return h.Sum64()
 }
 
@@ -51,7 +58,7 @@ func TestGenerateNeuroFingerprint(t *testing.T) {
 		{"2k", golden, 0xa8c2f7c71489933e},
 		{"small", SmallNeuroConfig(), 0xffbc6f2cf647eaca},
 	} {
-		if got := neuroFingerprint(GenerateNeuro(tc.cfg)); got != tc.want {
+		if got := fingerprint(GenerateNeuro(tc.cfg)); got != tc.want {
 			t.Errorf("%s: fingerprint %#x, want %#x", tc.name, got, tc.want)
 		}
 	}

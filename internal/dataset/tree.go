@@ -7,11 +7,12 @@ import (
 	"scout/internal/pagestore"
 )
 
-// treeParams configures the generic branching-tree skeleton generator shared
-// by the neuron, artery and airway datasets. A tree grows from a root as a
-// set of tortuous walks that occasionally bifurcate; the continuation of the
-// main walk keeps its depth budget so root-to-tip paths are long enough to
-// guide multi-query sequences.
+// treeParams configures the neuron dataset's branching-tree skeleton. A tree
+// grows depth first from a root as a set of tortuous walks that occasionally
+// bifurcate; the continuation of the main walk keeps its depth budget so
+// root-to-tip paths are long enough to guide multi-query sequences. The
+// artery and airway datasets share the breadth-first vessel skeleton
+// instead (growVessels).
 type treeParams struct {
 	// SegLen is the length of one skeleton segment (one cylinder), in µm.
 	SegLen float64

@@ -153,12 +153,8 @@ func TestServeBackedCorruptionAttribution(t *testing.T) {
 		t.Error("heavy unrepairable corruption never tripped a breaker")
 	}
 	// Determinism: the corrupt serve is byte-identical across worker counts.
-	a := cfg
-	a.Workers = 1
-	b := cfg
-	b.Workers = 8
-	ra := Serve(store, tree, serveWorkloads(6, 7), a)
-	rb := Serve(store, tree, serveWorkloads(6, 7), b)
+	ra := PlanSessions(store, tree, serveWorkloads(6, 7), cfg.Engine.Cost, 1).Serve(cfg)
+	rb := PlanSessions(store, tree, serveWorkloads(6, 7), cfg.Engine.Cost, 8).Serve(cfg)
 	ra.Disk.WallRead, rb.Disk.WallRead = 0, 0
 	if !reflect.DeepEqual(ra, rb) {
 		t.Error("corrupt backed serve differs between 1 and 8 workers")

@@ -280,9 +280,6 @@ type Engine struct {
 	helpers      sync.WaitGroup
 }
 
-// ShardedEngine is an Engine built by NewShardedEngine.
-type ShardedEngine = Engine
-
 // New creates the flat engine. The store must be paginated (bulk-loaded).
 func New(store *pagestore.Store, index Index, cfg Config) *Engine {
 	return newEngine(store, index, cfg, 0)
@@ -294,7 +291,7 @@ func New(store *pagestore.Store, index Index, cfg Config) *Engine {
 // exact LRU. Reads always take the batched elevator path — Config.BatchedIO
 // is implied — and cfg.Replicas, cfg.Hedge and the shard-fault domains of a
 // *fault.Injector in cfg.Faults take effect.
-func NewShardedEngine(store *pagestore.Store, index Index, cfg Config, shards int) *ShardedEngine {
+func NewShardedEngine(store *pagestore.Store, index Index, cfg Config, shards int) *Engine {
 	return newEngine(store, index, cfg, max(shards, 1))
 }
 

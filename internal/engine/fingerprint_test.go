@@ -139,7 +139,7 @@ var coreFingerprints = map[string]uint64{
 }
 
 // TestCoreFingerprints runs every execution-core configuration — Engine
-// {per-page, batched} under each layout and under page faults; ShardedEngine
+// {per-page, batched} under each layout and under page faults; NewShardedEngine
 // over shard counts, replication, hedging and shard faults; Serve over
 // policy × cache mode × I/O mode, the robustness stack, open-loop classes,
 // tied and out-of-order arrivals, and the replicated fleet under shard

@@ -148,7 +148,6 @@ func TestServeBatchedIsolatedMatchesSingleSession(t *testing.T) {
 			Engine:        engCfg,
 			Policy:        Unarbitrated,
 			PrivateCaches: true,
-			Workers:       4,
 		}
 		res := Serve(store, tree, workloads, cfg)
 		for i := 0; i < n; i++ {
@@ -177,10 +176,8 @@ func TestServeBatched16Sessions(t *testing.T) {
 		InterferenceSeek: 500 * time.Microsecond,
 		CacheShards:      8,
 	}
-	cfg.Workers = 1
-	a := Serve(store, tree, serveWorkloads(16, 3), cfg)
-	cfg.Workers = 16
-	b := Serve(store, tree, serveWorkloads(16, 3), cfg)
+	a := PlanSessions(store, tree, serveWorkloads(16, 3), cfg.Engine.Cost, 1).Serve(cfg)
+	b := PlanSessions(store, tree, serveWorkloads(16, 3), cfg.Engine.Cost, 16).Serve(cfg)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("16-session batched serve differs between 1 and 16 workers")
 	}

@@ -72,9 +72,6 @@ type ServeConfig struct {
 	// session on every seek: queueing and head-stealing on the shared
 	// disk. 0 disables cross-session disk interference.
 	InterferenceSeek time.Duration
-	// Workers bounds the plan phase's parallelism (0 = GOMAXPROCS).
-	// Results are byte-identical for any value.
-	Workers int
 	// Faults injects deterministic faults into the commit phase: transient
 	// read errors and slow pages on the shard disks, stalled cache shards,
 	// starved arbiter windows and, with Shards > 0, shard outages and
@@ -483,12 +480,12 @@ func PlanSessions(store *pagestore.Store, index Index, workloads []SessionWorklo
 // Serve runs the session workloads to completion against one shard fleet —
 // by default one shared cache, one shared disk and one prefetch-budget
 // arbiter — and returns per-session results plus the shared-resource stats.
-// Output is deterministic: the same store, workloads and config produce
-// byte-identical results for any Workers value. To commit the same workloads
-// under several configs without re-running the prefetchers, use
-// PlanSessions + SessionPlans.Serve.
+// It plans on GOMAXPROCS workers; output is deterministic: the same store,
+// workloads and config produce byte-identical results for any worker count.
+// To choose the count, or to commit the same workloads under several configs
+// without re-running the prefetchers, use PlanSessions + SessionPlans.Serve.
 func Serve(store *pagestore.Store, index Index, workloads []SessionWorkload, cfg ServeConfig) ServeResult {
-	return PlanSessions(store, index, workloads, cfg.Engine.Cost, cfg.Workers).Serve(cfg)
+	return PlanSessions(store, index, workloads, cfg.Engine.Cost, 0).Serve(cfg)
 }
 
 // Serve is the commit phase: the deterministic virtual-time event loop over

@@ -63,10 +63,8 @@ func TestServeFaultsChargeAndDeterminism(t *testing.T) {
 		clean.Faults = nil
 		quiet := Serve(store, tree, serveWorkloads(6, 7), clean)
 
-		cfg.Workers = 1
-		a := Serve(store, tree, serveWorkloads(6, 7), cfg)
-		cfg.Workers = 8
-		b := Serve(store, tree, serveWorkloads(6, 7), cfg)
+		a := PlanSessions(store, tree, serveWorkloads(6, 7), cfg.Engine.Cost, 1).Serve(cfg)
+		b := PlanSessions(store, tree, serveWorkloads(6, 7), cfg.Engine.Cost, 8).Serve(cfg)
 		if !reflect.DeepEqual(a, b) {
 			t.Errorf("batched=%v: faulty serve differs between 1 and 8 workers", batched)
 		}
@@ -276,14 +274,13 @@ func TestServeFaultRaceHammer(t *testing.T) {
 		Policy:           DemandWeighted,
 		InterferenceSeek: 500 * time.Microsecond,
 		CacheShards:      8,
-		Workers:          8,
 		Faults:           heavyInjector(t, 11),
 		Breaker:          DefaultBreakerConfig(),
 		Admission:        AdmissionConfig{Enabled: true, MaxConcurrent: 8, Degrade: true},
 		SLO:              25 * time.Millisecond,
 	}
-	a := Serve(store, tree, serveWorkloads(16, 11), cfg)
-	b := Serve(store, tree, serveWorkloads(16, 11), cfg)
+	a := PlanSessions(store, tree, serveWorkloads(16, 11), cfg.Engine.Cost, 8).Serve(cfg)
+	b := PlanSessions(store, tree, serveWorkloads(16, 11), cfg.Engine.Cost, 8).Serve(cfg)
 	if !reflect.DeepEqual(a, b) {
 		t.Error("robustness stack is not deterministic across runs")
 	}

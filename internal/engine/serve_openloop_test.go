@@ -50,8 +50,7 @@ func TestServeOpenLoopDeterministicAcrossWorkers(t *testing.T) {
 		}
 		var results []ServeResult
 		for _, workers := range []int{1, 4, 16} {
-			cfg.Workers = workers
-			results = append(results, Serve(store, tree, classedWorkloads(16, 7), cfg))
+			results = append(results, PlanSessions(store, tree, classedWorkloads(16, 7), cfg.Engine.Cost, workers).Serve(cfg))
 		}
 		for i := 1; i < len(results); i++ {
 			if !reflect.DeepEqual(results[0], results[i]) {
@@ -229,14 +228,12 @@ func TestServeOpenLoopChurnHammer(t *testing.T) {
 		Arrivals:         ArrivalConfig{Enabled: true, Rate: 50, Seed: 11},
 		Classes:          testClasses(time.Millisecond),
 	}
-	cfg.Workers = 8
-	a := Serve(store, tree, classedWorkloads(16, 11), cfg)
-	b := Serve(store, tree, classedWorkloads(16, 11), cfg)
+	a := PlanSessions(store, tree, classedWorkloads(16, 11), cfg.Engine.Cost, 8).Serve(cfg)
+	b := PlanSessions(store, tree, classedWorkloads(16, 11), cfg.Engine.Cost, 8).Serve(cfg)
 	if !reflect.DeepEqual(a, b) {
 		t.Error("open-loop churn stack is not deterministic across runs")
 	}
-	cfg.Workers = 1
-	c := Serve(store, tree, classedWorkloads(16, 11), cfg)
+	c := PlanSessions(store, tree, classedWorkloads(16, 11), cfg.Engine.Cost, 1).Serve(cfg)
 	if !reflect.DeepEqual(a, c) {
 		t.Error("open-loop churn stack differs between 8 and 1 workers")
 	}
@@ -265,6 +262,17 @@ func refPercentile(samples []time.Duration, p float64) time.Duration {
 		}
 	}
 	return sorted[len(sorted)-1]
+}
+
+// TestPercentileDoesNotMutate: the input order must survive.
+func TestPercentileDoesNotMutate(t *testing.T) {
+	samples := []time.Duration{5, 1, 4, 2, 3}
+	Percentile(samples, 50)
+	for i, want := range []time.Duration{5, 1, 4, 2, 3} {
+		if samples[i] != want {
+			t.Fatalf("Percentile reordered its input: %v", samples)
+		}
+	}
 }
 
 // TestPercentileMatchesReference is the p999 guard: Percentile agrees with

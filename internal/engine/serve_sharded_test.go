@@ -70,7 +70,6 @@ func TestServeShardedSingleShardBitExact(t *testing.T) {
 		Policy:           FairShare,
 		InterferenceSeek: time.Millisecond,
 		CacheShards:      8,
-		Workers:          4,
 	}
 	base.Engine.BatchedIO = true
 
@@ -107,9 +106,8 @@ func TestServeShardedCrossWorkerByteIdentity(t *testing.T) {
 		Policy:           FairShare,
 		InterferenceSeek: time.Millisecond,
 		Shards:           4,
-		Workers:          1,
 	}
-	want := Serve(store, tree, shardServeWorkloads(8), cfg)
+	want := PlanSessions(store, tree, shardServeWorkloads(8), cfg.Engine.Cost, 1).Serve(cfg)
 	if want.RoutedPages == 0 {
 		t.Fatal("workload never routed a page across shards; test is vacuous")
 	}
@@ -127,13 +125,11 @@ func TestServeShardedCrossWorkerByteIdentity(t *testing.T) {
 		t.Fatal("no query fanned out across shards")
 	}
 	for _, workers := range []int{4, 16} {
-		c := cfg
-		c.Workers = workers
-		if got := Serve(store, tree, shardServeWorkloads(8), c); !reflect.DeepEqual(got, want) {
+		if got := PlanSessions(store, tree, shardServeWorkloads(8), cfg.Engine.Cost, workers).Serve(cfg); !reflect.DeepEqual(got, want) {
 			t.Errorf("workers=%d: sharded serve output diverged", workers)
 		}
 	}
-	if got := Serve(store, tree, shardServeWorkloads(8), cfg); !reflect.DeepEqual(got, want) {
+	if got := PlanSessions(store, tree, shardServeWorkloads(8), cfg.Engine.Cost, 1).Serve(cfg); !reflect.DeepEqual(got, want) {
 		t.Error("repeated sharded serve diverged")
 	}
 }
@@ -150,7 +146,6 @@ func TestServeShardedReplicationInert(t *testing.T) {
 		Policy:           FairShare,
 		InterferenceSeek: time.Millisecond,
 		Shards:           4,
-		Workers:          4,
 	}
 	cfg.Engine.BatchedIO = true
 	want := Serve(store, tree, shardServeWorkloads(8), cfg)
@@ -182,7 +177,6 @@ func TestServeShardedUnreplicatedHALedgerZero(t *testing.T) {
 			Policy:           FairShare,
 			InterferenceSeek: time.Millisecond,
 			Shards:           4,
-			Workers:          4,
 			Faults:           heavyInjector(t, seed),
 		}
 		res := Serve(store, tree, shardServeWorkloads(8), cfg)

@@ -60,7 +60,6 @@ func TestServeIsolatedMatchesSingleSession(t *testing.T) {
 				Engine:        DefaultConfig(),
 				Policy:        Unarbitrated,
 				PrivateCaches: true,
-				Workers:       4,
 			}
 			res := Serve(store, tree, workloads, cfg)
 			if len(res.Sessions) != n {
@@ -95,10 +94,8 @@ func TestServeDeterministicAcrossWorkers(t *testing.T) {
 			InterferenceSeek: time.Millisecond,
 			CacheShards:      8,
 		}
-		cfg.Workers = 1
-		a := Serve(store, tree, serveWorkloads(6, 7), cfg)
-		cfg.Workers = 8
-		b := Serve(store, tree, serveWorkloads(6, 7), cfg)
+		a := PlanSessions(store, tree, serveWorkloads(6, 7), cfg.Engine.Cost, 1).Serve(cfg)
+		b := PlanSessions(store, tree, serveWorkloads(6, 7), cfg.Engine.Cost, 8).Serve(cfg)
 		if !reflect.DeepEqual(a, b) {
 			t.Errorf("policy %v: serve output differs between 1 and 8 workers", policy)
 		}

@@ -138,7 +138,7 @@ func TestShardedDeterministic(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.BatchedIO = true
 
-	run := func(e *ShardedEngine) SequenceResult {
+	run := func(e *Engine) SequenceResult {
 		defer e.Close()
 		return e.RunSequence(seq, prefetch.NewStraightLine(22*22*22))
 	}

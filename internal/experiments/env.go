@@ -8,6 +8,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -256,26 +257,13 @@ func (e *Env) Road() *Setup {
 	return e.setup("road", func() *dataset.Dataset {
 		cfg := dataset.DefaultRoadConfig()
 		// Object count ≈ 2·GridNodes²: scale the lattice side by √Scale.
-		n := int(float64(cfg.GridNodes) * sqrtScale(e.opt.Scale))
+		n := int(float64(cfg.GridNodes) * math.Sqrt(e.opt.Scale))
 		if n < 24 {
 			n = 24
 		}
 		cfg.GridNodes = n
 		return dataset.GenerateRoad(cfg)
 	})
-}
-
-func sqrtScale(s float64) float64 {
-	if s <= 0 {
-		return 1
-	}
-	x := s
-	// Newton's iterations suffice; avoids importing math for one call.
-	g := s
-	for i := 0; i < 20; i++ {
-		g = (g + x/g) / 2
-	}
-	return g
 }
 
 // Prefetchers used across experiments, constructed fresh per measurement so

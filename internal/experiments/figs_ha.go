@@ -99,7 +99,6 @@ var haShardCounts = []int{2, 4, 8, 16}
 // counted per-query samples for SLO accounting.
 func runHACell(s *Setup, seqs []workload.Sequence, profile string, mode haMode, shards int, faultSeed int64) (haPoint, []haSample) {
 	cfg := engine.DefaultConfig()
-	cfg.BatchedIO = true
 	cfg.Replicas = mode.replicas
 	cfg.Hedge = mode.hedge
 	if profile != "off" {

@@ -85,9 +85,7 @@ func shard1Sweep(env *Env) []shardPoint {
 // one SCOUT prefetcher (RunSequence clears shard caches and resets the
 // prefetcher per sequence, exactly like the unsharded RunAll path).
 func runShardWalks(s *Setup, layout, wl string, shards int, seqs []workload.Sequence) shardPoint {
-	cfg := engine.DefaultConfig()
-	cfg.BatchedIO = true
-	e := engine.NewShardedEngine(s.Store, s.Tree, cfg, shards)
+	e := engine.NewShardedEngine(s.Store, s.Tree, engine.DefaultConfig(), shards)
 	defer e.Close()
 	sc := s.scout(core.DefaultConfig())
 

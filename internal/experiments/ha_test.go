@@ -137,27 +137,6 @@ func TestHa1PropertiesCIScale(t *testing.T) {
 	assertHAPhysics(t, ha1Sweep(NewEnv(opt)))
 }
 
-// TestHa1WorkerInvariance renders ha1 end to end under different worker
-// caps and demands byte-identical output: every failover, hedge and
-// health-ledger decision is made on the single-coordinator virtual clock,
-// so fan-out parallelism must never leak into results. The CI -race run
-// exercises the same property with the race detector watching the fan-outs.
-func TestHa1WorkerInvariance(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sweep skipped in -short mode")
-	}
-	render := func(workers int) string {
-		opt := goldenOptions()
-		opt.Workers = workers
-		return Ha1(NewEnv(opt)).String()
-	}
-	one := render(1)
-	many := render(8)
-	if one != many {
-		t.Errorf("ha1 output differs between -workers 1 and 8:\n%s", diffLines(one, many))
-	}
-}
-
 // TestHa1PinnedMode: one cell run directly through runHACell — 2-way
 // replication hedged at twice the median, under shard:outage at S=4 —
 // loses no page and serves the fault-free reference's result sets.

@@ -39,7 +39,6 @@ func TestServeIsolatedMatchesSingleSessionScout(t *testing.T) {
 				Engine:        engine.DefaultConfig(),
 				Policy:        engine.Unarbitrated,
 				PrivateCaches: true,
-				Workers:       4,
 			})
 			seqs := s.genSequences(muParams(), n, seed)
 			for i := 0; i < n; i++ {
@@ -63,12 +62,12 @@ func TestServeIsolatedMatchesSingleSessionScout(t *testing.T) {
 func TestServeSharedDeterministicAcrossWorkers(t *testing.T) {
 	s, _ := parallelEnv(t)
 	run := func(workers int) engine.ServeResult {
-		return engine.Serve(s.Store, s.Tree, scoutSessions(s, 6, 7), engine.ServeConfig{
+		cfg := engine.ServeConfig{
 			Engine:           engine.DefaultConfig(),
 			Policy:           engine.FairShare,
 			InterferenceSeek: 500 * time.Microsecond,
-			Workers:          workers,
-		})
+		}
+		return engine.PlanSessions(s.Store, s.Tree, scoutSessions(s, 6, 7), cfg.Engine.Cost, workers).Serve(cfg)
 	}
 	a, b, c := run(1), run(4), run(16)
 	if !reflect.DeepEqual(a, b) || !reflect.DeepEqual(b, c) {

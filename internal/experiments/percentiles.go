@@ -1,9 +1,9 @@
 package experiments
 
 import (
-	"math"
-	"sort"
 	"time"
+
+	"scout/internal/engine"
 )
 
 // latencySummary is the nearest-rank latency profile the serving
@@ -16,27 +16,13 @@ type latencySummary struct {
 	P999 time.Duration
 }
 
-// summarize computes the whole profile with one sort instead of one per
-// quantile. Each field is byte-identical to engine.Percentile's
-// nearest-rank answer on the same samples (TestSummarizeMatchesPercentile
-// pins that, and the experiment goldens would catch any drift); the input
-// is not modified. Empty input yields the zero summary.
+// summarize reads the profile off engine.Percentile. Empty input yields the
+// zero summary.
 func summarize(samples []time.Duration) latencySummary {
-	if len(samples) == 0 {
-		return latencySummary{}
+	return latencySummary{
+		P50:  engine.Percentile(samples, 50),
+		P95:  engine.Percentile(samples, 95),
+		P99:  engine.Percentile(samples, 99),
+		P999: engine.Percentile(samples, 99.9),
 	}
-	sorted := make([]time.Duration, len(samples))
-	copy(sorted, samples)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	at := func(p float64) time.Duration {
-		rank := int(math.Ceil(float64(len(sorted))*p/100)) - 1
-		if rank < 0 {
-			rank = 0
-		}
-		if rank >= len(sorted) {
-			rank = len(sorted) - 1
-		}
-		return sorted[rank]
-	}
-	return latencySummary{P50: at(50), P95: at(95), P99: at(99), P999: at(99.9)}
 }

@@ -65,7 +65,7 @@ var settingsCensus = map[string]settingRow{
 	// engine.Config
 	"engine.Config.CacheFraction": {varied, "examples/roadnetwork sets 0.02"},
 	"engine.Config.Cost":          {kept, "bench/serve.go passes engine.DefaultConfig().Cost to PlanSessions; only a benchmark change may edit bench/ (ROADMAP item 2)"},
-	"engine.Config.BatchedIO":     {varied, "layout1, shard1 and ha1, serve_flat's batched axis, explore_file, explore_sharded"},
+	"engine.Config.BatchedIO":     {varied, "layout1, serve_flat's batched axis, explore_file"},
 	"engine.Config.Faults":        {varied, "ha1's shard fault profiles, explore_sharded (shard:flaky)"},
 	"engine.Config.Backing":       {varied, "-backend file, dur1, explore_file"},
 	"engine.Config.ScrubPages":    {varied, "dur1 (dur1ScrubPages), explore_file (64)"},
@@ -78,7 +78,6 @@ var settingsCensus = map[string]settingRow{
 	"engine.ServeConfig.PrivateCaches":    {varied, "mu3's shared vs private column, serve_flat's private axis"},
 	"engine.ServeConfig.CacheShards":      {testOnly, "TestCoreFingerprints' serve/* rows and the serve fault, scrub and open-loop tests set 8: their 7-page shared cache gets 4 stripes at 8 and 1 at the default, so they pin stripe-local eviction"},
 	"engine.ServeConfig.InterferenceSeek": {varied, "mu1-mu3, rob1 and load1 (muInterference), serve_flat and serve_sharded"},
-	"engine.ServeConfig.Workers":          {testOnly, "TestServeDeterministicAcrossWorkers and TestServeFaultsChargeAndDeterminism: byte-identical serves at 1 and 8 plan workers; only the Serve wrapper reads it, experiments and bench give PlanSessions their own count"},
 	"engine.ServeConfig.Faults":           {varied, "rob1's fault profiles, serve_sharded (shard:flaky)"},
 	"engine.ServeConfig.Breaker":          {varied, "rob1's mitigated rows, serve_sharded"},
 	"engine.ServeConfig.Admission":        {varied, "rob1's and load1's mitigated rows, serve_sharded"},
