@@ -17,8 +17,6 @@
 //	scoutbench -exp fig11a            # one experiment at full scale
 //	scoutbench -exp all -scale 0.25   # everything, quarter-scale datasets
 //	scoutbench -exp fig13d -seqs 10   # fewer sequences for a quick look
-//	scoutbench -exp mu2 -sessions 16  # 16 concurrent sessions, policy ablation
-//	scoutbench -exp fig3 -backend file   # durable checksummed page file
 package main
 
 import (
@@ -41,9 +39,6 @@ func main() {
 		seqs       = flag.Int("seqs", 0, "override sequences per measurement (0 = paper count)")
 		seed       = flag.Int64("seed", 7, "workload random seed")
 		workers    = flag.Int("workers", 0, "sequence-level worker goroutines (0 = GOMAXPROCS, 1 = sequential)")
-		sessions   = flag.Int("sessions", 0, "override the mu* experiments' session-count sweep with one count (0 = sweep 1..64)")
-		backend    = flag.String("backend", "", "page store backend: sim or file (empty/sim = pure virtual-clock cost model; file reads a durable checksummed page file and reports real read time alongside the simulated cost)")
-		backendDir = flag.String("backenddir", "", "directory for the file backend's page files (empty = a fresh temp dir; only meaningful with -backend file)")
 		faultSeed  = flag.Int64("faultseed", 0, "seed for the deterministic fault schedules (0 = reuse -seed)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the experiment runs to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile (after all runs) to this file")
@@ -51,42 +46,13 @@ func main() {
 	)
 	flag.Parse()
 
-	// An unknown -backend value is a usage error, never a silent fallback:
-	// a typo must not quietly measure the default configuration. Validation
-	// runs even for -list, so a typo is caught on the cheapest possible
-	// invocation.
-	if *backend != "" {
-		if _, err := experiments.ParseBackend(*backend); err != nil {
-			fmt.Fprintf(os.Stderr, "scoutbench: %v\nusage: -backend takes one of: %s\n",
-				err, strings.Join(experiments.BackendNames(), ", "))
-			os.Exit(2)
-		}
-	}
-	// The file backend needs somewhere writable before any experiment runs:
-	// probe the directory up front so a read-only -backenddir is a clear
-	// usage error, not a panic from deep inside dataset setup.
-	if be, _ := experiments.ParseBackend(*backend); be == "file" && *backendDir != "" {
-		if err := os.MkdirAll(*backendDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "scoutbench: -backenddir: %v\nusage: -backenddir must name a writable directory\n", err)
-			os.Exit(2)
-		}
-		probe, err := os.CreateTemp(*backendDir, ".scout-probe-*")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "scoutbench: -backenddir %s is not writable: %v\nusage: -backenddir must name a writable directory\n", *backendDir, err)
-			os.Exit(2)
-		}
-		probe.Close()
-		os.Remove(probe.Name())
-	}
-
 	if *list {
 		for _, e := range experiments.All() {
 			fmt.Printf("%-22s %-14s %s\n", e.ID, e.Figure, e.Desc)
 		}
 		return
 	}
-	opt := experiments.Options{Scale: *scale, Sequences: *seqs, Seed: *seed, Workers: *workers,
-		Sessions: *sessions, FaultSeed: *faultSeed, Backend: *backend, BackendDir: *backendDir}
+	opt := experiments.Options{Scale: *scale, Sequences: *seqs, Seed: *seed, Workers: *workers, FaultSeed: *faultSeed}
 	if *verbose {
 		opt.Progress = func(msg string) { fmt.Fprintln(os.Stderr, "  ...", msg) }
 	}

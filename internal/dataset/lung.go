@@ -65,6 +65,11 @@ func GenerateLung(cfg LungConfig) *Dataset {
 	// The last step may overshoot the budget by up to a ring of triangles.
 	d.Objects = make([]pagestore.Object, 0, cfg.NumObjects+2*S)
 	d.Adjacency = make([][]pagestore.ObjectID, 0, cfg.NumObjects+2*S)
+	// Every triangle has at most four face neighbours: its adjacency row is
+	// cut from one backing array, four slots each, capped so a fifth
+	// neighbour would reallocate rather than write into the next row.
+	slots := make([]pagestore.ObjectID, 4*(cfg.NumObjects+2*S))
+	row := func(id int) []pagestore.ObjectID { return slots[4*id : 4*id : 4*id+4] }
 	connect := func(a, b pagestore.ObjectID) {
 		d.Adjacency[a] = append(d.Adjacency[a], b)
 		d.Adjacency[b] = append(d.Adjacency[b], a)
@@ -91,7 +96,8 @@ func GenerateLung(cfg LungConfig) *Dataset {
 				d.Objects = append(d.Objects,
 					triObject(geom.Tri(prev[j], prev[j1], ring[j]), b.gen),
 					triObject(geom.Tri(prev[j1], ring[j1], ring[j]), b.gen))
-				d.Adjacency = append(d.Adjacency, nil, nil)
+				id := len(d.Adjacency)
+				d.Adjacency = append(d.Adjacency, row(id), row(id+1))
 			}
 			for j := range S {
 				connect(tri(2*j), tri(2*j+1))         // share edge (p[j+1], q[j])

@@ -50,6 +50,20 @@ func TestGenerateArteryAllocBudget(t *testing.T) {
 	}
 }
 
+// TestGenerateLungAllocBudget: the airway mesh allocates per branch, not
+// per triangle. Each triangle's adjacency row is cut from one backing array;
+// growing every row by append made about two allocations per triangle.
+func TestGenerateLungAllocBudget(t *testing.T) {
+	cfg := SmallLungConfig()
+	var d *Dataset
+	allocs := testing.AllocsPerRun(1, func() { d = GenerateLung(cfg) })
+	perTri := allocs / float64(len(d.Objects))
+	t.Logf("%.0f allocations for %d triangles (%.3f per triangle)", allocs, len(d.Objects), perTri)
+	if perTri > 0.1 {
+		t.Errorf("GenerateLung made %.3f allocations per triangle, want <= 0.1", perTri)
+	}
+}
+
 // BenchmarkGenerateArtery times and sizes generation of the default
 // 250k-cylinder arterial tree that fig17 builds at Scale 1.
 func BenchmarkGenerateArtery(b *testing.B) {

@@ -9,8 +9,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"sync"
 
 	"scout/internal/core"
@@ -33,9 +31,6 @@ type Setup struct {
 	// workers is the experiment harness's per-measurement parallelism,
 	// copied from Options by Env.setup (0 = GOMAXPROCS).
 	workers int
-	// backing is the file backend's page file when Options.Backend is
-	// "file" (nil = the pure virtual-clock cost model).
-	backing *pagestore.FileStore
 }
 
 // BuildSetup indexes a generated dataset.
@@ -70,38 +65,11 @@ type Options struct {
 	// Results are byte-identical for any value (see engine.RunEach and
 	// engine.Serve).
 	Workers int
-	// Sessions overrides the mu* experiments' session-count sweep with a
-	// single count when positive (scoutbench -sessions N).
-	Sessions int
 	// FaultSeed keys the fault schedules independently of the workload
 	// (scoutbench -faultseed; 0 = reuse Seed).
 	FaultSeed int64
-	// Backend selects the page-store backend — "sim" or "file" (scoutbench
-	// -backend B). Empty means sim: the pure virtual-clock cost model,
-	// byte-identical to the committed goldens. "file" additionally writes
-	// each dataset to a page-aligned file (DESIGN.md §10) and physically
-	// performs every read, checksum-verified, with wall time recorded in
-	// DiskStats.WallRead; all virtual-clock outputs are unchanged.
-	Backend string
-	// BackendDir is the directory the file backend writes page files into
-	// (scoutbench -backenddir). Empty means a fresh temp directory.
-	BackendDir string
 	// Progress, when non-nil, receives one line per completed measurement.
 	Progress func(string)
-}
-
-// BackendNames lists the valid -backend values in flag order.
-func BackendNames() []string { return []string{"sim", "file"} }
-
-// ParseBackend validates a -backend value. The empty string means sim.
-func ParseBackend(name string) (string, error) {
-	switch name {
-	case "", "sim":
-		return "sim", nil
-	case "file":
-		return "file", nil
-	}
-	return "", fmt.Errorf("experiments: unknown backend %q (want sim or file)", name)
 }
 
 func (o Options) withDefaults() Options {
@@ -145,9 +113,6 @@ type Env struct {
 	mu      sync.Mutex
 	setups  map[string]*Setup
 	muPlans map[string]muPlanned
-	// backendDir is the resolved file-backend directory (Options.BackendDir
-	// or a lazily created temp dir), memoized under mu.
-	backendDir string
 }
 
 // NewEnv creates an experiment environment.
@@ -175,38 +140,8 @@ func (e *Env) setup(key string, gen func() *dataset.Dataset) *Setup {
 		panic(fmt.Sprintf("experiments: building %s: %v", key, err))
 	}
 	s.workers = e.opt.Workers
-	if e.opt.Backend == "file" {
-		dir := e.backendDirLocked()
-		fs, err := pagestore.CreateFileStore(
-			filepath.Join(dir, key+".pages"), s.Store,
-			pagestore.FileStoreConfig{Mode: pagestore.ChecksumRepair, Replica: true})
-		if err != nil {
-			panic(fmt.Sprintf("experiments: file backend for %s: %v", key, err))
-		}
-		s.backing = fs
-	}
 	e.setups[key] = s
 	return s
-}
-
-// backendDirLocked resolves the file backend's directory (caller holds mu).
-func (e *Env) backendDirLocked() string {
-	if e.backendDir != "" {
-		return e.backendDir
-	}
-	if e.opt.BackendDir != "" {
-		if err := os.MkdirAll(e.opt.BackendDir, 0o755); err != nil {
-			panic(fmt.Sprintf("experiments: backend dir: %v", err))
-		}
-		e.backendDir = e.opt.BackendDir
-		return e.backendDir
-	}
-	dir, err := os.MkdirTemp("", "scout-pages-")
-	if err != nil {
-		panic(fmt.Sprintf("experiments: backend dir: %v", err))
-	}
-	e.backendDir = dir
-	return dir
 }
 
 // Neuro returns the default neuroscience setup (≙ the paper's 450M-cylinder
@@ -294,22 +229,14 @@ func (s *Setup) scoutOpt(cfg core.Config) *core.ScoutOpt {
 // one per worker; wrappers that accumulate state across sequences (the
 // analysis collectors) fall back to sequential execution inside RunEach.
 func (s *Setup) runOne(seqs []workload.Sequence, p prefetch.Prefetcher) engine.Aggregate {
-	e := engine.New(s.Store, s.Tree, s.engineConfig())
+	e := engine.New(s.Store, s.Tree, engine.DefaultConfig())
 	return e.RunAllParallel(seqs, p, s.workers)
 }
 
 // runEach is runOne keeping the per-sequence results (in sequence order).
 func (s *Setup) runEach(seqs []workload.Sequence, p prefetch.Prefetcher) []engine.SequenceResult {
-	e := engine.New(s.Store, s.Tree, s.engineConfig())
+	e := engine.New(s.Store, s.Tree, engine.DefaultConfig())
 	return e.RunEach(seqs, p, s.workers)
-}
-
-// engineConfig is the setup's engine configuration: the engine defaults
-// over the setup's backing store, if any.
-func (s *Setup) engineConfig() engine.Config {
-	cfg := engine.DefaultConfig()
-	cfg.Backing = s.backing
-	return cfg
 }
 
 // genSequences builds the workload for this setup.

@@ -24,15 +24,9 @@ import (
 // closed-loop capacity: below, at, and well past the saturation knee.
 var load1Multipliers = []float64{0.5, 1, 2, 4, 8}
 
-// loadSessions is the arriving population: Options.Sessions when pinned,
-// else 24 — three times the default admission ceiling, so the sweep's high
-// end actually saturates the gate.
-func (o Options) loadSessions() int {
-	if o.Sessions > 0 {
-		return o.Sessions
-	}
-	return 24
-}
+// loadSessions is the arriving population: three times the default
+// admission ceiling, so the sweep's high end actually saturates the gate.
+const loadSessions = 24
 
 // loadClassParams is the per-class navigation behavior: the class index of
 // every session is its slot in this table (round-robin over arrivals).
@@ -110,9 +104,7 @@ type loadPoint struct {
 func load1Sweep(env *Env) (points []loadPoint, slo, patience time.Duration, capacity float64) {
 	s := env.Neuro()
 	opt := env.Options()
-	n := opt.loadSessions()
-
-	w := loadWorkloads(s, n, opt.Seed)
+	w := loadWorkloads(s, loadSessions, opt.Seed)
 	plans := engine.PlanSessions(s.Store, s.Tree, w, engine.DefaultConfig().Cost, opt.Workers)
 	base := muConfig(engine.FairShare, false)
 
@@ -120,7 +112,7 @@ func load1Sweep(env *Env) (points []loadPoint, slo, patience time.Duration, capa
 	// population in flight. Offered load is swept in multiples of it, so
 	// the knee sits near 1× by construction at any dataset scale.
 	closed := plans.Serve(base)
-	capacity = float64(n) / closed.Makespan.Seconds()
+	capacity = float64(loadSessions) / closed.Makespan.Seconds()
 	opt.progress("load1: calibrated capacity %.2f sessions/s", capacity)
 
 	// The objective: the lowest-load unmitigated run's p95 — scale-free and
@@ -176,13 +168,12 @@ func load1Sweep(env *Env) (points []loadPoint, slo, patience time.Duration, capa
 // goodput, abandonment and SLO violations, unmitigated vs mitigated
 // (admission + class priorities) at every load level.
 func Load1(env *Env) Result {
-	opt := env.Options()
 	points, slo, patience, capacity := load1Sweep(env)
 	res := Result{
 		ID:     "load1",
 		Figure: "load",
 		Title: fmt.Sprintf("Open-loop load sweep: tail latency and goodput vs offered rate (%d sessions, poisson arrivals, mixed classes, SLO=%s, patience=%s)",
-			opt.loadSessions(), slo, patience),
+			loadSessions, slo, patience),
 		Header: []string{"Load", "Mitigation", "p50", "p95", "p99", "p999", "Goodput", "Abandon", "SLO viol", "Rej/Deg", "Lost"},
 	}
 	// The last row is the headline p999: the highest offered load with

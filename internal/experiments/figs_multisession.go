@@ -26,14 +26,8 @@ func muParams() workload.Params {
 	return workload.Params{Queries: 25, Volume: 80_000, Shape: workload.Cube, WindowRatio: 0.8}
 }
 
-// muSessionCounts is the session-count sweep, overridable to a single
-// count by Options.Sessions (scoutbench -sessions N).
-func (o Options) muSessionCounts() []int {
-	if o.Sessions > 0 {
-		return []int{o.Sessions}
-	}
-	return []int{1, 2, 4, 8, 16, 32, 64}
-}
+// muSessionCounts is the session-count sweep of mu1-mu3.
+var muSessionCounts = []int{1, 2, 4, 8, 16, 32, 64}
 
 // muWorkloads builds n single-sequence sessions, each with its own SCOUT
 // clone over the shared immutable setup.
@@ -105,18 +99,13 @@ func Mu1(env *Env) Result {
 		Header: []string{"Sessions", "Throughput", "Scaling", "Hit rate", "Interference", "Delta builds"},
 	}
 	var base float64
-	for _, n := range opt.muSessionCounts() {
+	for _, n := range muSessionCounts {
 		w, plans := muPlan(env, s, n)
 		sr := plans.Serve(muConfig(policy, false))
 		tp := sr.Throughput()
-		// Scaling is defined against a measured single-session baseline;
-		// with -sessions pinning the sweep away from 1 there is none.
+		// Scaling is against the sweep's first row, one session.
 		if n == 1 {
 			base = tp
-		}
-		scalingCell := "n/a"
-		if base > 0 {
-			scalingCell = pct(tp / (base * float64(n)))
 		}
 		var sess core.SessionStats
 		for _, sw := range w {
@@ -129,7 +118,7 @@ func Mu1(env *Env) Result {
 		}
 		res.AddRow(fmt.Sprintf("%d", n),
 			fmt.Sprintf("%.1f q/s", tp),
-			scalingCell,
+			pct(tp/(base*float64(n))),
 			pct(sr.HitRate()),
 			ms(sr.Interference),
 			pct(sess.DeltaShare()))
@@ -158,7 +147,7 @@ func Mu2(env *Env) Result {
 		Title:  "Per-session response time vs session count (shared cache, policy ablation)",
 		Header: header,
 	}
-	for _, n := range opt.muSessionCounts() {
+	for _, n := range muSessionCounts {
 		row := []string{fmt.Sprintf("%d", n)}
 		_, plans := muPlan(env, s, n)
 		for _, policy := range policies {
@@ -188,7 +177,7 @@ func Mu3(env *Env) Result {
 		Title:  fmt.Sprintf("Cache hit rate vs session count: shared vs private caches (policy=%s)", policy),
 		Header: []string{"Sessions", "Shared hit", "Private hit", "Shared evictions", "Private evictions"},
 	}
-	for _, n := range opt.muSessionCounts() {
+	for _, n := range muSessionCounts {
 		_, plans := muPlan(env, s, n)
 		shared := plans.Serve(muConfig(policy, false))
 		private := plans.Serve(muConfig(policy, true))

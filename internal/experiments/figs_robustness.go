@@ -16,15 +16,9 @@ import (
 // latency when the disk misbehaves, and this table is where that claim is
 // pinned.
 
-// robSessions is the serving population: Options.Sessions when pinned,
-// else 16 — twice the default admission ceiling, so the mitigated
-// configuration actually exercises admission.
-func (o Options) robSessions() int {
-	if o.Sessions > 0 {
-		return o.Sessions
-	}
-	return 16
-}
+// robSessions is the serving population: twice the default admission
+// ceiling, so the mitigated configuration actually exercises admission.
+const robSessions = 16
 
 // faultSeed keys the fault schedules: -faultseed when given, else the
 // workload seed (fault decisions hash through independent domains, so
@@ -46,9 +40,8 @@ func (o Options) faultSeed() int64 {
 func Rob1(env *Env) Result {
 	s := env.Neuro()
 	opt := env.Options()
-	n := opt.robSessions()
 	policy := engine.FairShare
-	_, plans := muPlan(env, s, n)
+	_, plans := muPlan(env, s, robSessions)
 	// The objective: the fault-free unmitigated run's own p95 — scale-free
 	// (residual latencies grow with dataset scale, a fixed objective would
 	// saturate at 0% or 100% violations) and deterministic (virtual clock),
@@ -59,7 +52,7 @@ func Rob1(env *Env) Result {
 		ID:     "rob1",
 		Figure: "robustness",
 		Title: fmt.Sprintf("Tail latency and goodput under injected faults (%d sessions, policy=%s, SLO=%s)",
-			n, policy, slo),
+			robSessions, policy, slo),
 		Header: []string{"Faults", "Mitigation", "p50", "p95", "p99", "Goodput", "SLO viol", "Retries/TO", "Trips/Shed", "Rej/Deg"},
 	}
 	for _, prof := range fault.Profiles() {

@@ -75,48 +75,29 @@ func TestServeSharedDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestMuExperimentsDeterministic: the registered mu experiments must render
-// identically when re-run on a fresh environment (the property the golden
-// files and `scoutbench -exp mu2 -sessions 16` rely on).
-func TestMuExperimentsDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("mu determinism sweep skipped in -short mode")
-	}
-	opt := Options{Scale: 0.002, Sequences: 2, Seed: 7, Sessions: 16}
-	for _, id := range []string{"mu1", "mu2", "mu3"} {
-		exp, err := ByID(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a := exp.Run(NewEnv(opt)).String()
-		b := exp.Run(NewEnv(opt)).String()
-		if a != b {
-			t.Errorf("%s not deterministic:\n%s\nvs\n%s", id, a, b)
-		}
-	}
-}
-
-// TestMuOptionOverrides: -sessions collapses the sweep to one row, mu2
-// prints one column per arbiter policy, and its starved column is the
-// plans committed under muConfig(engine.StarvedFirst, false).
+// TestMuOptionOverrides: mu2 prints one row per muSessionCounts entry and
+// one column per arbiter policy, and the starved cell of its 4-session row
+// is the plans committed under muConfig(engine.StarvedFirst, false).
 func TestMuOptionOverrides(t *testing.T) {
-	opt := Options{Scale: 0.002, Sequences: 2, Seed: 7, Sessions: 3}
-	env := NewEnv(opt)
+	env := NewEnv(goldenOptions())
 	res := Mu2(env)
-	if len(res.Rows) != 1 {
-		t.Fatalf("mu2 rows = %d with -sessions 3, want 1", len(res.Rows))
+	if len(res.Rows) != len(muSessionCounts) {
+		t.Fatalf("mu2 rows = %d, want one per session count %v", len(res.Rows), muSessionCounts)
 	}
 	if len(res.Header) != 1+len(engine.Policies()) {
 		t.Errorf("mu2 columns = %d, want one per policy plus Sessions", len(res.Header))
 	}
-	if res.Rows[0][0] != "3" {
-		t.Errorf("mu2 session count = %q", res.Rows[0][0])
+	for i, n := range muSessionCounts {
+		if got := res.Rows[i][0]; got != fmt.Sprint(n) {
+			t.Errorf("mu2 row %d session count = %q, want %d", i, got, n)
+		}
 	}
-	_, plans := muPlan(env, env.Neuro(), 3)
+	row := slices.Index(muSessionCounts, 4)
+	_, plans := muPlan(env, env.Neuro(), 4)
 	lat := summarize(plans.Serve(muConfig(engine.StarvedFirst, false)).Responses())
 	want := fmt.Sprintf("%s/%s", ms(lat.P50), ms(lat.P95))
 	col := slices.Index(res.Header, "starved p50/p95")
-	if col < 0 || res.Rows[0][col] != want {
+	if col < 0 || res.Rows[row][col] != want {
 		t.Errorf("mu2 starved cell (column %d of %v) is not %s", col, res.Header, want)
 	}
 }

@@ -67,7 +67,7 @@ var settingsCensus = map[string]settingRow{
 	"engine.Config.Cost":          {kept, "bench/serve.go passes engine.DefaultConfig().Cost to PlanSessions; only a benchmark change may edit bench/ (ROADMAP item 2)"},
 	"engine.Config.BatchedIO":     {varied, "layout1, serve_flat's batched axis, explore_file"},
 	"engine.Config.Faults":        {varied, "ha1's shard fault profiles, explore_sharded (shard:flaky)"},
-	"engine.Config.Backing":       {varied, "-backend file, dur1, explore_file"},
+	"engine.Config.Backing":       {varied, "dur1 (its page files under os.TempDir), explore_file"},
 	"engine.Config.ScrubPages":    {varied, "dur1 (dur1ScrubPages), explore_file (64)"},
 	"engine.Config.Replicas":      {varied, "ha1's replication modes, explore_sharded (2)"},
 	"engine.Config.Hedge":         {varied, "ha1's hedged mode, explore_sharded (1.5)"},
@@ -122,8 +122,8 @@ var settingsCensus = map[string]settingRow{
 	"pagestore.RetryPolicy.Timeout":    {testOnly, "TestFaultCostRetryMath (3 ms), TestDiskFaultCharging and TestDiskBackingAccounting (10 ms): the per-read cap cutting recovery short"},
 
 	// pagestore.FileStoreConfig
-	"pagestore.FileStoreConfig.Mode":    {varied, "dur1's mode sweep, -backend file (repair), explore_file's read probes (off, verify, repair)"},
-	"pagestore.FileStoreConfig.Replica": {varied, "repair mode in dur1 and -backend file, explore_file"},
+	"pagestore.FileStoreConfig.Mode":    {varied, "dur1's mode sweep, explore_file's read probes (off, verify, repair)"},
+	"pagestore.FileStoreConfig.Replica": {varied, "repair mode in dur1 and explore_file"},
 
 	// core.Config
 	"core.Config.Resolution":         {varied, "fig13e"},
@@ -135,15 +135,12 @@ var settingsCensus = map[string]settingRow{
 	"core.Config.DisableIncremental": {varied, "ablation_incremental_build"},
 
 	// experiments.Options
-	"experiments.Options.Scale":      {varied, "-scale; the goldens run 0.002"},
-	"experiments.Options.Sequences":  {varied, "-seqs; the goldens run 2"},
-	"experiments.Options.Seed":       {kept, "-seed's destination; the goldens pin 7 and TestHa1PropertiesCIScale re-checks ha1 at 11"},
-	"experiments.Options.Workers":    {varied, "-workers; CI's Harness smoke diffs 1 against 4"},
-	"experiments.Options.Sessions":   {varied, "-sessions; CI's Harness smoke (16)"},
-	"experiments.Options.FaultSeed":  {kept, "-faultseed's destination; TestHa1PropertiesCIScale runs 3"},
-	"experiments.Options.Backend":    {varied, "-backend; CI's durable run"},
-	"experiments.Options.BackendDir": {varied, "-backenddir; CI's durable run"},
-	"experiments.Options.Progress":   {kept, "no effect on results: -v prints its progress lines on stderr"},
+	"experiments.Options.Scale":     {varied, "-scale; the goldens run 0.002"},
+	"experiments.Options.Sequences": {varied, "-seqs; the goldens run 2"},
+	"experiments.Options.Seed":      {kept, "-seed's destination; the goldens pin 7 and TestHa1PropertiesCIScale re-checks ha1 at 11"},
+	"experiments.Options.Workers":   {varied, "-workers; CI's Harness smoke diffs 1 against 4"},
+	"experiments.Options.FaultSeed": {kept, "-faultseed's destination; TestHa1PropertiesCIScale runs 3"},
+	"experiments.Options.Progress":  {kept, "no effect on results: -v prints its progress lines on stderr"},
 
 	// cmd/scoutbench
 	"scoutbench -list":       {kept, "prints the experiment index; the -exp usage error points to it"},
@@ -152,9 +149,6 @@ var settingsCensus = map[string]settingRow{
 	"scoutbench -seqs":       {varied, "CI's Harness smoke and durable run"},
 	"scoutbench -seed":       {kept, "the workload seed (Options.Seed) every experiment draws its sequences from; the goldens pin the default 7"},
 	"scoutbench -workers":    {varied, "CI's Harness smoke diffs -workers 1 against 4"},
-	"scoutbench -sessions":   {varied, "CI's Harness smoke (16), README"},
-	"scoutbench -backend":    {varied, "CI's durable run, README"},
-	"scoutbench -backenddir": {varied, "CI's durable run, TestUnwritableBackendDir"},
 	"scoutbench -faultseed":  {kept, "decouples rob1's and ha1's fault schedules from -seed (README)"},
 	"scoutbench -cpuprofile": {kept, "profiling output, no effect on results (README)"},
 	"scoutbench -memprofile": {kept, "profiling output, no effect on results (README)"},

@@ -41,8 +41,8 @@
 // each header entry now also carries a CRC32-C of itself in what was a
 // reserved word. There is no version-1 reader: no page file outlives the
 // process that wrote it (every CreateFileStore caller truncates into a
-// temporary or -backenddir directory), so a second verification path would
-// serve no file; decodeSuper refuses any other version by number.
+// temporary directory), so a second verification path would serve no file;
+// decodeSuper refuses any other version by number.
 package pagestore
 
 import (
