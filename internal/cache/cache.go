@@ -19,15 +19,6 @@ type Stats struct {
 	Evictions int64
 }
 
-// HitRate returns Hits / (Hits + Misses), or 0 when nothing was looked up.
-func (s Stats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
 // slot is one entry of the open-addressed page table: the page and where
 // its node is. ref is the node's index + 1, so the zero slot is empty and
 // clear() empties a table. A probe reads one 8-byte slot per step.
@@ -65,7 +56,8 @@ type Cache struct {
 	// a power of two (or 0 before the first insert) and at least twice
 	// len(nodes), so a probe run always ends at an empty slot.
 	table []slot
-	// nodes holds the cached pages and nothing else: len(nodes) is Len().
+	// nodes holds the cached pages and nothing else: len(nodes) is the
+	// cached page count.
 	// The only removal is the eviction an insert at capacity performs, and
 	// the inserted page takes the victim's node in place, so there are no
 	// holes and no free list.
@@ -86,9 +78,6 @@ func New(capacity int) *Cache {
 
 // Capacity returns the maximum number of pages the cache can hold.
 func (c *Cache) Capacity() int { return c.capacity }
-
-// Len returns the number of pages currently cached.
-func (c *Cache) Len() int { return len(c.nodes) }
 
 // Contains reports whether the page is cached, without recording a hit or
 // a miss and without touching recency. Prefetchers use it to avoid

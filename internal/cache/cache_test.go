@@ -23,9 +23,6 @@ func TestCacheBasicHitMiss(t *testing.T) {
 	if st.Hits != 1 || st.Misses != 1 || st.Inserted != 1 {
 		t.Errorf("stats = %+v", st)
 	}
-	if got := st.HitRate(); got != 0.5 {
-		t.Errorf("HitRate = %v", got)
-	}
 }
 
 func TestCacheLRUEviction(t *testing.T) {
@@ -56,8 +53,8 @@ func TestCacheInsertRefreshesRecency(t *testing.T) {
 	c.Insert(1)
 	c.Insert(2)
 	c.Insert(1) // refresh, not duplicate
-	if c.Len() != 2 {
-		t.Fatalf("Len = %d", c.Len())
+	if len(c.nodes) != 2 {
+		t.Fatalf("Len = %d", len(c.nodes))
 	}
 	c.Insert(3) // evicts 2 (LRU), not 1
 	if !c.Contains(1) || c.Contains(2) || !c.Contains(3) {
@@ -73,8 +70,8 @@ func TestCacheZeroCapacity(t *testing.T) {
 	if c.Lookup(1) {
 		t.Error("hit at capacity 0")
 	}
-	if c.Len() != 0 {
-		t.Errorf("Len = %d", c.Len())
+	if len(c.nodes) != 0 {
+		t.Errorf("Len = %d", len(c.nodes))
 	}
 }
 
@@ -93,7 +90,7 @@ func TestCacheClearKeepsStats(t *testing.T) {
 	c.Lookup(1)
 	c.Lookup(99)
 	c.Clear()
-	if c.Len() != 0 || c.Contains(1) {
+	if len(c.nodes) != 0 || c.Contains(1) {
 		t.Error("Clear left pages behind")
 	}
 	st := c.Stats()
@@ -211,8 +208,8 @@ func applyOp(c *Cache, s *shadow, op int, p pagestore.PageID) error {
 	if got != want {
 		return fmt.Errorf("answer %v, shadow %v", got, want)
 	}
-	if c.Len() != len(s.pages) {
-		return fmt.Errorf("Len = %d, shadow %d", c.Len(), len(s.pages))
+	if len(c.nodes) != len(s.pages) {
+		return fmt.Errorf("Len = %d, shadow %d", len(c.nodes), len(s.pages))
 	}
 	if c.Stats() != s.stats {
 		return fmt.Errorf("Stats = %+v, shadow %+v", c.Stats(), s.stats)
@@ -295,7 +292,7 @@ func TestCacheRandomizedInvariants(t *testing.T) {
 					p := keys[rng.Intn(len(keys))]
 					op := opInsert
 					switch r := rng.Intn(100); {
-					case c.Len() == capacity && rng.Intn(capacity/4+50) == 0:
+					case len(c.nodes) == capacity && rng.Intn(capacity/4+50) == 0:
 						op = opClear
 						clears++
 					case r < 50:
@@ -309,8 +306,8 @@ func TestCacheRandomizedInvariants(t *testing.T) {
 					if err := applyOp(c, s, op, p); err != nil {
 						t.Fatalf("op %d (kind %d, page %d): %v", i, op, p, err)
 					}
-					filled = filled || c.Len() == capacity
-					wrapped = wrapped || (c.Len() > 1 && c.table[0].ref != 0 && c.table[len(c.table)-1].ref != 0)
+					filled = filled || len(c.nodes) == capacity
+					wrapped = wrapped || (len(c.nodes) > 1 && c.table[0].ref != 0 && c.table[len(c.table)-1].ref != 0)
 				}
 				// The workload must have reached what it is here to test.
 				if !filled || clears == 0 {
@@ -321,11 +318,5 @@ func TestCacheRandomizedInvariants(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-func TestStatsHitRateEmpty(t *testing.T) {
-	if (Stats{}).HitRate() != 0 {
-		t.Error("empty HitRate != 0")
 	}
 }

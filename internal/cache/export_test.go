@@ -15,6 +15,15 @@ func (c *Cache) order() []pagestore.PageID {
 	return out
 }
 
+// totals returns the stripes' summed capacity and cached page count.
+func (c *Striped) totals() (capacity, pages int) {
+	for _, s := range c.stripes {
+		capacity += s.capacity
+		pages += len(s.nodes)
+	}
+	return capacity, pages
+}
+
 // check verifies the structure behind the answers: the recency list threads
 // every node exactly once, the table holds exactly the listed pages, and
 // every key is reachable from its home slot. It costs O(len(table)), so the
@@ -49,7 +58,7 @@ func (c *Cache) check() error {
 		return fmt.Errorf("tail = %d, list ends at %d", c.tail, prev)
 	}
 	if count != n {
-		return fmt.Errorf("list holds %d nodes, Len() = %d", count, n)
+		return fmt.Errorf("list holds %d nodes, %d cached", count, n)
 	}
 	if n == 0 {
 		for i, s := range c.table {
@@ -83,7 +92,7 @@ func (c *Cache) check() error {
 		owned[s.ref-1] = true
 	}
 	if live != n {
-		return fmt.Errorf("%d live slots, Len() = %d", live, n)
+		return fmt.Errorf("%d live slots, %d cached", live, n)
 	}
 
 	// Reachability: a key at distance d from its home needs the d slots

@@ -2,7 +2,6 @@ package cache
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"scout/internal/pagestore"
 )
@@ -85,9 +84,6 @@ func nextPow2(n int) int {
 	return p
 }
 
-// ShardCount returns the number of stripes.
-func (c *Striped) ShardCount() int { return len(c.stripes) }
-
 // ShardIndex returns the stripe page p maps to. Physically adjacent pages
 // land in different stripes (Fibonacci hashing), so a sequential prefetch run
 // does not serialize on one lock of a Sharded cache. It is also the fault
@@ -98,24 +94,6 @@ func (c *Striped) ShardCount() int { return len(c.stripes) }
 func (c *Striped) ShardIndex(p pagestore.PageID) int {
 	h := uint64(p) * 0x9E3779B97F4A7C15
 	return int(uint32(h>>33) & c.mask)
-}
-
-// Capacity returns the total page capacity across stripes.
-func (c *Striped) Capacity() int {
-	total := 0
-	for _, s := range c.stripes {
-		total += s.Capacity()
-	}
-	return total
-}
-
-// Len returns the number of pages currently cached.
-func (c *Striped) Len() int {
-	total := 0
-	for _, s := range c.stripes {
-		total += s.Len()
-	}
-	return total
 }
 
 // Contains reports whether the page is cached, without recording a hit or
@@ -140,9 +118,6 @@ func (c *Striped) Clear() {
 	c.epoch++
 }
 
-// Epoch returns the current Clear generation.
-func (c *Striped) Epoch() uint64 { return c.epoch }
-
 // Stats aggregates the per-stripe statistics into an epoch-stamped snapshot.
 func (c *Striped) Stats() StatsSnapshot {
 	snap := StatsSnapshot{Epoch: c.epoch, Shards: len(c.stripes)}
@@ -152,13 +127,6 @@ func (c *Striped) Stats() StatsSnapshot {
 	return snap
 }
 
-// ResetStats zeroes the statistics without touching cached pages.
-func (c *Striped) ResetStats() {
-	for _, s := range c.stripes {
-		s.ResetStats()
-	}
-}
-
 // Sharded is the concurrency-safe Striped: each stripe guarded by its own
 // mutex, padded onto its own cache line so the locks do not false-share.
 // Contended multi-session callers mostly touch distinct stripes, so they
@@ -166,9 +134,6 @@ func (c *Striped) ResetStats() {
 type Sharded struct {
 	core  *Striped
 	locks []stripeLock
-	// epoch counts Clear generations; the core's own counter is not touched,
-	// since concurrent Clears would race on it.
-	epoch atomic.Uint64
 }
 
 type stripeLock struct {
@@ -189,27 +154,6 @@ func (c *Sharded) stripe(p pagestore.PageID) (*Cache, *stripeLock) {
 	l := &c.locks[i]
 	l.Lock()
 	return c.core.stripes[i], l
-}
-
-// ShardCount returns the number of stripes.
-func (c *Sharded) ShardCount() int { return c.core.ShardCount() }
-
-// ShardIndex returns the stripe page p maps to (Striped.ShardIndex).
-func (c *Sharded) ShardIndex(p pagestore.PageID) int { return c.core.ShardIndex(p) }
-
-// Capacity returns the total page capacity across stripes.
-func (c *Sharded) Capacity() int { return c.core.Capacity() }
-
-// Len returns the number of pages currently cached, summed under the stripe
-// locks (a point-in-time value only when no writer is active).
-func (c *Sharded) Len() int {
-	total := 0
-	for i, s := range c.core.stripes {
-		c.locks[i].Lock()
-		total += s.Len()
-		c.locks[i].Unlock()
-	}
-	return total
 }
 
 // Contains is Striped.Contains under the stripe's lock.
@@ -236,35 +180,11 @@ func (c *Sharded) Insert(p pagestore.PageID) bool {
 	return ok
 }
 
-// Clear drops every cached page, keeps statistics, and advances the epoch.
+// Clear drops every cached page and keeps statistics.
 func (c *Sharded) Clear() {
 	for i, s := range c.core.stripes {
 		c.locks[i].Lock()
 		s.Clear()
-		c.locks[i].Unlock()
-	}
-	c.epoch.Add(1)
-}
-
-// Epoch returns the current Clear generation.
-func (c *Sharded) Epoch() uint64 { return c.epoch.Load() }
-
-// Stats aggregates the per-stripe statistics into an epoch-stamped snapshot.
-func (c *Sharded) Stats() StatsSnapshot {
-	snap := StatsSnapshot{Epoch: c.epoch.Load(), Shards: len(c.core.stripes)}
-	for i, s := range c.core.stripes {
-		c.locks[i].Lock()
-		snap.add(s.Stats())
-		c.locks[i].Unlock()
-	}
-	return snap
-}
-
-// ResetStats zeroes the statistics without touching cached pages.
-func (c *Sharded) ResetStats() {
-	for i, s := range c.core.stripes {
-		c.locks[i].Lock()
-		s.ResetStats()
 		c.locks[i].Unlock()
 	}
 }

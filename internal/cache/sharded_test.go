@@ -10,8 +10,8 @@ func TestShardedPowerOfTwo(t *testing.T) {
 	for _, tc := range []struct{ ask, want int }{
 		{0, 16}, {1, 1}, {2, 2}, {3, 4}, {5, 8}, {16, 16}, {17, 32},
 	} {
-		if got := NewSharded(128, tc.ask).ShardCount(); got != tc.want {
-			t.Errorf("NewSharded(_, %d).ShardCount() = %d, want %d", tc.ask, got, tc.want)
+		if got := len(NewSharded(128, tc.ask).locks); got != tc.want {
+			t.Errorf("NewSharded(_, %d) has %d stripes, want %d", tc.ask, got, tc.want)
 		}
 	}
 }
@@ -19,7 +19,7 @@ func TestShardedPowerOfTwo(t *testing.T) {
 func TestShardedCapacitySplitsExactly(t *testing.T) {
 	for _, capacity := range []int{0, 1, 7, 100, 1000} {
 		c := NewSharded(capacity, 8)
-		if got := c.Capacity(); got != capacity {
+		if got, _ := c.core.totals(); got != capacity {
 			t.Errorf("capacity %d split to %d", capacity, got)
 		}
 	}
@@ -30,11 +30,11 @@ func TestShardedCapacitySplitsExactly(t *testing.T) {
 // slice of the key space would be silently uncacheable.
 func TestShardedNoZeroCapacityShards(t *testing.T) {
 	c := NewSharded(40, 64)
-	if got := c.ShardCount(); got != 32 {
-		t.Errorf("ShardCount = %d, want 32 (halved until 40/n ≥ 1)", got)
+	if got := len(c.core.stripes); got != 32 {
+		t.Errorf("%d stripes, want 32 (halved until 40/n ≥ 1)", got)
 	}
-	if got := c.Capacity(); got != 40 {
-		t.Errorf("Capacity = %d, want 40", got)
+	if got, _ := c.core.totals(); got != 40 {
+		t.Errorf("capacity = %d, want 40", got)
 	}
 	for i, s := range c.core.stripes {
 		if s.Capacity() == 0 {
@@ -73,24 +73,24 @@ func TestShardedMatchesCacheSingleShard(t *testing.T) {
 			}
 		}
 	}
-	if plain.Len() != shard.Len() {
-		t.Errorf("Len %d vs %d", plain.Len(), shard.Len())
+	if _, n := shard.core.totals(); len(plain.nodes) != n {
+		t.Errorf("%d vs %d pages cached", len(plain.nodes), n)
 	}
-	ps, ss := plain.Stats(), shard.Stats().Stats
+	ps, ss := plain.Stats(), shard.core.Stats().Stats
 	if ps != ss {
 		t.Errorf("stats diverge: %+v vs %+v", ps, ss)
 	}
 }
 
 // TestStripedMatchesSharded pins that the lock-free core and the locked
-// wrapper are one cache: under the same operation stream — clears and stat
-// resets included — they answer every call alike and end with the same
-// contents, statistics and epoch.
+// wrapper are one cache: under the same operation stream — clears included
+// — they answer every call alike and end with the same contents and
+// statistics.
 func TestStripedMatchesSharded(t *testing.T) {
 	for _, tc := range []struct{ capacity, shards int }{{0, 4}, {1, 16}, {7, 4}, {40, 64}, {64, 0}, {300, 8}} {
 		core, locked := NewStriped(tc.capacity, tc.shards), NewSharded(tc.capacity, tc.shards)
-		if core.ShardCount() != locked.ShardCount() || core.Capacity() != locked.Capacity() {
-			t.Fatalf("%+v: %d stripes / capacity %d vs %d / %d", tc, core.ShardCount(), core.Capacity(), locked.ShardCount(), locked.Capacity())
+		if cc, _ := core.totals(); len(core.stripes) != len(locked.locks) || cc != tc.capacity {
+			t.Fatalf("%+v: %d stripes / capacity %d vs %d stripes", tc, len(core.stripes), cc, len(locked.locks))
 		}
 		x := uint32(tc.capacity*31 + tc.shards + 1)
 		for i := 0; i < 4000; i++ {
@@ -98,15 +98,10 @@ func TestStripedMatchesSharded(t *testing.T) {
 			p := pagestore.PageID(x % 512)
 			var a, b bool
 			switch x >> 28 {
-			case 0:
+			case 0, 1:
 				if i%7 == 0 {
 					core.Clear()
 					locked.Clear()
-				}
-			case 1:
-				if i%5 == 0 {
-					core.ResetStats()
-					locked.ResetStats()
 				}
 			case 2, 3:
 				a, b = core.Contains(p), locked.Contains(p)
@@ -115,12 +110,14 @@ func TestStripedMatchesSharded(t *testing.T) {
 			default:
 				a, b = core.Lookup(p), locked.Lookup(p)
 			}
-			if a != b || core.ShardIndex(p) != locked.ShardIndex(p) {
+			if a != b {
 				t.Fatalf("%+v: op %d on page %d: striped %v, sharded %v", tc, i, p, a, b)
 			}
 		}
-		if core.Len() != locked.Len() || core.Stats() != locked.Stats() || core.Epoch() != locked.Epoch() {
-			t.Errorf("%+v: striped Len %d %+v, sharded Len %d %+v", tc, core.Len(), core.Stats(), locked.Len(), locked.Stats())
+		_, cn := core.totals()
+		_, ln := locked.core.totals()
+		if cn != ln || core.Stats().Stats != locked.core.Stats().Stats {
+			t.Errorf("%+v: striped %d pages %+v, sharded %d pages %+v", tc, cn, core.Stats(), ln, locked.core.Stats())
 		}
 		for p := pagestore.PageID(0); p < 512; p++ {
 			if core.Contains(p) != locked.Contains(p) {
@@ -138,8 +135,8 @@ func TestShardedBasicsAndStats(t *testing.T) {
 	for i := 0; i < 256; i++ {
 		c.Insert(pagestore.PageID(i))
 	}
-	if c.Len() != 64 {
-		t.Fatalf("Len = %d after saturating inserts, want 64", c.Len())
+	if _, n := c.core.totals(); n != 64 {
+		t.Fatalf("%d pages cached after saturating inserts, want 64", n)
 	}
 	hits := 0
 	for i := 0; i < 256; i++ {
@@ -150,7 +147,7 @@ func TestShardedBasicsAndStats(t *testing.T) {
 	if hits != 64 {
 		t.Errorf("%d of 256 pages hit, want exactly the 64 resident", hits)
 	}
-	st := c.Stats()
+	st := c.core.Stats()
 	if st.Hits != 64 || st.Misses != 192 {
 		t.Errorf("stats = %+v, want 64 hits / 192 misses", st.Stats)
 	}
@@ -162,8 +159,10 @@ func TestShardedBasicsAndStats(t *testing.T) {
 	}
 }
 
-func TestShardedEpochStamping(t *testing.T) {
-	c := NewSharded(16, 2)
+// TestStripedEpochStamping: Clear advances the epoch every snapshot
+// carries and keeps the statistics.
+func TestStripedEpochStamping(t *testing.T) {
+	c := NewStriped(16, 2)
 	before := c.Stats()
 	if before.Epoch != 0 {
 		t.Fatalf("fresh epoch = %d", before.Epoch)
@@ -174,18 +173,11 @@ func TestShardedEpochStamping(t *testing.T) {
 	if after.Epoch != before.Epoch+1 {
 		t.Errorf("epoch after Clear = %d, want %d", after.Epoch, before.Epoch+1)
 	}
-	if c.Epoch() != after.Epoch {
-		t.Errorf("Epoch() = %d, snapshot = %d", c.Epoch(), after.Epoch)
-	}
-	if c.Len() != 0 {
-		t.Errorf("Len after Clear = %d", c.Len())
+	if _, n := c.totals(); n != 0 {
+		t.Errorf("%d pages cached after Clear", n)
 	}
 	if after.Inserted != 1 {
 		t.Errorf("Clear dropped stats: %+v", after.Stats)
-	}
-	c.ResetStats()
-	if got := c.Stats(); got.Stats != (Stats{}) {
-		t.Errorf("ResetStats left %+v", got.Stats)
 	}
 }
 
@@ -197,7 +189,7 @@ func TestShardedZeroCapacity(t *testing.T) {
 	if c.Lookup(3) {
 		t.Error("capacity-0 cache hit")
 	}
-	if st := c.Stats(); st.Misses != 1 {
+	if st := c.core.Stats(); st.Misses != 1 {
 		t.Errorf("stats = %+v", st.Stats)
 	}
 }

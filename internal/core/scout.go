@@ -45,9 +45,6 @@ type SessionStats struct {
 	Queries     int64
 	FullBuilds  int64
 	DeltaBuilds int64
-	GraphBuild  time.Duration
-	Prediction  time.Duration
-	GapPages    int64
 }
 
 // record folds one observation into the ledger.
@@ -58,9 +55,6 @@ func (ss *SessionStats) record(q QueryStats) {
 	} else {
 		ss.FullBuilds++
 	}
-	ss.GraphBuild += q.GraphBuild
-	ss.Prediction += q.Prediction
-	ss.GapPages += int64(q.GapPages)
 }
 
 // DeltaShare returns the fraction of queries served by incremental graph

@@ -320,11 +320,10 @@ func TestDedupeLocations(t *testing.T) {
 func TestCountComponents(t *testing.T) {
 	w := newChainWorld(t, 2, 20, 50)
 	bounds := geom.Box(geom.V(-1, -1, -1), geom.V(21, 51, 51))
-	var ids []pagestore.ObjectID
-	for i := 0; i < w.store.NumObjects(); i++ {
-		ids = append(ids, pagestore.ObjectID(i))
+	g := sgraph.New(w.store, bounds, 32768)
+	for i := range w.store.NumObjects() {
+		g.AddObject(pagestore.ObjectID(i))
 	}
-	g := sgraph.Build(w.store, bounds, 32768, ids)
 	v0 := g.VertexOf(0)
 	v1 := g.VertexOf(1)
 	v20 := g.VertexOf(20) // chain 1

@@ -94,8 +94,8 @@ func GenerateLung(cfg LungConfig) *Dataset {
 			for j := range S {
 				j1 := (j + 1) % S
 				d.Objects = append(d.Objects,
-					triObject(geom.Tri(prev[j], prev[j1], ring[j]), b.gen),
-					triObject(geom.Tri(prev[j1], ring[j1], ring[j]), b.gen))
+					triObject(prev[j], prev[j1], ring[j], b.gen),
+					triObject(prev[j1], ring[j1], ring[j], b.gen))
 				id := len(d.Adjacency)
 				d.Adjacency = append(d.Adjacency, row(id), row(id+1))
 			}
@@ -128,14 +128,12 @@ func ringPoints(pts []geom.Vec3, center, dir geom.Vec3, radius float64) {
 	}
 }
 
-// triObject reduces a triangle to its stored simplification: the longest
+// triObject reduces triangle abc to its stored simplification: the longest
 // edge as the segment, with a radius covering the third vertex, so the
 // object's bounds conservatively contain the whole triangle.
-func triObject(t geom.Triangle, structID int32) pagestore.Object {
-	edges := [3]geom.Segment{
-		geom.Seg(t.A, t.B), geom.Seg(t.B, t.C), geom.Seg(t.C, t.A),
-	}
-	opposite := [3]geom.Vec3{t.C, t.A, t.B}
+func triObject(a, b, c geom.Vec3, structID int32) pagestore.Object {
+	edges := [3]geom.Segment{geom.Seg(a, b), geom.Seg(b, c), geom.Seg(c, a)}
+	opposite := [3]geom.Vec3{c, a, b}
 	best := 0
 	for i := 1; i < 3; i++ {
 		if edges[i].Len() > edges[best].Len() {

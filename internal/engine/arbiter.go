@@ -102,32 +102,11 @@ func (a *Arbiter) Grant(session int, contenders []int, window time.Duration) tim
 	return a.core.Grant(session, contenders, window)
 }
 
-// SetPriority is arbiter.SetPriority under the lock.
-func (a *Arbiter) SetPriority(session int, w float64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.core.SetPriority(session, w)
-}
-
-// SetShedding is arbiter.SetShedding under the lock.
-func (a *Arbiter) SetShedding(session int, shed bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.core.SetShedding(session, shed)
-}
-
 // Record is arbiter.Record under the lock.
 func (a *Arbiter) Record(session, resultPages, hitPages int, used time.Duration) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.core.Record(session, resultPages, hitPages, used)
-}
-
-// Ledger is arbiter.Ledger under the lock.
-func (a *Arbiter) Ledger(session int) SessionLedger {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.core.Ledger(session)
 }
 
 // arbiter is the Arbiter without its lock, for one coordinator.

@@ -7,7 +7,7 @@ import (
 )
 
 func TestFairShareSplitsWindow(t *testing.T) {
-	a := NewArbiter(FairShare, 4)
+	a := newArbiter(FairShare, 4)
 	w := 100 * time.Millisecond
 	if got := a.Grant(0, nil, w); got != w {
 		t.Errorf("uncontended fair share = %v, want full window", got)
@@ -21,7 +21,7 @@ func TestFairShareSplitsWindow(t *testing.T) {
 }
 
 func TestUnarbitratedGrantsFullWindow(t *testing.T) {
-	a := NewArbiter(Unarbitrated, 2)
+	a := newArbiter(Unarbitrated, 2)
 	w := 42 * time.Millisecond
 	if got := a.Grant(1, []int{0}, w); got != w {
 		t.Errorf("unarbitrated grant = %v, want %v", got, w)
@@ -29,7 +29,7 @@ func TestUnarbitratedGrantsFullWindow(t *testing.T) {
 }
 
 func TestDemandWeightedFavorsColdSessions(t *testing.T) {
-	a := NewArbiter(DemandWeighted, 2)
+	a := newArbiter(DemandWeighted, 2)
 	// Session 0 misses everything, session 1 hits everything.
 	for i := 0; i < 10; i++ {
 		a.Record(0, 100, 0, 0)   // demand 100 pages/query
@@ -51,7 +51,7 @@ func TestDemandWeightedFavorsColdSessions(t *testing.T) {
 }
 
 func TestStarvedFirstPrioritizesLowHitRate(t *testing.T) {
-	a := NewArbiter(StarvedFirst, 3)
+	a := newArbiter(StarvedFirst, 3)
 	for i := 0; i < 10; i++ {
 		a.Record(0, 100, 10, 0) // starved
 		a.Record(1, 100, 90, 0)
@@ -68,7 +68,7 @@ func TestStarvedFirstPrioritizesLowHitRate(t *testing.T) {
 }
 
 func TestLedgerAccumulates(t *testing.T) {
-	a := NewArbiter(FairShare, 2)
+	a := newArbiter(FairShare, 2)
 	a.Grant(0, []int{1}, 100*time.Millisecond)
 	a.Record(0, 10, 5, 20*time.Millisecond)
 	l := a.Ledger(0)
@@ -83,10 +83,9 @@ func TestLedgerAccumulates(t *testing.T) {
 	}
 }
 
-// TestArbiterRaceHammer drives Grant/Record/Ledger/SetShedding from 16
-// goroutines so `go test -race` exercises the arbiter's locking alongside
-// the sharded cache's (cache/cache_race_test.go). Shedding toggles mid-storm
-// model breakers opening and closing under load.
+// TestArbiterRaceHammer drives the locked Arbiter's Grant and Record from
+// 16 goroutines so `go test -race` exercises its locking alongside the
+// sharded cache's (cache/cache_race_test.go).
 func TestArbiterRaceHammer(t *testing.T) {
 	const goroutines = 16
 	for _, policy := range Policies() {
@@ -98,25 +97,18 @@ func TestArbiterRaceHammer(t *testing.T) {
 				defer wg.Done()
 				contenders := []int{(g + 1) % goroutines, (g + 2) % goroutines}
 				for i := 0; i < 2_000; i++ {
-					if i%97 == 0 {
-						a.SetShedding(g, i%2 == 0)
-					}
 					grant := a.Grant(g, contenders, time.Duration(i+1)*time.Microsecond)
 					if grant < 0 || grant > time.Duration(i+1)*time.Microsecond {
 						t.Errorf("grant %v out of range", grant)
 						return
 					}
 					a.Record(g, 10+i%7, i%11, grant/2)
-					if i%64 == 0 {
-						a.Ledger(g)
-					}
 				}
-				a.SetShedding(g, false)
 			}(g)
 		}
 		wg.Wait()
 		for g := 0; g < goroutines; g++ {
-			if l := a.Ledger(g); l.Queries != 2_000 {
+			if l := a.core.Ledger(g); l.Queries != 2_000 {
 				t.Errorf("%v: session %d recorded %d queries, want 2000", policy, g, l.Queries)
 			}
 		}
@@ -128,7 +120,7 @@ func TestArbiterRaceHammer(t *testing.T) {
 // prefetch, not a negative grant or a ledger entry.
 func TestGrantZeroBudgetWindow(t *testing.T) {
 	for _, policy := range Policies() {
-		a := NewArbiter(policy, 4)
+		a := newArbiter(policy, 4)
 		for _, w := range []time.Duration{0, -time.Millisecond} {
 			if got := a.Grant(0, []int{1, 2, 3}, w); got != 0 {
 				t.Errorf("%v: grant %v for window %v", policy, got, w)
@@ -145,7 +137,7 @@ func TestGrantZeroBudgetWindow(t *testing.T) {
 // asking session its FULL window — throttling everyone on a tie would
 // deadlock warm-up.
 func TestStarvedFirstAllStarved(t *testing.T) {
-	a := NewArbiter(StarvedFirst, 4)
+	a := newArbiter(StarvedFirst, 4)
 	window := 40 * time.Millisecond
 	for s := 0; s < 4; s++ {
 		contenders := make([]int, 0, 3)
@@ -163,7 +155,7 @@ func TestStarvedFirstAllStarved(t *testing.T) {
 // TestSheddingReturnsBudgetToPool: a shedding session gets nothing, and its
 // share of every other session's fair split returns to the pool.
 func TestSheddingReturnsBudgetToPool(t *testing.T) {
-	a := NewArbiter(FairShare, 3)
+	a := newArbiter(FairShare, 3)
 	window := 30 * time.Millisecond
 	if got := a.Grant(0, []int{1, 2}, window); got != window/3 {
 		t.Fatalf("three-way split = %v, want %v", got, window/3)
@@ -191,7 +183,7 @@ func TestSheddingReturnsBudgetToPool(t *testing.T) {
 // a weight-3 session takes 3/4 of a two-way window, its weight-1 contender
 // the remaining 1/4 — and the StarvedFirst throttle splits by priority too.
 func TestArbiterPriorityWeightsShares(t *testing.T) {
-	a := NewArbiter(FairShare, 2)
+	a := newArbiter(FairShare, 2)
 	a.SetPriority(0, 3)
 	w := 100 * time.Millisecond
 	if got := a.Grant(0, []int{1}, w); got != 75*time.Millisecond {
@@ -205,7 +197,7 @@ func TestArbiterPriorityWeightsShares(t *testing.T) {
 		t.Errorf("uncontended weighted grant = %v, want full window", got)
 	}
 
-	s := NewArbiter(StarvedFirst, 2)
+	s := newArbiter(StarvedFirst, 2)
 	s.SetPriority(0, 3)
 	for i := 0; i < 10; i++ {
 		s.Record(0, 100, 90, 0) // warm: throttled
@@ -225,8 +217,8 @@ func TestArbiterPriorityWeightsShares(t *testing.T) {
 // arithmetic untouched — the weighted float paths only engage when some
 // priority differs from 1.
 func TestArbiterNeutralPriorityBitExact(t *testing.T) {
-	plain := NewArbiter(FairShare, 3)
-	tuned := NewArbiter(FairShare, 3)
+	plain := newArbiter(FairShare, 3)
+	tuned := newArbiter(FairShare, 3)
 	tuned.SetPriority(0, 1)
 	tuned.SetPriority(1, -5) // normalized to 1
 	tuned.SetPriority(99, 7) // out of range: ignored
@@ -246,7 +238,7 @@ func TestArbiterNeutralPriorityBitExact(t *testing.T) {
 // TestArbiterPriorityDemandWeighted: under DemandWeighted the priority
 // multiplies the demand EWMA, so equal-demand sessions split by class weight.
 func TestArbiterPriorityDemandWeighted(t *testing.T) {
-	a := NewArbiter(DemandWeighted, 2)
+	a := newArbiter(DemandWeighted, 2)
 	a.SetPriority(0, 4)
 	for i := 0; i < 10; i++ {
 		a.Record(0, 100, 0, 0)

@@ -32,14 +32,6 @@ const (
 // burstSize is the sessions per burst under Bursty.
 const burstSize = 4
 
-// String names the process.
-func (p ArrivalProcess) String() string {
-	if p == Bursty {
-		return "bursty"
-	}
-	return "poisson"
-}
-
 // ArrivalConfig parameterizes Serve's open-loop session generator. The zero
 // value (Enabled false) keeps the closed-loop seed behavior byte-exactly:
 // every session present at time zero, no churn, no lost-query accounting.
@@ -180,14 +172,4 @@ func (c *ClassResult) add(s *SessionResult) {
 	c.Counted += int64(len(s.Responses))
 	c.SLOViolations += s.SLOViolations
 	c.LostQueries += s.LostQueries
-}
-
-// SLORate returns the class's SLO-violation rate with lost queries counted
-// as violations, mirroring ServeResult.SLORate.
-func (c ClassResult) SLORate() float64 {
-	n := c.Counted + c.LostQueries
-	if n == 0 {
-		return 0
-	}
-	return float64(c.SLOViolations+c.LostQueries) / float64(n)
 }

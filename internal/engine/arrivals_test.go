@@ -82,15 +82,3 @@ func TestClassSpecWeight(t *testing.T) {
 		t.Errorf("weight = %v, want 2.5", w)
 	}
 }
-
-// TestClassResultSLORate: lost queries enter the denominator and count as
-// violations, mirroring ServeResult.SLORate.
-func TestClassResultSLORate(t *testing.T) {
-	c := ClassResult{Counted: 6, SLOViolations: 1, LostQueries: 2}
-	if got, want := c.SLORate(), 3.0/8.0; got != want {
-		t.Errorf("SLORate = %v, want %v", got, want)
-	}
-	if (ClassResult{}).SLORate() != 0 {
-		t.Error("empty class has nonzero SLO rate")
-	}
-}

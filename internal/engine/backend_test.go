@@ -103,10 +103,10 @@ func TestBackedEngineScrubHeals(t *testing.T) {
 func TestServeBackedCleanIsByteIdentical(t *testing.T) {
 	store, tree := lineWorld(t, 4000)
 	cfg := ServeConfig{Engine: DefaultConfig(), Policy: FairShare, CacheShards: 8}
-	want := Serve(store, tree, serveWorkloads(6, 7), cfg)
+	want := PlanSessions(store, tree, serveWorkloads(6, 7), cfg.Engine.Cost, 0).Serve(cfg)
 
 	cfg.Engine.Backing = backedStore(t, store, pagestore.FileStoreConfig{Mode: pagestore.ChecksumVerify})
-	got := Serve(store, tree, serveWorkloads(6, 7), cfg)
+	got := PlanSessions(store, tree, serveWorkloads(6, 7), cfg.Engine.Cost, 0).Serve(cfg)
 	if got.Disk.WallRead <= 0 {
 		t.Error("backed serve recorded no wall read time")
 	}
@@ -130,7 +130,7 @@ func TestServeBackedCorruptionAttribution(t *testing.T) {
 	cfg := ServeConfig{Engine: DefaultConfig(), Policy: FairShare, CacheShards: 8,
 		Breaker: DefaultBreakerConfig()}
 	cfg.Engine.Backing = fs
-	res := Serve(store, tree, serveWorkloads(6, 7), cfg)
+	res := PlanSessions(store, tree, serveWorkloads(6, 7), cfg.Engine.Cost, 0).Serve(cfg)
 	if res.Disk.CorruptPages == 0 {
 		t.Fatalf("corrupt backing detected nothing: %+v", res.Disk)
 	}

@@ -322,9 +322,6 @@ func (e *Engine) ShardStats() []pagestore.DiskStats { return e.fleet.shardStats(
 // the engine runs without replication, hedging or shard faults).
 func (e *Engine) HAStats() HAStats { return e.fleet.ha.stats }
 
-// Router exposes the engine's router (for tests).
-func (e *Engine) Router() Router { return e.fleet.router }
-
 // Close releases nothing — the engine owns no files, and its pipeline
 // goroutines never outlive RunSequence — and stays so that callers keep
 // pairing NewShardedEngine with it.

@@ -202,10 +202,10 @@ func TestTraversalPagesAreChargedAndCached(t *testing.T) {
 func TestSkipFirstQueryAccounting(t *testing.T) {
 	store, tree := lineWorld(t, 500)
 	seq := walkSequence(5, 10, 9, 1)
-	served := Serve(store, tree, []SessionWorkload{{
+	served := PlanSessions(store, tree, []SessionWorkload{{
 		Sequences:  []workload.Sequence{seq},
 		Prefetcher: prefetch.None{},
-	}}, ServeConfig{Engine: DefaultConfig()})
+	}}, DefaultConfig().Cost, 0).Serve(ServeConfig{Engine: DefaultConfig()})
 	if len(served.Sessions) != 1 || len(served.Sessions[0].Sequences) != 1 {
 		t.Fatalf("serve returned %d sessions, want one with one sequence", len(served.Sessions))
 	}

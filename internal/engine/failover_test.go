@@ -63,7 +63,7 @@ func TestRouterSplitReuseAliasing(t *testing.T) {
 			if !inB[pg] {
 				t.Fatalf("shard %d: stale page %d from the previous split leaked through", i, pg)
 			}
-			if own := r.Partition().ShardOf(store, pg); own != i {
+			if own := r.part.ShardOf(store, pg); own != i {
 				t.Fatalf("shard %d: page %d belongs to shard %d", i, pg, own)
 			}
 		}
@@ -179,7 +179,7 @@ func TestHedgeTieGoesToPrimary(t *testing.T) {
 	cfg.Cost = pagestore.CostModel{Seek: 200 * time.Microsecond, Transfer: 40 * time.Microsecond}
 	cfg.Replicas, cfg.Hedge = 2, 0.5
 	f := newFleet(store, cfg, 2, nil)
-	_, bound := f.router.Partition().Bounds(0)
+	_, bound := f.router.part.Bounds(0)
 	if bound < 4 || int(bound)+20 >= store.NumPages() {
 		t.Fatalf("range bound %d of %d pages leaves no room for the parts", bound, store.NumPages())
 	}

@@ -149,7 +149,7 @@ func TestServeBatchedIsolatedMatchesSingleSession(t *testing.T) {
 			Policy:        Unarbitrated,
 			PrivateCaches: true,
 		}
-		res := Serve(store, tree, workloads, cfg)
+		res := PlanSessions(store, tree, workloads, cfg.Engine.Cost, 0).Serve(cfg)
 		for i := 0; i < n; i++ {
 			e := New(store, tree, engCfg)
 			want := e.RunSequence(workloads[i].Sequences[0], prefetch.NewStraightLine(1000))

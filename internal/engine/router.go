@@ -24,9 +24,6 @@ func NewRouter(store *pagestore.Store, part *pagestore.Partition, cost pagestore
 	return Router{store: store, part: part, cost: cost}
 }
 
-// Partition returns the underlying range partition.
-func (r Router) Partition() *pagestore.Partition { return r.part }
-
 // Split distributes pages to per-shard slices, preserving the input order
 // within each shard, one ShardOf per page. dst is reused when it has the
 // right shape (reuse it only with the Router that filled it). Because shard

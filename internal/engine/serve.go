@@ -477,17 +477,6 @@ func PlanSessions(store *pagestore.Store, index Index, workloads []SessionWorklo
 	return plans
 }
 
-// Serve runs the session workloads to completion against one shard fleet —
-// by default one shared cache, one shared disk and one prefetch-budget
-// arbiter — and returns per-session results plus the shared-resource stats.
-// It plans on GOMAXPROCS workers; output is deterministic: the same store,
-// workloads and config produce byte-identical results for any worker count.
-// To choose the count, or to commit the same workloads under several configs
-// without re-running the prefetchers, use PlanSessions + SessionPlans.Serve.
-func Serve(store *pagestore.Store, index Index, workloads []SessionWorkload, cfg ServeConfig) ServeResult {
-	return PlanSessions(store, index, workloads, cfg.Engine.Cost, 0).Serve(cfg)
-}
-
 // Serve is the commit phase: the deterministic virtual-time event loop over
 // the planned sessions (DESIGN.md §14). Each event is one session's next
 // step: next takes it off the (virtual time, session ID) queue, admit gates

@@ -30,12 +30,12 @@ func TestServeFaultsOffByteIdentical(t *testing.T) {
 		InterferenceSeek: time.Millisecond,
 		CacheShards:      8,
 	}
-	want := Serve(store, tree, serveWorkloads(6, 7), base)
+	want := PlanSessions(store, tree, serveWorkloads(6, 7), base.Engine.Cost, 0).Serve(base)
 
 	off := base
 	off.Faults = fault.New(fault.Plan{}) // zero plan: injects nothing
 	off.SLO = 0
-	got := Serve(store, tree, serveWorkloads(6, 7), off)
+	got := PlanSessions(store, tree, serveWorkloads(6, 7), off.Engine.Cost, 0).Serve(off)
 	if !reflect.DeepEqual(want, got) {
 		t.Error("disabled injector changed serve output")
 	}
@@ -61,7 +61,7 @@ func TestServeFaultsChargeAndDeterminism(t *testing.T) {
 
 		clean := cfg
 		clean.Faults = nil
-		quiet := Serve(store, tree, serveWorkloads(6, 7), clean)
+		quiet := PlanSessions(store, tree, serveWorkloads(6, 7), clean.Engine.Cost, 0).Serve(clean)
 
 		a := PlanSessions(store, tree, serveWorkloads(6, 7), cfg.Engine.Cost, 1).Serve(cfg)
 		b := PlanSessions(store, tree, serveWorkloads(6, 7), cfg.Engine.Cost, 8).Serve(cfg)
@@ -110,8 +110,8 @@ func TestServeBreakerShedsPrefetch(t *testing.T) {
 	}
 	open := cfg
 	open.Breaker = DefaultBreakerConfig()
-	free := Serve(store, tree, serveWorkloads(8, 7), cfg)
-	broken := Serve(store, tree, serveWorkloads(8, 7), open)
+	free := PlanSessions(store, tree, serveWorkloads(8, 7), cfg.Engine.Cost, 0).Serve(cfg)
+	broken := PlanSessions(store, tree, serveWorkloads(8, 7), open.Engine.Cost, 0).Serve(open)
 
 	if broken.BreakerTrips == 0 || broken.ShedPrefetches == 0 {
 		t.Fatalf("breaker never engaged under heavy faults: trips=%d shed=%d",
@@ -150,7 +150,7 @@ func TestServeAdmissionRejectsAndDegrades(t *testing.T) {
 		Policy:    FairShare,
 		Admission: AdmissionConfig{Enabled: true, MaxConcurrent: 2},
 	}
-	res := Serve(store, tree, serveWorkloads(8, 7), cfg)
+	res := PlanSessions(store, tree, serveWorkloads(8, 7), cfg.Engine.Cost, 0).Serve(cfg)
 	if res.RejectedSessions == 0 || res.RejectedSessions >= 8 {
 		t.Fatalf("rejected %d of 8 sessions", res.RejectedSessions)
 	}
@@ -165,7 +165,7 @@ func TestServeAdmissionRejectsAndDegrades(t *testing.T) {
 	}
 
 	cfg.Admission.Degrade = true
-	deg := Serve(store, tree, serveWorkloads(8, 7), cfg)
+	deg := PlanSessions(store, tree, serveWorkloads(8, 7), cfg.Engine.Cost, 0).Serve(cfg)
 	if deg.RejectedSessions != 0 {
 		t.Errorf("degrade mode rejected %d sessions", deg.RejectedSessions)
 	}
@@ -195,7 +195,7 @@ func TestServeAdmissionRejectsAndDegrades(t *testing.T) {
 func TestServeSLOAccounting(t *testing.T) {
 	store, tree := lineWorld(t, 4000)
 	cfg := ServeConfig{Engine: DefaultConfig(), Policy: FairShare, SLO: time.Nanosecond}
-	tight := Serve(store, tree, serveWorkloads(4, 7), cfg)
+	tight := PlanSessions(store, tree, serveWorkloads(4, 7), cfg.Engine.Cost, 0).Serve(cfg)
 	var slow int64
 	for _, r := range tight.Responses() {
 		if r > cfg.SLO {
@@ -217,7 +217,7 @@ func TestServeSLOAccounting(t *testing.T) {
 		t.Errorf("goodput = %v, want %v", tight.Goodput(), wantGoodput)
 	}
 	cfg.SLO = time.Hour
-	loose := Serve(store, tree, serveWorkloads(4, 7), cfg)
+	loose := PlanSessions(store, tree, serveWorkloads(4, 7), cfg.Engine.Cost, 0).Serve(cfg)
 	if loose.SLOViolations != 0 || loose.SLORate() != 0 {
 		t.Errorf("hour SLO: %d violations (rate %v)", loose.SLOViolations, loose.SLORate())
 	}
@@ -239,17 +239,17 @@ func TestServeMitigationImprovesTail(t *testing.T) {
 		CacheShards:      8,
 	}
 	// The objective: the fault-free unmitigated run's p95, like rob1.
-	slo := Percentile(Serve(store, tree, serveWorkloads(16, 7), base).Responses(), 95)
+	slo := Percentile(PlanSessions(store, tree, serveWorkloads(16, 7), base.Engine.Cost, 0).Serve(base).Responses(), 95)
 
 	faulty := base
 	faulty.Faults = heavyInjector(t, 7)
 	faulty.SLO = slo
-	raw := Serve(store, tree, serveWorkloads(16, 7), faulty)
+	raw := PlanSessions(store, tree, serveWorkloads(16, 7), faulty.Engine.Cost, 0).Serve(faulty)
 
 	mitigated := faulty
 	mitigated.Breaker = DefaultBreakerConfig()
 	mitigated.Admission = DefaultAdmissionConfig()
-	better := Serve(store, tree, serveWorkloads(16, 7), mitigated)
+	better := PlanSessions(store, tree, serveWorkloads(16, 7), mitigated.Engine.Cost, 0).Serve(mitigated)
 
 	rawP99 := Percentile(raw.Responses(), 99)
 	mitP99 := Percentile(better.Responses(), 99)

@@ -72,7 +72,7 @@ func TestServeOpenLoopDisabledBitExact(t *testing.T) {
 		Admission: AdmissionConfig{Enabled: true, MaxConcurrent: 2},
 		SLO:       25 * time.Millisecond,
 	}
-	want := Serve(store, tree, serveWorkloads(8, 7), base)
+	want := PlanSessions(store, tree, serveWorkloads(8, 7), base.Engine.Cost, 0).Serve(base)
 	if want.RejectedSessions == 0 {
 		t.Fatal("ceiling 2 rejected nothing — test needs rejections")
 	}
@@ -83,7 +83,7 @@ func TestServeOpenLoopDisabledBitExact(t *testing.T) {
 
 	classed := base
 	classed.Classes = []ClassSpec{{Name: "neutral"}}
-	got := Serve(store, tree, serveWorkloads(8, 7), classed)
+	got := PlanSessions(store, tree, serveWorkloads(8, 7), classed.Engine.Cost, 0).Serve(classed)
 	if len(got.Classes) != 1 || got.Classes[0].Sessions != 8 {
 		t.Fatalf("class table = %+v", got.Classes)
 	}
@@ -108,7 +108,7 @@ func TestServeOpenLoopAdmissionAtArrival(t *testing.T) {
 		SLO:       time.Nanosecond,
 		Arrivals:  ArrivalConfig{Enabled: true, Times: []time.Duration{0}},
 	}
-	slam := Serve(store, tree, serveWorkloads(8, 7), cfg)
+	slam := PlanSessions(store, tree, serveWorkloads(8, 7), cfg.Engine.Cost, 0).Serve(cfg)
 	if slam.RejectedSessions == 0 {
 		t.Fatal("simultaneous arrivals over the ceiling rejected nothing")
 	}
@@ -139,7 +139,7 @@ func TestServeOpenLoopAdmissionAtArrival(t *testing.T) {
 		times[i] = time.Duration(i) * 10 * time.Second
 	}
 	cfg.Arrivals.Times = times
-	calm := Serve(store, tree, serveWorkloads(8, 7), cfg)
+	calm := PlanSessions(store, tree, serveWorkloads(8, 7), cfg.Engine.Cost, 0).Serve(cfg)
 	if calm.RejectedSessions != 0 || calm.LostQueries != 0 {
 		t.Errorf("spaced arrivals still rejected %d sessions (lost %d)",
 			calm.RejectedSessions, calm.LostQueries)
@@ -172,7 +172,7 @@ func TestServeOpenLoopAbandonment(t *testing.T) {
 		Arrivals: ArrivalConfig{Enabled: true, Rate: 50, Seed: 7},
 		Classes:  testClasses(time.Nanosecond),
 	}
-	res := Serve(store, tree, workloads, cfg)
+	res := PlanSessions(store, tree, workloads, cfg.Engine.Cost, 0).Serve(cfg)
 	if res.AbandonedSessions != 6 {
 		t.Fatalf("abandoned %d of 6 sessions with nanosecond patience", res.AbandonedSessions)
 	}
@@ -337,11 +337,11 @@ func TestServeClassPriorityShiftsBudget(t *testing.T) {
 		Policy:      FairShare,
 		CacheShards: 8,
 	}
-	want := Serve(store, tree, symmetric(), base)
+	want := PlanSessions(store, tree, symmetric(), base.Engine.Cost, 0).Serve(base)
 
 	weighted := base
 	weighted.Classes = []ClassSpec{{Name: "heavy", Weight: 3}, {Name: "light"}}
-	got := Serve(store, tree, symmetric(), weighted)
+	got := PlanSessions(store, tree, symmetric(), weighted.Engine.Cost, 0).Serve(weighted)
 	var heavy, light time.Duration
 	for _, s := range got.Sessions {
 		if s.Class == 0 {
@@ -356,7 +356,7 @@ func TestServeClassPriorityShiftsBudget(t *testing.T) {
 
 	neutral := base
 	neutral.Classes = []ClassSpec{{Name: "a"}, {Name: "b"}}
-	same := Serve(store, tree, symmetric(), neutral)
+	same := PlanSessions(store, tree, symmetric(), neutral.Engine.Cost, 0).Serve(neutral)
 	same.Classes = nil
 	if !reflect.DeepEqual(want, same) {
 		t.Error("all-neutral class weights changed the serve output")

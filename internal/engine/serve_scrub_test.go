@@ -17,13 +17,13 @@ func TestServeScrubMakesProgress(t *testing.T) {
 	store, tree := lineWorld(t, 4000)
 	cfg := ServeConfig{Engine: DefaultConfig(), Policy: FairShare, CacheShards: 8}
 	cfg.Engine.Backing = backedStore(t, store, pagestore.FileStoreConfig{Mode: pagestore.ChecksumVerify})
-	off := Serve(store, tree, serveWorkloads(6, 7), cfg)
+	off := PlanSessions(store, tree, serveWorkloads(6, 7), cfg.Engine.Cost, 0).Serve(cfg)
 	if off.Disk.ScrubbedPages != 0 || off.Disk.ScrubIO != 0 {
 		t.Fatalf("ScrubPages=0 still scrubbed: %+v", off.Disk)
 	}
 
 	cfg.Engine.ScrubPages = 16
-	on := Serve(store, tree, serveWorkloads(6, 7), cfg)
+	on := PlanSessions(store, tree, serveWorkloads(6, 7), cfg.Engine.Cost, 0).Serve(cfg)
 	if on.Disk.ScrubbedPages == 0 || on.Disk.ScrubIO <= 0 {
 		t.Fatalf("serve never scrubbed despite ScrubPages=16: %+v", on.Disk)
 	}
@@ -68,7 +68,7 @@ func TestServeScrubRepairsCorruption(t *testing.T) {
 	cfg := ServeConfig{Engine: DefaultConfig(), Policy: FairShare, CacheShards: 8}
 	cfg.Engine.Backing = corruptFS()
 	cfg.Engine.ScrubPages = 64
-	res := Serve(store, tree, serveWorkloads(8, 7), cfg)
+	res := PlanSessions(store, tree, serveWorkloads(8, 7), cfg.Engine.Cost, 0).Serve(cfg)
 	if res.Disk.ScrubbedPages == 0 {
 		t.Fatalf("no scrub progress: %+v", res.Disk)
 	}
@@ -87,7 +87,7 @@ func TestServeScrubRepairsCorruption(t *testing.T) {
 	// Determinism holds with the scrub in the loop (fresh copy of the same
 	// corruption — the first run healed its own file).
 	cfg.Engine.Backing = corruptFS()
-	again := Serve(store, tree, serveWorkloads(8, 7), cfg)
+	again := PlanSessions(store, tree, serveWorkloads(8, 7), cfg.Engine.Cost, 0).Serve(cfg)
 	res.Disk.WallRead, again.Disk.WallRead = 0, 0
 	if !reflect.DeepEqual(res, again) {
 		t.Error("scrubbing serve is not deterministic")
@@ -108,7 +108,7 @@ func TestServeScrubShedAware(t *testing.T) {
 	// the scrub must never run on budget the session was not granted.
 	starved := cfg
 	starved.Faults = fault.New(fault.Plan{Seed: 7, StarvePeriod: time.Millisecond, StarveRate: 1})
-	res := Serve(store, tree, serveWorkloads(6, 7), starved)
+	res := PlanSessions(store, tree, serveWorkloads(6, 7), starved.Engine.Cost, 0).Serve(starved)
 	if res.StarvedWindows == 0 {
 		t.Fatal("full starvation starved no windows")
 	}

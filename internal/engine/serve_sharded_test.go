@@ -81,11 +81,11 @@ func TestServeShardedSingleShardBitExact(t *testing.T) {
 	robust.Arrivals = ArrivalConfig{Enabled: true, Rate: 50, Seed: 11}
 
 	for name, cfg := range map[string]ServeConfig{"plain": base, "robust": robust} {
-		want := Serve(store, tree, serveWorkloads(6, 7), cfg)
+		want := PlanSessions(store, tree, serveWorkloads(6, 7), cfg.Engine.Cost, 0).Serve(cfg)
 
 		sharded := cfg
 		sharded.Shards = 1
-		got := Serve(store, tree, serveWorkloads(6, 7), sharded)
+		got := PlanSessions(store, tree, serveWorkloads(6, 7), sharded.Engine.Cost, 0).Serve(sharded)
 		normalizeShardedServe(t, &got)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: S=1 sharded serve differs from unsharded batched serve\n got: %+v\nwant: %+v", name, got, want)
@@ -148,14 +148,14 @@ func TestServeShardedReplicationInert(t *testing.T) {
 		Shards:           4,
 	}
 	cfg.Engine.BatchedIO = true
-	want := Serve(store, tree, shardServeWorkloads(8), cfg)
+	want := PlanSessions(store, tree, shardServeWorkloads(8), cfg.Engine.Cost, 0).Serve(cfg)
 	if want.RoutedPages == 0 {
 		t.Fatal("workload never routed a page; test is vacuous")
 	}
 
 	repl := cfg
 	repl.Replicas = 2
-	got := Serve(store, tree, shardServeWorkloads(8), repl)
+	got := PlanSessions(store, tree, shardServeWorkloads(8), repl.Engine.Cost, 0).Serve(repl)
 	if got.HA != (HAStats{}) {
 		t.Fatalf("healthy replicated serve touched the HA ledger: %+v", got.HA)
 	}
@@ -179,7 +179,7 @@ func TestServeShardedUnreplicatedHALedgerZero(t *testing.T) {
 			Shards:           4,
 			Faults:           heavyInjector(t, seed),
 		}
-		res := Serve(store, tree, shardServeWorkloads(8), cfg)
+		res := PlanSessions(store, tree, shardServeWorkloads(8), cfg.Engine.Cost, 0).Serve(cfg)
 		if res.Disk.FaultRetries == 0 {
 			t.Fatalf("seed %d: heavy profile injected no read retries; test is vacuous", seed)
 		}
@@ -200,5 +200,5 @@ func TestServeShardedRejectsPrivateCaches(t *testing.T) {
 		}
 	}()
 	cfg := ServeConfig{Engine: DefaultConfig(), PrivateCaches: true, Shards: 2}
-	Serve(store, tree, serveWorkloads(2, 7), cfg)
+	PlanSessions(store, tree, serveWorkloads(2, 7), cfg.Engine.Cost, 0).Serve(cfg)
 }

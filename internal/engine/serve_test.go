@@ -61,7 +61,7 @@ func TestServeIsolatedMatchesSingleSession(t *testing.T) {
 				Policy:        Unarbitrated,
 				PrivateCaches: true,
 			}
-			res := Serve(store, tree, workloads, cfg)
+			res := PlanSessions(store, tree, workloads, cfg.Engine.Cost, 0).Serve(cfg)
 			if len(res.Sessions) != n {
 				t.Fatalf("seed %d n %d: %d session results", seed, n, len(res.Sessions))
 			}
@@ -107,9 +107,9 @@ func TestServeDeterministicAcrossWorkers(t *testing.T) {
 func TestServeInterferencePenalty(t *testing.T) {
 	store, tree := lineWorld(t, 4000)
 	cfg := ServeConfig{Engine: DefaultConfig(), Policy: FairShare}
-	quiet := Serve(store, tree, serveWorkloads(6, 7), cfg)
+	quiet := PlanSessions(store, tree, serveWorkloads(6, 7), cfg.Engine.Cost, 0).Serve(cfg)
 	cfg.InterferenceSeek = 2 * time.Millisecond
-	noisy := Serve(store, tree, serveWorkloads(6, 7), cfg)
+	noisy := PlanSessions(store, tree, serveWorkloads(6, 7), cfg.Engine.Cost, 0).Serve(cfg)
 	if noisy.InterferenceSeeks == 0 || noisy.Interference == 0 {
 		t.Fatal("no interference charged despite overlapping sessions")
 	}
@@ -127,7 +127,7 @@ func TestServeInterferencePenalty(t *testing.T) {
 		t.Errorf("interference did not slow responses: %v vs %v", noisyRes, quietRes)
 	}
 	// A single session never contends, so the penalty must not bite.
-	solo := Serve(store, tree, serveWorkloads(1, 7), cfg)
+	solo := PlanSessions(store, tree, serveWorkloads(1, 7), cfg.Engine.Cost, 0).Serve(cfg)
 	if solo.InterferenceSeeks != 0 {
 		t.Errorf("single session paid %d interference seeks", solo.InterferenceSeeks)
 	}
@@ -138,9 +138,9 @@ func TestServeInterferencePenalty(t *testing.T) {
 func TestServeArbiterThrottles(t *testing.T) {
 	store, tree := lineWorld(t, 4000)
 	cfg := ServeConfig{Engine: DefaultConfig(), Policy: Unarbitrated}
-	free := Serve(store, tree, serveWorkloads(8, 7), cfg)
+	free := PlanSessions(store, tree, serveWorkloads(8, 7), cfg.Engine.Cost, 0).Serve(cfg)
 	cfg.Policy = FairShare
-	fair := Serve(store, tree, serveWorkloads(8, 7), cfg)
+	fair := PlanSessions(store, tree, serveWorkloads(8, 7), cfg.Engine.Cost, 0).Serve(cfg)
 
 	sum := func(r ServeResult) (granted time.Duration, prefetched int64) {
 		for _, s := range r.Sessions {
@@ -168,7 +168,7 @@ func TestServeArbiterThrottles(t *testing.T) {
 func TestServeSharedCacheStats(t *testing.T) {
 	store, tree := lineWorld(t, 4000)
 	cfg := ServeConfig{Engine: DefaultConfig(), Policy: FairShare, CacheShards: 4}
-	res := Serve(store, tree, serveWorkloads(4, 7), cfg)
+	res := PlanSessions(store, tree, serveWorkloads(4, 7), cfg.Engine.Cost, 0).Serve(cfg)
 	if res.Cache.Shards != 4 {
 		t.Errorf("snapshot shards = %d, want 4", res.Cache.Shards)
 	}

@@ -101,10 +101,10 @@ func TestShardedResultSetsMatchUnsharded(t *testing.T) {
 		}
 
 		// Router split is an exact partition of an arbitrary page set.
-		r := e.Router()
+		r := e.fleet.router
 		pages := tree.QueryPages(seq.Queries[3].Region, nil)
 		parts := r.Split(pages, nil)
-		part := r.Partition()
+		part := r.part
 		total := 0
 		for i, p := range parts {
 			total += len(p)
@@ -163,14 +163,14 @@ func TestShardSetOrder(t *testing.T) {
 		state[i] = new(int)
 	}
 	set := NewShardSet(state)
-	if set.Shards() != shards {
-		t.Fatalf("Shards() = %d, want %d", set.Shards(), shards)
+	if len(set.state) != shards {
+		t.Fatalf("%d shards, want %d", len(set.state), shards)
 	}
 
 	visits := 0
 	for round := 0; round < 3; round++ {
 		set.Do(func(i int, slot *int) {
-			if slot != set.State(i) {
+			if slot != set.state[i] {
 				t.Fatalf("round %d: shard %d handed another shard's state", round, i)
 			}
 			if want := round*shards + i; visits != want {

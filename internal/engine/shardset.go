@@ -18,12 +18,6 @@ func NewShardSet[T any](state []T) *ShardSet[T] {
 	return &ShardSet[T]{state: state}
 }
 
-// Shards returns the shard count.
-func (ss *ShardSet[T]) Shards() int { return len(ss.state) }
-
-// State returns shard i's state.
-func (ss *ShardSet[T]) State(i int) T { return ss.state[i] }
-
 // Do calls fn(i, state[i]) for i = 0..S-1, in shard order, on the calling
 // goroutine. fn must confine its writes to shard i's state and any result
 // slot dedicated to shard i, so that a turn's outcome does not depend on the

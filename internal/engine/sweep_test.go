@@ -85,8 +85,8 @@ func TestSweepBatchMatchesEagerFlush(t *testing.T) {
 	}{
 		{"lru", func(n int) pageCache { return cache.New(n) },
 			func(c pageCache) any { return c.(*cache.Cache).Stats() }},
-		{"sharded", func(n int) pageCache { return cache.NewSharded(n, 4) },
-			func(c pageCache) any { return c.(*cache.Sharded).Stats() }},
+		{"sharded", func(n int) pageCache { return cache.NewStriped(n, 4) },
+			func(c pageCache) any { return c.(*cache.Striped).Stats() }},
 	}
 	type service struct {
 		factor  float64

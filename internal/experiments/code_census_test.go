@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"errors"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"maps"
 	"os"
 	"path/filepath"
@@ -12,57 +15,62 @@ import (
 	"testing"
 )
 
-// The code census is the list of record of the functions no program runs:
-// every function and method declared in a non-test file under internal/
-// whose name appears in no non-test file of internal/, cmd/, examples/ or
-// bench/. An unexported name counts only its own package's files. Such a
-// function is deleted, or keeps a row naming the test that needs it (a
-// reference implementation, an oracle, a fixture) or the standard-library
-// interface it implements, and why.
+// The code census is the list of record of the functions no program runs.
+// It type-checks the non-test files of internal/, cmd/, examples/ and
+// bench/ with go/types and walks reachability by object from the program
+// roots: every main, every init and every package-level initializer.
 //
-// The rule is by name, not by type: a method counts as called when any
-// identifier of its name appears (a field, a selector, an interface method).
-// A declaration's own name does not count.
+//   - A function reaches every function or method it uses: a call, a
+//     function or method value, a method expression (generic instances
+//     resolve to their declaration).
+//   - A call of an interface method reaches that method of every type in
+//     the tree that implements the interface.
+//   - A value whose type flows into an interface declared outside the tree
+//     (a heap.Interface, an error, an argument of fmt.Sprint) reaches every
+//     method by which its type satisfies an interface of a standard-library
+//     package the tree imports: the library may call any of them.
+//
+// Every function declared in a non-test file of internal/, cmd/ or
+// examples/ that no program reaches is deleted, or keeps a row naming the
+// test that reaches it by the same rules (a reference implementation, an
+// oracle, a fixture) and why. bench/ is its own module: its code is a
+// caller, never a candidate.
 
-// codeRow keeps one function that no program calls.
+// codeRow keeps one function that no program reaches.
 type codeRow struct {
-	// needs is the test (Test*, Benchmark* or Fuzz* function) whose file
-	// names the function, or the standard-library interface it implements,
-	// such as "heap.Interface".
-	needs string
+	needs string // the Test*, Benchmark* or Fuzz* function that reaches it
 	why   string
 }
 
-// censusRoots are the trees whose non-test files count as callers, relative
-// to this package. Only internal/ is scanned for declarations.
-var censusRoots = []string{"../../internal", "../../cmd", "../../examples", "../../bench"}
+// censusRoot is one tree of packages, named by its import-path prefix.
+type censusRoot struct {
+	path, dir string
+	client    bool // its functions are callers only, never census rows
+}
 
-// codeCensus has one row per function no program calls:
+// repoRoots are the trees the repository's census type-checks.
+var repoRoots = []censusRoot{
+	{"scout/internal", "../../internal", false},
+	{"scout/cmd", "../../cmd", false},
+	{"scout/examples", "../../examples", false},
+	{"scout/bench", "../../bench", true},
+}
+
+// codeCensus has one row per function no program reaches:
 // "<pkg>.<Func>" or "<pkg>.<Recv>.<Method>".
 var codeCensus = map[string]codeRow{
-	// Standard-library interfaces.
-	"engine.queue.Less": {"heap.Interface", "container/heap orders the serve loop's next-event queue with it"},
-	"engine.queue.Swap": {"heap.Interface", "container/heap moves the serve loop's next-event queue entries with it"},
-	"engine.queue.Push": {"heap.Interface", "required by heap.Interface; the serve loop calls only heap.Init, Fix and Pop"},
-
 	// Reference implementations the tests diff the kernels against.
 	"pagestore.Matches":               {"TestAppendMatchesEqualsPerObjectLoop", "the one-object result filter; refineOracle applies it per object and AppendMatches must agree, and the index tests use it as their brute force"},
 	"pagestore.Store.Runs":            {"TestSweepBatchMatchesEagerFlush", "eagerFlush, the per-run flush sweepBatch is diffed against, cuts its elevator runs with it"},
 	"sgraph.Graph.ReachableCrossings": {"TestReachableExits", "the composed §4.4 traversal that MarkReachable + AppendCrossings replace on the hot path"},
 
 	// Oracles: accessors a test reads to check a result.
-	"engine.ShardSet.State":            {"TestShardSetOrder", "Do must hand shard i its own state"},
-	"geom.Vec3.IsFinite":               {"TestGenerateOnRealDataset", "generated query centers must be finite"},
-	"pagestore.FileStore.DecodePage":   {"TestFileStoreRoundTrip", "decodes a page from the file to compare with the in-memory store"},
-	"pagestore.FileStore.Generation":   {"TestRelayoutCrashMatrix", "a completed relayout bumps the generation stamp and a crashed one leaves it"},
-	"pagestore.FileStore.WasCorrupted": {"TestChecksumDetection", "ground truth of the pages ApplyCorruption damaged"},
-	"pagestore.Store.PageOf":           {"TestStorePagination", "every object's page must list it"},
-	"pagestore.Store.PageObjects":      {"TestStorePagination", "the page listings pagination and FuzzPaginate compare"},
-	"sgraph.Graph.Adj":                 {"TestNoSpuriousLongEdges", "reads adjacency lists; canonicalFingerprint and checkSimpleEdges do too"},
-	"sgraph.Graph.Components":          {"TestAdvanceEquivalentToFreshBuild", "canonicalFingerprint compares the components of advanced and fresh graphs; graphFingerprint does the same for reused arenas"},
-	"sgraph.Graph.ObjectAt":            {"TestAdvanceEquivalentToFreshBuild", "canonicalFingerprint names vertices by object, so advanced and fresh graphs compare"},
-	"sgraph.Graph.VertexOf":            {"TestReachableFrom", "looks up the start vertex of an object"},
-	"sgraph.Graph.VertexSlots":         {"TestAdvanceCompaction", "slots including tombstones show that compaction ran"},
+	"geom.Vec3.IsFinite":             {"TestGenerateOnRealDataset", "generated query centers must be finite"},
+	"pagestore.FileStore.DecodePage": {"TestFileStoreRoundTrip", "decodes a page from the file to compare with the in-memory store"},
+	"pagestore.Store.PageOf":         {"TestStorePagination", "every object's page must list it"},
+	"pagestore.Store.PageObjects":    {"TestStorePagination", "the page listings pagination and FuzzPaginate compare"},
+	"sgraph.Graph.Components":        {"TestAdvanceEquivalentToFreshBuild", "canonicalFingerprint compares the components of advanced and fresh graphs; graphFingerprint does the same for reused arenas"},
+	"sgraph.Graph.VertexOf":          {"TestReachableFrom", "looks up the start vertex of an object"},
 
 	// Fixtures: constructors the tests build inputs with.
 	"dataset.SmallArteryConfig":     {"TestGenerateArtery", "a fast artery world; TestSTROrderMatchesSortSlice packs it too"},
@@ -72,137 +80,591 @@ var codeCensus = map[string]codeRow{
 	"pagestore.RelayoutCrashPoints": {"TestRelayoutCrashMatrix", "enumerates the crash points the matrix and TestStorageCrashAt arm"},
 }
 
-// censusFunc is one declared function.
-type censusFunc struct {
-	key  string // codeCensus key
-	name string
-	dir  string // package directory
+// TestCodeCensus fails on a function no program reaches that has no row,
+// on a row whose function is gone or reached, and on a row whose test does
+// not reach its function. Run it with -v for the counts and for the
+// functions that only bench/'s main reaches.
+func TestCodeCensus(t *testing.T) {
+	c := loadCensus(t, repoRoots)
+	if len(c.decls) == 0 {
+		t.Fatal("no functions found")
+	}
+	dead := map[string]bool{}
+	for _, d := range c.unreached(func(string) bool { return true }) {
+		dead[d.key] = true
+		if _, ok := codeCensus[d.key]; !ok {
+			t.Errorf("%s: no program reaches it; delete it, or add a codeCensus row naming the test that reaches it and why", d.key)
+		}
+	}
+
+	needed := map[string]bool{}
+	for _, row := range codeCensus {
+		needed[row.needs] = true
+	}
+	byTest := c.testReach(needed)
+	for _, key := range slices.Sorted(maps.Keys(codeCensus)) {
+		row := codeCensus[key]
+		switch {
+		case !dead[key]:
+			t.Errorf("census row %q names a function that is gone or that a program reaches", key)
+		case row.why == "":
+			t.Errorf("census row %q gives no reason", key)
+		case byTest[row.needs] == nil:
+			t.Errorf("census row %q: %q is not a test, benchmark or fuzz function", key, row.needs)
+		case !byTest[row.needs][key]:
+			t.Errorf("census row %q: %s does not reach it", key, row.needs)
+		}
+	}
+
+	benchOnly := 0
+	for _, d := range c.unreached(func(path string) bool { return path != "scout/bench" }) {
+		if !dead[d.key] {
+			benchOnly++
+			t.Logf("only bench/ reaches %s", d.key)
+		}
+	}
+	t.Logf("code census: %d functions, %d no program reaches, %d rows, %d reached only from bench/", len(c.decls), len(dead), len(codeCensus), benchOnly)
 }
 
-// TestCodeCensus fails on a function no program calls that has no row, on
-// a row whose function is gone or has a caller, and on a row that names no
-// test or interface. Run it with -v for the count.
-func TestCodeCensus(t *testing.T) {
-	var funcs []censusFunc
-	anywhere := map[string]bool{}         // names referenced in any package
-	local := map[string]map[string]bool{} // package dir -> names referenced there
-	tests := map[string]map[string]bool{} // test function -> names its file uses
-	for _, root := range censusRoots {
-		err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+// TestCodeCensusFixture runs the census over testdata/census, a program
+// with two kinds of dead code a rule matching by name cannot see (a method
+// named like a live field, a two-function cycle) and two live methods no
+// call names by type (one reached through an interface call, a String
+// reached through fmt).
+func TestCodeCensusFixture(t *testing.T) {
+	c := loadCensus(t, []censusRoot{{"fixture", "testdata/census", false}})
+	var got []string
+	for _, d := range c.unreached(func(string) bool { return true }) {
+		got = append(got, d.key)
+	}
+	if want := []string{"lib.Store.Backing", "lib.ping", "lib.pong"}; !slices.Equal(got, want) {
+		t.Errorf("unreached = %v, want %v", got, want)
+	}
+}
+
+// censusDecl is one function or method declared in a non-client file.
+type censusDecl struct {
+	key string
+	fn  *types.Func
+}
+
+// censusPkg is one type-checked package.
+type censusPkg struct {
+	files []*ast.File
+	pkg   *types.Package
+}
+
+// census is the call graph of a set of trees. Its nodes are declared
+// functions and methods, and one node per package for its package-level
+// initializers.
+type census struct {
+	t     *testing.T
+	fset  *token.FileSet
+	trees []censusRoot
+	std   types.Importer
+	pkgs  map[string]*censusPkg // import path -> non-test package
+	decls []censusDecl
+
+	calls map[*types.Func][]*types.Func // concrete callees, by object
+	icall map[*types.Func][]ifaceCall   // interface-method calls
+	flows map[*types.Func][]types.Type  // types converted to an outside interface
+	inits map[string][]*types.Func      // package path -> its roots
+	named []*types.Named                // the trees' non-generic, non-interface types
+	stdIf []*types.Interface            // interfaces of the imported standard library
+	impls map[ifaceCall][]*types.Func   // memo of ifaceCall -> implementing methods
+}
+
+// ifaceCall is a call of method name through a value of interface type.
+type ifaceCall struct {
+	iface *types.Interface
+	pkg   *types.Package // for an unexported name
+	name  string
+}
+
+// loadCensus type-checks every package under the trees and builds the
+// call graph of their non-test files.
+func loadCensus(t *testing.T, trees []censusRoot) *census {
+	t.Helper()
+	fset := token.NewFileSet()
+	c := &census{
+		t: t, fset: fset, trees: trees,
+		std:   importer.ForCompiler(fset, "source", nil),
+		pkgs:  map[string]*censusPkg{},
+		calls: map[*types.Func][]*types.Func{},
+		icall: map[*types.Func][]ifaceCall{},
+		flows: map[*types.Func][]types.Type{},
+		inits: map[string][]*types.Func{},
+		impls: map[ifaceCall][]*types.Func{},
+	}
+	for _, tree := range trees {
+		err := filepath.WalkDir(tree.dir, func(path string, d os.DirEntry, err error) error {
+			if err != nil || !d.IsDir() {
+				return err
+			}
+			if d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			rel, err := filepath.Rel(tree.dir, path)
 			if err != nil {
 				return err
 			}
-			if d.IsDir() {
-				if d.Name() == "testdata" {
-					return filepath.SkipDir
-				}
-				return nil
+			imp := tree.path
+			if rel != "." {
+				imp += "/" + filepath.ToSlash(rel)
 			}
-			if !strings.HasSuffix(path, ".go") {
-				return nil
-			}
-			f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
-			if err != nil {
+			if _, err := c.Import(imp); err != nil && !errors.Is(err, os.ErrNotExist) {
 				return err
 			}
-			dir := filepath.Dir(path)
-			if strings.HasSuffix(path, "_test.go") {
-				names := map[string]bool{}
-				ast.Inspect(f, func(n ast.Node) bool {
-					if id, ok := n.(*ast.Ident); ok {
-						names[id.Name] = true
-					}
-					return true
-				})
-				for _, decl := range f.Decls {
-					if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil {
-						if tests[fn.Name.Name] == nil {
-							tests[fn.Name.Name] = map[string]bool{}
-						}
-						maps.Copy(tests[fn.Name.Name], names)
-					}
-				}
-				return nil
-			}
-			decls := map[*ast.Ident]bool{}
-			for _, decl := range f.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if !ok {
-					continue
-				}
-				decls[fn.Name] = true
-				if strings.HasPrefix(root, "../../internal") && fn.Name.Name != "init" {
-					funcs = append(funcs, censusFunc{censusKey(f.Name.Name, fn), fn.Name.Name, dir})
-				}
-			}
-			if local[dir] == nil {
-				local[dir] = map[string]bool{}
-			}
-			ast.Inspect(f, func(n ast.Node) bool {
-				if id, ok := n.(*ast.Ident); ok && !decls[id] {
-					anywhere[id.Name] = true
-					local[dir][id.Name] = true
-				}
-				return true
-			})
 			return nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	if len(funcs) == 0 {
-		t.Fatal("no functions found under internal/")
-	}
-
-	uncalled := map[string]string{} // key -> function name
-	for _, fn := range funcs {
-		called := local[fn.dir][fn.name]
-		if ast.IsExported(fn.name) {
-			called = anywhere[fn.name]
-		}
-		if called {
-			continue
-		}
-		uncalled[fn.key] = fn.name
-		if _, ok := codeCensus[fn.key]; !ok {
-			t.Errorf("%s: no program calls it; delete it, or add a codeCensus row naming the test that needs it and why", fn.key)
+	seen := map[*types.Interface]bool{}
+	for _, p := range c.pkgs {
+		for _, imp := range p.pkg.Imports() {
+			if c.tree(imp.Path()) != nil {
+				continue
+			}
+			for _, name := range imp.Scope().Names() {
+				if tn, ok := imp.Scope().Lookup(name).(*types.TypeName); ok && tn.Exported() {
+					if it, ok := tn.Type().Underlying().(*types.Interface); ok && it.NumMethods() > 0 && !seen[it] {
+						seen[it] = true
+						c.stdIf = append(c.stdIf, it)
+					}
+				}
+			}
 		}
 	}
-	for _, key := range slices.Sorted(maps.Keys(codeCensus)) {
-		row := codeCensus[key]
-		name, ok := uncalled[key]
-		switch {
-		case !ok:
-			t.Errorf("census row %q names a function that is gone or has a caller", key)
-		case row.why == "":
-			t.Errorf("census row %q gives no reason", key)
-		case strings.Contains(row.needs, "."):
-			// A standard-library interface, such as heap.Interface.
-		case tests[row.needs] == nil:
-			t.Errorf("census row %q: %q is neither a test function nor a standard-library interface", key, row.needs)
-		case !tests[row.needs][name]:
-			t.Errorf("census row %q: the file of %s never names %s", key, row.needs, name)
-		}
-	}
-	t.Logf("code census: %d functions, %d with no program caller, %d rows", len(funcs), len(uncalled), len(codeCensus))
+	c.stdIf = append(c.stdIf, types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
+	slices.SortFunc(c.decls, func(a, b censusDecl) int { return strings.Compare(a.key, b.key) })
+	return c
 }
 
-// censusKey names a declared function "<pkg>.<Func>" or
-// "<pkg>.<Recv>.<Method>".
-func censusKey(pkg string, fn *ast.FuncDecl) string {
-	if fn.Recv == nil || len(fn.Recv.List) == 0 {
-		return pkg + "." + fn.Name.Name
+// tree returns the tree an import path belongs to, or nil.
+func (c *census) tree(path string) *censusRoot {
+	var best *censusRoot
+	for i, r := range c.trees {
+		if (path == r.path || strings.HasPrefix(path, r.path+"/")) && (best == nil || len(r.path) > len(best.path)) {
+			best = &c.trees[i]
+		}
 	}
-	typ := fn.Recv.List[0].Type
-	if star, ok := typ.(*ast.StarExpr); ok {
-		typ = star.X
+	return best
+}
+
+// Import implements types.Importer: a tree's packages from their
+// directories (type-checked once), the standard library from source.
+func (c *census) Import(path string) (*types.Package, error) {
+	r := c.tree(path)
+	if r == nil {
+		return c.std.Import(path)
 	}
-	switch x := typ.(type) { // a generic receiver, T[P] or T[P, Q]
-	case *ast.IndexExpr:
-		typ = x.X
-	case *ast.IndexListExpr:
-		typ = x.X
+	if p, ok := c.pkgs[path]; ok {
+		return p.pkg, nil
 	}
-	return pkg + "." + typ.(*ast.Ident).Name + "." + fn.Name.Name
+	files, err := c.parseDir(c.dir(path), false)
+	if err != nil {
+		return nil, err
+	}
+	if len(files) == 0 {
+		return nil, &os.PathError{Op: "import", Path: c.dir(path), Err: os.ErrNotExist}
+	}
+	p := &censusPkg{files: files}
+	p.pkg, c.inits[path] = c.check(path, files, !r.client)
+	c.pkgs[path] = p
+	return p.pkg, nil
+}
+
+// dir returns the directory of a tree package.
+func (c *census) dir(path string) string {
+	r := c.tree(path)
+	return filepath.Join(r.dir, filepath.FromSlash(strings.TrimPrefix(strings.TrimPrefix(path, r.path), "/")))
+}
+
+// parseDir parses a directory's non-test files, or its test files.
+func (c *census) parseDir(dir string, tests bool) ([]*ast.File, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var files []*ast.File
+	for _, e := range entries {
+		name := e.Name()
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") != tests {
+			continue
+		}
+		f, err := parser.ParseFile(c.fset, filepath.Join(dir, name), nil, 0)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	return files, nil
+}
+
+// check type-checks one package and adds its functions to the graph;
+// declare lists its non-test functions as census candidates. It returns
+// the package and its roots: main, every init, and a node standing for its
+// package-level initializers.
+func (c *census) check(path string, files []*ast.File, declare bool) (*types.Package, []*types.Func) {
+	info := &types.Info{
+		Types: map[ast.Expr]types.TypeAndValue{},
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
+	}
+	conf := types.Config{Importer: c, Error: func(err error) { c.t.Error(err) }}
+	pkg, _ := conf.Check(path, c.fset, files, info)
+	initializers := types.NewFunc(token.NoPos, pkg, "", types.NewSignatureType(nil, nil, nil, nil, nil, false))
+	roots := []*types.Func{initializers}
+	for _, f := range files {
+		for _, decl := range f.Decls {
+			fn := initializers
+			if fd, ok := decl.(*ast.FuncDecl); ok {
+				fn = info.Defs[fd.Name].(*types.Func)
+				if fd.Name.Name == "init" || fd.Name.Name == "main" && fd.Recv == nil && pkg.Name() == "main" {
+					roots = append(roots, fn)
+				} else if declare && !strings.HasSuffix(c.fset.File(f.Pos()).Name(), "_test.go") {
+					c.decls = append(c.decls, censusDecl{censusKey(fn), fn})
+				}
+			}
+			c.walk(info, fn, decl)
+		}
+	}
+	for _, obj := range info.Defs {
+		if tn, ok := obj.(*types.TypeName); ok && tn.Parent() == pkg.Scope() && !tn.IsAlias() {
+			if n, ok := tn.Type().(*types.Named); ok && n.TypeParams().Len() == 0 && !types.IsInterface(n) {
+				c.named = append(c.named, n)
+			}
+		}
+	}
+	return pkg, roots
+}
+
+// walk records what one declaration uses: functions by object, interface
+// calls by method, and the types it converts to an interface declared
+// outside the trees.
+func (c *census) walk(info *types.Info, fn *types.Func, decl ast.Decl) {
+	var sigs []*types.Signature // enclosing function signatures, for returns
+	var stack []ast.Node
+	flow := func(target types.Type, e ast.Expr) {
+		if target != nil && types.IsInterface(target) && !c.inTree(target) {
+			if t := info.TypeOf(e); t != nil && !types.IsInterface(t) {
+				c.flows[fn] = append(c.flows[fn], t)
+			}
+		}
+	}
+	ast.Inspect(decl, func(n ast.Node) bool {
+		if n == nil {
+			if _, ok := stack[len(stack)-1].(*ast.FuncLit); ok {
+				sigs = sigs[:len(sigs)-1]
+			}
+			stack = stack[:len(stack)-1]
+			return true
+		}
+		stack = append(stack, n)
+		switch n := n.(type) {
+		case *ast.FuncDecl:
+			sigs = append(sigs, info.Defs[n.Name].Type().(*types.Signature))
+		case *ast.FuncLit:
+			sigs = append(sigs, info.TypeOf(n).(*types.Signature))
+		case *ast.Ident:
+			if f, ok := info.Uses[n].(*types.Func); ok {
+				if it := ifaceOf(f); it != nil {
+					c.icall[fn] = append(c.icall[fn], ifaceCall{it, f.Pkg(), f.Name()})
+				} else {
+					c.calls[fn] = append(c.calls[fn], f.Origin())
+				}
+			}
+		case *ast.CallExpr:
+			if tv := info.Types[n.Fun]; tv.IsType() {
+				if len(n.Args) == 1 {
+					flow(tv.Type, n.Args[0])
+				}
+			} else if sig, ok := info.TypeOf(n.Fun).Underlying().(*types.Signature); ok {
+				for i, a := range n.Args {
+					flow(paramType(sig, i, n.Ellipsis.IsValid()), a)
+				}
+			}
+		case *ast.ReturnStmt:
+			if len(sigs) > 0 && sigs[len(sigs)-1].Results().Len() == len(n.Results) {
+				for i, e := range n.Results {
+					flow(sigs[len(sigs)-1].Results().At(i).Type(), e)
+				}
+			}
+		case *ast.AssignStmt:
+			if n.Tok == token.ASSIGN && len(n.Lhs) == len(n.Rhs) {
+				for i, e := range n.Rhs {
+					flow(info.TypeOf(n.Lhs[i]), e)
+				}
+			}
+		case *ast.ValueSpec:
+			if n.Type != nil {
+				for _, e := range n.Values {
+					flow(info.TypeOf(n.Type), e)
+				}
+			}
+		case *ast.SendStmt:
+			if ch, ok := info.TypeOf(n.Chan).Underlying().(*types.Chan); ok {
+				flow(ch.Elem(), n.Value)
+			}
+		case *ast.CompositeLit:
+			switch u := info.TypeOf(n).Underlying().(type) {
+			case *types.Struct:
+				for i, e := range n.Elts {
+					if kv, ok := e.(*ast.KeyValueExpr); ok {
+						if f, ok := info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+							flow(f.Type(), kv.Value)
+						}
+					} else if i < u.NumFields() {
+						flow(u.Field(i).Type(), e)
+					}
+				}
+			case *types.Slice, *types.Array, *types.Map:
+				elem := u.(interface{ Elem() types.Type }).Elem()
+				for _, e := range n.Elts {
+					if kv, ok := e.(*ast.KeyValueExpr); ok {
+						if m, ok := u.(*types.Map); ok {
+							flow(m.Key(), kv.Key)
+						}
+						e = kv.Value
+					}
+					flow(elem, e)
+				}
+			}
+		}
+		return true
+	})
+}
+
+// paramType is the type argument i of a call with signature sig is
+// assigned to.
+func paramType(sig *types.Signature, i int, ellipsis bool) types.Type {
+	n := sig.Params().Len()
+	if sig.Variadic() && i >= n-1 {
+		last := sig.Params().At(n - 1).Type()
+		if ellipsis {
+			return last
+		}
+		return last.(*types.Slice).Elem()
+	}
+	if i < n {
+		return sig.Params().At(i).Type()
+	}
+	return types.Typ[types.Invalid]
+}
+
+// ifaceOf returns the interface that declares f, or nil for a function or
+// a concrete method.
+func ifaceOf(f *types.Func) *types.Interface {
+	if recv := f.Type().(*types.Signature).Recv(); recv != nil {
+		it, _ := recv.Type().Underlying().(*types.Interface)
+		return it
+	}
+	return nil
+}
+
+// inTree reports whether t is a named type declared in one of the trees.
+func (c *census) inTree(t types.Type) bool {
+	n, ok := t.(*types.Named)
+	return ok && n.Obj().Pkg() != nil && c.tree(n.Obj().Pkg().Path()) != nil
+}
+
+// unreached returns the declared functions that no root of the packages
+// keep accepts reaches.
+func (c *census) unreached(keep func(path string) bool) []censusDecl {
+	var roots []*types.Func
+	for path, r := range c.inits {
+		if keep(path) {
+			roots = append(roots, r...)
+		}
+	}
+	reached := c.reach(roots...)
+	var out []censusDecl
+	for _, d := range c.decls {
+		if !reached[d.fn] {
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
+// reach returns every function the given nodes reach.
+func (c *census) reach(from ...*types.Func) map[*types.Func]bool {
+	reached := map[*types.Func]bool{}
+	flowed := map[types.Type]bool{}
+	work := slices.Clone(from)
+	for len(work) > 0 {
+		fn := work[len(work)-1]
+		work = work[:len(work)-1]
+		if reached[fn] {
+			continue
+		}
+		reached[fn] = true
+		work = append(work, c.calls[fn]...)
+		for _, call := range c.icall[fn] {
+			work = append(work, c.implementers(call)...)
+		}
+		for _, t := range c.flows[fn] {
+			work = append(work, c.flowMethods(t, flowed)...)
+		}
+	}
+	return reached
+}
+
+// implementers returns the method every tree type implementing call's
+// interface runs for it.
+func (c *census) implementers(call ifaceCall) []*types.Func {
+	if m, ok := c.impls[call]; ok {
+		return m
+	}
+	var methods []*types.Func
+	for _, n := range c.named {
+		if types.Implements(n, call.iface) || types.Implements(types.NewPointer(n), call.iface) {
+			if f, ok := lookupMethod(n, call.pkg, call.name); ok {
+				methods = append(methods, f)
+			}
+		}
+	}
+	c.impls[call] = methods
+	return methods
+}
+
+// flowMethods marks t, and what a value of it holds, as handed to the
+// standard library, and returns the methods by which each newly marked
+// type satisfies a standard-library interface.
+func (c *census) flowMethods(t types.Type, flowed map[types.Type]bool) []*types.Func {
+	var methods []*types.Func
+	var visit func(t types.Type)
+	visit = func(t types.Type) {
+		if flowed[t] {
+			return
+		}
+		flowed[t] = true
+		switch u := t.(type) {
+		case *types.Pointer:
+			visit(u.Elem())
+		case *types.Slice:
+			visit(u.Elem())
+		case *types.Array:
+			visit(u.Elem())
+		case *types.Map:
+			visit(u.Key())
+			visit(u.Elem())
+		case *types.Named:
+			if !c.inTree(u) {
+				return
+			}
+			for _, it := range c.stdIf {
+				if types.Implements(u, it) || types.Implements(types.NewPointer(u), it) {
+					for i := range it.NumMethods() {
+						m := it.Method(i)
+						if f, ok := lookupMethod(u, m.Pkg(), m.Name()); ok {
+							methods = append(methods, f)
+						}
+					}
+				}
+			}
+			if s, ok := u.Underlying().(*types.Struct); ok {
+				for i := range s.NumFields() {
+					if s.Field(i).Exported() {
+						visit(s.Field(i).Type())
+					}
+				}
+			}
+		}
+	}
+	visit(t)
+	return methods
+}
+
+// lookupMethod returns the concrete method of n or *n named name.
+func lookupMethod(n *types.Named, pkg *types.Package, name string) (*types.Func, bool) {
+	obj, _, _ := types.LookupFieldOrMethod(n, true, pkg, name)
+	f, ok := obj.(*types.Func)
+	if !ok || ifaceOf(f) != nil {
+		return nil, false
+	}
+	return f.Origin(), true
+}
+
+// testReach type-checks the tests of every tree package whose test files
+// declare a test in names, and returns the census keys each such test
+// reaches.
+func (c *census) testReach(names map[string]bool) map[string]map[string]bool {
+	byTest := map[string]map[string]bool{}
+	for _, path := range slices.Sorted(maps.Keys(c.pkgs)) {
+		p := c.pkgs[path]
+		if c.tree(path).client {
+			continue
+		}
+		tests, err := c.parseDir(c.dir(path), true)
+		if err != nil {
+			c.t.Fatal(err)
+		}
+		internal, external := []*ast.File{}, []*ast.File{}
+		wanted := false
+		for _, f := range tests {
+			if f.Name.Name == p.pkg.Name() {
+				internal = append(internal, f)
+			} else {
+				external = append(external, f)
+			}
+			for _, decl := range f.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil && names[fd.Name.Name] {
+					wanted = true
+				}
+			}
+		}
+		if !wanted {
+			continue
+		}
+		// In-package test files see their package's unexported names, so
+		// the package is checked again with them; its objects are new, so
+		// what a test reaches is compared by census key. External test
+		// files are a package of their own.
+		var starts []*types.Func
+		for _, pkgTests := range []struct {
+			path  string
+			files []*ast.File
+		}{{path, append(slices.Clone(p.files), internal...)}, {path + "_test", external}} {
+			if len(pkgTests.files) == 0 {
+				continue
+			}
+			pkg, _ := c.check(pkgTests.path, pkgTests.files, false)
+			for _, f := range pkgTests.files {
+				for _, decl := range f.Decls {
+					if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil && names[fd.Name.Name] {
+						starts = append(starts, pkg.Scope().Lookup(fd.Name.Name).(*types.Func))
+					}
+				}
+			}
+		}
+		for _, start := range starts {
+			if byTest[start.Name()] == nil {
+				byTest[start.Name()] = map[string]bool{}
+			}
+			for fn := range c.reach(start) {
+				if fn.Name() != "" {
+					byTest[start.Name()][censusKey(fn)] = true
+				}
+			}
+		}
+	}
+	return byTest
+}
+
+// censusKey names a function "<pkg>.<Func>" or "<pkg>.<Recv>.<Method>",
+// <pkg> being the last element of its package's import path.
+func censusKey(fn *types.Func) string {
+	path := fn.Pkg().Path()
+	key := path[strings.LastIndex(path, "/")+1:] + "."
+	if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+		t := recv.Type()
+		if p, ok := t.(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		key += t.(*types.Named).Obj().Name() + "."
+	}
+	return key + fn.Name()
 }

@@ -63,7 +63,7 @@ type Options struct {
 	// Workers caps the goroutines used to fan sequences of one measurement
 	// out across cores; 0 means GOMAXPROCS, 1 forces sequential execution.
 	// Results are byte-identical for any value (see engine.RunEach and
-	// engine.Serve).
+	// engine.PlanSessions).
 	Workers int
 	// FaultSeed keys the fault schedules independently of the workload
 	// (scoutbench -faultseed; 0 = reuse Seed).

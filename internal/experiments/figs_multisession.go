@@ -12,9 +12,9 @@ import (
 // The mu* experiment family measures what the paper never did: many
 // concurrent navigating sessions competing for one prefetch cache and one
 // disk. Each session is an independent guided walk (own prefetcher clone,
-// own virtual clock) served by engine.Serve: a shared sharded cache, a
-// shared disk with per-session head tracking and a global seek-interference
-// penalty, and a prefetch-budget arbiter.
+// own virtual clock) served by engine.SessionPlans.Serve: a shared sharded
+// cache, a shared disk with per-session head tracking and a global
+// seek-interference penalty, and a prefetch-budget arbiter.
 
 // muInterference is the extra seek latency charged per contending session
 // (10% of the default 5 ms seek): queueing on the shared disk.

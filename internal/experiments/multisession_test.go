@@ -35,11 +35,12 @@ func TestServeIsolatedMatchesSingleSessionScout(t *testing.T) {
 	for _, seed := range []int64{7, 11, 23} {
 		for _, n := range []int{2, 4, 8} {
 			workloads := scoutSessions(s, n, seed)
-			res := engine.Serve(s.Store, s.Tree, workloads, engine.ServeConfig{
+			cfg := engine.ServeConfig{
 				Engine:        engine.DefaultConfig(),
 				Policy:        engine.Unarbitrated,
 				PrivateCaches: true,
-			})
+			}
+			res := engine.PlanSessions(s.Store, s.Tree, workloads, cfg.Engine.Cost, 0).Serve(cfg)
 			seqs := s.genSequences(muParams(), n, seed)
 			for i := 0; i < n; i++ {
 				e := engine.New(s.Store, s.Tree, engine.DefaultConfig())

@@ -39,11 +39,6 @@ type StoragePlan struct {
 // NoCrash is the CrashStep value that never crashes.
 const NoCrash = -1
 
-// Enabled reports whether the plan can damage anything at all.
-func (p StoragePlan) Enabled() bool {
-	return p.CorruptRate > 0 || p.TornRate > 0 || p.CrashStep >= 0
-}
-
 // StorageInjector evaluates a StoragePlan. It is stateless and safe for
 // concurrent use; every decision is a pure function of the plan and the
 // call's inputs. StorageInjector implements pagestore.StorageFaultInjector
@@ -55,9 +50,6 @@ type StorageInjector struct {
 // NewStorage creates an injector for the plan. A nil *StorageInjector is
 // valid everywhere one is accepted and injects nothing.
 func NewStorage(plan StoragePlan) *StorageInjector { return &StorageInjector{plan: plan} }
-
-// StoragePlan returns the injector's plan.
-func (in *StorageInjector) StoragePlan() StoragePlan { return in.plan }
 
 // Independent hash domains for the at-rest decision streams (see the
 // serving-path domains in fault.go).

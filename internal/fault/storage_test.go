@@ -71,19 +71,30 @@ func TestStorageCrashAt(t *testing.T) {
 }
 
 // TestStorageEnabled: the zero-with-NoCrash plan is inert; each knob alone
-// enables the plan.
+// damages something.
 func TestStorageEnabled(t *testing.T) {
-	if (StoragePlan{CrashStep: NoCrash}).Enabled() {
-		t.Error("inert plan reports enabled")
-	}
-	for _, p := range []StoragePlan{
-		{CorruptRate: 0.1, CrashStep: NoCrash},
-		{TornRate: 0.1, CrashStep: NoCrash},
-		{CrashStep: 0},
-	} {
-		if !p.Enabled() {
-			t.Errorf("plan %+v reports disabled", p)
+	damages := func(p StoragePlan) (corrupt, torn, crash bool) {
+		in := NewStorage(p)
+		for pg := range pagestore.PageID(1000) {
+			corrupt = corrupt || in.PageCorrupt(pg)
+			torn = torn || in.TornWrite(pg)
 		}
+		for _, pt := range pagestore.RelayoutCrashPoints() {
+			crash = crash || in.CrashAt(int(pt))
+		}
+		return corrupt, torn, crash
+	}
+	if c, w, x := damages(StoragePlan{CrashStep: NoCrash}); c || w || x {
+		t.Errorf("inert plan damages: corrupt %v, torn %v, crash %v", c, w, x)
+	}
+	if c, _, _ := damages(StoragePlan{CorruptRate: 0.1, CrashStep: NoCrash}); !c {
+		t.Error("CorruptRate 0.1 corrupts no page")
+	}
+	if _, w, _ := damages(StoragePlan{TornRate: 0.1, CrashStep: NoCrash}); !w {
+		t.Error("TornRate 0.1 tears no page")
+	}
+	if _, _, x := damages(StoragePlan{CrashStep: 0}); !x {
+		t.Error("CrashStep 0 crashes at no point")
 	}
 }
 

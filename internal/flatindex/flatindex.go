@@ -152,11 +152,6 @@ func (x *Index) QueryPagesFrom(r geom.Region, from geom.Vec3) []pagestore.PageID
 	return ordered
 }
 
-// QueryObjects returns the IDs of all objects matching the region.
-func (x *Index) QueryObjects(r geom.Region, dst []pagestore.ObjectID) []pagestore.ObjectID {
-	return x.seed.QueryObjects(r, dst)
-}
-
 // SeedPage returns the page whose MBR is nearest to the given point
 // (containing it if possible). ok is false for an empty store. This is the
 // entry point of gap traversal: from the exit location of the last query,

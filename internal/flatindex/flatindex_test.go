@@ -1,6 +1,7 @@
 package flatindex
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -186,7 +187,7 @@ func TestSeedPage(t *testing.T) {
 	if !ok {
 		t.Fatal("SeedPage failed")
 	}
-	if d := store.PageBounds(pid).Dist(p); d > 20 {
+	if d := math.Sqrt(store.PageBounds(pid).DistSq(p)); d > 20 {
 		t.Errorf("seed page %v away from point", d)
 	}
 	// A point far outside still finds the nearest page.
@@ -241,11 +242,13 @@ func TestEpsilonExpandsNeighborhoods(t *testing.T) {
 	}
 }
 
+// TestQueryObjectsMatchesBruteForce: a range query through the index — its
+// candidate pages, refined — returns exactly the matching objects.
 func TestQueryObjectsMatchesBruteForce(t *testing.T) {
 	idx, store := buildIndex(t, 1000, 100, 9)
 	q := geom.CubeAt(geom.V(50, 50, 50), 64000)
 	got := map[pagestore.ObjectID]bool{}
-	for _, id := range idx.QueryObjects(q, nil) {
+	for _, id := range store.AppendMatches(nil, q, idx.QueryPages(q, nil)) {
 		got[id] = true
 	}
 	for id := range store.NumObjects() {

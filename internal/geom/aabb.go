@@ -1,9 +1,6 @@
 package geom
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // AABB is an axis-aligned bounding box, the region type of all range queries
 // in this reproduction. Min must be component-wise ≤ Max for a non-empty box.
@@ -138,12 +135,4 @@ func (b AABB) ClosestPoint(p Vec3) Vec3 {
 // DistSq returns the squared distance from p to the box (0 if inside).
 func (b AABB) DistSq(p Vec3) float64 {
 	return b.ClosestPoint(p).DistSq(p)
-}
-
-// Dist returns the distance from p to the box (0 if inside).
-func (b AABB) Dist(p Vec3) float64 { return math.Sqrt(b.DistSq(p)) }
-
-// String renders the box as "[min → max]".
-func (b AABB) String() string {
-	return fmt.Sprintf("[%v → %v]", b.Min, b.Max)
 }

@@ -120,11 +120,11 @@ func TestAABBClosestPointDist(t *testing.T) {
 	if got := b.ClosestPoint(V(-3, 5, 20)); got != V(0, 5, 10) {
 		t.Errorf("ClosestPoint(outside) = %v", got)
 	}
-	if got := b.Dist(V(13, 5, 5)); got != 3 {
-		t.Errorf("Dist = %v", got)
+	if got := b.DistSq(V(13, 5, 5)); got != 9 {
+		t.Errorf("DistSq = %v", got)
 	}
-	if got := b.Dist(V(5, 5, 5)); got != 0 {
-		t.Errorf("Dist(inside) = %v", got)
+	if got := b.DistSq(V(5, 5, 5)); got != 0 {
+		t.Errorf("DistSq(inside) = %v", got)
 	}
 }
 

@@ -34,15 +34,6 @@ func BenchmarkSegmentDistToSegment(b *testing.B) {
 	}
 }
 
-func BenchmarkTriangleIntersectsAABB(b *testing.B) {
-	box := Box(V(0, 0, 0), V(10, 10, 10))
-	tr := Tri(V(-2, 5, 5), V(12, 4, 6), V(5, 15, 2))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tr.IntersectsAABB(box)
-	}
-}
-
 func BenchmarkFrustumIntersectsAABB(b *testing.B) {
 	f := NewFrustum(V(0, 0, 0), V(1, 0, 0), V(0, 0, 1), 1.0, 1.3, 1, 50)
 	box := Box(V(20, -5, -5), V(30, 5, 5))

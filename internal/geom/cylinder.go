@@ -2,10 +2,12 @@ package geom
 
 import "math"
 
-// Cylinder is the storage geometry of the neuroscience and arterial-tree
-// datasets: a tube between two endpoints with a (possibly different) radius
-// at each end, exactly as the paper describes ("each cylinder is described
-// by two end points and a radius for each endpoint", §7.1).
+// Cylinder is the geometry of the neuroscience and arterial-tree datasets: a
+// tube between two endpoints with a (possibly different) radius at each end,
+// exactly as the paper describes ("each cylinder is described by two end
+// points and a radius for each endpoint", §7.1). The stores keep each one
+// as its axis and one radius (pagestore.Object); the model-building example
+// measures synapse distances on Cylinders.
 type Cylinder struct {
 	P0, P1 Vec3
 	R0, R1 float64
@@ -23,32 +25,6 @@ func (c Cylinder) Axis() Segment { return Segment{A: c.P0, B: c.P1} }
 
 // MaxRadius returns the larger of the two endpoint radii.
 func (c Cylinder) MaxRadius() float64 { return math.Max(c.R0, c.R1) }
-
-// Length returns the length of the cylinder's axis.
-func (c Cylinder) Length() float64 { return c.Axis().Len() }
-
-// Volume returns the volume of the truncated cone the cylinder describes.
-func (c Cylinder) Volume() float64 {
-	h := c.Length()
-	return math.Pi * h / 3 * (c.R0*c.R0 + c.R0*c.R1 + c.R1*c.R1)
-}
-
-// Bounds returns a bounding box that conservatively contains the cylinder:
-// the axis bounds inflated by the maximum radius.
-func (c Cylinder) Bounds() AABB {
-	return c.Axis().Bounds().Inflate(c.MaxRadius())
-}
-
-// IntersectsAABB conservatively reports whether the cylinder intersects box
-// b by testing the axis segment against b inflated by the maximum radius.
-// This matches the paper's geometry-simplification strategy and never
-// reports a false negative.
-func (c Cylinder) IntersectsAABB(b AABB) bool {
-	return c.Axis().IntersectsAABB(b.Inflate(c.MaxRadius()))
-}
-
-// Centroid returns the midpoint of the cylinder's axis.
-func (c Cylinder) Centroid() Vec3 { return c.Axis().Midpoint() }
 
 // DistToCylinder returns the (conservative) minimum surface distance between
 // two cylinders: axis-to-axis distance minus both maximum radii, clamped at

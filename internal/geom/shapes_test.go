@@ -8,36 +8,11 @@ import (
 
 func TestCylinderBasics(t *testing.T) {
 	c := Cyl(V(0, 0, 0), V(10, 0, 0), 1, 2)
-	if c.Length() != 10 {
-		t.Errorf("Length = %v", c.Length())
+	if c.Axis() != Seg(V(0, 0, 0), V(10, 0, 0)) {
+		t.Errorf("Axis = %v", c.Axis())
 	}
 	if c.MaxRadius() != 2 {
 		t.Errorf("MaxRadius = %v", c.MaxRadius())
-	}
-	if c.Centroid() != V(5, 0, 0) {
-		t.Errorf("Centroid = %v", c.Centroid())
-	}
-	wantVol := math.Pi * 10 / 3 * (1 + 2 + 4)
-	if !almostEq(c.Volume(), wantVol, 1e-9) {
-		t.Errorf("Volume = %v, want %v", c.Volume(), wantVol)
-	}
-	b := c.Bounds()
-	if !vecAlmostEq(b.Min, V(-2, -2, -2), 1e-12) || !vecAlmostEq(b.Max, V(12, 2, 2), 1e-12) {
-		t.Errorf("Bounds = %v", b)
-	}
-}
-
-func TestCylinderIntersectsAABB(t *testing.T) {
-	c := Cyl(V(0, 0, 0), V(10, 0, 0), 1, 1)
-	if !c.IntersectsAABB(Box(V(4, -1, -1), V(6, 1, 1))) {
-		t.Error("axis through box not detected")
-	}
-	// Box near the surface but within radius of the axis: conservative hit.
-	if !c.IntersectsAABB(Box(V(4, 0.8, -0.2), V(6, 1.8, 0.5))) {
-		t.Error("box within inflated bounds not detected")
-	}
-	if c.IntersectsAABB(Box(V(4, 10, 10), V(6, 12, 12))) {
-		t.Error("distant box detected")
 	}
 }
 
@@ -51,63 +26,6 @@ func TestCylinderDistToCylinder(t *testing.T) {
 	cOverlap := Cyl(V(0, 0.5, 0), V(10, 0.5, 0), 0.5, 0.5)
 	if got := a.DistToCylinder(cOverlap); got != 0 {
 		t.Errorf("overlap dist = %v, want 0", got)
-	}
-}
-
-func TestTriangleBasics(t *testing.T) {
-	tr := Tri(V(0, 0, 0), V(4, 0, 0), V(0, 3, 0))
-	if !vecAlmostEq(tr.Centroid(), V(4.0/3, 1, 0), 1e-12) {
-		t.Errorf("Centroid = %v", tr.Centroid())
-	}
-	if tr.Bounds() != Box(V(0, 0, 0), V(4, 3, 0)) {
-		t.Errorf("Bounds = %v", tr.Bounds())
-	}
-}
-
-func TestTriangleIntersectsAABB(t *testing.T) {
-	b := Box(V(0, 0, 0), V(10, 10, 10))
-	cases := []struct {
-		tr   Triangle
-		want bool
-	}{
-		{Tri(V(1, 1, 1), V(2, 1, 1), V(1, 2, 1)), true},           // inside
-		{Tri(V(-5, 5, 5), V(15, 5, 5), V(5, 15, 5)), true},        // cuts through
-		{Tri(V(20, 20, 20), V(21, 20, 20), V(20, 21, 20)), false}, // outside
-		{Tri(V(-1, 5, 5), V(1, 5, 5), V(0, 6, 5)), true},          // straddles face
-		// Plane passes near but triangle misses the box (SAT edge axes).
-		{Tri(V(12, -2, 5), V(14, -2, 5), V(12, 0, 5)), false},
-		// Large triangle whose AABB covers the box but whose plane misses it.
-		{Tri(V(-20, -20, 30), V(40, -20, 30), V(-20, 40, 30)), false},
-	}
-	for i, c := range cases {
-		if got := c.tr.IntersectsAABB(b); got != c.want {
-			t.Errorf("case %d: Intersects = %v, want %v", i, got, c.want)
-		}
-	}
-}
-
-// Property: if any of a dense sample of triangle interior points is inside
-// the box, the SAT must report intersection.
-func TestTriangleSATNoFalseNegatives(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	b := Box(V(2, 2, 2), V(8, 8, 8))
-	for trial := 0; trial < 500; trial++ {
-		tr := Tri(randVec(rng, 10), randVec(rng, 10), randVec(rng, 10))
-		hit := tr.IntersectsAABB(b)
-		sampledHit := false
-		for i := 0; i <= 15 && !sampledHit; i++ {
-			for j := 0; i+j <= 15 && !sampledHit; j++ {
-				u := float64(i) / 15
-				v := float64(j) / 15
-				p := tr.A.Scale(1 - u - v).Add(tr.B.Scale(u)).Add(tr.C.Scale(v))
-				if b.Contains(p) {
-					sampledHit = true
-				}
-			}
-		}
-		if sampledHit && !hit {
-			t.Fatalf("false negative: tri=%v", tr)
-		}
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package geom provides the three-dimensional geometric primitives and
 // predicates used throughout the SCOUT reproduction: vectors, axis-aligned
-// bounding boxes, line segments, cylinders, triangles, view frusta, a 3D
-// Hilbert curve, and a uniform-grid voxel walk.
+// bounding boxes, line segments, cylinders, view frusta, a 3D Hilbert
+// curve, and a uniform-grid voxel walk.
 //
 // All coordinates are in micrometers (µm), matching the units of the paper's
 // neuroscience datasets. The package is self-contained and allocation-light;

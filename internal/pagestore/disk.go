@@ -304,9 +304,6 @@ func (d *Disk) Interference() (seeks int64, total time.Duration) {
 	return d.interferenceSeeks, d.interferenceTime
 }
 
-// Store returns the underlying store.
-func (d *Disk) Store() *Store { return d.store }
-
 // SetFaults arms the disk with a fault injector and the retry policy that
 // recovers from it (zero-value policy = DefaultRetryPolicy). A nil
 // injector disarms; the disarmed disk is byte-identical to the seed.

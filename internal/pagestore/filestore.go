@@ -296,26 +296,6 @@ func (fs *FileStore) Stats() FileStoreStats {
 	}
 }
 
-// Path returns the primary file's path.
-func (fs *FileStore) Path() string { return fs.path }
-
-// Generation returns the file's current generation stamp (1 at creation,
-// +1 per completed relayout).
-func (fs *FileStore) Generation() uint64 { return fs.gen }
-
-// NumPages returns the number of pages stored.
-func (fs *FileStore) NumPages() int { return fs.n }
-
-// Mode returns the configured checksum mode.
-func (fs *FileStore) Mode() ChecksumMode { return fs.cfg.Mode }
-
-// LayoutName returns the layout name stamped in the superblock.
-func (fs *FileStore) LayoutName() string { return fs.layout }
-
-// WasCorrupted reports whether ApplyCorruption damaged page p (ground
-// truth for experiments; a repaired page still reports true).
-func (fs *FileStore) WasCorrupted(p PageID) bool { return fs.known[PageID(p)] }
-
 // frameOff returns the file offset of physical slot s's payload frame.
 func (fs *FileStore) frameOff(slot PageID) int64 {
 	return fs.dataOff + int64(slot)*frameBytes
@@ -1049,7 +1029,7 @@ func (fs *FileStore) VerifyAgainst(s *Store) error {
 // zeros, as if the write's later sectors never hit the platter (TornWrite).
 // A tear that changes no byte (the tail was already zero) is not damage and
 // is not counted. The replica is never damaged — it is the independent copy
-// bit rot has to hit separately. The ground-truth ledger (WasCorrupted,
+// bit rot has to hit separately. The ground-truth ledger (`known`,
 // SilentCorruptReads) records the damage so experiments can score detection
 // without peeking.
 func (fs *FileStore) ApplyCorruption(inj StorageFaultInjector) (flipped, torn int, err error) {

@@ -47,8 +47,8 @@ func newFileStore(t *testing.T, s *Store, cfg FileStoreConfig) *FileStore {
 func TestFileStoreRoundTrip(t *testing.T) {
 	s := paginatedStore(t, 500, 8)
 	fs := newFileStore(t, s, FileStoreConfig{Mode: ChecksumVerify})
-	if fs.Generation() != 1 || fs.NumPages() != s.NumPages() || fs.LayoutName() != "insertion" {
-		t.Fatalf("fresh store gen=%d n=%d layout=%q", fs.Generation(), fs.NumPages(), fs.LayoutName())
+	if fs.gen != 1 || fs.n != s.NumPages() || fs.layout != "insertion" {
+		t.Fatalf("fresh store gen=%d n=%d layout=%q", fs.gen, fs.n, fs.layout)
 	}
 	if err := fs.VerifyAgainst(s); err != nil {
 		t.Fatal(err)
@@ -68,15 +68,15 @@ func TestFileStoreRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	path := fs.Path()
+	path := fs.path
 	fs.Close()
 	re, err := OpenFileStore(path, FileStoreConfig{Mode: ChecksumVerify})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if re.Generation() != 1 || re.NumPages() != s.NumPages() {
-		t.Fatalf("reopened gen=%d n=%d", re.Generation(), re.NumPages())
+	if re.gen != 1 || re.n != s.NumPages() {
+		t.Fatalf("reopened gen=%d n=%d", re.gen, re.n)
 	}
 	if err := re.VerifyAgainst(s); err != nil {
 		t.Fatal(err)
@@ -118,7 +118,7 @@ func TestChecksumDetection(t *testing.T) {
 		t.Fatalf("ApplyCorruption = (%d, %d, %v), want (1, 1, nil)", flipped, torn, err)
 	}
 	for _, p := range []PageID{3, 7} {
-		if !fs.WasCorrupted(p) {
+		if !fs.known[p] {
 			t.Errorf("page %d missing from the ground-truth ledger", p)
 		}
 		_, repaired, err := fs.ReadPage(p, nil)
@@ -225,9 +225,9 @@ func TestLayoutRoundTripOnDisk(t *testing.T) {
 			if err := fs.Relayout(s, l, nil); err != nil {
 				t.Fatal(err)
 			}
-			if fs.Generation() != 2 || fs.LayoutName() != l.Name() || s.LayoutName() != l.Name() {
+			if fs.gen != 2 || fs.layout != l.Name() || s.LayoutName() != l.Name() {
 				t.Fatalf("after relayout gen=%d file layout=%q store layout=%q",
-					fs.Generation(), fs.LayoutName(), s.LayoutName())
+					fs.gen, fs.layout, s.LayoutName())
 			}
 			if err := fs.VerifyAgainst(s); err != nil {
 				t.Fatal(err)
@@ -239,15 +239,15 @@ func TestLayoutRoundTripOnDisk(t *testing.T) {
 			if err := fs.VerifyAgainst(s); err != nil {
 				t.Fatal(err)
 			}
-			path := fs.Path()
+			path := fs.path
 			fs.Close()
 			re, err := OpenFileStore(path, FileStoreConfig{Mode: ChecksumRepair, Replica: true})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer re.Close()
-			if re.Generation() != 3 {
-				t.Fatalf("reopened generation %d, want 3", re.Generation())
+			if re.gen != 3 {
+				t.Fatalf("reopened generation %d, want 3", re.gen)
 			}
 			if err := re.VerifyAgainst(s); err != nil {
 				t.Fatal(err)
@@ -291,7 +291,7 @@ func TestRelayoutCrashMatrix(t *testing.T) {
 						t.Fatalf("recovery open: %v", err)
 					}
 					defer re.Close()
-					if g := re.Generation(); g != 1 && g != 2 {
+					if g := re.gen; g != 1 && g != 2 {
 						t.Fatalf("recovered generation %d, want 1 (rolled back) or 2 (rolled forward)", g)
 					}
 					if err := re.VerifyAgainst(s); err != nil {
@@ -319,7 +319,7 @@ func TestRelayoutCrashMatrix(t *testing.T) {
 func TestOpenRepairsLostHeaderEntries(t *testing.T) {
 	s := paginatedStore(t, 300, 8)
 	fs := newFileStore(t, s, FileStoreConfig{Mode: ChecksumRepair, Replica: true})
-	path := fs.Path()
+	path := fs.path
 	fs.Close()
 
 	// Smash two header-table entries in place.
@@ -360,7 +360,7 @@ func TestScrubRepairsEverything(t *testing.T) {
 	}
 	const step = 7
 	var scanned, corrupt, repaired int64
-	for i := 0; i < (fs.NumPages()+step-1)/step; i++ {
+	for i := 0; i < (fs.n+step-1)/step; i++ {
 		rep := fs.Scrub(step)
 		if rep.Scanned > step {
 			t.Fatalf("step %d scanned %d pages, rate limit is %d", i, rep.Scanned, step)
@@ -371,8 +371,8 @@ func TestScrubRepairsEverything(t *testing.T) {
 	}
 	// The cursor wraps, so a whole number of steps covers every slot at
 	// least once (re-scanned slots are clean by then).
-	if scanned < int64(fs.NumPages()) {
-		t.Errorf("scrubbed %d pages over a full cycle, want at least %d", scanned, fs.NumPages())
+	if scanned < int64(fs.n) {
+		t.Errorf("scrubbed %d pages over a full cycle, want at least %d", scanned, fs.n)
 	}
 	if corrupt != 4 || repaired != 4 {
 		t.Errorf("scrub found %d corrupt, repaired %d, want 4 and 4", corrupt, repaired)
@@ -658,7 +658,7 @@ func TestReadRunStopsBeforeTrouble(t *testing.T) {
 	// A lost header entry with no replica to restore it: the page is in the
 	// bad ledger, a run stops before it and resumes after it.
 	lost := newFileStore(t, s, FileStoreConfig{Mode: ChecksumVerify})
-	path := lost.Path()
+	path := lost.path
 	lost.Close()
 	patchFile(t, path, entryOff(13), make([]byte, entryBytes))
 	re, err := OpenFileStore(path, FileStoreConfig{Mode: ChecksumVerify})
@@ -764,7 +764,7 @@ func TestOpenRefusesForeignFormats(t *testing.T) {
 		fs := newFileStore(t, s, FileStoreConfig{})
 		fs.Close()
 		super = make([]byte, superBytes)
-		f, err := os.Open(fs.Path())
+		f, err := os.Open(fs.path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -772,7 +772,7 @@ func TestOpenRefusesForeignFormats(t *testing.T) {
 		if _, err := f.ReadAt(super, 0); err != nil {
 			t.Fatal(err)
 		}
-		return fs.Path(), super
+		return fs.path, super
 	}
 	for _, c := range []struct {
 		name  string

@@ -237,8 +237,8 @@ func FuzzOpenFileStore(f *testing.F) {
 			if err != nil {
 				continue
 			}
-			if fs.NumPages() != n {
-				t.Fatalf("%s: opened with %d pages, the image has %d", cfg.Mode, fs.NumPages(), n)
+			if fs.n != n {
+				t.Fatalf("%s: opened with %d pages, the image has %d", cfg.Mode, fs.n, n)
 			}
 			pages := make([]PageID, n)
 			for p := range pages {

@@ -95,7 +95,7 @@ func loadProbeBench(b *testing.B) *probeBench {
 		if err != nil {
 			b.Fatal(err)
 		}
-		pb := probeBench{tree: tree, pointer: buildPointerTree(store, tree.Fanout()), walks: map[string][][]geom.Region{}}
+		pb := probeBench{tree: tree, pointer: buildPointerTree(store, tree.fanout), walks: map[string][][]geom.Region{}}
 		const volume = 80_000
 		for name, shape := range map[string]workload.Shape{"aabb": workload.Cube, "frustum": workload.FrustumShape} {
 			seqs, err := workload.GenerateMany(ds, workload.Params{Queries: 25, Volume: volume, Shape: shape}, 8, 11)

@@ -194,14 +194,8 @@ func parallelFor(n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// Store returns the store this tree indexes.
-func (t *Tree) Store() *pagestore.Store { return t.store }
-
 // Height returns the number of levels, leaves included.
 func (t *Tree) Height() int { return t.height }
-
-// Fanout returns the inner-node fanout.
-func (t *Tree) Fanout() int { return t.fanout }
 
 // QueryPages appends to dst the IDs of all leaf pages whose MBR intersects
 // the region — the pages a real system would read from disk to answer the

@@ -56,8 +56,8 @@ func TestBulkLoadBasics(t *testing.T) {
 	if tree.Height() < 2 {
 		t.Errorf("Height = %d", tree.Height())
 	}
-	if tree.Store() != store {
-		t.Error("Store() mismatch")
+	if tree.store != store {
+		t.Error("tree indexes another store")
 	}
 }
 

@@ -22,8 +22,8 @@ func canonicalFingerprint(g *Graph, region geom.Region) string {
 
 	var edges [][2]pagestore.ObjectID
 	g.ForEachLive(func(v int32, id pagestore.ObjectID) {
-		for _, w := range g.Adj(v) {
-			wid := g.ObjectAt(w)
+		for _, w := range g.adj[v] {
+			wid := g.ids[w]
 			if id < wid {
 				edges = append(edges, [2]pagestore.ObjectID{id, wid})
 			}
@@ -40,7 +40,7 @@ func canonicalFingerprint(g *Graph, region geom.Region) string {
 	for _, comp := range g.Components() {
 		var c []pagestore.ObjectID
 		for _, v := range comp {
-			c = append(c, g.ObjectAt(v))
+			c = append(c, g.ids[v])
 		}
 		sort.Slice(c, func(i, j int) bool { return c[i] < c[j] })
 		comps = append(comps, c)
@@ -50,7 +50,7 @@ func canonicalFingerprint(g *Graph, region geom.Region) string {
 	var crossings []string
 	for _, c := range g.AppendCrossings(nil, region) {
 		crossings = append(crossings, fmt.Sprintf("%d %x %x %x %x %x %x",
-			g.ObjectAt(c.Vertex),
+			g.ids[c.Vertex],
 			math.Float64bits(c.Point.X), math.Float64bits(c.Point.Y), math.Float64bits(c.Point.Z),
 			math.Float64bits(c.Dir.X), math.Float64bits(c.Dir.Y), math.Float64bits(c.Dir.Z)))
 	}
@@ -98,7 +98,7 @@ func TestAdvanceEquivalentToFreshBuild(t *testing.T) {
 			}
 
 			result := resultFor(region)
-			g := Build(store, region, res, result)
+			g := buildGraph(store, region, res, result)
 			live := map[pagestore.ObjectID]bool{}
 			for _, id := range result {
 				live[id] = true
@@ -153,7 +153,7 @@ func TestAdvanceEquivalentToFreshBuild(t *testing.T) {
 // mismatch, and windows drifting beyond the packed coordinate range.
 func TestAdvanceFallbacks(t *testing.T) {
 	store, bounds, ids := benchWorld(200)
-	g := Build(store, bounds, 32768, ids[:50])
+	g := buildGraph(store, bounds, 32768, ids[:50])
 
 	if g.CanAdvance(bounds, 4096) {
 		t.Error("CanAdvance accepted a resolution change")
@@ -197,7 +197,7 @@ func TestAdvanceCompaction(t *testing.T) {
 		return out
 	}
 	cur := result(region)
-	g := Build(store, region, res, cur)
+	g := buildGraph(store, region, res, cur)
 	liveSet := map[pagestore.ObjectID]bool{}
 	for _, id := range cur {
 		liveSet[id] = true
@@ -232,11 +232,11 @@ func TestAdvanceCompaction(t *testing.T) {
 		got, want := canonicalFingerprint(g, region), canonicalFingerprint(fresh, region)
 		if got != want {
 			t.Fatalf("round %d (slots=%d live=%d): diverged after churn\nadvanced: %s\nfresh:    %s",
-				round, g.VertexSlots(), g.NumVertices(), got, want)
+				round, len(g.ids), g.NumVertices(), got, want)
 		}
 	}
-	if g.VertexSlots() >= 2*g.NumVertices()+64 {
-		t.Errorf("compaction never ran: %d slots for %d live vertices", g.VertexSlots(), g.NumVertices())
+	if len(g.ids) >= 2*g.NumVertices()+64 {
+		t.Errorf("compaction never ran: %d slots for %d live vertices", len(g.ids), g.NumVertices())
 	}
 }
 
@@ -258,7 +258,7 @@ func TestAdvanceChargesDeltaWork(t *testing.T) {
 		return out
 	}
 	cur := result(region)
-	g := Build(store, region, res, cur)
+	g := buildGraph(store, region, res, cur)
 	fullVerts := g.BuildVertices()
 	if fullVerts != len(cur) {
 		t.Fatalf("fresh build charged %d vertices for %d objects", fullVerts, len(cur))
@@ -300,13 +300,13 @@ func checkSimpleEdges(t *testing.T, g *Graph, step string) {
 	seen := map[int32]bool{}
 	g.ForEachLive(func(v int32, _ pagestore.ObjectID) {
 		clear(seen)
-		for _, w := range g.Adj(v) {
+		for _, w := range g.adj[v] {
 			if w == v || seen[w] {
-				t.Fatalf("%s: vertex %d lists neighbour %d twice or itself: %v", step, v, w, g.Adj(v))
+				t.Fatalf("%s: vertex %d lists neighbour %d twice or itself: %v", step, v, w, g.adj[v])
 			}
 			seen[w] = true
 		}
-		degree += len(g.Adj(v))
+		degree += len(g.adj[v])
 	})
 	if 2*g.NumEdges() != degree {
 		t.Fatalf("%s: NumEdges %d, summed degree %d", step, g.NumEdges(), degree)
@@ -335,7 +335,7 @@ func TestHashedEdgesAreSimple(t *testing.T) {
 				return out
 			}
 			region := geom.Box(geom.V(2, 2, 2), geom.V(18, 18, 18))
-			g := Build(store, region, res, resultFor(region))
+			g := buildGraph(store, region, res, resultFor(region))
 			checkSimpleEdges(t, g, "build")
 			g.Reset(region, res)
 			result := resultFor(region)
@@ -370,7 +370,7 @@ func TestHashedEdgesAreSimple(t *testing.T) {
 				}
 				g.Advance(region, res, removed, added)
 				for _, id := range added {
-					if v := g.VertexOf(id); v >= 0 && int(v) < g.VertexSlots()-len(added) {
+					if v := g.VertexOf(id); v >= 0 && int(v) < len(g.ids)-len(added) {
 						resurrected++
 					}
 				}

@@ -16,8 +16,8 @@ import (
 func graphFingerprint(t *testing.T, g *Graph, region geom.Region) (verts []pagestore.ObjectID, adj [][]int32, comps [][]int32, crossings []Boundary) {
 	t.Helper()
 	for v := int32(0); v < int32(g.NumVertices()); v++ {
-		verts = append(verts, g.ObjectAt(v))
-		adj = append(adj, append([]int32(nil), g.Adj(v)...))
+		verts = append(verts, g.ids[v])
+		adj = append(adj, append([]int32(nil), g.adj[v]...))
 	}
 	return verts, adj, g.Components(), g.AppendCrossings(nil, region)
 }
@@ -49,7 +49,7 @@ func TestGraphReuseEquivalence(t *testing.T) {
 		for _, id := range result {
 			arena.AddObject(id)
 		}
-		fresh := Build(store, region, res, result)
+		fresh := buildGraph(store, region, res, result)
 
 		if arena.NumVertices() != fresh.NumVertices() {
 			t.Fatalf("round %d: vertices %d vs fresh %d", round, arena.NumVertices(), fresh.NumVertices())
@@ -198,7 +198,7 @@ func TestGraphRetentionBoundedByResult(t *testing.T) {
 
 	var largest int64
 	for r := range boxes {
-		largest = max(largest, retainedBytes(Build(store, boxes[r], res, result(r))))
+		largest = max(largest, retainedBytes(buildGraph(store, boxes[r], res, result(r))))
 	}
 	arena := New(store, boxes[0], res)
 	for r := range boxes {

@@ -36,7 +36,7 @@ func BenchmarkGraphBuild1k(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Build(store, bounds, 32768, ids)
+		buildGraph(store, bounds, 32768, ids)
 	}
 }
 
@@ -45,7 +45,7 @@ func BenchmarkGraphBuildCoarse1k(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Build(store, bounds, 512, ids)
+		buildGraph(store, bounds, 512, ids)
 	}
 }
 
@@ -67,7 +67,7 @@ func BenchmarkGraphReuse(b *testing.B) {
 
 func BenchmarkReachableCrossings(b *testing.B) {
 	store, bounds, ids := benchWorld(1000)
-	g := Build(store, bounds, 32768, ids)
+	g := buildGraph(store, bounds, 32768, ids)
 	crossings := g.AppendCrossings(nil, bounds)
 	starts := make([]int32, 0, len(crossings))
 	for _, c := range crossings {
@@ -82,7 +82,7 @@ func BenchmarkReachableCrossings(b *testing.B) {
 
 func BenchmarkComponents(b *testing.B) {
 	store, bounds, ids := benchWorld(1000)
-	g := Build(store, bounds, 32768, ids)
+	g := buildGraph(store, bounds, 32768, ids)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -117,7 +117,7 @@ func BenchmarkGraphAdvance(b *testing.B) {
 		regions[i] = regionAt(i)
 		results[i] = resultAt(regions[i])
 	}
-	g := Build(store, regions[0], 32768, results[0])
+	g := buildGraph(store, regions[0], 32768, results[0])
 	live := map[pagestore.ObjectID]bool{}
 	for _, id := range results[0] {
 		live[id] = true

@@ -19,15 +19,9 @@ type Boundary struct {
 	Dir    geom.Vec3
 }
 
-// crossingsOf computes the outward-oriented boundary crossings of vertex v's
-// segment with the region (box or frustum): zero, one (one endpoint
-// outside), or two (the segment threads through the region).
-func (g *Graph) crossingsOf(v int32, region geom.Region) []Boundary {
-	return g.appendCrossingsOf(nil, v, region)
-}
-
-// appendCrossingsOf is crossingsOf appending into dst, so batch extraction
-// recycles one buffer instead of allocating per vertex.
+// appendCrossingsOf appends the outward-oriented boundary crossings of
+// vertex v's segment with the region (box or frustum): zero, one (one
+// endpoint outside), or two (the segment threads through the region).
 func (g *Graph) appendCrossingsOf(dst []Boundary, v int32, region geom.Region) []Boundary {
 	s := g.store.Object(g.ids[v]).Seg
 	inA := region.ContainsPoint(s.A)
@@ -233,7 +227,7 @@ func (g *Graph) ReachableCrossings(start []int32, region geom.Region) []Boundary
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		g.ops++
-		crossings = append(crossings, g.crossingsOf(v, region)...)
+		crossings = g.appendCrossingsOf(crossings, v, region)
 		for _, w := range g.adj[v] {
 			g.ops++
 			if !g.visitedOnce(w) {

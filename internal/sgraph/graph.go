@@ -161,16 +161,6 @@ func New(store *pagestore.Store, bounds geom.AABB, resolution int) *Graph {
 	return g
 }
 
-// Build constructs the complete graph of a query result in one call: every
-// object becomes a vertex and grid hashing connects them.
-func Build(store *pagestore.Store, bounds geom.AABB, resolution int, result []pagestore.ObjectID) *Graph {
-	g := New(store, bounds, resolution)
-	for _, id := range result {
-		g.AddObject(id)
-	}
-	return g
-}
-
 // Reset reconfigures the graph for a new query region, dropping all vertices
 // and edges while keeping every backing array for reuse. A graph reset for
 // each query behaves identically to a freshly allocated one but stops
@@ -354,10 +344,6 @@ func (g *Graph) chargeScan(n int64) {
 // NumVertices returns the number of live vertices.
 func (g *Graph) NumVertices() int { return len(g.ids) - g.deadCount }
 
-// VertexSlots returns the number of vertex slots including tombstones; valid
-// vertex indices are [0, VertexSlots), but tombstoned ones must be skipped.
-func (g *Graph) VertexSlots() int { return len(g.ids) }
-
 // NumEdges returns the number of undirected edges among live vertices.
 func (g *Graph) NumEdges() int { return g.edges }
 
@@ -373,9 +359,6 @@ func (g *Graph) BuildEdges() int { return g.buildEdges }
 // rebuilds, directory migration, compaction) since the last lifecycle
 // boundary.
 func (g *Graph) MaintOps() int64 { return g.maintOps }
-
-// ObjectAt returns the object ID of vertex v.
-func (g *Graph) ObjectAt(v int32) pagestore.ObjectID { return g.ids[v] }
 
 // ObjectOf returns the stored object of vertex v.
 func (g *Graph) ObjectOf(v int32) pagestore.Object {
@@ -405,10 +388,6 @@ func (g *Graph) ForEachLive(f func(v int32, id pagestore.ObjectID)) {
 		}
 	}
 }
-
-// Adj returns the adjacency list of vertex v (live vertices only — kills
-// detach their edges eagerly). Callers must not modify it.
-func (g *Graph) Adj(v int32) []int32 { return g.adj[v] }
 
 // AddObject inserts the object as a vertex (idempotently) and, when grid
 // hashing is enabled, connects it to every object sharing a grid cell.

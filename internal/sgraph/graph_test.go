@@ -41,6 +41,16 @@ func boxResult(s *pagestore.Store, region geom.AABB) []pagestore.ObjectID {
 	return result
 }
 
+// buildGraph constructs the complete graph of a query result in one call:
+// every object becomes a vertex and grid hashing connects them.
+func buildGraph(store *pagestore.Store, bounds geom.AABB, resolution int, result []pagestore.ObjectID) *Graph {
+	g := New(store, bounds, resolution)
+	for _, id := range result {
+		g.AddObject(id)
+	}
+	return g
+}
+
 func allIDs(s *pagestore.Store) []pagestore.ObjectID {
 	ids := make([]pagestore.ObjectID, s.NumObjects())
 	for i := range ids {
@@ -52,7 +62,7 @@ func allIDs(s *pagestore.Store) []pagestore.ObjectID {
 func TestBuildConnectsChains(t *testing.T) {
 	store, chains := chainStore(3, 10, 5) // chains 5 apart
 	bounds := geom.Box(geom.V(-1, -1, -1), geom.V(11, 11, 11))
-	g := Build(store, bounds, 32768, allIDs(store))
+	g := buildGraph(store, bounds, 32768, allIDs(store))
 
 	if g.NumVertices() != 30 {
 		t.Fatalf("NumVertices = %d", g.NumVertices())
@@ -83,7 +93,7 @@ func TestCoarseGridMergesChains(t *testing.T) {
 	// structures that are not present".
 	store, _ := chainStore(2, 10, 2)
 	bounds := geom.Box(geom.V(-1, -1, -1), geom.V(11, 11, 11))
-	g := Build(store, bounds, 8, allIDs(store))
+	g := buildGraph(store, bounds, 8, allIDs(store))
 	if len(g.Components()) != 1 {
 		t.Fatalf("components = %d, want 1 (merged)", len(g.Components()))
 	}
@@ -102,7 +112,7 @@ func TestTooFineGridSplitsChain(t *testing.T) {
 	}
 	store := pagestore.NewStore(objs)
 	bounds := geom.Box(geom.V(-1, -1, -1), geom.V(21, 1, 1))
-	gFine := Build(store, bounds, 1<<15, allIDs(store))
+	gFine := buildGraph(store, bounds, 1<<15, allIDs(store))
 	if comps := len(gFine.Components()); comps < 2 {
 		t.Fatalf("fine grid did not split gapped chain: %d components", comps)
 	}
@@ -150,7 +160,7 @@ func TestCrossings(t *testing.T) {
 	// Result: segments intersecting region = those covering x in [5.5,10.5]:
 	// segments 5..10 (seg s spans [s, s+1]).
 	result := boxResult(store, region)
-	g := Build(store, region, 4096, result)
+	g := buildGraph(store, region, 4096, result)
 
 	crossings := g.AppendCrossings(nil, region)
 	if len(crossings) != 2 {
@@ -188,7 +198,7 @@ func TestCrossingsOutwardForReversedSegments(t *testing.T) {
 	store := pagestore.NewStore(objs)
 	region := geom.Box(geom.V(5.5, -1, -1), geom.V(10.5, 1, 1))
 	result := boxResult(store, region)
-	g := Build(store, region, 4096, result)
+	g := buildGraph(store, region, 4096, result)
 	for _, c := range g.AppendCrossings(nil, region) {
 		if vecAlmostEq(c.Point, geom.V(10.5, 0, 0), 1e-9) &&
 			!vecAlmostEq(c.Dir, geom.V(1, 0, 0), 1e-9) {
@@ -209,7 +219,7 @@ func TestReachableExits(t *testing.T) {
 	store, chains := chainStore(2, 20, 3)
 	region := geom.Box(geom.V(5.2, -1, -1), geom.V(10.2, 4, 4))
 	result := boxResult(store, region)
-	g := Build(store, region, 32768, result)
+	g := buildGraph(store, region, 32768, result)
 
 	// Start from chain 0's entry vertex: only chain 0's crossings are
 	// reachable.
@@ -222,7 +232,7 @@ func TestReachableExits(t *testing.T) {
 		t.Fatalf("reachable crossings = %d, want 2", len(crossings))
 	}
 	for _, c := range crossings {
-		if got := store.Object(g.ObjectAt(c.Vertex)).Struct; got != 0 {
+		if got := store.Object(g.ids[c.Vertex]).Struct; got != 0 {
 			t.Errorf("crossing belongs to struct %d, want 0", got)
 		}
 	}
@@ -234,7 +244,7 @@ func TestReachableExits(t *testing.T) {
 func TestReachableFrom(t *testing.T) {
 	store, chains := chainStore(2, 10, 3)
 	bounds := geom.Box(geom.V(-1, -1, -1), geom.V(11, 4, 4))
-	g := Build(store, bounds, 32768, allIDs(store))
+	g := buildGraph(store, bounds, 32768, allIDs(store))
 	start := g.VertexOf(chains[0][0])
 	reached := g.ReachableFrom([]int32{start})
 	if len(reached) != 10 {
@@ -272,12 +282,12 @@ func TestNoSpuriousLongEdges(t *testing.T) {
 	store := pagestore.NewStore(objs)
 	bounds := geom.Box(geom.V(0, 0, 0), geom.V(50, 50, 50))
 	res := 32768 // 32³ cells of ~1.5625 side
-	g := Build(store, bounds, res, allIDs(store))
+	g := buildGraph(store, bounds, res, allIDs(store))
 	cellDiag := math.Sqrt(3) * 50 / 32
 	for v := int32(0); v < int32(g.NumVertices()); v++ {
-		sv := store.Object(g.ObjectAt(v)).Seg
-		for _, w := range g.Adj(v) {
-			sw := store.Object(g.ObjectAt(w)).Seg
+		sv := store.Object(g.ids[v]).Seg
+		for _, w := range g.adj[v] {
+			sw := store.Object(g.ids[w]).Seg
 			if d := sv.DistToSegment(sw); d > cellDiag {
 				t.Fatalf("edge between objects %v apart (cell diag %v)", d, cellDiag)
 			}
@@ -290,7 +300,7 @@ func TestOpsDeterministic(t *testing.T) {
 	region := geom.Box(geom.V(5, -1, -1), geom.V(25, 8, 8))
 	result := boxResult(store, region)
 	run := func() int64 {
-		g := Build(store, region, 4096, result)
+		g := buildGraph(store, region, 4096, result)
 		g.ReachableCrossings([]int32{0}, region)
 		return g.Ops()
 	}
@@ -315,7 +325,7 @@ func (s sphere) Volume() float64                 { return 4 / 3.0 * math.Pi * s.
 
 // TestCrossingPathsAgree: AppendCrossings and AppendVertexCrossings, whose
 // boxes and frusta skip the Region interface, return exactly the crossings
-// of the interface path (crossingsOf) vertex by vertex, on a random cloud.
+// of the interface path (appendCrossingsOf) vertex by vertex, on a random cloud.
 func TestCrossingPathsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	objs := make([]pagestore.Object, 3000)
@@ -332,10 +342,10 @@ func TestCrossingPathsAgree(t *testing.T) {
 	}
 	for _, region := range regions {
 		for _, bounds := range []geom.AABB{region.Bounds(), box} {
-			g := Build(store, bounds, 64, allIDs(store))
+			g := buildGraph(store, bounds, 64, allIDs(store))
 			var want []Boundary
 			for v := int32(0); v < int32(g.NumVertices()); v++ {
-				one := g.crossingsOf(v, region)
+				one := g.appendCrossingsOf(nil, v, region)
 				if got := g.AppendVertexCrossings(nil, v, region); !reflect.DeepEqual(got, one) {
 					t.Fatalf("%T: vertex %d: AppendVertexCrossings %v, interface path %v", region, v, got, one)
 				}
