@@ -8,6 +8,7 @@ import (
 	"scout/internal/pagestore"
 	"scout/internal/prefetch"
 	"scout/internal/rtree"
+	"scout/internal/sgraph"
 	"scout/internal/workload"
 )
 
@@ -65,6 +66,33 @@ func BenchmarkScoutObserve(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(obs)), "ns/query")
+}
+
+// BenchmarkGraphBuildNeuro times the graph build alone on real results:
+// Reset plus AddObject for every object of benchSetup's 25 neuron query
+// results at the default resolution, reported in ns/object. The synthetic
+// BenchmarkGraphReuse (sgraph) hashes short random segments into a sparse
+// box; neuron results are denser and their objects cross more cells, so
+// this row is the per-object cost SCOUT's observe stage actually pays.
+func BenchmarkGraphBuildNeuro(b *testing.B) {
+	store, _, obs := benchSetup(b)
+	res := DefaultConfig().Resolution
+	g := sgraph.New(store, obs[0].Region.Bounds(), res)
+	objects := 0
+	for _, o := range obs {
+		objects += len(o.Result)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, o := range obs {
+			g.Reset(o.Region.Bounds(), res)
+			for _, id := range o.Result {
+				g.AddObject(id)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*objects), "ns/object")
 }
 
 // BenchmarkScoutColdSession measures what planning one serving session pays:

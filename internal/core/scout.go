@@ -110,10 +110,12 @@ type Scout struct {
 	crossPts   []geom.Vec3
 	crossDirs  []geom.Vec3
 	entryBuf   []bool
-	// kmeans scratch (see kmeansRepresentatives).
+	// kmeans scratch (see kmeansRepresentatives) and the plan's locations.
 	kmAssign  []int
 	kmPerm    []int32
 	kmCenters []geom.Vec3
+	kmReps    []sgraph.Boundary
+	locs      []location
 	// exitStore holds the exits handed back by predictFrom; it doubles as
 	// prevExits and is only overwritten after the next query has extracted
 	// its projected points.
@@ -183,7 +185,7 @@ func (s *Scout) Observe(obs prefetch.Observation) {
 	exits, candidates, predCost := s.predict(g, obs.Region, side, estGap)
 	s.prevExits = exits
 	// Build cost is computed after prediction: a delta build's lazy
-	// connectivity rebuild triggers on the first Connected call in there,
+	// connectivity rebuild triggers on the first connectivity query in there,
 	// and its maintenance work belongs to graph building, not prediction.
 	buildCost := graphBuildCost(g)
 
@@ -524,38 +526,59 @@ func dedupeExitsInPlace(exits []sgraph.Boundary, tol float64) []sgraph.Boundary 
 // requestsFor converts candidate exits into the prefetch plan: select
 // locations per the strategy, then emit interleaved incremental ladders.
 func (s *Scout) requestsFor(exits []sgraph.Boundary, volume, side, estGap float64) []prefetch.Request {
-	locs := s.selectLocations(exits, side, estGap)
-	if len(locs) == 0 {
-		return s.fallbackRequests(volume, side)
-	}
+	locs, volume := s.exitLocations(exits, volume, side, estGap)
+	return s.putLadders(s.newPlan(len(locs)), locs, volume)
+}
+
+// exitLocations selects the anchors of the exit ladders and the volume they
+// are sized to. With no exit to follow it falls back to extrapolating the
+// centers linearly (e.g. the structure ends inside the query): SCOUT's
+// backup is a straight line from past positions (§5.3). The locations live
+// in recycled scratch until the next call.
+func (s *Scout) exitLocations(exits []sgraph.Boundary, volume, side, estGap float64) ([]location, float64) {
 	if volume <= 0 {
 		volume = side * side * side
 	}
-	ladders := make([][]prefetch.Request, len(locs))
-	for i, l := range locs {
-		ladders[i] = prefetch.IncrementalRequests(l.center, l.dir, volume, s.cfg.Ladder)
+	locs := s.selectLocations(exits, side, estGap)
+	if len(locs) > 0 {
+		return locs, volume
 	}
-	return interleave(ladders)
-}
-
-// fallbackRequests extrapolates the centers linearly when no exits exist
-// (e.g. the structure ends inside the query): SCOUT's backup is a straight
-// line from past positions (§5.3).
-func (s *Scout) fallbackRequests(volume, side float64) []prefetch.Request {
 	n := len(s.centers)
 	if n < 2 {
-		return nil
+		return locs, volume
 	}
 	delta := s.centers[n-1].Sub(s.centers[n-2])
 	if delta.Len() == 0 {
-		return nil
-	}
-	if volume <= 0 {
-		volume = side * side * side
+		return locs, volume
 	}
 	dir := delta.Normalize()
 	anchor := s.centers[n-1].Add(delta).Sub(dir.Scale(side / 2))
-	return prefetch.IncrementalRequests(anchor, dir, volume, s.cfg.Ladder)
+	s.locs = append(locs, location{center: anchor, dir: dir})
+	return s.locs, volume
+}
+
+// newPlan returns an empty request slice with room for exactly the given
+// number of ladders, or nil for none. Plans are handed to the engine and
+// must survive the next Observe, so they are never recycled.
+func (s *Scout) newPlan(ladders int) []prefetch.Request {
+	if ladders == 0 {
+		return nil
+	}
+	return make([]prefetch.Request, 0, ladders*s.cfg.Ladder)
+}
+
+// putLadders appends one incremental ladder per location, interleaved
+// round-robin so every location gets its small, high-priority requests
+// served before any location's large ones: the broad strategy's
+// equal-weight split (§5.2.2). Every ladder has cfg.Ladder rungs, so rung r
+// of location i lands at r·len(locs)+i.
+func (s *Scout) putLadders(dst []prefetch.Request, locs []location, volume float64) []prefetch.Request {
+	n := len(dst)
+	dst = dst[:n+len(locs)*s.cfg.Ladder]
+	for i, l := range locs {
+		prefetch.PutLadder(dst[n+i:], len(locs), s.cfg.Ladder, l.center, l.dir, volume)
+	}
+	return dst
 }
 
 // location is one predicted prefetch anchor: the expected entry point E of
@@ -569,10 +592,11 @@ type location struct {
 // selectLocations extrapolates each exit linearly to a predicted query
 // center (§4.4), then applies the strategy: deep picks one at random
 // (§5.2.1); broad keeps all, k-means clustering down to MaxLocations when
-// there are too many (§5.2.2).
+// there are too many (§5.2.2). The locations live in s.locs.
 func (s *Scout) selectLocations(exits []sgraph.Boundary, side, estGap float64) []location {
+	locs := s.locs[:0]
 	if len(exits) == 0 {
-		return nil
+		return locs
 	}
 	// The anchor is the expected entry point of the next query: the exit
 	// point itself for adjacent queries, shifted by the estimated gap when
@@ -581,62 +605,40 @@ func (s *Scout) selectLocations(exits []sgraph.Boundary, side, estGap float64) [
 		return location{center: e.Point.Add(e.Dir.Scale(estGap)), dir: e.Dir}
 	}
 	if s.cfg.Strategy == Deep {
-		return []location{mk(exits[s.rng.Intn(len(exits))])}
+		s.locs = append(locs, mk(exits[s.rng.Intn(len(exits))]))
+		return s.locs
 	}
-	if len(exits) <= s.cfg.MaxLocations {
-		locs := make([]location, len(exits))
-		for i, e := range exits {
-			locs[i] = mk(e)
-		}
-		return dedupeLocations(locs, side*0.3)
+	if len(exits) > s.cfg.MaxLocations {
+		// Too many exits: k-means the exit points and take one exit per
+		// cluster at random (§5.2.2).
+		exits = s.kmeansRepresentatives(exits, s.cfg.MaxLocations)
 	}
-	// Too many exits: k-means the exit points and take one exit per
-	// cluster at random (§5.2.2).
-	reps := s.kmeansRepresentatives(exits, s.cfg.MaxLocations)
-	locs := make([]location, len(reps))
-	for i, e := range reps {
-		locs[i] = mk(e)
+	for _, e := range exits {
+		locs = append(locs, mk(e))
 	}
-	return dedupeLocations(locs, side*0.3)
+	s.locs = dedupeLocations(locs, side*0.3)
+	return s.locs
 }
 
 // dedupeLocations merges locations closer than tol (overlapping prefetch
 // queries would waste window; the paper expands overlapping regions, we
-// simply merge them).
+// simply merge them), keeping the first of each and compacting in place.
 func dedupeLocations(locs []location, tol float64) []location {
-	var out []location
+	n := 0
 	for _, l := range locs {
 		dup := false
-		for _, o := range out {
+		for _, o := range locs[:n] {
 			if l.center.Dist(o.center) < tol {
 				dup = true
 				break
 			}
 		}
 		if !dup {
-			out = append(out, l)
+			locs[n] = l
+			n++
 		}
 	}
-	return out
-}
-
-// interleave merges per-location ladders round-robin so every location gets
-// its small, high-priority requests served before any location's large ones:
-// the broad strategy's equal-weight split (§5.2.2).
-func interleave(ladders [][]prefetch.Request) []prefetch.Request {
-	var out []prefetch.Request
-	for i := 0; ; i++ {
-		advanced := false
-		for _, l := range ladders {
-			if i < len(l) {
-				out = append(out, l[i])
-				advanced = true
-			}
-		}
-		if !advanced {
-			return out
-		}
-	}
+	return locs[:n]
 }
 
 // appendProjectedPoints extrapolates each exit across the gap along its
@@ -684,7 +686,8 @@ func sideOf(b geom.AABB) float64 {
 // kmeansRepresentatives clusters the exits' points into k clusters with
 // Lloyd's algorithm (the paper cites k-means' smoothed polynomial
 // complexity, §5.2.2) and returns one exit per non-empty cluster, chosen at
-// random. Scratch (assignments, centers) is recycled on the prefetcher.
+// random. Scratch (assignments, centers, representatives) is recycled on
+// the prefetcher.
 func (s *Scout) kmeansRepresentatives(exits []sgraph.Boundary, k int) []sgraph.Boundary {
 	rng := s.rng
 	if len(exits) <= k {
@@ -741,17 +744,29 @@ func (s *Scout) kmeansRepresentatives(exits []sgraph.Boundary, k int) []sgraph.B
 			}
 		}
 	}
-	// One random exit per non-empty cluster.
-	byCluster := make([][]int, k)
-	for i, a := range assign {
-		byCluster[a] = append(byCluster[a], i)
+	// One random exit per non-empty cluster, in cluster order.
+	var cnt [16]int
+	for _, a := range assign {
+		cnt[a]++
 	}
-	var out []sgraph.Boundary
-	for _, members := range byCluster {
-		if len(members) > 0 {
-			out = append(out, exits[members[rng.Intn(len(members))]])
+	out := s.kmReps[:0]
+	for c := 0; c < k; c++ {
+		if cnt[c] == 0 {
+			continue
+		}
+		r := rng.Intn(cnt[c])
+		for i, a := range assign {
+			if a != c {
+				continue
+			}
+			if r == 0 {
+				out = append(out, exits[i])
+				break
+			}
+			r--
 		}
 	}
+	s.kmReps = out
 	return out
 }
 

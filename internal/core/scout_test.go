@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"testing"
 
 	"scout/internal/flatindex"
@@ -287,20 +286,29 @@ func TestKmeansRepresentatives(t *testing.T) {
 }
 
 func TestInterleave(t *testing.T) {
-	r := func(x float64) prefetch.Request {
-		return prefetch.Request{Region: geom.CubeAt(geom.V(x, 0, 0), 1)}
+	// putLadders writes the ladders round-robin into one slice: every
+	// location's first rung, then every location's second, and so on.
+	s := New(pagestore.NewStore(nil), nil, DefaultConfig())
+	locs := []location{
+		{center: geom.V(1, 0, 0), dir: geom.V(1, 0, 0)},
+		{center: geom.V(10, 5, 0), dir: geom.V(0, 1, 0)},
+		{center: geom.V(0, 0, 30), dir: geom.V(0, 0, -1)},
 	}
-	out := interleave([][]prefetch.Request{
-		{r(1), r(2), r(3)},
-		{r(10), r(20)},
-	})
-	want := []float64{1, 10, 2, 20, 3}
-	if len(out) != len(want) {
-		t.Fatalf("len = %d", len(out))
+	steps := s.cfg.Ladder
+	head := prefetch.Request{Region: geom.CubeAt(geom.V(-7, 0, 0), 1)}
+	out := s.putLadders(append(make([]prefetch.Request, 0, 1+len(locs)*steps), head), locs, 64)
+	if len(out) != 1+len(locs)*steps {
+		t.Fatalf("len = %d, want %d", len(out), 1+len(locs)*steps)
 	}
-	for i, w := range want {
-		if got := out[i].Region.Bounds().Center().X; math.Abs(got-w) > 1e-9 {
-			t.Errorf("pos %d = %v, want %v", i, got, w)
+	if out[0] != head {
+		t.Error("the request already in the plan moved")
+	}
+	for i, l := range locs {
+		ladder := prefetch.IncrementalRequests(l.center, l.dir, 64, steps)
+		for r, want := range ladder {
+			if got := out[1+r*len(locs)+i]; got != want {
+				t.Errorf("location %d rung %d = %v, want %v", i, r, got.Region, want.Region)
+			}
 		}
 	}
 }

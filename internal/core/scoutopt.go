@@ -23,9 +23,10 @@ type ScoutOpt struct {
 
 	// Reusable per-query working set: candidate/visited page sets, the page
 	// expansion queue of sparse construction, one added vertex's crossings,
-	// the exits gap clustering keeps, and a second graph arena for gap
-	// traversal (the main arena holds the query's graph, which must survive
-	// while the gap corridors are explored). gapLive marks that the gap
+	// the exits gap clustering keeps, the locations gap traversal predicts,
+	// and a second graph arena for gap traversal (the main arena holds the
+	// query's graph, which must survive while the gap corridors are
+	// explored). gapLive marks that the gap
 	// arena holds a corridor of this sequence; corridors of consecutive
 	// queries overlap along the followed structure, so the arena advances
 	// (AdvanceWithin) instead of resetting when the lattice carries over.
@@ -39,6 +40,7 @@ type ScoutOpt struct {
 	gapLive   bool
 	gapStarts []int32
 	gapFronts []pagestore.PageID
+	gapLocs   []location
 }
 
 // NewOpt creates a SCOUT-OPT prefetcher over the given FLAT-like index.
@@ -108,7 +110,7 @@ func (s *ScoutOpt) Observe(obs prefetch.Observation) {
 	exits, candidates := s.predictFrom(g, obs.Region, side, startVerts, prevPts, crossings)
 	predCost := time.Duration(g.Ops()-ops0) * costPerOp
 	// After prediction: a delta build's lazy connectivity rebuild triggers
-	// on the first Connected call above and is charged to graph building.
+	// on the first connectivity query above and is charged to graph building.
 	buildCost := graphBuildCost(g)
 	s.prevExits = exits
 
@@ -133,19 +135,14 @@ func (s *ScoutOpt) Observe(obs prefetch.Observation) {
 		locs, gapPages, gapCost = s.gapTraverse(distinct, bounds, side, estGap, budget)
 	}
 
+	// Traversal-refined anchors first (highest confidence), then the
+	// regular broad exit ladders as coverage for the candidates the I/O
+	// budget could not follow.
 	volume := bounds.Volume() // page footprint; see Scout.Observe
-	var reqs []prefetch.Request
-	if len(locs) > 0 {
-		// Traversal-refined anchors first (highest confidence), then the
-		// regular broad exit ladders as coverage for the candidates the
-		// I/O budget could not follow.
-		ladders := make([][]prefetch.Request, len(locs))
-		for i, l := range locs {
-			ladders[i] = prefetch.IncrementalRequests(l.center, l.dir, volume, s.cfg.Ladder)
-		}
-		reqs = interleave(ladders)
-	}
-	reqs = append(reqs, s.requestsFor(exits, volume, side, estGap)...)
+	exitLocs, exitVolume := s.exitLocations(exits, volume, side, estGap)
+	reqs := s.newPlan(len(locs) + len(exitLocs))
+	reqs = s.putLadders(reqs, locs, volume)
+	reqs = s.putLadders(reqs, exitLocs, exitVolume)
 
 	s.stats = QueryStats{
 		ResultObjects: len(obs.Result),
@@ -258,8 +255,9 @@ func (s *ScoutOpt) sparseBuild(obs prefetch.Observation, bounds geom.AABB, tol f
 		// as crossings (shared boundaries are the common case for packed
 		// pages).
 		pageMBR := s.store.PageBounds(p).Inflate(-eps)
+		g.MarkComponents(startVerts)
 		for _, v := range added {
-			if !connectedToAny(g, v, startVerts) {
+			if !g.InMarkedComponent(v) {
 				continue
 			}
 			seg := g.ObjectOf(v).Seg
@@ -289,16 +287,6 @@ func nearAny(p geom.Vec3, pts []geom.Vec3, tol float64) bool {
 	t2 := tol * tol
 	for _, q := range pts {
 		if p.DistSq(q) <= t2 {
-			return true
-		}
-	}
-	return false
-}
-
-// connectedToAny reports whether v is connected to any of the vertices.
-func connectedToAny(g *sgraph.Graph, v int32, verts []int32) bool {
-	for _, w := range verts {
-		if g.Connected(v, w) {
 			return true
 		}
 	}
@@ -352,7 +340,7 @@ func (s *ScoutOpt) gapTraverse(exits []sgraph.Boundary, region geom.AABB, side, 
 		perExit = 2
 	}
 
-	var locs []location
+	locs := s.gapLocs[:0]
 	var pages []pagestore.PageID
 	var ops int64
 	for _, e := range exits[:limit] {
@@ -465,7 +453,8 @@ func (s *ScoutOpt) gapTraverse(exits []sgraph.Boundary, region geom.AABB, side, 
 	}
 	cost := time.Duration(ops)*costPerOp +
 		time.Duration(len(pages))*costPerObject // page-handling overhead
-	return dedupeLocations(locs, side*0.3), pages, cost
+	s.gapLocs = dedupeLocations(locs, side*0.3)
+	return s.gapLocs, pages, cost
 }
 
 // farthestAlong walks the gap subgraph from the start vertices and returns

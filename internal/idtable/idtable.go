@@ -11,7 +11,7 @@
 // keeps the capacity for the next query.
 package idtable
 
-import "unsafe"
+import "math/bits"
 
 // Key is a table's key: an object, page or packed grid-cell ID.
 type Key interface{ ~uint32 | ~uint64 }
@@ -29,22 +29,19 @@ type Map[K Key, V any] struct {
 	slots []slot[K, V]
 	gen   uint32
 	n     int
+	mask  uint  // len(slots) − 1
+	shift uint8 // 64 − log₂ len(slots): home keeps the product's top bits
 }
 
-// hash spreads clustered keys (consecutive object IDs, cells along a voxel
-// walk) across the table: Fibonacci multiply + fold for 32-bit keys, the
-// fmix64 half (splitmix64's finalizer) for 64-bit ones. Each instantiation
-// folds the width test to a constant.
-func hash[K Key](k K) uint {
-	if unsafe.Sizeof(k) == 8 {
-		x := uint64(k)
-		x ^= x >> 33
-		x *= 0xff51afd7ed558ccd
-		x ^= x >> 33
-		return uint(x)
-	}
-	h := uint32(k) * 2654435769
-	return uint(h ^ (h >> 16))
+// home is k's first probe slot, by Fibonacci hashing: the top log₂ len(slots)
+// bits of k·2⁶⁴/φ. The top bits of the product depend on every bit of the
+// key, so clustered keys (consecutive object IDs, the packed cells along a
+// voxel walk, whose x field sits 42 bits up) spread across the table. One
+// multiply and one shift, and the mask kept beside them, hold Get (and Set's
+// Has through it) within the compiler's inlining budget; CI's hot-path step
+// checks that -gcflags=-m still reports both inlinable.
+func (m *Map[K, V]) home(k K) uint {
+	return uint(uint64(k) * 0x9e3779b97f4a7c15 >> m.shift)
 }
 
 // Reset empties the table in O(1), keeping its capacity.
@@ -59,22 +56,15 @@ func (m *Map[K, V]) Reset() {
 	}
 }
 
-// Get returns the value stored under k.
-func (m *Map[K, V]) Get(k K) (V, bool) {
-	if m.n > 0 {
-		mask := uint(len(m.slots) - 1)
-		for i := hash(k) & mask; ; i = (i + 1) & mask {
-			s := &m.slots[i]
-			if s.gen != m.gen {
-				break
-			}
-			if s.key == k {
-				return s.val, true
-			}
+// Get returns the value stored under k. An empty table (n 0) probes no
+// slot, so the zero value needs no array.
+func (m *Map[K, V]) Get(k K) (v V, ok bool) {
+	for i := m.home(k); m.n > 0 && m.slots[i].gen == m.gen; i = (i + 1) & m.mask {
+		if m.slots[i].key == k {
+			return m.slots[i].val, true
 		}
 	}
-	var zero V
-	return zero, false
+	return
 }
 
 // Put inserts or overwrites the value under k.
@@ -82,8 +72,7 @@ func (m *Map[K, V]) Put(k K, v V) {
 	if 4*(m.n+1) > 3*len(m.slots) {
 		m.grow()
 	}
-	mask := uint(len(m.slots) - 1)
-	for i := hash(k) & mask; ; i = (i + 1) & mask {
+	for i := m.home(k); ; i = (i + 1) & m.mask {
 		s := &m.slots[i]
 		if s.gen != m.gen {
 			*s = slot[K, V]{gen: m.gen, val: v, key: k}
@@ -102,19 +91,20 @@ func (m *Map[K, V]) grow() {
 	if m.gen == 0 { // a fresh table's zero stamps must not read as live
 		m.gen = 1
 	}
-	slots := make([]slot[K, V], max(2*len(m.slots), 64))
-	mask := uint(len(slots) - 1)
-	for _, s := range m.slots {
+	old := m.slots
+	m.slots = make([]slot[K, V], max(2*len(old), 64))
+	m.mask = uint(len(m.slots) - 1)
+	m.shift = uint8(64 - bits.Len(m.mask))
+	for _, s := range old {
 		if s.gen != m.gen {
 			continue
 		}
-		i := hash(s.key) & mask
-		for slots[i].gen == m.gen {
-			i = (i + 1) & mask
+		i := m.home(s.key)
+		for m.slots[i].gen == m.gen {
+			i = (i + 1) & m.mask
 		}
-		slots[i] = s
+		m.slots[i] = s
 	}
-	m.slots = slots
 }
 
 // Set is an epoch-stamped membership set over K. The zero value is empty.
@@ -129,7 +119,7 @@ func (s *Set[K]) Reset() { s.m.Reset() }
 func (s *Set[K]) Add(k K) { s.m.Put(k, struct{}{}) }
 
 // Has reports whether k is in the set.
-func (s *Set[K]) Has(k K) bool {
-	_, ok := s.m.Get(k)
-	return ok
+func (s *Set[K]) Has(k K) (ok bool) {
+	_, ok = s.m.Get(k)
+	return
 }

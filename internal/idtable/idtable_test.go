@@ -201,3 +201,48 @@ func TestSlotSizes(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkGet times hits and misses on the two shapes the hot path probes:
+// a result set of object IDs (Set[uint32], mostly clustered IDs) and a
+// world-keyed cell directory (Map[uint64, int32], packed lattice keys along
+// voxel walks). ns/op is per probe.
+func BenchmarkGet(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	ids := make([]uint32, 4096)
+	for i := range ids {
+		ids[i] = uint32(rng.Intn(1 << 20))
+	}
+	var set Set[uint32]
+	for _, id := range ids[:2048] {
+		set.Add(id)
+	}
+	b.Run("set-uint32", func(b *testing.B) {
+		hits := 0
+		for i := 0; i < b.N; i++ {
+			if set.Has(ids[i&4095]) {
+				hits++
+			}
+		}
+		sinkInt = hits
+	})
+	keys := make([]uint64, 4096)
+	for i := range keys {
+		x, y, z := uint64(rng.Intn(32)), uint64(rng.Intn(32)), uint64(rng.Intn(32))
+		keys[i] = (x+1<<20)<<42 | (y+1<<20)<<21 | (z + 1<<20)
+	}
+	var cells Map[uint64, int32]
+	for i, k := range keys[:2048] {
+		cells.Put(k, int32(i))
+	}
+	b.Run("map-uint64", func(b *testing.B) {
+		sum := int32(0)
+		for i := 0; i < b.N; i++ {
+			if v, ok := cells.Get(keys[i&4095]); ok {
+				sum += v
+			}
+		}
+		sinkInt = int(sum)
+	})
+}
+
+var sinkInt int

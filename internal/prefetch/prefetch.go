@@ -127,8 +127,16 @@ func IncrementalRequests(anchor, dir geom.Vec3, volume float64, steps int) []Req
 	if steps < 1 {
 		steps = 1
 	}
+	reqs := make([]Request, steps)
+	PutLadder(reqs, 1, steps, anchor, dir, volume)
+	return reqs
+}
+
+// PutLadder writes the steps rungs of IncrementalRequests' ladder to
+// dst[0], dst[stride], dst[2·stride], …, so several ladders can be written
+// interleaved into one slice.
+func PutLadder(dst []Request, stride, steps int, anchor, dir geom.Vec3, volume float64) {
 	side := math.Cbrt(volume)
-	reqs := make([]Request, 0, steps)
 	for i := 1; i <= steps; i++ {
 		f := float64(i) / float64(steps)
 		// The region extends from just behind the anchor to up to 1.15
@@ -138,9 +146,8 @@ func IncrementalRequests(anchor, dir geom.Vec3, volume float64, steps int) []Req
 		c := anchor.Add(dir.Scale(length/2 - side*0.1))
 		half := dir.Abs().Scale(length / 2).
 			Add(crossExtent(dir, cross/2))
-		reqs = append(reqs, Request{Region: geom.AABB{Min: c.Sub(half), Max: c.Add(half)}})
+		dst[(i-1)*stride] = Request{Region: geom.AABB{Min: c.Sub(half), Max: c.Add(half)}}
 	}
-	return reqs
 }
 
 // crossExtent returns the half-extents perpendicular to dir: cross in every

@@ -205,6 +205,28 @@ func (g *Graph) CountComponentsOf(verts []int32) int {
 	return n
 }
 
+// MarkComponents stamps the union-find roots of the given live vertices, so
+// InMarkedComponent answers "connected to any of them?" with one find
+// instead of one root comparison per vertex. The stamps recycle the visit
+// marks (this invalidates MarkReachable marks) and hold until the graph or
+// the next traversal changes them.
+func (g *Graph) MarkComponents(verts []int32) {
+	g.beginVisit()
+	if len(verts) == 0 {
+		return
+	}
+	g.ensureConnectivity()
+	for _, v := range verts {
+		g.visitedOnce(g.find(v))
+	}
+}
+
+// InMarkedComponent reports whether live vertex v shares a component with a
+// vertex of the last MarkComponents call.
+func (g *Graph) InMarkedComponent(v int32) bool {
+	return g.Reached(g.find(v))
+}
+
 // ReachableCrossings performs the prediction traversal of §4.4: a
 // depth-first walk from the given start vertices (the candidate structures'
 // matched crossings), returning the boundary crossings of every reached

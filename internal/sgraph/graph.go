@@ -30,8 +30,8 @@
 //     and only newly entered objects pay the voxel walk. Grid hashing runs on
 //     a world-anchored lattice (see lattice.go) so cells stay valid as the
 //     query window moves; union-find, which supports no deletion, is rebuilt
-//     lazily over the live vertices — only when Connected/Components is
-//     actually consulted after a removal.
+//     lazily over the live vertices — only when a connectivity query
+//     (CountComponentsOf, MarkComponents, Components) follows a removal.
 package sgraph
 
 import (
@@ -84,6 +84,12 @@ type Graph struct {
 	parent  []int32
 	rank    []int8
 	ufDirty bool
+	// cliqueBroken records that some live vertex may hold a chain entry in
+	// a cell its last walk did not visit (a resurrected vertex's earlier
+	// window walked a cell its current one misses), so that cell's live
+	// occupants need not be a clique and hashing falls back to one union
+	// per edge until the next Reset (see scanCell).
+	cliqueBroken bool
 
 	// Tombstones: dead[v] marks an evicted vertex. Its slot, vertex-table
 	// entry and grid-cell chain entries stay behind (skipped by scans) until
@@ -109,8 +115,9 @@ type Graph struct {
 	// cellCount[v] counts v's chain entries; entLive counts chain entries
 	// belonging to live vertices, so §8.2 memory accounting can exclude
 	// tombstoned entries awaiting compaction. touchedCells lists every
-	// distinct touched cell's key, so liveCells scans occupied cells, never
-	// the directory's full capacity.
+	// distinct occupied cell by its directory index — the dense slot, or the
+	// world key once migrated — so migration and compaction visit occupied
+	// cells, never the directory's full capacity.
 	cellCount    []int32
 	entLive      int
 	touchedCells []uint64
@@ -185,6 +192,7 @@ func (g *Graph) resetToLattice(lat lattice, resolution int) {
 	g.pairGen = g.pairGen[:0]
 	g.deadCount = 0
 	g.ufDirty = false
+	g.cliqueBroken = false
 	g.edges = 0
 	g.vert.Reset()
 	g.ents = g.ents[:0]
@@ -248,7 +256,7 @@ func (g *Graph) CanAdvance(bounds geom.AABB, resolution int) bool {
 // objects are inserted and hashed as usual. The lattice window grows — never
 // shrinks — to cover the new bounds; survivors whose segments were clipped
 // by the old window are re-walked when growth uncovers more of them.
-// Connectivity is rebuilt lazily on the next Connected/Components call.
+// Connectivity is rebuilt lazily on the next connectivity query.
 // Callers must check CanAdvance first; resolution is the caller's (matching)
 // grid resolution.
 func (g *Graph) Advance(bounds geom.AABB, resolution int, removed, added []pagestore.ObjectID) {
@@ -315,22 +323,16 @@ func (g *Graph) growWindow(bounds geom.AABB) {
 
 // migrateToWorldKeys moves a dense cell directory into the world-keyed
 // sparse table. Runs once per delta lifecycle, before the first window
-// growth, over the (small, ≤ resolution-sized) initial window.
+// growth, over the occupied cells touchedCells lists (rewritten in place
+// from slots to keys). The model still charges the scan of the whole
+// (small, ≤ resolution-sized) initial window the migration was priced at.
 func (g *Graph) migrateToWorldKeys() {
-	nx, ny, nz := g.lat.dims()
-	idx := 0
-	for k := 0; k < nz; k++ {
-		for j := 0; j < ny; j++ {
-			for i := 0; i < nx; i++ {
-				if g.cellSlots[idx].gen == g.cellEpoch {
-					key := latticeKey(int32(i)+g.lat.lo[0], int32(j)+g.lat.lo[1], int32(k)+g.lat.lo[2])
-					g.cellMap64.Put(key, g.cellSlots[idx].head)
-				}
-				idx++
-			}
-		}
+	for i, c := range g.touchedCells {
+		key := g.lat.denseKey(int(c))
+		g.cellMap64.Put(key, g.cellSlots[c].head)
+		g.touchedCells[i] = key
 	}
-	g.chargeScan(int64(nx * ny * nz))
+	g.chargeScan(int64(g.lat.numCells()))
 	g.denseCells = false
 }
 
@@ -447,73 +449,50 @@ func (g *Graph) AddObjectFirst(id pagestore.ObjectID) (int32, bool) {
 // vertex may already be chained into some of its cells and must not be
 // chained twice. A vertex that starts the walk without edges (new or
 // resurrected) has none the walk could repeat, and pairGen dedupes the walk
-// itself, so its edges are linked without connect's duplicate scan.
+// itself, so its edges are added without connect's duplicate scan.
 func (g *Graph) hashVertex(v int32, checkPresent bool) {
 	s := g.store.Object(g.ids[v]).Seg
 	// Strict interior containment decides the clipped flag and the clip
 	// fast path (strictly inside ⇒ clips to the full segment).
 	allInside := g.lat.strictlyContains(s.A) && g.lat.strictlyContains(s.B)
-	g.keyScratch = g.lat.segmentCells(s, g.keyScratch[:0], allInside)
-	keys := g.keyScratch
+	dense := g.denseCells
+	g.keyScratch = g.lat.segmentCells(s, g.keyScratch[:0], allInside, dense)
 	g.beginPairWalk(v)
 	fresh := len(g.adj[v]) == 0
-	added := int32(0)
-	if g.denseCells {
-		nx, ny, _ := g.lat.dims()
-		lo := g.lat.lo
-		ents := g.ents
-		for _, key := range keys {
-			ix, iy, iz := latticeCoords(key)
-			c := (int(iz-lo[2])*ny+int(iy-lo[1]))*nx + int(ix-lo[0])
-			head := int32(-1)
-			if g.cellSlots[c].gen == g.cellEpoch {
-				head = g.cellSlots[c].head
+	added, present := int32(0), int32(0)
+	for _, c := range g.keyScratch {
+		head := int32(-1)
+		if dense {
+			if slot := g.cellSlots[c]; slot.gen == g.cellEpoch {
+				head = slot.head
 			} else {
 				g.cellsTouched++
-				g.touchedCells = append(g.touchedCells, key)
+				g.touchedCells = append(g.touchedCells, c)
 			}
-			// Chain scan, inlined: connect v to live occupants once each.
-			present := false
-			for e := head; e >= 0; e = ents[e].next {
-				w := ents[e].vert
-				if w == v {
-					present = true
-					continue
-				}
-				if g.dead[w] || g.pairGen[w] == g.pairEpoch {
-					continue
-				}
-				g.pairGen[w] = g.pairEpoch
-				if fresh {
-					g.link(v, w)
-				} else {
-					g.connect(v, w)
-				}
-			}
-			if checkPresent && present {
+		} else if h, ok := g.cellMap64.Get(c); ok {
+			head = h
+		} else {
+			g.cellsTouched++
+			g.touchedCells = append(g.touchedCells, c)
+		}
+		if g.scanCell(v, head, fresh) {
+			present++
+			if checkPresent {
 				continue
 			}
-			ents = append(ents, entry{vert: v, next: head})
-			added++
-			g.cellSlots[c] = cellSlot{head: int32(len(ents)) - 1, gen: g.cellEpoch}
 		}
-		g.ents = ents
-	} else {
-		for _, key := range keys {
-			head := int32(-1)
-			if h, ok := g.cellMap64.Get(key); ok {
-				head = h
-			} else {
-				g.cellsTouched++
-				g.touchedCells = append(g.touchedCells, key)
-			}
-			if g.scanChain(v, head, checkPresent, fresh) {
-				continue
-			}
-			g.ents = append(g.ents, entry{vert: v, next: head})
-			added++
-			g.cellMap64.Put(key, int32(len(g.ents))-1)
+		g.ents = append(g.ents, entry{vert: v, next: head})
+		added++
+		if dense {
+			g.cellSlots[c] = cellSlot{head: int32(len(g.ents)) - 1, gen: g.cellEpoch}
+		} else {
+			g.cellMap64.Put(c, int32(len(g.ents))-1)
 		}
+	}
+	if checkPresent && present < g.cellCount[v] {
+		// v keeps an entry in a cell this walk missed, where it is not
+		// linked to the occupants that arrived while it was dead.
+		g.cliqueBroken = true
 	}
 	g.cellCount[v] += added
 	g.entLive += int(added)
@@ -532,28 +511,45 @@ func (g *Graph) beginPairWalk(v int32) {
 	g.pairGen[v] = g.pairEpoch // never self-connect
 }
 
-// scanChain connects v to the live occupants of one cell chain, reporting
-// whether v itself is already chained (only meaningful with checkPresent).
-// fresh is hashVertex's: link instead of connect.
-func (g *Graph) scanChain(v, head int32, checkPresent, fresh bool) bool {
-	present := false
+// scanCell connects v to the live occupants of one cell chain, reporting
+// whether v itself is already chained there. fresh is hashVertex's: add
+// edges without connect's duplicate scan.
+//
+// Every occupant was linked to all live occupants when it was chained, so
+// a cell's live occupants are a clique and share one component: one union
+// with any of them joins v to all, and none is needed when the walk met
+// one of them in an earlier cell (pairGen), which is already joined to v.
+// While cliqueBroken is set the walk unions per edge instead.
+func (g *Graph) scanCell(v, head int32, fresh bool) (present bool) {
+	joined := false
+	first := int32(-1)
 	for e := head; e >= 0; e = g.ents[e].next {
 		w := g.ents[e].vert
 		if w == v {
 			present = true
 			continue
 		}
-		if g.dead[w] || g.pairGen[w] == g.pairEpoch {
+		if g.dead[w] {
+			continue
+		}
+		if g.pairGen[w] == g.pairEpoch {
+			joined = true
 			continue
 		}
 		g.pairGen[w] = g.pairEpoch
-		if fresh {
-			g.link(v, w)
-		} else {
-			g.connect(v, w)
+		if fresh || !g.adjacent(v, w) {
+			g.addEdge(v, w)
+		}
+		if g.cliqueBroken {
+			g.union(v, w)
+		} else if first < 0 {
+			first = w
 		}
 	}
-	return checkPresent && present
+	if first >= 0 && !joined {
+		g.union(v, first)
+	}
+	return present
 }
 
 // ConnectExplicit adds an edge between two objects' vertices, inserting the
@@ -565,38 +561,39 @@ func (g *Graph) ConnectExplicit(a, b pagestore.ObjectID) {
 	g.connect(va, vb)
 }
 
-// connect adds an undirected edge if absent. Duplicate suppression scans the
-// shorter adjacency list; grid hashing yields short lists at sane
-// resolutions. The modeled graph building cost counts the edges added, not
-// the scan.
+// connect adds an undirected edge if absent and joins the endpoints'
+// components.
 func (g *Graph) connect(a, b int32) {
-	if a == b {
+	if a == b || g.adjacent(a, b) {
 		return
 	}
-	la, lb := g.adj[a], g.adj[b]
-	shorter := la
-	if len(lb) < len(la) {
-		shorter = lb
-	}
-	other := b
-	if len(lb) < len(la) {
-		other = a
+	g.addEdge(a, b)
+	g.union(a, b)
+}
+
+// adjacent reports whether the edge a–b exists, scanning the shorter
+// adjacency list; grid hashing yields short lists at sane resolutions. The
+// modeled graph building cost counts the edges added, not the scan.
+func (g *Graph) adjacent(a, b int32) bool {
+	shorter, other := g.adj[a], b
+	if len(g.adj[b]) < len(shorter) {
+		shorter, other = g.adj[b], a
 	}
 	for _, w := range shorter {
 		if w == other {
-			return
+			return true
 		}
 	}
-	g.link(a, b)
+	return false
 }
 
-// link adds the undirected edge a–b, which the caller knows is absent.
-func (g *Graph) link(a, b int32) {
+// addEdge adds the undirected edge a–b, which the caller knows is absent,
+// leaving union-find to the caller.
+func (g *Graph) addEdge(a, b int32) {
 	g.adj[a] = append(g.adj[a], b)
 	g.adj[b] = append(g.adj[b], a)
 	g.edges++
 	g.buildEdges++
-	g.union(a, b)
 }
 
 // kill tombstones vertex v: its edges are detached eagerly (adjacency lists
@@ -657,7 +654,7 @@ func (g *Graph) union(a, b int32) {
 
 // ensureConnectivity rebuilds union-find over the live vertices if a kill
 // invalidated it. Union-find supports no deletion, so the delta lifecycle
-// defers the rebuild until Connected or Components is actually consulted —
+// defers the rebuild until a connectivity query actually consults it —
 // at most once per epoch, and never for pure builds.
 func (g *Graph) ensureConnectivity() {
 	if !g.ufDirty {
@@ -681,12 +678,6 @@ func (g *Graph) ensureConnectivity() {
 		}
 	}
 	g.maintOps += ops
-}
-
-// Connected reports whether two live vertices are in the same component.
-func (g *Graph) Connected(a, b int32) bool {
-	g.ensureConnectivity()
-	return g.find(a) == g.find(b)
 }
 
 // Components returns the connected components of the live graph, each a list
@@ -817,24 +808,17 @@ func (g *Graph) compactChains(remap []int32) {
 		return h
 	}
 	if g.denseCells {
-		touchedKeys := g.touchedCells[:0]
-		nx, ny, _ := g.lat.dims()
-		for c := range g.cellSlots {
-			if g.cellSlots[c].gen != g.cellEpoch {
-				continue
-			}
+		kept := g.touchedCells[:0]
+		for _, c := range g.touchedCells {
 			h := rewrite(g.cellSlots[c].head)
 			if h < 0 {
 				g.cellSlots[c].gen = g.cellEpoch - 1 // cell emptied
 				continue
 			}
 			g.cellSlots[c].head = h
-			ix := int32(c%nx) + g.lat.lo[0]
-			iy := int32((c/nx)%ny) + g.lat.lo[1]
-			iz := int32(c/(nx*ny)) + g.lat.lo[2]
-			touchedKeys = append(touchedKeys, latticeKey(ix, iy, iz))
+			kept = append(kept, c)
 		}
-		g.touchedCells = touchedKeys
+		g.touchedCells = kept
 	} else {
 		// Rewrite chains via the touched-cell list and REBUILD the table:
 		// iterating the table's high-water capacity every compaction would

@@ -81,7 +81,7 @@ func TestBuildConnectsChains(t *testing.T) {
 		}
 	}
 	// Different chains are separate.
-	if g.Connected(g.VertexOf(chains[0][0]), g.VertexOf(chains[1][0])) {
+	if g.find(g.VertexOf(chains[0][0])) == g.find(g.VertexOf(chains[1][0])) {
 		t.Fatal("distinct chains connected")
 	}
 }

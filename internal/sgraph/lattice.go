@@ -30,7 +30,6 @@ import (
 const (
 	latticeShift = 21
 	latticeBias  = 1 << 20
-	latticeMask  = 1<<latticeShift - 1
 )
 
 // latticeKey packs world cell coordinates into a map key.
@@ -38,14 +37,6 @@ func latticeKey(ix, iy, iz int32) uint64 {
 	return uint64(uint32(ix+latticeBias))<<(2*latticeShift) |
 		uint64(uint32(iy+latticeBias))<<latticeShift |
 		uint64(uint32(iz+latticeBias))
-}
-
-// latticeCoords unpacks a key back into world cell coordinates.
-func latticeCoords(key uint64) (ix, iy, iz int32) {
-	ix = int32(key>>(2*latticeShift)&latticeMask) - latticeBias
-	iy = int32(key>>latticeShift&latticeMask) - latticeBias
-	iz = int32(key&latticeMask) - latticeBias
-	return
 }
 
 type lattice struct {
@@ -256,11 +247,28 @@ func (l *lattice) strictlyContains(p geom.Vec3) bool {
 		p.Z > w.Min.Z && p.Z < w.Max.Z
 }
 
-// segmentCells appends the packed keys of every cell the segment passes
-// through inside the window, in traversal order without duplicates. It is
-// an Amanatides–Woo DDA on world-anchored coordinates, so the result is
-// window-independent for unclipped segments.
-func (l *lattice) segmentCells(s geom.Segment, dst []uint64, allInside bool) []uint64 {
+// denseIndex returns the window-local index of world cell (i, j, k): the
+// dense directory's slot, x fastest.
+func (l *lattice) denseIndex(i, j, k int32) int {
+	nx, ny, _ := l.dims()
+	return (int(k-l.lo[2])*ny+int(j-l.lo[1]))*nx + int(i-l.lo[0])
+}
+
+// denseKey maps a window-local index back to the cell's packed world key.
+func (l *lattice) denseKey(c int) uint64 {
+	nx, ny, _ := l.dims()
+	return latticeKey(int32(c%nx)+l.lo[0], int32(c/nx%ny)+l.lo[1], int32(c/(nx*ny))+l.lo[2])
+}
+
+// segmentCells appends the directory index of every cell the segment passes
+// through inside the window, in traversal order without duplicates: the
+// window-local slot (denseIndex) when dense is set, else the packed world
+// key (latticeKey). Both indices are affine in the cell coordinates, so the
+// walk steps the index along with the coordinates — by ±1, ±nx or ±nx·ny
+// for slots, by one coordinate field for keys — and never packs or
+// unpacks one per cell. It is an Amanatides–Woo DDA on world-anchored
+// coordinates, so the result is window-independent for unclipped segments.
+func (l *lattice) segmentCells(s geom.Segment, dst []uint64, allInside, dense bool) []uint64 {
 	// Fast path: a segment fully inside the window clips to (0, 1) — most
 	// result objects are interior, and the slab divisions dominate short
 	// walks.
@@ -282,8 +290,24 @@ func (l *lattice) segmentCells(s geom.Segment, dst []uint64, allInside bool) []u
 	stepY, tMaxY, tDeltaY := latticeDDAAxis(start.Y, d.Y, l.cell.Y, j)
 	stepZ, tMaxZ, tDeltaZ := latticeDDAAxis(start.Z, d.Z, l.cell.Z, k)
 
+	var idx uint64
+	var strideX, strideY, strideZ int64
+	if dense {
+		nx, ny, _ := l.dims()
+		idx = uint64(l.denseIndex(i, j, k))
+		strideX, strideY, strideZ = 1, int64(nx), int64(nx*ny)
+	} else {
+		idx = latticeKey(i, j, k)
+		strideX, strideY, strideZ = 1<<(2*latticeShift), 1<<latticeShift, 1
+	}
+	// Two's complement: adding a negative step's stride wraps to the
+	// subtraction, and the window keeps every index in range.
+	dX := uint64(int64(stepX) * strideX)
+	dY := uint64(int64(stepY) * strideY)
+	dZ := uint64(int64(stepZ) * strideZ)
+
 	for {
-		dst = append(dst, latticeKey(i, j, k))
+		dst = append(dst, idx)
 		// Advance along the axis whose boundary is crossed first.
 		if tMaxX <= tMaxY && tMaxX <= tMaxZ {
 			if tMaxX > 1 {
@@ -293,6 +317,7 @@ func (l *lattice) segmentCells(s geom.Segment, dst []uint64, allInside bool) []u
 			if i < l.lo[0] || i >= l.hi[0] {
 				return dst
 			}
+			idx += dX
 			tMaxX += tDeltaX
 		} else if tMaxY <= tMaxZ {
 			if tMaxY > 1 {
@@ -302,6 +327,7 @@ func (l *lattice) segmentCells(s geom.Segment, dst []uint64, allInside bool) []u
 			if j < l.lo[1] || j >= l.hi[1] {
 				return dst
 			}
+			idx += dY
 			tMaxY += tDeltaY
 		} else {
 			if tMaxZ > 1 {
@@ -311,6 +337,7 @@ func (l *lattice) segmentCells(s geom.Segment, dst []uint64, allInside bool) []u
 			if k < l.lo[2] || k >= l.hi[2] {
 				return dst
 			}
+			idx += dZ
 			tMaxZ += tDeltaZ
 		}
 	}
