@@ -26,10 +26,10 @@ type ScoutOpt struct {
 	// the exits gap clustering keeps, the locations gap traversal predicts,
 	// and a second graph arena for gap traversal (the main arena holds the
 	// query's graph, which must survive while the gap corridors are
-	// explored). gapLive marks that the gap
-	// arena holds a corridor of this sequence; corridors of consecutive
-	// queries overlap along the followed structure, so the arena advances
-	// (AdvanceWithin) instead of resetting when the lattice carries over.
+	// explored). gapLive marks that the gap arena holds a corridor of this
+	// sequence; corridors of consecutive queries overlap along the followed
+	// structure, so the arena advances (AdvanceWithin) instead of resetting
+	// when the lattice carries over.
 	inCand    idtable.Set[pagestore.PageID]
 	pageSeen  idtable.Set[pagestore.PageID]
 	pageQueue []pagestore.PageID

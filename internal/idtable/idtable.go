@@ -38,8 +38,9 @@ type Map[K Key, V any] struct {
 // key, so clustered keys (consecutive object IDs, the packed cells along a
 // voxel walk, whose x field sits 42 bits up) spread across the table. One
 // multiply and one shift, and the mask kept beside them, hold Get (and Set's
-// Has through it) within the compiler's inlining budget; CI's hot-path step
-// checks that -gcflags=-m still reports both inlinable.
+// Has through it) within the compiler's inlining budget; CI's Inlining step
+// fails unless -gcflags=-m reports Get (both key shapes) and Set.Has
+// inlinable.
 func (m *Map[K, V]) home(k K) uint {
 	return uint(uint64(k) * 0x9e3779b97f4a7c15 >> m.shift)
 }

@@ -208,23 +208,41 @@ func (g *Graph) CountComponentsOf(verts []int32) int {
 // MarkComponents stamps the union-find roots of the given live vertices, so
 // InMarkedComponent answers "connected to any of them?" with one find
 // instead of one root comparison per vertex. The stamps recycle the visit
-// marks (this invalidates MarkReachable marks) and hold until the graph or
-// the next traversal changes them.
+// marks (this invalidates MarkReachable marks). They hold only while the
+// graph and its visit marks stay as they are: an edge linked or a vertex
+// added, killed or resurrected after this call may re-root a component.
 func (g *Graph) MarkComponents(verts []int32) {
 	g.beginVisit()
-	if len(verts) == 0 {
-		return
+	if len(verts) > 0 {
+		g.ensureConnectivity()
+		for _, v := range verts {
+			g.visitedOnce(g.find(v))
+		}
 	}
-	g.ensureConnectivity()
-	for _, v := range verts {
-		g.visitedOnce(g.find(v))
-	}
+	g.marked = g.markState()
 }
 
 // InMarkedComponent reports whether live vertex v shares a component with a
-// vertex of the last MarkComponents call.
+// vertex of the last MarkComponents call. It panics when it sees that the
+// graph or its visit marks changed since that call, rather than answer from
+// stale roots.
 func (g *Graph) InMarkedComponent(v int32) bool {
+	if g.marked != g.markState() {
+		panic("sgraph: InMarkedComponent after the graph changed since MarkComponents")
+	}
 	return g.Reached(g.find(v))
+}
+
+// markStamp identifies the state MarkComponents stamped: a link or a kill
+// moves buildEdges, an insertion, kill or compaction the vertex or
+// tombstone count, and any other traversal the visit epoch.
+type markStamp struct {
+	epoch              uint32
+	edges, verts, dead int
+}
+
+func (g *Graph) markState() markStamp {
+	return markStamp{g.visitEpoch, g.buildEdges, len(g.ids), g.deadCount}
 }
 
 // ReachableCrossings performs the prediction traversal of §4.4: a

@@ -84,12 +84,6 @@ type Graph struct {
 	parent  []int32
 	rank    []int8
 	ufDirty bool
-	// cliqueBroken records that some live vertex may hold a chain entry in
-	// a cell its last walk did not visit (a resurrected vertex's earlier
-	// window walked a cell its current one misses), so that cell's live
-	// occupants need not be a clique and hashing falls back to one union
-	// per edge until the next Reset (see scanCell).
-	cliqueBroken bool
 
 	// Tombstones: dead[v] marks an evicted vertex. Its slot, vertex-table
 	// entry and grid-cell chain entries stay behind (skipped by scans) until
@@ -151,6 +145,7 @@ type Graph struct {
 	pairEpoch    uint32
 	visitGen     []uint32
 	visitEpoch   uint32
+	marked       markStamp // the state the last MarkComponents stamped
 	stack        []int32
 	remapScratch []int32
 	entScratch   []int32
@@ -192,7 +187,6 @@ func (g *Graph) resetToLattice(lat lattice, resolution int) {
 	g.pairGen = g.pairGen[:0]
 	g.deadCount = 0
 	g.ufDirty = false
-	g.cliqueBroken = false
 	g.edges = 0
 	g.vert.Reset()
 	g.ents = g.ents[:0]
@@ -449,7 +443,7 @@ func (g *Graph) AddObjectFirst(id pagestore.ObjectID) (int32, bool) {
 // vertex may already be chained into some of its cells and must not be
 // chained twice. A vertex that starts the walk without edges (new or
 // resurrected) has none the walk could repeat, and pairGen dedupes the walk
-// itself, so its edges are added without connect's duplicate scan.
+// itself, so its edges are linked without connect's duplicate scan.
 func (g *Graph) hashVertex(v int32, checkPresent bool) {
 	s := g.store.Object(g.ids[v]).Seg
 	// Strict interior containment decides the clipped flag and the clip
@@ -459,7 +453,7 @@ func (g *Graph) hashVertex(v int32, checkPresent bool) {
 	g.keyScratch = g.lat.segmentCells(s, g.keyScratch[:0], allInside, dense)
 	g.beginPairWalk(v)
 	fresh := len(g.adj[v]) == 0
-	added, present := int32(0), int32(0)
+	added := int32(0)
 	for _, c := range g.keyScratch {
 		head := int32(-1)
 		if dense {
@@ -475,11 +469,8 @@ func (g *Graph) hashVertex(v int32, checkPresent bool) {
 			g.cellsTouched++
 			g.touchedCells = append(g.touchedCells, c)
 		}
-		if g.scanCell(v, head, fresh) {
-			present++
-			if checkPresent {
-				continue
-			}
+		if g.scanChain(v, head, fresh) && checkPresent {
+			continue
 		}
 		g.ents = append(g.ents, entry{vert: v, next: head})
 		added++
@@ -488,11 +479,6 @@ func (g *Graph) hashVertex(v int32, checkPresent bool) {
 		} else {
 			g.cellMap64.Put(c, int32(len(g.ents))-1)
 		}
-	}
-	if checkPresent && present < g.cellCount[v] {
-		// v keeps an entry in a cell this walk missed, where it is not
-		// linked to the occupants that arrived while it was dead.
-		g.cliqueBroken = true
 	}
 	g.cellCount[v] += added
 	g.entLive += int(added)
@@ -511,43 +497,25 @@ func (g *Graph) beginPairWalk(v int32) {
 	g.pairGen[v] = g.pairEpoch // never self-connect
 }
 
-// scanCell connects v to the live occupants of one cell chain, reporting
-// whether v itself is already chained there. fresh is hashVertex's: add
-// edges without connect's duplicate scan.
-//
-// Every occupant was linked to all live occupants when it was chained, so
-// a cell's live occupants are a clique and share one component: one union
-// with any of them joins v to all, and none is needed when the walk met
-// one of them in an earlier cell (pairGen), which is already joined to v.
-// While cliqueBroken is set the walk unions per edge instead.
-func (g *Graph) scanCell(v, head int32, fresh bool) (present bool) {
-	joined := false
-	first := int32(-1)
+// scanChain connects v to the live occupants of one cell chain, reporting
+// whether v itself is already chained there. fresh is hashVertex's: link
+// instead of connect.
+func (g *Graph) scanChain(v, head int32, fresh bool) (present bool) {
 	for e := head; e >= 0; e = g.ents[e].next {
 		w := g.ents[e].vert
 		if w == v {
 			present = true
 			continue
 		}
-		if g.dead[w] {
-			continue
-		}
-		if g.pairGen[w] == g.pairEpoch {
-			joined = true
+		if g.dead[w] || g.pairGen[w] == g.pairEpoch {
 			continue
 		}
 		g.pairGen[w] = g.pairEpoch
-		if fresh || !g.adjacent(v, w) {
-			g.addEdge(v, w)
+		if fresh {
+			g.link(v, w)
+		} else {
+			g.connect(v, w)
 		}
-		if g.cliqueBroken {
-			g.union(v, w)
-		} else if first < 0 {
-			first = w
-		}
-	}
-	if first >= 0 && !joined {
-		g.union(v, first)
 	}
 	return present
 }
@@ -561,39 +529,38 @@ func (g *Graph) ConnectExplicit(a, b pagestore.ObjectID) {
 	g.connect(va, vb)
 }
 
-// connect adds an undirected edge if absent and joins the endpoints'
-// components.
+// connect adds an undirected edge if absent. Duplicate suppression scans the
+// shorter adjacency list; grid hashing yields short lists at sane
+// resolutions. The modeled graph building cost counts the edges added, not
+// the scan.
 func (g *Graph) connect(a, b int32) {
-	if a == b || g.adjacent(a, b) {
+	if a == b {
 		return
 	}
-	g.addEdge(a, b)
-	g.union(a, b)
-}
-
-// adjacent reports whether the edge a–b exists, scanning the shorter
-// adjacency list; grid hashing yields short lists at sane resolutions. The
-// modeled graph building cost counts the edges added, not the scan.
-func (g *Graph) adjacent(a, b int32) bool {
-	shorter, other := g.adj[a], b
-	if len(g.adj[b]) < len(shorter) {
-		shorter, other = g.adj[b], a
+	la, lb := g.adj[a], g.adj[b]
+	shorter := la
+	if len(lb) < len(la) {
+		shorter = lb
+	}
+	other := b
+	if len(lb) < len(la) {
+		other = a
 	}
 	for _, w := range shorter {
 		if w == other {
-			return true
+			return
 		}
 	}
-	return false
+	g.link(a, b)
 }
 
-// addEdge adds the undirected edge a–b, which the caller knows is absent,
-// leaving union-find to the caller.
-func (g *Graph) addEdge(a, b int32) {
+// link adds the undirected edge a–b, which the caller knows is absent.
+func (g *Graph) link(a, b int32) {
 	g.adj[a] = append(g.adj[a], b)
 	g.adj[b] = append(g.adj[b], a)
 	g.edges++
 	g.buildEdges++
+	g.union(a, b)
 }
 
 // kill tombstones vertex v: its edges are detached eagerly (adjacency lists

@@ -320,86 +320,81 @@ func checkConnectivity(t *testing.T, g *Graph, rng *rand.Rand, stage string) {
 // TestConnectivityMatchesBFS drives random lifecycles — Reset, AddObject,
 // Advance, AdvanceWithin, window growth and compaction — and checks every
 // connectivity query against a BFS over the adjacency lists after each
-// step. At resolutions 8 and 64 one cell holds hundreds of objects, so the
-// one-union-per-cell rule carries nearly every join; at 32768 cells hold a
-// few. Each lifecycle runs twice: as built, and with the per-edge fallback
-// forced on (cliqueBroken), which must agree too.
+// step. At resolutions 8 and 64 one cell holds hundreds of objects; at
+// 32768 cells hold a few.
 func TestConnectivityMatchesBFS(t *testing.T) {
 	store := chainWorld(12000, 24)
 	for _, res := range []int{8, 64, 32768} {
-		for _, perEdge := range []bool{false, true} {
-			t.Run(fmt.Sprintf("res%d/perEdge=%v", res, perEdge), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(int64(res) + 7))
-				region := geom.Box(geom.V(3, 3, 3), geom.V(21, 21, 21))
-				g := New(store, region, res)
-				rebuild := func() {
-					g.Reset(region, res)
-					g.cliqueBroken = perEdge
-					for _, id := range boxResult(store, region) {
-						if rng.Intn(4) != 0 {
+		t.Run(fmt.Sprintf("res%d", res), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(res) + 7))
+			region := geom.Box(geom.V(3, 3, 3), geom.V(21, 21, 21))
+			g := New(store, region, res)
+			rebuild := func() {
+				g.Reset(region, res)
+				for _, id := range boxResult(store, region) {
+					if rng.Intn(4) != 0 {
+						g.AddObject(id)
+					}
+				}
+			}
+			rebuild()
+			checkConnectivity(t, g, rng, "build")
+			compactions, biggest := 0, 0
+			for step := 0; step < 40; step++ {
+				stage := fmt.Sprintf("step %d", step)
+				switch op := rng.Intn(10); {
+				case op == 0:
+					rebuild()
+					stage += " reset"
+				case op <= 6: // drift: some objects leave, some enter (and resurrect)
+					next := region.Translate(geom.V(rng.Float64()*6-3, rng.Float64()*6-3, rng.Float64()*6-3))
+					if !g.CanAdvance(next, res) {
+						t.Fatalf("%s: cannot advance", stage)
+					}
+					var removed []pagestore.ObjectID
+					g.ForEachLive(func(_ int32, id pagestore.ObjectID) {
+						if !store.Object(id).IntersectsBox(next) || rng.Intn(6) == 0 {
+							removed = append(removed, id)
+						}
+					})
+					dead := g.deadCount
+					g.Advance(next, res, removed, boxResultMissing(g, store, next))
+					if g.deadCount < dead {
+						compactions++
+					}
+					region = next
+					stage += " advance"
+				case op <= 8: // corridor: keep what intersects the new box
+					next := region.Translate(geom.V(rng.Float64()*4-2, rng.Float64()*4-2, rng.Float64()*4-2))
+					if !g.AdvanceWithin(next, res) {
+						t.Fatalf("%s: cannot advance within", stage)
+					}
+					for _, id := range boxResult(store, next) {
+						if rng.Intn(2) == 0 {
 							g.AddObject(id)
 						}
 					}
-				}
-				rebuild()
-				checkConnectivity(t, g, rng, "build")
-				compactions, biggest := 0, 0
-				for step := 0; step < 40; step++ {
-					stage := fmt.Sprintf("step %d", step)
-					switch op := rng.Intn(10); {
-					case op == 0:
-						rebuild()
-						stage += " reset"
-					case op <= 6: // drift: some objects leave, some enter (and resurrect)
-						next := region.Translate(geom.V(rng.Float64()*6-3, rng.Float64()*6-3, rng.Float64()*6-3))
-						if !g.CanAdvance(next, res) {
-							t.Fatalf("%s: cannot advance", stage)
+					region = next
+					stage += " within"
+				default: // add more of the current region
+					for _, id := range boxResult(store, region) {
+						if rng.Intn(3) == 0 {
+							g.AddObject(id)
 						}
-						var removed []pagestore.ObjectID
-						g.ForEachLive(func(_ int32, id pagestore.ObjectID) {
-							if !store.Object(id).IntersectsBox(next) || rng.Intn(6) == 0 {
-								removed = append(removed, id)
-							}
-						})
-						dead := g.deadCount
-						g.Advance(next, res, removed, boxResultMissing(g, store, next))
-						if g.deadCount < dead {
-							compactions++
-						}
-						region = next
-						stage += " advance"
-					case op <= 8: // corridor: keep what intersects the new box
-						next := region.Translate(geom.V(rng.Float64()*4-2, rng.Float64()*4-2, rng.Float64()*4-2))
-						if !g.AdvanceWithin(next, res) {
-							t.Fatalf("%s: cannot advance within", stage)
-						}
-						for _, id := range boxResult(store, next) {
-							if rng.Intn(2) == 0 {
-								g.AddObject(id)
-							}
-						}
-						region = next
-						stage += " within"
-					default: // add more of the current region
-						for _, id := range boxResult(store, region) {
-							if rng.Intn(3) == 0 {
-								g.AddObject(id)
-							}
-						}
-						stage += " add"
 					}
-					checkConnectivity(t, g, rng, stage)
-					biggest = max(biggest, maxOccupancy(g))
+					stage += " add"
 				}
-				if compactions == 0 {
-					t.Error("no step compacted the arena")
-				}
-				t.Logf("fullest cell: %d objects", biggest)
-				if want := map[int]int{8: 200, 64: 50}[res]; biggest < want {
-					t.Errorf("fullest cell held %d objects, want at least %d", biggest, want)
-				}
-			})
-		}
+				checkConnectivity(t, g, rng, stage)
+				biggest = max(biggest, maxOccupancy(g))
+			}
+			if compactions == 0 {
+				t.Error("no step compacted the arena")
+			}
+			t.Logf("fullest cell: %d objects", biggest)
+			if want := map[int]int{8: 200, 64: 50}[res]; biggest < want {
+				t.Errorf("fullest cell held %d objects, want at least %d", biggest, want)
+			}
+		})
 	}
 }
 
@@ -469,45 +464,23 @@ func TestMarkComponentsWhileDirty(t *testing.T) {
 	if g.InMarkedComponent(tail) {
 		t.Error("an empty mark set still marks")
 	}
-}
 
-// TestResurrectionOutsideItsWalkFallsBack plants the case the one-union-
-// per-cell rule cannot see: a resurrected vertex keeping a chain entry in a
-// cell its walk no longer visits, where it is not linked to the occupants
-// that arrived while it was dead. The walk must notice and fall back to a
-// union per edge, so a later vertex linking to both still joins them.
-func TestResurrectionOutsideItsWalkFallsBack(t *testing.T) {
-	store, chains := chainStore(2, 12, 30)
-	bounds := geom.Box(geom.V(-1, -1, -1), geom.V(13, 31, 31))
-	const res = 32768
-	u := chains[0][3]
-	g := buildGraph(store, bounds, res, []pagestore.ObjectID{u})
-	g.Advance(bounds, res, []pagestore.ObjectID{u}, nil)
-	// Chain u's tombstone into chain 1's first cell, as an earlier window's
-	// walk might have.
-	vu := g.VertexOf(u)
-	if vu >= 0 {
-		t.Fatal("u still live")
-	}
-	vu, _ = g.vert.Get(u)
-	// The cell where x = chains[1][0] meets y = chains[1][1].
-	walk := g.lat.segmentCells(g.store.Object(chains[1][0]).Seg, nil, true, g.denseCells)
-	cell := walk[len(walk)-1]
-	g.ents = append(g.ents, entry{vert: vu, next: -1})
-	g.cellSlots[cell] = cellSlot{head: int32(len(g.ents)) - 1, gen: g.cellEpoch}
-	g.cellsTouched++
-	g.touchedCells = append(g.touchedCells, cell)
-	g.cellCount[vu]++
-	// x enters that cell while u is dead; then u comes back.
-	g.Advance(bounds, res, nil, []pagestore.ObjectID{chains[1][0]})
-	g.Advance(bounds, res, nil, []pagestore.ObjectID{u})
-	if !g.cliqueBroken {
-		t.Fatal("a resurrection that missed one of its cells left cliqueBroken unset")
-	}
-	// y walks the planted cell and links to both u and x.
-	g.AddObject(chains[1][1])
-	checkConnectivity(t, g, rand.New(rand.NewSource(1)), "after the planted cell")
-	if g.find(g.VertexOf(u)) != g.find(g.VertexOf(chains[1][0])) {
-		t.Error("u and x share a neighbour but not a component")
+	// A change between the two calls must fail loudly: a link can re-root a
+	// stamped component under an unstamped one, and another traversal
+	// overwrites the stamps.
+	for name, change := range map[string]func(){
+		"link":      func() { g.Advance(bounds, 32768, nil, []pagestore.ObjectID{chains[0][6]}) },
+		"traversal": func() { g.CountComponentsOf(marks) },
+	} {
+		g.MarkComponents(marks)
+		change()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s after MarkComponents: InMarkedComponent did not panic", name)
+				}
+			}()
+			g.InMarkedComponent(tail)
+		}()
 	}
 }
