@@ -19,6 +19,14 @@ type Stats struct {
 	Evictions int64
 }
 
+// Add folds another cache's counters into s.
+func (s *Stats) Add(o Stats) {
+	s.Hits += o.Hits
+	s.Misses += o.Misses
+	s.Inserted += o.Inserted
+	s.Evictions += o.Evictions
+}
+
 // slot is one entry of the open-addressed page table: the page and where
 // its node is. ref is the node's index + 1, so the zero slot is empty and
 // clear() empties a table. A probe reads one 8-byte slot per step.

@@ -17,34 +17,9 @@ import (
 // shard of its fleet and pays no locks. Sharded wraps the same stripes with a
 // mutex each for callers on several goroutines; the two behave identically
 // under any one sequence of calls.
-//
-// Stats are epoch-stamped: Clear advances the cache's epoch, and every
-// StatsSnapshot carries the epoch it was taken in, so readers aggregating
-// across a Clear can detect that their window spans two cache generations.
 type Striped struct {
 	stripes []*Cache
 	mask    uint32
-	// epoch counts Clear generations; see StatsSnapshot.Epoch.
-	epoch uint64
-}
-
-// StatsSnapshot is an aggregated, epoch-stamped view of a striped cache's
-// activity.
-type StatsSnapshot struct {
-	Stats
-	// Epoch is the Clear generation the snapshot was taken in. Two
-	// snapshots with different epochs straddle a Clear and must not be
-	// differenced.
-	Epoch uint64
-	// Shards is the stripe count, for reporting.
-	Shards int
-}
-
-func (s *StatsSnapshot) add(st Stats) {
-	s.Hits += st.Hits
-	s.Misses += st.Misses
-	s.Inserted += st.Inserted
-	s.Evictions += st.Evictions
 }
 
 // NewStriped creates a striped cache holding at most capacity pages in
@@ -110,21 +85,20 @@ func (c *Striped) Lookup(p pagestore.PageID) bool { return c.stripes[c.ShardInde
 // afterwards.
 func (c *Striped) Insert(p pagestore.PageID) bool { return c.stripes[c.ShardIndex(p)].Insert(p) }
 
-// Clear drops every cached page, keeps statistics, and advances the epoch.
+// Clear drops every cached page and keeps statistics.
 func (c *Striped) Clear() {
 	for _, s := range c.stripes {
 		s.Clear()
 	}
-	c.epoch++
 }
 
-// Stats aggregates the per-stripe statistics into an epoch-stamped snapshot.
-func (c *Striped) Stats() StatsSnapshot {
-	snap := StatsSnapshot{Epoch: c.epoch, Shards: len(c.stripes)}
+// Stats sums the per-stripe statistics.
+func (c *Striped) Stats() Stats {
+	var sum Stats
 	for _, s := range c.stripes {
-		snap.add(s.Stats())
+		sum.Add(s.Stats())
 	}
-	return snap
+	return sum
 }
 
 // Sharded is the concurrency-safe Striped: each stripe guarded by its own

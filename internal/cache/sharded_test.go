@@ -76,7 +76,7 @@ func TestShardedMatchesCacheSingleShard(t *testing.T) {
 	if _, n := shard.core.totals(); len(plain.nodes) != n {
 		t.Errorf("%d vs %d pages cached", len(plain.nodes), n)
 	}
-	ps, ss := plain.Stats(), shard.core.Stats().Stats
+	ps, ss := plain.Stats(), shard.core.Stats()
 	if ps != ss {
 		t.Errorf("stats diverge: %+v vs %+v", ps, ss)
 	}
@@ -116,7 +116,7 @@ func TestStripedMatchesSharded(t *testing.T) {
 		}
 		_, cn := core.totals()
 		_, ln := locked.core.totals()
-		if cn != ln || core.Stats().Stats != locked.core.Stats().Stats {
+		if cn != ln || core.Stats() != locked.core.Stats() {
 			t.Errorf("%+v: striped %d pages %+v, sharded %d pages %+v", tc, cn, core.Stats(), ln, locked.core.Stats())
 		}
 		for p := pagestore.PageID(0); p < 512; p++ {
@@ -149,35 +149,27 @@ func TestShardedBasicsAndStats(t *testing.T) {
 	}
 	st := c.core.Stats()
 	if st.Hits != 64 || st.Misses != 192 {
-		t.Errorf("stats = %+v, want 64 hits / 192 misses", st.Stats)
+		t.Errorf("stats = %+v, want 64 hits / 192 misses", st)
 	}
 	if st.Inserted != 256 || st.Evictions != 192 {
-		t.Errorf("stats = %+v, want 256 inserted / 192 evictions", st.Stats)
+		t.Errorf("stats = %+v, want 256 inserted / 192 evictions", st)
 	}
-	if st.Shards != 4 {
-		t.Errorf("snapshot shards = %d", st.Shards)
+	if n := len(c.core.stripes); n != 4 {
+		t.Errorf("%d stripes, want 4", n)
 	}
 }
 
-// TestStripedEpochStamping: Clear advances the epoch every snapshot
-// carries and keeps the statistics.
-func TestStripedEpochStamping(t *testing.T) {
+// TestStripedClearKeepsStats: Clear empties every stripe and keeps the
+// statistics.
+func TestStripedClearKeepsStats(t *testing.T) {
 	c := NewStriped(16, 2)
-	before := c.Stats()
-	if before.Epoch != 0 {
-		t.Fatalf("fresh epoch = %d", before.Epoch)
-	}
 	c.Insert(1)
 	c.Clear()
-	after := c.Stats()
-	if after.Epoch != before.Epoch+1 {
-		t.Errorf("epoch after Clear = %d, want %d", after.Epoch, before.Epoch+1)
-	}
 	if _, n := c.totals(); n != 0 {
 		t.Errorf("%d pages cached after Clear", n)
 	}
-	if after.Inserted != 1 {
-		t.Errorf("Clear dropped stats: %+v", after.Stats)
+	if st := c.Stats(); st.Inserted != 1 {
+		t.Errorf("Clear dropped stats: %+v", st)
 	}
 }
 
@@ -190,6 +182,6 @@ func TestShardedZeroCapacity(t *testing.T) {
 		t.Error("capacity-0 cache hit")
 	}
 	if st := c.core.Stats(); st.Misses != 1 {
-		t.Errorf("stats = %+v", st.Stats)
+		t.Errorf("stats = %+v", st)
 	}
 }

@@ -67,9 +67,6 @@ type ledger struct {
 	// queries counts Record calls, so unobserved sessions can be excluded
 	// from weighting.
 	queries int64
-	// granted and used accumulate the arbiter's decisions for reporting.
-	granted time.Duration
-	used    time.Duration
 	// shedding marks a session whose circuit breaker is open (or that was
 	// admitted degraded): it takes no grants and does not count toward the
 	// active split, so its share of every window returns to the pool.
@@ -102,11 +99,12 @@ func (a *Arbiter) Grant(session int, contenders []int, window time.Duration) tim
 	return a.core.Grant(session, contenders, window)
 }
 
-// Record is arbiter.Record under the lock.
+// Record is arbiter.Record under the lock. used, the prefetch I/O time the
+// session spent of its last grant, does not enter any ledger.
 func (a *Arbiter) Record(session, resultPages, hitPages int, used time.Duration) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.core.Record(session, resultPages, hitPages, used)
+	a.core.Record(session, resultPages, hitPages)
 }
 
 // arbiter is the Arbiter without its lock, for one coordinator.
@@ -178,7 +176,6 @@ func (a *arbiter) Grant(session int, contenders []int, window time.Duration) tim
 	if grant < 0 {
 		grant = 0
 	}
-	a.ledgers[session].granted += grant
 	return grant
 }
 
@@ -307,9 +304,8 @@ func (a *arbiter) SetShedding(session int, shed bool) {
 }
 
 // Record feeds one completed query back into the session's ledger: how
-// many result pages it touched, how many hit the cache, and how much
-// prefetch I/O time it actually used of its last grant.
-func (a *arbiter) Record(session, resultPages, hitPages int, used time.Duration) {
+// many result pages it touched and how many hit the cache.
+func (a *arbiter) Record(session, resultPages, hitPages int) {
 	if session < 0 || session >= len(a.ledgers) {
 		return
 	}
@@ -330,33 +326,4 @@ func (a *arbiter) Record(session, resultPages, hitPages int, used time.Duration)
 		l.hitRate = demandAlpha*hit + (1-demandAlpha)*l.hitRate
 	}
 	l.queries++
-	l.used += used
-}
-
-// SessionLedger is the exported snapshot of one session's arbiter state.
-type SessionLedger struct {
-	Queries int64
-	Demand  float64 // EWMA miss pages per query
-	HitRate float64 // EWMA per-query hit rate
-	Granted time.Duration
-	Used    time.Duration
-	// Shedding reports whether the session was marked shedding (breaker
-	// open or degraded admission) when the snapshot was taken.
-	Shedding bool
-}
-
-// Ledger returns the snapshot for one session (zero value out of range).
-func (a *arbiter) Ledger(session int) SessionLedger {
-	if session < 0 || session >= len(a.ledgers) {
-		return SessionLedger{}
-	}
-	l := a.ledgers[session]
-	return SessionLedger{
-		Queries:  l.queries,
-		Demand:   l.demand,
-		HitRate:  l.hitRate,
-		Granted:  l.granted,
-		Used:     l.used,
-		Shedding: l.shedding,
-	}
 }

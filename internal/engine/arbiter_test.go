@@ -32,8 +32,8 @@ func TestDemandWeightedFavorsColdSessions(t *testing.T) {
 	a := newArbiter(DemandWeighted, 2)
 	// Session 0 misses everything, session 1 hits everything.
 	for i := 0; i < 10; i++ {
-		a.Record(0, 100, 0, 0)   // demand 100 pages/query
-		a.Record(1, 100, 100, 0) // demand 0 (floored to 0.1)
+		a.Record(0, 100, 0)   // demand 100 pages/query
+		a.Record(1, 100, 100) // demand 0 (floored to 0.1)
 	}
 	w := 100 * time.Millisecond
 	hungry := a.Grant(0, []int{1}, w)
@@ -53,9 +53,9 @@ func TestDemandWeightedFavorsColdSessions(t *testing.T) {
 func TestStarvedFirstPrioritizesLowHitRate(t *testing.T) {
 	a := newArbiter(StarvedFirst, 3)
 	for i := 0; i < 10; i++ {
-		a.Record(0, 100, 10, 0) // starved
-		a.Record(1, 100, 90, 0)
-		a.Record(2, 100, 95, 0)
+		a.Record(0, 100, 10) // starved
+		a.Record(1, 100, 90)
+		a.Record(2, 100, 95)
 	}
 	w := 100 * time.Millisecond
 	if got := a.Grant(0, []int{1, 2}, w); got != w {
@@ -70,16 +70,10 @@ func TestStarvedFirstPrioritizesLowHitRate(t *testing.T) {
 func TestLedgerAccumulates(t *testing.T) {
 	a := newArbiter(FairShare, 2)
 	a.Grant(0, []int{1}, 100*time.Millisecond)
-	a.Record(0, 10, 5, 20*time.Millisecond)
-	l := a.Ledger(0)
-	if l.Queries != 1 || l.Granted != 50*time.Millisecond || l.Used != 20*time.Millisecond {
+	a.Record(0, 10, 5)
+	a.Record(99, 10, 5) // out of range: ignored
+	if l := a.ledgers[0]; l.queries != 1 || l.hitRate != 0.5 || l.demand != 5 {
 		t.Errorf("ledger = %+v", l)
-	}
-	if l.HitRate != 0.5 || l.Demand != 5 {
-		t.Errorf("ledger EWMAs = %+v", l)
-	}
-	if out := a.Ledger(99); out != (SessionLedger{}) {
-		t.Errorf("out-of-range ledger = %+v", out)
 	}
 }
 
@@ -108,8 +102,8 @@ func TestArbiterRaceHammer(t *testing.T) {
 		}
 		wg.Wait()
 		for g := 0; g < goroutines; g++ {
-			if l := a.core.Ledger(g); l.Queries != 2_000 {
-				t.Errorf("%v: session %d recorded %d queries, want 2000", policy, g, l.Queries)
+			if l := a.core.ledgers[g]; l.queries != 2_000 {
+				t.Errorf("%v: session %d recorded %d queries, want 2000", policy, g, l.queries)
 			}
 		}
 	}
@@ -117,7 +111,7 @@ func TestArbiterRaceHammer(t *testing.T) {
 
 // TestGrantZeroBudgetWindow: every policy must grant nothing for a zero or
 // negative window — a starved arbiter window is priced as exactly zero
-// prefetch, not a negative grant or a ledger entry.
+// prefetch, not a negative grant.
 func TestGrantZeroBudgetWindow(t *testing.T) {
 	for _, policy := range Policies() {
 		a := newArbiter(policy, 4)
@@ -125,9 +119,6 @@ func TestGrantZeroBudgetWindow(t *testing.T) {
 			if got := a.Grant(0, []int{1, 2, 3}, w); got != 0 {
 				t.Errorf("%v: grant %v for window %v", policy, got, w)
 			}
-		}
-		if l := a.Ledger(0); l.Granted != 0 {
-			t.Errorf("%v: zero-budget windows accumulated %v granted", policy, l.Granted)
 		}
 	}
 }
@@ -167,8 +158,8 @@ func TestSheddingReturnsBudgetToPool(t *testing.T) {
 	if got := a.Grant(0, []int{1, 2}, window); got != window/2 {
 		t.Errorf("split with one shedding contender = %v, want %v", got, window/2)
 	}
-	if l := a.Ledger(1); !l.Shedding {
-		t.Error("ledger does not report shedding")
+	if !a.ledgers[1].shedding {
+		t.Error("ledger does not record shedding")
 	}
 	a.SetShedding(1, false)
 	if got := a.Grant(0, []int{1, 2}, window); got != window/3 {
@@ -200,8 +191,8 @@ func TestArbiterPriorityWeightsShares(t *testing.T) {
 	s := newArbiter(StarvedFirst, 2)
 	s.SetPriority(0, 3)
 	for i := 0; i < 10; i++ {
-		s.Record(0, 100, 90, 0) // warm: throttled
-		s.Record(1, 100, 10, 0) // starved: full window
+		s.Record(0, 100, 90) // warm: throttled
+		s.Record(1, 100, 10) // starved: full window
 	}
 	if got := s.Grant(1, []int{0}, w); got != w {
 		t.Errorf("starved session granted %v, want full window", got)
@@ -241,8 +232,8 @@ func TestArbiterPriorityDemandWeighted(t *testing.T) {
 	a := newArbiter(DemandWeighted, 2)
 	a.SetPriority(0, 4)
 	for i := 0; i < 10; i++ {
-		a.Record(0, 100, 0, 0)
-		a.Record(1, 100, 0, 0)
+		a.Record(0, 100, 0)
+		a.Record(1, 100, 0)
 	}
 	w := 100 * time.Millisecond
 	heavy := a.Grant(0, []int{1}, w)

@@ -122,7 +122,7 @@ func secondsToDuration(s float64) time.Duration {
 // out-of-range index, or a nil Classes slice, means the neutral default
 // (weight 1, no patience).
 type ClassSpec struct {
-	// Name labels the class in results and experiment tables.
+	// Name labels the class for its caller; serving does not read it.
 	Name string
 	// Weight is the class's prefetch-budget priority (≤0 means 1): the
 	// arbiter scales budget shares by weight, so a weight-2 class gets
@@ -142,34 +142,4 @@ func (c ClassSpec) weight() float64 {
 		return 1
 	}
 	return c.Weight
-}
-
-// ClassResult aggregates one workload class's outcomes over a serve.
-type ClassResult struct {
-	Name     string
-	Sessions int
-	// Rejected / Abandoned count this class's admission rejections and
-	// patience abandonments.
-	Rejected  int
-	Abandoned int
-	// Counted is the class's served counted queries (its share of the
-	// pooled response samples); SLOViolations its violations; LostQueries
-	// the counted-query slots forfeited by rejection or abandonment.
-	Counted       int64
-	SLOViolations int64
-	LostQueries   int64
-}
-
-// add folds one session's outcome into the class.
-func (c *ClassResult) add(s *SessionResult) {
-	c.Sessions++
-	if s.Rejected {
-		c.Rejected++
-	}
-	if s.Abandoned {
-		c.Abandoned++
-	}
-	c.Counted += int64(len(s.Responses))
-	c.SLOViolations += s.SLOViolations
-	c.LostQueries += s.LostQueries
 }

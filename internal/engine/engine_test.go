@@ -38,7 +38,6 @@ func walkSequence(n int, side, step, ratio float64) workload.Sequence {
 		seq.Queries = append(seq.Queries, workload.Query{
 			Region: geom.CubeAt(c, side*side*side),
 			Center: c,
-			Dir:    geom.V(1, 0, 0),
 		})
 	}
 	return seq

@@ -20,26 +20,13 @@ import (
 
 // HAStats is the fleet-wide high-availability ledger one run accumulates. All zero when replication and shard faults are off.
 type HAStats struct {
-	// FailedOverBatches/Pages count demand sub-batches (and their pages)
-	// served by a replica shard instead of their sick home.
-	FailedOverBatches int64
-	FailedOverPages   int64
+	// FailedOverPages counts demand miss pages served by a replica shard
+	// instead of their sick home.
+	FailedOverPages int64
 	// OutageProbes counts failed attempts against outaged shards during
-	// chain walks; ProbeDelay is the fast-fail time they charged (one Seek
-	// each — the router abandons a dead primary at the first error when a
-	// replica exists).
+	// chain walks (each charges one Seek of fast-fail: the router abandons
+	// a dead primary at the first error when a replica exists).
 	OutageProbes int64
-	ProbeDelay   time.Duration
-	// LostBatches/Pages count demand sub-batches whose whole replica chain
-	// was down — the pages went unserved; LostDelay is the client deadline
-	// (RetryPolicy.Timeout) each lost sub-batch waited out.
-	LostBatches int64
-	LostPages   int64
-	LostDelay   time.Duration
-	// BrownedBatches counts sub-batches served at a brownout multiplier;
-	// BrownoutDelay the extra time the multiplier billed.
-	BrownedBatches int64
-	BrownoutDelay  time.Duration
 	// HedgedWindows counts prefetch sub-batches issued to both the routed
 	// shard and its replica; HedgeWins the subset where the replica's
 	// outcome was cheaper and won.
@@ -161,7 +148,6 @@ func (h *haState) routeDemand(j int, now time.Duration) haRoute {
 		if h.inj.ShardOutage(c, shards, now) {
 			h.evidence[c] += 3
 			h.stats.OutageProbes++
-			h.stats.ProbeDelay += h.cost.Seek
 			r.pre += h.cost.Seek
 			return false
 		}
@@ -226,9 +212,6 @@ func (f *fleet) serveMisses(now time.Duration) {
 			continue
 		}
 		if r.target < 0 {
-			h.stats.LostBatches++
-			h.stats.LostPages += int64(len(miss))
-			h.stats.LostDelay += readDeadline
 			o.io = r.pre
 			continue
 		}
@@ -244,16 +227,10 @@ func (f *fleet) serveMisses(now time.Duration) {
 		var extra time.Duration
 		if r.factor > 1 {
 			extra = time.Duration(float64(base) * (r.factor - 1))
-			h.stats.BrownedBatches++
-			// The serving read cost x = base·factor; the brownout's share
-			// is x - x/factor.
-			x := base + extra
-			h.stats.BrownoutDelay += x - time.Duration(float64(x)/r.factor)
 		}
 		var repPages int64
 		if r.target != j {
 			repPages = int64(len(miss))
-			h.stats.FailedOverBatches++
 			h.stats.FailedOverPages += repPages
 		}
 		o.io = r.pre + base + extra + sh.disk.ChargeHA(extra, repPages)

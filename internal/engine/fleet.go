@@ -61,11 +61,9 @@ type prefetchOut struct {
 type demandMerge struct {
 	hits        int
 	residual    time.Duration // slowest shard (io plus stall) + route charge
-	stall       time.Duration // summed across shards, reporting only
 	stallEvents int64
 	fanout      int
 	routed      int // miss pages shipped from non-home shards
-	charge      time.Duration
 }
 
 // ladder is a prefetch window's prediction set in the shape the per-page
@@ -280,13 +278,11 @@ func (f *fleet) demandTurn(pages []pagestore.PageID, order []int32, now time.Dur
 			m.residual = io
 		}
 		m.hits += outs[i].hits
-		m.stall += outs[i].stall
 		m.stallEvents += outs[i].stalls
 		served += outs[i].miss
 	}
 	m.routed = served - outs[f.home].miss
-	m.charge = f.router.Charge(m.routed)
-	m.residual += m.charge
+	m.residual += f.router.Charge(m.routed)
 	return m
 }
 
@@ -676,12 +672,11 @@ func (f *fleet) setShedding(session int, shed bool) {
 }
 
 // record feeds the turn's per-shard evidence into each shard's arbiter: the
-// pages routed to the shard, the shard-local hits, and the shard's own
-// prefetch spend. Called every committed turn, shed windows included, so
-// ledger EWMAs tick at one rate.
+// pages routed to the shard and the shard-local hits. Called every committed
+// turn, shed windows included, so ledger EWMAs tick at one rate.
 func (f *fleet) record(s int) {
 	for i, sh := range f.shards {
-		sh.arb.Record(s, f.demand[i].pages, f.demand[i].hits, f.pref[i].spent)
+		sh.arb.Record(s, f.demand[i].pages, f.demand[i].hits)
 	}
 }
 
@@ -716,34 +711,6 @@ func (f *fleet) tick(now time.Duration) {
 	}
 }
 
-// ledger merges one session's per-shard arbiter ledgers: Queries and the
-// Shedding flag are fleet-wide properties (identical on every shard — all
-// shards record every turn), Demand, Granted and Used sum across shards
-// (Granted/Used are device-time, so a fleet may grant up to S windows per
-// turn), and HitRate is the demand-weighted mean of the shard rates. One
-// shard's ledger is returned verbatim: a weighted mean of one rate can be an
-// ulp off it.
-func (f *fleet) ledger(session int) SessionLedger {
-	merged := f.shards[0].arb.Ledger(session)
-	if len(f.shards) == 1 {
-		return merged
-	}
-	merged.Demand, merged.Granted, merged.Used = 0, 0, 0
-	var weighted, demandSum float64
-	for _, sh := range f.shards {
-		l := sh.arb.Ledger(session)
-		merged.Demand += l.Demand
-		merged.Granted += l.Granted
-		merged.Used += l.Used
-		weighted += l.Demand * l.HitRate
-		demandSum += l.Demand
-	}
-	if demandSum > 0 {
-		merged.HitRate = weighted / demandSum
-	}
-	return merged
-}
-
 // diskStats returns the fleet-wide I/O statistics (per-shard stats folded
 // with DiskStats.Add, so totals stay overflow-safe).
 func (f *fleet) diskStats() (agg pagestore.DiskStats) {
@@ -762,28 +729,15 @@ func (f *fleet) shardStats() []pagestore.DiskStats {
 	return out
 }
 
-// cacheStats folds every cache of the fleet — each shard's shared cache, or
-// its per-session private ones — into one snapshot. Shared caches carry their
-// epoch (shard 0's is reported) and internal shard count; plain LRUs have
-// neither.
-func (f *fleet) cacheStats() (agg cache.StatsSnapshot) {
-	add := func(st cache.Stats) {
-		agg.Hits += st.Hits
-		agg.Misses += st.Misses
-		agg.Inserted += st.Inserted
-		agg.Evictions += st.Evictions
-	}
-	for i, sh := range f.shards {
+// cacheStats folds the counters of every cache of the fleet — each shard's
+// shared cache, or its per-session private ones.
+func (f *fleet) cacheStats() (agg cache.Stats) {
+	for _, sh := range f.shards {
 		for _, c := range sh.private {
-			add(c.(*cache.Cache).Stats())
+			agg.Add(c.(*cache.Cache).Stats())
 		}
 		if sh.shared != nil {
-			snap := sh.shared.Stats()
-			add(snap.Stats)
-			agg.Shards += snap.Shards
-			if i == 0 {
-				agg.Epoch = snap.Epoch
-			}
+			agg.Add(sh.shared.Stats())
 		}
 	}
 	return agg

@@ -44,7 +44,6 @@ func randomWalk(rng *rand.Rand, n int, side float64) workload.Sequence {
 		seq.Queries = append(seq.Queries, workload.Query{
 			Region: geom.CubeAt(c, side*side*side),
 			Center: c,
-			Dir:    dir,
 		})
 		c = c.Add(dir.Scale(side * 0.7))
 	}

@@ -115,10 +115,10 @@ type ServeConfig struct {
 	// per-page routing charge (CostModel.Route) for pages shipped from
 	// non-home shards. 0 and 1 both build the one-range fleet and differ
 	// only in how it is configured: 0 honours Engine.BatchedIO and
-	// PrivateCaches, never arms the shard-fault domains (there is no fleet
-	// to fault) and reports Shards 0 with no ShardDisks; >= 1 always reads
-	// through the batched elevator path, rejects PrivateCaches, and arms
-	// whatever shard faults the injector plans.
+	// PrivateCaches and never arms the shard-fault domains (there is no
+	// fleet to fault); >= 1 always reads through the batched elevator path,
+	// rejects PrivateCaches, and arms whatever shard faults the injector
+	// plans.
 	Shards int
 	// Replicas is the fleet's chained range-replication degree (DESIGN.md
 	// §13): with R > 1 each shard's range is also readable from
@@ -158,7 +158,6 @@ func DefaultAdmissionConfig() AdmissionConfig {
 
 // SessionResult is one session's outcome.
 type SessionResult struct {
-	Session int
 	// Sequences holds one SequenceResult per sequence, identical in shape
 	// to Engine.RunSequence's output.
 	Sequences []SequenceResult
@@ -168,32 +167,17 @@ type SessionResult struct {
 	// Completed is the virtual time the session's last response was
 	// delivered.
 	Completed time.Duration
-	// Ledger is the arbiter's final view of the session.
-	Ledger SessionLedger
 	// Rejected marks a session admission turned away at its first commit
 	// step: it executed no queries. Degraded marks one admitted with
 	// prefetch permanently shed.
 	Rejected bool
 	Degraded bool
-	// Class is the session's workload-class index; Arrival its open-loop
-	// arrival time (0 under closed loop). Abandoned marks a session that
-	// gave up mid-trajectory after a response exceeded its class patience;
-	// LostQueries counts the counted-query slots it (or a rejection)
-	// forfeited — open-loop accounting only.
-	Class       int
-	Arrival     time.Duration
+	// Abandoned marks a session that gave up mid-trajectory after a
+	// response exceeded its class patience; LostQueries counts the
+	// counted-query slots it (or a rejection) forfeited — open-loop
+	// accounting only.
 	Abandoned   bool
 	LostQueries int64
-	// FaultRetries / TimedOutReads are the session's share of the shared
-	// disk's fault recoveries; ShardStalls counts its lookups that hit a
-	// stalled cache shard.
-	FaultRetries  int64
-	TimedOutReads int64
-	ShardStalls   int64
-	// CorruptPages / RepairedPages are the session's share of the durable
-	// backend's detected corruption (zero without a backing store).
-	CorruptPages  int64
-	RepairedPages int64
 	// BreakerTrips counts times the session's circuit breaker opened;
 	// ShedPrefetches counts prefetch windows shed (breaker open or
 	// degraded admission).
@@ -215,16 +199,13 @@ func (s SessionResult) Aggregate() Aggregate {
 // ServeResult is the outcome of a multi-session run.
 type ServeResult struct {
 	Sessions []SessionResult
-	// Cache folds the fleet's caches: the shared cache's epoch-stamped
-	// snapshot (summed over shards, shard 0's epoch), or with PrivateCaches
-	// the per-session caches' counters (no epoch, Shards 0).
-	Cache cache.StatsSnapshot
+	// Cache folds the counters of the fleet's caches: the shared caches,
+	// or with PrivateCaches the per-session ones.
+	Cache cache.Stats
 	// Disk aggregates all sessions' I/O.
 	Disk pagestore.DiskStats
-	// InterferenceSeeks counts seeks that paid a nonzero interference
-	// penalty; Interference is the total penalty time charged.
-	InterferenceSeeks int64
-	Interference      time.Duration
+	// Interference is the total seek-interference penalty time charged.
+	Interference time.Duration
 	// Makespan is the latest response delivery across sessions.
 	Makespan time.Duration
 	// Queries counts every executed query (including each sequence's
@@ -233,13 +214,8 @@ type ServeResult struct {
 	// Robustness ledger (all zero on a fault-free run with breaker and
 	// admission off — the seed configuration).
 	//
-	// ShardStalls counts demand lookups that hit a stalled cache shard and
-	// StallDelay the total latency they charged. StarvedWindows counts
-	// prefetch windows lost to injected arbiter starvation. BreakerTrips /
-	// ShedPrefetches aggregate the per-session breaker activity.
-	ShardStalls    int64
-	StallDelay     time.Duration
-	StarvedWindows int64
+	// BreakerTrips / ShedPrefetches aggregate the per-session breaker
+	// activity.
 	BreakerTrips   int64
 	ShedPrefetches int64
 	// RejectedSessions / DegradedSessions count admission outcomes.
@@ -255,21 +231,12 @@ type ServeResult struct {
 	// which SLORate charges as violations.
 	AbandonedSessions int
 	LostQueries       int64
-	// Classes aggregates per-class outcomes when ServeConfig.Classes is
-	// set (nil otherwise).
-	Classes []ClassResult
-	// Fleet ledger. Shards echoes the configured shard count; ShardDisks
-	// holds each shard disk's stats in shard order when it is > 0 (Disk is
-	// their fold); RoutedPages counts demand miss pages shipped from
-	// non-home shards and RouteCharge the total per-page routing time
-	// billed into residuals (both zero on a one-range fleet).
-	Shards      int
-	ShardDisks  []pagestore.DiskStats
+	// RoutedPages counts demand miss pages shipped from non-home shards
+	// (zero on a one-range fleet).
 	RoutedPages int64
-	RouteCharge time.Duration
-	// HA is the fleet's high-availability ledger (failovers, probes, lost
-	// sub-batches, brownout surcharges); zero unless replication or shard
-	// faults were configured.
+	// HA is the fleet's high-availability ledger (failovers, probes,
+	// hedges, trips); zero unless replication or shard faults were
+	// configured.
 	HA HAStats
 }
 
@@ -568,7 +535,7 @@ func (p *SessionPlans) newCommit(cfg ServeConfig) *commit {
 		cfg.Admission.MaxConcurrent = DefaultAdmissionConfig().MaxConcurrent
 	}
 	c := &commit{cfg: cfg, plans: p.steps, sess: make([]session, n), q: queue{now: make([]time.Duration, n)},
-		busy: make([]time.Duration, n), res: ServeResult{Shards: cfg.Shards}}
+		busy: make([]time.Duration, n)}
 	// The fleet is a single-session engine's plus the serving half: the
 	// serving config's injector (only when live, so a nil or disabled one
 	// never enters a fault branch) and replication degree replace the
@@ -599,12 +566,11 @@ func (p *SessionPlans) newCommit(cfg ServeConfig) *commit {
 	}
 	for i := range c.sess {
 		ss := &c.sess[i]
-		ss.out = SessionResult{Session: i, Class: p.classes[i]}
 		ss.brk.cfg = cfg.Breaker
 		// Class priorities reach the arbiter before any grant; with no
 		// classes (or all-neutral weights) the arbiter arithmetic stays
 		// bit-exact. An out-of-range class is the neutral default.
-		if k := ss.out.Class; k >= 0 && k < len(cfg.Classes) {
+		if k := p.classes[i]; k >= 0 && k < len(cfg.Classes) {
 			cs := cfg.Classes[k]
 			c.f.setPriority(i, cs.weight())
 			if open {
@@ -612,7 +578,7 @@ func (p *SessionPlans) newCommit(cfg ServeConfig) *commit {
 			}
 		}
 		if open {
-			ss.out.Arrival, c.q.now[i] = arrivals[i], arrivals[i]
+			c.q.now[i] = arrivals[i]
 		}
 		if len(p.steps[i]) > 0 {
 			c.q.ids = append(c.q.ids, i)
@@ -712,9 +678,6 @@ func (c *commit) turn(s int, t time.Duration) {
 		RoutedPages: dm.routed,
 	}
 	c.res.RoutedPages += int64(dm.routed)
-	c.res.RouteCharge += dm.charge
-	c.res.StallDelay += dm.stall
-	ss.out.ShardStalls += dm.stallEvents
 
 	var grant time.Duration
 	tr.Prefetched, tr.PrefetchIO, grant = c.window(s, st, t)
@@ -734,10 +697,6 @@ func (c *commit) turn(s int, t time.Duration) {
 	// (nothing reads a disk between turns) plus stalled-shard hits and
 	// detected corruption feed the session's breaker.
 	ev := f.faultEvidence()
-	ss.out.FaultRetries += ev.retries
-	ss.out.TimedOutReads += ev.timeouts
-	ss.out.CorruptPages += ev.corrupt
-	ss.out.RepairedPages += ev.repaired
 	if c.cfg.Breaker.Enabled && !ss.out.Degraded {
 		ss.brk.observe(t+tr.Residual,
 			faultScore(ev.retries, ev.timeouts, dm.stallEvents)+corruptionScore(ev.corrupt, ev.repaired))
@@ -777,7 +736,7 @@ func (c *commit) window(s int, st *step, t time.Duration) (int, time.Duration, t
 	case shed:
 		ss.out.ShedPrefetches++
 	case c.inj != nil && c.inj.BudgetStarved(t):
-		c.res.StarvedWindows++
+		// The injector starved this arbiter window: nothing is spent.
 	default:
 		// Batched, the window is one elevator batch per session turn — which
 		// also shrinks the span in which other sessions' in-flight I/O counts
@@ -819,47 +778,35 @@ func (c *commit) advance(s int, st *step, tr QueryTrace, t time.Duration) {
 	}
 }
 
-// finish folds the commit into its result: per session its arbiter ledger
-// and breaker trips; the per-session totals, once, overall and per class;
-// the fleet's cache, disk, interference and HA ledgers.
+// finish folds the commit into its result: per session its breaker trips;
+// the per-session totals, once; the fleet's cache, disk, interference and
+// HA ledgers.
 func (c *commit) finish() ServeResult {
 	res, f := c.res, c.f
-	if len(c.cfg.Classes) > 0 {
-		res.Classes = make([]ClassResult, len(c.cfg.Classes))
-		for i := range res.Classes {
-			res.Classes[i].Name = c.cfg.Classes[i].Name
-		}
-	}
-	var all ClassResult
 	res.Sessions = make([]SessionResult, len(c.sess))
 	for i := range c.sess {
 		s := &res.Sessions[i]
 		*s = c.sess[i].out
-		s.Ledger, s.BreakerTrips = f.ledger(i), c.sess[i].brk.trips
+		s.BreakerTrips = c.sess[i].brk.trips
 		res.Makespan = max(res.Makespan, s.Completed)
-		res.ShardStalls += s.ShardStalls
 		res.ShedPrefetches += s.ShedPrefetches
 		res.BreakerTrips += s.BreakerTrips
 		if s.Degraded {
 			res.DegradedSessions++
 		}
-		all.add(s)
-		// An unbound session is in the neutral default class, not aggregated.
-		if s.Class >= 0 && s.Class < len(res.Classes) {
-			res.Classes[s.Class].add(s)
+		if s.Rejected {
+			res.RejectedSessions++
 		}
+		if s.Abandoned {
+			res.AbandonedSessions++
+		}
+		res.SLOViolations += s.SLOViolations
+		res.LostQueries += s.LostQueries
 	}
-	res.RejectedSessions, res.AbandonedSessions = all.Rejected, all.Abandoned
-	res.SLOViolations, res.LostQueries = all.SLOViolations, all.LostQueries
 	res.Cache = f.cacheStats()
 	res.Disk = f.diskStats()
-	if c.cfg.Shards > 0 {
-		res.ShardDisks = f.shardStats()
-	}
 	for _, sh := range f.shards {
-		seeks, penalty := sh.disk.Interference()
-		res.InterferenceSeeks += seeks
-		res.Interference += penalty
+		res.Interference += sh.disk.Interference()
 	}
 	res.HA = f.ha.stats
 	return res

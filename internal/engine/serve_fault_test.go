@@ -39,7 +39,7 @@ func TestServeFaultsOffByteIdentical(t *testing.T) {
 	if !reflect.DeepEqual(want, got) {
 		t.Error("disabled injector changed serve output")
 	}
-	if got.Disk.FaultRetries != 0 || got.Disk.FaultDelay != 0 || got.ShardStalls != 0 {
+	if got.Disk.FaultRetries != 0 || got.Disk.TimedOutReads != 0 {
 		t.Errorf("disabled injector charged faults: %+v", got.Disk)
 	}
 }
@@ -68,33 +68,29 @@ func TestServeFaultsChargeAndDeterminism(t *testing.T) {
 		if !reflect.DeepEqual(a, b) {
 			t.Errorf("batched=%v: faulty serve differs between 1 and 8 workers", batched)
 		}
-		if a.Disk.FaultRetries == 0 || a.Disk.FaultDelay <= 0 {
+		if a.Disk.FaultRetries == 0 {
 			t.Errorf("batched=%v: heavy faults charged nothing: %+v", batched, a.Disk)
 		}
-		if a.ShardStalls == 0 || a.StallDelay <= 0 {
-			t.Errorf("batched=%v: no shard stalls under the heavy plan", batched)
+		if res := residual(a); res <= residual(quiet) {
+			t.Errorf("batched=%v: faults did not slow responses: %v vs %v", batched, res, residual(quiet))
 		}
-		var quietRes, faultyRes time.Duration
-		for _, s := range quiet.Sessions {
-			quietRes += s.Aggregate().Residual
-		}
-		for _, s := range a.Sessions {
-			faultyRes += s.Aggregate().Residual
-		}
-		if faultyRes <= quietRes {
-			t.Errorf("batched=%v: faults did not slow responses: %v vs %v", batched, faultyRes, quietRes)
-		}
-		// The per-session disk ledger deltas must sum to the global one.
-		var retries, timeouts int64
-		for _, s := range a.Sessions {
-			retries += s.FaultRetries
-			timeouts += s.TimedOutReads
-		}
-		if retries != a.Disk.FaultRetries || timeouts != a.Disk.TimedOutReads {
-			t.Errorf("batched=%v: per-session fault counters (%d/%d) do not sum to disk ledger (%d/%d)",
-				batched, retries, timeouts, a.Disk.FaultRetries, a.Disk.TimedOutReads)
+		// Stalled cache stripes alone charge their penalty into responses.
+		stalled := clean
+		stalled.Faults = fault.New(fault.Plan{Seed: 7, StallPeriod: 30 * time.Millisecond, StallRate: 0.3, StallPenalty: 2 * time.Millisecond})
+		st := PlanSessions(store, tree, serveWorkloads(6, 7), clean.Engine.Cost, 0).Serve(stalled)
+		if res := residual(st); res <= residual(quiet) {
+			t.Errorf("batched=%v: shard stalls did not slow responses: %v vs %v", batched, res, residual(quiet))
 		}
 	}
+}
+
+// residual sums a serve's demand residuals over its sessions.
+func residual(r ServeResult) time.Duration {
+	var sum time.Duration
+	for _, s := range r.Sessions {
+		sum += s.Aggregate().Residual
+	}
+	return sum
 }
 
 // TestServeBreakerShedsPrefetch: under heavy faults the breaker must trip,
@@ -126,9 +122,9 @@ func TestServeBreakerShedsPrefetch(t *testing.T) {
 	// shed. And the shed share returns to the arbiter pool, inflating other
 	// sessions' grants — TestSheddingReturnsBudgetToPool pins that — so
 	// TOTAL prefetch I/O is not required to drop.)
-	for _, s := range broken.Sessions {
+	for i, s := range broken.Sessions {
 		if s.ShedPrefetches > 0 && s.BreakerTrips == 0 {
-			t.Errorf("session %d shed %d windows without tripping", s.Session, s.ShedPrefetches)
+			t.Errorf("session %d shed %d windows without tripping", i, s.ShedPrefetches)
 		}
 	}
 	var trips int64
@@ -154,13 +150,13 @@ func TestServeAdmissionRejectsAndDegrades(t *testing.T) {
 	if res.RejectedSessions == 0 || res.RejectedSessions >= 8 {
 		t.Fatalf("rejected %d of 8 sessions", res.RejectedSessions)
 	}
-	for _, s := range res.Sessions {
+	for i, s := range res.Sessions {
 		if s.Rejected {
 			if len(s.Sequences) != 0 || len(s.Responses) != 0 {
-				t.Errorf("rejected session %d still served queries", s.Session)
+				t.Errorf("rejected session %d still served queries", i)
 			}
 		} else if len(s.Responses) == 0 {
-			t.Errorf("admitted session %d served nothing", s.Session)
+			t.Errorf("admitted session %d served nothing", i)
 		}
 	}
 
@@ -175,15 +171,19 @@ func TestServeAdmissionRejectsAndDegrades(t *testing.T) {
 	if deg.Queries != 8*8 {
 		t.Errorf("degrade mode dropped queries: %d, want 64", deg.Queries)
 	}
-	for _, s := range deg.Sessions {
+	for i, s := range deg.Sessions {
 		if !s.Degraded {
 			continue
 		}
-		if s.Ledger.Granted != 0 {
-			t.Errorf("degraded session %d was granted %v prefetch budget", s.Session, s.Ledger.Granted)
+		for _, seq := range s.Sequences {
+			for _, tr := range seq.Queries {
+				if tr.Prefetched != 0 || tr.PrefetchIO != 0 {
+					t.Errorf("degraded session %d prefetched %d pages in %v", i, tr.Prefetched, tr.PrefetchIO)
+				}
+			}
 		}
 		if s.ShedPrefetches == 0 {
-			t.Errorf("degraded session %d shed no prefetch windows", s.Session)
+			t.Errorf("degraded session %d shed no prefetch windows", i)
 		}
 	}
 }

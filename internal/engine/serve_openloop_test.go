@@ -61,9 +61,8 @@ func TestServeOpenLoopDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestServeOpenLoopDisabledBitExact: with the generator disabled, a config
-// that merely mentions neutral classes is byte-identical to the seed except
-// for the per-class aggregation table, and the open-loop ledgers stay zero
-// even when admission rejects sessions.
+// that merely mentions neutral classes is byte-identical to the seed, and
+// the open-loop ledgers stay zero even when admission rejects sessions.
 func TestServeOpenLoopDisabledBitExact(t *testing.T) {
 	store, tree := lineWorld(t, 4000)
 	base := ServeConfig{
@@ -84,10 +83,6 @@ func TestServeOpenLoopDisabledBitExact(t *testing.T) {
 	classed := base
 	classed.Classes = []ClassSpec{{Name: "neutral"}}
 	got := PlanSessions(store, tree, serveWorkloads(8, 7), classed.Engine.Cost, 0).Serve(classed)
-	if len(got.Classes) != 1 || got.Classes[0].Sessions != 8 {
-		t.Fatalf("class table = %+v", got.Classes)
-	}
-	got.Classes = nil
 	if !reflect.DeepEqual(want, got) {
 		t.Error("neutral classes changed the closed-loop output")
 	}
@@ -117,13 +112,13 @@ func TestServeOpenLoopAdmissionAtArrival(t *testing.T) {
 	}
 	// Every trajectory has 7 counted slots (8 queries, first uncounted):
 	// served responses plus lost slots must conserve them, per session.
-	for _, s := range slam.Sessions {
+	for i, s := range slam.Sessions {
 		if got := int64(len(s.Responses)) + s.LostQueries; got != 7 {
 			t.Errorf("session %d: responses %d + lost %d != 7",
-				s.Session, len(s.Responses), s.LostQueries)
+				i, len(s.Responses), s.LostQueries)
 		}
 		if s.Rejected && s.LostQueries != 7 {
-			t.Errorf("rejected session %d lost %d queries, want 7", s.Session, s.LostQueries)
+			t.Errorf("rejected session %d lost %d queries, want 7", i, s.LostQueries)
 		}
 	}
 	// Lost queries enter the SLO denominator as violations.
@@ -144,10 +139,10 @@ func TestServeOpenLoopAdmissionAtArrival(t *testing.T) {
 		t.Errorf("spaced arrivals still rejected %d sessions (lost %d)",
 			calm.RejectedSessions, calm.LostQueries)
 	}
-	// Arrival times flow through to the per-session results and makespan.
+	// No session completes before it arrives, nor the run before the last.
 	for i, s := range calm.Sessions {
-		if s.Arrival != times[i] {
-			t.Errorf("session %d arrival = %v, want %v", i, s.Arrival, times[i])
+		if s.Completed <= times[i] {
+			t.Errorf("session %d completed at %v, not past its arrival %v", i, s.Completed, times[i])
 		}
 	}
 	if calm.Makespan <= times[7] {
@@ -157,8 +152,8 @@ func TestServeOpenLoopAdmissionAtArrival(t *testing.T) {
 
 // TestServeOpenLoopAbandonment: a class with sub-seek patience abandons at
 // its first cold query — the remaining trajectory is forfeited as lost
-// queries, the partial sequence is flushed, and the per-class table and
-// abandon rate account for it.
+// queries, the partial sequence is flushed, and the abandon rate accounts
+// for it.
 func TestServeOpenLoopAbandonment(t *testing.T) {
 	store, tree := lineWorld(t, 4000)
 	workloads := serveWorkloads(6, 7)
@@ -179,29 +174,22 @@ func TestServeOpenLoopAbandonment(t *testing.T) {
 	if res.AbandonRate() != 1 {
 		t.Errorf("abandon rate = %v, want 1", res.AbandonRate())
 	}
-	for _, s := range res.Sessions {
+	for i, s := range res.Sessions {
 		if !s.Abandoned {
-			t.Errorf("session %d never abandoned", s.Session)
+			t.Errorf("session %d never abandoned", i)
 			continue
 		}
 		if got := int64(len(s.Responses)) + s.LostQueries; got != 7 {
 			t.Errorf("session %d: responses %d + lost %d != 7",
-				s.Session, len(s.Responses), s.LostQueries)
+				i, len(s.Responses), s.LostQueries)
 		}
 		if len(s.Sequences) != 1 {
 			t.Errorf("session %d: partial sequence not flushed (%d sequences)",
-				s.Session, len(s.Sequences))
+				i, len(s.Sequences))
 		}
 	}
-	if len(res.Classes) != 3 {
-		t.Fatalf("class table has %d rows", len(res.Classes))
-	}
-	tp := res.Classes[2]
-	if tp.Sessions != 6 || tp.Abandoned != 6 {
-		t.Errorf("teleport class = %+v", tp)
-	}
-	if tp.LostQueries != res.LostQueries || res.LostQueries == 0 {
-		t.Errorf("class lost %d, total %d", tp.LostQueries, res.LostQueries)
+	if res.LostQueries == 0 {
+		t.Error("abandoned sessions lost no queries")
 	}
 	// With everything forfeited the SLO rate saturates at 1.
 	if res.CountedQueries() == 0 && res.SLORate() != 1 {
@@ -312,15 +300,16 @@ func TestPercentileMatchesReference(t *testing.T) {
 	}
 }
 
-// TestServeClassPriorityShiftsBudget: under a contended fair-share arbiter,
-// a weight-3 class's sessions must be granted more prefetch budget than
-// weight-1 sessions with equally sized windows — and all-neutral weights
-// must leave the grant arithmetic bit-exact with a class-free serve.
+// TestServeClassPriorityShiftsBudget: a session's class weight reaches every
+// shard's arbiter as its priority — which shifts contended windows toward it
+// (TestArbiterPriorityWeightsShares) and so changes the serve — and
+// all-neutral weights must leave the grant arithmetic bit-exact with a
+// class-free serve.
 func TestServeClassPriorityShiftsBudget(t *testing.T) {
 	store, tree := lineWorld(t, 4000)
 	// Symmetric population: identical walk shape and window ratio per
-	// session (only the offset differs), classes alternating, so any grant
-	// asymmetry can only come from the class weights.
+	// session (only the offset differs), classes alternating, so any
+	// difference can only come from the class weights.
 	symmetric := func() []SessionWorkload {
 		out := make([]SessionWorkload, 6)
 		for i := range out {
@@ -341,23 +330,21 @@ func TestServeClassPriorityShiftsBudget(t *testing.T) {
 
 	weighted := base
 	weighted.Classes = []ClassSpec{{Name: "heavy", Weight: 3}, {Name: "light"}}
-	got := PlanSessions(store, tree, symmetric(), weighted.Engine.Cost, 0).Serve(weighted)
-	var heavy, light time.Duration
-	for _, s := range got.Sessions {
-		if s.Class == 0 {
-			heavy += s.Ledger.Granted
-		} else {
-			light += s.Ledger.Granted
+	plans := PlanSessions(store, tree, symmetric(), weighted.Engine.Cost, 0)
+	c := plans.newCommit(weighted)
+	for i := range c.sess {
+		cs := weighted.Classes[i%2]
+		if got := c.f.shards[0].arb.priorityOf(i); got != cs.weight() {
+			t.Errorf("session %d of class %s: arbiter priority %v, want %v", i, cs.Name, got, cs.weight())
 		}
 	}
-	if heavy <= light {
-		t.Errorf("weight-3 class granted %v total, weight-1 class %v", heavy, light)
+	if got := plans.Serve(weighted); reflect.DeepEqual(want, got) {
+		t.Error("class weights 3:1 left the serve output unchanged")
 	}
 
 	neutral := base
 	neutral.Classes = []ClassSpec{{Name: "a"}, {Name: "b"}}
 	same := PlanSessions(store, tree, symmetric(), neutral.Engine.Cost, 0).Serve(neutral)
-	same.Classes = nil
 	if !reflect.DeepEqual(want, same) {
 		t.Error("all-neutral class weights changed the serve output")
 	}

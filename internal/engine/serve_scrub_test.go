@@ -75,15 +75,6 @@ func TestServeScrubRepairsCorruption(t *testing.T) {
 	if res.Disk.RepairedPages == 0 {
 		t.Fatalf("scrub repaired nothing on a 20%% corrupt file: %+v", res.Disk)
 	}
-	var corrupt, repaired int64
-	for _, s := range res.Sessions {
-		corrupt += s.CorruptPages
-		repaired += s.RepairedPages
-	}
-	if corrupt != res.Disk.CorruptPages || repaired != res.Disk.RepairedPages {
-		t.Errorf("per-session corruption (%d/%d) does not sum to disk ledger (%d/%d)",
-			corrupt, repaired, res.Disk.CorruptPages, res.Disk.RepairedPages)
-	}
 	// Determinism holds with the scrub in the loop (fresh copy of the same
 	// corruption — the first run healed its own file).
 	cfg.Engine.Backing = corruptFS()
@@ -109,8 +100,14 @@ func TestServeScrubShedAware(t *testing.T) {
 	starved := cfg
 	starved.Faults = fault.New(fault.Plan{Seed: 7, StarvePeriod: time.Millisecond, StarveRate: 1})
 	res := PlanSessions(store, tree, serveWorkloads(6, 7), starved.Engine.Cost, 0).Serve(starved)
-	if res.StarvedWindows == 0 {
-		t.Fatal("full starvation starved no windows")
+	for _, s := range res.Sessions {
+		for _, seq := range s.Sequences {
+			for _, tr := range seq.Queries {
+				if tr.Prefetched != 0 {
+					t.Fatalf("full starvation still prefetched %d pages", tr.Prefetched)
+				}
+			}
+		}
 	}
 	if res.Disk.ScrubbedPages != 0 {
 		t.Errorf("starved windows still scrubbed %d pages", res.Disk.ScrubbedPages)

@@ -28,41 +28,11 @@ func shardServeWorkloads(n int) []SessionWorkload {
 	return out
 }
 
-// normalizeShardedServe asserts the sharded-only bookkeeping is trivial at
-// S=1 (no fan-out, nothing routed, the shard fleet's fold equals its one
-// shard) and strips what only a Shards > 0 result echoes (the shard count
-// and per-shard disk rows) so the result can be DeepEqual'd against the
-// Shards 0 serve.
-func normalizeShardedServe(t *testing.T, got *ServeResult) {
-	t.Helper()
-	if got.Shards != 1 || len(got.ShardDisks) != 1 {
-		t.Fatalf("S=1 ledger malformed: Shards=%d ShardDisks=%d", got.Shards, len(got.ShardDisks))
-	}
-	if got.ShardDisks[0] != got.Disk {
-		t.Fatalf("S=1 fold differs from its one shard:\n %+v\n %+v", got.ShardDisks[0], got.Disk)
-	}
-	if got.RoutedPages != 0 || got.RouteCharge != 0 {
-		t.Fatalf("S=1 routed pages: %d (%v)", got.RoutedPages, got.RouteCharge)
-	}
-	got.Shards = 0
-	got.ShardDisks = nil
-	for _, sess := range got.Sessions {
-		for _, seq := range sess.Sequences {
-			for _, tr := range seq.Queries {
-				if tr.Fanout > 1 || tr.RoutedPages != 0 {
-					t.Fatalf("S=1 query fanned out: fanout %d routed %d", tr.Fanout, tr.RoutedPages)
-				}
-			}
-		}
-	}
-}
-
 // TestServeShardedSingleShardBitExact pins the serve-side S=1 ledger shape:
 // Shards 1 and Shards 0 with BatchedIO build the same one-range fleet, so
-// the commits are byte-identical — same residuals, grants, ledgers, stalls,
-// breaker trips, cache and disk stats — including under heavy fault
-// injection with breaker, degrading admission and open-loop arrivals; the
-// two differ only in what the result echoes (Shards, ShardDisks).
+// the commits are byte-identical — same residuals, traces, stalls, breaker
+// trips, cache and disk stats, nothing routed — including under heavy fault
+// injection with breaker, degrading admission and open-loop arrivals.
 func TestServeShardedSingleShardBitExact(t *testing.T) {
 	store, tree := lineWorld(t, 4000)
 	base := ServeConfig{
@@ -86,7 +56,6 @@ func TestServeShardedSingleShardBitExact(t *testing.T) {
 		sharded := cfg
 		sharded.Shards = 1
 		got := PlanSessions(store, tree, serveWorkloads(6, 7), sharded.Engine.Cost, 0).Serve(sharded)
-		normalizeShardedServe(t, &got)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: S=1 sharded serve differs from unsharded batched serve\n got: %+v\nwant: %+v", name, got, want)
 		}

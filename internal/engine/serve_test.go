@@ -21,7 +21,6 @@ func offsetWalk(n int, side, step, ratio, offset float64) workload.Sequence {
 		seq.Queries = append(seq.Queries, workload.Query{
 			Region: geom.CubeAt(c, side*side*side),
 			Center: c,
-			Dir:    geom.V(1, 0, 0),
 		})
 	}
 	return seq
@@ -110,31 +109,24 @@ func TestServeInterferencePenalty(t *testing.T) {
 	quiet := PlanSessions(store, tree, serveWorkloads(6, 7), cfg.Engine.Cost, 0).Serve(cfg)
 	cfg.InterferenceSeek = 2 * time.Millisecond
 	noisy := PlanSessions(store, tree, serveWorkloads(6, 7), cfg.Engine.Cost, 0).Serve(cfg)
-	if noisy.InterferenceSeeks == 0 || noisy.Interference == 0 {
+	if noisy.Interference == 0 {
 		t.Fatal("no interference charged despite overlapping sessions")
 	}
-	if quiet.InterferenceSeeks != 0 {
-		t.Errorf("interference charged with a zero penalty: %d seeks", quiet.InterferenceSeeks)
+	if quiet.Interference != 0 {
+		t.Errorf("interference charged with a zero penalty: %v", quiet.Interference)
 	}
-	var quietRes, noisyRes time.Duration
-	for _, s := range quiet.Sessions {
-		quietRes += s.Aggregate().Residual
-	}
-	for _, s := range noisy.Sessions {
-		noisyRes += s.Aggregate().Residual
-	}
-	if noisyRes <= quietRes {
-		t.Errorf("interference did not slow responses: %v vs %v", noisyRes, quietRes)
+	if res := residual(noisy); res <= residual(quiet) {
+		t.Errorf("interference did not slow responses: %v vs %v", res, residual(quiet))
 	}
 	// A single session never contends, so the penalty must not bite.
 	solo := PlanSessions(store, tree, serveWorkloads(1, 7), cfg.Engine.Cost, 0).Serve(cfg)
-	if solo.InterferenceSeeks != 0 {
-		t.Errorf("single session paid %d interference seeks", solo.InterferenceSeeks)
+	if solo.Interference != 0 {
+		t.Errorf("single session paid %v interference", solo.Interference)
 	}
 }
 
-// TestServeArbiterThrottles: fair-share must grant (and therefore prefetch)
-// no more than the unarbitrated policy under contention.
+// TestServeArbiterThrottles: fair-share must prefetch no more than the
+// unarbitrated policy under contention.
 func TestServeArbiterThrottles(t *testing.T) {
 	store, tree := lineWorld(t, 4000)
 	cfg := ServeConfig{Engine: DefaultConfig(), Policy: Unarbitrated}
@@ -142,9 +134,8 @@ func TestServeArbiterThrottles(t *testing.T) {
 	cfg.Policy = FairShare
 	fair := PlanSessions(store, tree, serveWorkloads(8, 7), cfg.Engine.Cost, 0).Serve(cfg)
 
-	sum := func(r ServeResult) (granted time.Duration, prefetched int64) {
+	sum := func(r ServeResult) (prefetched int64) {
 		for _, s := range r.Sessions {
-			granted += s.Ledger.Granted
 			for _, sq := range s.Sequences {
 				for _, q := range sq.Queries {
 					prefetched += int64(q.Prefetched)
@@ -153,25 +144,18 @@ func TestServeArbiterThrottles(t *testing.T) {
 		}
 		return
 	}
-	freeGrant, freePages := sum(free)
-	fairGrant, fairPages := sum(fair)
-	if fairGrant >= freeGrant {
-		t.Errorf("fair-share granted %v, unarbitrated %v", fairGrant, freeGrant)
-	}
+	freePages, fairPages := sum(free), sum(fair)
 	if fairPages > freePages {
 		t.Errorf("fair-share prefetched more pages (%d) than unarbitrated (%d)", fairPages, freePages)
 	}
 }
 
-// TestServeSharedCacheStats: the shared cache snapshot must account for the
-// sessions' traffic and report its shard count.
+// TestServeSharedCacheStats: the shared cache's counters must account for
+// the sessions' traffic.
 func TestServeSharedCacheStats(t *testing.T) {
 	store, tree := lineWorld(t, 4000)
 	cfg := ServeConfig{Engine: DefaultConfig(), Policy: FairShare, CacheShards: 4}
 	res := PlanSessions(store, tree, serveWorkloads(4, 7), cfg.Engine.Cost, 0).Serve(cfg)
-	if res.Cache.Shards != 4 {
-		t.Errorf("snapshot shards = %d, want 4", res.Cache.Shards)
-	}
 	if res.Cache.Hits+res.Cache.Misses == 0 {
 		t.Error("no cache traffic recorded")
 	}

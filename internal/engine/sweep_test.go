@@ -141,8 +141,18 @@ func TestSweepBatchMatchesEagerFlush(t *testing.T) {
 								if sv.replica {
 									wantRep = st.PagesRead
 								}
-								if (st.FaultDelay > 0) != (sv.factor > 1 && st.PagesRead > 0) || st.ReplicaPages != wantRep {
-									t.Fatalf("%s: fault delay %v, replica pages %d of %d read", at, st.FaultDelay, st.ReplicaPages, st.PagesRead)
+								if st.ReplicaPages != wantRep {
+									t.Fatalf("%s: replica pages %d of %d read", at, st.ReplicaPages, st.PagesRead)
+								}
+								if budget == math.MaxInt64 { // the same pages read at factor 1
+									plain := kind.make(capacity)
+									for _, pg := range prefill {
+										plain.Insert(pg)
+									}
+									_, plainSpent := lazyFlush(store, plain, pages, pagestore.NewDisk(store, model), budget, 1, sv.replica)
+									if (gotSpent > plainSpent) != (sv.factor > 1 && st.PagesRead > 0) {
+										t.Fatalf("%s: spent %v at factor %g, %v at factor 1", at, gotSpent, sv.factor, plainSpent)
+									}
 								}
 								if !reflect.DeepEqual(kind.stats(cl), kind.stats(ce)) {
 									t.Fatalf("%s: cache stats %+v, eager flush %+v", at, kind.stats(cl), kind.stats(ce))

@@ -35,6 +35,25 @@ import (
 // test that reaches it by the same rules (a reference implementation, an
 // oracle, a fixture) and why. bench/ is its own module: its code is a
 // caller, never a candidate.
+//
+// The field census runs on the same load. A named, non-embedded field of a
+// struct type declared in a non-test file of internal/ is read when a
+// function some program reaches selects it (generic fields resolve to their
+// declaration), except:
+//
+//   - the left-hand side of an assignment or of an ++/-- and a
+//     composite-literal key are writes, not reads;
+//   - a read inside the right-hand side of an assignment to field F, or
+//     inside the value of key F:, counts only once F itself is read (a
+//     fixpoint), so a counter folded into an aggregate that nothing reads
+//     (agg.N += s.N) is not read either.
+//
+// A selection through embedded fields reads each of them, a promoted method
+// included; a struct compared with == or != reads all its fields; a value
+// handed to a fmt print function reads every field fmt prints. No other
+// outside interface reads a field (reflect.DeepEqual, sort.Slice). Every
+// field no program reads is deleted, or keeps a row naming the test that
+// reads it by the same rules and why.
 
 // codeRow keeps one function that no program reaches.
 type codeRow struct {
@@ -46,14 +65,15 @@ type codeRow struct {
 type censusRoot struct {
 	path, dir string
 	client    bool // its functions are callers only, never census rows
+	fields    bool // its struct fields are field census candidates
 }
 
 // repoRoots are the trees the repository's census type-checks.
 var repoRoots = []censusRoot{
-	{"scout/internal", "../../internal", false},
-	{"scout/cmd", "../../cmd", false},
-	{"scout/examples", "../../examples", false},
-	{"scout/bench", "../../bench", true},
+	{"scout/internal", "../../internal", false, true},
+	{"scout/cmd", "../../cmd", false, false},
+	{"scout/examples", "../../examples", false, false},
+	{"scout/bench", "../../bench", true, false},
 }
 
 // codeCensus has one row per function no program reaches:
@@ -80,14 +100,23 @@ var codeCensus = map[string]codeRow{
 	"pagestore.RelayoutCrashPoints": {"TestRelayoutCrashMatrix", "enumerates the crash points the matrix and TestStorageCrashAt arm"},
 }
 
-// TestCodeCensus fails on a function no program reaches that has no row,
-// on a row whose function is gone or reached, and on a row whose test does
-// not reach its function. Run it with -v for the counts and for the
-// functions that only bench/'s main reaches.
+// fieldCensus has one row per field no program reads:
+// "<pkg>.<Type>.<Field>".
+var fieldCensus = map[string]codeRow{
+	"core.QueryStats.SparsePages": {"TestScoutOptSparseBuildIsSmaller", "the pages SCOUT-OPT's sparse build kept; ROADMAP item 12(a) splits fig12's gain with it, so it stays until 12(a) is done"},
+	"core.QueryStats.GapPages":    {"TestScoutOptGapTraversal", "the pages the gap traversal read; kept with SparsePages for ROADMAP item 12(a)"},
+	"engine.ClassSpec.Name":       {"TestServeClassPriorityShiftsBudget", "a label serving never reads; bench/serve.go sets it and only a benchmark change may edit bench/ (ROADMAP item 2)"},
+}
+
+// TestCodeCensus fails on a function no program reaches, or a field no
+// program reads, that has no row; on a row whose function is gone or
+// reached, or whose field is gone or read; and on a row whose test does not
+// reach its function or read its field. Run it with -v for the counts and
+// for the functions that only bench/'s main reaches.
 func TestCodeCensus(t *testing.T) {
 	c := loadCensus(t, repoRoots)
-	if len(c.decls) == 0 {
-		t.Fatal("no functions found")
+	if len(c.decls) == 0 || len(c.fields) == 0 {
+		t.Fatal("no functions or fields found")
 	}
 	dead := map[string]bool{}
 	for _, d := range c.unreached(func(string) bool { return true }) {
@@ -96,10 +125,19 @@ func TestCodeCensus(t *testing.T) {
 			t.Errorf("%s: no program reaches it; delete it, or add a codeCensus row naming the test that reaches it and why", d.key)
 		}
 	}
+	unread := map[string]bool{}
+	for _, f := range c.unread() {
+		unread[f.key] = true
+		if _, ok := fieldCensus[f.key]; !ok {
+			t.Errorf("field %s: no program reads it; delete it, or add a fieldCensus row naming the test that reads it and why", f.key)
+		}
+	}
 
 	needed := map[string]bool{}
-	for _, row := range codeCensus {
-		needed[row.needs] = true
+	for _, rows := range []map[string]codeRow{codeCensus, fieldCensus} {
+		for _, row := range rows {
+			needed[row.needs] = true
+		}
 	}
 	byTest := c.testReach(needed)
 	for _, key := range slices.Sorted(maps.Keys(codeCensus)) {
@@ -109,10 +147,23 @@ func TestCodeCensus(t *testing.T) {
 			t.Errorf("census row %q names a function that is gone or that a program reaches", key)
 		case row.why == "":
 			t.Errorf("census row %q gives no reason", key)
-		case byTest[row.needs] == nil:
+		case byTest[row.needs].funcs == nil:
 			t.Errorf("census row %q: %q is not a test, benchmark or fuzz function", key, row.needs)
-		case !byTest[row.needs][key]:
+		case !byTest[row.needs].funcs[key]:
 			t.Errorf("census row %q: %s does not reach it", key, row.needs)
+		}
+	}
+	for _, key := range slices.Sorted(maps.Keys(fieldCensus)) {
+		row := fieldCensus[key]
+		switch {
+		case !unread[key]:
+			t.Errorf("field census row %q names a field that is gone or that a program reads", key)
+		case row.why == "":
+			t.Errorf("field census row %q gives no reason", key)
+		case byTest[row.needs].funcs == nil:
+			t.Errorf("field census row %q: %q is not a test, benchmark or fuzz function", key, row.needs)
+		case !byTest[row.needs].fields[key]:
+			t.Errorf("field census row %q: %s does not read it", key, row.needs)
 		}
 	}
 
@@ -124,21 +175,29 @@ func TestCodeCensus(t *testing.T) {
 		}
 	}
 	t.Logf("code census: %d functions, %d no program reaches, %d rows, %d reached only from bench/", len(c.decls), len(dead), len(codeCensus), benchOnly)
+	t.Logf("field census: %d fields, %d no program reads, %d rows", len(c.fields), len(unread), len(fieldCensus))
 }
 
-// TestCodeCensusFixture runs the census over testdata/census, a program
+// TestCodeCensusFixture runs both censuses over testdata/census, a program
 // with two kinds of dead code a rule matching by name cannot see (a method
-// named like a live field, a two-function cycle) and two live methods no
-// call names by type (one reached through an interface call, a String
-// reached through fmt).
+// named like a live field, a two-function cycle), two live methods no call
+// names by type (one reached through an interface call, a String reached
+// through fmt), and one field per field rule (lib/fields.go).
 func TestCodeCensusFixture(t *testing.T) {
-	c := loadCensus(t, []censusRoot{{"fixture", "testdata/census", false}})
+	c := loadCensus(t, []censusRoot{{"fixture", "testdata/census", false, true}})
 	var got []string
 	for _, d := range c.unreached(func(string) bool { return true }) {
 		got = append(got, d.key)
 	}
 	if want := []string{"lib.Store.Backing", "lib.ping", "lib.pong"}; !slices.Equal(got, want) {
 		t.Errorf("unreached = %v, want %v", got, want)
+	}
+	got = nil
+	for _, f := range c.unread() {
+		got = append(got, f.key)
+	}
+	if want := []string{"lib.Ledger.Granted", "lib.Stats.Folded", "lib.Stats.Written", "lib.Tally.Seen"}; !slices.Equal(got, want) {
+		t.Errorf("unread = %v, want %v", got, want)
 	}
 }
 
@@ -172,6 +231,24 @@ type census struct {
 	named []*types.Named                // the trees' non-generic, non-interface types
 	stdIf []*types.Interface            // interfaces of the imported standard library
 	impls map[ifaceCall][]*types.Func   // memo of ifaceCall -> implementing methods
+
+	fields []censusField              // field census candidates, by key
+	uses   map[*types.Func][]fieldUse // the fields each function reads
+}
+
+// censusField is one field census candidate. A field is known by its
+// declaration's position: a package checked again with its tests declares
+// new objects at the same positions.
+type censusField struct {
+	key string
+	pos token.Pos
+}
+
+// fieldUse is one read of the field declared at pos; with feeds, it counts
+// only once one of the fields it is assigned to is read.
+type fieldUse struct {
+	pos   token.Pos
+	feeds []token.Pos
 }
 
 // ifaceCall is a call of method name through a value of interface type.
@@ -181,20 +258,28 @@ type ifaceCall struct {
 	name  string
 }
 
+// censusFset and censusStd are shared by every load in the test binary:
+// the standard library is type-checked from source once, and positions
+// (a field's identity) stay unique across loads.
+var (
+	censusFset = token.NewFileSet()
+	censusStd  = importer.ForCompiler(censusFset, "source", nil)
+)
+
 // loadCensus type-checks every package under the trees and builds the
 // call graph of their non-test files.
 func loadCensus(t *testing.T, trees []censusRoot) *census {
 	t.Helper()
-	fset := token.NewFileSet()
 	c := &census{
-		t: t, fset: fset, trees: trees,
-		std:   importer.ForCompiler(fset, "source", nil),
+		t: t, fset: censusFset, trees: trees,
+		std:   censusStd,
 		pkgs:  map[string]*censusPkg{},
 		calls: map[*types.Func][]*types.Func{},
 		icall: map[*types.Func][]ifaceCall{},
 		flows: map[*types.Func][]types.Type{},
 		inits: map[string][]*types.Func{},
 		impls: map[ifaceCall][]*types.Func{},
+		uses:  map[*types.Func][]fieldUse{},
 	}
 	for _, tree := range trees {
 		err := filepath.WalkDir(tree.dir, func(path string, d os.DirEntry, err error) error {
@@ -239,6 +324,7 @@ func loadCensus(t *testing.T, trees []censusRoot) *census {
 	}
 	c.stdIf = append(c.stdIf, types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
 	slices.SortFunc(c.decls, func(a, b censusDecl) int { return strings.Compare(a.key, b.key) })
+	slices.SortFunc(c.fields, func(a, b censusField) int { return strings.Compare(a.key, b.key) })
 	return c
 }
 
@@ -309,9 +395,10 @@ func (c *census) parseDir(dir string, tests bool) ([]*ast.File, error) {
 // package-level initializers.
 func (c *census) check(path string, files []*ast.File, declare bool) (*types.Package, []*types.Func) {
 	info := &types.Info{
-		Types: map[ast.Expr]types.TypeAndValue{},
-		Defs:  map[*ast.Ident]types.Object{},
-		Uses:  map[*ast.Ident]types.Object{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
 	conf := types.Config{Importer: c, Error: func(err error) { c.t.Error(err) }}
 	pkg, _ := conf.Check(path, c.fset, files, info)
@@ -329,6 +416,10 @@ func (c *census) check(path string, files []*ast.File, declare bool) (*types.Pac
 				}
 			}
 			c.walk(info, fn, decl)
+			c.walkFields(info, fn, decl)
+		}
+		if declare && c.tree(path).fields {
+			c.declareFields(info, f)
 		}
 	}
 	for _, obj := range info.Defs {
@@ -435,6 +526,245 @@ func (c *census) walk(info *types.Info, fn *types.Func, decl ast.Decl) {
 		}
 		return true
 	})
+}
+
+// declareFields adds the named, non-embedded fields of the struct types a
+// file declares to the field census, keyed "<pkg>.<Type>.<Field>".
+func (c *census) declareFields(info *types.Info, f *ast.File) {
+	ast.Inspect(f, func(n ast.Node) bool {
+		if ts, ok := n.(*ast.TypeSpec); ok {
+			if st, ok := ts.Type.(*ast.StructType); ok {
+				for _, fld := range st.Fields.List {
+					for _, id := range fld.Names {
+						if id.Name != "_" {
+							key := info.Defs[id].Pkg().Name() + "." + ts.Name.Name + "." + id.Name
+							c.fields = append(c.fields, censusField{key, id.Pos()})
+						}
+					}
+				}
+			}
+		}
+		return true
+	})
+}
+
+// walkFields records the fields one declaration reads, each with the
+// fields its value is assigned to.
+func (c *census) walkFields(info *types.Info, fn *types.Func, decl ast.Decl) {
+	read := func(v *types.Var, feeds []token.Pos) {
+		c.uses[fn] = append(c.uses[fn], fieldUse{v.Origin().Pos(), feeds})
+	}
+	var visit func(n ast.Node, feeds []token.Pos)
+	// target returns the field an assignment to e writes, or nil, and
+	// visits what e reads on the way to it (an index, a call).
+	target := func(e ast.Expr, feeds []token.Pos) (field *types.Var) {
+		for {
+			switch x := e.(type) {
+			case *ast.ParenExpr:
+				e = x.X
+			case *ast.StarExpr:
+				e = x.X
+			case *ast.IndexExpr:
+				visit(x.Index, feeds)
+				e = x.X
+			case *ast.SelectorExpr:
+				if sel := info.Selections[x]; sel != nil && sel.Kind() == types.FieldVal {
+					if field == nil {
+						field = sel.Obj().(*types.Var)
+					}
+					e = x.X
+					continue
+				}
+				visit(x, feeds)
+				return field
+			default:
+				visit(x, feeds)
+				return field
+			}
+		}
+	}
+	visit = func(root ast.Node, feeds []token.Pos) {
+		ast.Inspect(root, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				var written []token.Pos
+				for _, lhs := range n.Lhs {
+					if f := target(lhs, feeds); f != nil {
+						written = append(written, f.Origin().Pos())
+					} else {
+						written = append(written, token.NoPos)
+					}
+				}
+				for i, rhs := range n.Rhs {
+					to := written
+					if len(n.Lhs) == len(n.Rhs) {
+						to = written[i : i+1]
+					}
+					if slices.Contains(to, token.NoPos) {
+						visit(rhs, feeds)
+					} else {
+						visit(rhs, to)
+					}
+				}
+				return false
+			case *ast.IncDecStmt:
+				target(n.X, feeds)
+				return false
+			case *ast.CompositeLit:
+				s, _ := info.TypeOf(n).Underlying().(*types.Struct)
+				for i, e := range n.Elts {
+					kv, keyed := e.(*ast.KeyValueExpr)
+					switch {
+					case s == nil:
+						visit(e, feeds)
+					case keyed:
+						visit(kv.Value, []token.Pos{info.Uses[kv.Key.(*ast.Ident)].Pos()})
+					default:
+						visit(e, []token.Pos{s.Field(i).Origin().Pos()})
+					}
+				}
+				return false
+			case *ast.SelectorExpr:
+				if sel := info.Selections[n]; sel != nil {
+					path := sel.Index()
+					if sel.Kind() != types.FieldVal {
+						path = path[:len(path)-1] // the method
+					}
+					t := sel.Recv()
+					for _, i := range path {
+						s, ok := derefStruct(t)
+						if !ok {
+							break
+						}
+						read(s.Field(i), feeds)
+						t = s.Field(i).Type()
+					}
+				}
+			case *ast.BinaryExpr:
+				if n.Op == token.EQL || n.Op == token.NEQ {
+					eachField(info.TypeOf(n.X), false, func(v *types.Var) { read(v, feeds) })
+				}
+			case *ast.CallExpr:
+				if isFmtPrint(info, n.Fun) {
+					for _, a := range n.Args {
+						eachField(info.TypeOf(a), true, func(v *types.Var) { read(v, feeds) })
+					}
+				}
+			}
+			return true
+		})
+	}
+	visit(decl, nil)
+}
+
+// derefStruct returns the struct type t or *t stands for.
+func derefStruct(t types.Type) (*types.Struct, bool) {
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	s, ok := t.Underlying().(*types.Struct)
+	return s, ok
+}
+
+// isFmtPrint reports whether fun is one of package fmt's print functions.
+func isFmtPrint(info *types.Info, fun ast.Expr) bool {
+	sel, ok := fun.(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	f, ok := info.Uses[sel.Sel].(*types.Func)
+	if !ok || f.Pkg() == nil || f.Pkg().Path() != "fmt" {
+		return false
+	}
+	for _, prefix := range []string{"Print", "Sprint", "Fprint", "Append", "Errorf"} {
+		if strings.HasPrefix(f.Name(), prefix) {
+			return true
+		}
+	}
+	return false
+}
+
+// eachField calls visit on every field a comparison of a value of type t
+// compares or, with printed, every field fmt prints of it: fmt prints a
+// struct's fields and a top-level pointer's target, but not a value whose
+// type has a String or Error method.
+func eachField(t types.Type, printed bool, visit func(*types.Var)) {
+	seen := map[types.Type]bool{}
+	var walk func(t types.Type, top bool)
+	walk = func(t types.Type, top bool) {
+		if t == nil || seen[t] {
+			return
+		}
+		seen[t] = true
+		if printed {
+			ms := types.NewMethodSet(t)
+			if ms.Lookup(nil, "String") != nil || ms.Lookup(nil, "Error") != nil {
+				return
+			}
+		}
+		switch u := t.Underlying().(type) {
+		case *types.Tuple: // f(g()) with a multi-value g
+			for i := range u.Len() {
+				walk(u.At(i).Type(), top)
+			}
+		case *types.Struct:
+			for i := range u.NumFields() {
+				visit(u.Field(i))
+				walk(u.Field(i).Type(), false)
+			}
+		case *types.Array:
+			walk(u.Elem(), false)
+		case *types.Pointer:
+			if printed && top {
+				walk(u.Elem(), false)
+			}
+		case *types.Slice:
+			if printed {
+				walk(u.Elem(), false)
+			}
+		case *types.Map:
+			if printed {
+				walk(u.Key(), false)
+				walk(u.Elem(), false)
+			}
+		}
+	}
+	walk(t, true)
+}
+
+// unread returns the field census candidates that no function a program
+// reaches reads.
+func (c *census) unread() []censusField {
+	var roots []*types.Func
+	for _, r := range c.inits {
+		roots = append(roots, r...)
+	}
+	read := c.reads(c.reach(roots...))
+	var out []censusField
+	for _, f := range c.fields {
+		if !read[f.pos] {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
+// reads returns the fields the given functions read: the fixpoint over
+// their uses, a fed use counting once a field it feeds is read.
+func (c *census) reads(fns map[*types.Func]bool) map[token.Pos]bool {
+	read := map[token.Pos]bool{}
+	for changed := true; changed; {
+		changed = false
+		for fn := range fns {
+			for _, u := range c.uses[fn] {
+				if !read[u.pos] && (len(u.feeds) == 0 || slices.ContainsFunc(u.feeds, func(p token.Pos) bool { return read[p] })) {
+					read[u.pos] = true
+					changed = true
+				}
+			}
+		}
+	}
+	return read
 }
 
 // paramType is the type argument i of a call with signature sig is
@@ -588,11 +918,16 @@ func lookupMethod(n *types.Named, pkg *types.Package, name string) (*types.Func,
 	return f.Origin(), true
 }
 
+// testReached is what one test reaches: functions and read fields, by
+// census key.
+type testReached struct {
+	funcs, fields map[string]bool
+}
+
 // testReach type-checks the tests of every tree package whose test files
-// declare a test in names, and returns the census keys each such test
-// reaches.
-func (c *census) testReach(names map[string]bool) map[string]map[string]bool {
-	byTest := map[string]map[string]bool{}
+// declare a test in names, and returns what each such test reaches.
+func (c *census) testReach(names map[string]bool) map[string]testReached {
+	byTest := map[string]testReached{}
 	for _, path := range slices.Sorted(maps.Keys(c.pkgs)) {
 		p := c.pkgs[path]
 		if c.tree(path).client {
@@ -641,12 +976,21 @@ func (c *census) testReach(names map[string]bool) map[string]map[string]bool {
 			}
 		}
 		for _, start := range starts {
-			if byTest[start.Name()] == nil {
-				byTest[start.Name()] = map[string]bool{}
+			r, ok := byTest[start.Name()]
+			if !ok {
+				r = testReached{map[string]bool{}, map[string]bool{}}
+				byTest[start.Name()] = r
 			}
-			for fn := range c.reach(start) {
+			reached := c.reach(start)
+			for fn := range reached {
 				if fn.Name() != "" {
-					byTest[start.Name()][censusKey(fn)] = true
+					r.funcs[censusKey(fn)] = true
+				}
+			}
+			read := c.reads(reached)
+			for _, f := range c.fields {
+				if read[f.pos] {
+					r.fields[f.key] = true
 				}
 			}
 		}

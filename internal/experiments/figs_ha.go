@@ -41,11 +41,9 @@ type haPoint struct {
 	Violations int
 	Counted    int
 	// Lost / FailedOver total the demand pages dropped (whole chain down)
-	// and served by a replica; ReplicaPages is the fleet disk ledger's
-	// replica-served page count (demand and prefetch).
-	Lost         int64
-	FailedOver   int64
-	ReplicaPages int64
+	// and served by a replica.
+	Lost       int64
+	FailedOver int64
 	// HedgedWindows/HedgeWins count prefetch sub-batches issued to both
 	// chain members and the subset the replica won; Trips counts shard
 	// health-ledger trips.
@@ -134,7 +132,6 @@ func runHACell(s *Setup, seqs []workload.Sequence, profile string, mode haMode, 
 	pt.HedgedWindows = ha.HedgedWindows
 	pt.HedgeWins = ha.HedgeWins
 	pt.Trips = ha.FailoverTrips
-	pt.ReplicaPages = e.Stats().ReplicaPages
 	pt.Counted = len(samples)
 	return pt, samples
 }

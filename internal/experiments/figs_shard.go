@@ -19,10 +19,8 @@ type shardPoint struct {
 	Workload string
 	Shards   int
 	// Service is the summed counted residual — the virtual wall-clock the
-	// sessions actually waited on demand I/O. PrefetchIO is the summed
-	// per-query background window spend (max over shards per query).
+	// sessions actually waited on demand I/O.
 	Service    time.Duration
-	PrefetchIO time.Duration
 	TotalPages int64
 	HitRate    float64
 	// Seeks is the fleet total; MaxShardSeeks the worst single shard —
@@ -99,7 +97,6 @@ func runShardWalks(s *Setup, layout, wl string, shards int, seqs []workload.Sequ
 		pt.TotalPages += r.TotalPages
 		hitPages += r.HitPages
 		for _, tr := range r.Queries {
-			pt.PrefetchIO += tr.PrefetchIO
 			pt.RoutedPages += int64(tr.RoutedPages)
 			fanSum += int64(tr.Fanout)
 			fanN++

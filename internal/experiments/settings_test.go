@@ -106,7 +106,7 @@ var settingsCensus = map[string]settingRow{
 	"engine.ArrivalConfig.Times":   {testOnly, "TestCoreFingerprints' serve/schedule row and TestServeOpenLoopAdmissionAtArrival: arrivals out of session-ID order and on repeated instants"},
 
 	// engine.ClassSpec
-	"engine.ClassSpec.Name":     {varied, "load1's class mix (model, scan, teleport), serve_sharded"},
+	"engine.ClassSpec.Name":     {kept, "a label serving never reads; load1 and bench/serve.go name their classes with it, and only a benchmark change may edit bench/ (ROADMAP item 2)"},
 	"engine.ClassSpec.Weight":   {varied, "load1's mitigated rows, serve_sharded"},
 	"engine.ClassSpec.Patience": {varied, "load1's classes (2x, 1x and 0.5x of twice the derived SLO)"},
 

@@ -1,6 +1,6 @@
-// Package lib holds the code census fixture's cases: two kinds of dead code
-// a rule that matches by name cannot see, and two live methods no call
-// names by type.
+// Package lib holds the census fixture's cases: two kinds of dead code a
+// rule that matches by name cannot see, two live methods no call names by
+// type, and (fields.go) one field per field census rule.
 package lib
 
 import "fmt"

@@ -57,12 +57,10 @@ type DiskStats struct {
 	// FaultRetries counts read attempts retried after an injected transient
 	// failure; TimedOutReads counts reads that hit the per-read timeout
 	// (retries exhausted or recovery exceeding RetryPolicy.Timeout) and
-	// were served degraded. FaultDelay is the total virtual time those
-	// recoveries charged on top of the fault-free cost. All zero unless a
-	// FaultInjector is armed (DESIGN.md §9).
+	// were served degraded. Both zero unless a FaultInjector is armed
+	// (DESIGN.md §9).
 	FaultRetries  int64
 	TimedOutReads int64
-	FaultDelay    time.Duration
 	// ReplicaPages counts pages this disk served from a replica slice on
 	// behalf of a sick home shard (each surcharged CostModel.ReplicaRead);
 	// zero unless the sharded failover router is active (DESIGN.md §13).
@@ -72,7 +70,6 @@ type DiskStats struct {
 	// failed; RepairedPages counts the subset healed in place from the
 	// replica — a corrupt read that could NOT be repaired surfaces a typed
 	// *CorruptPageError in Errs, and is never folded into TimedOutReads.
-	// CorruptDelay is the virtual time corruption handling charged.
 	// ScrubbedPages/ScrubIO account the background scrub's verification
 	// walk. WallRead is real elapsed time in backend reads — the only
 	// wall-clock number in DiskStats; everything else stays on the virtual
@@ -81,7 +78,6 @@ type DiskStats struct {
 	// negative.
 	CorruptPages  int64
 	RepairedPages int64
-	CorruptDelay  time.Duration
 	ScrubbedPages int64
 	ScrubIO       time.Duration
 	WallRead      time.Duration
@@ -97,11 +93,9 @@ func (s *DiskStats) Add(o DiskStats) {
 	satAdd(&s.BridgedPages, o.BridgedPages)
 	satAdd(&s.FaultRetries, o.FaultRetries)
 	satAdd(&s.TimedOutReads, o.TimedOutReads)
-	s.FaultDelay += o.FaultDelay
 	satAdd(&s.ReplicaPages, o.ReplicaPages)
 	satAdd(&s.CorruptPages, o.CorruptPages)
 	satAdd(&s.RepairedPages, o.RepairedPages)
-	s.CorruptDelay += o.CorruptDelay
 	satAdd(&s.ScrubbedPages, o.ScrubbedPages)
 	s.ScrubIO += o.ScrubIO
 	s.WallRead += o.WallRead
@@ -225,11 +219,10 @@ type Disk struct {
 	// Cross-stream interference (NewSharedDisk): every seek pays
 	// contenders × interference on top of the model's Seek — queueing and
 	// head-stealing while other streams' I/O is in flight. contenders is set
-	// per read context by At; the two counters are the Interference ledger.
-	interference      time.Duration
-	contenders        int
-	interferenceSeeks int64
-	interferenceTime  time.Duration
+	// per read context by At; interferenceTime is the Interference ledger.
+	interference     time.Duration
+	contenders       int
+	interferenceTime time.Duration
 	// batchBuf is ReadPages/ReadBatch's reusable schedule scratch; coldBuf
 	// is ColdCost's reusable physical-translation scratch.
 	batchBuf []PageID
@@ -293,16 +286,13 @@ func (d *Disk) interfere(seeks int64) time.Duration {
 		return 0
 	}
 	penalty := time.Duration(seeks) * time.Duration(d.contenders) * d.interference
-	satAdd(&d.interferenceSeeks, seeks)
 	d.interferenceTime += penalty
 	return penalty
 }
 
-// Interference returns the seeks that paid a nonzero interference penalty
-// and the total penalty time charged (also inside SimulatedIO).
-func (d *Disk) Interference() (seeks int64, total time.Duration) {
-	return d.interferenceSeeks, d.interferenceTime
-}
+// Interference returns the total interference penalty time charged (also
+// inside SimulatedIO).
+func (d *Disk) Interference() time.Duration { return d.interferenceTime }
 
 // SetFaults arms the disk with a fault injector and the retry policy that
 // recovers from it (zero-value policy = DefaultRetryPolicy). A nil
@@ -331,7 +321,6 @@ func (d *Disk) chargeFault(p PageID) time.Duration {
 	if out.TimedOut {
 		satAdd(&d.stats.TimedOutReads, 1)
 	}
-	d.stats.FaultDelay += out.Extra
 	return out.Extra
 }
 
@@ -398,7 +387,6 @@ func ReadBacked(fs *FileStore, m CostModel, p PageID, stats *DiskStats, buf []by
 			*errs = append(*errs, err)
 		}
 	}
-	stats.CorruptDelay += extra
 	return extra
 }
 
@@ -651,14 +639,13 @@ func (d *Disk) ResetHead() { d.heads[d.cur] = InvalidPage }
 // ChargeHA folds the sharded failover router's high-availability charges
 // into this disk's ledgers (DESIGN.md §13): faultDelay is extra virtual
 // time the shard-fault universe billed onto reads this disk served
-// (brownout inflation, outage-discovery probes), recorded as fault delay;
-// replicaPages counts pages served here from a replica slice, each
-// surcharged CostModel.ReplicaRead. Returns the replica surcharge so the
-// caller can fold it into the service time it is merging.
+// (brownout inflation), added to SimulatedIO; replicaPages counts pages
+// served here from a replica slice, each surcharged CostModel.ReplicaRead.
+// Returns the replica surcharge so the caller can fold it into the service
+// time it is merging.
 func (d *Disk) ChargeHA(faultDelay time.Duration, replicaPages int64) time.Duration {
 	rep := time.Duration(replicaPages) * d.model.ReplicaRead
 	d.stats.SimulatedIO += faultDelay + rep
-	d.stats.FaultDelay += faultDelay
 	satAdd(&d.stats.ReplicaPages, replicaPages)
 	return rep
 }

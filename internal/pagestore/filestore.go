@@ -227,15 +227,12 @@ type StorageFaultInjector interface {
 // FileStoreStats are a FileStore's own cumulative counters, safe to read
 // concurrently with reads from cloned engines.
 type FileStoreStats struct {
-	Reads           int64 // payload frames read (demand + scrub)
 	CorruptDetected int64 // verification failures observed
 	Repaired        int64 // pages healed from the replica
-	RepairFailures  int64 // verification failures with no usable replica copy
 	// SilentCorruptReads is a ground-truth ledger, not a detection: reads of
 	// pages ApplyCorruption damaged while checksums were off. Only the dur1
 	// experiment (which injected the damage and so knows the truth) reads it.
 	SilentCorruptReads int64
-	ScrubbedPages      int64
 }
 
 // pageHeader is one in-memory header-table entry.
@@ -258,8 +255,6 @@ type FileStore struct {
 
 	gen       uint64
 	n         int
-	perPage   int
-	layout    string
 	dataOff   int64
 	headers   []pageHeader // authoritative after Open/Create; slot order
 	slotOf    []PageID     // logical → slot
@@ -276,23 +271,17 @@ type FileStore struct {
 	mu          sync.Mutex // serializes repairs and the scrub cursor
 	scrubCursor int
 
-	reads    atomic.Int64
 	corrupt  atomic.Int64
 	repaired atomic.Int64
-	repFail  atomic.Int64
 	silent   atomic.Int64
-	scrubbed atomic.Int64
 }
 
 // Stats snapshots the store's counters.
 func (fs *FileStore) Stats() FileStoreStats {
 	return FileStoreStats{
-		Reads:              fs.reads.Load(),
 		CorruptDetected:    fs.corrupt.Load(),
 		Repaired:           fs.repaired.Load(),
-		RepairFailures:     fs.repFail.Load(),
 		SilentCorruptReads: fs.silent.Load(),
-		ScrubbedPages:      fs.scrubbed.Load(),
 	}
 }
 
@@ -543,8 +532,7 @@ func CreateFileStore(path string, s *Store, cfg FileStoreConfig) (*FileStore, er
 	}
 	fs := &FileStore{
 		path: path, cfg: cfg, f: f,
-		gen: gen, n: s.NumPages(), perPage: s.ObjectsPerPage(),
-		layout: s.LayoutName(), dataOff: dataOffFor(s.NumPages()),
+		gen: gen, n: s.NumPages(), dataOff: dataOffFor(s.NumPages()),
 		headers: headers, logicalAt: logicalAt, slotOf: invert(logicalAt),
 		badPages: map[PageID]string{}, known: map[PageID]bool{},
 	}
@@ -706,8 +694,7 @@ func OpenFileStore(path string, cfg FileStoreConfig) (*FileStore, error) {
 
 	fs := &FileStore{
 		path: path, cfg: cfg, f: primary,
-		gen: psb.gen, n: psb.n, perPage: psb.perPage, layout: psb.layout,
-		dataOff: psb.dataOff,
+		gen: psb.gen, n: psb.n, dataOff: psb.dataOff,
 		headers: make([]pageHeader, psb.n),
 		slotOf:  make([]PageID, psb.n), logicalAt: make([]PageID, psb.n),
 		badPages: map[PageID]string{}, known: map[PageID]bool{},
@@ -828,7 +815,6 @@ func (fs *FileStore) ReadPage(p PageID, buf []byte) (payload []byte, repaired bo
 	if _, err := fs.f.ReadAt(frame, fs.frameOff(slot)); err != nil {
 		return nil, false, fmt.Errorf("pagestore: read page %d of %s: %w", p, fs.path, err)
 	}
-	fs.reads.Add(1)
 	if fs.cfg.Mode == ChecksumOff {
 		if fs.known[p] {
 			fs.silent.Add(1)
@@ -892,7 +878,6 @@ func (fs *FileStore) ReadRun(pages []PageID, buf []byte) (clean int) {
 			break
 		}
 	}
-	fs.reads.Add(int64(clean))
 	return clean
 }
 
@@ -915,9 +900,6 @@ func (fs *FileStore) recoverPage(p PageID, buf []byte, reason string) ([]byte, b
 	slot := fs.slotOf[p]
 	corruptErr := func() ([]byte, bool, error) {
 		fs.corrupt.Add(1)
-		if fs.cfg.Mode == ChecksumRepair {
-			fs.repFail.Add(1)
-		}
 		return nil, false, &CorruptPageError{Page: p, Slot: slot, Path: fs.path, Reason: reason}
 	}
 	if slot == InvalidPage {
@@ -1140,7 +1122,6 @@ func (fs *FileStore) scrub(max int, buf []byte) ScrubReport {
 			}
 		}
 	}
-	fs.scrubbed.Add(rep.Scanned)
 	return rep
 }
 
@@ -1198,7 +1179,6 @@ func (fs *FileStore) Relayout(s *Store, l Layout, crash Crasher) error {
 	fs.f.Close()
 	fs.f = shadow
 	fs.gen = newGen
-	fs.layout = l.Name()
 	fs.headers = headers
 	fs.logicalAt = logicalAt
 	fs.slotOf = invert(logicalAt)

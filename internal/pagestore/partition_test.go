@@ -120,14 +120,14 @@ func TestPartitionFollowsLayout(t *testing.T) {
 // instead of wrapping.
 func TestDiskStatsAdd(t *testing.T) {
 	a := DiskStats{PagesRead: 5, Seeks: 2, SimulatedIO: time.Second, BridgedPages: 1,
-		FaultRetries: 3, TimedOutReads: 1, FaultDelay: time.Millisecond,
-		CorruptPages: 2, RepairedPages: 1, CorruptDelay: time.Microsecond,
+		FaultRetries: 3, TimedOutReads: 1,
+		CorruptPages: 2, RepairedPages: 1,
 		ScrubbedPages: 7, ScrubIO: 2 * time.Second, WallRead: 3 * time.Second}
 	b := a
 	b.Add(a)
 	want := DiskStats{PagesRead: 10, Seeks: 4, SimulatedIO: 2 * time.Second, BridgedPages: 2,
-		FaultRetries: 6, TimedOutReads: 2, FaultDelay: 2 * time.Millisecond,
-		CorruptPages: 4, RepairedPages: 2, CorruptDelay: 2 * time.Microsecond,
+		FaultRetries: 6, TimedOutReads: 2,
+		CorruptPages: 4, RepairedPages: 2,
 		ScrubbedPages: 14, ScrubIO: 4 * time.Second, WallRead: 6 * time.Second}
 	if b != want {
 		t.Fatalf("Add: got %+v want %+v", b, want)

@@ -1,7 +1,6 @@
 package rtree
 
 import (
-	"math"
 	"testing"
 
 	"scout/internal/dataset"
@@ -102,20 +101,24 @@ func loadProbeBench(b *testing.B) *probeBench {
 			if err != nil {
 				b.Fatal(err)
 			}
+			line := prefetch.NewStraightLine(volume)
 			for _, seq := range seqs {
-				for _, q := range seq.Queries {
+				line.Reset()
+				for qi, q := range seq.Queries {
 					pb.walks[name] = append(pb.walks[name], []geom.Region{q.Region})
 					if shape != workload.Cube {
 						continue
 					}
-					// The ladder a straight-line plan issues: anchored where
-					// the walk leaves the query, along its direction.
-					exit := q.Center.Add(q.Dir.Scale(math.Cbrt(volume) / 2))
+					// The ladder the straight-line prefetcher plans after
+					// each query but the first, along the walk's last step.
+					line.Observe(prefetch.Observation{Seq: qi, Region: q.Region, Center: q.Center})
 					var ladder []geom.Region
-					for _, req := range prefetch.IncrementalRequests(exit, q.Dir, volume, 6) {
+					for _, req := range line.Plan().Requests {
 						ladder = append(ladder, req.Region)
 					}
-					pb.walks["ladder"] = append(pb.walks["ladder"], ladder)
+					if len(ladder) > 0 {
+						pb.walks["ladder"] = append(pb.walks["ladder"], ladder)
+					}
 				}
 			}
 		}

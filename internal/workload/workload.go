@@ -95,9 +95,6 @@ func (p Params) Step() float64 {
 type Query struct {
 	Region geom.Region
 	Center geom.Vec3
-	// Dir is the walking direction at this query (tangent of the guiding
-	// structure), used to orient frustum queries.
-	Dir geom.Vec3
 }
 
 // Sequence is one guided spatial query sequence.
@@ -251,7 +248,7 @@ func reflectArc(arc, length float64) float64 {
 
 // makeQuery builds the query region at a center with the walk tangent.
 func makeQuery(p Params, center, tangent geom.Vec3) Query {
-	q := Query{Center: center, Dir: tangent}
+	q := Query{Center: center}
 	switch p.Shape {
 	case FrustumShape:
 		// The frustum looks along the walk direction; the eye sits behind
