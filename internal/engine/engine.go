@@ -189,6 +189,8 @@ func (r SequenceResult) Speedup() float64 {
 // Index is the spatial index contract the engine needs. The FLAT index adds
 // ordered retrieval on top, which SCOUT-OPT uses internally; the engine
 // itself only needs candidate pages, under prefetch.Index's contract.
+// The batched prefetch flush skips nested requests on the strength of that
+// contract's bounds rule (covered).
 //
 // QueryPages must be safe for concurrent calls: PlanSessions probes one
 // index from all its workers, and RunSequence probes it from its filter
@@ -551,7 +553,10 @@ func (e *Engine) stopPipeline() {
 // only when it reaches it; the batched flush takes the whole set —
 // traversal pages plus every request's pages, less those already cached —
 // up front, as one elevator batch, whatever the fleet's replication, hedging
-// or faults.
+// or faults. The elevator sort drops the ladder's order anyway, so the
+// batched flush probes only the requests no other request covers: a
+// straight-line ladder's outermost rung holds every page of the rungs inside
+// it.
 func (e *Engine) spendWindow(plan prefetch.Plan, budget time.Duration) (int, time.Duration) {
 	f := e.fleet
 	var batch []pagestore.PageID
@@ -564,7 +569,10 @@ func (e *Engine) spendWindow(plan prefetch.Plan, budget time.Duration) (int, tim
 		}}
 	} else {
 		batch = f.appendUncached(e.batchBuf[:0], plan.TraversalPages)
-		for _, r := range plan.Requests {
+		for i, r := range plan.Requests {
+			if covered(plan.Requests, i) {
+				continue
+			}
 			e.reqBuf = e.index.QueryPages(r.Region, e.reqBuf[:0])
 			batch = f.appendUncached(batch, e.reqBuf)
 		}
@@ -573,6 +581,24 @@ func (e *Engine) spendWindow(plan prefetch.Plan, budget time.Duration) (int, tim
 	}
 	n, io, _ := f.prefetchTurn(0, nil, batch, l, budget, e.vclock)
 	return n, io
+}
+
+// covered reports whether request i's pages are all among another
+// request's: its bounds lie inside a box request j's region, strictly or,
+// for equal boxes, with j later, so exactly one of a set of equal boxes is
+// not covered and the maximal requests cover every other. Under the Index
+// contract this is exact: request i's pages overlap its bounds, so they
+// overlap box j, and a box's probe returns every page that overlaps it.
+// Ladders put the outermost rung last, so j counts down.
+func covered(reqs []prefetch.Request, i int) bool {
+	b := reqs[i].Region.Bounds()
+	for j := len(reqs) - 1; j >= 0; j-- {
+		box, ok := reqs[j].Region.(geom.AABB)
+		if ok && j != i && box.ContainsBox(b) && (box != b || j > i) {
+			return true
+		}
+	}
+	return false
 }
 
 // RunAll executes many sequences and aggregates their results.

@@ -538,9 +538,11 @@ func (f *fleet) appendUncached(dst, pages []pagestore.PageID) []pagestore.PageID
 }
 
 // elevatorBatch turns an accumulated prediction set into one elevator
-// batch, in place: ascending physical order, with duplicates (overlapping
-// ladder rungs), made adjacent by the sort, collapsed so each page is read
-// once.
+// batch, in place: ascending physical order, with duplicates made adjacent
+// by the sort and collapsed so each page is read once. spendWindow probes
+// only the requests no other one covers, so what repeats is a page shared
+// by the traversal and a request, by interleaved ladders or by requests
+// that merely overlap.
 func elevatorBatch(store *pagestore.Store, buf []pagestore.PageID) []pagestore.PageID {
 	store.ElevatorSort(buf)
 	k := 0

@@ -66,6 +66,47 @@ func BenchmarkShardedRunSequence(b *testing.B) {
 	}
 }
 
+// BenchmarkRunSequenceBatched times explore_file's binding — the flat engine
+// with the batched flush and a straight-line prefetcher — over the hilbert
+// layout, through a counting index: probes/window is the index probes made
+// per prefetch window, the empty plan after a sequence's first query
+// included. The flush probes one rung of each six-rung straight-line ladder
+// (0.87 probes/window); probing every rung read six times that. ns/op is
+// one 12-query sequence.
+func BenchmarkRunSequenceBatched(b *testing.B) {
+	store, tree := cloudWorld(b, 20000, 9)
+	if err := store.Relayout(pagestore.HilbertLayout()); err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	seqs := make([]workload.Sequence, 8)
+	for i := range seqs {
+		seqs[i] = randomWalk(rng, 12, 30)
+	}
+	x := &hookIndex{Index: tree, after: func(_ int32, pages []pagestore.PageID) []pagestore.PageID { return pages }}
+	cfg := DefaultConfig()
+	cfg.BatchedIO = true
+	e := New(store, x, cfg)
+	p := prefetch.NewStraightLine(1000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var queries, windows int
+	for i := 0; i < b.N; i++ {
+		res := e.RunSequence(seqs[i%len(seqs)], p)
+		benchShardedHash ^= res.ResultHash
+		queries += len(res.Queries)
+		// The straight-line plan charges no prediction, so every query
+		// before the last with a window spent it.
+		for _, tr := range res.Queries[:len(res.Queries)-1] {
+			if tr.Window > 0 {
+				windows++
+			}
+		}
+	}
+	// Every query's filter step probes once; the rest are the windows'.
+	b.ReportMetric(float64(int(x.calls.Load())-queries)/float64(windows), "probes/window")
+}
+
 // BenchmarkRunSequenceScout times RunSequence on explore's two bindings
 // (exploreWorld): scout/rtree is SCOUT over the R-tree on frustum walks,
 // scoutopt/flat SCOUT-OPT over FLAT on frustum walks with gaps. These are the

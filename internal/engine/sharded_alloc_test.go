@@ -80,6 +80,26 @@ func TestShardedTurnAllocations(t *testing.T) {
 		})
 	}
 
+	// explore_file's binding: the flat engine with the batched flush and a
+	// straight-line prefetcher: 8.00 allocs/query, 6.72 of them the
+	// prefetcher's plans (a request slice and six rungs boxed into
+	// geom.Region each), the rest the results and the observations' page
+	// copies. The flush reuses its page buffers across windows, so one
+	// allocation per window would cross the ceiling.
+	t.Run("run_sequence/flat-batched", func(t *testing.T) {
+		cfg := DefaultConfig()
+		cfg.BatchedIO = true
+		e := New(store, tree, cfg)
+		seq := randomWalk(rand.New(rand.NewSource(5)), 25, 30)
+		p := prefetch.NewStraightLine(1000)
+		e.RunSequence(seq, p)
+		perQuery := testing.AllocsPerRun(20, func() { e.RunSequence(seq, p) }) / float64(len(seq.Queries))
+		t.Logf("%.2f allocs/query", perQuery)
+		if perQuery > 8.5 {
+			t.Errorf("flat batched RunSequence: %.2f allocs/query, want <= 8.5", perQuery)
+		}
+	})
+
 	t.Run("run_sequence", func(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Replicas = 2

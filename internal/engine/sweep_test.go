@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"scout/internal/cache"
+	"scout/internal/geom"
 	"scout/internal/pagestore"
 	"scout/internal/prefetch"
 	"scout/internal/workload"
@@ -237,6 +238,196 @@ func TestServeRefusesStalePlans(t *testing.T) {
 		cfg.Shards = shards
 		if first := fresh.Serve(cfg); !reflect.DeepEqual(first, fresh.Serve(cfg)) {
 			t.Errorf("shards %d: re-committing one plan set gave a different result", shards)
+		}
+	}
+}
+
+// unionBatch is the batched flush's prediction set the way spendWindow built
+// it while it probed every request: the traversal pages and each request's
+// pages, less what the fleet caches, through elevatorBatch. It probes index
+// itself, so a counting index handed to the engine sees only the flush's
+// own probes.
+func unionBatch(e *Engine, index Index, plan prefetch.Plan) []pagestore.PageID {
+	f := e.fleet
+	batch := f.appendUncached(nil, plan.TraversalPages)
+	for _, r := range plan.Requests {
+		batch = f.appendUncached(batch, index.QueryPages(r.Region, nil))
+	}
+	return elevatorBatch(e.store, batch)
+}
+
+// TestBatchedWindowProbesMaximalBoxes: the batched flush probes the index
+// once per maximal request (one that covered does not skip) and sweeps exactly the batch that probing every
+// request made (unionBatch), on a flat and a sharded fleet over the hilbert
+// layout. Plans cover straight-line ladders, SCOUT's interleaved ladders,
+// Hilbert-baseline cells (which never nest), equal, empty and NaN boxes, and
+// frusta inside and straddling a box request, each with traversal pages that
+// overlap the requests and a cache that already holds some of the pages.
+func TestBatchedWindowProbesMaximalBoxes(t *testing.T) {
+	store, tree := cloudWorld(t, 4000, 23)
+	if err := store.Relayout(pagestore.HilbertLayout()); err != nil {
+		t.Fatal(err)
+	}
+	defer store.Relayout(pagestore.InsertionLayout())
+	world := geom.Box(geom.V(0, 0, 0), geom.V(200, 200, 200))
+	nan := math.NaN()
+	oblique := func(rng *rand.Rand) geom.Vec3 {
+		return geom.V(rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()).Normalize()
+	}
+	// randDir is oblique or, one time in three, along an axis. There a
+	// ladder's rungs share the near face in exact arithmetic, and rounding
+	// can put an inner rung's face an ulp outside the outermost rung's, so
+	// that rung is probed as well.
+	randDir := func(rng *rand.Rand) geom.Vec3 {
+		if rng.Intn(3) > 0 {
+			return oblique(rng)
+		}
+		var d geom.Vec3
+		switch rng.Intn(3) {
+		case 0:
+			d.X = 1
+		case 1:
+			d.Y = 1
+		default:
+			d.Z = 1
+		}
+		if rng.Intn(2) == 0 {
+			d = d.Neg()
+		}
+		return d
+	}
+	randPoint := func(rng *rand.Rand) geom.Vec3 {
+		return geom.V(40+rng.Float64()*120, 40+rng.Float64()*120, 40+rng.Float64()*120)
+	}
+	// Each case draws a plan's requests around c and the number of probes it
+	// must take; -1 leaves the count to covered.
+	cases := []struct {
+		name string
+		plan func(t *testing.T, rng *rand.Rand, c geom.Vec3, volume float64) ([]prefetch.Request, int)
+	}{
+		{"ladder", func(t *testing.T, rng *rand.Rand, c geom.Vec3, volume float64) ([]prefetch.Request, int) {
+			return prefetch.IncrementalRequests(c, oblique(rng), volume, 1+rng.Intn(8)), 1
+		}},
+		{"ladder-axis", func(t *testing.T, rng *rand.Rand, c geom.Vec3, volume float64) ([]prefetch.Request, int) {
+			return prefetch.IncrementalRequests(c, randDir(rng), volume, 1+rng.Intn(8)), -1
+		}},
+		{"interleaved", func(t *testing.T, rng *rand.Rand, c geom.Vec3, volume float64) ([]prefetch.Request, int) {
+			k, steps := 2+rng.Intn(3), 1+rng.Intn(6)
+			reqs := make([]prefetch.Request, k*steps)
+			for l := range k {
+				anchor := c.Add(geom.V(rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()).Scale(5))
+				prefetch.PutLadder(reqs[l:], k, steps, anchor, randDir(rng), volume)
+			}
+			return reqs, -1
+		}},
+		{"hilbert", func(t *testing.T, rng *rand.Rand, c geom.Vec3, volume float64) ([]prefetch.Request, int) {
+			h := prefetch.NewHilbert(world, volume, 1+rng.Intn(4))
+			h.Observe(prefetch.Observation{Region: geom.CubeAt(c, volume), Center: c})
+			reqs := h.Plan().Requests
+			return reqs, len(reqs)
+		}},
+		{"degenerate", func(t *testing.T, rng *rand.Rand, c geom.Vec3, volume float64) ([]prefetch.Request, int) {
+			box := geom.CubeAt(c, volume)
+			reqs := []prefetch.Request{
+				{Region: box}, {Region: box}, {Region: box},
+				{Region: geom.EmptyAABB()},
+				{Region: geom.AABB{Min: box.Max, Max: box.Min}},
+				{Region: geom.AABB{Min: geom.V(box.Min.X, nan, box.Min.Z), Max: box.Max}},
+			}
+			rng.Shuffle(len(reqs), func(i, j int) { reqs[i], reqs[j] = reqs[j], reqs[i] })
+			return reqs, 2 // one of the equal boxes and the NaN box
+		}},
+		{"frustum", func(t *testing.T, rng *rand.Rand, c geom.Vec3, volume float64) ([]prefetch.Request, int) {
+			side := math.Cbrt(volume)
+			box := geom.CubeAt(c, volume)
+			dir := randDir(rng)
+			up := geom.V(0, 0, 1)
+			if math.Abs(dir.Z) > 0.9 {
+				up = geom.V(1, 0, 0)
+			}
+			inside := geom.NewFrustum(c, dir, up, math.Pi/4, 1.2, side/20, side/4)
+			straddle := geom.NewFrustum(c.Add(dir.Scale(side/4)), dir, up, math.Pi/3, 1.3, side/10, side)
+			if !box.ContainsBox(inside.Bounds()) || box.ContainsBox(straddle.Bounds()) || !box.Intersects(straddle.Bounds()) {
+				t.Fatalf("frustum set-up: inside %v, straddling %v, box %v", inside.Bounds(), straddle.Bounds(), box)
+			}
+			// A box in the straddling frustum's bounds beyond the box request:
+			// a frustum covers nothing, so it is probed.
+			far := straddle.Bounds().Center().Add(dir.Scale(side / 2))
+			reqs := []prefetch.Request{{Region: box}, {Region: inside}, {Region: straddle}, {Region: geom.CubeAt(far, volume/64)}}
+			rng.Shuffle(len(reqs), func(i, j int) { reqs[i], reqs[j] = reqs[j], reqs[i] })
+			return reqs, 3
+		}},
+	}
+	fleets := []struct {
+		name string
+		make func(Index) *Engine
+	}{
+		{"flat", func(x Index) *Engine {
+			cfg := DefaultConfig()
+			cfg.BatchedIO = true
+			return New(store, x, cfg)
+		}},
+		{"sharded", func(x Index) *Engine { return NewShardedEngine(store, x, DefaultConfig(), 4) }},
+	}
+	pass := func(_ int32, pages []pagestore.PageID) []pagestore.PageID { return pages }
+	for _, fl := range fleets {
+		for _, tc := range cases {
+			t.Run(fl.name+"/"+tc.name, func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(len(tc.name))))
+				skipped := 0
+				for trial := 0; trial < 40; trial++ {
+					c := randPoint(rng)
+					side := 15 + rng.Float64()*20
+					reqs, want := tc.plan(t, rng, c, side*side*side)
+					maximal := 0
+					for i := range reqs {
+						if !covered(reqs, i) {
+							maximal++
+						}
+					}
+					if want < 0 {
+						want = maximal
+					} else if maximal != want {
+						t.Fatalf("trial %d: %d of %d requests not covered, want %d", trial, maximal, len(reqs), want)
+					}
+					skipped += len(reqs) - want
+					// Traversal pages near c, out of order and repeated, and a cache
+					// holding some of the window's pages already.
+					trav := tree.QueryPages(geom.CubeAt(c.Add(randDir(rng).Scale(side/2)), side*side*side/8), nil)
+					trav = append(trav, trav[:len(trav)/2]...)
+					rng.Shuffle(len(trav), func(i, j int) { trav[i], trav[j] = trav[j], trav[i] })
+					plan := prefetch.Plan{Requests: reqs, TraversalPages: trav}
+
+					x := &hookIndex{Index: tree, after: pass}
+					e := fl.make(x)
+					f := e.fleet
+					for _, r := range reqs {
+						for _, pg := range tree.QueryPages(r.Region, nil) {
+							if rng.Intn(4) == 0 {
+								f.shards[f.router.part.ShardOf(store, pg)].cache.Insert(pg)
+							}
+						}
+					}
+					batch := unionBatch(e, tree, plan)
+					n, _ := e.spendWindow(plan, math.MaxInt64)
+					var swept []pagestore.PageID
+					for _, part := range f.runs {
+						swept = append(swept, part...)
+					}
+					if !slices.Equal(swept, batch) {
+						t.Fatalf("trial %d: swept %d pages, probing every request gives %d", trial, len(swept), len(batch))
+					}
+					if n != len(batch) {
+						t.Fatalf("trial %d: prefetched %d pages of a %d-page batch on an unlimited budget", trial, n, len(batch))
+					}
+					if got := int(x.calls.Load()); got != want {
+						t.Fatalf("trial %d: %d probes for %d requests, want %d", trial, got, len(reqs), want)
+					}
+				}
+				if tc.name != "hilbert" && skipped == 0 {
+					t.Fatal("no request was covered: the cases never exercise the skip")
+				}
+			})
 		}
 	}
 }

@@ -258,3 +258,45 @@ func TestQueryObjectsMatchesBruteForce(t *testing.T) {
 		}
 	}
 }
+
+// TestQueryPagesBoundsContract: FLAT answers QueryPages under
+// prefetch.Index's bounds rule, which the engine's batched flush relies on
+// to skip requests nested in a box request — every page overlaps the
+// region's bounds, and a box gets exactly the pages whose bounds overlap it,
+// touching ones included.
+func TestQueryPagesBoundsContract(t *testing.T) {
+	idx, store := buildIndex(t, 3000, 100, 9)
+	rng := rand.New(rand.NewSource(10))
+	regions := []geom.Region{
+		geom.EmptyAABB(),
+		geom.AABB{Min: geom.V(math.NaN(), 0, 0), Max: geom.V(100, 100, 100)},
+	}
+	for range 40 {
+		c := geom.V(rng.Float64()*100, rng.Float64()*100, rng.Float64()*100)
+		vol := 100 + rng.Float64()*40000
+		pb := store.PageBounds(pagestore.PageID(rng.Intn(store.NumPages())))
+		regions = append(regions,
+			geom.CubeAt(c, vol),
+			geom.NewFrustum(c, geom.V(1, 1, 0), geom.V(0, 0, 1), math.Pi/3, 1.3, 1, math.Cbrt(vol)),
+			geom.AABB{Min: pb.Max, Max: pb.Max.Add(geom.V(3, 3, 3))})
+	}
+	for _, r := range regions {
+		got := idx.QueryPages(r, nil)
+		for _, p := range got {
+			if !store.PageBounds(p).Intersects(r.Bounds()) {
+				t.Fatalf("%T %v: page %d misses the region's bounds", r, r, p)
+			}
+		}
+		if box, ok := r.(geom.AABB); ok {
+			n := 0
+			for p := range store.NumPages() {
+				if store.PageBounds(pagestore.PageID(p)).Intersects(box) {
+					n++
+				}
+			}
+			if len(got) != n {
+				t.Fatalf("box %v: %d pages, %d pages' bounds overlap it", box, len(got), n)
+			}
+		}
+	}
+}

@@ -26,9 +26,14 @@ import (
 // it.
 type Index interface {
 	// QueryPages appends to dst every page whose bounds intersect r, each
-	// once, in ascending page-ID order, and returns the grown slice. It must
-	// be safe for concurrent calls: the engine probes the index a prefetcher
-	// uses from other goroutines while the prefetcher runs (engine.Index).
+	// once, in ascending page-ID order, and returns the grown slice. Every
+	// page it returns has bounds that overlap r.Bounds() (closed intervals,
+	// as geom.AABB.Intersects: an empty box overlaps nothing), and for a
+	// geom.AABB r the result is exactly the pages whose bounds overlap r;
+	// the engine's batched flush skips requests on the strength of it. It
+	// must be safe for concurrent calls: the engine probes the index a
+	// prefetcher uses from other goroutines while the prefetcher runs
+	// (engine.Index).
 	QueryPages(r geom.Region, dst []pagestore.PageID) []pagestore.PageID
 }
 
@@ -118,7 +123,10 @@ type Cloner interface {
 // one query volume. Executing them in order prioritizes data closest to E —
 // "prefetching data far away from E is more likely to be prefetched
 // unnecessarily" — and an early end of the window cuts only the far tail.
-// Pages fetched by earlier rungs stay cached, so rung overlap is free.
+// The rungs nest, each inside the next up to rounding: the engine's
+// per-page flush reads them in order and skips pages an earlier rung cached,
+// and its batched flush, which elevator-sorts the window anyway, probes only
+// the rungs no other rung covers — normally the outermost alone.
 //
 // anchor is the expected entry point E of the next query, dir the (unit)
 // extrapolation axis, volume the user's query volume, and steps the ladder

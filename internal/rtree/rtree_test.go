@@ -428,3 +428,68 @@ func TestNodesVisitedCounter(t *testing.T) {
 		t.Error("ResetNodesVisited did not zero")
 	}
 }
+
+// TestQueryPagesBoundsContract pins the bounds rule of prefetch.Index that
+// the engine's batched flush relies on when it skips a request nested in a
+// box request: every page QueryPages(r) returns overlaps r.Bounds() (closed
+// intervals; an empty box overlaps nothing), and for a box r the result is
+// exactly the pages whose bounds overlap it — a box that only touches a
+// page's bounds included. Boxes, frusta, balls and degenerate boxes are
+// probed.
+func TestQueryPagesBoundsContract(t *testing.T) {
+	store := pagestore.NewStore(uniformObjects(3000, 100, 7))
+	tree, err := BulkLoad(store, Config{ObjectsPerPage: 50, Fanout: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkBoundsContract(t, store, tree.QueryPages)
+}
+
+// checkBoundsContract runs prefetch.Index's bounds rule over query, an
+// index's QueryPages on store.
+func checkBoundsContract(t *testing.T, store *pagestore.Store, query func(geom.Region, []pagestore.PageID) []pagestore.PageID) {
+	t.Helper()
+	nan := math.NaN()
+	rng := rand.New(rand.NewSource(8))
+	var regions []geom.Region
+	for range 60 {
+		c := geom.V(rng.Float64()*100, rng.Float64()*100, rng.Float64()*100)
+		vol := 100 + rng.Float64()*40000
+		regions = append(regions,
+			geom.CubeAt(c, vol),
+			geom.NewFrustum(c, randUnit(rng), geom.V(0, 0, 1), math.Pi/3, 1.3, 1, math.Cbrt(vol)),
+			ball{c, math.Cbrt(vol) / 2})
+		// Boxes that meet a page's bounds at a corner and along a face.
+		pb := store.PageBounds(pagestore.PageID(rng.Intn(store.NumPages())))
+		regions = append(regions,
+			geom.AABB{Min: pb.Max, Max: pb.Max.Add(geom.V(3, 3, 3))},
+			geom.AABB{Min: geom.V(pb.Min.X-4, pb.Min.Y, pb.Min.Z), Max: geom.V(pb.Min.X, pb.Max.Y, pb.Max.Z)})
+	}
+	regions = append(regions,
+		geom.EmptyAABB(),
+		geom.AABB{Min: geom.V(60, 50, 50), Max: geom.V(40, 60, 60)},
+		geom.AABB{Min: geom.V(nan, 0, 0), Max: geom.V(100, 100, 100)},
+		geom.Box(geom.V(-10, -10, -10), geom.V(110, 110, 110)))
+	for _, r := range regions {
+		b := r.Bounds()
+		got := query(r, nil)
+		for _, p := range got {
+			if !store.PageBounds(p).Intersects(b) {
+				t.Fatalf("%T %v: page %d's bounds %v miss the region's bounds %v", r, r, p, store.PageBounds(p), b)
+			}
+		}
+		box, ok := r.(geom.AABB)
+		if !ok {
+			continue
+		}
+		var want []pagestore.PageID
+		for p := range store.NumPages() {
+			if store.PageBounds(pagestore.PageID(p)).Intersects(box) {
+				want = append(want, pagestore.PageID(p))
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("box %v: %d pages, %d pages' bounds overlap it", box, len(got), len(want))
+		}
+	}
+}
