@@ -53,8 +53,7 @@ func main() {
 
 	totalCandidates := 0
 	for _, q := range seq.Queries {
-		region := q.Region.(geom.AABB)
-		ids := tree.QueryObjects(region, nil)
+		ids := tree.QueryObjects(q.Region, nil)
 
 		// Split the result into the followed branch (objects nearest the
 		// walk line) and everything else, then count close approaches.

@@ -525,7 +525,7 @@ func dedupeExitsInPlace(exits []sgraph.Boundary, tol float64) []sgraph.Boundary 
 
 // requestsFor converts candidate exits into the prefetch plan: select
 // locations per the strategy, then emit interleaved incremental ladders.
-func (s *Scout) requestsFor(exits []sgraph.Boundary, volume, side, estGap float64) []prefetch.Request {
+func (s *Scout) requestsFor(exits []sgraph.Boundary, volume, side, estGap float64) []geom.AABB {
 	locs, volume := s.exitLocations(exits, volume, side, estGap)
 	return s.putLadders(s.newPlan(len(locs)), locs, volume)
 }
@@ -560,11 +560,11 @@ func (s *Scout) exitLocations(exits []sgraph.Boundary, volume, side, estGap floa
 // newPlan returns an empty request slice with room for exactly the given
 // number of ladders, or nil for none. Plans are handed to the engine and
 // must survive the next Observe, so they are never recycled.
-func (s *Scout) newPlan(ladders int) []prefetch.Request {
+func (s *Scout) newPlan(ladders int) []geom.AABB {
 	if ladders == 0 {
 		return nil
 	}
-	return make([]prefetch.Request, 0, ladders*s.cfg.Ladder)
+	return make([]geom.AABB, 0, ladders*s.cfg.Ladder)
 }
 
 // putLadders appends one incremental ladder per location, interleaved
@@ -572,7 +572,7 @@ func (s *Scout) newPlan(ladders int) []prefetch.Request {
 // served before any location's large ones: the broad strategy's
 // equal-weight split (§5.2.2). Every ladder has cfg.Ladder rungs, so rung r
 // of location i lands at r·len(locs)+i.
-func (s *Scout) putLadders(dst []prefetch.Request, locs []location, volume float64) []prefetch.Request {
+func (s *Scout) putLadders(dst []geom.AABB, locs []location, volume float64) []geom.AABB {
 	n := len(dst)
 	dst = dst[:n+len(locs)*s.cfg.Ladder]
 	for i, l := range locs {

@@ -66,7 +66,7 @@ func queryAt(x float64, chainOffset float64, side float64) geom.AABB {
 // planCovers reports whether any request region contains the point.
 func planCovers(p prefetch.Plan, pt geom.Vec3) bool {
 	for _, r := range p.Requests {
-		if r.Region.ContainsPoint(pt) {
+		if r.ContainsPoint(pt) {
 			return true
 		}
 	}
@@ -295,8 +295,8 @@ func TestInterleave(t *testing.T) {
 		{center: geom.V(0, 0, 30), dir: geom.V(0, 0, -1)},
 	}
 	steps := s.cfg.Ladder
-	head := prefetch.Request{Region: geom.CubeAt(geom.V(-7, 0, 0), 1)}
-	out := s.putLadders(append(make([]prefetch.Request, 0, 1+len(locs)*steps), head), locs, 64)
+	head := geom.CubeAt(geom.V(-7, 0, 0), 1)
+	out := s.putLadders(append(make([]geom.AABB, 0, 1+len(locs)*steps), head), locs, 64)
 	if len(out) != 1+len(locs)*steps {
 		t.Fatalf("len = %d, want %d", len(out), 1+len(locs)*steps)
 	}
@@ -307,7 +307,7 @@ func TestInterleave(t *testing.T) {
 		ladder := prefetch.IncrementalRequests(l.center, l.dir, 64, steps)
 		for r, want := range ladder {
 			if got := out[1+r*len(locs)+i]; got != want {
-				t.Errorf("location %d rung %d = %v, want %v", i, r, got.Region, want.Region)
+				t.Errorf("location %d rung %d = %v, want %v", i, r, got, want)
 			}
 		}
 	}

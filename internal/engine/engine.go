@@ -186,19 +186,10 @@ func (r SequenceResult) Speedup() float64 {
 	return float64(r.Cold) / float64(denom)
 }
 
-// Index is the spatial index contract the engine needs. The FLAT index adds
-// ordered retrieval on top, which SCOUT-OPT uses internally; the engine
-// itself only needs candidate pages, under prefetch.Index's contract.
-// The batched prefetch flush skips nested requests on the strength of that
-// contract's bounds rule (covered).
-//
-// QueryPages must be safe for concurrent calls: PlanSessions probes one
-// index from all its workers, and RunSequence probes it from its filter
-// goroutine while the coordinator resolves prefetch requests on its own and
-// a prefetcher such as SCOUT-OPT walks the same index on the observe stage.
-type Index interface {
-	QueryPages(r geom.Region, dst []pagestore.PageID) []pagestore.PageID
-}
+// Index is the spatial index contract the engine needs: prefetch.Index's.
+// The FLAT index adds ordered retrieval on top, which SCOUT-OPT uses
+// internally; the engine itself only needs candidate pages.
+type Index = prefetch.Index
 
 // filtered is one query's filter step: its candidate pages (the demand set,
 // in index order), their physical order (physicalOrder) and its refined
@@ -563,7 +554,7 @@ func (e *Engine) spendWindow(plan prefetch.Plan, budget time.Duration) (int, tim
 	var l ladder
 	if f.perPage {
 		l = ladder{traversal: plan.TraversalPages, requests: len(plan.Requests), reqPages: func(i int) []pagestore.PageID {
-			e.reqBuf = e.index.QueryPages(plan.Requests[i].Region, e.reqBuf[:0])
+			e.reqBuf = e.index.QueryPages(plan.Requests[i], e.reqBuf[:0])
 			pagestore.SortPageIDs(e.reqBuf)
 			return e.reqBuf
 		}}
@@ -573,7 +564,7 @@ func (e *Engine) spendWindow(plan prefetch.Plan, budget time.Duration) (int, tim
 			if covered(plan.Requests, i) {
 				continue
 			}
-			e.reqBuf = e.index.QueryPages(r.Region, e.reqBuf[:0])
+			e.reqBuf = e.index.QueryPages(r, e.reqBuf[:0])
 			batch = f.appendUncached(batch, e.reqBuf)
 		}
 		e.batchBuf = batch
@@ -584,17 +575,16 @@ func (e *Engine) spendWindow(plan prefetch.Plan, budget time.Duration) (int, tim
 }
 
 // covered reports whether request i's pages are all among another
-// request's: its bounds lie inside a box request j's region, strictly or,
-// for equal boxes, with j later, so exactly one of a set of equal boxes is
-// not covered and the maximal requests cover every other. Under the Index
-// contract this is exact: request i's pages overlap its bounds, so they
-// overlap box j, and a box's probe returns every page that overlaps it.
-// Ladders put the outermost rung last, so j counts down.
-func covered(reqs []prefetch.Request, i int) bool {
-	b := reqs[i].Region.Bounds()
+// request's: box i lies inside box j, strictly or, for equal boxes, with j
+// later, so exactly one of a set of equal boxes is not covered and the
+// maximal requests cover every other. Under the Index contract this is
+// exact: request i's pages overlap box i, so they overlap box j, and a
+// box's probe returns every page that overlaps it. Ladders put the
+// outermost rung last, so j counts down.
+func covered(reqs []geom.AABB, i int) bool {
+	b := reqs[i]
 	for j := len(reqs) - 1; j >= 0; j-- {
-		box, ok := reqs[j].Region.(geom.AABB)
-		if ok && j != i && box.ContainsBox(b) && (box != b || j > i) {
+		if j != i && reqs[j].ContainsBox(b) && (reqs[j] != b || j > i) {
 			return true
 		}
 	}

@@ -51,7 +51,7 @@ func (o oracle) Name() string                 { return "oracle" }
 func (o oracle) Observe(prefetch.Observation) {}
 func (o oracle) Reset()                       {}
 func (o oracle) Plan() prefetch.Plan {
-	return prefetch.Plan{Requests: []prefetch.Request{{Region: o.region}}}
+	return prefetch.Plan{Requests: []geom.AABB{o.region}}
 }
 
 func TestNoneHasNoHits(t *testing.T) {
@@ -142,7 +142,7 @@ func TestPredictionCostEatsWindow(t *testing.T) {
 
 	// A prefetcher whose prediction cost exceeds any plausible window.
 	expensive := &fixedPlanPrefetcher{plan: prefetch.Plan{
-		Requests:   []prefetch.Request{{Region: geom.Box(geom.V(0, -1, -1), geom.V(500, 1, 1))}},
+		Requests:   []geom.AABB{geom.Box(geom.V(0, -1, -1), geom.V(500, 1, 1))},
 		Prediction: time.Hour,
 	}}
 	res := e.RunSequence(seq, expensive)

@@ -121,15 +121,21 @@ func TestRunSequenceConcurrentIndexProbes(t *testing.T) {
 }
 
 // hookIndex is a test Index: every probe, from whichever goroutine, is
-// counted and its pages passed through after (call is 1-based).
+// counted and its pages passed through after (call is 1-based). When set,
+// box sees each box probe once it is counted, before the index does.
 type hookIndex struct {
 	Index
 	calls atomic.Int32
 	after func(call int32, pages []pagestore.PageID) []pagestore.PageID
+	box   func(b geom.AABB)
 }
 
 func (x *hookIndex) QueryPages(r geom.Region, dst []pagestore.PageID) []pagestore.PageID {
-	return x.after(x.calls.Add(1), x.Index.QueryPages(r, dst))
+	call := x.calls.Add(1)
+	if b, ok := r.(geom.AABB); ok && x.box != nil {
+		x.box(b)
+	}
+	return x.after(call, x.Index.QueryPages(r, dst))
 }
 
 // hookPrefetcher is a test Prefetcher that plans nothing of its own: each
@@ -155,19 +161,6 @@ func (p *hookPrefetcher) Plan() prefetch.Plan {
 		return p.onPlan(int(p.observed.Load()) - 1)
 	}
 	return prefetch.Plan{}
-}
-
-// panicRegion is a prefetch region whose probe panics with boom, after
-// calling before.
-type panicRegion struct {
-	geom.AABB
-	boom   any
-	before func()
-}
-
-func (r panicRegion) Bounds() geom.AABB {
-	r.before()
-	panic(r.boom)
 }
 
 // TestRunSequencePanics: a panic in either helper goroutine — the filter
@@ -291,13 +284,19 @@ func TestRunSequencePanics(t *testing.T) {
 	})
 
 	t.Run("commit", func(t *testing.T) {
-		// Query 0's plan holds a region whose probe in the prefetch window
-		// panics on the caller; the observe stage waits at query 1 until then,
-		// so it still has the rest of the sequence ahead of it.
+		// Query 0's plan holds a sentinel box whose probe in the prefetch
+		// window panics on the caller; the observe stage waits at query 1
+		// until then, so it still has the rest of the sequence ahead of it.
 		release := make(chan struct{})
 		releaseOnce := sync.OnceFunc(func() { close(release) })
 		boom := errors.New("commit boom")
-		x := &hookIndex{Index: tree, after: pass}
+		sentinel := geom.CubeAt(geom.V(-1e6, -1e6, -1e6), 1)
+		x := &hookIndex{Index: tree, after: pass, box: func(b geom.AABB) {
+			if b == sentinel {
+				releaseOnce()
+				panic(boom)
+			}
+		}}
 		e := New(store, x, DefaultConfig())
 		p := &hookPrefetcher{
 			onObserve: func(seq int) {
@@ -306,8 +305,7 @@ func TestRunSequencePanics(t *testing.T) {
 				}
 			},
 			onPlan: func(int) prefetch.Plan {
-				bad := panicRegion{boom: boom, before: releaseOnce}
-				return prefetch.Plan{Requests: []prefetch.Request{{Region: bad}}}
+				return prefetch.Plan{Requests: []geom.AABB{sentinel}}
 			},
 		}
 		if v := recovered(e, p); v != boom {
@@ -321,8 +319,7 @@ func TestRunSequencePanics(t *testing.T) {
 	})
 }
 
-// clonePlan deep-copies a plan. Regions are values behind an interface —
-// immutable once boxed — so copying the slices copies everything.
+// clonePlan deep-copies a plan: copying its slices copies everything.
 func clonePlan(p prefetch.Plan) prefetch.Plan {
 	p.Requests = slices.Clone(p.Requests)
 	p.TraversalPages = slices.Clone(p.TraversalPages)

@@ -847,7 +847,7 @@ func planSession(store *pagestore.Store, index Index, w SessionWorkload, cost pa
 			}
 			batchBuf = append(batchBuf[:0], st.traversal...)
 			for _, req := range plan.Requests {
-				b := index.QueryPages(req.Region, nil)
+				b := index.QueryPages(req, nil)
 				pagestore.SortPageIDs(b)
 				st.reqPages = append(st.reqPages, b)
 				batchBuf = append(batchBuf, b...)

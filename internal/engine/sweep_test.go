@@ -251,7 +251,7 @@ func unionBatch(e *Engine, index Index, plan prefetch.Plan) []pagestore.PageID {
 	f := e.fleet
 	batch := f.appendUncached(nil, plan.TraversalPages)
 	for _, r := range plan.Requests {
-		batch = f.appendUncached(batch, index.QueryPages(r.Region, nil))
+		batch = f.appendUncached(batch, index.QueryPages(r, nil))
 	}
 	return elevatorBatch(e.store, batch)
 }
@@ -260,9 +260,9 @@ func unionBatch(e *Engine, index Index, plan prefetch.Plan) []pagestore.PageID {
 // once per maximal request (one that covered does not skip) and sweeps exactly the batch that probing every
 // request made (unionBatch), on a flat and a sharded fleet over the hilbert
 // layout. Plans cover straight-line ladders, SCOUT's interleaved ladders,
-// Hilbert-baseline cells (which never nest), equal, empty and NaN boxes, and
-// frusta inside and straddling a box request, each with traversal pages that
-// overlap the requests and a cache that already holds some of the pages.
+// Hilbert-baseline cells (which never nest) and equal, empty and NaN boxes,
+// each with traversal pages that overlap the requests and a cache that
+// already holds some of the pages.
 func TestBatchedWindowProbesMaximalBoxes(t *testing.T) {
 	store, tree := cloudWorld(t, 4000, 23)
 	if err := store.Relayout(pagestore.HilbertLayout()); err != nil {
@@ -303,59 +303,39 @@ func TestBatchedWindowProbesMaximalBoxes(t *testing.T) {
 	// must take; -1 leaves the count to covered.
 	cases := []struct {
 		name string
-		plan func(t *testing.T, rng *rand.Rand, c geom.Vec3, volume float64) ([]prefetch.Request, int)
+		plan func(t *testing.T, rng *rand.Rand, c geom.Vec3, volume float64) ([]geom.AABB, int)
 	}{
-		{"ladder", func(t *testing.T, rng *rand.Rand, c geom.Vec3, volume float64) ([]prefetch.Request, int) {
+		{"ladder", func(t *testing.T, rng *rand.Rand, c geom.Vec3, volume float64) ([]geom.AABB, int) {
 			return prefetch.IncrementalRequests(c, oblique(rng), volume, 1+rng.Intn(8)), 1
 		}},
-		{"ladder-axis", func(t *testing.T, rng *rand.Rand, c geom.Vec3, volume float64) ([]prefetch.Request, int) {
+		{"ladder-axis", func(t *testing.T, rng *rand.Rand, c geom.Vec3, volume float64) ([]geom.AABB, int) {
 			return prefetch.IncrementalRequests(c, randDir(rng), volume, 1+rng.Intn(8)), -1
 		}},
-		{"interleaved", func(t *testing.T, rng *rand.Rand, c geom.Vec3, volume float64) ([]prefetch.Request, int) {
+		{"interleaved", func(t *testing.T, rng *rand.Rand, c geom.Vec3, volume float64) ([]geom.AABB, int) {
 			k, steps := 2+rng.Intn(3), 1+rng.Intn(6)
-			reqs := make([]prefetch.Request, k*steps)
+			reqs := make([]geom.AABB, k*steps)
 			for l := range k {
 				anchor := c.Add(geom.V(rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()).Scale(5))
 				prefetch.PutLadder(reqs[l:], k, steps, anchor, randDir(rng), volume)
 			}
 			return reqs, -1
 		}},
-		{"hilbert", func(t *testing.T, rng *rand.Rand, c geom.Vec3, volume float64) ([]prefetch.Request, int) {
+		{"hilbert", func(t *testing.T, rng *rand.Rand, c geom.Vec3, volume float64) ([]geom.AABB, int) {
 			h := prefetch.NewHilbert(world, volume, 1+rng.Intn(4))
 			h.Observe(prefetch.Observation{Region: geom.CubeAt(c, volume), Center: c})
 			reqs := h.Plan().Requests
 			return reqs, len(reqs)
 		}},
-		{"degenerate", func(t *testing.T, rng *rand.Rand, c geom.Vec3, volume float64) ([]prefetch.Request, int) {
+		{"degenerate", func(t *testing.T, rng *rand.Rand, c geom.Vec3, volume float64) ([]geom.AABB, int) {
 			box := geom.CubeAt(c, volume)
-			reqs := []prefetch.Request{
-				{Region: box}, {Region: box}, {Region: box},
-				{Region: geom.EmptyAABB()},
-				{Region: geom.AABB{Min: box.Max, Max: box.Min}},
-				{Region: geom.AABB{Min: geom.V(box.Min.X, nan, box.Min.Z), Max: box.Max}},
+			reqs := []geom.AABB{
+				box, box, box,
+				geom.EmptyAABB(),
+				{Min: box.Max, Max: box.Min},
+				{Min: geom.V(box.Min.X, nan, box.Min.Z), Max: box.Max},
 			}
 			rng.Shuffle(len(reqs), func(i, j int) { reqs[i], reqs[j] = reqs[j], reqs[i] })
 			return reqs, 2 // one of the equal boxes and the NaN box
-		}},
-		{"frustum", func(t *testing.T, rng *rand.Rand, c geom.Vec3, volume float64) ([]prefetch.Request, int) {
-			side := math.Cbrt(volume)
-			box := geom.CubeAt(c, volume)
-			dir := randDir(rng)
-			up := geom.V(0, 0, 1)
-			if math.Abs(dir.Z) > 0.9 {
-				up = geom.V(1, 0, 0)
-			}
-			inside := geom.NewFrustum(c, dir, up, math.Pi/4, 1.2, side/20, side/4)
-			straddle := geom.NewFrustum(c.Add(dir.Scale(side/4)), dir, up, math.Pi/3, 1.3, side/10, side)
-			if !box.ContainsBox(inside.Bounds()) || box.ContainsBox(straddle.Bounds()) || !box.Intersects(straddle.Bounds()) {
-				t.Fatalf("frustum set-up: inside %v, straddling %v, box %v", inside.Bounds(), straddle.Bounds(), box)
-			}
-			// A box in the straddling frustum's bounds beyond the box request:
-			// a frustum covers nothing, so it is probed.
-			far := straddle.Bounds().Center().Add(dir.Scale(side / 2))
-			reqs := []prefetch.Request{{Region: box}, {Region: inside}, {Region: straddle}, {Region: geom.CubeAt(far, volume/64)}}
-			rng.Shuffle(len(reqs), func(i, j int) { reqs[i], reqs[j] = reqs[j], reqs[i] })
-			return reqs, 3
 		}},
 	}
 	fleets := []struct {
@@ -402,7 +382,7 @@ func TestBatchedWindowProbesMaximalBoxes(t *testing.T) {
 					e := fl.make(x)
 					f := e.fleet
 					for _, r := range reqs {
-						for _, pg := range tree.QueryPages(r.Region, nil) {
+						for _, pg := range tree.QueryPages(r, nil) {
 							if rng.Intn(4) == 0 {
 								f.shards[f.router.part.ShardOf(store, pg)].cache.Insert(pg)
 							}

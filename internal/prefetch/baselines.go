@@ -289,14 +289,14 @@ func (h *Hilbert) Plan() Plan {
 	}
 	key := geom.HilbertKeyBits(h.cur, h.world, h.bits)
 	maxKey := uint64(1)<<(3*uint(h.bits)) - 1
-	reqs := make([]Request, 0, 2*h.span)
+	reqs := make([]geom.AABB, 0, 2*h.span)
 	// Nearest Hilbert neighbors first: +1, −1, +2, −2, ...
 	for d := 1; d <= h.span; d++ {
 		if k := key + uint64(d); k <= maxKey {
-			reqs = append(reqs, Request{Region: geom.HilbertCellBoundsBits(k, h.world, h.bits)})
+			reqs = append(reqs, geom.HilbertCellBoundsBits(k, h.world, h.bits))
 		}
 		if uint64(d) <= key {
-			reqs = append(reqs, Request{Region: geom.HilbertCellBoundsBits(key-uint64(d), h.world, h.bits)})
+			reqs = append(reqs, geom.HilbertCellBoundsBits(key-uint64(d), h.world, h.bits))
 		}
 	}
 	return Plan{Requests: reqs}

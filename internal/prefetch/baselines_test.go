@@ -17,7 +17,7 @@ func planCenter(p Plan) geom.Vec3 {
 	if len(p.Requests) == 0 {
 		return geom.Vec3{}
 	}
-	return p.Requests[len(p.Requests)-1].Region.Bounds().Center()
+	return p.Requests[len(p.Requests)-1].Center()
 }
 
 func TestNonePlansNothing(t *testing.T) {
@@ -53,7 +53,7 @@ func TestStraightLinePredictsLinearly(t *testing.T) {
 	// The predicted point must be covered by at least one request.
 	covered := false
 	for _, r := range p.Requests {
-		if r.Region.ContainsPoint(want) {
+		if r.ContainsPoint(want) {
 			covered = true
 		}
 	}
@@ -80,7 +80,7 @@ func TestPolynomialExactOnQuadratic(t *testing.T) {
 	want := geom.V(9, 6, 0) // t = 3
 	covered := false
 	for _, r := range plan.Requests {
-		if r.Region.ContainsPoint(want) {
+		if r.ContainsPoint(want) {
 			covered = true
 		}
 	}
@@ -130,7 +130,7 @@ func TestEWMAConvergesOnConstantVelocity(t *testing.T) {
 	want := geom.V(50, 0, 0)
 	covered := false
 	for _, r := range plan.Requests {
-		if r.Region.ContainsPoint(want) {
+		if r.ContainsPoint(want) {
 			covered = true
 		}
 	}
@@ -178,7 +178,7 @@ func TestHilbertPlansNeighborCells(t *testing.T) {
 	}
 	key := geom.HilbertKeyBits(geom.V(50, 50, 50), world, h.bits)
 	for _, r := range p.Requests {
-		c := r.Region.Bounds().Center()
+		c := r.Center()
 		k := geom.HilbertKeyBits(c, world, h.bits)
 		d := int64(k) - int64(key)
 		if d < -4 || d > 4 || d == 0 {
@@ -197,22 +197,22 @@ func TestIncrementalRequestsGrowAndShift(t *testing.T) {
 	prevVol := 0.0
 	prevX := -math.MaxFloat64
 	for i, r := range reqs {
-		v := r.Region.Volume()
+		v := r.Volume()
 		if v <= prevVol {
 			t.Errorf("request %d volume %v not growing", i, v)
 		}
-		x := r.Region.Bounds().Center().X
+		x := r.Center().X
 		if x < prevX {
 			t.Errorf("request %d center moved backwards", i)
 		}
 		prevVol, prevX = v, x
 	}
 	// Last request is bigger than the original query.
-	if last := reqs[len(reqs)-1].Region.Volume(); last < 80_000 {
+	if last := reqs[len(reqs)-1].Volume(); last < 80_000 {
 		t.Errorf("final request volume %v below query volume", last)
 	}
 	// First request is small (closest data first).
-	if first := reqs[0].Region.Volume(); first > 80_000 {
+	if first := reqs[0].Volume(); first > 80_000 {
 		t.Errorf("first request volume %v above query volume", first)
 	}
 	// steps < 1 clamps.
@@ -236,6 +236,30 @@ func TestResets(t *testing.T) {
 		p.Reset()
 		if plan := p.Plan(); len(plan.Requests) != 0 {
 			t.Errorf("%s planned after Reset", p.Name())
+		}
+	}
+}
+
+// TestPlanAllocatesOneSlice: a baseline's plan is one slice of boxes, so
+// Plan allocates exactly once. A per-request allocation (a request boxed
+// into an interface, say) multiplies it by the plan's length.
+func TestPlanAllocatesOneSlice(t *testing.T) {
+	world := geom.Box(geom.V(0, 0, 0), geom.V(100, 100, 100))
+	ps := []Prefetcher{
+		NewStraightLine(1000),
+		NewPolynomial(2, 1000),
+		NewEWMA(0.3, 1000),
+		NewHilbert(world, 1000, 4),
+	}
+	for _, p := range ps {
+		for i := 0; i < 5; i++ {
+			p.Observe(obsAt(i, geom.V(float64(i)*10, 40+float64(i*i), 50), 1000))
+		}
+		if len(p.Plan().Requests) == 0 {
+			t.Fatalf("%s planned nothing", p.Name())
+		}
+		if got := testing.AllocsPerRun(20, func() { p.Plan() }); got != 1 {
+			t.Errorf("%s: Plan made %v allocations, want 1", p.Name(), got)
 		}
 	}
 }

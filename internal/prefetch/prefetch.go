@@ -21,19 +21,21 @@ import (
 	"scout/internal/pagestore"
 )
 
-// Index is the read-only view of a spatial index a prefetcher may use to
-// translate regions into pages. Both the R-tree and the FLAT index satisfy
-// it.
+// Index is the read-only view of a spatial index that the engine and the
+// prefetchers use to translate regions into pages. Both the R-tree and the
+// FLAT index satisfy it.
 type Index interface {
 	// QueryPages appends to dst every page whose bounds intersect r, each
 	// once, in ascending page-ID order, and returns the grown slice. Every
 	// page it returns has bounds that overlap r.Bounds() (closed intervals,
 	// as geom.AABB.Intersects: an empty box overlaps nothing), and for a
 	// geom.AABB r the result is exactly the pages whose bounds overlap r;
-	// the engine's batched flush skips requests on the strength of it. It
-	// must be safe for concurrent calls: the engine probes the index a
-	// prefetcher uses from other goroutines while the prefetcher runs
-	// (engine.Index).
+	// the engine's batched flush skips nested requests on the strength of
+	// it. It must be safe for concurrent calls: the engine's PlanSessions
+	// probes one index from all its workers, and RunSequence probes it from
+	// its filter goroutine while the coordinator resolves prefetch requests
+	// on its own and a prefetcher such as SCOUT-OPT walks the same index on
+	// the observe stage.
 	QueryPages(r geom.Region, dst []pagestore.PageID) []pagestore.PageID
 }
 
@@ -51,15 +53,11 @@ type Observation struct {
 	Pages []pagestore.PageID
 }
 
-// Request is one prefetch query of a plan.
-type Request struct {
-	Region geom.Region
-}
-
 // Plan is what a prefetcher wants done during the coming prefetch window.
 type Plan struct {
-	// Requests are executed in order until the window closes.
-	Requests []Request
+	// Requests are the plan's prefetch queries, each a box, executed in
+	// order until the window closes.
+	Requests []geom.AABB
 	// GraphBuild is the modeled CPU cost of building this query's graph
 	// (zero for baselines). It is interleaved with result retrieval (§4)
 	// and therefore reported in breakdowns but not charged to the window.
@@ -98,8 +96,8 @@ type Prefetcher interface {
 	// Plan returns the prefetch plan for the window after the last
 	// observed query. The plan must stay valid across the next Observe:
 	// the engine may still be reading it while the prefetcher observes the
-	// next query, so a prefetcher must not reuse the plan's slices (or
-	// anything its regions point to) for a later plan.
+	// next query, so a prefetcher must not reuse the plan's slices for a
+	// later plan.
 	Plan() Plan
 	// Reset drops all sequence-local state; called between sequences.
 	Reset()
@@ -131,11 +129,11 @@ type Cloner interface {
 // anchor is the expected entry point E of the next query, dir the (unit)
 // extrapolation axis, volume the user's query volume, and steps the ladder
 // length.
-func IncrementalRequests(anchor, dir geom.Vec3, volume float64, steps int) []Request {
+func IncrementalRequests(anchor, dir geom.Vec3, volume float64, steps int) []geom.AABB {
 	if steps < 1 {
 		steps = 1
 	}
-	reqs := make([]Request, steps)
+	reqs := make([]geom.AABB, steps)
 	PutLadder(reqs, 1, steps, anchor, dir, volume)
 	return reqs
 }
@@ -143,7 +141,7 @@ func IncrementalRequests(anchor, dir geom.Vec3, volume float64, steps int) []Req
 // PutLadder writes the steps rungs of IncrementalRequests' ladder to
 // dst[0], dst[stride], dst[2·stride], …, so several ladders can be written
 // interleaved into one slice.
-func PutLadder(dst []Request, stride, steps int, anchor, dir geom.Vec3, volume float64) {
+func PutLadder(dst []geom.AABB, stride, steps int, anchor, dir geom.Vec3, volume float64) {
 	side := math.Cbrt(volume)
 	for i := 1; i <= steps; i++ {
 		f := float64(i) / float64(steps)
@@ -154,7 +152,7 @@ func PutLadder(dst []Request, stride, steps int, anchor, dir geom.Vec3, volume f
 		c := anchor.Add(dir.Scale(length/2 - side*0.1))
 		half := dir.Abs().Scale(length / 2).
 			Add(crossExtent(dir, cross/2))
-		dst[(i-1)*stride] = Request{Region: geom.AABB{Min: c.Sub(half), Max: c.Add(half)}}
+		dst[(i-1)*stride] = geom.AABB{Min: c.Sub(half), Max: c.Add(half)}
 	}
 }
 

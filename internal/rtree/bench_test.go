@@ -114,7 +114,7 @@ func loadProbeBench(b *testing.B) *probeBench {
 					line.Observe(prefetch.Observation{Seq: qi, Region: q.Region, Center: q.Center})
 					var ladder []geom.Region
 					for _, req := range line.Plan().Requests {
-						ladder = append(ladder, req.Region)
+						ladder = append(ladder, req)
 					}
 					if len(ladder) > 0 {
 						pb.walks["ladder"] = append(pb.walks["ladder"], ladder)

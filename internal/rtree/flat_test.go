@@ -359,9 +359,9 @@ func TestQueryPagesNoAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The regions are boxed into the interface once: the engine holds
-	// regions as geom.Region already, so per-call boxing is not part of the
-	// hot path.
+	// The regions are boxed into the interface once: demand regions reach
+	// the index as geom.Region already, and a prefetch request's box is
+	// converted at the call, so per-call boxing is not part of the kernel.
 	at := geom.V(100, 100, 100)
 	for name, q := range map[string]geom.Region{
 		"box":     geom.CubeAt(at, 50_000),
