@@ -87,9 +87,6 @@ type Config struct {
 	// Ladder is the number of growing incremental prefetch queries per
 	// predicted location (§5.1).
 	Ladder int
-	// GapIOFrac is SCOUT-OPT's gap traversal I/O budget as a fraction of
-	// the pages used by the most recent query; the paper uses 10% (§7.4.6).
-	GapIOFrac float64
 	// DisablePruning turns off iterative candidate pruning (§4.3) for
 	// ablation: every query is treated as the first of its sequence.
 	DisablePruning bool
@@ -99,6 +96,10 @@ type Config struct {
 	DisableIncremental bool
 }
 
+// gapIOFrac is SCOUT-OPT's gap traversal I/O budget as a fraction of the
+// pages used by the most recent query: the paper's 10 % (§7.4.6).
+const gapIOFrac = 0.10
+
 // DefaultConfig returns the paper's default operating point.
 func DefaultConfig() Config {
 	return Config{
@@ -106,7 +107,6 @@ func DefaultConfig() Config {
 		Strategy:     Broad,
 		MaxLocations: 4,
 		Ladder:       6,
-		GapIOFrac:    0.10,
 	}
 }
 
@@ -119,9 +119,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Ladder <= 0 {
 		c.Ladder = 6
-	}
-	if c.GapIOFrac <= 0 {
-		c.GapIOFrac = 0.10
 	}
 	return c
 }

@@ -66,7 +66,7 @@ func queryAt(x float64, chainOffset float64, side float64) geom.AABB {
 // planCovers reports whether any request region contains the point.
 func planCovers(p prefetch.Plan, pt geom.Vec3) bool {
 	for _, r := range p.Requests {
-		if r.ContainsPoint(pt) {
+		if r.Contains(pt) {
 			return true
 		}
 	}

@@ -121,7 +121,7 @@ func (s *ScoutOpt) Observe(obs prefetch.Observation) {
 	var gapPages []pagestore.PageID
 	var gapCost time.Duration
 	if estGap > side*0.05 && len(exits) > 0 {
-		budget := int(s.cfg.GapIOFrac * float64(len(obs.Pages)))
+		budget := int(gapIOFrac * float64(len(obs.Pages)))
 		if budget < 1 {
 			budget = 1
 		}

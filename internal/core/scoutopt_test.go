@@ -147,24 +147,30 @@ func TestScoutOptGapTraversal(t *testing.T) {
 	}
 }
 
+// TestScoutOptGapBudgetRespected walks a dozen parallel chains with gaps,
+// so each query touches about 60 pages and the gap budget (gapIOFrac of
+// them) exceeds the per-exit floor of two pages. gapTraverse follows at
+// most two distinct exits and gives each max(2, budget/exits) pages, so no
+// query may read more than max(budget, 4); and on at least one query the
+// traversal must read its whole budget, more than two exits' floors, so the
+// cap is what stopped it.
 func TestScoutOptGapBudgetRespected(t *testing.T) {
-	w := newChainWorld(t, 2, 600, 40)
-	cfg := DefaultConfig()
-	cfg.GapIOFrac = 0.05
-	s := NewOpt(w.flat, nil, cfg)
-	side := 10.0
+	w := newChainWorld(t, 12, 700, 2)
+	s := NewOpt(w.flat, nil, DefaultConfig())
+	side := 60.0
 	step := side + 20
-	var lastPages int
+	binds := false
 	for i := 0; i < 5; i++ {
 		obs := w.observe(s, i, queryAt(40+float64(i)*step, 0, side))
-		lastPages = len(obs.Pages)
+		budget := max(int(gapIOFrac*float64(len(obs.Pages))), 1)
+		got := s.LastStats().GapPages
+		if got > max(budget, 4) {
+			t.Errorf("query %d: gap pages %d exceed the budget %d of %d pages", i, got, budget, len(obs.Pages))
+		}
+		binds = binds || (got == budget && budget > 4)
 	}
-	st := s.LastStats()
-	// Budget: 5% of the query's pages, at least 1, per exit — allow some
-	// slack for the per-exit minimum and multiple exits.
-	budget := int(cfg.GapIOFrac*float64(lastPages)) + cfg.MaxLocations
-	if st.GapPages > budget+cfg.MaxLocations {
-		t.Errorf("gap pages %d exceed budget %d", st.GapPages, budget)
+	if !binds {
+		t.Error("no query's gap traversal read its whole budget; the walk never reaches the cap")
 	}
 }
 

@@ -47,10 +47,6 @@ type ArrivalConfig struct {
 	// through their own generator, so sharing the workload seed does not
 	// correlate arrival times with trajectories.
 	Seed int64
-	// Times, when non-empty, is an explicit arrival schedule overriding
-	// Process/Rate: session i arrives at Times[i] (sessions past the end
-	// reuse the last entry). For tests only.
-	Times []time.Duration
 }
 
 // withDefaults fills zero tuning fields of an enabled config.
@@ -68,16 +64,6 @@ func (c ArrivalConfig) withDefaults() ArrivalConfig {
 func (c ArrivalConfig) ArrivalTimes(n int) []time.Duration {
 	c = c.withDefaults()
 	out := make([]time.Duration, n)
-	if len(c.Times) > 0 {
-		for i := range out {
-			j := i
-			if j >= len(c.Times) {
-				j = len(c.Times) - 1
-			}
-			out[i] = c.Times[j]
-		}
-		return out
-	}
 	rng := rand.New(rand.NewSource(c.Seed))
 	var t float64
 	switch c.Process {

@@ -3,7 +3,6 @@ package engine
 import (
 	"reflect"
 	"testing"
-	"time"
 )
 
 // TestArrivalTimesDeterministic: the schedule is a pure function of the
@@ -56,17 +55,6 @@ func TestArrivalTimesBursty(t *testing.T) {
 	mean := times[len(times)-1].Seconds() / float64(len(times))
 	if mean < 0.005 || mean > 0.02 {
 		t.Errorf("bursty mean interarrival %vs, want ~0.01s", mean)
-	}
-}
-
-// TestArrivalTimesExplicit: a Times schedule overrides the process, with
-// sessions past the end reusing the last entry.
-func TestArrivalTimesExplicit(t *testing.T) {
-	cfg := ArrivalConfig{Enabled: true, Times: []time.Duration{0, time.Second, 3 * time.Second}}
-	got := cfg.ArrivalTimes(5)
-	want := []time.Duration{0, time.Second, 3 * time.Second, 3 * time.Second, 3 * time.Second}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("explicit schedule = %v, want %v", got, want)
 	}
 }
 

@@ -554,17 +554,17 @@ func (e *Engine) spendWindow(plan prefetch.Plan, budget time.Duration) (int, tim
 	var l ladder
 	if f.perPage {
 		l = ladder{traversal: plan.TraversalPages, requests: len(plan.Requests), reqPages: func(i int) []pagestore.PageID {
-			e.reqBuf = e.index.QueryPages(plan.Requests[i], e.reqBuf[:0])
+			e.reqBuf = e.index.QueryPages(&plan.Requests[i], e.reqBuf[:0])
 			pagestore.SortPageIDs(e.reqBuf)
 			return e.reqBuf
 		}}
 	} else {
 		batch = f.appendUncached(e.batchBuf[:0], plan.TraversalPages)
-		for i, r := range plan.Requests {
+		for i := range plan.Requests {
 			if covered(plan.Requests, i) {
 				continue
 			}
-			e.reqBuf = e.index.QueryPages(r, e.reqBuf[:0])
+			e.reqBuf = e.index.QueryPages(&plan.Requests[i], e.reqBuf[:0])
 			batch = f.appendUncached(batch, e.reqBuf)
 		}
 		e.batchBuf = batch

@@ -65,10 +65,10 @@ type haRoute struct {
 	hedgeFactor float64
 }
 
-// readDeadline is one read's fault-recovery cap under the retry policy
-// every fleet disk runs (pagestore.DefaultRetryPolicy): the time a client
-// waits out for a sub-batch whose whole replica chain is down.
-var readDeadline = pagestore.DefaultRetryPolicy().Timeout
+// readDeadline is one read's fault-recovery cap on every fleet disk
+// (pagestore.ReadTimeout): the time a client waits out for a sub-batch whose
+// whole replica chain is down.
+const readDeadline = pagestore.ReadTimeout
 
 // haState is the failover router's mutable state: the replicated partition,
 // the (possibly nil) shard-fault injector, one health breaker per shard,
@@ -137,7 +137,7 @@ func newHAState(part *pagestore.Partition, inj *fault.Injector, cost pagestore.C
 //     merely sick (tripped, browned) shard therefore NEVER loses data;
 //   - only a chain whose every member is genuinely outaged loses the
 //     sub-batch, and the requesting client waits out its read deadline
-//     (RetryPolicy.Timeout — the fast-fail probes happened inside that
+//     (pagestore.ReadTimeout — the fast-fail probes happened inside that
 //     deadline, so it replaces them rather than stacking on top). Under
 //     the single-victim outage model this cannot happen for R >= 2.
 func (h *haState) routeDemand(j int, now time.Duration) haRoute {

@@ -132,8 +132,8 @@ type hookIndex struct {
 
 func (x *hookIndex) QueryPages(r geom.Region, dst []pagestore.PageID) []pagestore.PageID {
 	call := x.calls.Add(1)
-	if b, ok := r.(geom.AABB); ok && x.box != nil {
-		x.box(b)
+	if _, frustum := r.(geom.Frustum); !frustum && x.box != nil {
+		x.box(r.Bounds())
 	}
 	return x.after(call, x.Index.QueryPages(r, dst))
 }

@@ -131,7 +131,6 @@ var coreFingerprints = map[string]uint64{
 	// became a (virtual time, session ID) heap: ties and arrival order.
 	"serve/bursty/per-page":   0xf9be96f1c6b30d29,
 	"serve/bursty/batched":    0x170fbf146c75b564,
-	"serve/schedule":          0x762da61fd17173f8,
 	"serve/closed64/per-page": 0x27073da2c1f1fe15,
 	"serve/closed64/batched":  0xb09885e6a2033db2,
 	// Recorded at commit 5cf1249, before each demand set got one physical
@@ -337,11 +336,10 @@ func TestCoreFingerprints(t *testing.T) {
 			}
 		}
 
-		// Event order under ties and out-of-order arrivals, all decided by the
-		// commit loop's (virtual time, session ID) order: bursts of
-		// simultaneous arrivals that meet the admission gate mid-run, an
-		// explicit schedule that arrives out of session-ID order and repeats
-		// instants, and a 64-session closed loop where everyone ties at t = 0.
+		// Event order under ties, all decided by the commit loop's (virtual
+		// time, session ID) order: bursts of simultaneous arrivals that meet
+		// the admission gate mid-run, and a 64-session closed loop where
+		// everyone ties at t = 0.
 		ordered := PlanSessions(store, tree, serveWorkloads(16, 9), cost, 2)
 		for _, io := range ioModes {
 			cfg := ServeConfig{
@@ -357,17 +355,6 @@ func TestCoreFingerprints(t *testing.T) {
 			// arrive while the one before is still reading and are rejected.
 			check("serve/bursty/"+io.name, flat(ordered, cfg))
 		}
-		scheduled := PlanSessions(store, tree, serveWorkloads(10, 13), cost, 2)
-		ms := time.Millisecond
-		check("serve/schedule", flat(scheduled, ServeConfig{
-			Engine:           DefaultConfig(),
-			Policy:           DemandWeighted,
-			InterferenceSeek: time.Millisecond,
-			CacheShards:      8,
-			Admission:        AdmissionConfig{Enabled: true, MaxConcurrent: 3, Degrade: true},
-			// Sessions 8 and 9 reuse the last entry; five sessions degrade.
-			Arrivals: ArrivalConfig{Enabled: true, Times: []time.Duration{30 * ms, 0, 30 * ms, 10 * ms, 0, 50 * ms, 10 * ms, 30 * ms}},
-		}))
 		closed := PlanSessions(store, tree, serveWorkloads(64, 3), cost, 2)
 		for _, io := range ioModes {
 			cfg := ServeConfig{

@@ -196,7 +196,7 @@ func newFleet(store *pagestore.Store, cfg Config, shards int, srv *serving) *fle
 			}
 		}
 		if cfg.Faults != nil {
-			sh.disk.SetFaults(cfg.Faults, pagestore.DefaultRetryPolicy())
+			sh.disk.SetFaults(cfg.Faults)
 		}
 		if cfg.Backing != nil {
 			sh.disk.SetBacking(cfg.Backing)

@@ -846,8 +846,8 @@ func planSession(store *pagestore.Store, index Index, w SessionWorkload, cost pa
 				traversal:        append([]pagestore.PageID(nil), plan.TraversalPages...),
 			}
 			batchBuf = append(batchBuf[:0], st.traversal...)
-			for _, req := range plan.Requests {
-				b := index.QueryPages(req, nil)
+			for i := range plan.Requests {
+				b := index.QueryPages(&plan.Requests[i], nil)
 				pagestore.SortPageIDs(b)
 				st.reqPages = append(st.reqPages, b)
 				batchBuf = append(batchBuf, b...)

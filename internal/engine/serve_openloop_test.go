@@ -90,10 +90,10 @@ func TestServeOpenLoopDisabledBitExact(t *testing.T) {
 
 // TestServeOpenLoopAdmissionAtArrival is the admission-semantics bugfix
 // test: the gate sees the in-flight set at the session's GENERATED arrival
-// time. Simultaneous arrivals over a ceiling of 2 reject most sessions;
-// the same population spaced far apart rejects none — and every rejected
-// trajectory's counted slots land in LostQueries, keeping the SLO
-// denominator honest.
+// time. Simultaneous arrivals over a ceiling of 2 (Bursty puts each burst
+// of 4 on one instant) reject sessions; the same population spaced far
+// apart rejects none — and every rejected trajectory's counted slots land in
+// LostQueries, keeping the SLO denominator honest.
 func TestServeOpenLoopAdmissionAtArrival(t *testing.T) {
 	store, tree := lineWorld(t, 4000)
 	cfg := ServeConfig{
@@ -101,7 +101,7 @@ func TestServeOpenLoopAdmissionAtArrival(t *testing.T) {
 		Policy:    FairShare,
 		Admission: AdmissionConfig{Enabled: true, MaxConcurrent: 2},
 		SLO:       time.Nanosecond,
-		Arrivals:  ArrivalConfig{Enabled: true, Times: []time.Duration{0}},
+		Arrivals:  ArrivalConfig{Enabled: true, Process: Bursty, Rate: 1000, Seed: 3},
 	}
 	slam := PlanSessions(store, tree, serveWorkloads(8, 7), cfg.Engine.Cost, 0).Serve(cfg)
 	if slam.RejectedSessions == 0 {
@@ -127,13 +127,11 @@ func TestServeOpenLoopAdmissionAtArrival(t *testing.T) {
 		t.Errorf("SLORate = %v, want %v", slam.SLORate(), want)
 	}
 
-	// Spaced 10 virtual seconds apart, every prior session has drained by
-	// the next arrival: same ceiling, zero rejections.
-	times := make([]time.Duration, 8)
-	for i := range times {
-		times[i] = time.Duration(i) * 10 * time.Second
-	}
-	cfg.Arrivals.Times = times
+	// Poisson arrivals a thousand virtual seconds apart on average: every
+	// prior session has drained by the next arrival, so the same ceiling
+	// rejects nothing.
+	cfg.Arrivals = ArrivalConfig{Enabled: true, Process: Poisson, Rate: 0.001, Seed: 3}
+	times := cfg.Arrivals.ArrivalTimes(8)
 	calm := PlanSessions(store, tree, serveWorkloads(8, 7), cfg.Engine.Cost, 0).Serve(cfg)
 	if calm.RejectedSessions != 0 || calm.LostQueries != 0 {
 		t.Errorf("spaced arrivals still rejected %d sessions (lost %d)",

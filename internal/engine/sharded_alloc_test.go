@@ -81,7 +81,7 @@ func TestShardedTurnAllocations(t *testing.T) {
 	}
 
 	// explore_file's binding: the flat engine with the batched flush and a
-	// straight-line prefetcher: 2.52 allocs/query, 0.96 of them the
+	// straight-line prefetcher: 2.24 allocs/query, 0.96 of them the
 	// prefetcher's plans (one request slice each), the rest the results and
 	// the observations' page copies. The flush reuses its page buffers
 	// across windows, so one allocation per window would cross the ceiling.
@@ -96,6 +96,21 @@ func TestShardedTurnAllocations(t *testing.T) {
 		t.Logf("%.2f allocs/query", perQuery)
 		if perQuery > 3 {
 			t.Errorf("flat batched RunSequence: %.2f allocs/query, want <= 3", perQuery)
+		}
+	})
+
+	// explore's SCOUT binding: the flat engine with the per-page flush, SCOUT
+	// over the R-tree on frustum walks. Each rung of a plan's ladder reaches
+	// the index by pointer into the plan; converting the box to a
+	// geom.Region by value at the call cost a heap allocation per probed
+	// rung and read 8.67 allocs/query here (5.42 by pointer).
+	t.Run("run_sequence/scout-per-page", func(t *testing.T) {
+		b := newExploreWorld(t).bindings()[0]
+		b.e.RunSequence(b.seqs[0], b.p)
+		perQuery := testing.AllocsPerRun(20, func() { b.e.RunSequence(b.seqs[0], b.p) }) / float64(len(b.seqs[0].Queries))
+		t.Logf("%.2f allocs/query", perQuery)
+		if perQuery > 6 {
+			t.Errorf("per-page SCOUT RunSequence: %.2f allocs/query, want <= 6", perQuery)
 		}
 	})
 

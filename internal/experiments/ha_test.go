@@ -160,7 +160,7 @@ func TestHa1PinnedMode(t *testing.T) {
 
 // TestHa1SLOHeadroom: the derived objective is twice the fault-free p95, so
 // a clean failover (probe + replica sweep) fits under it while a burned
-// read deadline (RetryPolicy default 25ms) never does at golden scale.
+// read deadline (pagestore.ReadTimeout, 25ms) never does at golden scale.
 func TestHa1SLOHeadroom(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep skipped in -short mode")

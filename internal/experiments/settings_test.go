@@ -47,7 +47,7 @@ type settingRow struct {
 var censusStructs = []any{
 	engine.Config{}, engine.ServeConfig{}, engine.AdmissionConfig{},
 	engine.BreakerConfig{}, engine.ArrivalConfig{}, engine.ClassSpec{},
-	pagestore.CostModel{}, pagestore.RetryPolicy{}, pagestore.FileStoreConfig{},
+	pagestore.CostModel{}, pagestore.FileStoreConfig{},
 	core.Config{}, Options{},
 }
 
@@ -103,7 +103,6 @@ var settingsCensus = map[string]settingRow{
 	"engine.ArrivalConfig.Process": {testOnly, "TestArrivalTimesBursty, TestServeOpenLoopDeterministicAcrossWorkers and TestCoreFingerprints' serve/bursty rows: experiments and bench run the zero value, Poisson; bursty overload is composed by ROADMAP item 8(e)"},
 	"engine.ArrivalConfig.Rate":    {varied, "load1's offered-load sweep, serve_sharded's load axis"},
 	"engine.ArrivalConfig.Seed":    {varied, "load1 (-seed), serve_sharded (--seed plus the session group)"},
-	"engine.ArrivalConfig.Times":   {testOnly, "TestCoreFingerprints' serve/schedule row and TestServeOpenLoopAdmissionAtArrival: arrivals out of session-ID order and on repeated instants"},
 
 	// engine.ClassSpec
 	"engine.ClassSpec.Name":     {kept, "a label serving never reads; load1 and bench/serve.go name their classes with it, and only a benchmark change may edit bench/ (ROADMAP item 2)"},
@@ -116,11 +115,6 @@ var settingsCensus = map[string]settingRow{
 	"pagestore.CostModel.Route":       {kept, "the cross-shard handoff price beside Seek and Transfer; a calibrated execution mode (ROADMAP, parked) fits all of the model's terms together"},
 	"pagestore.CostModel.ReplicaRead": {kept, "ha1's golden note names CostModel.ReplicaRead"},
 
-	// pagestore.RetryPolicy
-	"pagestore.RetryPolicy.MaxRetries": {testOnly, "TestFaultCostRetryMath (3) and TestDiskFaultCharging (2): retries exhausting at the policy's count"},
-	"pagestore.RetryPolicy.Backoff":    {testOnly, "TestFaultCostRetryMath: the doubling backoff from 100 µs"},
-	"pagestore.RetryPolicy.Timeout":    {testOnly, "TestFaultCostRetryMath (3 ms), TestDiskFaultCharging and TestDiskBackingAccounting (10 ms): the per-read cap cutting recovery short"},
-
 	// pagestore.FileStoreConfig
 	"pagestore.FileStoreConfig.Mode":    {varied, "dur1's mode sweep, explore_file's read probes (off, verify, repair)"},
 	"pagestore.FileStoreConfig.Replica": {varied, "repair mode in dur1 and explore_file"},
@@ -130,7 +124,6 @@ var settingsCensus = map[string]settingRow{
 	"core.Config.Strategy":           {varied, "ablation_strategy"},
 	"core.Config.MaxLocations":       {varied, "ablation_kmeans"},
 	"core.Config.Ladder":             {varied, "ablation_incremental"},
-	"core.Config.GapIOFrac":          {testOnly, "TestScoutOptGapBudgetRespected: a 5 % gap budget caps the traversal pages"},
 	"core.Config.DisablePruning":     {varied, "ablation_pruning"},
 	"core.Config.DisableIncremental": {varied, "ablation_incremental_build"},
 

@@ -31,7 +31,7 @@ type Plan struct {
 	Seed int64
 
 	// ReadErrorRate is the per-attempt probability that a page read fails
-	// transiently and must be retried (pagestore.RetryPolicy bounds the
+	// transiently and must be retried (pagestore.FaultCost bounds the
 	// recovery). Retry attempts re-roll: a read fails permanently only when
 	// every bounded attempt loses the roll.
 	ReadErrorRate float64

@@ -34,11 +34,11 @@ func BenchmarkSegmentDistToSegment(b *testing.B) {
 	}
 }
 
-func BenchmarkFrustumIntersectsAABB(b *testing.B) {
+func BenchmarkFrustumOverlaps(b *testing.B) {
 	f := NewFrustum(V(0, 0, 0), V(1, 0, 0), V(0, 0, 1), 1.0, 1.3, 1, 50)
 	box := Box(V(20, -5, -5), V(30, 5, 5))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		f.IntersectsAABB(box)
+		f.Overlaps(&box)
 	}
 }

@@ -33,18 +33,3 @@ func (f *Frustum) ClipSegment(s Segment) (tmin, tmax float64, ok bool) {
 	}
 	return tmin, tmax, true
 }
-
-// ClipSegmentRegion clips a segment against any supported region type,
-// returning the inside parameter range. Boxes use the slab test, frusta the
-// plane test.
-func ClipSegmentRegion(r Region, s Segment) (tmin, tmax float64, ok bool) {
-	switch rr := r.(type) {
-	case AABB:
-		return s.ClipAABB(rr)
-	case Frustum:
-		return rr.ClipSegment(s)
-	default:
-		// Unknown region: fall back to its bounding box (conservative).
-		return s.ClipAABB(r.Bounds())
-	}
-}

@@ -121,7 +121,8 @@ func (f *Frustum) Contains(p Vec3) bool {
 // using the positive-vertex test against each plane. It can report rare false
 // positives (standard for frustum culling) but never a false negative. This
 // is the one definition of the plane test: the R-tree probe and the refine
-// kernel call it in place on stored boxes, IntersectsAABB wraps it.
+// kernel call it in place on stored boxes, pagestore.Matches on an object's
+// bounds.
 func (f *Frustum) Overlaps(b *AABB) bool {
 	if b.Min.X > b.Max.X || b.Min.Y > b.Max.Y || b.Min.Z > b.Max.Z {
 		return false
@@ -145,9 +146,6 @@ func (f *Frustum) Overlaps(b *AABB) bool {
 	}
 	return true
 }
-
-// IntersectsAABB is Overlaps by value, satisfying Region.
-func (f Frustum) IntersectsAABB(b AABB) bool { return f.Overlaps(&b) }
 
 // Bounds returns the axis-aligned bounding box of the frustum.
 func (f Frustum) Bounds() AABB {

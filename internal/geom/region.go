@@ -1,31 +1,22 @@
 package geom
 
-// Region is any convex query region: the axis-aligned boxes of most
-// workloads and the view frusta of the walkthrough-visualization use case.
-// Implementations must be conservative in IntersectsAABB (no false
-// negatives).
+// Region is a query region: an axis-aligned box for most workloads, a view
+// frustum for the walkthrough-visualization use case. Consumers take the
+// frustum path when the region is a Frustum and treat any other region as
+// its Bounds() box, so a Region is either a Frustum or a box (an AABB, or a
+// *AABB that shares a plan's own box without copying it). They select the
+// frustum path with a one-case type switch: a failed comma-ok assertion
+// would zero a 384-byte Frustum on every box call.
 type Region interface {
-	// Bounds returns an axis-aligned box containing the region.
+	// Bounds returns an axis-aligned box containing the region; for a box,
+	// the box itself.
 	Bounds() AABB
-	// IntersectsAABB reports whether the region may intersect the box.
-	IntersectsAABB(b AABB) bool
-	// ContainsPoint reports whether the point is inside the region.
-	ContainsPoint(p Vec3) bool
 	// Volume returns the volume of the region.
 	Volume() float64
 }
 
 // Bounds returns the box itself, satisfying Region.
 func (b AABB) Bounds() AABB { return b }
-
-// IntersectsAABB reports whether b intersects o, satisfying Region.
-func (b AABB) IntersectsAABB(o AABB) bool { return b.Intersects(o) }
-
-// ContainsPoint reports whether p is inside b, satisfying Region.
-func (b AABB) ContainsPoint(p Vec3) bool { return b.Contains(p) }
-
-// ContainsPoint reports whether p is inside the frustum, satisfying Region.
-func (f Frustum) ContainsPoint(p Vec3) bool { return f.Contains(p) }
 
 var (
 	_ Region = AABB{}

@@ -52,22 +52,24 @@ func TestFrustumContains(t *testing.T) {
 	}
 }
 
+// TestFrustumIntersectsAABB pins the plane test, Frustum.Overlaps.
 func TestFrustumIntersectsAABB(t *testing.T) {
+	overlaps := func(f Frustum, b AABB) bool { return f.Overlaps(&b) }
 	f := NewFrustum(V(0, 0, 0), V(1, 0, 0), V(0, 0, 1), math.Pi/2, 1, 1, 10)
-	if !f.IntersectsAABB(Box(V(4, -1, -1), V(6, 1, 1))) {
+	if !overlaps(f, Box(V(4, -1, -1), V(6, 1, 1))) {
 		t.Error("box on axis not detected")
 	}
-	if f.IntersectsAABB(Box(V(-5, -1, -1), V(-3, 1, 1))) {
+	if overlaps(f, Box(V(-5, -1, -1), V(-3, 1, 1))) {
 		t.Error("box behind camera detected")
 	}
-	if f.IntersectsAABB(Box(V(20, -1, -1), V(22, 1, 1))) {
+	if overlaps(f, Box(V(20, -1, -1), V(22, 1, 1))) {
 		t.Error("box past far plane detected")
 	}
-	if f.IntersectsAABB(Box(V(5, 20, 0), V(6, 22, 1))) {
+	if overlaps(f, Box(V(5, 20, 0), V(6, 22, 1))) {
 		t.Error("box far off-axis detected")
 	}
 	// Box straddling a side plane is detected.
-	if !f.IntersectsAABB(Box(V(5, 4, -1), V(6, 7, 1))) {
+	if !overlaps(f, Box(V(5, 4, -1), V(6, 7, 1))) {
 		t.Error("straddling box not detected")
 	}
 }

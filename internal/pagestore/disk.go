@@ -56,9 +56,8 @@ type DiskStats struct {
 	BridgedPages int64
 	// FaultRetries counts read attempts retried after an injected transient
 	// failure; TimedOutReads counts reads that hit the per-read timeout
-	// (retries exhausted or recovery exceeding RetryPolicy.Timeout) and
-	// were served degraded. Both zero unless a FaultInjector is armed
-	// (DESIGN.md §9).
+	// (retries exhausted or recovery exceeding ReadTimeout) and were served
+	// degraded. Both zero unless a FaultInjector is armed (DESIGN.md §9).
 	FaultRetries  int64
 	TimedOutReads int64
 	// ReplicaPages counts pages this disk served from a replica slice on
@@ -124,47 +123,25 @@ type FaultInjector interface {
 	SlowPage(p PageID, now time.Duration) time.Duration
 }
 
-// RetryPolicy bounds recovery from injected transient read faults: how
-// often a failed read attempt is retried, how long the backoff between
-// attempts grows, and the per-read timeout after which the read is
+// Recovery from injected transient read faults mirrors a conservative
+// storage stack: a failed read attempt is retried up to maxRetries times,
+// waiting retryBackoff before the first retry and doubling it per attempt,
+// and one read's recovery is capped at ReadTimeout, after which the read is
 // abandoned and served degraded. Recovery is charged to the virtual clock,
 // never hidden.
-type RetryPolicy struct {
-	// MaxRetries is the number of retry attempts after the first failure.
-	MaxRetries int
-	// Backoff is the wait before the first retry, doubling per attempt.
-	Backoff time.Duration
-	// Timeout caps one read's total fault-recovery charge: a read whose
-	// retries exhaust, or whose accumulated recovery exceeds the cap,
-	// charges exactly Timeout of fault delay and counts as timed out.
-	Timeout time.Duration
-}
-
-// DefaultRetryPolicy mirrors a conservative storage stack: three retries,
-// 200 µs initial backoff, 25 ms (five seeks) per-read timeout.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{MaxRetries: 3, Backoff: 200 * time.Microsecond, Timeout: 25 * time.Millisecond}
-}
-
-// WithDefaults fills zero fields so an armed disk never retries unboundedly
-// or times out at zero.
-func (r RetryPolicy) WithDefaults() RetryPolicy {
-	d := DefaultRetryPolicy()
-	if r.MaxRetries <= 0 {
-		r.MaxRetries = d.MaxRetries
-	}
-	if r.Backoff <= 0 {
-		r.Backoff = d.Backoff
-	}
-	if r.Timeout <= 0 {
-		r.Timeout = d.Timeout
-	}
-	return r
-}
+const (
+	maxRetries   = 3
+	retryBackoff = 200 * time.Microsecond
+	// ReadTimeout caps one read's total fault-recovery charge (five seeks):
+	// a read whose retries exhaust, or whose accumulated recovery exceeds
+	// the cap, charges exactly ReadTimeout of fault delay and counts as
+	// timed out.
+	ReadTimeout = 25 * time.Millisecond
+)
 
 // FaultOutcome is the priced recovery of one page read under injected
 // faults: the extra virtual time charged, the retries spent, and whether
-// the read timed out (served degraded at exactly RetryPolicy.Timeout).
+// the read timed out (served degraded at exactly ReadTimeout).
 type FaultOutcome struct {
 	Extra    time.Duration
 	Retries  int64
@@ -174,17 +151,17 @@ type FaultOutcome struct {
 // FaultCost prices one page read's fault recovery: an injected slow-page
 // spike, then bounded retry-with-backoff over injected transient failures
 // (each failed attempt charges one Transfer — the wasted rotation — plus
-// the exponential backoff), the whole recovery capped by the per-read
-// timeout. A nil injector prices to the zero outcome.
-func (m CostModel) FaultCost(inj FaultInjector, r RetryPolicy, p PageID, now time.Duration) FaultOutcome {
+// the exponential backoff), the whole recovery capped by ReadTimeout. A nil
+// injector prices to the zero outcome.
+func (m CostModel) FaultCost(inj FaultInjector, p PageID, now time.Duration) FaultOutcome {
 	if inj == nil {
 		return FaultOutcome{}
 	}
 	var out FaultOutcome
 	out.Extra = inj.SlowPage(p, now)
-	backoff := r.Backoff
+	backoff := retryBackoff
 	for attempt := 0; inj.ReadFailure(p, now, attempt); attempt++ {
-		if attempt >= r.MaxRetries {
+		if attempt >= maxRetries {
 			out.TimedOut = true
 			break
 		}
@@ -192,8 +169,8 @@ func (m CostModel) FaultCost(inj FaultInjector, r RetryPolicy, p PageID, now tim
 		out.Extra += m.Transfer + backoff
 		backoff *= 2
 	}
-	if out.TimedOut || (r.Timeout > 0 && out.Extra > r.Timeout) {
-		out.Extra = r.Timeout
+	if out.TimedOut || out.Extra > ReadTimeout {
+		out.Extra = ReadTimeout
 		out.TimedOut = true
 	}
 	return out
@@ -234,7 +211,6 @@ type Disk struct {
 	// its own virtual clock (the serving commit loop) passes it there, and
 	// now replaces SimulatedIO from then on.
 	faults FaultInjector
-	retry  RetryPolicy
 	timed  bool
 	now    time.Duration
 	// backing, when non-nil, is the durable file store every simulated read
@@ -294,16 +270,10 @@ func (d *Disk) interfere(seeks int64) time.Duration {
 // inside SimulatedIO).
 func (d *Disk) Interference() time.Duration { return d.interferenceTime }
 
-// SetFaults arms the disk with a fault injector and the retry policy that
-// recovers from it (zero-value policy = DefaultRetryPolicy). A nil
-// injector disarms; the disarmed disk is byte-identical to the seed.
-func (d *Disk) SetFaults(inj FaultInjector, retry RetryPolicy) {
-	d.faults = inj
-	if inj != nil {
-		retry = retry.WithDefaults()
-	}
-	d.retry = retry
-}
+// SetFaults arms the disk with a fault injector, recovered from under
+// FaultCost's bounded retry. A nil injector disarms; the disarmed disk is
+// byte-identical to the seed.
+func (d *Disk) SetFaults(inj FaultInjector) { d.faults = inj }
 
 // chargeFault prices and records one page read's fault recovery at the
 // disk's current virtual time (see faults); returns the extra cost to fold
@@ -316,7 +286,7 @@ func (d *Disk) chargeFault(p PageID) time.Duration {
 	if d.timed {
 		now = d.now
 	}
-	out := d.model.FaultCost(d.faults, d.retry, p, now)
+	out := d.model.FaultCost(d.faults, p, now)
 	satAdd(&d.stats.FaultRetries, out.Retries)
 	if out.TimedOut {
 		satAdd(&d.stats.TimedOutReads, 1)

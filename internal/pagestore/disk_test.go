@@ -113,7 +113,7 @@ func TestDiskFaultClock(t *testing.T) {
 
 	solo := &clockInjector{}
 	d := NewDisk(s, m)
-	d.SetFaults(solo, RetryPolicy{})
+	d.SetFaults(solo)
 	d.ReadPages([]PageID{5, 6, 900})
 	want := []time.Duration{0, m.Seek + m.Transfer, m.Seek + 2*m.Transfer}
 	if len(solo.nows) != len(want) {
@@ -127,7 +127,7 @@ func TestDiskFaultClock(t *testing.T) {
 
 	served := &clockInjector{}
 	d = NewSharedDisk(s, m, 2, 0)
-	d.SetFaults(served, RetryPolicy{})
+	d.SetFaults(served)
 	const now = 42 * time.Millisecond
 	d.At(1, 0, now)
 	d.ReadPages([]PageID{5, 6, 900})

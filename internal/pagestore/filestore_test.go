@@ -403,8 +403,7 @@ func TestDiskBackingAccounting(t *testing.T) {
 	d.SetBacking(fs)
 	// Page 9 always times out; page 6 is corrupt. The two failure classes
 	// must stay separately attributable.
-	d.SetFaults(&scriptedInjector{failures: map[PageID]int{9: 99}, slow: map[PageID]time.Duration{}},
-		RetryPolicy{MaxRetries: 2, Backoff: 100 * time.Microsecond, Timeout: 10 * time.Millisecond})
+	d.SetFaults(&scriptedInjector{failures: map[PageID]int{9: 99}, slow: map[PageID]time.Duration{}})
 
 	clean := NewDisk(s, DefaultCostModel())
 	cleanCost := clean.ReadPage(0)

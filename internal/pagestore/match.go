@@ -3,18 +3,20 @@ package pagestore
 import "scout/internal/geom"
 
 // Matches reports whether object o belongs to the result of a range query
-// with the given region. For axis-aligned boxes the test is exact on the
-// object's simplified geometry (segment inflated by radius); for other
-// regions (frusta) it is conservative on the object's bounding box, which is
-// the standard behaviour of frustum culling.
+// with the given region. For a box (any region but a frustum, read through
+// its bounds) the test is exact on the object's simplified geometry
+// (segment inflated by radius); for a frustum it is conservative on the
+// object's bounding box, which is the standard behaviour of frustum culling.
 //
 // Matches is the one-object definition of the result filter; AppendMatches
 // is the kernel that applies it to whole pages and is tested against it.
 func Matches(r geom.Region, o Object) bool {
-	if b, ok := r.(geom.AABB); ok {
-		return o.IntersectsBox(b)
+	switch f := r.(type) {
+	case geom.Frustum:
+		b := o.Bounds()
+		return f.Overlaps(&b)
 	}
-	return r.IntersectsAABB(o.Bounds())
+	return o.IntersectsBox(r.Bounds())
 }
 
 // AppendMatches appends to dst the IDs of the objects of the given pages
@@ -23,39 +25,31 @@ func Matches(r geom.Region, o Object) bool {
 // refine step of every range query: the index names candidate pages, the
 // kernel walks each page's contiguous run of objects.
 func (s *Store) AppendMatches(dst []ObjectID, r geom.Region, pages []PageID) []ObjectID {
-	switch q := r.(type) {
-	case geom.AABB:
-		for _, p := range pages {
-			page := s.PageSlice(p)
-			for i := range page {
-				if o := &page[i]; o.intersectsBox(&q) {
-					dst = append(dst, o.ID)
-				}
-			}
-		}
+	switch f := r.(type) {
 	case geom.Frustum:
 		for _, p := range pages {
 			page := s.PageSlice(p)
 			for i := range page {
-				if o := &page[i]; o.overlapsFrustum(&q) {
+				if o := &page[i]; o.overlapsFrustum(&f) {
 					dst = append(dst, o.ID)
 				}
 			}
 		}
-	default:
-		for _, p := range pages {
-			page := s.PageSlice(p)
-			for i := range page {
-				if o := &page[i]; r.IntersectsAABB(o.Bounds()) {
-					dst = append(dst, o.ID)
-				}
+		return dst
+	}
+	q := r.Bounds()
+	for _, p := range pages {
+		page := s.PageSlice(p)
+		for i := range page {
+			if o := &page[i]; o.intersectsBox(&q) {
+				dst = append(dst, o.ID)
 			}
 		}
 	}
 	return dst
 }
 
-// overlapsFrustum is f.IntersectsAABB(o.Bounds()) for the kernel: it builds
+// overlapsFrustum is Matches' frustum test, f.Overlaps(o.Bounds()), for the kernel: it builds
 // the object's bounds in place with plain compares. Where an endpoint pair
 // holds both zeros the compares may keep the other one than math.Min would;
 // the plane test sums products and compares with zero, so it cannot tell.

@@ -133,7 +133,8 @@ func TestAppendMatchesEqualsPerObjectLoop(t *testing.T) {
 }
 
 // TestAppendMatchesDoesNotAllocate gates what BenchmarkRefine reports: with
-// dst pre-sized, the kernel allocates nothing on either branch.
+// dst pre-sized, the kernel allocates nothing on either branch, whether a
+// box comes by value or by pointer.
 func TestAppendMatchesDoesNotAllocate(t *testing.T) {
 	ds := dataset.GenerateNeuro(dataset.SmallNeuroConfig())
 	store := pagestore.NewStore(ds.Objects)
@@ -142,10 +143,11 @@ func TestAppendMatchesDoesNotAllocate(t *testing.T) {
 		t.Fatal(err)
 	}
 	at := store.Object(0).Centroid()
+	box := geom.CubeAt(at, 80_000)
 	for name, r := range map[string]geom.Region{
-		"aabb":    geom.CubeAt(at, 80_000),
-		"frustum": geom.FrustumWithVolume(at, geom.V(1, 0, 0), geom.V(0, 0, 1), 1.0, 1.3, 80_000),
-		"other":   ball{at, 25},
+		"aabb":         box,
+		"frustum":      geom.FrustumWithVolume(at, geom.V(1, 0, 0), geom.V(0, 0, 1), 1.0, 1.3, 80_000),
+		"aabb pointer": &box,
 	} {
 		pages := tree.QueryPages(r, nil)
 		dst := store.AppendMatches(nil, r, pages)
@@ -269,27 +271,13 @@ func TestAppendMatchesAdversarialBoxes(t *testing.T) {
 	}
 }
 
-// ball is a Region the kernel has no branch for: it takes the interface
-// fallback, r.IntersectsAABB(o.Bounds()).
-type ball struct {
-	c geom.Vec3
-	r float64
-}
-
-func (b ball) Bounds() geom.AABB {
-	return geom.AABB{Min: b.c.Sub(geom.V(b.r, b.r, b.r)), Max: b.c.Add(geom.V(b.r, b.r, b.r))}
-}
-func (b ball) IntersectsAABB(o geom.AABB) bool { return !o.IsEmpty() && o.DistSq(b.c) <= b.r*b.r }
-func (b ball) ContainsPoint(p geom.Vec3) bool  { return p.DistSq(b.c) <= b.r*b.r }
-func (b ball) Volume() float64                 { return 4.0 / 3 * math.Pi * b.r * b.r * b.r }
-
 // TestAppendMatchesFrustumEdgeCases aims frusta at the places where the
 // frustum branch — object bounds built in place with plain compares, then the
 // shared plane test — could part ways with Matches' Object.Bounds: zero-length
 // segments, zero radius, endpoint coordinates of either zero (a compare keeps
 // the other zero than math.Min does), and planes that pass exactly through a
-// corner of an object's bounds. Balls run the fallback branch over the same
-// objects.
+// corner of an object's bounds. Boxes, by pointer, run the box branch over
+// the same objects.
 func TestAppendMatchesFrustumEdgeCases(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	below := math.Nextafter(0, math.Inf(-1))
@@ -356,7 +344,7 @@ func TestAppendMatchesFrustumEdgeCases(t *testing.T) {
 	}
 
 	// Near planes through the origin along every axis, both ways; then
-	// frusta and balls of all sizes around it.
+	// frusta and boxes of all sizes around it.
 	regions, matched := 0, 0
 	check := func(r geom.Region) {
 		matched += checkRefine(t, store, r, pages)
@@ -385,7 +373,8 @@ func TestAppendMatchesFrustumEdgeCases(t *testing.T) {
 		}
 		vol := math.Pow(0.2+3*rng.Float64(), 3)
 		check(geom.FrustumWithVolume(eye, dir, up, 0.4+rng.Float64(), 0.7+rng.Float64(), vol))
-		check(ball{eye, 2 * rng.Float64()})
+		box := geom.CubeAt(eye, vol)
+		check(&box)
 	}
 	if matched == 0 || matched == regions*len(objs) {
 		t.Fatalf("%d regions matched %d objects in total: degenerate", regions, matched)

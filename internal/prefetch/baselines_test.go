@@ -53,7 +53,7 @@ func TestStraightLinePredictsLinearly(t *testing.T) {
 	// The predicted point must be covered by at least one request.
 	covered := false
 	for _, r := range p.Requests {
-		if r.ContainsPoint(want) {
+		if r.Contains(want) {
 			covered = true
 		}
 	}
@@ -80,7 +80,7 @@ func TestPolynomialExactOnQuadratic(t *testing.T) {
 	want := geom.V(9, 6, 0) // t = 3
 	covered := false
 	for _, r := range plan.Requests {
-		if r.ContainsPoint(want) {
+		if r.Contains(want) {
 			covered = true
 		}
 	}
@@ -130,7 +130,7 @@ func TestEWMAConvergesOnConstantVelocity(t *testing.T) {
 	want := geom.V(50, 0, 0)
 	covered := false
 	for _, r := range plan.Requests {
-		if r.ContainsPoint(want) {
+		if r.Contains(want) {
 			covered = true
 		}
 	}

@@ -28,10 +28,11 @@ type Index interface {
 	// QueryPages appends to dst every page whose bounds intersect r, each
 	// once, in ascending page-ID order, and returns the grown slice. Every
 	// page it returns has bounds that overlap r.Bounds() (closed intervals,
-	// as geom.AABB.Intersects: an empty box overlaps nothing), and for a
-	// geom.AABB r the result is exactly the pages whose bounds overlap r;
-	// the engine's batched flush skips nested requests on the strength of
-	// it. It must be safe for concurrent calls: the engine's PlanSessions
+	// as geom.AABB.Intersects: an empty box overlaps nothing). A region that
+	// is not a geom.Frustum is a box: the result is exactly the pages whose
+	// bounds overlap r.Bounds(), so a plan's box may come by value or by
+	// pointer, and the engine's batched flush skips nested requests on the
+	// strength of it. It must be safe for concurrent calls: the engine's PlanSessions
 	// probes one index from all its workers, and RunSequence probes it from
 	// its filter goroutine while the coordinator resolves prefetch requests
 	// on its own and a prefetcher such as SCOUT-OPT walks the same index on

@@ -48,7 +48,7 @@ func buildPointerTree(store *pagestore.Store, fanout int) *pointerNode {
 }
 
 func (n *pointerNode) queryPages(r geom.Region, rb geom.AABB, dst []pagestore.PageID) []pagestore.PageID {
-	if !n.mbr.Intersects(rb) || !r.IntersectsAABB(n.mbr) {
+	if !n.mbr.Intersects(rb) || !passesPlanes(r, n.mbr) {
 		return dst
 	}
 	if n.children == nil {
@@ -73,7 +73,7 @@ func (n *pointerNode) queryPagesStack(r geom.Region, dst []pagestore.PageID) []p
 	for len(stack) > 0 {
 		nd := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if !nd.mbr.Intersects(rb) || !r.IntersectsAABB(nd.mbr) {
+		if !nd.mbr.Intersects(rb) || !passesPlanes(r, nd.mbr) {
 			continue
 		}
 		if nd.children == nil {
@@ -163,7 +163,7 @@ func TestQueryPagesAscendingOrder(t *testing.T) {
 		case 1:
 			q = geom.FrustumWithVolume(c, geom.V(1, 0, 0), geom.V(0, 0, 1), 1.0, 1.3, vol)
 		case 2:
-			q = ball{c, math.Cbrt(vol) / 2}
+			q = &geom.AABB{Min: c, Max: c.Add(geom.V(30, 30, 30))}
 		}
 		pages := tree.QueryPages(q, nil)
 		for i := 1; i < len(pages); i++ {
@@ -175,13 +175,13 @@ func TestQueryPagesAscendingOrder(t *testing.T) {
 }
 
 // queryRecursive is the recursive descent the level-order sweep replaced,
-// kept verbatim as its oracle: one call per node, AABB.Intersects (with its
-// emptiness checks) and then the region's own test through the interface. It
-// returns the grown page list and the number of nodes it inspected.
+// kept as its oracle: one call per node, AABB.Intersects (with its emptiness
+// checks) and then a frustum's plane test. It returns the grown page list
+// and the number of nodes it inspected.
 func (t *Tree) queryRecursive(r geom.Region, rb geom.AABB, level, node int, dst []pagestore.PageID) ([]pagestore.PageID, int64) {
 	visited := int64(1)
 	mbr := t.levels[level][node]
-	if !mbr.Intersects(rb) || !r.IntersectsAABB(mbr) {
+	if !mbr.Intersects(rb) || !passesPlanes(r, mbr) {
 		return dst, visited
 	}
 	if level == t.height-1 {
@@ -198,19 +198,15 @@ func (t *Tree) queryRecursive(r geom.Region, rb geom.AABB, level, node int, dst 
 	return dst, visited
 }
 
-// ball is a Region the kernel has no special case for, so it takes the
-// interface fallback: box prefilter, then IntersectsAABB per surviving node.
-type ball struct {
-	c geom.Vec3
-	r float64
+// passesPlanes is the part of a region's test beyond its bounds box: a
+// frustum's plane test, and nothing for any other region, which the kernels
+// read as its bounds box.
+func passesPlanes(r geom.Region, b geom.AABB) bool {
+	if f, ok := r.(geom.Frustum); ok {
+		return f.Overlaps(&b)
+	}
+	return true
 }
-
-func (b ball) Bounds() geom.AABB {
-	return geom.AABB{Min: b.c.Sub(geom.V(b.r, b.r, b.r)), Max: b.c.Add(geom.V(b.r, b.r, b.r))}
-}
-func (b ball) IntersectsAABB(o geom.AABB) bool { return !o.IsEmpty() && o.DistSq(b.c) <= b.r*b.r }
-func (b ball) ContainsPoint(p geom.Vec3) bool  { return p.DistSq(b.c) <= b.r*b.r }
-func (b ball) Volume() float64                 { return 4.0 / 3 * math.Pi * b.r * b.r * b.r }
 
 func randUnit(rng *rand.Rand) geom.Vec3 {
 	for {
@@ -272,7 +268,8 @@ func TestSweepMatchesRecursion(t *testing.T) {
 					up = geom.V(1, 0, 0)
 				}
 				pages += checkSweep(t, tree, "frustum", geom.FrustumWithVolume(c, dir, up, 0.4+rng.Float64(), 0.7+rng.Float64(), vol))
-				pages += checkSweep(t, tree, "ball", ball{c, math.Cbrt(vol) / 2})
+				box := geom.CubeAt(c, vol/8)
+				pages += checkSweep(t, tree, "box by pointer", &box)
 			}
 			if pages == 0 {
 				t.Fatal("no random region returned a page; the test exercises nothing")
@@ -282,10 +279,10 @@ func TestSweepMatchesRecursion(t *testing.T) {
 			// over 5200 pages, push 2600 nodes through the frontier).
 			all := store.NumPages()
 			for what, r := range map[string]geom.Region{
-				"world box":     world,
-				"infinite box":  geom.AABB{Min: geom.V(-inf, -inf, -inf), Max: geom.V(inf, inf, inf)},
-				"world ball":    ball{geom.V(50, 50, 50), 1e6},
-				"world frustum": geom.NewFrustum(geom.V(-1e4, 50, 50), geom.V(1, 0, 0), geom.V(0, 0, 1), 1, 1, 1, 1e5),
+				"world box":            world,
+				"infinite box":         geom.AABB{Min: geom.V(-inf, -inf, -inf), Max: geom.V(inf, inf, inf)},
+				"world box by pointer": &world,
+				"world frustum":        geom.NewFrustum(geom.V(-1e4, 50, 50), geom.V(1, 0, 0), geom.V(0, 0, 1), 1, 1, 1, 1e5),
 			} {
 				if got := checkSweep(t, tree, what, r); got != all {
 					t.Fatalf("%s returned %d of %d pages", what, got, all)
@@ -295,14 +292,14 @@ func TestSweepMatchesRecursion(t *testing.T) {
 			// Empty, inverted and NaN-cornered regions return nothing and
 			// inspect the root alone.
 			for what, r := range map[string]geom.Region{
-				"empty box":      geom.EmptyAABB(),
-				"inverted box":   geom.AABB{Min: geom.V(60, 10, 10), Max: geom.V(40, 90, 90)},
-				"NaN min corner": geom.AABB{Min: geom.V(nan, 0, 0), Max: geom.V(100, 100, 100)},
-				"NaN max corner": geom.AABB{Min: geom.V(0, 0, 0), Max: geom.V(100, nan, 100)},
-				"all-NaN box":    geom.AABB{Min: geom.V(nan, nan, nan), Max: geom.V(nan, nan, nan)},
-				"negative ball":  ball{geom.V(50, 50, 50), -3},
-				"NaN ball":       ball{geom.V(nan, 50, 50), 10},
-				"far frustum":    geom.NewFrustum(geom.V(1e4, 1e4, 1e4), geom.V(1, 0, 0), geom.V(0, 0, 1), 1, 1, 1, 10),
+				"empty box":            geom.EmptyAABB(),
+				"inverted box":         geom.AABB{Min: geom.V(60, 10, 10), Max: geom.V(40, 90, 90)},
+				"NaN min corner":       geom.AABB{Min: geom.V(nan, 0, 0), Max: geom.V(100, 100, 100)},
+				"NaN max corner":       geom.AABB{Min: geom.V(0, 0, 0), Max: geom.V(100, nan, 100)},
+				"all-NaN box":          geom.AABB{Min: geom.V(nan, nan, nan), Max: geom.V(nan, nan, nan)},
+				"empty box by pointer": &geom.AABB{Min: geom.V(50, 50, 50), Max: geom.V(47, 47, 47)},
+				"NaN box by pointer":   &geom.AABB{Min: geom.V(nan, 47, 47), Max: geom.V(53, 53, 53)},
+				"far frustum":          geom.NewFrustum(geom.V(1e4, 1e4, 1e4), geom.V(1, 0, 0), geom.V(0, 0, 1), 1, 1, 1, 10),
 			} {
 				if got := checkSweep(t, tree, what, r); got != 0 {
 					t.Fatalf("%s returned %d pages", what, got)
@@ -318,7 +315,7 @@ func TestSweepMatchesRecursion(t *testing.T) {
 				if checkSweep(t, tree, "point box", geom.AABB{Min: on, Max: on}) == 0 {
 					t.Fatalf("point box on an object endpoint %v found no page", on)
 				}
-				checkSweep(t, tree, "point ball", ball{on, 0})
+				checkSweep(t, tree, "point box by pointer", &geom.AABB{Min: on, Max: on})
 				off := point()
 				checkSweep(t, tree, "point box", geom.AABB{Min: off, Max: off})
 			}
@@ -351,8 +348,8 @@ func TestSweepMatchesRecursion(t *testing.T) {
 }
 
 // TestQueryPagesNoAllocs verifies the hot path stays allocation-free once
-// the caller's destination slice has capacity, for each of the kernel's
-// three region kinds.
+// the caller's destination slice has capacity, for each way a region
+// reaches the kernel.
 func TestQueryPagesNoAllocs(t *testing.T) {
 	store := pagestore.NewStore(uniformObjects(50_000, 200, 31))
 	tree, err := BulkLoad(store, Config{})
@@ -360,13 +357,14 @@ func TestQueryPagesNoAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The regions are boxed into the interface once: demand regions reach
-	// the index as geom.Region already, and a prefetch request's box is
-	// converted at the call, so per-call boxing is not part of the kernel.
+	// the index as geom.Region already, and a prefetch request's box reaches
+	// it by pointer into the plan, which converts without allocating.
 	at := geom.V(100, 100, 100)
+	ladderBox := geom.CubeAt(at, 50_000)
 	for name, q := range map[string]geom.Region{
-		"box":     geom.CubeAt(at, 50_000),
-		"frustum": geom.FrustumWithVolume(at, geom.V(1, 0, 0), geom.V(0, 0, 1), 1.0, 1.3, 50_000),
-		"ball":    ball{at, 20},
+		"box":            geom.CubeAt(at, 50_000),
+		"frustum":        geom.FrustumWithVolume(at, geom.V(1, 0, 0), geom.V(0, 0, 1), 1.0, 1.3, 50_000),
+		"box by pointer": &ladderBox,
 	} {
 		buf := tree.QueryPages(q, nil) // warm the buffer
 		if len(buf) == 0 {

@@ -206,22 +206,18 @@ func (t *Tree) QueryPages(r geom.Region, dst []pagestore.PageID) []pagestore.Pag
 		return dst
 	}
 	// The region's type and emptiness are settled here, once per query, so
-	// the per-node test is six compares plus, for the few nodes that pass
-	// them, the plane test or the interface call. A box region is its own
-	// bounds and needs neither. An empty region intersects nothing: it
-	// inspects the root and stops there.
+	// the per-node test is six compares plus, for a frustum and the few nodes
+	// that pass them, the plane test. Any other region is its bounds box and
+	// needs no more. An empty region intersects nothing: it inspects the root
+	// and stops there.
 	visited := int64(1)
 	if box := r.Bounds(); !box.IsEmpty() {
 		var frustum *geom.Frustum
-		var other geom.Region
 		switch q := r.(type) {
-		case geom.AABB:
 		case geom.Frustum:
 			frustum = &q
-		default:
-			other = r
 		}
-		dst, visited = t.sweep(&box, frustum, other, dst)
+		dst, visited = t.sweep(&box, frustum, dst)
 	}
 	t.nodesVisited.Add(visited)
 	return dst
@@ -238,10 +234,10 @@ const frontierStack = 256
 // contiguous child runs at level l, so the inner loop is a linear walk over a
 // []geom.AABB and the leaves come out in ascending page-ID order. A node
 // intersects the region when its MBR overlaps box, the region's bounds, and
-// passes the frustum's plane test or the other region's own test when one is
-// given. sweep returns the grown result slice and the number of nodes
-// inspected: the root plus every child of every intersecting inner node.
-func (t *Tree) sweep(box *geom.AABB, frustum *geom.Frustum, other geom.Region, dst []pagestore.PageID) ([]pagestore.PageID, int64) {
+// passes the frustum's plane test when one is given. sweep returns the grown
+// result slice and the number of nodes inspected: the root plus every child
+// of every intersecting inner node.
+func (t *Tree) sweep(box *geom.AABB, frustum *geom.Frustum, dst []pagestore.PageID) ([]pagestore.PageID, int64) {
 	var bufA, bufB [frontierStack]uint32
 	// The root is the one-node run of a parent 0 above the tree.
 	cur, next := append(bufA[:0], 0), bufB[:0]
@@ -254,9 +250,7 @@ func (t *Tree) sweep(box *geom.AABB, frustum *geom.Frustum, other geom.Region, d
 			visited += int64(len(run))
 			for c := range run {
 				mbr := &run[c]
-				if !overlaps(box, mbr) ||
-					(frustum != nil && !frustum.Overlaps(mbr)) ||
-					(other != nil && !other.IntersectsAABB(*mbr)) {
+				if !overlaps(box, mbr) || (frustum != nil && !frustum.Overlaps(mbr)) {
 					continue
 				}
 				if leaf {

@@ -19,23 +19,6 @@ type Boundary struct {
 	Dir    geom.Vec3
 }
 
-// appendCrossingsOf appends the outward-oriented boundary crossings of
-// vertex v's segment with the region (box or frustum): zero, one (one
-// endpoint outside), or two (the segment threads through the region).
-func (g *Graph) appendCrossingsOf(dst []Boundary, v int32, region geom.Region) []Boundary {
-	s := g.store.Object(g.ids[v]).Seg
-	inA := region.ContainsPoint(s.A)
-	inB := region.ContainsPoint(s.B)
-	if inA && inB {
-		return dst
-	}
-	tmin, tmax, ok := geom.ClipSegmentRegion(region, s)
-	if !ok {
-		return dst
-	}
-	return appendOutward(dst, v, s, inA, inB, tmin, tmax)
-}
-
 // appendOutward appends the crossings of vertex v's segment s, clipped to
 // [tmin, tmax], at each endpoint that lies outside the region.
 func appendOutward(dst []Boundary, v int32, s geom.Segment, inA, inB bool, tmin, tmax float64) []Boundary {
@@ -50,48 +33,27 @@ func appendOutward(dst []Boundary, v int32, s geom.Segment, inA, inB bool, tmin,
 }
 
 // AppendVertexCrossings appends the outward-oriented boundary crossings of
-// one vertex to a caller-recycled buffer. Incremental builders use it to
-// examine only newly added vertices instead of rescanning the whole graph.
-// Boxes and frusta take AppendCrossings' devirtualized paths.
+// vertex v's segment with the region to a caller-recycled buffer: zero, one
+// (one endpoint outside), or two (the segment threads through the region).
+// Incremental builders use it to examine only newly added vertices instead
+// of rescanning the whole graph. A frustum takes the plane tests; any other
+// region is its bounds box.
 func (g *Graph) AppendVertexCrossings(dst []Boundary, v int32, region geom.Region) []Boundary {
-	switch r := region.(type) {
-	case geom.AABB:
-		return g.appendBoxCrossingsOf(dst, v, r)
+	switch f := region.(type) {
 	case geom.Frustum:
-		return g.appendFrustumCrossingsOf(dst, v, &r)
+		return g.appendFrustumCrossingsOf(dst, v, &f)
 	}
-	return g.appendCrossingsOf(dst, v, region)
+	return g.appendBoxCrossingsOf(dst, v, region.Bounds())
 }
 
 // AppendCrossings appends every boundary crossing of the live graph
 // relative to the region, outward-oriented, to a caller-recycled buffer: one
-// pass over the live vertices, no per-vertex allocation. Boxes and frusta
-// take devirtualized paths — through the interface, containment and
-// clipping cost three dynamic dispatches per vertex, each of which copies a
-// frustum's 384 bytes.
+// pass over the live vertices, no per-vertex allocation, each vertex tested
+// as AppendVertexCrossings does. The region's type is settled once, so a
+// frustum's 384 bytes are read in place rather than copied per vertex.
 func (g *Graph) AppendCrossings(dst []Boundary, region geom.Region) []Boundary {
-	if box, ok := region.(geom.AABB); ok {
-		if g.gridOn && box == g.lat.clip {
-			// The clip box IS the query region (fresh builds): a vertex whose
-			// segment is strictly inside it (clipped[v] false) cannot cross
-			// the boundary, so only the boundary-flagged minority is tested.
-			for v := int32(0); v < int32(len(g.ids)); v++ {
-				if g.dead[v] || !g.clipped[v] {
-					continue
-				}
-				dst = g.appendBoxCrossingsOf(dst, v, box)
-			}
-			return dst
-		}
-		for v := int32(0); v < int32(len(g.ids)); v++ {
-			if g.dead[v] {
-				continue
-			}
-			dst = g.appendBoxCrossingsOf(dst, v, box)
-		}
-		return dst
-	}
-	if fr, ok := region.(geom.Frustum); ok {
+	switch fr := region.(type) {
+	case geom.Frustum:
 		for v := int32(0); v < int32(len(g.ids)); v++ {
 			if g.dead[v] {
 				continue
@@ -100,16 +62,29 @@ func (g *Graph) AppendCrossings(dst []Boundary, region geom.Region) []Boundary {
 		}
 		return dst
 	}
+	box := region.Bounds()
+	if g.gridOn && box == g.lat.clip {
+		// The clip box IS the query region (fresh builds): a vertex whose
+		// segment is strictly inside it (clipped[v] false) cannot cross the
+		// boundary, so only the boundary-flagged minority is tested.
+		for v := int32(0); v < int32(len(g.ids)); v++ {
+			if g.dead[v] || !g.clipped[v] {
+				continue
+			}
+			dst = g.appendBoxCrossingsOf(dst, v, box)
+		}
+		return dst
+	}
 	for v := int32(0); v < int32(len(g.ids)); v++ {
 		if g.dead[v] {
 			continue
 		}
-		dst = g.appendCrossingsOf(dst, v, region)
+		dst = g.appendBoxCrossingsOf(dst, v, box)
 	}
 	return dst
 }
 
-// appendBoxCrossingsOf is appendCrossingsOf specialized for box regions.
+// appendBoxCrossingsOf is AppendVertexCrossings for a box region.
 func (g *Graph) appendBoxCrossingsOf(dst []Boundary, v int32, box geom.AABB) []Boundary {
 	s := g.store.Object(g.ids[v]).Seg
 	inA := box.Contains(s.A)
@@ -124,8 +99,8 @@ func (g *Graph) appendBoxCrossingsOf(dst []Boundary, v int32, box geom.AABB) []B
 	return appendOutward(dst, v, s, inA, inB, tmin, tmax)
 }
 
-// appendFrustumCrossingsOf is appendCrossingsOf specialized for frusta,
-// reading the frustum in place.
+// appendFrustumCrossingsOf is AppendVertexCrossings for a frustum, reading
+// it in place.
 func (g *Graph) appendFrustumCrossingsOf(dst []Boundary, v int32, f *geom.Frustum) []Boundary {
 	s := g.store.Object(g.ids[v]).Seg
 	inA := f.Contains(s.A)
@@ -267,7 +242,7 @@ func (g *Graph) ReachableCrossings(start []int32, region geom.Region) []Boundary
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		g.ops++
-		crossings = g.appendCrossingsOf(crossings, v, region)
+		crossings = g.AppendVertexCrossings(crossings, v, region)
 		for _, w := range g.adj[v] {
 			g.ops++
 			if !g.visitedOnce(w) {
