@@ -193,19 +193,21 @@ type Index = prefetch.Index
 
 // filtered is one query's filter step: its candidate pages (the demand set,
 // in index order), their physical order (physicalOrder) and its refined
-// result.
+// result. In RunSequence's slots, panicked holds a panic the step raised, for
+// the goroutine that takes the slot to re-raise (filterSlot).
 type filtered struct {
-	pages  []pagestore.PageID
-	order  []int32
-	result []pagestore.ObjectID
+	pages    []pagestore.PageID
+	order    []int32
+	result   []pagestore.ObjectID
+	panicked any
 }
 
 // filter runs one query's filter step — index probe, physical order, refine
 // — reusing dst's pages and order; keys is physicalOrder's sort scratch,
 // returned for reuse. The result is fresh (newResult, sized by prevLen),
 // since observers may retain it. It reads only the immutable store and the
-// index, so the plan phase and RunSequence's filter goroutine both run it
-// off the coordinator.
+// index, so the plan phase and both of RunSequence's filtering goroutines
+// run it, and which goroutine runs a query's step never shows in its output.
 func filter(store *pagestore.Store, index Index, r geom.Region, dst filtered, keys []uint64, prevLen int) (filtered, []uint64) {
 	dst.pages = index.QueryPages(r, dst.pages[:0])
 	dst.order, keys = physicalOrder(store, dst.pages, dst.order, keys)
@@ -255,20 +257,27 @@ type Engine struct {
 	// window's prediction set, and one request's pages.
 	batchBuf, reqBuf []pagestore.PageID
 
-	// The pipeline state (filterAhead, observeAhead). slots holds query i's
-	// filter step and plans the plan the prefetcher returned after observing
-	// it, both reused across calls; keys is the filter goroutine's sort
-	// scratch. ready carries finished filter slots to their consumer — the
-	// observe stage, or the coordinator when it observes inline — and
-	// planned carries finished plan slots to the coordinator; -1 on either
-	// means its sender panicked with filterPanic or observePanic. helpers
-	// waits for both goroutines.
+	// The pipeline state (filterAhead, nextFiltered, observeAhead). slots
+	// holds query i's filter step and plans the plan the prefetcher returned
+	// after observing it, both reused across calls. claimed counts the filter
+	// steps handed out: whoever filters query i claimed it there, exactly
+	// once. lastLen is the last result length filtered, the next step's size
+	// hint, kept across calls. keys and ownKeys are the filter goroutine's
+	// and the coordinator's sort scratch, and mine marks the slots the
+	// coordinator filtered itself. ready carries the filter goroutine's
+	// finished slots, in claim order, to their consumer — the observe stage,
+	// or the coordinator when it observes inline — and planned carries
+	// finished plan slots to the coordinator; -1 on planned means the observe
+	// stage panicked with observePanic. helpers waits for both goroutines.
 	slots        []filtered
 	plans        []prefetch.Plan
+	claimed      atomic.Int64
+	lastLen      atomic.Int64
 	keys         []uint64
+	ownKeys      []uint64
+	mine         []bool
 	ready        chan int
 	planned      chan int
-	filterPanic  any
 	observePanic any
 	helpers      sync.WaitGroup
 }
@@ -342,8 +351,11 @@ func (e *Engine) Clone() *Engine {
 // accounting, in query order. The exception is a fleet with shard faults
 // armed: it can drop pages from an answer, so the prefetcher must see the
 // served subset, known only after the demand turn, and such a fleet observes
-// inline here. Both goroutines are gone when RunSequence returns, panics
-// included; a panic in either is re-raised here with its original value.
+// inline here — and, rather than wait for a filter step, filters the next
+// unclaimed query itself (nextFiltered). Both goroutines are gone when
+// RunSequence returns, panics included; a panic in either, or in a filter
+// step run here, is re-raised here with its original value when the
+// sequence reaches the query that raised it.
 func (e *Engine) RunSequence(seq workload.Sequence, p prefetch.Prefetcher) SequenceResult {
 	f := e.fleet
 	f.reset()
@@ -369,7 +381,7 @@ func (e *Engine) RunSequence(seq workload.Sequence, p prefetch.Prefetcher) Seque
 		var fq *filtered
 		var plan prefetch.Plan
 		if inline {
-			fq = e.nextFiltered()
+			fq = e.nextFiltered(seq.Queries, qi)
 		} else {
 			fq, plan = e.nextPlanned()
 		}
@@ -434,7 +446,8 @@ func (e *Engine) RunSequence(seq workload.Sequence, p prefetch.Prefetcher) Seque
 
 // startPipeline starts the filter goroutine over queries (filterAhead) and,
 // unless p is observed inline, the observe stage feeding p (observeAhead),
-// after sizing the slots and channels for them on this goroutine.
+// after sizing the slots and channels for them and rewinding the claim
+// counter on this goroutine.
 func (e *Engine) startPipeline(queries []workload.Query, p prefetch.Prefetcher, inline bool) {
 	n := len(queries)
 	for len(e.slots) < n {
@@ -443,9 +456,14 @@ func (e *Engine) startPipeline(queries []workload.Query, p prefetch.Prefetcher, 
 	if cap(e.ready) < n {
 		e.ready = make(chan int, n)
 	}
+	e.claimed.Store(0)
 	e.helpers.Add(1)
 	go e.filterAhead(queries)
 	if inline {
+		if len(e.mine) < n {
+			e.mine = make([]bool, n)
+		}
+		clear(e.mine)
 		return
 	}
 	if len(e.plans) < n {
@@ -458,46 +476,81 @@ func (e *Engine) startPipeline(queries []workload.Query, p prefetch.Prefetcher, 
 	go e.observeAhead(queries, p)
 }
 
-// filterAhead runs every query's filter step in order into e.slots and
-// publishes each finished slot on e.ready. ready holds the whole sequence,
-// so the goroutine never waits on its consumer: with a small ring and
-// back-pressure the scheduler's hand-off ran both goroutines on one P and
-// nothing overlapped. A panic is recovered and published as -1 for
-// nextFiltered to re-raise.
-func (e *Engine) filterAhead(queries []workload.Query) {
-	defer e.helpers.Done()
+// claim hands out the next unfiltered query's index; past the sequence's
+// end, every index is len(queries) or more.
+func (e *Engine) claim() int { return int(e.claimed.Add(1)) - 1 }
+
+// filterSlot runs query i's filter step into its slot, with *keys as sort
+// scratch and the engine's last result length as the size hint. A panic is
+// recovered and recorded on the slot, so it is re-raised only when the
+// sequence reaches query i, whichever goroutine ran the step.
+func (e *Engine) filterSlot(i int, r geom.Region, keys *[]uint64) {
+	s := &e.slots[i]
+	s.panicked = nil
 	defer func() {
 		if v := recover(); v != nil {
-			e.filterPanic = v
-			e.ready <- -1
+			s.panicked = v
 		}
 	}()
-	prevLen := 0
-	for qi, q := range queries {
-		s := &e.slots[qi]
-		*s, e.keys = filter(e.store, e.index, q.Region, *s, e.keys, prevLen)
-		prevLen = len(s.result)
-		e.ready <- qi
+	*s, *keys = filter(e.store, e.index, r, *s, *keys, int(e.lastLen.Load()))
+	e.lastLen.Store(int64(len(s.result)))
+}
+
+// filterAhead claims queries in counter order, runs each one's filter step
+// into its slot and publishes the slot on e.ready, until the counter runs
+// out. ready holds the whole sequence, so the goroutine never waits on its
+// consumer: with a small ring and back-pressure the scheduler's hand-off ran
+// both goroutines on one P and nothing overlapped.
+func (e *Engine) filterAhead(queries []workload.Query) {
+	defer e.helpers.Done()
+	for i := e.claim(); i < len(queries); i = e.claim() {
+		e.filterSlot(i, queries[i].Region, &e.keys)
+		e.ready <- i
 	}
 }
 
-// nextFiltered waits for the next query's filter step and returns its slot,
-// re-raising a panic of the filter goroutine on the calling goroutine.
-func (e *Engine) nextFiltered() *filtered {
-	i := <-e.ready
-	if i < 0 {
-		panic(e.filterPanic)
+// nextFiltered returns query i's filter slot for the inline coordinator,
+// re-raising a panic its filter step recorded. While the slot is not ready
+// the coordinator does not wait: it claims the next unfiltered query and
+// filters it itself, into that query's slot. It blocks on ready only once
+// the counter has run out, when the filter goroutine holds query i.
+func (e *Engine) nextFiltered(queries []workload.Query, i int) *filtered {
+	for !e.mine[i] {
+		select {
+		case j := <-e.ready:
+			// The filter goroutine publishes in claim order and query i is
+			// not the coordinator's, so j is i.
+			return e.slot(j)
+		default:
+		}
+		k := e.claim()
+		if k >= len(queries) {
+			return e.slot(<-e.ready)
+		}
+		e.filterSlot(k, queries[k].Region, &e.ownKeys)
+		e.mine[k] = true
 	}
-	return &e.slots[i]
+	return e.slot(i)
+}
+
+// slot returns query i's filter slot, first re-raising on the calling
+// goroutine a panic its filter step recorded.
+func (e *Engine) slot(i int) *filtered {
+	s := &e.slots[i]
+	if s.panicked != nil {
+		panic(s.panicked)
+	}
+	return s
 }
 
 // observeAhead is the observe stage: it takes every query's filter slot in
-// order, has p observe the query and publishes the plan into e.plans and its
-// index on e.planned. planned holds the whole sequence, so like filterAhead
-// it never waits on the coordinator, and p's next Observe may run while the
-// coordinator still reads the plan before it (prefetch.Prefetcher allows
-// it). A panic — p's own, or the filter goroutine's re-raised by
-// nextFiltered — is recovered and published as -1 for nextPlanned to
+// order off e.ready — the filter goroutine filters them all, since the stage
+// must never block on a probe — has p observe the query and publishes the
+// plan into e.plans and its index on e.planned. planned holds the whole
+// sequence, so like filterAhead it never waits on the coordinator, and p's
+// next Observe may run while the coordinator still reads the plan before it
+// (prefetch.Prefetcher allows it). A panic — p's own, or a filter step's
+// re-raised by slot — is recovered and published as -1 for nextPlanned to
 // re-raise.
 func (e *Engine) observeAhead(queries []workload.Query, p prefetch.Prefetcher) {
 	defer e.helpers.Done()
@@ -508,7 +561,7 @@ func (e *Engine) observeAhead(queries []workload.Query, p prefetch.Prefetcher) {
 		}
 	}()
 	for qi, q := range queries {
-		fq := e.nextFiltered()
+		fq := e.slot(<-e.ready)
 		e.plans[qi] = observeQuery(p, qi, q, fq.result, fq.pages)
 		e.planned <- qi
 	}
@@ -555,7 +608,6 @@ func (e *Engine) spendWindow(plan prefetch.Plan, budget time.Duration) (int, tim
 	if f.perPage {
 		l = ladder{traversal: plan.TraversalPages, requests: len(plan.Requests), reqPages: func(i int) []pagestore.PageID {
 			e.reqBuf = e.index.QueryPages(&plan.Requests[i], e.reqBuf[:0])
-			pagestore.SortPageIDs(e.reqBuf)
 			return e.reqBuf
 		}}
 	} else {

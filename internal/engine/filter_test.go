@@ -121,12 +121,14 @@ func TestRunSequenceConcurrentIndexProbes(t *testing.T) {
 }
 
 // hookIndex is a test Index: every probe, from whichever goroutine, is
-// counted and its pages passed through after (call is 1-based). When set,
-// box sees each box probe once it is counted, before the index does.
+// counted and its region and pages passed through after (call is 1-based).
+// When set, box sees each box probe once it is counted, before the index
+// does. The engine sorts no probe's pages, so after must keep them in the
+// index's ascending order.
 type hookIndex struct {
 	Index
 	calls atomic.Int32
-	after func(call int32, pages []pagestore.PageID) []pagestore.PageID
+	after func(call int32, r geom.Region, pages []pagestore.PageID) []pagestore.PageID
 	box   func(b geom.AABB)
 }
 
@@ -135,7 +137,49 @@ func (x *hookIndex) QueryPages(r geom.Region, dst []pagestore.PageID) []pagestor
 	if _, frustum := r.(geom.Frustum); !frustum && x.box != nil {
 		x.box(r.Bounds())
 	}
-	return x.after(call, x.Index.QueryPages(r, dst))
+	return x.after(call, r, x.Index.QueryPages(r, dst))
+}
+
+// passPages is the hookIndex.after that changes nothing.
+func passPages(_ int32, _ geom.Region, pages []pagestore.PageID) []pagestore.PageID { return pages }
+
+// onFilterGoroutine reports whether its caller runs on RunSequence's filter
+// goroutine rather than on the coordinator.
+func onFilterGoroutine() bool {
+	pcs := make([]uintptr, 64)
+	frames := runtime.CallersFrames(pcs[:runtime.Callers(2, pcs)])
+	for {
+		f, more := frames.Next()
+		if strings.HasSuffix(f.Function, ".(*Engine).filterAhead") {
+			return true
+		}
+		if !more {
+			return false
+		}
+	}
+}
+
+// queryIndex returns the index of the query of seq whose region r is, or -1
+// for any other region: a demand query's region reaches the index by value,
+// a plan's box by pointer.
+func queryIndex(seq workload.Sequence, r geom.Region) int {
+	return slices.IndexFunc(seq.Queries, func(q workload.Query) bool { return q.Region == r })
+}
+
+// inlineConfig arms shard:flaky, so a NewShardedEngine fleet built from it
+// observes inline and its coordinator filters queries too.
+func inlineConfig(t testing.TB, replicas int, hedge float64) Config {
+	t.Helper()
+	plan, err := fault.ParseProfile("shard:flaky", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.BatchedIO = true
+	cfg.Faults = fault.New(plan)
+	cfg.Replicas = replicas
+	cfg.Hedge = hedge
+	return cfg
 }
 
 // hookPrefetcher is a test Prefetcher that plans nothing of its own: each
@@ -168,7 +212,9 @@ func (p *hookPrefetcher) Plan() prefetch.Plan {
 // surfaces on RunSequence's caller with its original value, and a panic on
 // the caller (here in the prefetch window's probe) returns only once both
 // helpers have run out. Either way the engine stays usable: its next
-// sequence matches a fresh engine's.
+// sequence matches a fresh engine's. The index and refine cases also run on
+// an inline engine (inlinePanics), where the failing filter step may run on
+// either goroutine.
 func TestRunSequencePanics(t *testing.T) {
 	store, tree := cloudWorld(t, 4000, 13)
 	seq := randomWalk(rand.New(rand.NewSource(3)), 10, 24)
@@ -179,10 +225,9 @@ func TestRunSequencePanics(t *testing.T) {
 		e.RunSequence(seq, p)
 		return nil
 	}
-	pass := func(_ int32, pages []pagestore.PageID) []pagestore.PageID { return pages }
 	stillUsable := func(t *testing.T, e *Engine, x *hookIndex) {
 		t.Helper()
-		x.after = pass
+		x.after = passPages
 		if got := e.RunSequence(seq, prefetch.NewStraightLine(24*24*24)); !reflect.DeepEqual(got, want) {
 			t.Fatal("the engine's next sequence differs from a fresh engine's")
 		}
@@ -190,8 +235,8 @@ func TestRunSequencePanics(t *testing.T) {
 	// gated blocks every probe after the first until release is closed, so
 	// the filter goroutine still has most of the sequence ahead of it when a
 	// panic unwinds another goroutine.
-	gated := func(release chan struct{}) func(int32, []pagestore.PageID) []pagestore.PageID {
-		return func(call int32, pages []pagestore.PageID) []pagestore.PageID {
+	gated := func(release chan struct{}) func(int32, geom.Region, []pagestore.PageID) []pagestore.PageID {
+		return func(call int32, _ geom.Region, pages []pagestore.PageID) []pagestore.PageID {
 			if call > 1 {
 				<-release
 			}
@@ -213,7 +258,7 @@ func TestRunSequencePanics(t *testing.T) {
 		// when the panic arrives in its place.
 		boom := errors.New("index boom")
 		planned2 := make(chan struct{})
-		x := &hookIndex{Index: tree, after: func(call int32, pages []pagestore.PageID) []pagestore.PageID {
+		x := &hookIndex{Index: tree, after: func(call int32, _ geom.Region, pages []pagestore.PageID) []pagestore.PageID {
 			if call == 4 {
 				<-planned2
 				panic(boom)
@@ -234,21 +279,35 @@ func TestRunSequencePanics(t *testing.T) {
 			t.Fatalf("the observe stage observed %d queries past a failed filter step, want 3", got)
 		}
 		stillUsable(t, e, x)
+		inlinePanics(t, store, tree, seq, func([]pagestore.PageID) []pagestore.PageID { panic(boom) }, func(t *testing.T, v any) {
+			if v != boom {
+				t.Fatalf("recovered %v, want the index's own panic value", v)
+			}
+		})
 	})
 
+	// outOfRange appends a page past the store's last, which keeps the pages
+	// ascending and fails the refine.
+	outOfRange := func(pages []pagestore.PageID) []pagestore.PageID {
+		return append(pages, pagestore.PageID(store.NumPages()+1))
+	}
+	isOutOfRange := func(t *testing.T, v any) {
+		t.Helper()
+		if err, ok := v.(runtime.Error); !ok || !strings.Contains(err.Error(), "out of range") {
+			t.Fatalf("recovered %v, want the refine's out-of-range runtime error", v)
+		}
+	}
 	t.Run("refine", func(t *testing.T) {
-		x := &hookIndex{Index: tree, after: func(call int32, pages []pagestore.PageID) []pagestore.PageID {
+		x := &hookIndex{Index: tree, after: func(call int32, _ geom.Region, pages []pagestore.PageID) []pagestore.PageID {
 			if call == 2 {
-				return append(pages, pagestore.PageID(store.NumPages()+1))
+				return outOfRange(pages)
 			}
 			return pages
 		}}
 		e := New(store, x, DefaultConfig())
-		v := recovered(e, prefetch.None{})
-		if err, ok := v.(runtime.Error); !ok || !strings.Contains(err.Error(), "out of range") {
-			t.Fatalf("recovered %v, want the refine's out-of-range runtime error", v)
-		}
+		isOutOfRange(t, recovered(e, prefetch.None{}))
 		stillUsable(t, e, x)
+		inlinePanics(t, store, tree, seq, outOfRange, isOutOfRange)
 	})
 
 	t.Run("prefetcher", func(t *testing.T) {
@@ -291,7 +350,7 @@ func TestRunSequencePanics(t *testing.T) {
 		releaseOnce := sync.OnceFunc(func() { close(release) })
 		boom := errors.New("commit boom")
 		sentinel := geom.CubeAt(geom.V(-1e6, -1e6, -1e6), 1)
-		x := &hookIndex{Index: tree, after: pass, box: func(b geom.AABB) {
+		x := &hookIndex{Index: tree, after: passPages, box: func(b geom.AABB) {
 			if b == sentinel {
 				releaseOnce()
 				panic(boom)
@@ -317,6 +376,187 @@ func TestRunSequencePanics(t *testing.T) {
 		ranOut(t, x, 1)
 		stillUsable(t, e, x)
 	})
+}
+
+// inlinePanics runs seq on three inline engines (S=8, R=2, hedged,
+// shard:flaky) whose filter step of the last query fails through fail, on
+// whichever goroutine runs it: ungated, with the coordinator's first probe
+// held until the step fails (so the filter goroutine runs it), and with the
+// filter goroutine's first probe held instead (so the coordinator runs it).
+// In the held runs each goroutine's first probe first waits for the
+// other's, so each holds one of the first two queries before either runs
+// ahead, and a held probe is also released once the other goroutine has
+// probed every other query. In each, check sees the value RunSequence re-raised, every
+// query was probed exactly once, and the step failed where it was steered.
+// The coordinator re-raises the failure when the sequence reaches the last
+// query, whoever ran the step, so the three engines recover with equal disk
+// and HA ledgers (the last query's turn never ran on any of them) and run
+// their next sequence alike.
+func inlinePanics(t *testing.T, store *pagestore.Store, tree Index, seq workload.Sequence, fail func([]pagestore.PageID) []pagestore.PageID, check func(t *testing.T, v any)) {
+	type outcome struct {
+		stats pagestore.DiskStats
+		ha    HAStats
+		next  SequenceResult
+	}
+	n, last := len(seq.Queries), len(seq.Queries)-1
+	cfg := inlineConfig(t, 2, 1.5)
+	var want outcome
+	for _, held := range []string{"", "coordinator", "filter goroutine"} {
+		t.Run("inline/held="+held, func(t *testing.T) {
+			probes := make([]atomic.Int32, n)
+			release := make(chan struct{})
+			releaseOnce := sync.OnceFunc(func() { close(release) })
+			var free atomic.Int32
+			var failedOn string
+			goroutines := [2]string{"coordinator", "filter goroutine"}
+			arrived := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
+			arrive := [2]func(){sync.OnceFunc(func() { close(arrived[0]) }), sync.OnceFunc(func() { close(arrived[1]) })}
+			x := &hookIndex{Index: tree, after: func(_ int32, r geom.Region, pages []pagestore.PageID) []pagestore.PageID {
+				qi := queryIndex(seq, r)
+				if qi < 0 {
+					return pages
+				}
+				probes[qi].Add(1)
+				g := 0
+				if onFilterGoroutine() {
+					g = 1
+				}
+				who := goroutines[g]
+				if held != "" {
+					arrive[g]()
+					<-arrived[1-g]
+				}
+				switch {
+				case qi == last:
+					failedOn = who
+					releaseOnce()
+					return fail(pages)
+				case who != held:
+					if free.Add(1) == int32(n-1) {
+						releaseOnce()
+					}
+				default:
+					<-release
+				}
+				return pages
+			}}
+			e := NewShardedEngine(store, x, cfg, 8)
+			v := func() (v any) {
+				defer func() { v = recover() }()
+				e.RunSequence(seq, prefetch.NewStraightLine(24*24*24))
+				return nil
+			}()
+			check(t, v)
+			for qi := range probes {
+				if got := probes[qi].Load(); got != 1 {
+					t.Fatalf("query %d was probed %d times before RunSequence returned, want once", qi, got)
+				}
+			}
+			if held != "" && failedOn == held {
+				t.Fatalf("the failing step ran on the held %s", held)
+			}
+			got := outcome{stats: e.Stats(), ha: e.HAStats()}
+			x.after = passPages
+			got.next = e.RunSequence(seq, prefetch.NewStraightLine(24*24*24))
+			if held == "" {
+				want = got
+				return
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("failed on the %s: ledgers after recovery or the next sequence differ from the ungated run's", failedOn)
+			}
+		})
+	}
+}
+
+// holdFilterGoroutine is a hookIndex.after for one run of seq: it holds the
+// filter goroutine's first probe of a query until the coordinator has probed
+// every other query, so the coordinator filters all of them but one.
+func holdFilterGoroutine(seq workload.Sequence) func(int32, geom.Region, []pagestore.PageID) []pagestore.PageID {
+	var coordinator atomic.Int32
+	release := make(chan struct{})
+	return func(_ int32, r geom.Region, pages []pagestore.PageID) []pagestore.PageID {
+		switch {
+		case queryIndex(seq, r) < 0:
+		case onFilterGoroutine():
+			<-release
+		case coordinator.Add(1) == int32(len(seq.Queries)-1):
+			close(release)
+		}
+		return pages
+	}
+}
+
+// TestInlineCallerFilterAgrees: a fleet with shard faults armed observes
+// inline, and its coordinator filters whatever query the filter goroutine
+// has not reached, so which goroutine filters a query must never show. Here
+// the filter goroutine is held at its first probe of every sequence until
+// the coordinator has probed all the others, so the coordinator filters all
+// but one query. Every result, trace, HA ledger and disk stat must equal an
+// ungated run's and the fingerprints recorded before the coordinator
+// filtered; the unreplicated rows are TestShardedFailoverHammer's run, so
+// their result hashes are its pinned ones.
+func TestInlineCallerFilterAgrees(t *testing.T) {
+	store, tree := cloudWorld(t, 3000, 17)
+	if err := store.Relayout(pagestore.HilbertLayout()); err != nil {
+		t.Fatal(err)
+	}
+	defer store.Relayout(pagestore.InsertionLayout())
+	r := rand.New(rand.NewSource(29))
+	var seqs []workload.Sequence
+	for _, q := range []int{10, 12, 10} {
+		seqs = append(seqs, randomWalk(r, q, 20))
+	}
+	for _, row := range []struct {
+		name        string
+		replicas    int
+		hedge       float64
+		hashes      []uint64
+		fingerprint uint64
+	}{
+		{"R=1", 1, 0, []uint64{0x868706bddc1a8f72, 0xd12e3547fbf08312, 0xc5781587de8315d4}, 0x3f6691af8a3b985e},
+		{"R=2/hedged", 2, 1.5, nil, 0xdbe6c6da1ce6ac3a},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			cfg := inlineConfig(t, row.replicas, row.hedge)
+			run := func(held bool) ([]SequenceResult, HAStats, pagestore.DiskStats) {
+				x := &hookIndex{Index: tree, after: passPages}
+				e := NewShardedEngine(store, x, cfg, 8)
+				var out []SequenceResult
+				for _, seq := range seqs {
+					if !held {
+						out = append(out, e.RunSequence(seq, prefetch.NewStraightLine(20*20*20)))
+						continue
+					}
+					x.after = holdFilterGoroutine(seq)
+					out = append(out, e.RunSequence(seq, prefetch.NewStraightLine(20*20*20)))
+					mine := 0
+					for _, m := range e.mine[:len(seq.Queries)] {
+						if m {
+							mine++
+						}
+					}
+					if mine < len(seq.Queries)-1 {
+						t.Fatalf("the coordinator filtered %d of %d queries, want all but one", mine, len(seq.Queries))
+					}
+				}
+				return out, e.HAStats(), e.Stats()
+			}
+			want, wantHA, wantStats := run(false)
+			got, gotHA, gotStats := run(true)
+			if !reflect.DeepEqual(got, want) || gotHA != wantHA || gotStats != wantStats {
+				t.Fatal("the run whose coordinator filtered differs from the ungated run")
+			}
+			for i, h := range row.hashes {
+				if got[i].ResultHash != h {
+					t.Errorf("sequence %d: result hash %#x, want %#x", i, got[i].ResultHash, h)
+				}
+			}
+			if fp := fingerprint(got, gotHA, gotStats); fp != row.fingerprint {
+				t.Errorf("fingerprint %#x, want %#x", fp, row.fingerprint)
+			}
+		})
+	}
 }
 
 // clonePlan deep-copies a plan: copying its slices copies everything.

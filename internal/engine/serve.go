@@ -352,7 +352,7 @@ type step struct {
 	graphDelta       bool
 	predictionHidden bool
 	traversal        []pagestore.PageID
-	reqPages         [][]pagestore.PageID // per plan request, sorted ascending
+	reqPages         [][]pagestore.PageID // per plan request, ascending (index order)
 	// batch is the batched flush's view of the same prediction set, one
 	// elevator batch; like cold, bound to the layout installed at plan time.
 	batch []pagestore.PageID
@@ -848,7 +848,6 @@ func planSession(store *pagestore.Store, index Index, w SessionWorkload, cost pa
 			batchBuf = append(batchBuf[:0], st.traversal...)
 			for i := range plan.Requests {
 				b := index.QueryPages(&plan.Requests[i], nil)
-				pagestore.SortPageIDs(b)
 				st.reqPages = append(st.reqPages, b)
 				batchBuf = append(batchBuf, b...)
 			}

@@ -22,8 +22,11 @@ var (
 // one and eight shards, unreplicated (R=1: the one-member chain — the demand
 // read no end-to-end workload times on its own, since explore_sharded and
 // serve_sharded both run Replicas 2) and replicated (R=2, the
-// failover-capable prefetch flush). Engine and sequences are built outside
-// the timer; ns/op is one 12-query sequence.
+// failover-capable prefetch flush). S=8/R=2/flaky is explore_sharded's
+// fleet: hedged at 1.5 with shard:flaky armed, so the coordinator observes
+// inline and filters the queries the filter goroutine has not reached.
+// Engine and sequences are built outside the timer; ns/op is one 12-query
+// sequence.
 func BenchmarkShardedRunSequence(b *testing.B) {
 	store, tree := cloudWorld(b, 20000, 9)
 	if err := store.Relayout(pagestore.HilbertLayout()); err != nil {
@@ -64,6 +67,11 @@ func BenchmarkShardedRunSequence(b *testing.B) {
 			})
 		}
 	}
+	b.Run("S=8/R=2/flaky", func(b *testing.B) {
+		e := NewShardedEngine(store, tree, inlineConfig(b, 2, 1.5), 8)
+		defer e.Close()
+		run(b, e)
+	})
 }
 
 // BenchmarkRunSequenceBatched times explore_file's binding — the flat engine
@@ -83,7 +91,7 @@ func BenchmarkRunSequenceBatched(b *testing.B) {
 	for i := range seqs {
 		seqs[i] = randomWalk(rng, 12, 30)
 	}
-	x := &hookIndex{Index: tree, after: func(_ int32, pages []pagestore.PageID) []pagestore.PageID { return pages }}
+	x := &hookIndex{Index: tree, after: passPages}
 	cfg := DefaultConfig()
 	cfg.BatchedIO = true
 	e := New(store, x, cfg)

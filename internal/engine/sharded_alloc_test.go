@@ -85,6 +85,9 @@ func TestShardedTurnAllocations(t *testing.T) {
 	// prefetcher's plans (one request slice each), the rest the results and
 	// the observations' page copies. The flush reuses its page buffers
 	// across windows, so one allocation per window would cross the ceiling.
+	// Each result is sized by the engine's last result length, kept across
+	// sequences; this walk leaves the cloud, so its first query starts from
+	// an empty hint and grows by append (about 0.3 allocs/query of it).
 	t.Run("run_sequence/flat-batched", func(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.BatchedIO = true
@@ -94,8 +97,8 @@ func TestShardedTurnAllocations(t *testing.T) {
 		e.RunSequence(seq, p)
 		perQuery := testing.AllocsPerRun(20, func() { e.RunSequence(seq, p) }) / float64(len(seq.Queries))
 		t.Logf("%.2f allocs/query", perQuery)
-		if perQuery > 3 {
-			t.Errorf("flat batched RunSequence: %.2f allocs/query, want <= 3", perQuery)
+		if perQuery > 2.5 {
+			t.Errorf("flat batched RunSequence: %.2f allocs/query, want <= 2.5", perQuery)
 		}
 	})
 
@@ -103,17 +106,23 @@ func TestShardedTurnAllocations(t *testing.T) {
 	// over the R-tree on frustum walks. Each rung of a plan's ladder reaches
 	// the index by pointer into the plan; converting the box to a
 	// geom.Region by value at the call cost a heap allocation per probed
-	// rung and read 8.67 allocs/query here (5.42 by pointer).
+	// rung and read 8.67 allocs/query here (5.42 by pointer). It reads 4.75
+	// since a sequence's first result is sized by the engine's last result
+	// length instead of growing from empty (5.42 with a hint of 0 there).
 	t.Run("run_sequence/scout-per-page", func(t *testing.T) {
 		b := newExploreWorld(t).bindings()[0]
 		b.e.RunSequence(b.seqs[0], b.p)
 		perQuery := testing.AllocsPerRun(20, func() { b.e.RunSequence(b.seqs[0], b.p) }) / float64(len(b.seqs[0].Queries))
 		t.Logf("%.2f allocs/query", perQuery)
-		if perQuery > 6 {
-			t.Errorf("per-page SCOUT RunSequence: %.2f allocs/query, want <= 6", perQuery)
+		if perQuery > 5 {
+			t.Errorf("per-page SCOUT RunSequence: %.2f allocs/query, want <= 5", perQuery)
 		}
 	})
 
+	// explore_sharded's fleet: hedged S=8/R=2 with shard faults armed, so the
+	// coordinator observes inline and filters the queries the filter
+	// goroutine has not reached, into the same slots: 2.20 allocs/query,
+	// whichever goroutine filters, on the walk above.
 	t.Run("run_sequence", func(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Replicas = 2
@@ -129,8 +138,8 @@ func TestShardedTurnAllocations(t *testing.T) {
 		}
 		perQuery := testing.AllocsPerRun(5, func() { e.RunSequence(seq, p) }) / float64(len(seq.Queries))
 		t.Logf("%.2f allocs/query", perQuery)
-		if perQuery > 3 {
-			t.Errorf("hedged S=8/R=2 RunSequence: %.2f allocs/query, want <= 3", perQuery)
+		if perQuery > 2.5 {
+			t.Errorf("hedged S=8/R=2 RunSequence: %.2f allocs/query, want <= 2.5", perQuery)
 		}
 	})
 }

@@ -349,7 +349,6 @@ func TestBatchedWindowProbesMaximalBoxes(t *testing.T) {
 		}},
 		{"sharded", func(x Index) *Engine { return NewShardedEngine(store, x, DefaultConfig(), 4) }},
 	}
-	pass := func(_ int32, pages []pagestore.PageID) []pagestore.PageID { return pages }
 	for _, fl := range fleets {
 		for _, tc := range cases {
 			t.Run(fl.name+"/"+tc.name, func(t *testing.T) {
@@ -378,7 +377,7 @@ func TestBatchedWindowProbesMaximalBoxes(t *testing.T) {
 					rng.Shuffle(len(trav), func(i, j int) { trav[i], trav[j] = trav[j], trav[i] })
 					plan := prefetch.Plan{Requests: reqs, TraversalPages: trav}
 
-					x := &hookIndex{Index: tree, after: pass}
+					x := &hookIndex{Index: tree, after: passPages}
 					e := fl.make(x)
 					f := e.fleet
 					for _, r := range reqs {

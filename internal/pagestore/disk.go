@@ -626,14 +626,11 @@ func (d *Disk) Stats() DiskStats { return d.stats }
 // ResetStats zeroes the accumulated statistics.
 func (d *Disk) ResetStats() { d.stats = DiskStats{} }
 
-// SortPageIDs sorts page IDs ascending in place, the order a disk scheduler
+// sortPageIDs sorts page IDs ascending in place, the order a disk scheduler
 // would issue them. The dedicated insertion/quick hybrid is kept because it
 // measured faster than slices.Sort on the sets this path sorts: on 8 to 1500
 // distinct pages slices.Sort took 7–37 % longer (go1.24, 2-vCPU Xeon, median
 // of three 200 000-iteration runs).
-func SortPageIDs(p []PageID) { sortPageIDs(p) }
-
-// sortPageIDs sorts in place.
 func sortPageIDs(p []PageID) {
 	if len(p) < 24 {
 		for i := 1; i < len(p); i++ {

@@ -225,7 +225,7 @@ func (s *Store) PhysicalPage(p PageID) PageID {
 
 // ElevatorSort sorts pages in place into ascending PHYSICAL order — the
 // order one disk-arm sweep would service them. With the identity layout
-// this is plain ascending PageID order (SortPageIDs).
+// this is plain ascending PageID order (sortPageIDs).
 func (s *Store) ElevatorSort(pages []PageID) {
 	if s.physOf == nil {
 		sortPageIDs(pages)
@@ -264,7 +264,7 @@ func (s *Store) Runs(pages []PageID, maxGap PageID, fn func(run []PageID) bool) 
 // sortByKey sorts pages ascending by key[page] in place: the same
 // insertion/quick hybrid as sortPageIDs, with a translation-table lookup as
 // the sort key (ties are impossible — key is a permutation). slices.SortFunc
-// with the same lookup took 1.9–4× as long on the sets SortPageIDs was
+// with the same lookup took 1.9–4× as long on the sets sortPageIDs was
 // measured on.
 func sortByKey(p []PageID, key []PageID) {
 	if len(p) < 24 {

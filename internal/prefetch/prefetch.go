@@ -32,11 +32,12 @@ type Index interface {
 	// is not a geom.Frustum is a box: the result is exactly the pages whose
 	// bounds overlap r.Bounds(), so a plan's box may come by value or by
 	// pointer, and the engine's batched flush skips nested requests on the
-	// strength of it. It must be safe for concurrent calls: the engine's PlanSessions
+	// strength of it. The engine relies on the order and sorts no probe's
+	// pages. It must be safe for concurrent calls: the engine's PlanSessions
 	// probes one index from all its workers, and RunSequence probes it from
 	// its filter goroutine while the coordinator resolves prefetch requests
-	// on its own and a prefetcher such as SCOUT-OPT walks the same index on
-	// the observe stage.
+	// (and, observing inline, filters queries) on its own and a prefetcher
+	// such as SCOUT-OPT walks the same index on the observe stage.
 	QueryPages(r geom.Region, dst []pagestore.PageID) []pagestore.PageID
 }
 
