@@ -191,28 +191,34 @@ func (r SequenceResult) Speedup() float64 {
 // internally; the engine itself only needs candidate pages.
 type Index = prefetch.Index
 
-// filtered is one query's filter step: its candidate pages (the demand set,
-// in index order), their physical order (physicalOrder) and its refined
-// result. In RunSequence's slots, panicked holds a panic the step raised, for
-// the goroutine that takes the slot to re-raise (filterSlot).
+// filtered is one query's record: its filter step — candidate pages (the
+// demand set, in index order), their physical order (physicalOrder, with keys
+// its sort scratch) and the refined result — and, in RunSequence's slots, what
+// the pipeline adds to it: the plan the prefetcher returned after observing
+// it, mine when the inline coordinator filtered it itself, and panicked, a
+// panic its filter step or its observation raised, for the goroutine that
+// takes the slot to re-raise (slot).
 type filtered struct {
 	pages    []pagestore.PageID
 	order    []int32
+	keys     []uint64
 	result   []pagestore.ObjectID
+	plan     prefetch.Plan
+	mine     bool
 	panicked any
 }
 
 // filter runs one query's filter step — index probe, physical order, refine
-// — reusing dst's pages and order; keys is physicalOrder's sort scratch,
-// returned for reuse. The result is fresh (newResult, sized by prevLen),
-// since observers may retain it. It reads only the immutable store and the
-// index, so the plan phase and both of RunSequence's filtering goroutines
-// run it, and which goroutine runs a query's step never shows in its output.
-func filter(store *pagestore.Store, index Index, r geom.Region, dst filtered, keys []uint64, prevLen int) (filtered, []uint64) {
-	dst.pages = index.QueryPages(r, dst.pages[:0])
-	dst.order, keys = physicalOrder(store, dst.pages, dst.order, keys)
-	dst.result = store.AppendMatches(newResult(prevLen), r, dst.pages)
-	return dst, keys
+// — into s, reusing its pages, order and keys; it writes nothing else, since
+// in RunSequence's slots other goroutines read s's other fields meanwhile.
+// The result is fresh (newResult, sized by prevLen), since observers may
+// retain it. It reads only the immutable store and the index, so the plan
+// phase and both of RunSequence's filtering goroutines run it, and which
+// goroutine runs a query's step never shows in its output.
+func filter(store *pagestore.Store, index Index, r geom.Region, s *filtered, prevLen int) {
+	s.pages = index.QueryPages(r, s.pages[:0])
+	s.order, s.keys = physicalOrder(store, s.pages, s.order, s.keys)
+	s.result = store.AppendMatches(newResult(prevLen), r, s.pages)
 }
 
 // observeQuery hands the prefetcher query qi once it is answered — its
@@ -258,28 +264,20 @@ type Engine struct {
 	batchBuf, reqBuf []pagestore.PageID
 
 	// The pipeline state (filterAhead, nextFiltered, observeAhead). slots
-	// holds query i's filter step and plans the plan the prefetcher returned
-	// after observing it, both reused across calls. claimed counts the filter
+	// holds query i's record, reused across calls. claimed counts the filter
 	// steps handed out: whoever filters query i claimed it there, exactly
 	// once. lastLen is the last result length filtered, the next step's size
-	// hint, kept across calls. keys and ownKeys are the filter goroutine's
-	// and the coordinator's sort scratch, and mine marks the slots the
-	// coordinator filtered itself. ready carries the filter goroutine's
-	// finished slots, in claim order, to their consumer — the observe stage,
-	// or the coordinator when it observes inline — and planned carries
-	// finished plan slots to the coordinator; -1 on planned means the observe
-	// stage panicked with observePanic. helpers waits for both goroutines.
-	slots        []filtered
-	plans        []prefetch.Plan
-	claimed      atomic.Int64
-	lastLen      atomic.Int64
-	keys         []uint64
-	ownKeys      []uint64
-	mine         []bool
-	ready        chan int
-	planned      chan int
-	observePanic any
-	helpers      sync.WaitGroup
+	// hint, kept across calls. ready carries the filter goroutine's finished
+	// slots, in claim order, to their consumer — the observe stage, or the
+	// coordinator when it observes inline — and planned carries the observe
+	// stage's finished slots to the coordinator. helpers waits for both
+	// goroutines.
+	slots   []filtered
+	claimed atomic.Int64
+	lastLen atomic.Int64
+	ready   chan int
+	planned chan int
+	helpers sync.WaitGroup
 }
 
 // New creates the flat engine. The store must be paginated (bulk-loaded).
@@ -446,12 +444,15 @@ func (e *Engine) RunSequence(seq workload.Sequence, p prefetch.Prefetcher) Seque
 
 // startPipeline starts the filter goroutine over queries (filterAhead) and,
 // unless p is observed inline, the observe stage feeding p (observeAhead),
-// after sizing the slots and channels for them and rewinding the claim
-// counter on this goroutine.
+// after sizing the slots and channels for them, clearing the slots' mine
+// marks and rewinding the claim counter on this goroutine.
 func (e *Engine) startPipeline(queries []workload.Query, p prefetch.Prefetcher, inline bool) {
 	n := len(queries)
 	for len(e.slots) < n {
 		e.slots = append(e.slots, filtered{})
+	}
+	for i := range e.slots[:n] {
+		e.slots[i].mine = false
 	}
 	if cap(e.ready) < n {
 		e.ready = make(chan int, n)
@@ -460,14 +461,7 @@ func (e *Engine) startPipeline(queries []workload.Query, p prefetch.Prefetcher, 
 	e.helpers.Add(1)
 	go e.filterAhead(queries)
 	if inline {
-		if len(e.mine) < n {
-			e.mine = make([]bool, n)
-		}
-		clear(e.mine)
 		return
-	}
-	if len(e.plans) < n {
-		e.plans = make([]prefetch.Plan, n)
 	}
 	if cap(e.planned) < n {
 		e.planned = make(chan int, n)
@@ -480,11 +474,11 @@ func (e *Engine) startPipeline(queries []workload.Query, p prefetch.Prefetcher, 
 // end, every index is len(queries) or more.
 func (e *Engine) claim() int { return int(e.claimed.Add(1)) - 1 }
 
-// filterSlot runs query i's filter step into its slot, with *keys as sort
-// scratch and the engine's last result length as the size hint. A panic is
-// recovered and recorded on the slot, so it is re-raised only when the
+// filterSlot runs query i's filter step into its slot, with the slot's own
+// sort scratch and the engine's last result length as the size hint. A panic
+// is recovered and recorded on the slot, so it is re-raised only when the
 // sequence reaches query i, whichever goroutine ran the step.
-func (e *Engine) filterSlot(i int, r geom.Region, keys *[]uint64) {
+func (e *Engine) filterSlot(i int, r geom.Region) {
 	s := &e.slots[i]
 	s.panicked = nil
 	defer func() {
@@ -492,7 +486,7 @@ func (e *Engine) filterSlot(i int, r geom.Region, keys *[]uint64) {
 			s.panicked = v
 		}
 	}()
-	*s, *keys = filter(e.store, e.index, r, *s, *keys, int(e.lastLen.Load()))
+	filter(e.store, e.index, r, s, int(e.lastLen.Load()))
 	e.lastLen.Store(int64(len(s.result)))
 }
 
@@ -504,18 +498,18 @@ func (e *Engine) filterSlot(i int, r geom.Region, keys *[]uint64) {
 func (e *Engine) filterAhead(queries []workload.Query) {
 	defer e.helpers.Done()
 	for i := e.claim(); i < len(queries); i = e.claim() {
-		e.filterSlot(i, queries[i].Region, &e.keys)
+		e.filterSlot(i, queries[i].Region)
 		e.ready <- i
 	}
 }
 
-// nextFiltered returns query i's filter slot for the inline coordinator,
-// re-raising a panic its filter step recorded. While the slot is not ready
-// the coordinator does not wait: it claims the next unfiltered query and
-// filters it itself, into that query's slot. It blocks on ready only once
-// the counter has run out, when the filter goroutine holds query i.
+// nextFiltered returns query i's slot for the inline coordinator, re-raising
+// a panic its filter step recorded. While the slot is not ready the
+// coordinator does not wait: it claims the next unfiltered query, filters it
+// itself into that query's slot and marks the slot mine. It blocks on ready
+// only once the counter has run out, when the filter goroutine holds query i.
 func (e *Engine) nextFiltered(queries []workload.Query, i int) *filtered {
-	for !e.mine[i] {
+	for !e.slots[i].mine {
 		select {
 		case j := <-e.ready:
 			// The filter goroutine publishes in claim order and query i is
@@ -527,14 +521,14 @@ func (e *Engine) nextFiltered(queries []workload.Query, i int) *filtered {
 		if k >= len(queries) {
 			return e.slot(<-e.ready)
 		}
-		e.filterSlot(k, queries[k].Region, &e.ownKeys)
-		e.mine[k] = true
+		e.filterSlot(k, queries[k].Region)
+		e.slots[k].mine = true
 	}
 	return e.slot(i)
 }
 
-// slot returns query i's filter slot, first re-raising on the calling
-// goroutine a panic its filter step recorded.
+// slot returns query i's slot, first re-raising on the calling goroutine a
+// panic its filter step or its observation recorded.
 func (e *Engine) slot(i int) *filtered {
 	s := &e.slots[i]
 	if s.panicked != nil {
@@ -543,44 +537,48 @@ func (e *Engine) slot(i int) *filtered {
 	return s
 }
 
-// observeAhead is the observe stage: it takes every query's filter slot in
-// order off e.ready — the filter goroutine filters them all, since the stage
-// must never block on a probe — has p observe the query and publishes the
-// plan into e.plans and its index on e.planned. planned holds the whole
-// sequence, so like filterAhead it never waits on the coordinator, and p's
-// next Observe may run while the coordinator still reads the plan before it
-// (prefetch.Prefetcher allows it). A panic — p's own, or a filter step's
-// re-raised by slot — is recovered and published as -1 for nextPlanned to
-// re-raise.
+// observeAhead is the observe stage: it takes every query's slot in order off
+// e.ready — the filter goroutine filters them all, since the stage must never
+// block on a probe — has p observe the query into the slot's plan and
+// publishes the slot's index on e.planned. planned holds the whole sequence,
+// so like filterAhead it never waits on the coordinator, and p's next Observe
+// may run while the coordinator still reads the plan before it
+// (prefetch.Prefetcher allows it). A panic follows the filter step's rule: a
+// panic in Observe or Plan is recorded on the slot of the query being
+// observed, a slot whose filter step panicked is not observed at all, and
+// either slot is published and ends the stage, for the coordinator to
+// re-raise the panic at that query's turn.
 func (e *Engine) observeAhead(queries []workload.Query, p prefetch.Prefetcher) {
 	defer e.helpers.Done()
+	qi := 0
 	defer func() {
 		if v := recover(); v != nil {
-			e.observePanic = v
-			e.planned <- -1
+			e.slots[qi].panicked = v
+			e.planned <- qi
 		}
 	}()
-	for qi, q := range queries {
-		fq := e.slot(<-e.ready)
-		e.plans[qi] = observeQuery(p, qi, q, fq.result, fq.pages)
+	for ; qi < len(queries); qi++ {
+		s := &e.slots[<-e.ready]
+		if s.panicked == nil {
+			s.plan = observeQuery(p, qi, queries[qi], s.result, s.pages)
+		}
 		e.planned <- qi
+		if s.panicked != nil {
+			return
+		}
 	}
 }
 
-// nextPlanned waits for the next query's plan and returns its filter slot
-// and the plan, re-raising a panic of either helper on the calling
-// goroutine.
+// nextPlanned waits for the observe stage's next slot and returns it with
+// its plan, re-raising on the calling goroutine a panic recorded on it.
 func (e *Engine) nextPlanned() (*filtered, prefetch.Plan) {
-	i := <-e.planned
-	if i < 0 {
-		panic(e.observePanic)
-	}
-	return &e.slots[i], e.plans[i]
+	s := e.slot(<-e.planned)
+	return s, s.plan
 }
 
-// stopPipeline waits for both helpers and empties their channels, which
-// still hold the slots a panicking consumer did not take, and drops the
-// plans so the engine keeps none of the prefetcher's memory alive.
+// stopPipeline waits for both helpers, empties their channels, which still
+// hold the slots a panicking consumer did not take, and zeroes every slot's
+// plan, so the engine keeps none of the prefetcher's memory alive.
 func (e *Engine) stopPipeline() {
 	e.helpers.Wait()
 	for len(e.ready) > 0 {
@@ -589,7 +587,9 @@ func (e *Engine) stopPipeline() {
 	for len(e.planned) > 0 {
 		<-e.planned
 	}
-	clear(e.plans)
+	for i := range e.slots {
+		e.slots[i].plan = prefetch.Plan{}
+	}
 }
 
 // spendWindow hands the plan's prediction set to the fleet in the shape its
@@ -606,7 +606,7 @@ func (e *Engine) spendWindow(plan prefetch.Plan, budget time.Duration) (int, tim
 	var batch []pagestore.PageID
 	var l ladder
 	if f.perPage {
-		l = ladder{traversal: plan.TraversalPages, requests: len(plan.Requests), reqPages: func(i int) []pagestore.PageID {
+		l = ladder{pages: plan.TraversalPages, requests: len(plan.Requests), reqPages: func(i int) []pagestore.PageID {
 			e.reqBuf = e.index.QueryPages(&plan.Requests[i], e.reqBuf[:0])
 			return e.reqBuf
 		}}

@@ -342,6 +342,58 @@ func TestRunSequencePanics(t *testing.T) {
 		stillUsable(t, e, x)
 	})
 
+	// turn fails query k's filter step (failFilter) or its Observe on a staged
+	// engine whose plans name one sentinel box per query, which only that
+	// query's prefetch window probes: the panic must surface with its own
+	// value at query k's turn, after the turns of queries 0..k-1 committed
+	// their windows and before query k's did.
+	turn := func(t *testing.T, k int, failFilter bool) {
+		t.Helper()
+		boom := errors.New("boom at query k")
+		sentinels := make([]geom.AABB, n)
+		for i := range sentinels {
+			sentinels[i] = geom.CubeAt(geom.V(-1e6, -1e6, -1e6-10*float64(i)), 1)
+		}
+		windows := make([]atomic.Bool, n)
+		x := &hookIndex{Index: tree, box: func(b geom.AABB) {
+			if i := slices.Index(sentinels, b); i >= 0 {
+				windows[i].Store(true)
+			}
+		}, after: func(_ int32, r geom.Region, pages []pagestore.PageID) []pagestore.PageID {
+			if failFilter && queryIndex(seq, r) == k {
+				panic(boom)
+			}
+			return pages
+		}}
+		p := &hookPrefetcher{
+			onObserve: func(seq int) {
+				if !failFilter && seq == k {
+					panic(boom)
+				}
+			},
+			onPlan: func(seq int) prefetch.Plan {
+				return prefetch.Plan{Requests: []geom.AABB{sentinels[seq]}}
+			},
+		}
+		e := New(store, x, DefaultConfig())
+		if v := recovered(e, p); v != boom {
+			t.Fatalf("recovered %v, want the original panic value", v)
+		}
+		for i := range windows {
+			if ran := windows[i].Load(); ran != (i < k) {
+				t.Fatalf("query %d's window ran: %v; the panic of query %d surfaced at another turn", i, ran, k)
+			}
+		}
+		if got := p.observed.Load(); got != int32(k) {
+			t.Fatalf("the observe stage finished %d observations, want %d: it went on past query %d", got, k, k)
+		}
+		plansReleased(t, e)
+		stillUsable(t, e, x)
+		plansReleased(t, e)
+	}
+	t.Run("turn/filter", func(t *testing.T) { turn(t, 4, true) })
+	t.Run("turn/observe", func(t *testing.T) { turn(t, 6, false) })
+
 	t.Run("commit", func(t *testing.T) {
 		// Query 0's plan holds a sentinel box whose probe in the prefetch
 		// window panics on the caller; the observe stage waits at query 1
@@ -376,6 +428,18 @@ func TestRunSequencePanics(t *testing.T) {
 		ranOut(t, x, 1)
 		stillUsable(t, e, x)
 	})
+}
+
+// plansReleased checks stopPipeline's promise: once RunSequence has
+// returned, normally or by panic, no slot holds a plan, so the engine keeps
+// none of the prefetcher's memory alive.
+func plansReleased(t *testing.T, e *Engine) {
+	t.Helper()
+	for i := range e.slots {
+		if !reflect.DeepEqual(e.slots[i].plan, prefetch.Plan{}) {
+			t.Fatalf("slot %d still holds its plan after RunSequence returned", i)
+		}
+	}
 }
 
 // inlinePanics runs seq on three inline engines (S=8, R=2, hedged,
@@ -531,8 +595,8 @@ func TestInlineCallerFilterAgrees(t *testing.T) {
 					x.after = holdFilterGoroutine(seq)
 					out = append(out, e.RunSequence(seq, prefetch.NewStraightLine(20*20*20)))
 					mine := 0
-					for _, m := range e.mine[:len(seq.Queries)] {
-						if m {
+					for _, s := range e.slots[:len(seq.Queries)] {
+						if s.mine {
 							mine++
 						}
 					}

@@ -67,16 +67,18 @@ type demandMerge struct {
 }
 
 // ladder is a prefetch window's prediction set in the shape the per-page
-// flush reads: the gap-traversal pages in plan order, then the incremental
-// request ladder, request i's pages (reqPages(i), ascending) resolved only
-// when the flush reaches them. The sweep reads the same set as one elevator
-// batch instead — a plain slice, kept out of this struct because the router
-// retains it as a part, and a retained field would drag the closure to the
-// heap every turn.
+// flush reads: pages, read first and in order, then requests more pages,
+// request i's (reqPages(i), ascending) resolved only when the flush reaches
+// them. RunSequence passes a plan's gap-traversal pages and resolves its
+// request ladder lazily; a serving step resolved its whole ladder at plan
+// time and passes it as pages alone. The sweep reads the same set as one
+// elevator batch instead — a plain slice, kept out of this struct because the
+// router retains it as a part, and a retained field would drag the closure to
+// the heap every turn.
 type ladder struct {
-	traversal []pagestore.PageID
-	requests  int
-	reqPages  func(i int) []pagestore.PageID
+	pages    []pagestore.PageID
+	requests int
+	reqPages func(i int) []pagestore.PageID
 }
 
 // serving is the multi-session half of a fleet's configuration (see
@@ -428,7 +430,7 @@ func (f *fleet) prefetchTurn(s int, contenders []int, batch []pagestore.PageID, 
 			continue
 		}
 		if f.perPage {
-			o.n, o.spent = prefetchPages(sh.cache, sh.disk, l.traversal, l.requests, l.reqPages, o.grant)
+			o.n, o.spent = prefetchPages(sh.cache, sh.disk, l, o.grant)
 			continue
 		}
 		r := &ha.routes[i]
@@ -485,17 +487,16 @@ func (f *fleet) routeWindow(j int, now time.Duration) haRoute {
 	return r
 }
 
-// prefetchPages is the per-page prefetch flush: it reads the plan's uncached
-// pages into the cache until the budget is exhausted — first the
-// gap-traversal pages in plan order (gap traversal reads them in
-// structure-following priority), then the incremental request ladder,
-// request i's pages (reqPages(i), in ascending order, as a disk scheduler
-// would issue them, so contiguous runs earn their discount) only once the
-// flush gets there: a window that closes early never pays for the ladder's
-// later rungs. The read that crosses the budget still completes — the disk
-// cannot abort a read — and closes the window. It returns the pages
-// prefetched and the I/O time spent.
-func prefetchPages(c pageCache, d *pagestore.Disk, traversal []pagestore.PageID, requests int, reqPages func(i int) []pagestore.PageID, budget time.Duration) (int, time.Duration) {
+// prefetchPages is the per-page prefetch flush: it reads the ladder's
+// uncached pages into the cache until the budget is exhausted — first its
+// pages in order (a plan's gap-traversal pages come in structure-following
+// priority), then each request's pages (reqPages(i), in ascending order, as
+// a disk scheduler would issue them, so contiguous runs earn their discount)
+// only once the flush gets there: a window that closes early never pays for
+// a lazy ladder's later rungs. The read that crosses the budget still
+// completes — the disk cannot abort a read — and closes the window. It
+// returns the pages prefetched and the I/O time spent.
+func prefetchPages(c pageCache, d *pagestore.Disk, l ladder, budget time.Duration) (int, time.Duration) {
 	var spent time.Duration
 	prefetched := 0
 
@@ -509,13 +510,13 @@ func prefetchPages(c pageCache, d *pagestore.Disk, traversal []pagestore.PageID,
 		return spent <= budget
 	}
 
-	for _, pg := range traversal {
+	for _, pg := range l.pages {
 		if !readPage(pg) {
 			return prefetched, spent
 		}
 	}
-	for i := 0; i < requests; i++ {
-		for _, pg := range reqPages(i) {
+	for i := 0; i < l.requests; i++ {
+		for _, pg := range l.reqPages(i) {
 			if !readPage(pg) {
 				return prefetched, spent
 			}

@@ -246,7 +246,7 @@ func serveConfigs(t *testing.T) map[string]ServeConfig {
 }
 
 // hashSteps folds every step's plan memory — demand pages, physical order,
-// elevator batch — into one FNV-1a value.
+// ladder, elevator batch — into one FNV-1a value.
 func hashSteps(p *SessionPlans) uint64 {
 	h := fnvOffset
 	fold := func(v uint64) { h = (h ^ v) * fnvPrime }
@@ -260,9 +260,11 @@ func hashSteps(p *SessionPlans) uint64 {
 			for _, j := range st.order {
 				fold(uint64(j))
 			}
-			fold(uint64(len(st.batch)))
-			for _, pg := range st.batch {
-				fold(uint64(pg))
+			for _, pages := range [][]pagestore.PageID{st.ladder, st.batch} {
+				fold(uint64(len(pages)))
+				for _, pg := range pages {
+					fold(uint64(pg))
+				}
 			}
 		}
 	}
@@ -271,10 +273,11 @@ func hashSteps(p *SessionPlans) uint64 {
 
 // TestServeLeavesPlansUntouched is the aliasing guard: a commit reads the
 // plans in place — the demand pages and their order through route and
-// lookup, the elevator batch through SplitRuns' subslices — and must never
-// write them, since every later commit of the same plans reads them too.
-// Every step's pages, order and batch hash the same before and after a
-// commit under each configuration.
+// lookup, the ladder through the per-page flush, the elevator batch through
+// SplitRuns' subslices — and must never write them, since every later
+// commit of the same plans reads them too. Every step's pages, order, ladder
+// and batch hash the same before and after a commit under each
+// configuration.
 func TestServeLeavesPlansUntouched(t *testing.T) {
 	store, tree := cloudWorld(t, 4000, 29)
 	if err := store.Relayout(pagestore.HilbertLayout()); err != nil {

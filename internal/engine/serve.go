@@ -351,11 +351,13 @@ type step struct {
 	prediction       time.Duration
 	graphDelta       bool
 	predictionHidden bool
-	traversal        []pagestore.PageID
-	reqPages         [][]pagestore.PageID // per plan request, ascending (index order)
-	// batch is the batched flush's view of the same prediction set, one
-	// elevator batch; like cold, bound to the layout installed at plan time.
-	batch []pagestore.PageID
+	// ladder is the per-page flush's prediction set, resolved at plan time
+	// into one page list: the plan's gap-traversal pages, then each
+	// request's pages in ascending (index) order. batch is the batched
+	// flush's view of the same set, one elevator batch; like cold, bound to
+	// the layout installed at plan time.
+	ladder []pagestore.PageID
+	batch  []pagestore.PageID
 }
 
 // resolveCacheShards picks a shared cache's internal shard count: the
@@ -741,11 +743,7 @@ func (c *commit) window(s int, st *step, t time.Duration) (int, time.Duration, t
 		// Batched, the window is one elevator batch per session turn — which
 		// also shrinks the span in which other sessions' in-flight I/O counts
 		// as seek interference.
-		return c.f.prefetchTurn(s, c.cont, st.batch, ladder{
-			traversal: st.traversal,
-			requests:  len(st.reqPages),
-			reqPages:  func(i int) []pagestore.PageID { return st.reqPages[i] },
-		}, budget, t)
+		return c.f.prefetchTurn(s, c.cont, st.batch, ladder{pages: st.ladder}, budget, t)
 	}
 	return 0, 0, 0
 }
@@ -827,11 +825,16 @@ func planSession(store *pagestore.Store, index Index, w SessionWorkload, cost pa
 		}
 		resultLen := 0
 		for qi, q := range seq.Queries {
-			var fq filtered
-			fq, keys = filter(store, index, q.Region, fq, keys, resultLen)
+			fq := filtered{keys: keys}
+			filter(store, index, q.Region, &fq, resultLen)
+			keys = fq.keys
 			cold := coldSweep(store, cost, fq.pages, fq.order, 0, len(fq.pages))
 			resultLen = len(fq.result)
 			plan := observeQuery(p, qi, q, fq.result, fq.pages)
+			batchBuf = append(batchBuf[:0], plan.TraversalPages...)
+			for i := range plan.Requests {
+				batchBuf = index.QueryPages(&plan.Requests[i], batchBuf)
+			}
 			st := step{
 				queryIdx:         qi,
 				last:             qi == len(seq.Queries)-1,
@@ -843,13 +846,7 @@ func planSession(store *pagestore.Store, index Index, w SessionWorkload, cost pa
 				prediction:       plan.Prediction,
 				graphDelta:       plan.GraphDelta,
 				predictionHidden: plan.PredictionHidden,
-				traversal:        append([]pagestore.PageID(nil), plan.TraversalPages...),
-			}
-			batchBuf = append(batchBuf[:0], st.traversal...)
-			for i := range plan.Requests {
-				b := index.QueryPages(&plan.Requests[i], nil)
-				st.reqPages = append(st.reqPages, b)
-				batchBuf = append(batchBuf, b...)
+				ladder:           append([]pagestore.PageID(nil), batchBuf...),
 			}
 			st.batch = append([]pagestore.PageID(nil), elevatorBatch(store, batchBuf)...)
 			steps = append(steps, st)

@@ -14,6 +14,7 @@ import (
 var (
 	benchServeQueries int64
 	benchShardedHash  uint64
+	benchPlans        *SessionPlans
 )
 
 // BenchmarkShardedRunSequence times RunSequence over the hilbert layout:
@@ -145,6 +146,22 @@ func walkWorkloads(rng *rand.Rand, n, q int) []SessionWorkload {
 		}
 	}
 	return out
+}
+
+// BenchmarkPlanSessions times the plan phase alone — PlanSessions at one
+// worker over 64 sessions of one 25-query walk each, predicted by the
+// straight-line baseline, on the insertion layout. allocs/op and B/op are
+// what the plan keeps per step (demand set, result, observation copy, plan,
+// ladder, elevator batch) plus each session's step slice; ns/op is the
+// whole plan phase.
+func BenchmarkPlanSessions(b *testing.B) {
+	store, tree := cloudWorld(b, 20000, 9)
+	workloads := walkWorkloads(rand.New(rand.NewSource(64)), 64, 25)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchPlans = PlanSessions(store, tree, workloads, DefaultConfig().Cost, 1)
+	}
 }
 
 // BenchmarkServeCommit times the commit phase alone — SessionPlans.Serve

@@ -52,6 +52,22 @@ func TestShardedTurnAllocations(t *testing.T) {
 		}
 	})
 
+	// The plan phase: PlanSessions at one worker over BenchmarkPlanSessions'
+	// 64 sessions of one 25-query walk, here on the hilbert layout, where
+	// every step also keeps its demand set's physical order. A step keeps a
+	// slice or so per part (demand set, order, result, observation copy,
+	// plan, ladder, elevator batch), never one per plan request: it read
+	// 14.5 allocs/step while a step kept its ladder as one slice per
+	// request, and reads 5.04 with one page list.
+	t.Run("plan_sessions", func(t *testing.T) {
+		workloads := walkWorkloads(rand.New(rand.NewSource(64)), 64, 25)
+		perStep := testing.AllocsPerRun(5, func() { PlanSessions(store, tree, workloads, DefaultConfig().Cost, 1) }) / (64 * 25)
+		t.Logf("%.2f allocs/step", perStep)
+		if perStep > 5.5 {
+			t.Errorf("plan phase: %.2f allocs/step, want <= 5.5", perStep)
+		}
+	})
+
 	// The flat commit (Shards 0) is the one-shard fleet, built per Serve call:
 	// fleet, shard, partition, router and failover scratch are per-commit
 	// allocations on top of what the commit loop always made (result rows,
