@@ -15,7 +15,7 @@ import (
 // benchSetup builds a small neuro world and one sequence of observations.
 func benchSetup(b *testing.B) (*pagestore.Store, *flatindex.Index, []prefetch.Observation) {
 	b.Helper()
-	return benchWorld(b, dataset.NeuroConfig{NumObjects: 60_000, Seed: 1})
+	return benchWorld(b, dataset.SmallNeuroConfig())
 }
 
 // benchWorld builds a neuro world of the given configuration and one
@@ -145,7 +145,7 @@ func BenchmarkScoutOptObserve(b *testing.B) {
 // replaces full rebuilds with delta advances.
 func overlapSetup(b *testing.B) (*pagestore.Store, []prefetch.Observation) {
 	b.Helper()
-	ds := dataset.GenerateNeuro(dataset.NeuroConfig{NumObjects: 60_000, Seed: 1})
+	ds := dataset.GenerateNeuro(dataset.SmallNeuroConfig())
 	store := pagestore.NewStore(ds.Objects)
 	tree, err := rtree.BulkLoad(store, rtree.Config{})
 	if err != nil {

@@ -109,16 +109,3 @@ func DefaultConfig() Config {
 		Ladder:       6,
 	}
 }
-
-func (c Config) withDefaults() Config {
-	if c.Resolution <= 0 {
-		c.Resolution = 32768
-	}
-	if c.MaxLocations <= 0 {
-		c.MaxLocations = 4
-	}
-	if c.Ladder <= 0 {
-		c.Ladder = 6
-	}
-	return c
-}

@@ -125,7 +125,6 @@ type Scout struct {
 // New creates a SCOUT prefetcher over the given store. adjacency may be nil
 // (grid hashing) or the dataset's explicit object graph.
 func New(store *pagestore.Store, adjacency [][]pagestore.ObjectID, cfg Config) *Scout {
-	cfg = cfg.withDefaults()
 	return &Scout{
 		store:     store,
 		adjacency: adjacency,

@@ -348,10 +348,3 @@ func TestStrategyString(t *testing.T) {
 		t.Error("strategy names")
 	}
 }
-
-func TestConfigDefaults(t *testing.T) {
-	c := Config{}.withDefaults()
-	if c.Resolution != 32768 || c.MaxLocations != 4 || c.Ladder != 6 {
-		t.Errorf("defaults wrong: %+v", c)
-	}
-}

@@ -14,27 +14,28 @@ import (
 // the property the paper's Figure 17 findings hinge on (curve extrapolation
 // beats SCOUT on smooth structures at small query volumes), so the per-step
 // tortuosity is an order of magnitude below the neuron generator's.
-// NumObjects counts cylinders, one per walk step; Roots counts the major
-// coronary vessels.
+// NumObjects counts cylinders, one per walk step.
 type ArteryConfig struct {
-	VesselConfig
+	NumObjects int
+	Seed       int64
 }
 
-// DefaultArteryConfig scales the paper's 2.1M-cylinder tree to 250k (≈1/8),
-// keeping its morphology.
+// arteryShape is the arterial tree's morphology: six major coronary vessels
+// (Roots).
+var arteryShape = vesselShape{
+	Roots:       6,
+	TrunkLen:    180,
+	LenDecay:    0.85,
+	SegLen:      6,
+	Radius0:     14,
+	RadiusDecay: 0.78,
+	BranchAngle: 0.5,
+	Tortuosity:  0.015,
+}
+
+// DefaultArteryConfig scales the paper's 2.1M-cylinder tree to 250k (≈1/8).
 func DefaultArteryConfig() ArteryConfig {
-	return ArteryConfig{VesselConfig{
-		NumObjects:  250_000,
-		Roots:       6,
-		TrunkLen:    180,
-		LenDecay:    0.85,
-		SegLen:      6,
-		Radius0:     14,
-		RadiusDecay: 0.78,
-		BranchAngle: 0.5,
-		Tortuosity:  0.015,
-		Seed:        2,
-	}}
+	return ArteryConfig{NumObjects: 250_000, Seed: 2}
 }
 
 // SmallArteryConfig is a fast configuration for tests and examples.
@@ -52,12 +53,12 @@ func GenerateArtery(cfg ArteryConfig) *Dataset {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	// The world is a cube that comfortably contains trees of total reach
 	// ~TrunkLen/(1−LenDecay) grown inward from points near the faces.
-	half := cfg.TrunkLen / (1 - cfg.LenDecay) * 0.9
+	half := arteryShape.TrunkLen / (1 - arteryShape.LenDecay) * 0.9
 	world := geom.Box(geom.V(-half, -half, -half), geom.V(half, half, half))
 
 	d := &Dataset{Name: "artery", World: world}
 	d.Objects = make([]pagestore.Object, 0, cfg.NumObjects)
-	d.Structures = growVessels(rng, world, cfg.VesselConfig, &d.Objects,
+	d.Structures = growVessels(rng, world, arteryShape, cfg.NumObjects, &d.Objects,
 		func() (geom.Vec3, geom.Vec3) {
 			// Roots sit near a random face, pointing inward.
 			pos := randPointIn(rng, world.ScaledAbout(0.95))

@@ -117,8 +117,10 @@ func TestGenerateNeuro(t *testing.T) {
 }
 
 func TestGenerateNeuroDeterministic(t *testing.T) {
-	a := GenerateNeuro(NeuroConfig{NumObjects: 5000, Seed: 7})
-	b := GenerateNeuro(NeuroConfig{NumObjects: 5000, Seed: 7})
+	cfg := DefaultNeuroConfig()
+	cfg.NumObjects, cfg.Seed = 5000, 7
+	a := GenerateNeuro(cfg)
+	b := GenerateNeuro(cfg)
 	if len(a.Objects) != len(b.Objects) {
 		t.Fatal("object counts differ")
 	}
@@ -127,7 +129,8 @@ func TestGenerateNeuroDeterministic(t *testing.T) {
 			t.Fatalf("object %d differs", i)
 		}
 	}
-	c := GenerateNeuro(NeuroConfig{NumObjects: 5000, Seed: 8})
+	cfg.Seed = 8
+	c := GenerateNeuro(cfg)
 	same := true
 	for i := range a.Objects {
 		if i < len(c.Objects) && a.Objects[i].Seg != c.Objects[i].Seg {
@@ -173,7 +176,7 @@ func TestGenerateArtery(t *testing.T) {
 func TestGenerateRoad(t *testing.T) {
 	cfg := SmallRoadConfig()
 	d := GenerateRoad(cfg)
-	wantEdges := 2*cfg.GridNodes*(cfg.GridNodes-1) + cfg.Highways*(cfg.GridNodes-1)
+	wantEdges := 2*cfg.GridNodes*(cfg.GridNodes-1) + roadHighways*(cfg.GridNodes-1)
 	if math.Abs(float64(len(d.Objects)-wantEdges)) > float64(wantEdges)/10 {
 		t.Errorf("road objects = %d, want ≈%d", len(d.Objects), wantEdges)
 	}
@@ -185,7 +188,7 @@ func TestGenerateRoad(t *testing.T) {
 		}
 	}
 	// Routes should be long (≥ 10 hops × spacing).
-	if long := countLong(d, 10*cfg.Spacing); long < cfg.Routes/2 {
+	if long := countLong(d, 10*roadSpacing); long < cfg.Routes/2 {
 		t.Errorf("only %d long routes", long)
 	}
 }

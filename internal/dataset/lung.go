@@ -14,31 +14,31 @@ import (
 // triangulated; face adjacency is recorded explicitly, exercising SCOUT's
 // polygon-mesh path ("SCOUT can easily extract a graph with vertices
 // represented by polygon faces and edges connecting adjacent polygon
-// faces", §4.2). NumObjects counts triangles; Roots counts airway trees
-// (2 = left + right lung).
+// faces", §4.2). NumObjects counts triangles.
 type LungConfig struct {
-	VesselConfig
-	// Sectors is the number of triangle pairs around each tube ring.
-	Sectors int
+	NumObjects int
+	Seed       int64
 }
+
+// lungShape is the airway tree's morphology: two trees (Roots), the left and
+// right lung.
+var lungShape = vesselShape{
+	Roots:       2,
+	TrunkLen:    300,
+	LenDecay:    0.82,
+	SegLen:      10,
+	Radius0:     18,
+	RadiusDecay: 0.75,
+	BranchAngle: 0.55,
+	Tortuosity:  0.03,
+}
+
+// lungSectors is the number of triangle pairs around each tube ring.
+const lungSectors = 6
 
 // DefaultLungConfig scales the paper's 7.1M triangles to 250k (≈1/28).
 func DefaultLungConfig() LungConfig {
-	return LungConfig{
-		VesselConfig: VesselConfig{
-			NumObjects:  250_000,
-			Roots:       2,
-			TrunkLen:    300,
-			LenDecay:    0.82,
-			SegLen:      10,
-			Radius0:     18,
-			RadiusDecay: 0.75,
-			BranchAngle: 0.55,
-			Tortuosity:  0.03,
-			Seed:        4,
-		},
-		Sectors: 6,
-	}
+	return LungConfig{NumObjects: 250_000, Seed: 4}
 }
 
 // SmallLungConfig is a fast configuration for tests and examples.
@@ -53,14 +53,11 @@ func GenerateLung(cfg LungConfig) *Dataset {
 	if cfg.NumObjects <= 0 {
 		panic("dataset: NumObjects must be positive")
 	}
-	if cfg.Sectors < 3 {
-		cfg.Sectors = 6
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	half := cfg.TrunkLen / (1 - cfg.LenDecay) * 0.95
+	half := lungShape.TrunkLen / (1 - lungShape.LenDecay) * 0.95
 	world := geom.Box(geom.V(-half, -half, -half), geom.V(half, half, half))
 
-	S := cfg.Sectors
+	const S = lungSectors
 	d := &Dataset{Name: "lung", World: world}
 	// The last step may overshoot the budget by up to a ring of triangles.
 	d.Objects = make([]pagestore.Object, 0, cfg.NumObjects+2*S)
@@ -78,7 +75,7 @@ func GenerateLung(cfg LungConfig) *Dataset {
 	// Each step triangulates the tube between the previous ring of S
 	// vertices around the skeleton and the next one.
 	prev, ring := make([]geom.Vec3, S), make([]geom.Vec3, S)
-	d.Structures = growVessels(rng, world, cfg.VesselConfig, &d.Objects,
+	d.Structures = growVessels(rng, world, lungShape, cfg.NumObjects, &d.Objects,
 		func() (geom.Vec3, geom.Vec3) {
 			return randPointIn(rng, world.ScaledAbout(0.6)), randUnit(rng)
 		},

@@ -15,13 +15,6 @@ import (
 type RoadConfig struct {
 	// GridNodes is the lattice size per axis; segment count ≈ 2·GridNodes².
 	GridNodes int
-	// Spacing is the lattice pitch in µm (any length unit works; µm keeps
-	// the codebase unit-consistent).
-	Spacing float64
-	// Jitter displaces nodes by ±Jitter·Spacing.
-	Jitter float64
-	// Highways is the number of long diagonal routes overlaid on the grid.
-	Highways int
 	// Routes is the number of guiding structures to record.
 	Routes int
 	// RouteLen is the number of lattice hops per route.
@@ -29,13 +22,20 @@ type RoadConfig struct {
 	Seed     int64
 }
 
+// The road network's lattice: its pitch in µm (any length unit works; µm
+// keeps the codebase unit-consistent), the node displacement of up to
+// ±roadJitter·roadSpacing, and the number of long diagonal routes overlaid
+// on the grid.
+const (
+	roadSpacing  = 50.0
+	roadJitter   = 0.25
+	roadHighways = 8
+)
+
 // DefaultRoadConfig scales the paper's 7.2M segments to 500k (≈1/14).
 func DefaultRoadConfig() RoadConfig {
 	return RoadConfig{
 		GridNodes: 500,
-		Spacing:   50,
-		Jitter:    0.25,
-		Highways:  8,
 		Routes:    256,
 		RouteLen:  120,
 		Seed:      3,
@@ -60,22 +60,22 @@ func GenerateRoad(cfg RoadConfig) *Dataset {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	n := cfg.GridNodes
-	side := float64(n-1) * cfg.Spacing
+	side := float64(n-1) * roadSpacing
 
 	// Jittered node positions.
 	nodes := make([]geom.Vec3, n*n)
 	at := func(i, j int) int { return j*n + i }
 	for j := 0; j < n; j++ {
 		for i := 0; i < n; i++ {
-			jx := (rng.Float64()*2 - 1) * cfg.Jitter * cfg.Spacing
-			jy := (rng.Float64()*2 - 1) * cfg.Jitter * cfg.Spacing
-			nodes[at(i, j)] = geom.V(float64(i)*cfg.Spacing+jx, float64(j)*cfg.Spacing+jy, 0)
+			jx := (rng.Float64()*2 - 1) * roadJitter * roadSpacing
+			jy := (rng.Float64()*2 - 1) * roadJitter * roadSpacing
+			nodes[at(i, j)] = geom.V(float64(i)*roadSpacing+jx, float64(j)*roadSpacing+jy, 0)
 		}
 	}
 
 	d := &Dataset{
 		Name:  "road",
-		World: geom.Box(geom.V(-cfg.Spacing, -cfg.Spacing, -1), geom.V(side+cfg.Spacing, side+cfg.Spacing, 1)),
+		World: geom.Box(geom.V(-roadSpacing, -roadSpacing, -1), geom.V(side+roadSpacing, side+roadSpacing, 1)),
 	}
 	// Horizontal and vertical lattice edges.
 	for j := 0; j < n; j++ {
@@ -93,7 +93,7 @@ func GenerateRoad(cfg RoadConfig) *Dataset {
 		}
 	}
 	// Highways: long jittered diagonals crossing the map.
-	for h := 0; h < cfg.Highways; h++ {
+	for h := 0; h < roadHighways; h++ {
 		i, j := rng.Intn(n), 0
 		di := []int{-1, 0, 1}[rng.Intn(3)]
 		prev := nodes[at(i, j)]

@@ -8,14 +8,11 @@ import (
 	"scout/internal/pagestore"
 )
 
-// VesselConfig shapes a vessel tree, the skeleton the artery and airway
-// datasets share: each root branch is a smooth walk that bifurcates at its
-// tip into two shorter, thinner children, level by level, until the object
-// budget is spent.
-type VesselConfig struct {
-	// NumObjects is the approximate target number of objects (the fractal
-	// construction stops adding levels when the budget is exhausted).
-	NumObjects int
+// vesselShape is a vessel tree's morphology, the skeleton the artery and
+// airway datasets share: each root branch is a smooth walk that bifurcates at
+// its tip into two shorter, thinner children, level by level, until the
+// object budget is spent. Each dataset has one (arteryShape, lungShape).
+type vesselShape struct {
 	// Roots is the number of trees.
 	Roots int
 	// TrunkLen is the length of a root branch in µm; children shrink by
@@ -29,7 +26,6 @@ type VesselConfig struct {
 	BranchAngle float64
 	// Tortuosity is the per-step direction noise.
 	Tortuosity float64
-	Seed       int64
 }
 
 // vessel is one branch of a vessel tree: where it starts and heads, the
@@ -46,19 +42,20 @@ type vessel struct {
 	tail pagestore.ObjectID
 }
 
-// growVessels grows cfg.Roots vessel trees into *objs until it holds
-// cfg.NumObjects objects. place draws each root's start and heading; step
+// growVessels grows sh.Roots vessel trees into *objs until it holds
+// numObjects objects (the fractal construction stops adding levels when the
+// budget is exhausted). place draws each root's start and heading; step
 // appends the objects of step s of branch b, which walks from pos to next
 // heading dir. It returns the guiding structures: up to 512 root-to-tip
 // polylines spread evenly over the tips (recording every tip of a fractal
 // tree would be redundant).
-func growVessels(rng *rand.Rand, world geom.AABB, cfg VesselConfig, objs *[]pagestore.Object,
+func growVessels(rng *rand.Rand, world geom.AABB, sh vesselShape, numObjects int, objs *[]pagestore.Object,
 	place func() (pos, dir geom.Vec3), step func(b *vessel, s int, pos, next, dir geom.Vec3)) []Structure {
-	more := func() bool { return len(*objs) < cfg.NumObjects }
+	more := func() bool { return len(*objs) < numObjects }
 	var queue []*vessel
-	for range cfg.Roots {
+	for range sh.Roots {
 		pos, dir := place()
-		queue = append(queue, &vessel{start: pos, dir: dir, length: cfg.TrunkLen, radius: cfg.Radius0})
+		queue = append(queue, &vessel{start: pos, dir: dir, length: sh.TrunkLen, radius: sh.Radius0})
 	}
 
 	// Breadth-first growth: expand the shallowest branch next so the budget
@@ -67,15 +64,15 @@ func growVessels(rng *rand.Rand, world geom.AABB, cfg VesselConfig, objs *[]page
 	for len(queue) > 0 && more() {
 		b := queue[0]
 		queue = queue[1:]
-		steps := int(math.Max(1, b.length/cfg.SegLen))
+		steps := int(math.Max(1, b.length/sh.SegLen))
 		b.points = make([]geom.Vec3, 0, steps)
 		pos, dir := b.start, b.dir
 		for s := 0; s < steps && more(); s++ {
-			dir = perturbDir(rng, dir, cfg.Tortuosity)
-			next := pos.Add(dir.Scale(cfg.SegLen))
+			dir = perturbDir(rng, dir, sh.Tortuosity)
+			next := pos.Add(dir.Scale(sh.SegLen))
 			if !world.Contains(next) {
 				dir = reflectInto(world, next, dir)
-				next = world.ClosestPoint(pos.Add(dir.Scale(cfg.SegLen)))
+				next = world.ClosestPoint(pos.Add(dir.Scale(sh.SegLen)))
 			}
 			b.tail = pagestore.ObjectID(len(*objs))
 			step(b, s, pos, next, dir)
@@ -83,8 +80,8 @@ func growVessels(rng *rand.Rand, world geom.AABB, cfg VesselConfig, objs *[]page
 			pos = next
 		}
 
-		childLen := b.length * cfg.LenDecay
-		if childLen < cfg.SegLen*2 || !more() {
+		childLen := b.length * sh.LenDecay
+		if childLen < sh.SegLen*2 || !more() {
 			tips = append(tips, b)
 			continue
 		}
@@ -94,10 +91,10 @@ func growVessels(rng *rand.Rand, world geom.AABB, cfg VesselConfig, objs *[]page
 		roll := rng.Float64() * 2 * math.Pi
 		side := u.Scale(math.Cos(roll)).Add(w.Scale(math.Sin(roll)))
 		for _, sign := range []float64{1, -1} {
-			cd := dir.Scale(math.Cos(cfg.BranchAngle)).
-				Add(side.Scale(sign * math.Sin(cfg.BranchAngle))).Normalize()
+			cd := dir.Scale(math.Cos(sh.BranchAngle)).
+				Add(side.Scale(sign * math.Sin(sh.BranchAngle))).Normalize()
 			queue = append(queue, &vessel{parent: b, start: pos, dir: cd, length: childLen,
-				radius: b.radius * cfg.RadiusDecay, gen: b.gen + 1})
+				radius: b.radius * sh.RadiusDecay, gen: b.gen + 1})
 		}
 	}
 	// A branch still queued never grew, so its polyline is its parent's

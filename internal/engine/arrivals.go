@@ -40,8 +40,8 @@ type ArrivalConfig struct {
 	Enabled bool
 	// Process selects the arrival process (default Poisson).
 	Process ArrivalProcess
-	// Rate is the offered load in session arrivals per simulated second
-	// (default 8).
+	// Rate is the offered load in session arrivals per simulated second;
+	// a non-positive rate lands every session at time zero.
 	Rate float64
 	// Seed keys the arrival draws. Like the fault seed, arrivals hash
 	// through their own generator, so sharing the workload seed does not
@@ -49,20 +49,11 @@ type ArrivalConfig struct {
 	Seed int64
 }
 
-// withDefaults fills zero tuning fields of an enabled config.
-func (c ArrivalConfig) withDefaults() ArrivalConfig {
-	if c.Rate <= 0 {
-		c.Rate = 8
-	}
-	return c
-}
-
 // ArrivalTimes generates the deterministic arrival time of each of n
 // sessions, in session-ID order (which is also nondecreasing time order).
 // The draw sequence depends only on the config and n — never on workers,
 // policy or the commit loop — so the schedule is byte-identical across runs.
 func (c ArrivalConfig) ArrivalTimes(n int) []time.Duration {
-	c = c.withDefaults()
 	out := make([]time.Duration, n)
 	rng := rand.New(rand.NewSource(c.Seed))
 	var t float64

@@ -14,14 +14,14 @@ type BreakerConfig struct {
 	// behavior exactly.
 	Enabled bool
 	// Alpha is the EWMA weight of the newest query's fault score
-	// (default 0.3, matching the arbiter's ledgers).
+	// (DefaultBreakerConfig: 0.3, matching the arbiter's ledgers).
 	Alpha float64
-	// TripScore is the EWMA level that opens the breaker (default 2 — a
-	// sustained two fault events per query).
+	// TripScore is the EWMA level that opens the breaker
+	// (DefaultBreakerConfig: 2 — a sustained two fault events per query).
 	TripScore float64
 	// Cooldown is the virtual time an open breaker sheds before admitting
-	// one half-open probe window (default 250 ms). A clean probe closes
-	// the breaker; a faulty one restarts the cooldown.
+	// one half-open probe window (DefaultBreakerConfig: 250 ms). A clean
+	// probe closes the breaker; a faulty one restarts the cooldown.
 	Cooldown time.Duration
 }
 
@@ -29,21 +29,6 @@ type BreakerConfig struct {
 // defaults.
 func DefaultBreakerConfig() BreakerConfig {
 	return BreakerConfig{Enabled: true, Alpha: 0.3, TripScore: 2, Cooldown: 250 * time.Millisecond}
-}
-
-// withDefaults fills zero tuning fields of an enabled config.
-func (c BreakerConfig) withDefaults() BreakerConfig {
-	d := DefaultBreakerConfig()
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = d.Alpha
-	}
-	if c.TripScore <= 0 {
-		c.TripScore = d.TripScore
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = d.Cooldown
-	}
-	return c
 }
 
 // faultScore weights one query's fault evidence: a retried read counts 1,

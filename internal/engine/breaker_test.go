@@ -74,14 +74,6 @@ func TestBreakerConfigDefaults(t *testing.T) {
 	if !d.Enabled || d.Alpha <= 0 || d.TripScore <= 0 || d.Cooldown <= 0 {
 		t.Fatalf("default config has zero fields: %+v", d)
 	}
-	got := BreakerConfig{Enabled: true}.withDefaults()
-	if got != d {
-		t.Errorf("zero tuning withDefaults = %+v, want %+v", got, d)
-	}
-	custom := BreakerConfig{Enabled: true, Alpha: 0.5, TripScore: 9, Cooldown: time.Second}
-	if got := custom.withDefaults(); got != custom {
-		t.Errorf("custom config mutated: %+v", got)
-	}
 }
 
 func TestFaultScoreWeights(t *testing.T) {

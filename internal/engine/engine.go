@@ -76,14 +76,11 @@ type Config struct {
 	Hedge float64
 }
 
-// defaultCacheFraction is the paper's setup: 4 GB of prefetch cache for a
+// DefaultConfig mirrors the paper's setup: 4 GB of prefetch cache for a
 // 33 GB data set (§7.1).
-const defaultCacheFraction = 4.0 / 33.0
-
-// DefaultConfig mirrors the paper's setup.
 func DefaultConfig() Config {
 	return Config{
-		CacheFraction: defaultCacheFraction,
+		CacheFraction: 4.0 / 33.0,
 		Cost:          pagestore.DefaultCostModel(),
 	}
 }
@@ -296,9 +293,6 @@ func NewShardedEngine(store *pagestore.Store, index Index, cfg Config, shards in
 }
 
 func newEngine(store *pagestore.Store, index Index, cfg Config, shards int) *Engine {
-	if cfg.Cost == (pagestore.CostModel{}) {
-		cfg.Cost = pagestore.DefaultCostModel()
-	}
 	return &Engine{store: store, index: index, cfg: cfg, shards: shards, fleet: newFleet(store, cfg, shards, nil)}
 }
 
@@ -361,9 +355,6 @@ func (e *Engine) RunSequence(seq workload.Sequence, p prefetch.Prefetcher) Seque
 
 	res := SequenceResult{ResultHash: fnvOffset}
 	ratio := seq.Params.WindowRatio
-	if ratio <= 0 {
-		ratio = 1
-	}
 
 	inline := f.ha.inj != nil
 	e.startPipeline(seq.Queries, p, inline)

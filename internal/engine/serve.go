@@ -142,7 +142,7 @@ type AdmissionConfig struct {
 	Enabled bool
 	// MaxConcurrent is the in-flight session ceiling: a session whose
 	// first commit step sees this many contenders (sessions with disk I/O
-	// still in flight) is not admitted normally (default 8).
+	// still in flight) is not admitted normally (DefaultAdmissionConfig: 8).
 	MaxConcurrent int
 	// Degrade admits over-ceiling sessions with prefetch permanently shed
 	// instead of rejecting them: they still answer queries (demand reads
@@ -378,11 +378,7 @@ func resolveCacheShards(capacity, configured int) int {
 // cacheCapacity sizes a fleet's prefetch cache, before it splits across
 // shards.
 func cacheCapacity(cfg Config, store *pagestore.Store) int {
-	frac := cfg.CacheFraction
-	if frac <= 0 {
-		frac = defaultCacheFraction
-	}
-	return max(int(frac*float64(store.NumPages())), 1)
+	return max(int(cfg.CacheFraction*float64(store.NumPages())), 1)
 }
 
 // newResult returns the empty slice one query's result is refined into
@@ -419,9 +415,6 @@ type SessionPlans struct {
 // over its own trajectory, fanned across workers goroutines (0 =
 // GOMAXPROCS). Deterministic for any worker count.
 func PlanSessions(store *pagestore.Store, index Index, workloads []SessionWorkload, cost pagestore.CostModel, workers int) *SessionPlans {
-	if cost == (pagestore.CostModel{}) {
-		cost = pagestore.DefaultCostModel()
-	}
 	n := len(workloads)
 	plans := &SessionPlans{store: store, cost: cost, layout: store.LayoutName(), steps: make([][]step, n), classes: make([]int, n)}
 	if workers <= 0 {
@@ -508,7 +501,7 @@ type session struct {
 // the event queue, and the ServeResult counters that exist only per turn.
 // Every per-session total is folded from the sessions in finish.
 type commit struct {
-	cfg   ServeConfig // Breaker and Admission with their defaults filled
+	cfg   ServeConfig // with Engine.Cost set to the plans' cost model
 	plans [][]step
 	f     *fleet
 	inj   *fault.Injector // nil unless the config's injector is live
@@ -530,12 +523,6 @@ func (p *SessionPlans) newCommit(cfg ServeConfig) *commit {
 	}
 	n := len(p.steps)
 	cfg.Engine.Cost = p.cost
-	if cfg.Breaker.Enabled {
-		cfg.Breaker = cfg.Breaker.withDefaults()
-	}
-	if cfg.Admission.Enabled && cfg.Admission.MaxConcurrent <= 0 {
-		cfg.Admission.MaxConcurrent = DefaultAdmissionConfig().MaxConcurrent
-	}
 	c := &commit{cfg: cfg, plans: p.steps, sess: make([]session, n), q: queue{now: make([]time.Duration, n)},
 		busy: make([]time.Duration, n)}
 	// The fleet is a single-session engine's plus the serving half: the
@@ -820,9 +807,6 @@ func planSession(store *pagestore.Store, index Index, w SessionWorkload, cost pa
 	for _, seq := range w.Sequences {
 		p.Reset()
 		ratio := seq.Params.WindowRatio
-		if ratio <= 0 {
-			ratio = 1
-		}
 		resultLen := 0
 		for qi, q := range seq.Queries {
 			fq := filtered{keys: keys}

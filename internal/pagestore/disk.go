@@ -229,16 +229,13 @@ func NewDisk(store *Store, model CostModel) *Disk {
 	return NewSharedDisk(store, model, 1, 0)
 }
 
-// NewSharedDisk creates a Disk shared by `streams` concurrent read streams,
-// each with its own head, charging `interference` per contending stream on
-// every seek (0 disables cross-stream interference). Reads are charged to
-// stream 0 with no contenders until At says otherwise.
+// NewSharedDisk creates a Disk shared by `streams` (at least 1) concurrent
+// read streams, each with its own head, charging `interference` per
+// contending stream on every seek (0 disables cross-stream interference).
+// Reads are charged to stream 0 with no contenders until At says otherwise.
 func NewSharedDisk(store *Store, model CostModel, streams int, interference time.Duration) *Disk {
 	if !store.Paginated() {
 		panic("pagestore: NewDisk requires a paginated store")
-	}
-	if streams < 1 {
-		streams = 1
 	}
 	heads := make([]PageID, streams)
 	for i := range heads {

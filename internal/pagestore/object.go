@@ -2,7 +2,8 @@
 // fixed-size pages of spatial objects plus a deterministic disk cost model.
 //
 // The paper stores 450M cylinders on a 4-disk SAS array in 4 KB pages holding
-// 87 objects each (§7.1). This package reproduces that layout in memory and
+// 87 objects each (§7.1). This package reproduces that layout in memory, with
+// 64 of its 64-byte objects per 4 KB page (DefaultObjectsPerPage), and
 // replaces the physical disks with a virtual-clock cost model so experiments
 // are deterministic and machine-independent (see DESIGN.md §2). All times
 // returned by Disk methods are simulated, never wall-clock.

@@ -22,9 +22,9 @@ type Partition struct {
 	bounds []PageID
 }
 
-// NewPartition builds an S-way partition over the store's physical slots.
-// Shard counts below 1 are clamped to 1. When S exceeds the page count the
-// trailing shards own empty ranges and never receive pages.
+// NewPartition builds an S-way partition over the store's physical slots,
+// S >= 1. When S exceeds the page count the trailing shards own empty ranges
+// and never receive pages.
 func NewPartition(s *Store, shards int) *Partition {
 	return NewReplicatedPartition(s, shards, 1)
 }
@@ -35,9 +35,6 @@ func NewPartition(s *Store, shards int) *Partition {
 // is j, (j+1)%S, ..., (j+R-1)%S. Replication degrees are clamped to
 // [1, shards]; replicas == 1 is exactly the unreplicated partition.
 func NewReplicatedPartition(s *Store, shards, replicas int) *Partition {
-	if shards < 1 {
-		shards = 1
-	}
 	if replicas < 1 {
 		replicas = 1
 	}

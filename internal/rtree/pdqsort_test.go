@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"scout/internal/geom"
@@ -63,6 +64,47 @@ func TestSortRecsMatchesSortSort(t *testing.T) {
 					t.Errorf("%s(%d) n=%d GOMAXPROCS %d: differs from sort.Sort from slot %d on", pat.name, pat.seed, n, procs, firstDiff(got, want))
 				}
 			}
+		}
+	}
+}
+
+// TestHeapSortFallback: heapSort, and pdqsort once its bad-pivot budget is
+// spent (limit 0), sort like sort.Slice by recLess. No input STROrder meets
+// exhausts the budget, so this is the only caller of the fallback. Centroids
+// are distinct, so every correct sort leaves the same order; X and Y come
+// from a few values, so compares reach every axis. Lengths are above
+// pdqsort's insertion-sort cutoff (12), odd and even, and one run sorts an
+// interior range, where siftDown's first offset is not zero.
+func TestHeapSortFallback(t *testing.T) {
+	for _, n := range []int{13, 14, 50, 51, 1000, 1001} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		in := make([]strRec, n)
+		for i, z := range rng.Perm(n) {
+			in[i] = strRec{c: geom.V(float64(rng.Intn(3)), float64(rng.Intn(3)), float64(z)), id: pagestore.ObjectID(i)}
+		}
+		want := slices.Clone(in)
+		sort.Slice(want, func(i, j int) bool { return recLess(&want[i], &want[j]) })
+
+		heap := slices.Clone(in)
+		heapSort(heap, 0, n)
+		if !slices.Equal(heap, want) {
+			t.Errorf("heapSort n=%d: differs from sort.Slice from slot %d on", n, firstDiff(heap, want))
+		}
+		var wg sync.WaitGroup
+		pdq := slices.Clone(in)
+		pdqsort(pdq, 0, n, 0, &wg)
+		wg.Wait()
+		if !slices.Equal(pdq, want) {
+			t.Errorf("pdqsort limit 0 n=%d: differs from sort.Slice from slot %d on", n, firstDiff(pdq, want))
+		}
+
+		a, b := 5, n-3
+		mid := slices.Clone(in)
+		heapSort(mid, a, b)
+		wantMid := slices.Clone(in)
+		sort.Slice(wantMid[a:b], func(i, j int) bool { return recLess(&wantMid[a+i], &wantMid[a+j]) })
+		if !slices.Equal(mid, wantMid) {
+			t.Errorf("heapSort [%d, %d) of n=%d: differs from sort.Slice from slot %d on", a, b, n, firstDiff(mid, wantMid))
 		}
 	}
 }

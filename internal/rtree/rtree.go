@@ -3,10 +3,12 @@
 // accessing data", §7.1; Leutenegger et al., ICDE 1997).
 //
 // Bulk loading does double duty: the Sort-Tile-Recursive order it computes
-// becomes the physical storage order of the pagestore (fill factor 100%, 87
-// objects per leaf page, as in §7.1), and the leaf pages become the R-tree's
-// leaf level. Inner nodes are modeled as memory-resident — the paper charges
-// I/O for data pages, and SCOUT treats index traversal cost as CPU time.
+// becomes the physical storage order of the pagestore (fill factor 100%, as
+// in §7.1, with pagestore.DefaultObjectsPerPage objects per leaf page: 64 of
+// this reproduction's objects fill the paper's 4 KB page, where the paper's
+// own hold 87), and the leaf pages become the R-tree's leaf level. Inner
+// nodes are modeled as memory-resident — the paper charges I/O for data
+// pages, and SCOUT treats index traversal cost as CPU time.
 //
 // The tree is stored as an implicit structure-of-arrays layout: one
 // contiguous MBR slice per level, with arithmetic child addressing. STR
@@ -48,7 +50,7 @@ type Tree struct {
 // Config controls bulk loading.
 type Config struct {
 	// ObjectsPerPage is the leaf fanout; defaults to
-	// pagestore.DefaultObjectsPerPage (87, per the paper).
+	// pagestore.DefaultObjectsPerPage (64: a 4 KB page of 64-byte objects).
 	ObjectsPerPage int
 	// Fanout is the inner-node fanout; defaults to ObjectsPerPage, matching
 	// the paper's uniform fanout.

@@ -247,7 +247,9 @@ func TestMicrobenchmarkPresets(t *testing.T) {
 }
 
 func TestGenerateOnRealDataset(t *testing.T) {
-	d := dataset.GenerateNeuro(dataset.NeuroConfig{NumObjects: 20_000, Seed: 11})
+	cfg := dataset.SmallNeuroConfig()
+	cfg.NumObjects, cfg.Seed = 20_000, 11
+	d := dataset.GenerateNeuro(cfg)
 	for _, mb := range Microbenchmarks() {
 		seqs, err := GenerateMany(d, mb.Params, 3, 7)
 		if err != nil {
